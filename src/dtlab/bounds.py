@@ -361,7 +361,7 @@ def verify_leaf_product(tree: DecisionTree, mu: Distribution) -> BoundReport:
                     _ZERO)
         if reach == 0:
             continue
-        factors = conditional_blocks_at_leaf(tree, mu, ref.leaf_id)
+        factors = conditional_blocks_at_leaf(tree, mu, ref)
         for p in cube_points(tree.total_vars, ref.fixed_mask, ref.fixed_vals):
             joint = mu_k.weights[p] / reach
             prod = _ONE

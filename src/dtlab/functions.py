@@ -19,7 +19,6 @@ from .exactexp import fraction_from_str, fraction_to_str
 MAX_TABLE_VARS = 24
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def point_value(point: int, j: int) -> int:
@@ -210,18 +209,18 @@ def uniform(n: int) -> Distribution:
 
 
 def product_power(mu: Distribution, k: int) -> Distribution:
-    """k-fold product distribution over block-structured points."""
+    """k-fold product distribution over block-structured points.
+
+    Built as an iterated Kronecker product: each step puts a new block in the
+    high bits, one multiplication per point.
+    """
     if k < 1:
         raise InvalidValue(f"k must be >= 1, got {k}")
     _check_var_count(mu.n * k, "product_power")
-    mask = (1 << mu.n) - 1
-    weights = []
-    for point in range(1 << (mu.n * k)):
-        w = _ONE
-        for i in range(k):
-            w *= mu.weights[(point >> (i * mu.n)) & mask]
-        weights.append(w)
-    return Distribution(mu.n * k, tuple(weights))
+    weights = mu.weights
+    for _ in range(k - 1):
+        weights = tuple(b * a for b in mu.weights for a in weights)
+    return Distribution(mu.n * k, weights)
 
 
 def density(h: Measure, mu: Distribution) -> Fraction:

@@ -28,7 +28,7 @@ from sympy import Rational
 from sympy.solvers.simplex import linprog as _sympy_linprog
 
 from .errors import BoostFailure, DimensionMismatch, InvalidValue, IterationBudget
-from .exactexp import fraction_from_str, fraction_to_str
+from .exactexp import ExpSum, fraction_from_str, fraction_to_str
 from .functions import (
     BooleanFunction,
     Distribution,
@@ -310,10 +310,23 @@ def best_response(f: BooleanFunction, mu: Distribution, h: Measure,
 
 def committee_size(delta: Fraction, gamma: Fraction,
                    constant: int = DEFAULT_BOOST_CONSTANT) -> int:
-    """Smallest odd r >= constant * ln(1/delta) / gamma^2."""
-    need = constant * math.log(1 / float(delta)) / float(gamma) ** 2
-    r = max(1, math.ceil(need))
-    return r if r % 2 == 1 else r + 1
+    """Smallest odd r with e^{r * gamma^2 / constant} >= 1/delta.  Each
+    candidate is decided by a certified ExpSum sign; a float log only picks
+    the first candidate."""
+    delta, gamma = Fraction(delta), Fraction(gamma)
+    if delta <= 0 or gamma <= 0 or constant <= 0:
+        raise InvalidValue("committee_size needs positive delta, gamma and constant")
+
+    def passes(r: int) -> bool:
+        return (ExpSum.exp(r * gamma ** 2 / constant) - 1 / delta).sign() >= 0
+
+    r = max(1, math.ceil(constant * math.log(1 / float(delta)) / float(gamma) ** 2))
+    r += 1 - r % 2
+    while not passes(r):
+        r += 2
+    while r > 1 and passes(r - 2):
+        r -= 2
+    return r
 
 
 def committee_metrics(committee: Committee, f: BooleanFunction,

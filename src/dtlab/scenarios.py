@@ -17,6 +17,7 @@ from fractions import Fraction
 
 from .bounds import (
     BoundReport,
+    _equality_report,
     bound_report_to_json,
     chernoff_lower,
     constant_chain_reports,
@@ -88,11 +89,6 @@ def _flag_report(context: str, ok: bool, related=()) -> BoundReport:
     return BoundReport(context, ind, one, one - ind, ok, True, tuple(related))
 
 
-def _equal(context: str, lhs: Fraction, rhs: Fraction, related=()) -> BoundReport:
-    l, r = ExpSum.of(lhs), ExpSum.of(rhs)
-    return BoundReport(context, l, r, r - l, lhs == rhs, True, tuple(related))
-
-
 # ---------------------------------------------------------------------------
 # parameter plumbing
 
@@ -137,8 +133,8 @@ def _scn_parity_claim(params: dict, prec: int):
     target = n * (1 - 2 * eps)
     checks = [CheckResult(
         f"depth-at-eps-{fraction_to_str(eps)}",
-        _equal("parity-depth", depth, target,
-               related=(("n", n), ("eps", eps))))]
+        _equality_report("parity-depth", depth, target,
+                         related=(("n", n), ("eps", eps))))]
     return checks, {"frontier": frontier_to_json(frontier)}
 
 
@@ -151,8 +147,8 @@ def _scn_no_boosting(params: dict, prec: int):
     floor_target = Fraction(n - 1, 4)
     checks = [
         CheckResult("depth-at-quarter-is-zero",
-                    _equal("no-boosting-free-quarter", quarter, _ZERO,
-                           related=(("n", n),))),
+                    _equality_report("no-boosting-free-quarter", quarter, _ZERO,
+                                     related=(("n", n),))),
         CheckResult("depth-at-eighth-floor",
                     BoundReport("no-boosting-eighth-floor",
                                 ExpSum.of(floor_target), ExpSum.of(eighth),

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .errors import DimensionMismatch, GuardExceeded, InvalidValue
 from .functions import BooleanFunction, Distribution, Measure
-from .trees import DecisionTree, Leaf, Query, RandomizedTree, cube_points, leaves
+from .trees import DecisionTree, Leaf, Query, RandomizedTree, _cell_sums, leaves
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -37,15 +37,6 @@ def _rebuild_with_labels(tree: DecisionTree, labels: list[tuple[int, ...]],
     return DecisionTree(n, k, walk(tree.root))
 
 
-def _block_matches(ref, i: int, n: int, x: int) -> bool:
-    """Does block value x agree with the leaf cube's block-i restrictions?"""
-    for j in range(n):
-        g = i * n + j
-        if (ref.fixed_mask >> g) & 1 and ((ref.fixed_vals >> g) & 1) != ((x >> j) & 1):
-            return False
-    return True
-
-
 def sign_fix_leaves(tree: DecisionTree, f: BooleanFunction, h: Measure,
                     mu: Distribution) -> DecisionTree:
     """Flip leaf labels per block wherever the signed conditional correlation
@@ -59,25 +50,17 @@ def sign_fix_leaves(tree: DecisionTree, f: BooleanFunction, h: Measure,
     n, k = f.n, tree.k
     if tree.n != n or h.n != n or mu.n != n:
         raise DimensionMismatch("sign_fix_leaves expects single-block f, h, mu")
-    mask_n = (1 << n) - 1
+    # The signed correlation on block i is the product of the other blocks'
+    # cell masses times block i's cell sum of mu*f*h, so it has that sum's
+    # sign when the leaf is reached and is 0 (keep the label) when it is not.
+    fh = tuple(a * b for a, b in zip(f.table, h.values))
+    refs = leaves(tree)
     new_labels: list[tuple[int, ...]] = []
-    for ref in leaves(tree):
-        signed = [_ZERO] * k
-        for point in cube_points(tree.total_vars, ref.fixed_mask, ref.fixed_vals):
-            w = _ONE
-            blocks = []
-            for i in range(k):
-                b = (point >> (i * n)) & mask_n
-                blocks.append(b)
-                w *= mu.weights[b]
-                if w == 0:
-                    break
-            if w == 0:
-                continue
-            for i, b in enumerate(blocks):
-                signed[i] += w * f.table[b] * h.values[b]
+    for ref, cells in zip(refs, _cell_sums(refs, n, k, mu, (fh,))):
+        reached = all(s != 0 for s, _ in cells)
         new_labels.append(tuple(
-            -lab if lab * s < 0 else lab for lab, s in zip(ref.label, signed)))
+            -lab if reached and lab * g < 0 else lab
+            for lab, (_, g) in zip(ref.label, cells)))
     return _rebuild_with_labels(tree, new_labels, n, k)
 
 
@@ -174,22 +157,13 @@ def product_tree(t_xor: DecisionTree, f: BooleanFunction, mu: Distribution,
     n = f.n
     if t_xor.n != n * k or mu.n != n:
         raise DimensionMismatch("tree must span k blocks of f's variables")
+    refs = leaves(t_xor)
     new_labels: list[tuple[int, ...]] = []
-    for ref in leaves(t_xor):
-        label = []
-        for i in range(k):
-            mass = _ZERO
-            signed = _ZERO
-            for x in range(1 << n):
-                if mu.weights[x] == 0 or not _block_matches(ref, i, n, x):
-                    continue
-                mass += mu.weights[x]
-                signed += mu.weights[x] * f.table[x]
-            if mass == 0:
-                label = [1] * k
-                break
-            label.append(1 if signed >= 0 else -1)
-        new_labels.append(tuple(label))
+    for cells in _cell_sums(refs, n, k, mu, (f.table,)):
+        if any(s == 0 for s, _ in cells):
+            new_labels.append((1,) * k)
+        else:
+            new_labels.append(tuple(1 if g >= 0 else -1 for _, g in cells))
     return _rebuild_with_labels(t_xor, new_labels, n, k)
 
 

@@ -7,12 +7,24 @@ trees; every metric extends to mixtures by linearity.
 
 Leaf identifiers are preorder positions (negative child first), which makes
 them stable across serialization round-trips.
+
+Reaching a leaf fixes a subcube, so under a k-fold product input law the
+leaf's conditional law factors across blocks (acceptance c07).  One private
+kernel, _cell_sums, uses this for every per-leaf statistic: leaf_stats,
+conditional_blocks_at_leaf, and sign_fix_leaves / product_tree in transforms
+cost O(L*k*2^n) for L leaves instead of walking 2^(nk - depth) points per
+leaf.  What checks that factorization stays on point enumeration, so no check
+is circular: the joint law in bounds.verify_leaf_product and the
+threshold_error lhs of bounds.verify_accuracy_bound.  leaf_distribution takes
+an arbitrary (non-product) law and enumerates points too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from math import prod
 
 from .errors import DimensionMismatch, InvalidValue, UnreachedLeaf
 from .exactexp import fraction_from_str, fraction_to_str
@@ -21,7 +33,6 @@ from .functions import (
     Distribution,
     Measure,
     VectorFunction,
-    point_value,
 )
 
 _ZERO = Fraction(0)
@@ -277,6 +288,25 @@ class LeafStats:
         return None if self.adv is None else sum(self.adv, _ZERO)
 
 
+def _cell_sums(refs, n: int, k: int, mu: Distribution,
+               tables=()) -> list[list[tuple[Fraction, ...]]]:
+    """Per leaf, per block i: (sum of mu, sum of mu*t for t in tables) over the
+    leaf's block-i cell {x : x & bm == bv}, bm and bv being block i's slices
+    of fixed_mask and fixed_vals.  Tables are single-block, mu-zero points are
+    skipped, and each distinct cell is summed once."""
+    mask = (1 << n) - 1
+    rows = [(x, (w,) + tuple(w * t[x] for t in tables))
+            for x, w in enumerate(mu.weights) if w != 0]
+    zeros = (_ZERO,) * (1 + len(tables))
+
+    @lru_cache(maxsize=None)
+    def cell(bm: int, bv: int) -> tuple[Fraction, ...]:
+        return tuple(map(sum, zip(zeros, *(r for x, r in rows if x & bm == bv))))
+
+    return [[cell((ref.fixed_mask >> (i * n)) & mask, (ref.fixed_vals >> (i * n)) & mask)
+             for i in range(k)] for ref in refs]
+
+
 def leaf_stats(tree: DecisionTree, f: BooleanFunction, h: Measure,
                mu: Distribution) -> list[LeafStats]:
     """Per-leaf, per-block density, advantage, p = (dens-adv)/2, and mistake rate q.
@@ -285,78 +315,61 @@ def leaf_stats(tree: DecisionTree, f: BooleanFunction, h: Measure,
     k-fold product of mu.  dens is the conditional mass of h on a block, adv
     the absolute conditional correlation of the leaf's label with f on that
     block, and q the conditional probability the label is wrong there.
+
+    The leaf law factors across blocks, so with S, H, G, F the block cell's
+    sums of mu, mu*h, mu*f*h and mu*f: reach = prod S, dens = H/S,
+    adv = |G|/S and q = (S - label*F)/(2S).  Cost O(L*k*2^n) for L leaves.
     """
     n, k = tree.n, tree.k
     if f.n != n or h.n != n or mu.n != n:
         raise DimensionMismatch("leaf_stats expects single-block f, h, mu")
-    mask_n = (1 << n) - 1
+    fh = tuple(a * b for a, b in zip(f.table, h.values))
+    refs = leaves(tree)
     out: list[LeafStats] = []
-    for ref in leaves(tree):
-        mass = _ZERO
-        sum_h = [_ZERO] * k
-        sum_fyh = [_ZERO] * k
-        sum_wrong = [_ZERO] * k
-        for point in cube_points(tree.total_vars, ref.fixed_mask, ref.fixed_vals):
-            w = Fraction(1)
-            blocks = []
-            for i in range(k):
-                b = (point >> (i * n)) & mask_n
-                blocks.append(b)
-                w *= mu.weights[b]
-                if w == 0:
-                    break
-            if w == 0:
-                continue
-            mass += w
-            for i, b in enumerate(blocks):
-                hv = h.values[b]
-                if hv != 0:
-                    sum_h[i] += w * hv
-                    sum_fyh[i] += w * f.table[b] * ref.label[i] * hv
-                if ref.label[i] != f.table[b]:
-                    sum_wrong[i] += w
-        if mass == 0:
+    for ref, cells in zip(refs, _cell_sums(refs, n, k, mu, (h.values, fh, f.table))):
+        reach = prod(c[0] for c in cells)
+        if reach == 0:
             out.append(LeafStats(ref.leaf_id, ref.depth, ref.label, _ZERO,
                                  None, None, None, None))
             continue
-        dens = tuple(s / mass for s in sum_h)
-        adv = tuple(abs(s) / mass for s in sum_fyh)
+        dens = tuple(hs / s for s, hs, _, _ in cells)
+        adv = tuple(abs(g) / s for s, _, g, _ in cells)
         p = tuple((d - a) / 2 for d, a in zip(dens, adv))
-        q = tuple(s / mass for s in sum_wrong)
-        out.append(LeafStats(ref.leaf_id, ref.depth, ref.label, mass, dens, adv, p, q))
+        q = tuple((s - lab * fs) / (2 * s)
+                  for lab, (s, _, _, fs) in zip(ref.label, cells))
+        out.append(LeafStats(ref.leaf_id, ref.depth, ref.label, reach, dens, adv, p, q))
     return out
 
 
 def conditional_blocks_at_leaf(tree: DecisionTree, mu: Distribution,
-                               leaf_id: int) -> tuple[Distribution, ...]:
+                               leaf: int | LeafRef) -> tuple[Distribution, ...]:
     """Per-block conditional input laws at a leaf, under the product of mu.
 
     Because the source is a product distribution and reaching a leaf fixes a
     subcube, the conditional law factors across blocks; this returns the k
-    factors.  Requesting them at a zero-mass leaf raises UnreachedLeaf.
+    factors (mu renormalized on each block cell) at cost O(k*2^n).  leaf is
+    a leaf id or a LeafRef of leaves(tree); passing the ref skips the leaf
+    walk.  Requesting the factors at a zero-mass leaf raises UnreachedLeaf.
     """
     n, k = tree.n, tree.k
     if mu.n != n:
         raise DimensionMismatch("conditional_blocks_at_leaf expects single-block mu")
-    refs = leaves(tree)
-    if not 0 <= leaf_id < len(refs):
-        raise InvalidValue(f"no leaf {leaf_id}")
-    ref = refs[leaf_id]
+    if isinstance(leaf, LeafRef):
+        ref = leaf
+    else:
+        refs = leaves(tree)
+        if not 0 <= leaf < len(refs):
+            raise InvalidValue(f"no leaf {leaf}")
+        ref = refs[leaf]
+    mask = (1 << n) - 1
     factors = []
-    for i in range(k):
-        marg = []
-        for x in range(1 << n):
-            ok = True
-            for j in range(n):
-                gbit = 1 << (i * n + j)
-                if ref.fixed_mask & gbit and ((ref.fixed_vals >> (i * n + j)) & 1) != ((x >> j) & 1):
-                    ok = False
-                    break
-            marg.append(mu.weights[x] if ok else _ZERO)
-        total = sum(marg, _ZERO)
+    for i, (total,) in enumerate(_cell_sums([ref], n, k, mu)[0]):
         if total == 0:
-            raise UnreachedLeaf(f"leaf {leaf_id} has zero reach probability")
-        factors.append(Distribution(n, tuple(m / total for m in marg)))
+            raise UnreachedLeaf(f"leaf {ref.leaf_id} has zero reach probability")
+        bm = (ref.fixed_mask >> (i * n)) & mask
+        bv = (ref.fixed_vals >> (i * n)) & mask
+        factors.append(Distribution(n, tuple(
+            w / total if x & bm == bv else _ZERO for x, w in enumerate(mu.weights))))
     return tuple(factors)
 
 

@@ -5,6 +5,7 @@ comparison at 128 bits; there are no float tolerances anywhere.  Criteria
 with runtime gates assert wall-clock limits alongside the values.
 """
 
+import hashlib
 import itertools
 import random
 import time
@@ -196,4 +197,6 @@ def test_c13_suite_determinism():
     r2, _ = run_config(cfg, jobs=4)
     assert r1["summary"]["ok"] and r2["summary"]["ok"]
     assert report_to_bytes(r1) == report_to_bytes(r2)
+    assert hashlib.sha256(report_to_bytes(r1)).hexdigest() == (
+        "d3d8e403cf05451358c8de3e1f537b5d4e61ba88e9cf0b7caf098b3ab7efc4f0")
     _verdict("13 full suite byte-identical across two runs")

@@ -1,5 +1,6 @@
 """Point encodings, named functions, distributions, and their serialization."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -31,6 +32,7 @@ from dtlab.functions import (
     vector_function_to_json,
     xor_power,
 )
+from dtlab.instances import random_distribution
 
 
 def test_point_encoding_bit_set_means_plus_one():
@@ -121,6 +123,20 @@ def test_product_power_weights_factor(n, k):
             w *= base.weights[(x >> (i * n)) & mask]
         assert mu.weight(x) == w
     assert sum(mu.weights) == 1
+
+
+def test_product_power_is_the_pointwise_block_product():
+    rng = random.Random(77)
+    for n in (1, 2, 3):
+        mu = random_distribution(rng, n)  # zero weights allowed
+        mask = (1 << n) - 1
+        for k in range(1, 5):
+            got = product_power(mu, k)
+            for x in range(1 << (n * k)):
+                want = Fraction(1)
+                for i in range(k):
+                    want *= mu.weights[(x >> (i * n)) & mask]
+                assert got.weights[x] == want, (n, k, x)
 
 
 def test_density_is_expected_measure():

@@ -1,5 +1,6 @@
 """Hardcore-measure game: LP kernel, certificates, and boosted committees."""
 
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -164,6 +165,29 @@ def test_committee_sizes_are_odd_and_match_formula():
     assert committee_size(F(1, 8), F(1, 2)) == 67
     for d, g in ((F(1, 2), F(1, 2)), (F(1, 16), F(1, 4))):
         assert committee_size(d, g) % 2 == 1
+
+
+def test_committee_size_is_the_smallest_odd_r_passing_the_exact_inequality():
+    # Oracle: r * gamma^2 / c >= ln(1/delta) in 60-digit decimal arithmetic,
+    # which is the exact inequality e^{r gamma^2 / c} >= 1/delta.
+    def passes(r, delta, gamma, c):
+        e = r * gamma ** 2 / c
+        with localcontext() as ctx:
+            ctx.prec = 60
+            return (Decimal(e.numerator) / e.denominator
+                    >= (Decimal(delta.denominator) / delta.numerator).ln())
+
+    deltas = (F(1, 2), F(1, 3), F(1, 4), F(1, 8), F(1, 10), F(1, 100), F(3, 4), F(9, 10))
+    gammas = (F(1), F(1, 2), F(1, 3), F(1, 4), F(3, 5), F(1, 10))
+    for delta in deltas:
+        for gamma in gammas:
+            for c in (1, 8):
+                r = committee_size(delta, gamma, c)
+                assert r % 2 == 1
+                assert passes(r, delta, gamma, c), (delta, gamma, c, r)
+                assert r == 1 or not passes(r - 2, delta, gamma, c), (delta, gamma, c, r)
+    with pytest.raises(InvalidValue):
+        committee_size(F(1, 4), F(0))
 
 
 def test_maj_boost_is_seed_deterministic():

@@ -37,9 +37,11 @@ from dtlab.trees import (
     Leaf,
     agreement,
     correlation,
+    cube_points,
     error,
     evaluate,
     expected_depth,
+    leaf_distribution,
     leaf_stats,
     leaves,
     path_length,
@@ -122,6 +124,80 @@ def test_monte_carlo_embedding_samples_exact_components():
     assert mc == again
     other = embed_block_reduction(t, mu, mode="monte-carlo", seed=4, samples=64)
     assert sum(w for w, _ in other.components) == 1
+
+
+# ---------------------------------------------------------------------------
+# point-enumeration references for the factored leaf kernel
+
+SWEEP_SHAPES = [(n, k) for n in (1, 2, 3) for k in (1, 2, 3)] + [(2, 4), (2, 5)]
+
+
+def _ref_sign_fix(tree, f, h, mu):
+    n, k = tree.n, tree.k
+    mask_n = (1 << n) - 1
+    labels = []
+    for ref in leaves(tree):
+        signed = [F(0)] * k
+        for point in cube_points(tree.total_vars, ref.fixed_mask, ref.fixed_vals):
+            blocks = [(point >> (i * n)) & mask_n for i in range(k)]
+            w = F(1)
+            for b in blocks:
+                w *= mu.weights[b]
+            for i, b in enumerate(blocks):
+                signed[i] += w * f.table[b] * h.values[b]
+        labels.append(tuple(-lab if lab * s < 0 else lab
+                            for lab, s in zip(ref.label, signed)))
+    return _rebuild_with_labels(tree, labels, n, k)
+
+
+def _block_matches(ref, i, n, x):
+    for j in range(n):
+        g = i * n + j
+        if (ref.fixed_mask >> g) & 1 and ((ref.fixed_vals >> g) & 1) != ((x >> j) & 1):
+            return False
+    return True
+
+
+def _ref_product_tree(t_xor, f, mu, k):
+    n = f.n
+    labels = []
+    for ref in leaves(t_xor):
+        label = []
+        for i in range(k):
+            cell = [x for x in range(1 << n) if _block_matches(ref, i, n, x)]
+            mass = sum((mu.weights[x] for x in cell), F(0))
+            if mass == 0:
+                label = [1] * k
+                break
+            signed = sum((mu.weights[x] * f.table[x] for x in cell), F(0))
+            label.append(1 if signed >= 0 else -1)
+        labels.append(tuple(label))
+    return _rebuild_with_labels(t_xor, labels, n, k)
+
+
+def test_sign_fix_and_product_tree_match_point_enumeration():
+    flipped = unreached = 0
+    for seed in range(6):
+        rng = random.Random(5000 + seed)
+        for n, k in SWEEP_SHAPES:
+            f = random_function(rng, n)
+            h = random_measure(rng, n)
+            mu = random_distribution(rng, n)  # zero weights allowed
+            t = random_tree(rng, n, k)
+            want = _ref_sign_fix(t, f, h, mu)
+            got = sign_fix_leaves(t, f, h, mu)
+            assert [r.label for r in leaves(got)] == [r.label for r in leaves(want)]
+            assert got == want
+            flipped += want != t
+
+            t_xor = random_scalar_tree(rng, n * k)
+            want = _ref_product_tree(t_xor, f, mu, k)
+            got = product_tree(t_xor, f, mu, k)
+            assert [r.label for r in leaves(got)] == [r.label for r in leaves(want)]
+            assert got == want
+            reach = leaf_distribution(t_xor, product_power(mu, k))
+            unreached += sum(1 for w in reach.values() if w == 0)
+    assert flipped > 0 and unreached > 0
 
 
 def test_unknown_embedding_mode_rejected():

@@ -1,5 +1,6 @@
 """Tree structure, evaluation semantics, exact metrics, and leaf statistics."""
 
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -26,6 +27,7 @@ from dtlab.instances import (
 from dtlab.trees import (
     DecisionTree,
     Leaf,
+    LeafStats,
     Query,
     RandomizedTree,
     agreement,
@@ -220,6 +222,95 @@ def test_conditional_blocks_raise_on_unreached_leaf():
     mu = Distribution(1, (Fraction(1), Fraction(0)))
     with pytest.raises(UnreachedLeaf):
         conditional_blocks_at_leaf(t, mu, 1)
+
+
+# ---------------------------------------------------------------------------
+# point-enumeration references for the factored leaf kernel: these walk every
+# point of every leaf subcube, so the kernel is never checked against itself
+
+SWEEP_SHAPES = [(n, k) for n in (1, 2, 3) for k in (1, 2, 3)] + [(2, 4), (2, 5)]
+
+
+def _ref_leaf_stats(tree, f, h, mu):
+    n, k = tree.n, tree.k
+    mask_n = (1 << n) - 1
+    out = []
+    for ref in leaves(tree):
+        mass = Fraction(0)
+        sum_h = [Fraction(0)] * k
+        sum_fyh = [Fraction(0)] * k
+        sum_wrong = [Fraction(0)] * k
+        for point in cube_points(tree.total_vars, ref.fixed_mask, ref.fixed_vals):
+            w = Fraction(1)
+            blocks = [(point >> (i * n)) & mask_n for i in range(k)]
+            for b in blocks:
+                w *= mu.weights[b]
+            if w == 0:
+                continue
+            mass += w
+            for i, b in enumerate(blocks):
+                sum_h[i] += w * h.values[b]
+                sum_fyh[i] += w * f.table[b] * ref.label[i] * h.values[b]
+                if ref.label[i] != f.table[b]:
+                    sum_wrong[i] += w
+        if mass == 0:
+            out.append(LeafStats(ref.leaf_id, ref.depth, ref.label, Fraction(0),
+                                 None, None, None, None))
+            continue
+        dens = tuple(s / mass for s in sum_h)
+        adv = tuple(abs(s) / mass for s in sum_fyh)
+        p = tuple((d - a) / 2 for d, a in zip(dens, adv))
+        q = tuple(s / mass for s in sum_wrong)
+        out.append(LeafStats(ref.leaf_id, ref.depth, ref.label, mass, dens, adv, p, q))
+    return out
+
+
+def _ref_conditional_blocks(tree, mu, ref):
+    """The k conditional block laws at a leaf, or None when it is unreached."""
+    n, k = tree.n, tree.k
+    factors = []
+    for i in range(k):
+        marg = []
+        for x in range(1 << n):
+            ok = all(
+                not (ref.fixed_mask >> (i * n + j)) & 1
+                or ((ref.fixed_vals >> (i * n + j)) & 1) == ((x >> j) & 1)
+                for j in range(n))
+            marg.append(mu.weights[x] if ok else Fraction(0))
+        total = sum(marg, Fraction(0))
+        if total == 0:
+            return None
+        factors.append(Distribution(n, tuple(m / total for m in marg)))
+    return tuple(factors)
+
+
+def test_leaf_kernel_matches_point_enumeration():
+    unreached = reached = 0
+    for seed in range(6):
+        rng = random.Random(4000 + seed)
+        for n, k in SWEEP_SHAPES:
+            t = random_tree(rng, n, k)
+            f = random_function(rng, n)
+            h = random_measure(rng, n)
+            mu = random_distribution(rng, n)  # zero weights allowed
+            got, want = leaf_stats(t, f, h, mu), _ref_leaf_stats(t, f, h, mu)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                for field in dataclasses.fields(LeafStats):
+                    assert getattr(g, field.name) == getattr(w, field.name), (
+                        seed, n, k, w.leaf_id, field.name)
+            for ref in leaves(t):
+                factors = _ref_conditional_blocks(t, mu, ref)
+                if factors is None:
+                    unreached += 1
+                    for leaf in (ref.leaf_id, ref):
+                        with pytest.raises(UnreachedLeaf):
+                            conditional_blocks_at_leaf(t, mu, leaf)
+                    continue
+                reached += 1
+                assert conditional_blocks_at_leaf(t, mu, ref.leaf_id) == factors
+                assert conditional_blocks_at_leaf(t, mu, ref) == factors
+    assert unreached > 0 and reached > 0
 
 
 def test_derandomize_returns_a_good_component():
