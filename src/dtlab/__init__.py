@@ -68,7 +68,6 @@ from .synth import (
     FrontierPoint,
     ParetoFrontier,
     enumerate_all_trees,
-    frontier_to_csv_rows,
     frontier_to_json,
     mixture_optimum,
     opt_depth,
@@ -105,7 +104,6 @@ from .bounds import (
     ber_sum,
     ber_sum_cdf,
     binomial,
-    bound_report_csv_row,
     bound_report_to_json,
     chernoff_lower,
     chernoff_upper2x,

@@ -103,16 +103,6 @@ def bound_report_to_json(report: BoundReport,
     }
 
 
-def bound_report_csv_row(report: BoundReport,
-                         prec_bits: int = DEFAULT_PRECISION_BITS) -> tuple:
-    def flat(v):
-        j = value_json(v, prec_bits)
-        return j if isinstance(j, str) else f"[{j[0]},{j[1]}]"
-
-    return (report.context, flat(report.lhs), flat(report.rhs),
-            flat(report.slack), str(report.holds).lower())
-
-
 # ---------------------------------------------------------------------------
 # Bernoulli sums and closed-form tail bounds
 

@@ -5,7 +5,8 @@ to JSON or CSV, and re-check a serialized certificate or committee.
 
 Exit codes: 0 all checks pass, 1 some check failed, 2 invalid config,
 scenario, or format, 3 size guard exceeded, 4 comparison undecided at
-the requested precision.
+the requested precision, 5 a solver ran out of its iteration or retry
+budget, or an internal error.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_INVALID = 2
 EXIT_GUARD = 3
 EXIT_UNDECIDED = 4
+EXIT_INTERNAL = 5
 
 
 def _atomic_write(path: str, data: bytes) -> None:
@@ -193,6 +195,10 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except Exception as exc:
+        # IterationBudget, BoostFailure, or a bug.
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

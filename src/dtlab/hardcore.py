@@ -9,12 +9,16 @@ all but a delta/2 fraction of inputs, and an odd majority committee sampled
 from it computes f with error at most delta.
 
 Solved by column generation: keep a finite pool of deterministic trees, solve
-the restricted game exactly as a pair of rational LPs (one per player), and
-grow the pool with exact best responses from the advantage-frontier envelope.
-Each restricted solve is certified twice over: the two LP values must agree
-exactly (strong duality), the row player's value is re-derived by a greedy
-closed form, and the column player's value by envelope enumeration.  A wrong
-LP answer therefore cannot escape the solver.
+the restricted game exactly, and grow the pool with exact best responses from
+the advantage-frontier envelope.  Each restricted game is one LP, the row
+player's, solved by a dense two-phase simplex over Fractions with Bland's
+rule, which terminates by construction.  Its optimal tableau gives both
+players' strategies: H as the primal solution, the tree mixture w as the
+reduced costs of the pool rows' slacks.  The pair is then certified as a
+saddle point without trusting the kernel: both strategies are checked for
+feasibility, and the greedy closed-form minimum against w and the envelope
+maximum against H must both equal the LP value.  A wrong LP answer therefore
+cannot escape the solver.
 """
 
 from __future__ import annotations
@@ -24,10 +28,13 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from sympy import Rational
-from sympy.solvers.simplex import linprog as _sympy_linprog
-
-from .errors import BoostFailure, DimensionMismatch, InvalidValue, IterationBudget
+from .errors import (
+    BoostFailure,
+    DimensionMismatch,
+    Infeasible,
+    InvalidValue,
+    IterationBudget,
+)
 from .exactexp import ExpSum, fraction_from_str, fraction_to_str
 from .functions import (
     BooleanFunction,
@@ -109,92 +116,78 @@ class Committee:
 
 
 # ---------------------------------------------------------------------------
-# exact LP plumbing
+# exact simplex kernel
 
 
-def _to_rational(q: Fraction) -> Rational:
-    return Rational(q.numerator, q.denominator)
+def _pivot(tab, r: int, c: int) -> None:
+    """Make column c the unit vector e_r by row operations on every row."""
+    p = tab[r][c]
+    row = tab[r] = [v / p for v in tab[r]]
+    nonzero = [j for j, v in enumerate(row) if v]
+    for i, other in enumerate(tab):
+        m = other[c]
+        if i != r and m:
+            for j in nonzero:
+                other[j] -= m * row[j]
 
 
-def _to_fraction(v) -> Fraction:
-    r = Rational(v)
-    return Fraction(int(r.p), int(r.q))
+def _bland(tab, basis: list[int], ncols: int) -> None:
+    """Minimise the objective whose reduced costs are the last row of tab.
 
-
-def _solve_lp(c, a_ub, b_ub, a_eq, b_eq, bounds):
-    """Exact rational LP: min c*x, A_ub x <= b_ub, A_eq x = b_eq, var bounds.
-
-    sympy's linprog bounds layer is unsound for variables that may go
-    negative (the standard form's x >= 0 leaks through its rewrite, e.g.
-    min x s.t. x >= -5 with free bounds returns 0), so the change of
-    variables to the nonnegative orthant happens here and sympy only ever
-    sees default bounds.
+    Rows tab[:-1] are [A | b] in canonical form for `basis`.  Bland's rule
+    (lowest-index entering column among columns < ncols, ratio ties broken
+    on the lowest basic index) never revisits a basis, so the loop ends
+    without an iteration cap.
     """
-    cols = []       # per variable: ((column, sign), ...) with x = offset + sum
-    offsets = []
-    caps = []       # (column, cap): z_col <= cap rows for finite upper bounds
-    ncols = 0
-    for lo, ub in bounds:
-        if lo is None and ub is None:
-            cols.append(((ncols, _ONE), (ncols + 1, -_ONE)))
-            offsets.append(_ZERO)
-            ncols += 2
-        elif lo is None:
-            cols.append(((ncols, -_ONE),))
-            offsets.append(Fraction(ub))
-            ncols += 1
-        else:
-            cols.append(((ncols, _ONE),))
-            offsets.append(Fraction(lo))
-            if ub is not None:
-                caps.append((ncols, Fraction(ub) - Fraction(lo)))
-            ncols += 1
-
-    def expand(row):
-        out = [_ZERO] * ncols
-        shift = _ZERO
-        for coeff, parts, off in zip(row, cols, offsets):
-            if coeff == 0:
-                continue
-            for col, sign in parts:
-                out[col] += coeff * sign
-            shift += coeff * off
-        return out, shift
-
-    c_z, c_shift = expand(c)
-    rows_ub, rhs_ub = [], []
-    for row, b in zip(a_ub, b_ub):
-        r, shift = expand(row)
-        rows_ub.append(r)
-        rhs_ub.append(b - shift)
-    for col, cap in caps:
-        r = [_ZERO] * ncols
-        r[col] = _ONE
-        rows_ub.append(r)
-        rhs_ub.append(cap)
-    rows_eq, rhs_eq = [], []
-    for row, b in zip(a_eq, b_eq):
-        r, shift = expand(row)
-        rows_eq.append(r)
-        rhs_eq.append(b - shift)
-
-    if not rows_ub and not rows_eq:
-        # Orthant-only problem; sympy insists on at least one constraint row.
-        if any(v < 0 for v in c_z):
+    costs = tab[-1]
+    while True:
+        c = next((j for j in range(ncols) if costs[j] < 0), None)
+        if c is None:
+            return
+        best = None
+        for i, row in enumerate(tab[:-1]):
+            if row[c] > 0:
+                ratio = row[-1] / row[c]
+                if (best is None or ratio < best[0]
+                        or (ratio == best[0] and basis[i] < basis[best[1]])):
+                    best = (ratio, i)
+        if best is None:
             raise InvalidValue("unbounded LP")
-        val, zs = _ZERO, [_ZERO] * ncols
-    else:
-        val, zs = _sympy_linprog(
-            [_to_rational(v) for v in c_z],
-            [[_to_rational(v) for v in row] for row in rows_ub] or None,
-            [_to_rational(v) for v in rhs_ub] or None,
-            [[_to_rational(v) for v in row] for row in rows_eq] or None,
-            [_to_rational(v) for v in rhs_eq] or None,
-        )
-        zs = [_to_fraction(v) for v in zs]
-    xs = [off + sum((sign * zs[col] for col, sign in parts), _ZERO)
-          for parts, off in zip(cols, offsets)]
-    return _to_fraction(val) + c_shift, xs
+        _pivot(tab, best[1], c)
+        basis[best[1]] = c
+
+
+def _simplex(tab, basis: list[int], cost, nreal: int) -> Fraction:
+    """Exact min of cost*x over {x >= 0 : A x = b}; returns the value.
+
+    tab holds the rows [A | b] with b >= 0, and basis[i] names a unit column
+    of row i.  Columns from nreal on are artificials, driven out by phase 1.
+    On return tab[:-1] and basis are an optimal canonical form and tab[-1]
+    holds the final reduced costs.  A zero-cost column e_i has reduced cost
+    -y_i, so a slack's reduced cost is minus its row's optimal dual value.
+    """
+    width = len(tab[0])
+    artificial = [i for i, b in enumerate(basis) if b >= nreal]
+    if artificial:
+        tab.append([-sum((tab[i][j] for i in artificial), _ZERO)
+                    if j < nreal or j == width - 1 else _ZERO
+                    for j in range(width)])
+        _bland(tab, basis, nreal)
+        if tab.pop()[-1] != 0:
+            raise Infeasible("LP has no feasible point")
+        for i, b in enumerate(basis):
+            if b >= nreal:
+                # Basic at zero: pivot it out.  A row with no real entry is
+                # redundant and never changes again.
+                c = next((j for j in range(nreal) if tab[i][j]), None)
+                if c is not None:
+                    _pivot(tab, i, c)
+                    basis[i] = c
+    full = list(cost) + [_ZERO] * (width - len(cost))
+    tab.append([full[j] - sum((full[b] * tab[i][j] for i, b in enumerate(basis)), _ZERO)
+                for j in range(width)])
+    _bland(tab, basis, nreal)
+    return -tab[-1][-1]
 
 
 def _payoff_vector(f: BooleanFunction, mu: Distribution, tree: DecisionTree):
@@ -227,69 +220,75 @@ def _greedy_min_measure(f, mu, half_density, scores):
 def _restricted_game(f, mu, half_density, budget, pool, payoffs, depths):
     """Exact value and both optimal strategies of the pool-restricted game.
 
-    Returns (value, H, w).  Internally self-checking: primal and dual LP
-    values must coincide exactly, and both strategies are re-verified by
-    independent evaluations (greedy inner minimum for w, envelope inner
-    maximum for H).
+    Returns (value, H, w).  One simplex solve of the row player's LP
+
+        min s + budget*y  s.t.  payoff(H, T) <= s + depth_T * y  for T in pool,
+                                mu . H = half_density,  0 <= H <= 1,  y >= 0,
+
+    yields H as its primal solution and the column player's mixture w as
+    the final reduced costs of the pool rows' slacks.  Both are then checked
+    for feasibility and re-verified by independent evaluations (greedy inner
+    minimum for w, envelope inner maximum for H), which together certify a
+    saddle point whatever the kernel did.
     """
     npts = 1 << f.n
     nt = len(pool)
+    # Columns: H, s+, s-, y, pool slacks, box slacks, density artificial.
+    slack0 = npts + 3
+    box0 = slack0 + nt
+    art = box0 + npts
+    width = art + 2
 
-    # Row player: min s + budget*y  s.t.  payoff(H,T) <= s + depth_T * y.
-    c = [_ZERO] * npts + [_ONE, budget]
-    a_ub = []
-    b_ub = []
-    for t in range(nt):
-        a_ub.append(list(payoffs[t]) + [Fraction(-1), -depths[t]])
-        b_ub.append(_ZERO)
-    a_eq = [list(mu.weights) + [_ZERO, _ZERO]]
-    b_eq = [half_density]
-    bounds = [(0, 1)] * npts + [(None, None), (0, None)]
-    v_primal, z = _solve_lp(c, a_ub, b_ub, a_eq, b_eq, bounds)
-    h_values = tuple(z[:npts])
+    def row(entries, rhs):
+        r = [_ZERO] * width
+        for j, v in entries:
+            r[j] = v
+        r[-1] = rhs
+        return r
 
-    # Column player: max half*lam - sum(u)  s.t.  w in mixture polytope and
-    # lam*mu(x) - u_x <= sum_T w_T c_T(x) pointwise.
-    nv = nt + 2 + npts  # w, lam+, lam-, u
-    c2 = [_ZERO] * nt + [-half_density, half_density] + [_ONE] * npts
-    a_ub2 = [list(depths) + [_ZERO, _ZERO] + [_ZERO] * npts]
-    b_ub2 = [budget]
-    for x in range(npts):
-        row = [-payoffs[t][x] for t in range(nt)]
-        row += [mu.weights[x], -mu.weights[x]]
-        row += [-_ONE if u == x else _ZERO for u in range(npts)]
-        a_ub2.append(row)
-        b_ub2.append(_ZERO)
-    a_eq2 = [[_ONE] * nt + [_ZERO] * (2 + npts)]
-    b_eq2 = [_ONE]
-    bounds2 = [(0, None)] * nv
-    v_dual_neg, z2 = _solve_lp(c2, a_ub2, b_ub2, a_eq2, b_eq2, bounds2)
-    v_dual = -v_dual_neg
-    w = tuple(z2[:nt])
+    tab = [row([*enumerate(payoffs[t]), (npts, -_ONE), (npts + 1, _ONE),
+                (npts + 2, -depths[t]), (slack0 + t, _ONE)], _ZERO)
+           for t in range(nt)]
+    tab += [row([(x, _ONE), (box0 + x, _ONE)], _ONE) for x in range(npts)]
+    tab.append(row([*enumerate(mu.weights), (art, _ONE)], half_density))
+    basis = [slack0 + t for t in range(nt)] + [box0 + x for x in range(npts)] + [art]
+    cost = [_ZERO] * npts + [_ONE, -_ONE, budget]
+    value = _simplex(tab, basis, cost, art)
 
-    if v_primal != v_dual:
-        raise InvalidValue(
-            f"strong duality violated: {v_primal} vs {v_dual} (LP kernel bug)")
+    z = [_ZERO] * npts
+    for i, b in enumerate(basis):
+        if b < npts:
+            z[b] = tab[i][-1]
+    h_r = Measure(f.n, tuple(z))
+    w = tuple(tab[-1][slack0:box0])
+
+    # Feasibility of both strategies; Measure already checks 0 <= H <= 1.
+    if any(v < 0 for v in w) or sum(w, _ZERO) != 1:
+        raise InvalidValue(f"mixture {w} is not a distribution (LP kernel bug)")
+    if sum((v * d for v, d in zip(w, depths)), _ZERO) > budget:
+        raise InvalidValue(f"mixture {w} exceeds the depth budget (LP kernel bug)")
+    if density(h_r, mu) != half_density:
+        raise InvalidValue(f"measure {h_r.values} misses the density (LP kernel bug)")
 
     # Independent check 1: greedy minimum against the returned mixture.
     scores = [f.table[x] * sum((w[t] * evaluate(pool[t], x)[0] for t in range(nt)), _ZERO)
               for x in range(npts)]
     g_value, _ = _greedy_min_measure(f, mu, half_density, scores)
-    if g_value != v_primal:
+    if g_value != value:
         raise InvalidValue(
-            f"restricted value {v_primal} not reproduced by greedy minimum {g_value}")
+            f"restricted value {value} not reproduced by greedy minimum {g_value}")
 
     # Independent check 2: envelope maximum against the returned measure.
     pairs = []
     for t in range(nt):
-        pay = sum((payoffs[t][x] * h_values[x] for x in range(npts)), _ZERO)
+        pay = sum((payoffs[t][x] * h_r.values[x] for x in range(npts)), _ZERO)
         pairs.append((depths[t], pay, t))
     e_value, _ = mixture_optimum(pairs, budget, minimize=False)
-    if e_value != v_primal:
+    if e_value != value:
         raise InvalidValue(
-            f"restricted value {v_primal} not reproduced by envelope maximum {e_value}")
+            f"restricted value {value} not reproduced by envelope maximum {e_value}")
 
-    return v_primal, Measure(f.n, h_values), w
+    return value, h_r, w
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +463,10 @@ def verify_certificate(cert: HardcoreCertificate) -> dict:
         "density_is_half_delta": dens == cert.delta / 2,
         "advantage_at_most_threshold": cert.best_response_advantage <= threshold,
         "fresh_best_response_matches": br.advantage == cert.best_response_advantage,
-        "witness_attains_advantage": witness_adv == cert.best_response_advantage,
+        # The witness must be a legal play: within the depth budget.
+        "witness_attains_advantage": (
+            witness_adv == cert.best_response_advantage
+            and expected_depth(cert.witness, cert.mu) <= cert.depth_budget),
     }
     checks["ok"] = all(checks.values())
     return checks

@@ -494,14 +494,14 @@ def run_config(config: dict, *, jobs: int = 1,
 
     total = sum(len(r.checks) for r in results)
     failed = sum(1 for r in results for c in r.checks if not c.ok)
+    bodies = [scenario_result_to_json(r, prec) for r in results]
     report = {
         "config": {
             "precision_bits": prec,
-            "scenarios": [{"name": r.scenario,
-                           "params": scenario_result_to_json(r, prec)["params"]}
-                          for r in results],
+            "scenarios": [{"name": b["scenario"], "params": b["params"]}
+                          for b in bodies],
         },
-        "scenarios": [scenario_result_to_json(r, prec) for r in results],
+        "scenarios": bodies,
         "summary": {"checks": total, "failed": failed,
                     "passed": total - failed, "ok": failed == 0},
     }

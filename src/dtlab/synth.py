@@ -263,13 +263,6 @@ def enumerate_all_trees(n: int, k: int) -> list[DecisionTree]:
 # serialization
 
 
-def frontier_to_csv_rows(frontier: ParetoFrontier) -> list[tuple[int, int, int, int]]:
-    return [
-        (p.depth.numerator, p.depth.denominator, p.value.numerator, p.value.denominator)
-        for p in frontier.points
-    ]
-
-
 def frontier_to_json(frontier: ParetoFrontier) -> dict:
     from .exactexp import fraction_to_str
     from .trees import tree_to_json

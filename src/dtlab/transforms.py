@@ -2,13 +2,12 @@
 
 Points over n*k variables are read as k blocks of n bits each; block i
 occupies bits i*n .. i*n+n-1.  Every transform here preserves exact rational
-semantics: no sampling unless explicitly asked for (monte-carlo embedding).
+semantics: nothing here samples.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from fractions import Fraction
 
 from .errors import DimensionMismatch, GuardExceeded, InvalidValue
@@ -76,70 +75,36 @@ def _induced_tree(node, filler: int, i: int, n: int):
     return _induced_tree(child, filler, i, n)
 
 
-def embed_block_reduction(tree: DecisionTree, mu: Distribution,
-                          mode: str = "exact", *, seed: int = 0,
-                          samples: int = 256) -> RandomizedTree:
+def embed_block_reduction(tree: DecisionTree, mu: Distribution) -> RandomizedTree:
     """The single-block randomized tree that embeds its input into a uniformly
     random block and fills the remaining blocks from mu.
 
-    Exact mode enumerates every (block, filler) pair with positive weight and
-    merges identical induced trees; its expected depth under mu is exactly
-    1/k of the source tree's under the k-fold product, and on sign-fixed
-    source trees its h-weighted correlation with f is exactly 1/k of the
-    expected total leaf advantage.  Monte-carlo mode samples the same mixture
-    (samples components of weight 1/samples) and is for scale only; equality
-    claims are asserted against exact mode alone.
+    Enumerates every (block, filler) pair with positive weight and merges
+    identical induced trees; the expected depth under mu is exactly 1/k of
+    the source tree's under the k-fold product, and on sign-fixed source
+    trees the h-weighted correlation with f is exactly 1/k of the expected
+    total leaf advantage.
     """
     n, k = tree.n, tree.k
     if mu.n != n:
         raise DimensionMismatch("mu must live on a single block")
 
+    if tree.total_vars > MAX_EMBED_VARS:
+        raise GuardExceeded(
+            f"{tree.total_vars} variables exceeds the embedding guard {MAX_EMBED_VARS}")
     components: dict[DecisionTree, Fraction] = {}
-
-    def admit(i: int, filler: int, weight: Fraction) -> None:
-        small = DecisionTree(n, 1, _induced_tree(tree.root, filler, i, n))
-        components[small] = components.get(small, _ZERO) + weight
-
-    if mode == "exact":
-        if tree.total_vars > MAX_EMBED_VARS:
-            raise GuardExceeded(
-                f"{tree.total_vars} variables exceeds the embedding guard {MAX_EMBED_VARS}")
-        share = Fraction(1, k)
-        support = mu.support()
-        for i in range(k):
-            others = [j for j in range(k) if j != i]
-            for combo in itertools.product(support, repeat=k - 1):
-                w = share
-                filler = 0
-                for j, b in zip(others, combo):
-                    w *= mu.weights[b]
-                    filler |= b << (j * n)
-                admit(i, filler, w)
-    elif mode == "monte-carlo":
-        if samples < 1:
-            raise InvalidValue("samples must be positive")
-        rng = random.Random(seed)
-        support = mu.support()
-
-        def draw_block() -> int:
-            u = Fraction(rng.random())
-            acc = _ZERO
-            for b in support:
-                acc += mu.weights[b]
-                if u < acc:
-                    return b
-            return support[-1]
-
-        w = Fraction(1, samples)
-        for _ in range(samples):
-            i = rng.randrange(k)
+    share = Fraction(1, k)
+    support = mu.support()
+    for i in range(k):
+        others = [j for j in range(k) if j != i]
+        for combo in itertools.product(support, repeat=k - 1):
+            w = share
             filler = 0
-            for j in range(k):
-                if j != i:
-                    filler |= draw_block() << (j * n)
-            admit(i, filler, w)
-    else:
-        raise InvalidValue(f"unknown embedding mode {mode!r}")
+            for j, b in zip(others, combo):
+                w *= mu.weights[b]
+                filler |= b << (j * n)
+            small = DecisionTree(n, 1, _induced_tree(tree.root, filler, i, n))
+            components[small] = components.get(small, _ZERO) + w
     return RandomizedTree(tuple((w, t) for t, w in components.items()))
 
 

@@ -14,7 +14,6 @@ from dtlab.bounds import (
     ber_sum,
     ber_sum_cdf,
     binomial,
-    bound_report_csv_row,
     bound_report_to_json,
     chernoff_lower,
     chernoff_upper2x,
@@ -237,9 +236,6 @@ def test_bound_report_serialization_forms():
     assert blob["context"] == "lipschitz-plain"
     assert blob["holds"] is True
     assert isinstance(blob["lhs"], list) and len(blob["lhs"]) == 2
-    row = bound_report_csv_row(rep)
-    assert row[0] == "lipschitz-plain"
-    assert row[4] == "true"
     eq = verify_density_conservation(*[(t, h, m) for t, _f, h, m in INSTANCES[:1]][0])
     blob2 = bound_report_to_json(eq)
     assert isinstance(blob2["lhs"], str) and "/" in blob2["lhs"]

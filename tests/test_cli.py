@@ -2,11 +2,21 @@
 
 import csv
 import json
+from fractions import Fraction as F
 
 import pytest
 
 from dtlab import cli
-from dtlab.errors import UndecidedComparison
+from dtlab.errors import BoostFailure, IterationBudget, UndecidedComparison
+from dtlab.functions import parity, uniform
+from dtlab.hardcore import certificate_to_json, hardcore_solve
+from dtlab.trees import (
+    DecisionTree,
+    Leaf,
+    Query,
+    RandomizedTree,
+    randomized_tree_to_json,
+)
 from dtlab.scenarios import SCENARIOS, report_to_bytes
 
 
@@ -88,6 +98,20 @@ def test_undecided_comparison_exits_4(tmp_path, monkeypatch):
     assert cli.main(["run", "--config", cfg, "--out", str(tmp_path)]) == 4
 
 
+@pytest.mark.parametrize("exc", [IterationBudget("no decision"),
+                                 BoostFailure("retry cap"),
+                                 ZeroDivisionError("a bug")])
+def test_solver_budget_and_internal_errors_exit_5(tmp_path, monkeypatch, capsys, exc):
+    def raiser(params, prec):
+        raise exc
+
+    monkeypatch.setitem(SCENARIOS, "closed-forms",
+                        (raiser, {}, "patched to raise"))
+    cfg = _write_config(tmp_path / "config.json", [{"name": "closed-forms"}])
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path)]) == 5
+    assert str(exc) in capsys.readouterr().err
+
+
 def test_list_names_every_scenario(capsys):
     assert cli.main(["list"]) == 0
     out = capsys.readouterr().out
@@ -163,6 +187,21 @@ def test_verify_rejects_tampered_certificate(tmp_path):
     path = tmp_path / "tampered.json"
     path.write_text(json.dumps(art))
     assert cli.main(["verify", str(path)]) == 1
+
+
+def test_verify_rejects_witness_over_the_depth_budget(tmp_path, capsys):
+    # At budget 0 the best response on parity is 0; a depth-1 tree with equal
+    # leaves attains that advantage too, but is not a legal play.
+    cert = hardcore_solve(parity(2), uniform(2), F(1, 4), F(1, 2), F(0))
+    deep = DecisionTree(2, 1, Query(0, Leaf((1,)), Leaf((1,))))
+    art = certificate_to_json(cert)
+    art["witness"] = randomized_tree_to_json(RandomizedTree(((F(1), deep),)))
+    path = tmp_path / "over-budget.json"
+    path.write_text(json.dumps(art))
+    assert cli.main(["verify", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] witness_attains_advantage" in out
+    assert out.count("[FAIL]") == 1
 
 
 def test_verify_unknown_kind_exits_2(tmp_path):

@@ -1,11 +1,13 @@
 """Hardcore-measure game: LP kernel, certificates, and boosted committees."""
 
+import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
 
-from dtlab.errors import InvalidValue, IterationBudget
+from dtlab import hardcore
+from dtlab.errors import Infeasible, InvalidValue, IterationBudget
 from dtlab.functions import (
     Distribution,
     constant_measure,
@@ -17,7 +19,8 @@ from dtlab.functions import (
 from dtlab.hardcore import (
     Committee,
     HardcoreCertificate,
-    _solve_lp,
+    _pivot,
+    _simplex,
     best_response,
     certificate_from_json,
     certificate_to_json,
@@ -29,6 +32,7 @@ from dtlab.hardcore import (
     maj_boost,
     verify_certificate,
 )
+from dtlab.instances import random_distribution, random_function
 from dtlab.trees import (
     DecisionTree,
     Leaf,
@@ -41,41 +45,148 @@ from dtlab.trees import (
 F = Fraction
 
 
-# --- LP kernel regressions; sympy's own bounds handling clamps free and
-# negative variables to zero, which is exactly what _solve_lp must avoid.
+# --- exact simplex kernel
 
 
-def test_lp_free_variable_goes_negative():
-    val, xs = _solve_lp([F(1)], [[F(-1)]], [F(5)], [], [], [(None, None)])
-    assert (val, xs) == (F(-5), [F(-5)])
+def _solve(rows, cost, basis, nreal):
+    """Run the kernel on [A | b] rows; returns (value, x, final tableau)."""
+    tab = [list(r) for r in rows]
+    basis = list(basis)
+    value = _simplex(tab, basis, cost, nreal)
+    x = [F(0)] * nreal
+    for i, b in enumerate(basis):
+        assert b < nreal or tab[i][-1] == 0, "artificial left at a nonzero level"
+        if b < nreal:
+            x[b] = tab[i][-1]
+    return value, x, tab
 
 
-def test_lp_negative_box():
-    val, xs = _solve_lp([F(1)], [], [], [], [], [(F(-3), F(-1))])
-    assert (val, xs) == (F(-3), [F(-3)])
+def _assert_optimal(rows, cost, value, x, duals):
+    """Certificate from the original data: x feasible, y dual feasible, and
+    both objectives equal."""
+    assert all(v >= 0 for v in x)
+    for r in rows:
+        assert sum(a * v for a, v in zip(r, x)) == r[-1]
+    assert sum(c * v for c, v in zip(cost, x)) == value
+    for j, c in enumerate(cost):
+        assert c - sum(y * r[j] for y, r in zip(duals, rows)) >= 0
+    assert sum(y * r[-1] for y, r in zip(duals, rows)) == value
 
 
-def test_lp_upper_bound_only():
-    # max x with x <= 7 is min -x
-    val, xs = _solve_lp([F(-1)], [], [], [], [], [(None, F(7))])
-    assert (val, xs) == (F(-7), [F(7)])
+# Beale's LP in Chvatal's form: columns x4..x7 then the slacks x1..x3.
+BEALE_ROWS = [
+    [F(1, 4), F(-8), F(-1), F(9), F(1), F(0), F(0), F(0)],
+    [F(1, 2), F(-12), F(-1, 2), F(3), F(0), F(1), F(0), F(0)],
+    [F(0), F(0), F(1), F(0), F(0), F(0), F(1), F(1)],
+]
+BEALE_COST = [F(-3, 4), F(20), F(-1, 2), F(6), F(0), F(0), F(0)]
 
 
-def test_lp_shifted_lower_bound_with_equality():
-    # min x + y  s.t.  x + y = 5, x >= 2, 0 <= y <= 1  -> x = 4, y = 1
-    val, xs = _solve_lp([F(1), F(1)], [], [], [[F(1), F(1)]], [F(5)],
-                        [(F(2), None), (F(0), F(1))])
-    assert val == F(5)
-    assert xs[0] + xs[1] == F(5)
-    assert xs[0] >= 2 and 0 <= xs[1] <= 1
+def test_beale_lp_cycles_under_dantzig_rule():
+    # The fixture is a real cycling instance: most negative reduced cost in,
+    # lowest basic index out on ratio ties, back to the start in 6 pivots.
+    tab = [list(r) for r in BEALE_ROWS] + [BEALE_COST + [F(0)]]
+    basis = [4, 5, 6]
+    for _ in range(6):
+        c = min(range(7), key=lambda j: (tab[-1][j], j))
+        assert tab[-1][c] < 0
+        r = min((i for i in range(3) if tab[i][c] > 0),
+                key=lambda i: (tab[i][-1] / tab[i][c], basis[i]))
+        _pivot(tab, r, c)
+        basis[r] = c
+    assert basis == [4, 5, 6]
 
 
-def test_lp_orthant_only_branch():
-    val, xs = _solve_lp([F(3), F(2)], [], [], [], [], [(F(0), None), (F(1), F(2))])
-    assert val == F(2)
-    assert xs == [F(0), F(1)]
-    with pytest.raises(InvalidValue):
-        _solve_lp([F(-1)], [], [], [], [], [(F(0), None)])
+def test_beale_lp_terminates_under_bland_rule():
+    value, x, tab = _solve(BEALE_ROWS, BEALE_COST, [4, 5, 6], 7)
+    assert value == F(-5, 4)
+    assert x == [F(1), F(0), F(1), F(0), F(3, 4), F(0), F(0)]
+    # Column 4 + i is a zero-cost slack e_i, so its reduced cost is -y_i.
+    duals = [-tab[-1][4 + i] for i in range(3)]
+    _assert_optimal(BEALE_ROWS, BEALE_COST, value, x, duals)
+
+
+def test_ratio_ties_leave_on_the_lowest_basic_index():
+    # min -x0 with x0 + b = 1 (b is column 2) and x0 + a = 1 (a is column 1):
+    # both rows tie in the ratio test, and Bland's rule removes column 1.
+    rows = [[F(1), F(0), F(1), F(1)], [F(1), F(1), F(0), F(1)]]
+    tab = [list(r) for r in rows]
+    basis = [2, 1]
+    assert _simplex(tab, basis, [F(-1), F(0), F(0)], 3) == -1
+    assert basis == [2, 0]
+
+
+def test_infeasible_system_raises():
+    # x1 + x2 = 1 and x1 + x2 = 2, each row started on an artificial.
+    rows = [[F(1), F(1), F(1), F(0), F(1)], [F(1), F(1), F(0), F(1), F(2)]]
+    with pytest.raises(Infeasible):
+        _solve(rows, [F(0), F(0)], [2, 3], 2)
+
+
+def test_unbounded_system_raises():
+    # min -x1  s.t.  x1 - x2 + s = 1: x1 = 1 + x2 grows without bound.
+    rows = [[F(1), F(-1), F(1), F(1)]]
+    with pytest.raises(InvalidValue, match="unbounded"):
+        _solve(rows, [F(-1), F(0), F(0)], [2], 3)
+
+
+def test_degenerate_artificial_is_pivoted_out():
+    # Rows x1 + x3 = 1, -x2 = 0 and the redundant 2x1 + 2x3 = 2, each on an
+    # artificial (columns 3..5).  Phase 1 ends with the -x2 row's artificial
+    # basic at zero.  Left there, phase 2 would let x2 enter, find no ratio
+    # row and call the LP unbounded.  The redundant row keeps an artificial
+    # at zero for good.
+    rows = [
+        [F(1), F(0), F(1), F(1), F(0), F(0), F(1)],
+        [F(0), F(-1), F(0), F(0), F(1), F(0), F(0)],
+        [F(2), F(0), F(2), F(0), F(0), F(1), F(2)],
+    ]
+    cost = [F(1), F(-1), F(0)]
+    value, x, _tab = _solve(rows, cost, [3, 4, 5], 3)
+    assert value == 0
+    assert x == [F(0), F(0), F(1)]
+
+
+def test_restricted_game_runs_one_kernel_solve(monkeypatch):
+    calls = {"game": 0, "simplex": 0}
+    game, simplex = hardcore._restricted_game, hardcore._simplex
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(hardcore, "_restricted_game", counted("game", game))
+    monkeypatch.setattr(hardcore, "_simplex", counted("simplex", simplex))
+    mu = Distribution(2, (F(1, 2), F(1, 4), F(1, 8), F(1, 8)))
+    assert hardcore_solve(parity(2), mu, F(1, 4), F(1, 2), F(1)).iterations == 4
+    assert calls == {"game": 4, "simplex": 4}
+
+
+# The seeded sweep: 16 (f, mu) pairs on 3 variables with positive mu, at four
+# budgets.  A former sympy-based LP hung on (instance, budget) (6, 3/2),
+# called (6, 1) infeasible, and returned vertices that failed the self-checks
+# on (0, 1), (9, 1/2) and (14, 3/2).
+SWEEP_BUDGETS = (F(1, 2), F(1), F(3, 2), F(2))
+FORMER_LP_FAILURES = {(6, F(3, 2)), (6, F(1)), (0, F(1)), (9, F(1, 2)), (14, F(3, 2))}
+
+
+def test_seeded_sweep_decides_and_rechecks_every_solve():
+    solved = set()
+    for s in range(16):
+        rng = random.Random(9000 + s)
+        f = random_function(rng, 3)
+        mu = random_distribution(rng, 3, allow_zeros=False)
+        for budget in SWEEP_BUDGETS:
+            out = hardcore_solve(f, mu, F(1, 4), F(1, 2), budget)
+            if isinstance(out, HardcoreCertificate):
+                assert verify_certificate(out)["ok"], (s, budget)
+            else:
+                err, cost = committee_metrics(out, f, mu)
+                assert err <= out.delta and cost <= out.r * budget, (s, budget)
+            solved.add((s, budget))
+    assert len(solved) == 64 and FORMER_LP_FAILURES <= solved
 
 
 # --- best responses

@@ -20,7 +20,6 @@ from dtlab.synth import (
     ADVANTAGE,
     ERROR,
     enumerate_all_trees,
-    frontier_to_csv_rows,
     frontier_to_json,
     mixture_optimum,
     opt_depth,
@@ -175,8 +174,6 @@ def test_sense_validation():
 
 def test_frontier_serialization_shapes():
     front = pareto_frontier(parity(2), uniform(2))
-    rows = frontier_to_csv_rows(front)
-    assert len(rows) == len(front.points)
     blob = frontier_to_json(front)
     assert blob["sense"] == ERROR
     assert len(blob["points"]) == 3

@@ -112,20 +112,6 @@ def test_embedding_guard():
         embed_block_reduction(t, uniform(4))
 
 
-def test_monte_carlo_embedding_samples_exact_components():
-    rng = random.Random(5)
-    t = random_tree(rng, 2, 2)
-    mu = random_distribution(rng, 2)
-    exact = {comp for _, comp in embed_block_reduction(t, mu).components}
-    mc = embed_block_reduction(t, mu, mode="monte-carlo", seed=3, samples=64)
-    assert sum(w for w, _ in mc.components) == 1
-    assert {comp for _, comp in mc.components} <= exact
-    again = embed_block_reduction(t, mu, mode="monte-carlo", seed=3, samples=64)
-    assert mc == again
-    other = embed_block_reduction(t, mu, mode="monte-carlo", seed=4, samples=64)
-    assert sum(w for w, _ in other.components) == 1
-
-
 # ---------------------------------------------------------------------------
 # point-enumeration references for the factored leaf kernel
 
@@ -198,12 +184,6 @@ def test_sign_fix_and_product_tree_match_point_enumeration():
             reach = leaf_distribution(t_xor, product_power(mu, k))
             unreached += sum(1 for w in reach.values() if w == 0)
     assert flipped > 0 and unreached > 0
-
-
-def test_unknown_embedding_mode_rejected():
-    t = DecisionTree(1, 1, Leaf((1,)))
-    with pytest.raises(InvalidValue):
-        embed_block_reduction(t, uniform(1), mode="guess")
 
 
 def test_product_tree_keeps_structure_and_beats_xor_success():
