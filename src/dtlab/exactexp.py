@@ -35,8 +35,16 @@ def fraction_to_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def fraction_from_str(s: str) -> Fraction:
-    return Fraction(s)
+def fraction_from_str(s: str | int) -> Fraction:
+    """Exact rational from "p/q", an integer or decimal string, or an int."""
+    if isinstance(s, int) and not isinstance(s, bool):
+        return Fraction(s)
+    if not isinstance(s, str):
+        raise InvalidValue(f"expected a rational string like 'p/q', got {s!r}")
+    try:
+        return Fraction(s)
+    except (ValueError, ZeroDivisionError):
+        raise InvalidValue(f"not a rational: {s!r}") from None
 
 
 @lru_cache(maxsize=None)

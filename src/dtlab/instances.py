@@ -61,11 +61,6 @@ def random_tree(rng: random.Random, n: int, k: int, *,
     return DecisionTree(n, k, root)
 
 
-def random_scalar_tree(rng: random.Random, total_vars: int, *,
-                       leaf_chance: float = 0.35) -> DecisionTree:
-    return random_tree(rng, total_vars, 1, leaf_chance=leaf_chance)
-
-
 def standard_verification_instances(seed: int, count: int = 100,
                                     max_n: int = 3, max_k: int = 3):
     """The shared (tree, measure, distribution) stream for the leaf-statistics

@@ -33,7 +33,7 @@ from .bounds import (
     PHI_IDS,
 )
 from .errors import InvalidValue
-from .exactexp import DEFAULT_PRECISION_BITS, ExpSum, fraction_to_str
+from .exactexp import DEFAULT_PRECISION_BITS, ExpSum, fraction_from_str, fraction_to_str
 from .functions import (
     BooleanFunction,
     dictator,
@@ -58,7 +58,13 @@ from .instances import (
     standard_verification_instances,
     xor_tree_instances,
 )
-from .synth import enumerate_all_trees, frontier_to_json, opt_depth, pareto_frontier
+from .synth import (
+    check_dp_guard,
+    enumerate_all_trees,
+    frontier_to_json,
+    opt_depth,
+    pareto_frontier,
+)
 from .trees import error as tree_error, expected_depth
 
 _ZERO = Fraction(0)
@@ -103,15 +109,6 @@ def _params(raw: dict, defaults: dict) -> dict:
     return merged
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, str):
-        if "/" in value:
-            num, den = value.split("/", 1)
-            return Fraction(int(num), int(den))
-        return Fraction(int(value))
-    return Fraction(value)
-
-
 def _as_int(value, lo: int, hi: int, what: str) -> int:
     v = int(value)
     if not lo <= v <= hi:
@@ -125,7 +122,7 @@ def _as_int(value, lo: int, hi: int, what: str) -> int:
 
 def _scn_parity_claim(params: dict, prec: int):
     n = _as_int(params["n"], 1, 8, "n")
-    eps = _as_fraction(params["eps"])
+    eps = fraction_from_str(params["eps"])
     if not 0 <= eps <= Fraction(1, 2):
         raise InvalidValue("eps must lie in [0,1/2]")
     frontier = pareto_frontier(parity(n), uniform(n))
@@ -250,7 +247,7 @@ def _scn_embedding(params: dict, prec: int):
 
 def _scn_hardcore_pipeline(params: dict, prec: int):
     seed = int(params["seed"])
-    gamma = _as_fraction(params["gamma"])
+    gamma = fraction_from_str(params["gamma"])
     checks = []
     artifacts = {}
     for n in (2, 3):
@@ -290,11 +287,11 @@ def _scn_hardcore_pipeline(params: dict, prec: int):
 def _scn_product_tree(params: dict, prec: int):
     seed = int(params["seed"])
     count = _as_int(params["count"], 1, 1000, "count")
+    eps = fraction_from_str(params["eps"])
     checks = []
     for i, (tree, f, mu, k) in enumerate(xor_tree_instances(seed, count)):
         checks.append(CheckResult(
             f"instance-{i:03d}", verify_product_tree(tree, f, mu, k)))
-    eps = _as_fraction(params["eps"])
     for f, k, tag in ((dictator(1, 0), 2, "single-bit-k2"),
                       (parity(2), 2, "parity2-k2")):
         checks.append(CheckResult(
@@ -306,7 +303,9 @@ def _scn_product_tree(params: dict, prec: int):
 def _scn_parity_direct_product(params: dict, prec: int):
     n = _as_int(params["n"], 1, 4, "n")
     k = _as_int(params["k"], 1, 4, "k")
-    gamma = _as_fraction(params["gamma"])
+    gamma = fraction_from_str(params["gamma"])
+    # refuse before the 2^(n*k)-leaf counterexample is built
+    check_dp_guard(n * k)
     rt, report = parity_counterexample(n, k, gamma)
     frontier = pareto_frontier(direct_product(parity(n), k),
                                product_power(uniform(n), k))

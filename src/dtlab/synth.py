@@ -15,6 +15,17 @@ contributions, so the root values are the true expected depth and objective.
 Restrictions that no tree should distinguish are shared through a memo table;
 zero-mass cubes collapse to a canonical leaf at depth 0.
 
+The kernel runs on Python ints.  Every weight is scaled once by D, the least
+common denominator of mu's weights; in the advantage sense D is taken over
+mu's weights together with the signed weights mu*f*H, whose denominators also
+carry H's.  Cube masses, leaf candidates, depths and objectives are then
+integers, and only the root frontier is divided back out by D.  Internally an
+objective is a cost to minimize: the erring mass, or minus the advantage.
+Each cube keeps, per depth, the cheapest candidate, the first one found on
+ties (children in frontier order, variables low to high), and builds a Query
+node only for the candidates that survive the Pareto filter.  That is the
+candidate a stable sort by (depth, cost) followed by the filter would keep.
+
 Randomized optima are exactly the envelope of the deterministic frontier:
 a mixture's (depth, objective) is the convex combination of its components',
 and optimizing a linear functional over mixtures of finitely many points is
@@ -27,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 from .errors import DimensionMismatch, GuardExceeded, Infeasible, InvalidValue
 from .functions import BooleanFunction, Distribution, Measure, VectorFunction
@@ -35,8 +47,6 @@ from .trees import DecisionTree, Leaf, Query, cube_points
 MAX_DP_VARS = 14
 MAX_ENUM_VARS = 3
 MAX_ENUM_TREES = 200_000
-
-_ZERO = Fraction(0)
 
 ERROR = "error"
 ADVANTAGE = "advantage"
@@ -57,29 +67,40 @@ class ParetoFrontier:
     points: tuple[FrontierPoint, ...]
 
 
+def check_dp_guard(total_vars: int) -> None:
+    """Refuse a frontier DP over more than MAX_DP_VARS variables."""
+    if total_vars > MAX_DP_VARS:
+        raise GuardExceeded(
+            f"{total_vars} variables exceeds the DP guard {MAX_DP_VARS}")
+
+
+def _scale(values) -> tuple[int, tuple[int, ...]]:
+    """(D, values * D) for D the least common denominator of the values."""
+    scale = lcm(*(v.denominator for v in values))
+    return scale, tuple(v.numerator * (scale // v.denominator) for v in values)
+
+
 def _leaf_candidate_error(target_rows, weights, pts):
     """Best constant guess on a cube: (erring mass, leaf)."""
-    masses: dict[tuple[int, ...], Fraction] = {}
-    total = _ZERO
+    masses: dict[tuple[int, ...], int] = {}
+    total = 0
     for p in pts:
         w = weights[p]
         if w == 0:
             continue
         total += w
         row = target_rows(p)
-        masses[row] = masses.get(row, _ZERO) + w
+        masses[row] = masses.get(row, 0) + w
     best_label = min(masses, key=lambda r: (-masses[r], r))
     return total - masses[best_label], Leaf(best_label)
 
 
 def _leaf_candidate_advantage(signed, pts):
-    """Optimal-sign constant guess: (|sum of signed mass|, leaf)."""
-    s = _ZERO
-    for p in pts:
-        s += signed[p]
+    """Optimal-sign constant guess: (-|sum of signed mass|, leaf)."""
+    s = sum(signed[p] for p in pts)
     if s >= 0:
-        return s, Leaf((1,))
-    return -s, Leaf((-1,))
+        return -s, Leaf((1,))
+    return s, Leaf((-1,))
 
 
 def pareto_frontier(target, mu: Distribution, sense: str = ERROR,
@@ -108,61 +129,66 @@ def pareto_frontier(target, mu: Distribution, sense: str = ERROR,
     m = n * k
     if mu.n != m:
         raise DimensionMismatch(f"distribution on {mu.n} vars vs target on {m}")
-    if m > MAX_DP_VARS:
-        raise GuardExceeded(f"{m} variables exceeds the DP guard {MAX_DP_VARS}")
+    check_dp_guard(m)
 
-    weights = mu.weights
-    if sense == ADVANTAGE:
-        signed = tuple(weights[p] * target.table[p] * h.values[p] for p in range(1 << m))
+    if sense == ERROR:
+        scale, weights = _scale(mu.weights)
+    else:
+        signed = [w * target.table[p] * h.values[p] for p, w in enumerate(mu.weights)]
+        scale, scaled = _scale(list(mu.weights) + signed)
+        weights, signed = scaled[:1 << m], scaled[1 << m:]
 
     zero_leaf = Leaf(tuple([1] * k))
-    memo: dict[tuple[int, int], tuple[Fraction, list]] = {}
+    memo: dict[tuple[int, int], list] = {}
 
-    def solve(mask: int, vals: int):
+    def solve(mask: int, vals: int) -> list:
         key = (mask, vals)
         got = memo.get(key)
         if got is not None:
             return got
         pts = list(cube_points(m, mask, vals))
-        mass = sum((weights[p] for p in pts), _ZERO)
+        mass = sum(weights[p] for p in pts)
         if mass == 0:
-            result = (mass, [(_ZERO, _ZERO, zero_leaf)])
-            memo[key] = result
-            return result
+            kept = memo[key] = [(0, 0, zero_leaf)]
+            return kept
 
         if sense == ERROR:
-            leaf_val, leaf = _leaf_candidate_error(rows, weights, pts)
+            leaf_cost, leaf = _leaf_candidate_error(rows, weights, pts)
         else:
-            leaf_val, leaf = _leaf_candidate_advantage(signed, pts)
-        candidates = [(_ZERO, leaf_val, leaf)]
+            leaf_cost, leaf = _leaf_candidate_advantage(signed, pts)
+        # cheapest (cost, var, neg, pos) per depth, first found on ties
+        best: dict[int, tuple] = {}
         for v in range(m):
             bit = 1 << v
             if mask & bit:
                 continue
-            _, front_n = solve(mask | bit, vals)
-            _, front_p = solve(mask | bit, vals | bit)
-            for dn, vn, tn in front_n:
-                for dp, vp, tp in front_p:
-                    candidates.append((mass + dn + dp, vn + vp, Query(v, tn, tp)))
+            front_n = solve(mask | bit, vals)
+            front_p = solve(mask | bit, vals | bit)
+            for dn, cn, tn in front_n:
+                base = mass + dn
+                for dp, cp, tp in front_p:
+                    cost = cn + cp
+                    if cost >= leaf_cost:  # never beats the leaf at depth 0
+                        continue
+                    d = base + dp
+                    got = best.get(d)
+                    if got is None or cost < got[0]:
+                        best[d] = (cost, v, tn, tp)
+        kept = [(0, leaf_cost, leaf)]
+        floor = leaf_cost
+        for d in sorted(best):
+            cost, v, tn, tp = best[d]
+            if cost < floor:
+                kept.append((d, cost, Query(v, tn, tp)))
+                floor = cost
+        memo[key] = kept
+        return kept
 
-        if sense == ERROR:
-            candidates.sort(key=lambda c: (c[0], c[1]))
-        else:
-            candidates.sort(key=lambda c: (c[0], -c[1]))
-        kept = []
-        best = None
-        for d, val, node in candidates:
-            good = val if sense == ADVANTAGE else -val
-            if best is None or good > best:
-                kept.append((d, val, node))
-                best = good
-        result = (mass, kept)
-        memo[key] = result
-        return result
-
-    _, front = solve(0, 0)
+    sign = 1 if sense == ERROR else -1
     points = tuple(
-        FrontierPoint(d, val, DecisionTree(n, k, node)) for d, val, node in front)
+        FrontierPoint(Fraction(d, scale), Fraction(sign * cost, scale),
+                      DecisionTree(n, k, node))
+        for d, cost, node in solve(0, 0))
     return ParetoFrontier(sense, n, k, points)
 
 

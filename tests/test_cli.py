@@ -81,6 +81,19 @@ def test_bad_precision_exits_2(tmp_path):
                      "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("entry", [
+    {"name": "parity-claim", "params": {"n": 2, "eps": "1/0"}},
+    {"name": "parity-direct-product", "params": {"gamma": "1/0"}},
+    {"name": "hardcore-pipeline", "params": {"gamma": "-1/0"}},
+    {"name": "product-tree", "params": {"eps": "1/0"}},
+    {"name": "parity-claim", "params": {"n": 2, "eps": "one half"}},
+])
+def test_malformed_rational_param_exits_2(tmp_path, capsys, entry):
+    cfg = _write_config(tmp_path / "config.json", [entry])
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "not a rational" in capsys.readouterr().err
+
+
 def test_guard_violation_exits_3(tmp_path):
     cfg = _write_config(tmp_path / "config.json",
                         [{"name": "parity-direct-product",

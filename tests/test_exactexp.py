@@ -50,6 +50,16 @@ def test_fraction_string_round_trip(q):
     assert fraction_from_str(fraction_to_str(q)) == q
 
 
+def test_fraction_from_str_forms_and_refusals():
+    assert fraction_from_str("2/4") == Fraction(1, 2)
+    assert fraction_from_str("-3") == -3
+    assert fraction_from_str("0.125") == Fraction(1, 8)
+    assert fraction_from_str(7) == 7
+    for bad in ("1/0", "-2/0", "", "1/2/3", "half", 0.5, True, None):
+        with pytest.raises(InvalidValue):
+            fraction_from_str(bad)
+
+
 def test_like_terms_cancel_to_exact_rational():
     v = ExpSum.exp(2, 3) - ExpSum.exp(2, 2) - ExpSum.exp(2)
     assert v.is_rational

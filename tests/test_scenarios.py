@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from dtlab.errors import InvalidValue
+from dtlab import scenarios
+from dtlab.errors import GuardExceeded, InvalidValue
 from dtlab.scenarios import (
     SCENARIOS,
     default_config,
@@ -63,6 +64,15 @@ def test_out_of_range_parameter_rejected():
         run_scenario("parity-claim", {"n": 99})
     with pytest.raises(InvalidValue):
         run_scenario("parity-claim", {"eps": "2/3"})
+
+
+def test_direct_product_guard_refuses_before_building(monkeypatch):
+    def building(*args):
+        raise AssertionError("the counterexample was built before the guard")
+
+    monkeypatch.setattr(scenarios, "parity_counterexample", building)
+    with pytest.raises(GuardExceeded):
+        run_scenario("parity-direct-product", {"n": 4, "k": 4})
 
 
 def test_parameters_accept_fraction_strings():

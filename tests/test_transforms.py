@@ -20,7 +20,6 @@ from dtlab.instances import (
     random_distribution,
     random_function,
     random_measure,
-    random_scalar_tree,
     random_tree,
 )
 from dtlab.transforms import (
@@ -176,7 +175,7 @@ def test_sign_fix_and_product_tree_match_point_enumeration():
             assert got == want
             flipped += want != t
 
-            t_xor = random_scalar_tree(rng, n * k)
+            t_xor = random_tree(rng, n * k, 1)
             want = _ref_product_tree(t_xor, f, mu, k)
             got = product_tree(t_xor, f, mu, k)
             assert [r.label for r in leaves(got)] == [r.label for r in leaves(want)]
@@ -192,7 +191,7 @@ def test_product_tree_keeps_structure_and_beats_xor_success():
         n, k = rng.choice(((1, 2), (2, 2), (1, 3)))
         f = random_function(rng, n)
         mu = random_distribution(rng, n)
-        t_xor = random_scalar_tree(rng, n * k)
+        t_xor = random_tree(rng, n * k, 1)
         built = product_tree(t_xor, f, mu, k)
         assert built.n == n and built.k == k
         prod = product_power(mu, k)
@@ -208,7 +207,7 @@ def test_product_tree_labels_are_locally_optimal():
     n, k = 2, 2
     f = random_function(rng, n)
     mu = random_distribution(rng, n, allow_zeros=False)
-    t_xor = random_scalar_tree(rng, n * k)
+    t_xor = random_tree(rng, n * k, 1)
     built = product_tree(t_xor, f, mu, k)
     prod = product_power(mu, k)
     target = direct_product(f, k)
