@@ -214,10 +214,10 @@ def verify_density_conservation(tree: DecisionTree, h: Measure,
                             density(h, mu) * tree.k)
 
 
-def verify_resilience(tree: DecisionTree, h: Measure, mu: Distribution,
-                      phi_id: str, *,
-                      precision_bits: int = DEFAULT_PRECISION_BITS) -> BoundReport:
-    """Leaf-averaged Phi of the total density against its binomial ceiling.
+def verify_resilience(tree: DecisionTree, h: Measure, mu: Distribution, *,
+                      precision_bits: int = DEFAULT_PRECISION_BITS) -> list[BoundReport]:
+    """Leaf-averaged Phi of the total density against its binomial ceiling,
+    one report per Phi in PHI_IDS order, all from one pass over the leaves.
 
     For convex Phi the leaf average is dominated by the Binomial(k, delta)
     average with delta the density of h under mu; the two tail variants check
@@ -227,61 +227,63 @@ def verify_resilience(tree: DecisionTree, h: Measure, mu: Distribution,
         raise DimensionMismatch("verify_resilience expects single-block h, mu")
     k = tree.k
     delta = density(h, mu)
+    mean = delta * k
     pairs = _reachable_density_stats(tree, h, mu)
     bino = binomial(k, delta)
-
-    if phi_id == "exp-neg-z4":
-        lhs = sum((ExpSum.exp(-dens / 4, reach) for reach, dens in pairs),
-                  ExpSum.of(0))
-        rhs = sum((ExpSum.exp(Fraction(-z, 4), w) for z, w in enumerate(bino.pmf)),
-                  ExpSum.of(0))
-    elif phi_id == "exp-pos-z":
-        lhs = sum((ExpSum.exp(dens, reach) for reach, dens in pairs),
-                  ExpSum.of(0))
-        rhs = sum((ExpSum.exp(Fraction(z), w) for z, w in enumerate(bino.pmf)),
-                  ExpSum.of(0))
-    elif phi_id == "square-dev":
-        mean = delta * k
-        lhs = sum((reach * (dens - mean) ** 2 for reach, dens in pairs), _ZERO)
-        rhs = k * delta * (1 - delta)
-    elif phi_id == "tail-low":
-        lhs = sum((reach for reach, dens in pairs if dens <= delta * k / 2), _ZERO)
-        rhs = ExpSum.exp(-delta * k / 8)
-    elif phi_id == "tail-high":
-        lhs = sum((reach for reach, dens in pairs if dens >= 2 * delta * k), _ZERO)
-        rhs = ExpSum.exp(-delta * k / 3)
-    else:
-        raise InvalidValue(f"unknown phi_id {phi_id!r}; know {PHI_IDS}")
-    return _report(f"resilience-{phi_id}", lhs, rhs,
-                   related=(("delta", delta), ("k", k)),
-                   precision_bits=precision_bits)
+    sides = {
+        "exp-neg-z4": (
+            sum((ExpSum.exp(-dens / 4, reach) for reach, dens in pairs), ExpSum.of(0)),
+            sum((ExpSum.exp(Fraction(-z, 4), w) for z, w in enumerate(bino.pmf)),
+                ExpSum.of(0))),
+        "exp-pos-z": (
+            sum((ExpSum.exp(dens, reach) for reach, dens in pairs), ExpSum.of(0)),
+            sum((ExpSum.exp(Fraction(z), w) for z, w in enumerate(bino.pmf)),
+                ExpSum.of(0))),
+        "square-dev": (
+            sum((reach * (dens - mean) ** 2 for reach, dens in pairs), _ZERO),
+            k * delta * (1 - delta)),
+        "tail-low": (
+            sum((reach for reach, dens in pairs if dens <= mean / 2), _ZERO),
+            ExpSum.exp(-mean / 8)),
+        "tail-high": (
+            sum((reach for reach, dens in pairs if dens >= 2 * mean), _ZERO),
+            ExpSum.exp(-mean / 3)),
+    }
+    return [_report(f"resilience-{phi}", *sides[phi],
+                    related=(("delta", delta), ("k", k)),
+                    precision_bits=precision_bits)
+            for phi in PHI_IDS]
 
 
 def verify_accuracy_bound(tree: DecisionTree, f: BooleanFunction, h: Measure,
-                          mu: Distribution, t: int, *,
-                          precision_bits: int = DEFAULT_PRECISION_BITS) -> BoundReport:
-    """Probability of at most t wrong blocks against the leaf Bernoulli-sum form.
+                          mu: Distribution, *,
+                          precision_bits: int = DEFAULT_PRECISION_BITS) -> list[BoundReport]:
+    """Probability of at most t wrong blocks against the leaf Bernoulli-sum
+    form, one report per threshold t = 0..k.
 
-    The lhs is recomputed by direct point enumeration, never from the leaf
-    statistics the rhs uses.  Also emits the coarser exponential form
-    E_leaf[g_t(dens - adv)] and certifies it dominates the Bernoulli-sum rhs.
+    The leaf statistics and each leaf's Bernoulli-sum law are built once and
+    read at every t.  The lhs is recomputed by direct point enumeration for
+    each t, never from the leaf statistics the rhs uses.  Also emits the
+    coarser exponential form E_leaf[g_t(dens - adv)] and certifies it
+    dominates the Bernoulli-sum rhs.
     """
     k = tree.k
-    if not 0 <= t <= k:
-        raise InvalidValue(f"threshold must lie in [0,{k}], got {t}")
     target = direct_product(f, k)
     mu_k = product_power(mu, k)
-    lhs = 1 - threshold_error(tree, target, mu_k, t)
-
-    stats = [s for s in leaf_stats(tree, f, h, mu) if s.reach > 0]
-    rhs = sum((s.reach * ber_sum_cdf(ber_sum(s.p), t) for s in stats), _ZERO)
-    g_form = sum(
-        (g_func(t, s.dens_total - s.adv_total).scale(s.reach) for s in stats),
-        ExpSum.of(0))
-    g_dominates = (g_form - rhs).sign(precision_bits) >= 0
-    return _report("accuracy-from-stats", lhs, rhs,
-                   related=(("g_form", g_form), ("g_form_dominates", g_dominates)),
-                   precision_bits=precision_bits)
+    per_leaf = [(s.reach, ber_sum(s.p), s.dens_total - s.adv_total)
+                for s in leaf_stats(tree, f, h, mu) if s.reach > 0]
+    reports = []
+    for t in range(k + 1):
+        lhs = 1 - threshold_error(tree, target, mu_k, t)
+        rhs = sum((reach * ber_sum_cdf(dist, t) for reach, dist, _ in per_leaf), _ZERO)
+        g_form = sum((g_func(t, gap).scale(reach) for reach, _, gap in per_leaf),
+                     ExpSum.of(0))
+        g_dominates = (g_form - rhs).sign(precision_bits) >= 0
+        reports.append(_report(
+            "accuracy-from-stats", lhs, rhs,
+            related=(("g_form", g_form), ("g_form_dominates", g_dominates)),
+            precision_bits=precision_bits))
+    return reports
 
 
 def verify_error_no_advantage(tree: DecisionTree, h: Measure, mu: Distribution,
@@ -358,8 +360,7 @@ def verify_leaf_product(tree: DecisionTree, mu: Distribution) -> BoundReport:
             for i in range(k):
                 prod *= factors[i].weights[(p >> (i * n)) & mask_n]
             deviation += abs(joint - prod)
-    return BoundReport("leaf-product-law", ExpSum.of(deviation), ExpSum.of(0),
-                       ExpSum.of(-deviation), deviation == 0)
+    return _report("leaf-product-law", deviation, _ZERO)
 
 
 def verify_embedding(tree: DecisionTree, f: BooleanFunction, h: Measure,
@@ -423,9 +424,8 @@ def verify_parity_leaf_error(tree: DecisionTree) -> BoundReport:
                         if ref.label[i] != par.table[(p >> (i * n)) & mask_n])
             worst = max(worst, abs(Fraction(wrong, len(cube)) - Fraction(1, 2)))
             checked += 1
-    return BoundReport("parity-shallow-leaf-error", ExpSum.of(worst),
-                       ExpSum.of(0), ExpSum.of(-worst), worst == 0,
-                       related=(("pairs_checked", checked),))
+    return _report("parity-shallow-leaf-error", worst, _ZERO,
+                   related=(("pairs_checked", checked),))
 
 
 def parity_counterexample(n: int, k: int, gamma) -> tuple[RandomizedTree, BoundReport]:

@@ -26,11 +26,6 @@ def point_value(point: int, j: int) -> int:
     return 1 if (point >> j) & 1 else -1
 
 
-def block_point(point: int, block: int, n: int) -> int:
-    """Extract block `block` (n variables wide) of a packed kn-variable point."""
-    return (point >> (block * n)) & ((1 << n) - 1)
-
-
 def _check_var_count(n: int, what: str) -> None:
     if n < 0:
         raise InvalidValue(f"{what}: variable count must be nonnegative, got {n}")

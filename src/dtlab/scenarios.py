@@ -18,6 +18,7 @@ from fractions import Fraction
 from .bounds import (
     BoundReport,
     _equality_report,
+    _report,
     bound_report_to_json,
     chernoff_lower,
     constant_chain_reports,
@@ -109,8 +110,15 @@ def _params(raw: dict, defaults: dict) -> dict:
     return merged
 
 
+def _int(value, what: str) -> int:
+    """A JSON integer; floats, bools and strings are refused, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidValue(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def _as_int(value, lo: int, hi: int, what: str) -> int:
-    v = int(value)
+    v = _int(value, what)
     if not lo <= v <= hi:
         raise InvalidValue(f"{what} must lie in [{lo},{hi}], got {v}")
     return v
@@ -147,11 +155,8 @@ def _scn_no_boosting(params: dict, prec: int):
                     _equality_report("no-boosting-free-quarter", quarter, _ZERO,
                                      related=(("n", n),))),
         CheckResult("depth-at-eighth-floor",
-                    BoundReport("no-boosting-eighth-floor",
-                                ExpSum.of(floor_target), ExpSum.of(eighth),
-                                ExpSum.of(eighth - floor_target),
-                                eighth >= floor_target,
-                                related=(("n", n),))),
+                    _report("no-boosting-eighth-floor", floor_target, eighth,
+                            related=(("n", n),))),
     ]
     return checks, {"frontier": frontier_to_json(frontier)}
 
@@ -168,7 +173,7 @@ def _brute_frontier(trees, f, mu):
 
 
 def _scn_frontier_oracle(params: dict, prec: int):
-    seed = int(params["seed"])
+    seed = _int(params["seed"], "seed")
     per_function = _as_int(params["distributions"], 1, 20, "distributions")
     rng = random.Random(seed)
     trees = enumerate_all_trees(2, 1)
@@ -189,7 +194,7 @@ def _scn_frontier_oracle(params: dict, prec: int):
 
 
 def _scn_density_conservation(params: dict, prec: int):
-    seed = int(params["seed"])
+    seed = _int(params["seed"], "seed")
     count = _as_int(params["count"], 1, 1000, "count")
     checks = []
     for i, (tree, _f, h, mu) in enumerate(
@@ -200,33 +205,31 @@ def _scn_density_conservation(params: dict, prec: int):
 
 
 def _scn_resilience(params: dict, prec: int):
-    seed = int(params["seed"])
+    seed = _int(params["seed"], "seed")
     count = _as_int(params["count"], 1, 1000, "count")
     checks = []
     for i, (tree, _f, h, mu) in enumerate(
             standard_verification_instances(seed, count)):
-        for phi in PHI_IDS:
-            checks.append(CheckResult(
-                f"instance-{i:03d}-{phi}",
-                verify_resilience(tree, h, mu, phi, precision_bits=prec)))
+        reports = verify_resilience(tree, h, mu, precision_bits=prec)
+        for phi, rep in zip(PHI_IDS, reports):
+            checks.append(CheckResult(f"instance-{i:03d}-{phi}", rep))
     return checks, {}
 
 
 def _scn_accuracy_bound(params: dict, prec: int):
-    seed = int(params["seed"])
+    seed = _int(params["seed"], "seed")
     count = _as_int(params["count"], 1, 1000, "count")
     checks = []
     for i, (tree, f, h, mu) in enumerate(
             standard_verification_instances(seed, count)):
-        for t in range(tree.k + 1):
-            checks.append(CheckResult(
-                f"instance-{i:03d}-t{t}",
-                verify_accuracy_bound(tree, f, h, mu, t, precision_bits=prec)))
+        reports = verify_accuracy_bound(tree, f, h, mu, precision_bits=prec)
+        for t, rep in enumerate(reports):
+            checks.append(CheckResult(f"instance-{i:03d}-t{t}", rep))
     return checks, {}
 
 
 def _scn_leaf_product(params: dict, prec: int):
-    seed = int(params["seed"])
+    seed = _int(params["seed"], "seed")
     count = _as_int(params["count"], 1, 500, "count")
     checks = []
     for i, (tree, mu) in enumerate(leaf_product_instances(seed, count)):
@@ -236,7 +239,7 @@ def _scn_leaf_product(params: dict, prec: int):
 
 
 def _scn_embedding(params: dict, prec: int):
-    seed = int(params["seed"])
+    seed = _int(params["seed"], "seed")
     count = _as_int(params["count"], 1, 500, "count")
     checks = []
     for i, (tree, f, h, mu) in enumerate(sign_fixed_instances(seed, count)):
@@ -246,7 +249,7 @@ def _scn_embedding(params: dict, prec: int):
 
 
 def _scn_hardcore_pipeline(params: dict, prec: int):
-    seed = int(params["seed"])
+    seed = _int(params["seed"], "seed")
     gamma = fraction_from_str(params["gamma"])
     checks = []
     artifacts = {}
@@ -269,23 +272,18 @@ def _scn_hardcore_pipeline(params: dict, prec: int):
                     err, cost = committee_metrics(result, f, mu)
                     checks.append(CheckResult(
                         f"{tag}-committee-error",
-                        BoundReport("committee-error", ExpSum.of(err),
-                                    ExpSum.of(delta), ExpSum.of(delta - err),
-                                    err <= delta,
-                                    related=(("r", result.r),))))
+                        _report("committee-error", err, delta,
+                                related=(("r", result.r),))))
                     checks.append(CheckResult(
                         f"{tag}-committee-cost",
-                        BoundReport("committee-cost", ExpSum.of(cost),
-                                    ExpSum.of(result.r * budget),
-                                    ExpSum.of(result.r * budget - cost),
-                                    cost <= result.r * budget,
-                                    related=(("r", result.r),))))
+                        _report("committee-cost", cost, result.r * budget,
+                                related=(("r", result.r),))))
                     artifacts[tag] = committee_to_json(result)
     return checks, artifacts
 
 
 def _scn_product_tree(params: dict, prec: int):
-    seed = int(params["seed"])
+    seed = _int(params["seed"], "seed")
     count = _as_int(params["count"], 1, 1000, "count")
     eps = fraction_from_str(params["eps"])
     checks = []
@@ -314,10 +312,8 @@ def _scn_parity_direct_product(params: dict, prec: int):
     checks = [
         CheckResult("mixture-achieves-claim", report),
         CheckResult("frontier-confirms-upper-bound",
-                    BoundReport("direct-product-depth-upper",
-                                ExpSum.of(depth_at), ExpSum.of(cap),
-                                ExpSum.of(cap - depth_at), depth_at <= cap,
-                                related=(("n", n), ("k", k), ("gamma", gamma)))),
+                    _report("direct-product-depth-upper", depth_at, cap,
+                            related=(("n", n), ("k", k), ("gamma", gamma)))),
     ]
     return checks, {"frontier": frontier_to_json(frontier)}
 
@@ -458,8 +454,8 @@ def run_config(config: dict, *, jobs: int = 1,
     unknown = set(config) - {"scenarios", "precision_bits"}
     if unknown:
         raise InvalidValue(f"unknown config keys {sorted(unknown)}")
-    prec = precision_bits if precision_bits is not None else int(
-        config.get("precision_bits", DEFAULT_PRECISION_BITS))
+    prec = precision_bits if precision_bits is not None else _int(
+        config.get("precision_bits", DEFAULT_PRECISION_BITS), "precision_bits")
     if prec < 8:
         raise InvalidValue("precision_bits must be at least 8")
     entries = config.get("scenarios", [])

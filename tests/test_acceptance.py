@@ -112,15 +112,17 @@ def test_c04_density_conservation():
 
 def test_c05_resilience_all_phi():
     for tree, _f, h, mu in INSTANCES_100:
-        for phi in PHI_IDS:
-            assert verify_resilience(tree, h, mu, phi).holds
+        reports = verify_resilience(tree, h, mu)
+        assert [r.context for r in reports] == [f"resilience-{phi}" for phi in PHI_IDS]
+        assert all(r.holds for r in reports)
     _verdict("05 resilience slack >= 0, five Phi variants, same 100 instances")
 
 
 def test_c06_accuracy_bound_every_threshold():
     for tree, f, h, mu in INSTANCES_100:
-        for t in range(tree.k + 1):
-            assert verify_accuracy_bound(tree, f, h, mu, t).holds
+        reports = verify_accuracy_bound(tree, f, h, mu)
+        assert len(reports) == tree.k + 1
+        assert all(r.holds for r in reports)
     _verdict("06 accuracy bound for every t in {0..k} on 100 instances")
 
 

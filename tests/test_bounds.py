@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dtlab import bounds
 from dtlab.bounds import (
     PHI_IDS,
     ber_sum,
@@ -140,19 +141,17 @@ def test_density_conservation_on_random_instances():
 @pytest.mark.parametrize("phi", PHI_IDS)
 def test_resilience_on_random_instances(phi):
     for tree, _f, h, mu in INSTANCES[:15]:
-        assert verify_resilience(tree, h, mu, phi).holds
-
-
-def test_resilience_rejects_unknown_phi():
-    tree, _f, h, mu = INSTANCES[0]
-    with pytest.raises(InvalidValue):
-        verify_resilience(tree, h, mu, "cubic")
+        reports = verify_resilience(tree, h, mu)
+        assert len(reports) == len(PHI_IDS)
+        rep = reports[PHI_IDS.index(phi)]
+        assert rep.context == f"resilience-{phi}" and rep.holds
 
 
 def test_accuracy_bound_all_thresholds_and_independent_lhs():
     for tree, f, h, mu in INSTANCES[:12]:
-        for t in range(tree.k + 1):
-            rep = verify_accuracy_bound(tree, f, h, mu, t)
+        reports = verify_accuracy_bound(tree, f, h, mu)
+        assert len(reports) == tree.k + 1
+        for t, rep in enumerate(reports):
             assert rep.holds
             direct = 1 - threshold_error(
                 tree, direct_product(f, tree.k), product_power(mu, tree.k), t)
@@ -160,10 +159,20 @@ def test_accuracy_bound_all_thresholds_and_independent_lhs():
             assert dict(rep.related)["g_form_dominates"]
 
 
-def test_accuracy_bound_threshold_range():
-    tree, f, h, mu = INSTANCES[0]
-    with pytest.raises(InvalidValue):
-        verify_accuracy_bound(tree, f, h, mu, tree.k + 1)
+def test_each_verifier_builds_its_leaf_statistics_once(monkeypatch):
+    calls = dict.fromkeys(("leaf_stats", "product_power", "direct_product"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(bounds, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(bounds, name, counted)
+
+    for tree, _f, h, mu in INSTANCES[:4]:
+        verify_resilience(tree, h, mu)
+    assert calls == {"leaf_stats": 4, "product_power": 0, "direct_product": 0}
+    for tree, f, h, mu in INSTANCES[:4]:
+        verify_accuracy_bound(tree, f, h, mu)
+    assert calls == {"leaf_stats": 8, "product_power": 4, "direct_product": 4}
 
 
 def test_error_no_advantage_on_random_instances():

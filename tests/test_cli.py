@@ -94,6 +94,21 @@ def test_malformed_rational_param_exits_2(tmp_path, capsys, entry):
     assert "not a rational" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config", [
+    {"scenarios": [{"name": "parity-claim", "params": {"n": 3.9}}]},
+    {"scenarios": [{"name": "frontier-oracle", "params": {"distributions": 1.5}}]},
+    {"scenarios": [{"name": "density-conservation",
+                    "params": {"seed": True, "count": 1}}]},
+    {"precision_bits": 64.9, "scenarios": [{"name": "closed-forms"}]},
+])
+def test_non_integer_int_param_exits_2(tmp_path, capsys, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert "must be an integer" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_guard_violation_exits_3(tmp_path):
     cfg = _write_config(tmp_path / "config.json",
                         [{"name": "parity-direct-product",
