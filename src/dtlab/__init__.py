@@ -52,11 +52,9 @@ from .trees import (
     conditional_blocks_at_leaf,
     correlation,
     cube_points,
-    derandomize,
     error,
     evaluate,
     expected_depth,
-    leaf_distribution,
     leaf_stats,
     leaves,
     path_length,
@@ -92,7 +90,6 @@ from .hardcore import (
 from .transforms import (
     embed_block_reduction,
     full_parity_product_tree,
-    full_parity_tree,
     parity_mixture,
     product_tree,
     sign_fix_leaves,

@@ -37,7 +37,6 @@ from .trees import (
     correlation,
     cube_points,
     error,
-    evaluate,
     expected_depth,
     leaf_stats,
     leaves,
@@ -376,10 +375,7 @@ def verify_embedding(tree: DecisionTree, f: BooleanFunction, h: Measure,
     depth_lhs = k * expected_depth(small, mu)
     depth_rhs = expected_depth(tree, mu_k)
 
-    corr = sum(
-        (w * sum((mu.weights[x] * f.table[x] * h.values[x] * evaluate(c, x)[0]
-                  for x in mu.support()), _ZERO)
-         for w, c in small.components), _ZERO)
+    corr = correlation(small, f, mu, h)
     stats = leaf_stats(tree, f, h, mu)
     adv = sum((s.reach * s.adv_total for s in stats if s.reach > 0), _ZERO)
     return [

@@ -47,6 +47,13 @@ def fraction_from_str(s: str | int) -> Fraction:
         raise InvalidValue(f"not a rational: {s!r}") from None
 
 
+def _int(value, what: str) -> int:
+    """A JSON integer; floats, bools and strings are refused, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidValue(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 @lru_cache(maxsize=None)
 def exp_bounds(x: Fraction, prec_bits: int = DEFAULT_PRECISION_BITS) -> tuple[Fraction, Fraction]:
     """Rational lo <= exp(x) <= hi with relative width at most 2**-prec_bits.
@@ -171,9 +178,6 @@ class ExpSum:
         raise UndecidedComparison(
             f"sign of {self} undecided at {prec // 2} bits (started at {prec_bits})"
         )
-
-    def le(self, other, prec_bits: int = DEFAULT_PRECISION_BITS) -> bool:
-        return (ExpSum.of(other) - self).sign(prec_bits) >= 0
 
     def __str__(self) -> str:
         if not self.terms:

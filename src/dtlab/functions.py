@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionMismatch, GuardExceeded, InvalidValue
-from .exactexp import fraction_from_str, fraction_to_str
+from .exactexp import _int, fraction_from_str, fraction_to_str
 
 # Hard cap on variables for any op that materializes a 2**m table.
 MAX_TABLE_VARS = 24
@@ -246,31 +246,13 @@ def function_to_json(f: BooleanFunction) -> dict:
 
 
 def function_from_json(obj: dict) -> BooleanFunction:
-    n = int(obj["n"])
+    n = _int(obj["n"], "n")
+    _check_var_count(n, "function_from_json")
     mask = int(obj["table_hex"], 16)
+    if mask >> (1 << n):
+        raise InvalidValue(f"table_hex has bits at or above 2**{n}")
     table = tuple(1 if (mask >> x) & 1 else -1 for x in range(1 << n))
     return BooleanFunction(n, table)
-
-
-def vector_function_to_json(f: VectorFunction) -> dict:
-    masks = []
-    for i in range(f.k):
-        m = 0
-        for x, row in enumerate(f.table):
-            if row[i] == 1:
-                m |= 1 << x
-        masks.append(format(m, f"0{_hex_width(f.n * f.k)}x"))
-    return {"n": f.n, "k": f.k, "tables_hex": masks}
-
-
-def vector_function_from_json(obj: dict) -> VectorFunction:
-    n, k = int(obj["n"]), int(obj["k"])
-    masks = [int(s, 16) for s in obj["tables_hex"]]
-    table = tuple(
-        tuple(1 if (masks[i] >> x) & 1 else -1 for i in range(k))
-        for x in range(1 << (n * k))
-    )
-    return VectorFunction(n, k, table)
 
 
 def weights_to_json(values) -> list[str]:

@@ -35,7 +35,7 @@ from .errors import (
     InvalidValue,
     IterationBudget,
 )
-from .exactexp import ExpSum, fraction_from_str, fraction_to_str
+from .exactexp import ExpSum, _int, fraction_from_str, fraction_to_str
 from .functions import (
     BooleanFunction,
     Distribution,
@@ -53,6 +53,7 @@ from .synth import ADVANTAGE, mixture_optimum, opt_objective_witness, pareto_fro
 from .trees import (
     DecisionTree,
     RandomizedTree,
+    correlation,
     evaluate,
     expected_depth,
     randomized_tree_from_json,
@@ -454,10 +455,7 @@ def verify_certificate(cert: HardcoreCertificate) -> dict:
     """Re-derive everything a certificate claims; returns a flat report dict."""
     dens = density(cert.measure, cert.mu)
     br = best_response(cert.f, cert.mu, cert.measure, cert.depth_budget)
-    witness_adv = sum(
-        (w * sum((cert.mu.weights[x] * cert.f.table[x] * cert.measure.values[x]
-                  * evaluate(t, x)[0] for x in cert.mu.support()), _ZERO)
-         for w, t in cert.witness.components), _ZERO)
+    witness_adv = correlation(cert.witness, cert.f, cert.mu, cert.measure)
     threshold = cert.gamma * cert.delta / 2
     checks = {
         "density_is_half_delta": dens == cert.delta / 2,
@@ -501,7 +499,7 @@ def certificate_from_json(obj: dict) -> HardcoreCertificate:
         fraction_from_str(obj["depth_budget"]),
         fraction_from_str(obj["best_response_advantage"]),
         randomized_tree_from_json(obj["witness"]),
-        int(obj["iterations"]),
+        _int(obj["iterations"], "iterations"),
     )
 
 
@@ -527,6 +525,6 @@ def committee_from_json(obj: dict) -> Committee:
         fraction_from_str(obj["delta"]),
         fraction_from_str(obj["gamma"]),
         fraction_from_str(obj["depth_budget"]),
-        int(obj["seed"]),
-        int(obj["iterations"]),
+        _int(obj["seed"], "seed"),
+        _int(obj["iterations"], "iterations"),
     )

@@ -34,7 +34,13 @@ from .bounds import (
     PHI_IDS,
 )
 from .errors import InvalidValue
-from .exactexp import DEFAULT_PRECISION_BITS, ExpSum, fraction_from_str, fraction_to_str
+from .exactexp import (
+    DEFAULT_PRECISION_BITS,
+    ExpSum,
+    _int,
+    fraction_from_str,
+    fraction_to_str,
+)
 from .functions import (
     BooleanFunction,
     dictator,
@@ -108,13 +114,6 @@ def _params(raw: dict, defaults: dict) -> dict:
     merged = dict(defaults)
     merged.update(raw)
     return merged
-
-
-def _int(value, what: str) -> int:
-    """A JSON integer; floats, bools and strings are refused, not truncated."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InvalidValue(f"{what} must be an integer, got {value!r}")
-    return value
 
 
 def _as_int(value, lo: int, hi: int, what: str) -> int:
@@ -449,6 +448,8 @@ def run_config(config: dict, *, jobs: int = 1,
     The report is deterministic for a fixed config; wall-clock timings are
     returned separately so they never reach the serialized output.
     """
+    if _int(jobs, "jobs") < 1:
+        raise InvalidValue(f"jobs must be at least 1, got {jobs}")
     if not isinstance(config, dict):
         raise InvalidValue("config must be a JSON object")
     unknown = set(config) - {"scenarios", "precision_bits"}
@@ -461,7 +462,6 @@ def run_config(config: dict, *, jobs: int = 1,
     entries = config.get("scenarios", [])
     if not isinstance(entries, list):
         raise InvalidValue("config 'scenarios' must be a list")
-    jobs = max(1, int(jobs))
 
     def one(entry):
         if not isinstance(entry, dict) or "name" not in entry:

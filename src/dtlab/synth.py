@@ -245,11 +245,6 @@ def opt_objective_witness(frontier: ParetoFrontier, depth_budget: Fraction):
     return best, witness
 
 
-def opt_objective(frontier: ParetoFrontier, depth_budget: Fraction) -> Fraction:
-    """Best mixture objective at an expected-depth budget (min error / max advantage)."""
-    return opt_objective_witness(frontier, depth_budget)[0]
-
-
 # ---------------------------------------------------------------------------
 # exhaustive enumeration (oracle-scale only)
 

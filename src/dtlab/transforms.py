@@ -136,17 +136,6 @@ def product_tree(t_xor: DecisionTree, f: BooleanFunction, mu: Distribution,
 # parity constructions
 
 
-def full_parity_tree(m: int) -> DecisionTree:
-    """Query all m variables in order; each leaf holds the product of its path."""
-
-    def build(j: int, acc: int):
-        if j == m:
-            return Leaf((acc,))
-        return Query(j, build(j + 1, -acc), build(j + 1, acc))
-
-    return DecisionTree(m, 1, build(0, 1))
-
-
 def full_parity_product_tree(n: int, k: int) -> DecisionTree:
     """Query all k*n variables; leaf labels are the k per-block parities."""
 

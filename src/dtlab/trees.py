@@ -15,8 +15,7 @@ conditional_blocks_at_leaf, and sign_fix_leaves / product_tree in transforms
 cost O(L*k*2^n) for L leaves instead of walking 2^(nk - depth) points per
 leaf.  What checks that factorization stays on point enumeration, so no check
 is circular: the joint law in bounds.verify_leaf_product and the
-threshold_error lhs of bounds.verify_accuracy_bound.  leaf_distribution takes
-an arbitrary (non-product) law and enumerates points too.
+threshold_error lhs of bounds.verify_accuracy_bound.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from functools import lru_cache
 from math import prod
 
 from .errors import DimensionMismatch, InvalidValue, UnreachedLeaf
-from .exactexp import fraction_from_str, fraction_to_str
+from .exactexp import _int, fraction_from_str, fraction_to_str
 from .functions import (
     BooleanFunction,
     Distribution,
@@ -191,7 +190,7 @@ def _target_value(target, point):
     return target.table[point]
 
 
-def _check_target(tree, target) -> None:
+def _check_target(tree, target, mu: Distribution) -> None:
     if isinstance(target, BooleanFunction):
         if tree.k != 1 or target.n != tree.total_vars:
             raise DimensionMismatch("scalar target needs a k=1 tree on matching variables")
@@ -200,35 +199,38 @@ def _check_target(tree, target) -> None:
             raise DimensionMismatch("vector target shape mismatch")
     else:
         raise InvalidValue(f"not a function: {target!r}")
+    if mu.n != tree.total_vars:
+        raise DimensionMismatch("distribution size mismatch")
 
 
 def error(tree, target, mu: Distribution) -> Fraction:
     """Probability that the full output tuple differs from the target."""
     if isinstance(tree, RandomizedTree):
         return _mix(error, tree, target, mu)
-    _check_target(tree, target)
-    if mu.n != tree.total_vars:
-        raise DimensionMismatch("distribution size mismatch")
+    _check_target(tree, target, mu)
     return sum(
         (mu.weights[x] for x in mu.support()
          if evaluate(tree, x) != _target_value(target, x)), _ZERO)
 
 
-def correlation(tree, f: BooleanFunction, mu: Distribution) -> Fraction:
-    """E_mu[f * T] for scalar trees."""
+def correlation(tree, f: BooleanFunction, mu: Distribution,
+                h: Measure | None = None) -> Fraction:
+    """E_mu[f * T * H] for scalar trees, H = 1 when h is None."""
     if isinstance(tree, RandomizedTree):
-        return _mix(correlation, tree, f, mu)
-    _check_target(tree, f)
+        return _mix(correlation, tree, f, mu, h)
+    _check_target(tree, f, mu)
+    if h is not None and h.n != mu.n:
+        raise DimensionMismatch("measure and distribution sizes differ")
+    weights = mu.weights if h is None else [w * v for w, v in zip(mu.weights, h.values)]
     return sum(
-        (mu.weights[x] * f.table[x] * evaluate(tree, x)[0] for x in mu.support()),
-        _ZERO)
+        (weights[x] * f.table[x] * evaluate(tree, x)[0] for x in mu.support()), _ZERO)
 
 
 def threshold_error(tree, target, mu: Distribution, t: int) -> Fraction:
     """Probability that more than t output coordinates differ from the target."""
     if isinstance(tree, RandomizedTree):
         return _mix(threshold_error, tree, target, mu, t)
-    _check_target(tree, target)
+    _check_target(tree, target, mu)
     if not 0 <= t <= tree.k:
         raise InvalidValue(f"threshold {t} outside [0, {tree.k}]")
     total = _ZERO
@@ -244,18 +246,6 @@ def threshold_error(tree, target, mu: Distribution, t: int) -> Fraction:
 def agreement(tree, target, mu: Distribution) -> Fraction:
     """Probability that every output coordinate matches the target."""
     return 1 - error(tree, target, mu)
-
-
-def leaf_distribution(tree: DecisionTree, mu: Distribution) -> dict[int, Fraction]:
-    """Reach probability of every leaf (zero-mass leaves included)."""
-    if mu.n != tree.total_vars:
-        raise DimensionMismatch("distribution size mismatch")
-    out: dict[int, Fraction] = {}
-    for ref in leaves(tree):
-        out[ref.leaf_id] = sum(
-            (mu.weights[p] for p in cube_points(tree.total_vars, ref.fixed_mask, ref.fixed_vals)),
-            _ZERO)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -374,22 +364,6 @@ def conditional_blocks_at_leaf(tree: DecisionTree, mu: Distribution,
 
 
 # ---------------------------------------------------------------------------
-# mixtures
-
-
-def derandomize(rt: RandomizedTree, target, mu: Distribution) -> DecisionTree:
-    """First component whose error is at most twice the mixture's and whose
-    expected depth is at most twice the mixture's.  Averaging guarantees one
-    exists."""
-    eps = error(rt, target, mu)
-    d = expected_depth(rt, mu)
-    for _, t in rt.components:
-        if error(t, target, mu) <= 2 * eps and expected_depth(t, mu) <= 2 * d:
-            return t
-    raise InvalidValue("unreachable: no component within twice the averages")
-
-
-# ---------------------------------------------------------------------------
 # serialization
 
 
@@ -401,8 +375,9 @@ def _node_to_json(node):
 
 def _node_from_json(obj):
     if "leaf" in obj:
-        return Leaf(tuple(int(v) for v in obj["leaf"]))
-    return Query(int(obj["q"]), _node_from_json(obj["neg"]), _node_from_json(obj["pos"]))
+        return Leaf(tuple(_int(v, "leaf label") for v in obj["leaf"]))
+    return Query(_int(obj["q"], "q"), _node_from_json(obj["neg"]),
+                 _node_from_json(obj["pos"]))
 
 
 def tree_to_json(tree: DecisionTree) -> dict:
@@ -410,7 +385,8 @@ def tree_to_json(tree: DecisionTree) -> dict:
 
 
 def tree_from_json(obj: dict) -> DecisionTree:
-    return DecisionTree(int(obj["n"]), int(obj["k"]), _node_from_json(obj["root"]))
+    return DecisionTree(_int(obj["n"], "n"), _int(obj["k"], "k"),
+                        _node_from_json(obj["root"]))
 
 
 def randomized_tree_to_json(rt: RandomizedTree) -> list:

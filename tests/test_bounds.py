@@ -42,7 +42,7 @@ from dtlab.functions import (
     product_power,
     uniform,
 )
-from dtlab.hardcore import hardcore_solve
+from dtlab.hardcore import HardcoreCertificate, hardcore_solve
 from dtlab.instances import (
     leaf_product_instances,
     sign_fixed_instances,
@@ -210,6 +210,19 @@ def test_bounds_from_hardcore_flags_hypothesis():
     assert rep2.hypothesis_ok
     assert rep2.holds  # gamma = 1/2 makes the rhs vacuous
     assert dict(rep2.related)["gamma_vacuous"]
+
+
+def test_bounds_from_hardcore_non_vacuous_instance():
+    # gamma = 1/40 and 7 blocks put e^{-delta*k/10} + 10*gamma below 1.
+    cert = hardcore_solve(parity(2), uniform(2), F(99, 100), F(1, 40), F(1, 40))
+    assert isinstance(cert, HardcoreCertificate)
+    const = DecisionTree(2, 7, Leaf((1,) * 7))
+    rep = verify_bounds_from_hardcore(const, cert)
+    assert rep.hypothesis_ok and rep.holds
+    assert not dict(rep.related)["gamma_vacuous"]
+    assert rep.lhs == ExpSum.of(F(1, 128))
+    assert rep.rhs == ExpSum.exp(F(-693, 2000)) + F(1, 4)
+    assert (1 - rep.rhs).sign() == 1
 
 
 def test_parity_counterexample_exact():

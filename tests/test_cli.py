@@ -109,6 +109,15 @@ def test_non_integer_int_param_exits_2(tmp_path, capsys, config):
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_exits_2(tmp_path, capsys, jobs):
+    cfg = _write_config(tmp_path / "config.json", [{"name": "closed-forms"}])
+    assert cli.main(["run", "--config", cfg, "--jobs", jobs,
+                     "--out", str(tmp_path)]) == 2
+    assert "jobs must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_guard_violation_exits_3(tmp_path):
     cfg = _write_config(tmp_path / "config.json",
                         [{"name": "parity-direct-product",
@@ -230,6 +239,24 @@ def test_verify_rejects_witness_over_the_depth_budget(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "[FAIL] witness_attains_advantage" in out
     assert out.count("[FAIL]") == 1
+
+
+@pytest.mark.parametrize("path, value", [
+    (("iterations",), 2.5),
+    (("f", "n"), 2.7),
+    (("f", "table_hex"), "f9"),  # parity(2) is "9"; "f" sets bits past its table
+    (("witness", 0, "tree", "n"), 2.0),
+], ids=["iterations", "f.n", "f.table_hex", "witness.tree.n"])
+def test_verify_refuses_malformed_certificate_fields(tmp_path, path, value):
+    art = certificate_to_json(
+        hardcore_solve(parity(2), uniform(2), F(1, 4), F(1, 2), F(0)))
+    node = art
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    out = tmp_path / "tampered.json"
+    out.write_text(json.dumps(art))
+    assert cli.main(["verify", str(out)]) == 2
 
 
 def test_verify_unknown_kind_exits_2(tmp_path):

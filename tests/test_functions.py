@@ -28,8 +28,6 @@ from dtlab.functions import (
     point_value,
     product_power,
     uniform,
-    vector_function_from_json,
-    vector_function_to_json,
     xor_power,
 )
 from dtlab.instances import random_distribution
@@ -167,11 +165,6 @@ def test_function_json_round_trip(n, rng):
     table = tuple(rng.choice((1, -1)) for _ in range(1 << n))
     f = BooleanFunction(n, table)
     assert function_from_json(function_to_json(f)) == f
-
-
-def test_vector_function_json_round_trip():
-    g = direct_product(parity(2), 2)
-    assert vector_function_from_json(vector_function_to_json(g)) == g
 
 
 def test_distribution_and_measure_json_round_trip():

@@ -26,7 +26,6 @@ from dtlab.synth import (
     frontier_to_json,
     mixture_optimum,
     opt_depth,
-    opt_objective,
     opt_objective_witness,
     pareto_frontier,
 )
@@ -133,7 +132,7 @@ def test_opt_objective_witness_is_faithful():
     mixed = sum(w * error(t, f, mu) for w, t in witness)
     depth = sum(w * expected_depth(t, mu) for w, t in witness)
     assert mixed == val and depth <= 1
-    assert opt_objective(front, Fraction(10)) == 0
+    assert opt_objective_witness(front, Fraction(10))[0] == 0
     with pytest.raises(Infeasible):
         opt_objective_witness(front, Fraction(-1))
 
@@ -145,7 +144,7 @@ def test_advantage_envelope_concavity_in_budget():
     mu = uniform(2)
     h = constant_measure(2, Fraction(1, 2))
     front = pareto_frontier(f, mu, ADVANTAGE, h)
-    vals = [opt_objective(front, Fraction(i, 2)) for i in range(5)]
+    vals = [opt_objective_witness(front, Fraction(i, 2))[0] for i in range(5)]
     for i in range(1, 4):
         assert 2 * vals[i] >= vals[i - 1] + vals[i + 1]
         assert vals[i] >= vals[i - 1]

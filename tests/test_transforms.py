@@ -26,7 +26,6 @@ from dtlab.transforms import (
     _rebuild_with_labels,
     embed_block_reduction,
     full_parity_product_tree,
-    full_parity_tree,
     parity_mixture,
     product_tree,
     sign_fix_leaves,
@@ -40,7 +39,6 @@ from dtlab.trees import (
     error,
     evaluate,
     expected_depth,
-    leaf_distribution,
     leaf_stats,
     leaves,
     path_length,
@@ -180,8 +178,11 @@ def test_sign_fix_and_product_tree_match_point_enumeration():
             got = product_tree(t_xor, f, mu, k)
             assert [r.label for r in leaves(got)] == [r.label for r in leaves(want)]
             assert got == want
-            reach = leaf_distribution(t_xor, product_power(mu, k))
-            unreached += sum(1 for w in reach.values() if w == 0)
+            prod = product_power(mu, k)
+            unreached += sum(
+                1 for ref in leaves(t_xor)
+                if all(prod.weight(p) == 0 for p in cube_points(
+                    t_xor.total_vars, ref.fixed_mask, ref.fixed_vals)))
     assert flipped > 0 and unreached > 0
 
 
@@ -223,7 +224,7 @@ def test_product_tree_labels_are_locally_optimal():
 
 def test_full_parity_tree_is_exact():
     for m in (1, 2, 3):
-        t = full_parity_tree(m)
+        t = full_parity_product_tree(m, 1)
         f = parity(m)
         for x in range(1 << m):
             assert evaluate(t, x) == (f.value(x),)
@@ -261,6 +262,6 @@ def test_parity_mixture_rejects_bad_gamma():
 
 
 def test_product_tree_block_width_validation():
-    t = full_parity_tree(3)
+    t = full_parity_product_tree(3, 1)
     with pytest.raises(DimensionMismatch):
         product_tree(t, parity(2), uniform(2), 2)  # 3 vars is not 2*2

@@ -34,11 +34,9 @@ from dtlab.trees import (
     conditional_blocks_at_leaf,
     correlation,
     cube_points,
-    derandomize,
     error,
     evaluate,
     expected_depth,
-    leaf_distribution,
     leaf_stats,
     leaves,
     path_length,
@@ -50,6 +48,19 @@ from dtlab.trees import (
 )
 
 import random
+
+
+def _leaf_reach(tree, mu):
+    """Reach probability of every leaf by point enumeration, zero-mass leaves
+    included."""
+    return {ref.leaf_id: sum((mu.weight(p) for p in cube_points(
+                tree.total_vars, ref.fixed_mask, ref.fixed_vals)), Fraction(0))
+            for ref in leaves(tree)}
+
+
+def _hand_correlation(tree, f, mu, h):
+    return sum(mu.weight(x) * f.value(x) * evaluate(tree, x)[0] * h.value(x)
+               for x in range(1 << f.n))
 
 
 def _xor_tree():
@@ -112,6 +123,7 @@ def test_expected_depth_and_error_match_brute_force():
         t = random_tree(rng, n, 1)
         f = random_function(rng, n)
         mu = random_distribution(rng, n)
+        h = random_measure(rng, n)
         depth = sum(mu.weight(x) * path_length(t, x) for x in range(1 << n))
         err = sum(mu.weight(x) for x in range(1 << n)
                   if evaluate(t, x)[0] != f.value(x))
@@ -119,6 +131,16 @@ def test_expected_depth_and_error_match_brute_force():
         assert error(t, f, mu) == err
         assert correlation(t, f, mu) == 1 - 2 * err
         assert agreement(t, f, mu) == 1 - err
+        corr_h = _hand_correlation(t, f, mu, h)
+        assert correlation(t, f, mu, h) == corr_h
+        # a mixture's h-weighted correlation averages its components'
+        other = random_tree(rng, n, 1)
+        w = Fraction(rng.randint(1, 9), 10)
+        rt = RandomizedTree(((w, t), (1 - w, other)))
+        assert correlation(rt, f, mu, h) == (
+            w * corr_h + (1 - w) * _hand_correlation(other, f, mu, h))
+        assert correlation(rt, f, mu) == w * (1 - 2 * err) + (1 - w) * (
+            1 - 2 * error(other, f, mu))
 
 
 def test_threshold_error_counts_block_mistakes():
@@ -153,7 +175,7 @@ def test_leaf_distribution_sums_to_one():
     for _ in range(10):
         t = random_tree(rng, 2, 2)
         mu = product_power(random_distribution(rng, 2), 2)
-        dist = leaf_distribution(t, mu)
+        dist = _leaf_reach(t, mu)
         assert sum(dist.values()) == 1
         assert all(w >= 0 for w in dist.values())
 
@@ -202,7 +224,7 @@ def test_conditional_blocks_factorize():
         t = random_tree(rng, n, k)
         mu = random_distribution(rng, n, allow_zeros=False)
         prod = product_power(mu, k)
-        dist = leaf_distribution(t, prod)
+        dist = _leaf_reach(t, prod)
         for ref in leaves(t):
             if dist.get(ref.leaf_id, Fraction(0)) == 0:
                 continue
@@ -313,16 +335,6 @@ def test_leaf_kernel_matches_point_enumeration():
     assert unreached > 0 and reached > 0
 
 
-def test_derandomize_returns_a_good_component():
-    t1 = DecisionTree(2, 1, Leaf((1,)))
-    t2 = _xor_tree()
-    rt = RandomizedTree(((Fraction(1, 2), t1), (Fraction(1, 2), t2)))
-    mu, f = uniform(2), parity(2)
-    picked = derandomize(rt, f, mu)
-    assert error(picked, f, mu) <= 2 * error(rt, f, mu)
-    assert expected_depth(picked, mu) <= 2 * expected_depth(rt, mu)
-
-
 @given(st.integers(0, 10**6))
 @settings(deadline=None, max_examples=30)
 def test_tree_json_round_trip(seed):
@@ -345,3 +357,10 @@ def test_metric_dimension_checks():
         expected_depth(t, uniform(3))
     with pytest.raises(DimensionMismatch):
         error(t, parity(3), uniform(2))
+    # a distribution on fewer variables than the tree is refused, not summed
+    wide = DecisionTree(3, 1, Query(2, Leaf((1,)), Leaf((-1,))))
+    for metric in (error, correlation, lambda *a: threshold_error(*a, 0)):
+        with pytest.raises(DimensionMismatch):
+            metric(wide, parity(3), uniform(2))
+    with pytest.raises(DimensionMismatch):
+        correlation(t, parity(2), uniform(2), constant_measure(1, Fraction(1, 2)))
