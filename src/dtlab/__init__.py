@@ -73,7 +73,6 @@ from .synth import (
     pareto_frontier,
 )
 from .hardcore import (
-    BestResponse,
     Committee,
     HardcoreCertificate,
     best_response,

@@ -449,8 +449,7 @@ def parity_counterexample(n: int, k: int, gamma) -> tuple[RandomizedTree, BoundR
     return rt, report
 
 
-def xor_vs_product_gap(f: BooleanFunction, mu: Distribution, k: int, eps, *,
-                       precision_bits: int = DEFAULT_PRECISION_BITS) -> BoundReport:
+def xor_vs_product_gap(f: BooleanFunction, mu: Distribution, k: int, eps) -> BoundReport:
     """Halving the error budget, the XOR of k blocks is at least as deep as
     the k-block direct product; also records that the XOR task is free at
     error 1/2."""
@@ -463,8 +462,7 @@ def xor_vs_product_gap(f: BooleanFunction, mu: Distribution, k: int, eps, *,
     if lhs is None or rhs is None:
         raise InvalidValue("error-frontier targets are always feasible")
     return _report("xor-vs-product-depth", lhs, rhs,
-                   related=(("xor_depth_at_half", opt_depth(fx, Fraction(1, 2))),),
-                   precision_bits=precision_bits)
+                   related=(("xor_depth_at_half", opt_depth(fx, Fraction(1, 2))),))
 
 
 def constant_chain_reports(*, precision_bits: int = DEFAULT_PRECISION_BITS) -> list[BoundReport]:

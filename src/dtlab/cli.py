@@ -61,6 +61,8 @@ def _load_json(path: str):
         raise InvalidValue(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InvalidValue(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InvalidValue(f"{path} nests too deeply to load") from exc
 
 
 def _cmd_run(args) -> int:

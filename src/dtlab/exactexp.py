@@ -191,19 +191,18 @@ class ExpSum:
         return " + ".join(parts)
 
 
-def _decimal_directed(q: Fraction, digits: int, rounding) -> str:
+def _decimal_directed(q: Fraction, rounding) -> str:
     with localcontext() as ctx:
-        ctx.prec = digits
+        ctx.prec = 30
         ctx.rounding = rounding
         return str(Decimal(q.numerator) / Decimal(q.denominator))
 
 
-def decimal_interval(value: ExpSum, prec_bits: int = DEFAULT_PRECISION_BITS,
-                     digits: int = 30) -> tuple[str, str]:
-    """Decimal strings [lo, hi] with outward rounding, still a true enclosure."""
+def decimal_interval(value: ExpSum, prec_bits: int = DEFAULT_PRECISION_BITS) -> tuple[str, str]:
+    """30-digit decimal strings [lo, hi] with outward rounding, still a true
+    enclosure."""
     lo, hi = value.enclosure(prec_bits)
-    return (_decimal_directed(lo, digits, ROUND_FLOOR),
-            _decimal_directed(hi, digits, ROUND_CEILING))
+    return (_decimal_directed(lo, ROUND_FLOOR), _decimal_directed(hi, ROUND_CEILING))
 
 
 def value_json(value: ExpSum, prec_bits: int = DEFAULT_PRECISION_BITS):

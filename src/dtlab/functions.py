@@ -48,9 +48,6 @@ class BooleanFunction:
         if any(v not in (-1, 1) for v in self.table):
             raise InvalidValue("function outputs must be +-1")
 
-    def value(self, point: int) -> int:
-        return self.table[point]
-
 
 @dataclass(frozen=True)
 class VectorFunction:
@@ -71,9 +68,6 @@ class VectorFunction:
             if len(row) != self.k or any(v not in (-1, 1) for v in row):
                 raise InvalidValue("vector outputs must be +-1 tuples of width k")
 
-    def value(self, point: int) -> tuple[int, ...]:
-        return self.table[point]
-
 
 @dataclass(frozen=True)
 class Distribution:
@@ -91,9 +85,6 @@ class Distribution:
             raise InvalidValue("distribution weights must be nonnegative")
         if sum(self.weights) != 1:
             raise InvalidValue("distribution weights must sum to exactly 1")
-
-    def weight(self, point: int) -> Fraction:
-        return self.weights[point]
 
     def support(self) -> list[int]:
         return [x for x, w in enumerate(self.weights) if w > 0]
@@ -113,9 +104,6 @@ class Measure:
                 f"value count {len(self.values)} != 2**{self.n}")
         if any(v < 0 or v > 1 for v in self.values):
             raise InvalidValue("measure values must lie in [0,1]")
-
-    def value(self, point: int) -> Fraction:
-        return self.values[point]
 
 
 # ---------------------------------------------------------------------------

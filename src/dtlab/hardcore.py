@@ -65,18 +65,9 @@ from .trees import (
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
-DEFAULT_MAX_ITERATIONS = 64
-DEFAULT_BOOST_CONSTANT = 8
-DEFAULT_RETRY_CAP = 16
-
-
-@dataclass(frozen=True)
-class BestResponse:
-    advantage: Fraction
-    components: tuple[tuple[Fraction, DecisionTree], ...]
-
-    def as_randomized(self) -> RandomizedTree:
-        return RandomizedTree(self.components)
+MAX_ITERATIONS = 64
+BOOST_CONSTANT = 8
+BOOST_RETRY_CAP = 16
 
 
 @dataclass(frozen=True)
@@ -200,22 +191,19 @@ def _payoff_vector(f: BooleanFunction, mu: Distribution, tree: DecisionTree):
 def _greedy_min_measure(f, mu, half_density, scores):
     """Exact min of sum_x mu(x) score(x) H(x) over measures of given density.
 
-    Classic fractional fill: put H = 1 on the lowest scores first.  Returns
-    (value, H values)."""
+    Classic fractional fill: put H = 1 on the lowest scores first."""
     order = sorted(mu.support(), key=lambda x: (scores[x], x))
-    values = [_ZERO] * (1 << mu.n)
     remaining = half_density
     value = _ZERO
     for x in order:
         if remaining == 0:
             break
         take = min(mu.weights[x], remaining)
-        values[x] = take / mu.weights[x]
         value += take * scores[x]
         remaining -= take
     if remaining != 0:
         raise InvalidValue("density exceeds total distribution mass")
-    return value, values
+    return value
 
 
 def _restricted_game(f, mu, half_density, budget, pool, payoffs, depths):
@@ -274,7 +262,7 @@ def _restricted_game(f, mu, half_density, budget, pool, payoffs, depths):
     # Independent check 1: greedy minimum against the returned mixture.
     scores = [f.table[x] * sum((w[t] * evaluate(pool[t], x)[0] for t in range(nt)), _ZERO)
               for x in range(npts)]
-    g_value, _ = _greedy_min_measure(f, mu, half_density, scores)
+    g_value = _greedy_min_measure(f, mu, half_density, scores)
     if g_value != value:
         raise InvalidValue(
             f"restricted value {value} not reproduced by greedy minimum {g_value}")
@@ -297,30 +285,28 @@ def _restricted_game(f, mu, half_density, budget, pool, payoffs, depths):
 
 
 def best_response(f: BooleanFunction, mu: Distribution, h: Measure,
-                  depth_budget: Fraction) -> BestResponse:
-    """Exact max of E[f*T*H] over tree mixtures of expected depth <= budget.
+                  depth_budget: Fraction):
+    """(advantage, witness components): the exact max of E[f*T*H] over tree
+    mixtures of expected depth <= budget, and a mixture attaining it.
 
     Computed from the advantage frontier; the witness is one frontier tree or
     a two-point mixture when the optimum sits inside an envelope segment.
     """
-    frontier = pareto_frontier(f, mu, ADVANTAGE, h=h)
-    value, witness = opt_objective_witness(frontier, depth_budget)
-    return BestResponse(value, witness)
+    return opt_objective_witness(pareto_frontier(f, mu, ADVANTAGE, h=h), depth_budget)
 
 
-def committee_size(delta: Fraction, gamma: Fraction,
-                   constant: int = DEFAULT_BOOST_CONSTANT) -> int:
-    """Smallest odd r with e^{r * gamma^2 / constant} >= 1/delta.  Each
+def committee_size(delta: Fraction, gamma: Fraction) -> int:
+    """Smallest odd r with e^{r * gamma^2 / BOOST_CONSTANT} >= 1/delta.  Each
     candidate is decided by a certified ExpSum sign; a float log only picks
     the first candidate."""
     delta, gamma = Fraction(delta), Fraction(gamma)
-    if delta <= 0 or gamma <= 0 or constant <= 0:
-        raise InvalidValue("committee_size needs positive delta, gamma and constant")
+    if delta <= 0 or gamma <= 0:
+        raise InvalidValue("committee_size needs positive delta and gamma")
 
     def passes(r: int) -> bool:
-        return (ExpSum.exp(r * gamma ** 2 / constant) - 1 / delta).sign() >= 0
+        return (ExpSum.exp(r * gamma ** 2 / BOOST_CONSTANT) - 1 / delta).sign() >= 0
 
-    r = max(1, math.ceil(constant * math.log(1 / float(delta)) / float(gamma) ** 2))
+    r = max(1, math.ceil(BOOST_CONSTANT * math.log(1 / float(delta)) / float(gamma) ** 2))
     r += 1 - r % 2
     while not passes(r):
         r += 2
@@ -346,15 +332,14 @@ def committee_metrics(committee: Committee, f: BooleanFunction,
 
 def maj_boost(weighted_trees, f: BooleanFunction, mu: Distribution,
               delta: Fraction, gamma: Fraction, depth_budget: Fraction, *,
-              seed: int = 0, constant: int = DEFAULT_BOOST_CONSTANT,
-              retry_cap: int = DEFAULT_RETRY_CAP, iterations: int = 0) -> Committee:
+              seed: int = 0, iterations: int = 0) -> Committee:
     """Sample an odd committee i.i.d. from the dual mixture and keep the first
     sample whose exact error is <= delta and whose summed expected depth is
-    <= r * depth_budget; raise BoostFailure if the retry cap runs out."""
+    <= r * depth_budget; raise BoostFailure after BOOST_RETRY_CAP samples."""
     items = [(w, t) for w, t in weighted_trees if w > 0]
     if not items:
         raise InvalidValue("empty tree mixture")
-    r = committee_size(delta, gamma, constant)
+    r = committee_size(delta, gamma)
     rng = random.Random(seed)
 
     def draw():
@@ -367,7 +352,7 @@ def maj_boost(weighted_trees, f: BooleanFunction, mu: Distribution,
         return items[-1][1]
 
     budget = r * Fraction(depth_budget)
-    for _ in range(retry_cap):
+    for _ in range(BOOST_RETRY_CAP):
         trees = tuple(draw() for _ in range(r))
         committee = Committee(f, mu, trees, Fraction(delta), Fraction(gamma),
                               Fraction(depth_budget), seed, iterations)
@@ -376,20 +361,22 @@ def maj_boost(weighted_trees, f: BooleanFunction, mu: Distribution,
             return committee
     raise BoostFailure(
         f"no committee with error <= {delta} and cost <= {budget} "
-        f"within {retry_cap} samples at seed {seed}")
+        f"within {BOOST_RETRY_CAP} samples at seed {seed}")
 
 
 def hardcore_solve(f: BooleanFunction, mu: Distribution, delta: Fraction,
-                   gamma: Fraction, depth_budget: Fraction, *, seed: int = 0,
-                   max_iterations: int = DEFAULT_MAX_ITERATIONS,
-                   boost_constant: int = DEFAULT_BOOST_CONSTANT,
-                   boost_retry_cap: int = DEFAULT_RETRY_CAP):
+                   gamma: Fraction, depth_budget: Fraction, *, seed: int = 0):
     """Decide the game at threshold gamma*delta/2.
 
-    Returns a HardcoreCertificate whose measure has density exactly delta/2
-    and whose exact best response is at most the threshold, or a Committee
-    when the restricted game value already exceeds it (the tree players win).
-    Never returns a wrong answer: hitting the iteration cap raises instead.
+    One loop, starting from the constant measure delta/2: take the exact
+    best response to the current H; certify H if its advantage is at most
+    the threshold, else admit its trees as new columns, solve the restricted
+    game and, when that value already exceeds the threshold, boost the
+    optimal mixture into a Committee (the tree players win; `seed` drives
+    its sampling).  A HardcoreCertificate's measure has density exactly
+    delta/2.  Never returns a wrong answer: a best response with no new
+    column, or more than MAX_ITERATIONS restricted games, raises
+    IterationBudget instead.
     """
     delta = Fraction(delta)
     gamma = Fraction(gamma)
@@ -405,62 +392,44 @@ def hardcore_solve(f: BooleanFunction, mu: Distribution, delta: Fraction,
 
     half = delta / 2
     threshold = gamma * half
-
-    def certificate(measure, br, iterations):
-        return HardcoreCertificate(
-            f, mu, measure, delta, gamma, depth_budget,
-            br.advantage, br.as_randomized(), iterations)
-
-    h0 = constant_measure(f.n, half)
-    br = best_response(f, mu, h0, depth_budget)
-    if br.advantage <= threshold:
-        return certificate(h0, br, 0)
-
     pool: list[DecisionTree] = []
     payoffs: list[tuple] = []
     depths: list[Fraction] = []
-
-    def admit(tree):
-        if tree not in pool:
-            pool.append(tree)
-            payoffs.append(_payoff_vector(f, mu, tree))
-            depths.append(expected_depth(tree, mu))
-            return True
-        return False
-
-    for _, t in br.components:
-        admit(t)
-
-    for iteration in range(1, max_iterations + 1):
-        value, h_r, w = _restricted_game(
-            f, mu, half, depth_budget, pool, payoffs, depths)
-        if value > threshold:
-            return maj_boost(
-                list(zip(w, pool)), f, mu, delta, gamma, depth_budget,
-                seed=seed, constant=boost_constant, retry_cap=boost_retry_cap,
-                iterations=iteration)
-        br = best_response(f, mu, h_r, depth_budget)
-        if br.advantage <= threshold:
-            return certificate(h_r, br, iteration)
-        progressed = False
-        for _, t in br.components:
-            progressed = admit(t) or progressed
-        if not progressed:
+    h = constant_measure(f.n, half)
+    iteration = 0
+    while True:
+        advantage, witness = best_response(f, mu, h, depth_budget)
+        if advantage <= threshold:
+            return HardcoreCertificate(f, mu, h, delta, gamma, depth_budget,
+                                       advantage, RandomizedTree(witness), iteration)
+        admitted = len(pool)
+        for _, t in witness:
+            if t not in pool:
+                pool.append(t)
+                payoffs.append(_payoff_vector(f, mu, t))
+                depths.append(expected_depth(t, mu))
+        if len(pool) == admitted:
             raise IterationBudget(
                 "best response exceeded the restricted value without new columns")
-    raise IterationBudget(f"no decision within {max_iterations} iterations")
+        if iteration == MAX_ITERATIONS:
+            raise IterationBudget(f"no decision within {MAX_ITERATIONS} iterations")
+        iteration += 1
+        value, h, w = _restricted_game(f, mu, half, depth_budget, pool, payoffs, depths)
+        if value > threshold:
+            return maj_boost(list(zip(w, pool)), f, mu, delta, gamma, depth_budget,
+                             seed=seed, iterations=iteration)
 
 
 def verify_certificate(cert: HardcoreCertificate) -> dict:
     """Re-derive everything a certificate claims; returns a flat report dict."""
     dens = density(cert.measure, cert.mu)
-    br = best_response(cert.f, cert.mu, cert.measure, cert.depth_budget)
+    advantage, _ = best_response(cert.f, cert.mu, cert.measure, cert.depth_budget)
     witness_adv = correlation(cert.witness, cert.f, cert.mu, cert.measure)
     threshold = cert.gamma * cert.delta / 2
     checks = {
         "density_is_half_delta": dens == cert.delta / 2,
         "advantage_at_most_threshold": cert.best_response_advantage <= threshold,
-        "fresh_best_response_matches": br.advantage == cert.best_response_advantage,
+        "fresh_best_response_matches": advantage == cert.best_response_advantage,
         # The witness must be a legal play: within the depth budget.
         "witness_attains_advantage": (
             witness_adv == cert.best_response_advantage
@@ -472,6 +441,13 @@ def verify_certificate(cert: HardcoreCertificate) -> dict:
 
 # ---------------------------------------------------------------------------
 # serialization
+
+
+def _iterations(obj: dict) -> int:
+    iterations = _int(obj["iterations"], "iterations")
+    if iterations < 0:
+        raise InvalidValue(f"iterations must be nonnegative, got {iterations}")
+    return iterations
 
 
 def certificate_to_json(cert: HardcoreCertificate) -> dict:
@@ -499,7 +475,7 @@ def certificate_from_json(obj: dict) -> HardcoreCertificate:
         fraction_from_str(obj["depth_budget"]),
         fraction_from_str(obj["best_response_advantage"]),
         randomized_tree_from_json(obj["witness"]),
-        _int(obj["iterations"], "iterations"),
+        _iterations(obj),
     )
 
 
@@ -526,5 +502,5 @@ def committee_from_json(obj: dict) -> Committee:
         fraction_from_str(obj["gamma"]),
         fraction_from_str(obj["depth_budget"]),
         _int(obj["seed"], "seed"),
-        _int(obj["iterations"], "iterations"),
+        _iterations(obj),
     )

@@ -38,16 +38,15 @@ def random_measure(rng: random.Random, n: int) -> Measure:
         n, tuple(Fraction(rng.randrange(0, den + 1), den) for _ in range(1 << n)))
 
 
-def random_tree(rng: random.Random, n: int, k: int, *,
-                leaf_chance: float = 0.35) -> DecisionTree:
+def random_tree(rng: random.Random, n: int, k: int) -> DecisionTree:
     """A random tree over k blocks of n variables with k-wide leaf labels.
 
-    Paths stop early with the given chance, so depth profiles vary; the root
+    Each node is a leaf with chance 0.35, so depth profiles vary; the root
     is re-rolled a few times to avoid a bare-leaf bias at small sizes.
     """
 
     def build(avail):
-        if not avail or rng.random() < leaf_chance:
+        if not avail or rng.random() < 0.35:
             return Leaf(tuple(rng.choice((1, -1)) for _ in range(k)))
         var = avail[rng.randrange(len(avail))]
         rest = [v for v in avail if v != var]
@@ -61,10 +60,9 @@ def random_tree(rng: random.Random, n: int, k: int, *,
     return DecisionTree(n, k, root)
 
 
-def standard_verification_instances(seed: int, count: int = 100,
-                                    max_n: int = 3, max_k: int = 3):
+def standard_verification_instances(seed: int, count: int):
     """The shared (tree, measure, distribution) stream for the leaf-statistics
-    suites: n <= max_n, k <= max_k, all rational, reproducible from the seed.
+    suites: n <= 3, k <= 3, all rational, reproducible from the seed.
 
     Yields (tree, f, h, mu) tuples; f is drawn alongside even though the
     density checks ignore it, so the same seed serves every criterion.
@@ -74,8 +72,8 @@ def standard_verification_instances(seed: int, count: int = 100,
     rng = random.Random(seed)
     out = []
     for _ in range(count):
-        n = rng.randrange(1, max_n + 1)
-        k = rng.randrange(1, max_k + 1)
+        n = rng.randrange(1, 4)
+        k = rng.randrange(1, 4)
         tree = random_tree(rng, n, k)
         f = random_function(rng, n)
         h = random_measure(rng, n)
@@ -84,7 +82,7 @@ def standard_verification_instances(seed: int, count: int = 100,
     return out
 
 
-def sign_fixed_instances(seed: int, count: int = 50):
+def sign_fixed_instances(seed: int, count: int):
     """(tree, f, h, mu) with the tree already sign-fixed, sized so the exact
     block embedding stays cheap."""
     rng = random.Random(seed)
@@ -100,7 +98,7 @@ def sign_fixed_instances(seed: int, count: int = 50):
     return out
 
 
-def leaf_product_instances(seed: int, count: int = 50):
+def leaf_product_instances(seed: int, count: int):
     """(tree, mu) pairs over at most 10 total variables."""
     rng = random.Random(seed)
     shapes = ((1, 2), (2, 2), (3, 2), (1, 3), (2, 3), (3, 3), (2, 4), (2, 5))
@@ -111,7 +109,7 @@ def leaf_product_instances(seed: int, count: int = 50):
     return out
 
 
-def xor_tree_instances(seed: int, count: int = 100):
+def xor_tree_instances(seed: int, count: int):
     """(tree, f, mu, k) with scalar trees spanning k blocks, for the
     product-tree inequality; shapes cycle through (1,2), (2,2), (1,3)."""
     rng = random.Random(seed)

@@ -95,13 +95,6 @@ class ScenarioResult:
     artifacts: dict
 
 
-def _flag_report(context: str, ok: bool, related=()) -> BoundReport:
-    """Boolean fact wrapped as 'indicator equals 1' so reports stay uniform."""
-    ind = ExpSum.of(1 if ok else 0)
-    one = ExpSum.of(1)
-    return BoundReport(context, ind, one, one - ind, ok, True, tuple(related))
-
-
 # ---------------------------------------------------------------------------
 # parameter plumbing
 
@@ -187,8 +180,8 @@ def _scn_frontier_oracle(params: dict, prec: int):
                 mismatches += 1
         checks.append(CheckResult(
             f"table-{idx:02d}",
-            _flag_report("frontier-matches-enumeration", mismatches == 0,
-                         related=(("distributions", per_function),))))
+            _equality_report("frontier-matches-enumeration", int(mismatches == 0), 1,
+                             related=(("distributions", per_function),))))
     return checks, {}
 
 
@@ -262,10 +255,10 @@ def _scn_hardcore_pipeline(params: dict, prec: int):
                     recheck = verify_certificate(result)
                     checks.append(CheckResult(
                         f"{tag}-certificate",
-                        _flag_report("certificate-recheck", recheck["ok"],
-                                     related=tuple(
-                                         (k, v) for k, v in recheck.items()
-                                         if k != "ok"))))
+                        _equality_report("certificate-recheck", int(recheck["ok"]), 1,
+                                         related=tuple(
+                                             (k, v) for k, v in recheck.items()
+                                             if k != "ok"))))
                     artifacts[tag] = certificate_to_json(result)
                 else:
                     err, cost = committee_metrics(result, f, mu)
@@ -293,7 +286,7 @@ def _scn_product_tree(params: dict, prec: int):
                       (parity(2), 2, "parity2-k2")):
         checks.append(CheckResult(
             f"xor-vs-product-{tag}",
-            xor_vs_product_gap(f, uniform(f.n), k, eps, precision_bits=prec)))
+            xor_vs_product_gap(f, uniform(f.n), k, eps)))
     return checks, {}
 
 
@@ -336,16 +329,16 @@ def _scn_closed_forms(params: dict, prec: int):
                         scaled_bad += 1
     checks.append(CheckResult(
         "lipschitz-plain-grid",
-        _flag_report("lipschitz-plain-grid", plain_bad == 0,
-                     related=(("cases", plain), ("failures", plain_bad)))))
+        _equality_report("lipschitz-plain-grid", int(plain_bad == 0), 1,
+                         related=(("cases", plain), ("failures", plain_bad)))))
     checks.append(CheckResult(
         "lipschitz-scaled-grid",
-        _flag_report("lipschitz-scaled-grid", scaled_bad == 0,
-                     related=(("cases", scaled), ("failures", scaled_bad)))))
+        _equality_report("lipschitz-scaled-grid", int(scaled_bad == 0), 1,
+                         related=(("cases", scaled), ("failures", scaled_bad)))))
     checks.append(CheckResult(
         "chernoff-hand-value",
-        _flag_report("chernoff-lower-8-4-is-exp-minus-1",
-                     chernoff_lower(8, 4) == ExpSum.exp(-1))))
+        _equality_report("chernoff-lower-8-4-is-exp-minus-1",
+                         int(chernoff_lower(8, 4) == ExpSum.exp(-1)), 1)))
     for rep in constant_chain_reports(precision_bits=prec):
         checks.append(CheckResult(rep.context, rep))
     return checks, {}

@@ -332,25 +332,18 @@ def leaf_stats(tree: DecisionTree, f: BooleanFunction, h: Measure,
 
 
 def conditional_blocks_at_leaf(tree: DecisionTree, mu: Distribution,
-                               leaf: int | LeafRef) -> tuple[Distribution, ...]:
+                               ref: LeafRef) -> tuple[Distribution, ...]:
     """Per-block conditional input laws at a leaf, under the product of mu.
 
     Because the source is a product distribution and reaching a leaf fixes a
     subcube, the conditional law factors across blocks; this returns the k
-    factors (mu renormalized on each block cell) at cost O(k*2^n).  leaf is
-    a leaf id or a LeafRef of leaves(tree); passing the ref skips the leaf
-    walk.  Requesting the factors at a zero-mass leaf raises UnreachedLeaf.
+    factors (mu renormalized on each block cell) at cost O(k*2^n).  ref is
+    the leaf's LeafRef from leaves(tree).  Requesting the factors at a
+    zero-mass leaf raises UnreachedLeaf.
     """
     n, k = tree.n, tree.k
     if mu.n != n:
         raise DimensionMismatch("conditional_blocks_at_leaf expects single-block mu")
-    if isinstance(leaf, LeafRef):
-        ref = leaf
-    else:
-        refs = leaves(tree)
-        if not 0 <= leaf < len(refs):
-            raise InvalidValue(f"no leaf {leaf}")
-        ref = refs[leaf]
     mask = (1 << n) - 1
     factors = []
     for i, (total,) in enumerate(_cell_sums([ref], n, k, mu)[0]):

@@ -243,10 +243,12 @@ def test_verify_rejects_witness_over_the_depth_budget(tmp_path, capsys):
 
 @pytest.mark.parametrize("path, value", [
     (("iterations",), 2.5),
+    (("iterations",), -7),
     (("f", "n"), 2.7),
     (("f", "table_hex"), "f9"),  # parity(2) is "9"; "f" sets bits past its table
     (("witness", 0, "tree", "n"), 2.0),
-], ids=["iterations", "f.n", "f.table_hex", "witness.tree.n"])
+], ids=["iterations", "iterations-negative", "f.n", "f.table_hex",
+        "witness.tree.n"])
 def test_verify_refuses_malformed_certificate_fields(tmp_path, path, value):
     art = certificate_to_json(
         hardcore_solve(parity(2), uniform(2), F(1, 4), F(1, 2), F(0)))
@@ -257,6 +259,27 @@ def test_verify_refuses_malformed_certificate_fields(tmp_path, path, value):
     out = tmp_path / "tampered.json"
     out.write_text(json.dumps(art))
     assert cli.main(["verify", str(out)]) == 2
+
+
+def test_verify_refuses_negative_committee_iterations(tmp_path):
+    art = _artifacts(tmp_path)["committee"]
+    art["iterations"] = -7
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(art))
+    assert cli.main(["verify", str(path)]) == 2
+
+
+def test_verify_refuses_deeply_nested_witness(tmp_path):
+    # json.load itself gives up on this nesting with RecursionError.
+    art = certificate_to_json(
+        hardcore_solve(parity(2), uniform(2), F(1, 4), F(1, 2), F(0)))
+    art["witness"][0]["tree"]["root"] = "ROOT"
+    leaf = '{"leaf": [1]}'
+    root = '{"q": 0, "pos": ' + leaf + ', "neg": '
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(art).replace(
+        '"ROOT"', root * 5000 + leaf + "}" * 5000))
+    assert cli.main(["verify", str(path)]) == 2
 
 
 def test_verify_unknown_kind_exits_2(tmp_path):

@@ -43,12 +43,12 @@ def test_parity_is_the_product_of_inputs():
     f = parity(3)
     for x in range(8):
         prod = point_value(x, 0) * point_value(x, 1) * point_value(x, 2)
-        assert f.value(x) == prod
+        assert f.table[x] == prod
 
 
 def test_dictator_reads_one_coordinate():
     f = dictator(3, 1)
-    assert all(f.value(x) == point_value(x, 1) for x in range(8))
+    assert all(f.table[x] == point_value(x, 1) for x in range(8))
 
 
 def test_no_error_reduction_structure():
@@ -56,11 +56,11 @@ def test_no_error_reduction_structure():
     rest = parity(3)
     for x in range(16):
         if x & 1:
-            assert f.value(x) == 1
+            assert f.table[x] == 1
         else:
-            assert f.value(x) == rest.value(x >> 1)
+            assert f.table[x] == rest.table[x >> 1]
     # majority value +1 has mass exactly 3/4 under uniform
-    plus = sum(1 for x in range(16) if f.value(x) == 1)
+    plus = sum(1 for x in range(16) if f.table[x] == 1)
     assert Fraction(plus, 16) == Fraction(3, 4)
 
 
@@ -88,14 +88,14 @@ def test_xor_power_multiplies_blocks():
     g = xor_power(f, 2)
     assert g.n == 4
     for x in range(16):
-        assert g.value(x) == f.value(x & 3) * f.value(x >> 2)
+        assert g.table[x] == f.table[x & 3] * f.table[x >> 2]
 
 
 def test_direct_product_splits_blocks():
     f = dictator(1, 0)
     g = direct_product(f, 3)
     assert (g.n, g.k) == (1, 3)
-    assert g.value(0b101) == (1, -1, 1)
+    assert g.table[0b101] == (1, -1, 1)
 
 
 def test_xor_power_agrees_with_product_of_direct_product():
@@ -103,9 +103,9 @@ def test_xor_power_agrees_with_product_of_direct_product():
     g, xp = direct_product(f, 2), xor_power(f, 2)
     for x in range(16):
         prod = 1
-        for v in g.value(x):
+        for v in g.table[x]:
             prod *= v
-        assert prod == xp.value(x)
+        assert prod == xp.table[x]
 
 
 @given(st.integers(1, 3), st.integers(1, 3))
@@ -119,7 +119,7 @@ def test_product_power_weights_factor(n, k):
         w = Fraction(1)
         for i in range(k):
             w *= base.weights[(x >> (i * n)) & mask]
-        assert mu.weight(x) == w
+        assert mu.weights[x] == w
     assert sum(mu.weights) == 1
 
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from dtlab import hardcore
-from dtlab.errors import Infeasible, InvalidValue, IterationBudget
+from dtlab.errors import BoostFailure, Infeasible, InvalidValue, IterationBudget
 from dtlab.functions import (
     Distribution,
     constant_measure,
@@ -196,29 +196,29 @@ def test_best_response_at_zero_budget_is_best_constant():
     f = parity(2)
     mu = uniform(2)
     h = constant_measure(2, F(1, 2))
-    br = best_response(f, mu, h, F(0))
+    advantage, _ = best_response(f, mu, h, F(0))
     # parity is balanced, so no constant guess has any advantage
-    assert br.advantage == 0
+    assert advantage == 0
 
 
 def test_best_response_full_budget_reads_off_density():
     f = parity(2)
     mu = uniform(2)
     h = constant_measure(2, F(1, 8))
-    br = best_response(f, mu, h, F(2))
-    assert br.advantage == density(h, mu)
-    assert sum(w for w, _ in br.components) == 1
+    advantage, witness = best_response(f, mu, h, F(2))
+    assert advantage == density(h, mu)
+    assert sum(w for w, _ in witness) == 1
 
 
 def test_best_response_dominates_handcrafted_trees():
     f = dictator(2, 1)
     mu = Distribution(2, (F(1, 8), F(1, 8), F(3, 8), F(3, 8)))
     h = constant_measure(2, F(1, 2))
-    br = best_response(f, mu, h, F(1, 2))
+    advantage, _ = best_response(f, mu, h, F(1, 2))
     hand = DecisionTree(2, 1, Leaf((1,)))
-    hand_adv = sum(mu.weight(x) * f.value(x) * h.value(x) * evaluate(hand, x)[0]
+    hand_adv = sum(mu.weights[x] * f.table[x] * h.values[x] * evaluate(hand, x)[0]
                    for x in range(4))
-    assert br.advantage >= hand_adv
+    assert advantage >= hand_adv
 
 
 # --- full pipeline on parity, frozen values
@@ -279,10 +279,10 @@ def test_committee_sizes_are_odd_and_match_formula():
 
 
 def test_committee_size_is_the_smallest_odd_r_passing_the_exact_inequality():
-    # Oracle: r * gamma^2 / c >= ln(1/delta) in 60-digit decimal arithmetic,
-    # which is the exact inequality e^{r gamma^2 / c} >= 1/delta.
-    def passes(r, delta, gamma, c):
-        e = r * gamma ** 2 / c
+    # Oracle: r * gamma^2 / BOOST_CONSTANT >= ln(1/delta) in 60-digit decimal
+    # arithmetic, the exact inequality e^{r gamma^2 / BOOST_CONSTANT} >= 1/delta.
+    def passes(r, delta, gamma):
+        e = r * gamma ** 2 / hardcore.BOOST_CONSTANT
         with localcontext() as ctx:
             ctx.prec = 60
             return (Decimal(e.numerator) / e.denominator
@@ -292,11 +292,10 @@ def test_committee_size_is_the_smallest_odd_r_passing_the_exact_inequality():
     gammas = (F(1), F(1, 2), F(1, 3), F(1, 4), F(3, 5), F(1, 10))
     for delta in deltas:
         for gamma in gammas:
-            for c in (1, 8):
-                r = committee_size(delta, gamma, c)
-                assert r % 2 == 1
-                assert passes(r, delta, gamma, c), (delta, gamma, c, r)
-                assert r == 1 or not passes(r - 2, delta, gamma, c), (delta, gamma, c, r)
+            r = committee_size(delta, gamma)
+            assert r % 2 == 1
+            assert passes(r, delta, gamma), (delta, gamma, r)
+            assert r == 1 or not passes(r - 2, delta, gamma), (delta, gamma, r)
     with pytest.raises(InvalidValue):
         committee_size(F(1, 4), F(0))
 
@@ -321,13 +320,23 @@ def test_committee_single_tree_when_one_member_suffices():
     assert cost <= com.r
 
 
-def test_iteration_budget_raises():
+def test_iteration_budget_raises(monkeypatch):
     # this skewed instance needs 4 column-generation rounds to settle
     f = parity(2)
     mu = Distribution(2, (F(1, 2), F(1, 4), F(1, 8), F(1, 8)))
     assert hardcore_solve(f, mu, F(1, 4), F(1, 2), F(1)).iterations == 4
-    with pytest.raises(IterationBudget):
-        hardcore_solve(f, mu, F(1, 4), F(1, 2), F(1), max_iterations=1)
+    monkeypatch.setattr(hardcore, "MAX_ITERATIONS", 1)
+    with pytest.raises(IterationBudget, match="within 1 iterations"):
+        hardcore_solve(f, mu, F(1, 4), F(1, 2), F(1))
+
+
+def test_boost_failure_names_the_retry_cap():
+    # a single constant tree is wrong on half of parity(2), so every
+    # committee sampled from it has majority error 1/2 > delta
+    stump = DecisionTree(2, 1, Leaf((1,)))
+    with pytest.raises(BoostFailure,
+                       match=f"within {hardcore.BOOST_RETRY_CAP} samples"):
+        maj_boost([(F(1), stump)], parity(2), uniform(2), F(1, 4), F(1, 2), F(0))
 
 
 def test_committee_odd_size_enforced():

@@ -66,7 +66,7 @@ def test_advantage_frontier_matches_enumeration():
               for p in pareto_frontier(f, mu, ADVANTAGE, h).points]
 
         def signed(t):
-            return sum(mu.weight(x) * f.value(x) * h.value(x) * evaluate(t, x)[0]
+            return sum(mu.weights[x] * f.table[x] * h.values[x] * evaluate(t, x)[0]
                        for x in range(4))
 
         brute = _pareto_reduce(

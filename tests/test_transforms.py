@@ -55,7 +55,7 @@ def _weighted_corr(tree, f, h, mu, k):
         lab = evaluate(tree, x)
         for i in range(k):
             b = (x >> (i * tree.n)) & ((1 << tree.n) - 1)
-            total += prod.weight(x) * f.value(b) * lab[i] * h.value(b)
+            total += prod.weights[x] * f.table[b] * lab[i] * h.values[b]
     return total
 
 
@@ -181,7 +181,7 @@ def test_sign_fix_and_product_tree_match_point_enumeration():
             prod = product_power(mu, k)
             unreached += sum(
                 1 for ref in leaves(t_xor)
-                if all(prod.weight(p) == 0 for p in cube_points(
+                if all(prod.weights[p] == 0 for p in cube_points(
                     t_xor.total_vars, ref.fixed_mask, ref.fixed_vals)))
     assert flipped > 0 and unreached > 0
 
@@ -227,7 +227,7 @@ def test_full_parity_tree_is_exact():
         t = full_parity_product_tree(m, 1)
         f = parity(m)
         for x in range(1 << m):
-            assert evaluate(t, x) == (f.value(x),)
+            assert evaluate(t, x) == (f.table[x],)
             assert path_length(t, x) == m
 
 
@@ -235,7 +235,7 @@ def test_full_parity_product_tree_is_exact():
     t = full_parity_product_tree(2, 2)
     g = direct_product(parity(2), 2)
     for x in range(16):
-        assert evaluate(t, x) == g.value(x)
+        assert evaluate(t, x) == g.table[x]
         assert path_length(t, x) == 4
 
 

@@ -53,13 +53,13 @@ import random
 def _leaf_reach(tree, mu):
     """Reach probability of every leaf by point enumeration, zero-mass leaves
     included."""
-    return {ref.leaf_id: sum((mu.weight(p) for p in cube_points(
+    return {ref.leaf_id: sum((mu.weights[p] for p in cube_points(
                 tree.total_vars, ref.fixed_mask, ref.fixed_vals)), Fraction(0))
             for ref in leaves(tree)}
 
 
 def _hand_correlation(tree, f, mu, h):
-    return sum(mu.weight(x) * f.value(x) * evaluate(tree, x)[0] * h.value(x)
+    return sum(mu.weights[x] * f.table[x] * evaluate(tree, x)[0] * h.values[x]
                for x in range(1 << f.n))
 
 
@@ -82,7 +82,7 @@ def test_xor_tree_computes_parity():
     t = _xor_tree()
     f = parity(2)
     for x in range(4):
-        assert evaluate(t, x) == (f.value(x),)
+        assert evaluate(t, x) == (f.table[x],)
         assert path_length(t, x) == 2
 
 
@@ -124,9 +124,9 @@ def test_expected_depth_and_error_match_brute_force():
         f = random_function(rng, n)
         mu = random_distribution(rng, n)
         h = random_measure(rng, n)
-        depth = sum(mu.weight(x) * path_length(t, x) for x in range(1 << n))
-        err = sum(mu.weight(x) for x in range(1 << n)
-                  if evaluate(t, x)[0] != f.value(x))
+        depth = sum(mu.weights[x] * path_length(t, x) for x in range(1 << n))
+        err = sum(mu.weights[x] for x in range(1 << n)
+                  if evaluate(t, x)[0] != f.table[x])
         assert expected_depth(t, mu) == depth
         assert error(t, f, mu) == err
         assert correlation(t, f, mu) == 1 - 2 * err
@@ -149,8 +149,8 @@ def test_threshold_error_counts_block_mistakes():
     mu = product_power(uniform(1), k)
     vf = direct_product(dictator(1, 0), 3)
     for thr in range(k + 1):
-        truth = sum(mu.weight(x) for x in range(1 << (n * k))
-                    if sum(a != b for a, b in zip(evaluate(t, x), vf.value(x))) > thr)
+        truth = sum(mu.weights[x] for x in range(1 << (n * k))
+                    if sum(a != b for a, b in zip(evaluate(t, x), vf.table[x])) > thr)
         assert threshold_error(t, vf, mu, thr) == truth
 
 
@@ -228,14 +228,14 @@ def test_conditional_blocks_factorize():
         for ref in leaves(t):
             if dist.get(ref.leaf_id, Fraction(0)) == 0:
                 continue
-            factors = conditional_blocks_at_leaf(t, mu, ref.leaf_id)
+            factors = conditional_blocks_at_leaf(t, mu, ref)
             cell = [p for p in cube_points(t.total_vars, ref.fixed_mask, ref.fixed_vals)]
-            mass = sum(prod.weight(p) for p in cell)
+            mass = sum(prod.weights[p] for p in cell)
             for p in cell:
-                joint = prod.weight(p) / mass
+                joint = prod.weights[p] / mass
                 split = Fraction(1)
                 for i in range(k):
-                    split *= factors[i].weight((p >> (i * n)) & ((1 << n) - 1))
+                    split *= factors[i].weights[(p >> (i * n)) & ((1 << n) - 1)]
                 assert joint == split
 
 
@@ -243,7 +243,7 @@ def test_conditional_blocks_raise_on_unreached_leaf():
     t = DecisionTree(1, 1, Query(0, Leaf((1,)), Leaf((-1,))))
     mu = Distribution(1, (Fraction(1), Fraction(0)))
     with pytest.raises(UnreachedLeaf):
-        conditional_blocks_at_leaf(t, mu, 1)
+        conditional_blocks_at_leaf(t, mu, leaves(t)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -325,12 +325,10 @@ def test_leaf_kernel_matches_point_enumeration():
                 factors = _ref_conditional_blocks(t, mu, ref)
                 if factors is None:
                     unreached += 1
-                    for leaf in (ref.leaf_id, ref):
-                        with pytest.raises(UnreachedLeaf):
-                            conditional_blocks_at_leaf(t, mu, leaf)
+                    with pytest.raises(UnreachedLeaf):
+                        conditional_blocks_at_leaf(t, mu, ref)
                     continue
                 reached += 1
-                assert conditional_blocks_at_leaf(t, mu, ref.leaf_id) == factors
                 assert conditional_blocks_at_leaf(t, mu, ref) == factors
     assert unreached > 0 and reached > 0
 
