@@ -3,8 +3,9 @@
 Every verifier returns a BoundReport whose slack (rhs - lhs) must be
 nonnegative; a negative slack is a hard failure, never measurement noise,
 because each side is computed exactly.  All rational quantities are exact;
-whenever e^x enters, the comparison is decided through certified interval
-enclosures and refuses to pass on an overlap.
+whenever e^x enters, the comparison is decided by ExpSum.sign, whose certified
+enclosures are refined until they leave zero, so no verdict depends on a
+precision setting.  Precision only sets the width of serialized intervals.
 """
 
 from __future__ import annotations
@@ -69,12 +70,12 @@ class BoundReport:
 
 
 def _report(context: str, lhs, rhs, *, hypothesis_ok: bool = True,
-            related=(), precision_bits: int = DEFAULT_PRECISION_BITS) -> BoundReport:
+            related=()) -> BoundReport:
     lhs = ExpSum.of(lhs)
     rhs = ExpSum.of(rhs)
     slack = rhs - lhs
     return BoundReport(context, lhs, rhs, slack,
-                       slack.sign(precision_bits) >= 0, hypothesis_ok,
+                       slack.sign() >= 0, hypothesis_ok,
                        tuple(related))
 
 
@@ -168,8 +169,7 @@ def g_func(t, z) -> ExpSum:
     return ExpSum.of(1) if e >= 0 else ExpSum.exp(e)
 
 
-def lipschitz_check(t, z, delta, form: str = "plain", *,
-                    precision_bits: int = DEFAULT_PRECISION_BITS) -> BoundReport:
+def lipschitz_check(t, z, delta, form: str = "plain") -> BoundReport:
     """g_t(z - delta) <= g_t(z) + delta/4 (plain) or + delta/t (scaled).
 
     The scaled form is only claimed for z >= 5t with t > 0; asking for it
@@ -187,8 +187,7 @@ def lipschitz_check(t, z, delta, form: str = "plain", *,
         step = delta / t
     else:
         raise InvalidValue(f"unknown form {form!r}")
-    return _report(f"lipschitz-{form}", g_func(t, z - delta),
-                   g_func(t, z) + step, precision_bits=precision_bits)
+    return _report(f"lipschitz-{form}", g_func(t, z - delta), g_func(t, z) + step)
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +212,8 @@ def verify_density_conservation(tree: DecisionTree, h: Measure,
                             density(h, mu) * tree.k)
 
 
-def verify_resilience(tree: DecisionTree, h: Measure, mu: Distribution, *,
-                      precision_bits: int = DEFAULT_PRECISION_BITS) -> list[BoundReport]:
+def verify_resilience(tree: DecisionTree, h: Measure,
+                      mu: Distribution) -> list[BoundReport]:
     """Leaf-averaged Phi of the total density against its binomial ceiling,
     one report per Phi in PHI_IDS order, all from one pass over the leaves.
 
@@ -249,14 +248,12 @@ def verify_resilience(tree: DecisionTree, h: Measure, mu: Distribution, *,
             ExpSum.exp(-mean / 3)),
     }
     return [_report(f"resilience-{phi}", *sides[phi],
-                    related=(("delta", delta), ("k", k)),
-                    precision_bits=precision_bits)
+                    related=(("delta", delta), ("k", k)))
             for phi in PHI_IDS]
 
 
 def verify_accuracy_bound(tree: DecisionTree, f: BooleanFunction, h: Measure,
-                          mu: Distribution, *,
-                          precision_bits: int = DEFAULT_PRECISION_BITS) -> list[BoundReport]:
+                          mu: Distribution) -> list[BoundReport]:
     """Probability of at most t wrong blocks against the leaf Bernoulli-sum
     form, one report per threshold t = 0..k.
 
@@ -277,16 +274,15 @@ def verify_accuracy_bound(tree: DecisionTree, f: BooleanFunction, h: Measure,
         rhs = sum((reach * ber_sum_cdf(dist, t) for reach, dist, _ in per_leaf), _ZERO)
         g_form = sum((g_func(t, gap).scale(reach) for reach, _, gap in per_leaf),
                      ExpSum.of(0))
-        g_dominates = (g_form - rhs).sign(precision_bits) >= 0
+        g_dominates = (g_form - rhs).sign() >= 0
         reports.append(_report(
             "accuracy-from-stats", lhs, rhs,
-            related=(("g_form", g_form), ("g_form_dominates", g_dominates)),
-            precision_bits=precision_bits))
+            related=(("g_form", g_form), ("g_form_dominates", g_dominates))))
     return reports
 
 
-def verify_error_no_advantage(tree: DecisionTree, h: Measure, mu: Distribution,
-                              *, precision_bits: int = DEFAULT_PRECISION_BITS) -> BoundReport:
+def verify_error_no_advantage(tree: DecisionTree, h: Measure,
+                              mu: Distribution) -> BoundReport:
     """Leaf-averaged g at threshold delta*k/10, advantage ignored, against
     the closed form e^{-0.121 delta k}."""
     if h.n != mu.n or tree.n != mu.n:
@@ -299,12 +295,11 @@ def verify_error_no_advantage(tree: DecisionTree, h: Measure, mu: Distribution,
               ExpSum.of(0))
     rhs = ExpSum.exp(-Fraction(121, 1000) * delta * k)
     return _report("error-no-advantage", lhs, rhs,
-                   related=(("delta", delta), ("k", k)),
-                   precision_bits=precision_bits)
+                   related=(("delta", delta), ("k", k)))
 
 
-def verify_bounds_from_hardcore(tree: DecisionTree, cert: HardcoreCertificate,
-                                *, precision_bits: int = DEFAULT_PRECISION_BITS) -> BoundReport:
+def verify_bounds_from_hardcore(tree: DecisionTree,
+                                cert: HardcoreCertificate) -> BoundReport:
     """End of the pipeline: a certified hardcore measure caps the probability
     that a depth-k*d tree gets all but a tenth-of-delta*k fraction of blocks
     right, at e^{-delta*k/10} + 10*gamma.
@@ -326,8 +321,7 @@ def verify_bounds_from_hardcore(tree: DecisionTree, cert: HardcoreCertificate,
     return _report("bounds-from-hardcore", lhs, rhs,
                    hypothesis_ok=hypothesis_ok,
                    related=(("delta", delta), ("k", k),
-                            ("gamma_vacuous", cert.gamma >= Fraction(1, 10))),
-                   precision_bits=precision_bits)
+                            ("gamma_vacuous", cert.gamma >= Fraction(1, 10))))
 
 
 # ---------------------------------------------------------------------------
@@ -465,13 +459,11 @@ def xor_vs_product_gap(f: BooleanFunction, mu: Distribution, k: int, eps) -> Bou
                    related=(("xor_depth_at_half", opt_depth(fx, Fraction(1, 2))),))
 
 
-def constant_chain_reports(*, precision_bits: int = DEFAULT_PRECISION_BITS) -> list[BoundReport]:
+def constant_chain_reports() -> list[BoundReport]:
     """Standalone numeric facts the closed forms lean on: e^{-1/4} <= 779/1000
     and the residual rate 9/10 - e^{-1/4} >= 121/1000."""
     quarter = ExpSum.exp(Fraction(-1, 4))
     return [
-        _report("exp-quarter-upper", quarter, Fraction(779, 1000),
-                precision_bits=precision_bits),
-        _report("exp-rate-constant", Fraction(121, 1000),
-                Fraction(9, 10) - quarter, precision_bits=precision_bits),
+        _report("exp-quarter-upper", quarter, Fraction(779, 1000)),
+        _report("exp-rate-constant", Fraction(121, 1000), Fraction(9, 10) - quarter),
     ]

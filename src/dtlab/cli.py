@@ -5,7 +5,7 @@ to JSON or CSV, and re-check a serialized certificate or committee.
 
 Exit codes: 0 all checks pass, 1 some check failed, 2 invalid config,
 scenario, or format, 3 size guard exceeded, 4 comparison undecided at
-the requested precision, 5 a solver ran out of its iteration or retry
+the maximum precision, 5 a solver ran out of its iteration or retry
 budget, or an internal error.
 """
 
@@ -161,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--jobs", type=int, default=1,
                        help="scenario-level parallelism")
     p_run.add_argument("--precision", type=int, default=None, metavar="BITS",
-                       help="override interval precision from the config")
+                       help="printed interval width; overrides the config")
     p_run.add_argument("--out", default=".", metavar="DIR",
                        help="directory for report.json")
     p_run.set_defaults(fn=_cmd_run)

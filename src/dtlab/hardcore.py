@@ -101,6 +101,8 @@ class Committee:
     def __post_init__(self):
         if len(self.trees) % 2 != 1:
             raise InvalidValue("committee size must be odd")
+        if any((t.n, t.k) != (self.f.n, 1) for t in self.trees):
+            raise DimensionMismatch("committee trees must be k=1 trees on f's variables")
 
     @property
     def r(self) -> int:

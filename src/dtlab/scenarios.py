@@ -1,8 +1,12 @@
 """Registered verification scenarios and deterministic run reports.
 
-A scenario is a pure function from (params, precision) to a list of checks,
-each carrying a BoundReport.  Reports contain no timing or environment data:
-identical config must serialize to byte-identical JSON.
+A scenario is a pure function of its params to a list of checks, each
+carrying a BoundReport.  run_scenario parses every param once by the type of
+its default (an int default takes a JSON integer, a string default a
+rational), so a scenario body only checks ranges.  Verdicts are certified and
+take no precision: it only sets how wide the serialized intervals are.
+Reports contain no timing or environment data: identical config must
+serialize to byte-identical JSON.
 """
 
 from __future__ import annotations
@@ -99,30 +103,29 @@ class ScenarioResult:
 # parameter plumbing
 
 
-def _params(raw: dict, defaults: dict) -> dict:
-    unknown = set(raw) - set(defaults)
-    if unknown:
-        raise InvalidValue(f"unknown parameters {sorted(unknown)}; "
-                           f"accepted: {sorted(defaults)}")
-    merged = dict(defaults)
-    merged.update(raw)
-    return merged
-
-
-def _as_int(value, lo: int, hi: int, what: str) -> int:
-    v = _int(value, what)
+def _in_range(v: int, lo: int, hi: int, what: str) -> int:
     if not lo <= v <= hi:
         raise InvalidValue(f"{what} must lie in [{lo},{hi}], got {v}")
     return v
+
+
+def _batch(params: dict, generate, limit: int, verify):
+    """Checks on the first params["count"] (at most limit) instances that
+    generate(seed, count) yields: one per (suffix, report) pair that
+    verify(*instance) yields, named instance-NNN plus the suffix."""
+    count = _in_range(params["count"], 1, limit, "count")
+    return [CheckResult(f"instance-{i:03d}{suffix}", rep)
+            for i, instance in enumerate(generate(params["seed"], count))
+            for suffix, rep in verify(*instance)], {}
 
 
 # ---------------------------------------------------------------------------
 # scenarios
 
 
-def _scn_parity_claim(params: dict, prec: int):
-    n = _as_int(params["n"], 1, 8, "n")
-    eps = fraction_from_str(params["eps"])
+def _scn_parity_claim(params: dict):
+    n = _in_range(params["n"], 1, 8, "n")
+    eps = params["eps"]
     if not 0 <= eps <= Fraction(1, 2):
         raise InvalidValue("eps must lie in [0,1/2]")
     frontier = pareto_frontier(parity(n), uniform(n))
@@ -135,8 +138,8 @@ def _scn_parity_claim(params: dict, prec: int):
     return checks, {"frontier": frontier_to_json(frontier)}
 
 
-def _scn_no_boosting(params: dict, prec: int):
-    n = _as_int(params["n"], 2, 8, "n")
+def _scn_no_boosting(params: dict):
+    n = _in_range(params["n"], 2, 8, "n")
     f = no_error_reduction_function(n)
     frontier = pareto_frontier(f, uniform(n))
     quarter = opt_depth(frontier, Fraction(1, 4))
@@ -164,10 +167,9 @@ def _brute_frontier(trees, f, mu):
     return best
 
 
-def _scn_frontier_oracle(params: dict, prec: int):
-    seed = _int(params["seed"], "seed")
-    per_function = _as_int(params["distributions"], 1, 20, "distributions")
-    rng = random.Random(seed)
+def _scn_frontier_oracle(params: dict):
+    per_function = _in_range(params["distributions"], 1, 20, "distributions")
+    rng = random.Random(params["seed"])
     trees = enumerate_all_trees(2, 1)
     checks = []
     for idx, labels in enumerate(itertools.product((1, -1), repeat=4)):
@@ -185,64 +187,36 @@ def _scn_frontier_oracle(params: dict, prec: int):
     return checks, {}
 
 
-def _scn_density_conservation(params: dict, prec: int):
-    seed = _int(params["seed"], "seed")
-    count = _as_int(params["count"], 1, 1000, "count")
-    checks = []
-    for i, (tree, _f, h, mu) in enumerate(
-            standard_verification_instances(seed, count)):
-        checks.append(CheckResult(
-            f"instance-{i:03d}", verify_density_conservation(tree, h, mu)))
-    return checks, {}
+def _scn_density_conservation(params: dict):
+    return _batch(params, standard_verification_instances, 1000,
+                  lambda tree, _f, h, mu: [("", verify_density_conservation(tree, h, mu))])
 
 
-def _scn_resilience(params: dict, prec: int):
-    seed = _int(params["seed"], "seed")
-    count = _as_int(params["count"], 1, 1000, "count")
-    checks = []
-    for i, (tree, _f, h, mu) in enumerate(
-            standard_verification_instances(seed, count)):
-        reports = verify_resilience(tree, h, mu, precision_bits=prec)
-        for phi, rep in zip(PHI_IDS, reports):
-            checks.append(CheckResult(f"instance-{i:03d}-{phi}", rep))
-    return checks, {}
+def _scn_resilience(params: dict):
+    return _batch(params, standard_verification_instances, 1000,
+                  lambda tree, _f, h, mu: zip((f"-{phi}" for phi in PHI_IDS),
+                                              verify_resilience(tree, h, mu)))
 
 
-def _scn_accuracy_bound(params: dict, prec: int):
-    seed = _int(params["seed"], "seed")
-    count = _as_int(params["count"], 1, 1000, "count")
-    checks = []
-    for i, (tree, f, h, mu) in enumerate(
-            standard_verification_instances(seed, count)):
-        reports = verify_accuracy_bound(tree, f, h, mu, precision_bits=prec)
-        for t, rep in enumerate(reports):
-            checks.append(CheckResult(f"instance-{i:03d}-t{t}", rep))
-    return checks, {}
+def _scn_accuracy_bound(params: dict):
+    return _batch(params, standard_verification_instances, 1000,
+                  lambda tree, f, h, mu: ((f"-t{t}", rep) for t, rep in
+                                          enumerate(verify_accuracy_bound(tree, f, h, mu))))
 
 
-def _scn_leaf_product(params: dict, prec: int):
-    seed = _int(params["seed"], "seed")
-    count = _as_int(params["count"], 1, 500, "count")
-    checks = []
-    for i, (tree, mu) in enumerate(leaf_product_instances(seed, count)):
-        checks.append(CheckResult(
-            f"instance-{i:03d}", verify_leaf_product(tree, mu)))
-    return checks, {}
+def _scn_leaf_product(params: dict):
+    return _batch(params, leaf_product_instances, 500,
+                  lambda tree, mu: [("", verify_leaf_product(tree, mu))])
 
 
-def _scn_embedding(params: dict, prec: int):
-    seed = _int(params["seed"], "seed")
-    count = _as_int(params["count"], 1, 500, "count")
-    checks = []
-    for i, (tree, f, h, mu) in enumerate(sign_fixed_instances(seed, count)):
-        for rep in verify_embedding(tree, f, h, mu):
-            checks.append(CheckResult(f"instance-{i:03d}-{rep.context}", rep))
-    return checks, {}
+def _scn_embedding(params: dict):
+    return _batch(params, sign_fixed_instances, 500,
+                  lambda tree, f, h, mu: ((f"-{rep.context}", rep)
+                                          for rep in verify_embedding(tree, f, h, mu)))
 
 
-def _scn_hardcore_pipeline(params: dict, prec: int):
-    seed = _int(params["seed"], "seed")
-    gamma = fraction_from_str(params["gamma"])
+def _scn_hardcore_pipeline(params: dict):
+    seed, gamma = params["seed"], params["gamma"]
     checks = []
     artifacts = {}
     for n in (2, 3):
@@ -274,26 +248,21 @@ def _scn_hardcore_pipeline(params: dict, prec: int):
     return checks, artifacts
 
 
-def _scn_product_tree(params: dict, prec: int):
-    seed = _int(params["seed"], "seed")
-    count = _as_int(params["count"], 1, 1000, "count")
-    eps = fraction_from_str(params["eps"])
-    checks = []
-    for i, (tree, f, mu, k) in enumerate(xor_tree_instances(seed, count)):
-        checks.append(CheckResult(
-            f"instance-{i:03d}", verify_product_tree(tree, f, mu, k)))
+def _scn_product_tree(params: dict):
+    checks, _ = _batch(params, xor_tree_instances, 1000,
+                       lambda tree, f, mu, k: [("", verify_product_tree(tree, f, mu, k))])
     for f, k, tag in ((dictator(1, 0), 2, "single-bit-k2"),
                       (parity(2), 2, "parity2-k2")):
         checks.append(CheckResult(
             f"xor-vs-product-{tag}",
-            xor_vs_product_gap(f, uniform(f.n), k, eps)))
+            xor_vs_product_gap(f, uniform(f.n), k, params["eps"])))
     return checks, {}
 
 
-def _scn_parity_direct_product(params: dict, prec: int):
-    n = _as_int(params["n"], 1, 4, "n")
-    k = _as_int(params["k"], 1, 4, "k")
-    gamma = fraction_from_str(params["gamma"])
+def _scn_parity_direct_product(params: dict):
+    n = _in_range(params["n"], 1, 4, "n")
+    k = _in_range(params["k"], 1, 4, "k")
+    gamma = params["gamma"]
     # refuse before the 2^(n*k)-leaf counterexample is built
     check_dp_guard(n * k)
     rt, report = parity_counterexample(n, k, gamma)
@@ -310,7 +279,7 @@ def _scn_parity_direct_product(params: dict, prec: int):
     return checks, {"frontier": frontier_to_json(frontier)}
 
 
-def _scn_closed_forms(params: dict, prec: int):
+def _scn_closed_forms(params: dict):
     checks = []
     plain = scaled = 0
     plain_bad = scaled_bad = 0
@@ -319,13 +288,11 @@ def _scn_closed_forms(params: dict, prec: int):
             for m in range(10):
                 t, z, d = Fraction(i, 4), Fraction(j), Fraction(m, 2)
                 plain += 1
-                if not lipschitz_check(t, z, d, "plain",
-                                       precision_bits=prec).holds:
+                if not lipschitz_check(t, z, d, "plain").holds:
                     plain_bad += 1
                 if t > 0 and z >= 5 * t:
                     scaled += 1
-                    if not lipschitz_check(t, z, d, "scaled",
-                                           precision_bits=prec).holds:
+                    if not lipschitz_check(t, z, d, "scaled").holds:
                         scaled_bad += 1
     checks.append(CheckResult(
         "lipschitz-plain-grid",
@@ -339,7 +306,7 @@ def _scn_closed_forms(params: dict, prec: int):
         "chernoff-hand-value",
         _equality_report("chernoff-lower-8-4-is-exp-minus-1",
                          int(chernoff_lower(8, 4) == ExpSum.exp(-1)), 1)))
-    for rep in constant_chain_reports(precision_bits=prec):
+    for rep in constant_chain_reports():
         checks.append(CheckResult(rep.context, rep))
     return checks, {}
 
@@ -391,14 +358,21 @@ def list_scenarios() -> list[dict]:
     ]
 
 
-def run_scenario(name: str, params: dict | None = None, *,
-                 precision_bits: int = DEFAULT_PRECISION_BITS) -> ScenarioResult:
+def run_scenario(name: str, params: dict | None = None) -> ScenarioResult:
     if name not in SCENARIOS:
         raise InvalidValue(f"unknown scenario {name!r}; "
                            f"known: {sorted(SCENARIOS)}")
     fn, defaults, _desc = SCENARIOS[name]
-    merged = _params(dict(params or {}), defaults)
-    checks, artifacts = fn(merged, precision_bits)
+    raw = dict(params or {})
+    unknown = set(raw) - set(defaults)
+    if unknown:
+        raise InvalidValue(f"unknown parameters {sorted(unknown)}; "
+                           f"accepted: {sorted(defaults)}")
+    merged = {**defaults, **raw}
+    # each value is read by its default's type: an int, or else a rational
+    checks, artifacts = fn({
+        key: _int(v, key) if isinstance(defaults[key], int) else fraction_from_str(v)
+        for key, v in merged.items()})
     return ScenarioResult(name, merged, tuple(checks), artifacts)
 
 
@@ -415,31 +389,13 @@ def default_config() -> dict:
     }
 
 
-def _check_to_json(check: CheckResult, prec: int) -> dict:
-    payload = bound_report_to_json(check.report, prec)
-    payload["name"] = check.name
-    return payload
-
-
-def scenario_result_to_json(result: ScenarioResult, prec: int) -> dict:
-    params = {
-        key: fraction_to_str(v) if isinstance(v, Fraction) else v
-        for key, v in sorted(result.params.items())
-    }
-    return {
-        "scenario": result.scenario,
-        "params": params,
-        "checks": [_check_to_json(c, prec) for c in result.checks],
-        "artifacts": result.artifacts,
-    }
-
-
 def run_config(config: dict, *, jobs: int = 1,
                precision_bits: int | None = None):
     """Run every scenario in the config; returns (report dict, timings).
 
     The report is deterministic for a fixed config; wall-clock timings are
-    returned separately so they never reach the serialized output.
+    returned separately so they never reach the serialized output.  The
+    precision only sets the width of the printed intervals.
     """
     if _int(jobs, "jobs") < 1:
         raise InvalidValue(f"jobs must be at least 1, got {jobs}")
@@ -463,8 +419,7 @@ def run_config(config: dict, *, jobs: int = 1,
         if extra:
             raise InvalidValue(f"unknown scenario entry keys {sorted(extra)}")
         t0 = time.monotonic()
-        result = run_scenario(entry["name"], entry.get("params"),
-                              precision_bits=prec)
+        result = run_scenario(entry["name"], entry.get("params"))
         return result, time.monotonic() - t0
 
     if jobs == 1 or len(entries) <= 1:
@@ -482,7 +437,11 @@ def run_config(config: dict, *, jobs: int = 1,
 
     total = sum(len(r.checks) for r in results)
     failed = sum(1 for r in results for c in r.checks if not c.ok)
-    bodies = [scenario_result_to_json(r, prec) for r in results]
+    bodies = [{"scenario": r.scenario,
+               "params": dict(sorted(r.params.items())),
+               "checks": [{**bound_report_to_json(c.report, prec), "name": c.name}
+                          for c in r.checks],
+               "artifacts": r.artifacts} for r in results]
     report = {
         "config": {
             "precision_bits": prec,

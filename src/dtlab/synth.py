@@ -41,8 +41,9 @@ from itertools import product
 from math import lcm
 
 from .errors import DimensionMismatch, GuardExceeded, Infeasible, InvalidValue
+from .exactexp import fraction_to_str
 from .functions import BooleanFunction, Distribution, Measure, VectorFunction
-from .trees import DecisionTree, Leaf, Query, cube_points
+from .trees import DecisionTree, Leaf, Query, cube_points, tree_to_json
 
 MAX_DP_VARS = 14
 MAX_ENUM_VARS = 3
@@ -285,9 +286,6 @@ def enumerate_all_trees(n: int, k: int) -> list[DecisionTree]:
 
 
 def frontier_to_json(frontier: ParetoFrontier) -> dict:
-    from .exactexp import fraction_to_str
-    from .trees import tree_to_json
-
     return {
         "sense": frontier.sense,
         "n": frontier.n,

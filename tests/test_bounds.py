@@ -1,7 +1,6 @@
 """Closed-form tail bounds and the leaf-statistics inequality verifiers."""
 
 import itertools
-import random
 from fractions import Fraction
 from math import comb
 

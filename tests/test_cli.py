@@ -9,13 +9,14 @@ import pytest
 from dtlab import cli
 from dtlab.errors import BoostFailure, IterationBudget, UndecidedComparison
 from dtlab.functions import parity, uniform
-from dtlab.hardcore import certificate_to_json, hardcore_solve
+from dtlab.hardcore import certificate_to_json, committee_to_json, hardcore_solve
 from dtlab.trees import (
     DecisionTree,
     Leaf,
     Query,
     RandomizedTree,
     randomized_tree_to_json,
+    tree_to_json,
 )
 from dtlab.scenarios import SCENARIOS, report_to_bytes
 
@@ -126,7 +127,7 @@ def test_guard_violation_exits_3(tmp_path):
 
 
 def test_undecided_comparison_exits_4(tmp_path, monkeypatch):
-    def raiser(params, prec):
+    def raiser(params):
         raise UndecidedComparison("stuck")
 
     monkeypatch.setitem(SCENARIOS, "closed-forms",
@@ -139,7 +140,7 @@ def test_undecided_comparison_exits_4(tmp_path, monkeypatch):
                                  BoostFailure("retry cap"),
                                  ZeroDivisionError("a bug")])
 def test_solver_budget_and_internal_errors_exit_5(tmp_path, monkeypatch, capsys, exc):
-    def raiser(params, prec):
+    def raiser(params):
         raise exc
 
     monkeypatch.setitem(SCENARIOS, "closed-forms",
@@ -267,6 +268,20 @@ def test_verify_refuses_negative_committee_iterations(tmp_path):
     path = tmp_path / "tampered.json"
     path.write_text(json.dumps(art))
     assert cli.main(["verify", str(path)]) == 2
+
+
+def test_verify_refuses_committee_of_mis_shaped_trees(tmp_path, capsys):
+    # A two-block tree on one variable per block reads the same two input
+    # bits as a scalar tree on parity(2), so only a shape check refuses it.
+    committee = hardcore_solve(parity(2), uniform(2), F(1, 4), F(1, 2), F(2))
+    art = committee_to_json(committee)
+    vector = tree_to_json(DecisionTree(1, 2, Query(0, Query(1, Leaf((1, 1)), Leaf((-1, 1))),
+                                                   Query(1, Leaf((-1, 1)), Leaf((1, 1))))))
+    art["trees"] = [vector] * len(art["trees"])
+    path = tmp_path / "mis-shaped.json"
+    path.write_text(json.dumps(art))
+    assert cli.main(["verify", str(path)]) == 2
+    assert "committee trees" in capsys.readouterr().err
 
 
 def test_verify_refuses_deeply_nested_witness(tmp_path):

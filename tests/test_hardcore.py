@@ -37,9 +37,7 @@ from dtlab.trees import (
     DecisionTree,
     Leaf,
     Query,
-    error,
     evaluate,
-    expected_depth,
 )
 
 F = Fraction

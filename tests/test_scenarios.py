@@ -1,10 +1,13 @@
 """Scenario registry behavior and run-report determinism."""
 
+import inspect
+import json
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
-from dtlab import scenarios
+from dtlab import bounds, scenarios
 from dtlab.errors import GuardExceeded, InvalidValue
 from dtlab.scenarios import (
     SCENARIOS,
@@ -145,10 +148,47 @@ def test_precision_flag_overrides_config():
 
 
 def test_check_payloads_are_json_clean():
-    res = run_scenario("hardcore-pipeline")
+    report, _ = run_config({"scenarios": [{"name": "hardcore-pipeline"}]})
     # every artifact must be a JSON-serializable dict with a kind tag
-    for tag, art in res.artifacts.items():
+    for tag, art in report["scenarios"][0]["artifacts"].items():
         assert art["kind"] in ("hardcore_certificate", "committee"), tag
-    import json
-    from dtlab.scenarios import scenario_result_to_json
-    json.dumps(scenario_result_to_json(res, 128))
+    json.dumps(report)
+
+
+def test_a_scenario_is_a_function_of_its_params():
+    # precision reaches only the serialization of a report, never a verdict
+    for fn, _defaults, _desc in SCENARIOS.values():
+        assert list(inspect.signature(fn).parameters) == ["params"]
+    for module in (bounds, scenarios):
+        taking = sorted(name for name, fn in vars(module).items()
+                        if inspect.isfunction(fn) and fn.__module__ == module.__name__
+                        and any("prec" in p for p in inspect.signature(fn).parameters))
+        assert taking == {bounds: ["bound_report_to_json"],
+                          scenarios: ["run_config"]}[module]
+
+
+def _interval(value):
+    return [Fraction(Decimal(v)) for v in value] if isinstance(value, list) else None
+
+
+def test_verdicts_do_not_depend_on_precision():
+    low, _ = run_config(_small_config(), precision_bits=8)
+    high, _ = run_config(_small_config(), precision_bits=256)
+    assert low["summary"] == high["summary"]
+    intervals = 0
+    for s_low, s_high in zip(low["scenarios"], high["scenarios"], strict=True):
+        assert s_low["artifacts"] == s_high["artifacts"]
+        for c_low, c_high in zip(s_low["checks"], s_high["checks"], strict=True):
+            assert (c_low["name"], c_low["holds"]) == (c_high["name"], c_high["holds"])
+            assert c_low["related"].keys() == c_high["related"].keys()
+            sides = [(c_low[k], c_high[k]) for k in ("lhs", "rhs", "slack")]
+            sides += [(v, c_high["related"][k]) for k, v in c_low["related"].items()]
+            for v_low, v_high in sides:
+                a, b = _interval(v_low), _interval(v_high)
+                if a is None:
+                    # an exact side is printed the same at every precision
+                    assert v_low == v_high, c_low["name"]
+                else:
+                    assert b is not None and a[0] <= b[1] and b[0] <= a[1]
+                    intervals += 1
+    assert intervals > 0

@@ -39,7 +39,6 @@ from dtlab.trees import (
     error,
     evaluate,
     expected_depth,
-    leaf_stats,
     leaves,
     path_length,
 )

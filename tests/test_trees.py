@@ -1,7 +1,6 @@
 """Tree structure, evaluation semantics, exact metrics, and leaf statistics."""
 
 import dataclasses
-import itertools
 from fractions import Fraction
 
 import pytest
