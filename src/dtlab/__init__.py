@@ -48,7 +48,6 @@ from .trees import (
     LeafStats,
     Query,
     RandomizedTree,
-    agreement,
     conditional_blocks_at_leaf,
     correlation,
     cube_points,
@@ -95,7 +94,6 @@ from .transforms import (
 )
 from .bounds import (
     PHI_IDS,
-    BerSumDist,
     BoundReport,
     ber_sum,
     ber_sum_cdf,

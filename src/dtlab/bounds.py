@@ -33,7 +33,6 @@ from .synth import opt_depth, pareto_frontier
 from .trees import (
     DecisionTree,
     RandomizedTree,
-    agreement,
     conditional_blocks_at_leaf,
     correlation,
     cube_points,
@@ -63,26 +62,26 @@ class BoundReport:
     context: str
     lhs: ExpSum
     rhs: ExpSum
-    slack: ExpSum
     holds: bool
     hypothesis_ok: bool = True
     related: tuple[tuple[str, object], ...] = ()
 
+    @property
+    def slack(self) -> ExpSum:
+        return self.rhs - self.lhs
+
 
 def _report(context: str, lhs, rhs, *, hypothesis_ok: bool = True,
             related=()) -> BoundReport:
-    lhs = ExpSum.of(lhs)
-    rhs = ExpSum.of(rhs)
-    slack = rhs - lhs
-    return BoundReport(context, lhs, rhs, slack,
-                       slack.sign() >= 0, hypothesis_ok,
-                       tuple(related))
+    lhs, rhs = ExpSum.of(lhs), ExpSum.of(rhs)
+    return BoundReport(context, lhs, rhs, (rhs - lhs).sign() >= 0,
+                       hypothesis_ok, tuple(related))
 
 
 def _equality_report(context: str, lhs: Fraction, rhs: Fraction,
                      related=()) -> BoundReport:
-    l, r = ExpSum.of(lhs), ExpSum.of(rhs)
-    return BoundReport(context, l, r, r - l, lhs == rhs, True, tuple(related))
+    return BoundReport(context, ExpSum.of(lhs), ExpSum.of(rhs), lhs == rhs,
+                       True, tuple(related))
 
 
 def bound_report_to_json(report: BoundReport,
@@ -107,15 +106,8 @@ def bound_report_to_json(report: BoundReport,
 # Bernoulli sums and closed-form tail bounds
 
 
-@dataclass(frozen=True)
-class BerSumDist:
-    """Distribution of a sum of independent Bernoulli(p_i) variables."""
-
-    p: tuple[Fraction, ...]
-    pmf: tuple[Fraction, ...]
-
-
-def ber_sum(p) -> BerSumDist:
+def ber_sum(p) -> tuple[Fraction, ...]:
+    """pmf of a sum of independent Bernoulli(p_i) variables, indexed by the sum."""
     probs = tuple(Fraction(v) for v in p)
     if any(not 0 <= v <= 1 for v in probs):
         raise InvalidValue("Bernoulli parameters must lie in [0,1]")
@@ -126,19 +118,19 @@ def ber_sum(p) -> BerSumDist:
             nxt[z] += w * (1 - v)
             nxt[z + 1] += w * v
         pmf = nxt
-    return BerSumDist(probs, tuple(pmf))
+    return tuple(pmf)
 
 
-def binomial(k: int, delta) -> BerSumDist:
+def binomial(k: int, delta) -> tuple[Fraction, ...]:
     return ber_sum((Fraction(delta),) * k)
 
 
-def ber_sum_cdf(dist: BerSumDist, t) -> Fraction:
-    """Pr[z <= t]; t may be any rational."""
+def ber_sum_cdf(pmf: tuple[Fraction, ...], t) -> Fraction:
+    """Pr[z <= t] for z with the given pmf; t may be any rational."""
     t = Fraction(t)
     if t < 0:
         return _ZERO
-    return sum(dist.pmf[: min(len(dist.pmf), floor(t) + 1)], _ZERO)
+    return sum(pmf[: min(len(pmf), floor(t) + 1)], _ZERO)
 
 
 def chernoff_lower(mu_sum, t) -> ExpSum:
@@ -197,8 +189,8 @@ def lipschitz_check(t, z, delta, form: str = "plain") -> BoundReport:
 def _reachable_density_stats(tree: DecisionTree, h: Measure,
                              mu: Distribution) -> list[tuple[Fraction, Fraction]]:
     """(reach, total density) for every leaf with positive mass."""
-    stats = leaf_stats(tree, constant_function(h.n, 1), h, mu)
-    return [(s.reach, s.dens_total) for s in stats if s.reach > 0]
+    return [(s.reach, s.dens_total)
+            for s in leaf_stats(tree, constant_function(h.n, 1), h, mu)]
 
 
 def verify_density_conservation(tree: DecisionTree, h: Measure,
@@ -231,11 +223,11 @@ def verify_resilience(tree: DecisionTree, h: Measure,
     sides = {
         "exp-neg-z4": (
             sum((ExpSum.exp(-dens / 4, reach) for reach, dens in pairs), ExpSum.of(0)),
-            sum((ExpSum.exp(Fraction(-z, 4), w) for z, w in enumerate(bino.pmf)),
+            sum((ExpSum.exp(Fraction(-z, 4), w) for z, w in enumerate(bino)),
                 ExpSum.of(0))),
         "exp-pos-z": (
             sum((ExpSum.exp(dens, reach) for reach, dens in pairs), ExpSum.of(0)),
-            sum((ExpSum.exp(Fraction(z), w) for z, w in enumerate(bino.pmf)),
+            sum((ExpSum.exp(Fraction(z), w) for z, w in enumerate(bino)),
                 ExpSum.of(0))),
         "square-dev": (
             sum((reach * (dens - mean) ** 2 for reach, dens in pairs), _ZERO),
@@ -267,11 +259,11 @@ def verify_accuracy_bound(tree: DecisionTree, f: BooleanFunction, h: Measure,
     target = direct_product(f, k)
     mu_k = product_power(mu, k)
     per_leaf = [(s.reach, ber_sum(s.p), s.dens_total - s.adv_total)
-                for s in leaf_stats(tree, f, h, mu) if s.reach > 0]
+                for s in leaf_stats(tree, f, h, mu)]
     reports = []
     for t in range(k + 1):
         lhs = 1 - threshold_error(tree, target, mu_k, t)
-        rhs = sum((reach * ber_sum_cdf(dist, t) for reach, dist, _ in per_leaf), _ZERO)
+        rhs = sum((reach * ber_sum_cdf(pmf, t) for reach, pmf, _ in per_leaf), _ZERO)
         g_form = sum((g_func(t, gap).scale(reach) for reach, _, gap in per_leaf),
                      ExpSum.of(0))
         g_dominates = (g_form - rhs).sign() >= 0
@@ -370,8 +362,7 @@ def verify_embedding(tree: DecisionTree, f: BooleanFunction, h: Measure,
     depth_rhs = expected_depth(tree, mu_k)
 
     corr = correlation(small, f, mu, h)
-    stats = leaf_stats(tree, f, h, mu)
-    adv = sum((s.reach * s.adv_total for s in stats if s.reach > 0), _ZERO)
+    adv = sum((s.reach * s.adv_total for s in leaf_stats(tree, f, h, mu)), _ZERO)
     return [
         _equality_report("embedding-depth-identity", depth_lhs, depth_rhs),
         _equality_report("embedding-advantage-identity", k * corr, adv),
@@ -385,7 +376,7 @@ def verify_product_tree(t_xor: DecisionTree, f: BooleanFunction,
     mu_k = product_power(mu, k)
     t_prod = product_tree(t_xor, f, mu, k)
     lhs = correlation(t_xor, xor_power(f, k), mu_k)
-    rhs = agreement(t_prod, direct_product(f, k), mu_k)
+    rhs = 1 - error(t_prod, direct_product(f, k), mu_k)
     return _report("product-tree-success", lhs, rhs)
 
 
@@ -436,7 +427,6 @@ def parity_counterexample(n: int, k: int, gamma) -> tuple[RandomizedTree, BoundR
 
     report = BoundReport(
         "parity-mixture-claim", ExpSum.of(err), ExpSum.of(err_target),
-        ExpSum.of(err_target - err),
         err == err_target and depth == depth_target and shallow_ok,
         related=(("expected_depth", depth), ("depth_target", depth_target),
                  ("shallow_leaf_law", shallow_ok)))
@@ -448,13 +438,13 @@ def xor_vs_product_gap(f: BooleanFunction, mu: Distribution, k: int, eps) -> Bou
     the k-block direct product; also records that the XOR task is free at
     error 1/2."""
     eps = Fraction(eps)
+    if not 0 <= eps <= Fraction(1, 2):
+        raise InvalidValue("eps must lie in [0,1/2]")
     mu_k = product_power(mu, k)
     fx = pareto_frontier(xor_power(f, k), mu_k)
     fp = pareto_frontier(direct_product(f, k), mu_k)
     lhs = opt_depth(fp, eps)
     rhs = opt_depth(fx, eps / 2)
-    if lhs is None or rhs is None:
-        raise InvalidValue("error-frontier targets are always feasible")
     return _report("xor-vs-product-depth", lhs, rhs,
                    related=(("xor_depth_at_half", opt_depth(fx, Fraction(1, 2))),))
 

@@ -4,9 +4,9 @@ Subcommands: run a scenario config, list the registry, export a report
 to JSON or CSV, and re-check a serialized certificate or committee.
 
 Exit codes: 0 all checks pass, 1 some check failed, 2 invalid config,
-scenario, or format, 3 size guard exceeded, 4 comparison undecided at
-the maximum precision, 5 a solver ran out of its iteration or retry
-budget, or an internal error.
+scenario, format, or output path, 3 size guard exceeded, 4 comparison
+undecided at the maximum precision, 5 a solver ran out of its iteration
+or retry budget, or an internal error.
 """
 
 from __future__ import annotations
@@ -39,18 +39,21 @@ EXIT_INTERNAL = 5
 
 def _atomic_write(path: str, data: bytes) -> None:
     directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".dtlab-")
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".dtlab-")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(data)
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise InvalidValue(f"cannot write {path}: {exc}") from exc
 
 
 def _load_json(path: str):
@@ -94,6 +97,8 @@ def _cmd_list(_args) -> int:
 
 def _csv_cell(value) -> str:
     if isinstance(value, list):
+        if len(value) != 2:
+            raise InvalidValue(f"expected a rational or a [lo, hi] pair, got {value!r}")
         return f"[{value[0]},{value[1]}]"
     return str(value)
 

@@ -31,6 +31,7 @@ from fractions import Fraction
 from .errors import (
     BoostFailure,
     DimensionMismatch,
+    GuardExceeded,
     Infeasible,
     InvalidValue,
     IterationBudget,
@@ -68,6 +69,7 @@ _ONE = Fraction(1)
 MAX_ITERATIONS = 64
 BOOST_CONSTANT = 8
 BOOST_RETRY_CAP = 16
+MAX_COMMITTEE_BITS = 128
 
 
 @dataclass(frozen=True)
@@ -190,7 +192,7 @@ def _payoff_vector(f: BooleanFunction, mu: Distribution, tree: DecisionTree):
         mu.weights[x] * f.table[x] * evaluate(tree, x)[0] for x in range(1 << f.n))
 
 
-def _greedy_min_measure(f, mu, half_density, scores):
+def _greedy_min_measure(mu, half_density, scores):
     """Exact min of sum_x mu(x) score(x) H(x) over measures of given density.
 
     Classic fractional fill: put H = 1 on the lowest scores first."""
@@ -264,7 +266,7 @@ def _restricted_game(f, mu, half_density, budget, pool, payoffs, depths):
     # Independent check 1: greedy minimum against the returned mixture.
     scores = [f.table[x] * sum((w[t] * evaluate(pool[t], x)[0] for t in range(nt)), _ZERO)
               for x in range(npts)]
-    g_value = _greedy_min_measure(f, mu, half_density, scores)
+    g_value = _greedy_min_measure(mu, half_density, scores)
     if g_value != value:
         raise InvalidValue(
             f"restricted value {value} not reproduced by greedy minimum {g_value}")
@@ -298,23 +300,34 @@ def best_response(f: BooleanFunction, mu: Distribution, h: Measure,
 
 
 def committee_size(delta: Fraction, gamma: Fraction) -> int:
-    """Smallest odd r with e^{r * gamma^2 / BOOST_CONSTANT} >= 1/delta.  Each
-    candidate is decided by a certified ExpSum sign; a float log only picks
-    the first candidate."""
+    """Smallest odd r with e^{r * gamma^2 / BOOST_CONSTANT} >= 1/delta, each
+    candidate decided by a certified ExpSum sign.  A float log of delta's
+    numerator and denominator (no float division to underflow) only picks
+    where a galloping search starts.  Sizes past 2**MAX_COMMITTEE_BITS raise
+    GuardExceeded: no sampler could draw such a committee."""
     delta, gamma = Fraction(delta), Fraction(gamma)
     if delta <= 0 or gamma <= 0:
         raise InvalidValue("committee_size needs positive delta and gamma")
+    rate = gamma ** 2 / BOOST_CONSTANT
 
-    def passes(r: int) -> bool:
-        return (ExpSum.exp(r * gamma ** 2 / BOOST_CONSTANT) - 1 / delta).sign() >= 0
+    def passes(j: int) -> bool:  # the odd candidate r = 2j + 1
+        return (ExpSum.exp((2 * j + 1) * rate) - 1 / delta).sign() >= 0
 
-    r = max(1, math.ceil(BOOST_CONSTANT * math.log(1 / float(delta)) / float(gamma) ** 2))
-    r += 1 - r % 2
-    while not passes(r):
-        r += 2
-    while r > 1 and passes(r - 2):
-        r -= 2
-    return r
+    log_inv = Fraction(math.log(delta.denominator) - math.log(delta.numerator))
+    start = max(1, math.ceil(log_inv / rate))
+    if start.bit_length() > MAX_COMMITTEE_BITS:
+        raise GuardExceeded(
+            f"committee size near 2**{start.bit_length()} exceeds 2**{MAX_COMMITTEE_BITS}")
+    # Gallop to lo < hi with passes(hi) and lo == -1 or not passes(lo); bisect.
+    lo, hi, step = start // 2 - 1, start // 2, 1
+    while lo >= 0 and passes(lo):
+        hi, lo, step = lo, max(lo - 2 * step, -1), 2 * step
+    while not passes(hi):
+        lo, hi, step = hi, hi + 2 * step, 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if passes(mid) else (mid, hi)
+    return 2 * hi + 1
 
 
 def committee_metrics(committee: Committee, f: BooleanFunction,

@@ -170,7 +170,7 @@ def _brute_frontier(trees, f, mu):
 def _scn_frontier_oracle(params: dict):
     per_function = _in_range(params["distributions"], 1, 20, "distributions")
     rng = random.Random(params["seed"])
-    trees = enumerate_all_trees(2, 1)
+    trees = enumerate_all_trees(2)
     checks = []
     for idx, labels in enumerate(itertools.product((1, -1), repeat=4)):
         f = BooleanFunction(2, labels)

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import lcm
 
 from .errors import DimensionMismatch, GuardExceeded, Infeasible, InvalidValue
@@ -47,7 +46,6 @@ from .trees import DecisionTree, Leaf, Query, cube_points, tree_to_json
 
 MAX_DP_VARS = 14
 MAX_ENUM_VARS = 3
-MAX_ENUM_TREES = 200_000
 
 ERROR = "error"
 ADVANTAGE = "advantage"
@@ -250,26 +248,13 @@ def opt_objective_witness(frontier: ParetoFrontier, depth_budget: Fraction):
 # exhaustive enumeration (oracle-scale only)
 
 
-def _count_trees(avail: int, labels: int) -> int:
-    c = labels
-    if avail:
-        sub = _count_trees(avail - 1, labels)
-        c += avail * sub * sub
-    return c
-
-
-def enumerate_all_trees(n: int, k: int) -> list[DecisionTree]:
-    """Every tree that respects the no-repeat path invariant, all labelings."""
-    m = n * k
-    if m > MAX_ENUM_VARS:
-        raise GuardExceeded(f"{m} variables exceeds the enumeration guard {MAX_ENUM_VARS}")
-    count = _count_trees(m, 1 << k)
-    if count > MAX_ENUM_TREES:
-        raise GuardExceeded(f"{count} trees exceeds the enumeration cap {MAX_ENUM_TREES}")
-    labels = [tuple(row) for row in product((-1, 1), repeat=k)]
+def enumerate_all_trees(n: int) -> list[DecisionTree]:
+    """Every scalar tree on n variables, no variable queried twice on a path."""
+    if n > MAX_ENUM_VARS:
+        raise GuardExceeded(f"{n} variables exceeds the enumeration guard {MAX_ENUM_VARS}")
 
     def build(avail: tuple[int, ...]):
-        nodes = [Leaf(lab) for lab in labels]
+        nodes = [Leaf((-1,)), Leaf((1,))]
         for v in avail:
             rest = tuple(u for u in avail if u != v)
             subs = build(rest)
@@ -278,7 +263,7 @@ def enumerate_all_trees(n: int, k: int) -> list[DecisionTree]:
                     nodes.append(Query(v, tn, tp))
         return nodes
 
-    return [DecisionTree(n, k, node) for node in build(tuple(range(m)))]
+    return [DecisionTree(n, 1, node) for node in build(tuple(range(n)))]
 
 
 # ---------------------------------------------------------------------------

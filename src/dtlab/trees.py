@@ -5,9 +5,6 @@ width k at each leaf; block i owns variables [i*n, (i+1)*n).  Scalar trees are
 the k=1 case.  A RandomizedTree is a finite rational mixture of deterministic
 trees; every metric extends to mixtures by linearity.
 
-Leaf identifiers are preorder positions (negative child first), which makes
-them stable across serialization round-trips.
-
 Reaching a leaf fixes a subcube, so under a k-fold product input law the
 leaf's conditional law factors across blocks (acceptance c07).  One private
 kernel, _cell_sums, uses this for every per-leaf statistic: leaf_stats,
@@ -94,18 +91,8 @@ class RandomizedTree:
             raise InvalidValue("component weights must be positive")
         if sum(w for w, _ in self.components) != 1:
             raise InvalidValue("component weights must sum to exactly 1")
-        n, k = self.components[0][1].n, self.components[0][1].k
-        for _, t in self.components:
-            if (t.n, t.k) != (n, k):
-                raise DimensionMismatch("mixture components disagree on (n, k)")
-
-    @property
-    def n(self) -> int:
-        return self.components[0][1].n
-
-    @property
-    def k(self) -> int:
-        return self.components[0][1].k
+        if len({(t.n, t.k) for _, t in self.components}) > 1:
+            raise DimensionMismatch("mixture components disagree on (n, k)")
 
 
 # ---------------------------------------------------------------------------
@@ -131,22 +118,18 @@ def path_length(tree: DecisionTree, point: int) -> int:
 class LeafRef:
     """One leaf plus the subcube of inputs that reach it."""
 
-    leaf_id: int
     label: tuple[int, ...]
     fixed_mask: int
     fixed_vals: int
 
-    @property
-    def depth(self) -> int:
-        return bin(self.fixed_mask).count("1")
-
 
 def leaves(tree: DecisionTree) -> list[LeafRef]:
+    """Every leaf in preorder, negative child first."""
     out: list[LeafRef] = []
 
     def walk(node, mask: int, vals: int) -> None:
         if isinstance(node, Leaf):
-            out.append(LeafRef(len(out), node.label, mask, vals))
+            out.append(LeafRef(node.label, mask, vals))
             return
         bit = 1 << node.var
         walk(node.neg, mask | bit, vals)
@@ -243,39 +226,26 @@ def threshold_error(tree, target, mu: Distribution, t: int) -> Fraction:
     return total
 
 
-def agreement(tree, target, mu: Distribution) -> Fraction:
-    """Probability that every output coordinate matches the target."""
-    return 1 - error(tree, target, mu)
-
-
 # ---------------------------------------------------------------------------
 # per-leaf hardcore statistics
 
 
 @dataclass(frozen=True)
 class LeafStats:
-    """Exact conditional statistics of one leaf against (f, H, mu^k).
+    """Exact conditional statistics of one positive-mass leaf against (f, H, mu^k)."""
 
-    Zero-mass leaves keep reach = 0 and None for every conditional field
-    rather than being dropped.
-    """
-
-    leaf_id: int
-    depth: int
-    label: tuple[int, ...]
     reach: Fraction
-    dens: tuple[Fraction, ...] | None
-    adv: tuple[Fraction, ...] | None
-    p: tuple[Fraction, ...] | None
-    q: tuple[Fraction, ...] | None
+    dens: tuple[Fraction, ...]
+    adv: tuple[Fraction, ...]
+    p: tuple[Fraction, ...]
 
     @property
-    def dens_total(self) -> Fraction | None:
-        return None if self.dens is None else sum(self.dens, _ZERO)
+    def dens_total(self) -> Fraction:
+        return sum(self.dens, _ZERO)
 
     @property
-    def adv_total(self) -> Fraction | None:
-        return None if self.adv is None else sum(self.adv, _ZERO)
+    def adv_total(self) -> Fraction:
+        return sum(self.adv, _ZERO)
 
 
 def _cell_sums(refs, n: int, k: int, mu: Distribution,
@@ -299,35 +269,31 @@ def _cell_sums(refs, n: int, k: int, mu: Distribution,
 
 def leaf_stats(tree: DecisionTree, f: BooleanFunction, h: Measure,
                mu: Distribution) -> list[LeafStats]:
-    """Per-leaf, per-block density, advantage, p = (dens-adv)/2, and mistake rate q.
+    """Per-block density, advantage and p = (dens-adv)/2 at every reached leaf.
 
     mu and h live on a single block (n variables); inputs are drawn from the
-    k-fold product of mu.  dens is the conditional mass of h on a block, adv
-    the absolute conditional correlation of the leaf's label with f on that
-    block, and q the conditional probability the label is wrong there.
+    k-fold product of mu.  dens is the conditional mass of h on a block, and
+    adv the absolute conditional correlation of the leaf's label with f on
+    that block.  One row per positive-mass leaf, in preorder; zero-mass
+    leaves are left out.
 
-    The leaf law factors across blocks, so with S, H, G, F the block cell's
-    sums of mu, mu*h, mu*f*h and mu*f: reach = prod S, dens = H/S,
-    adv = |G|/S and q = (S - label*F)/(2S).  Cost O(L*k*2^n) for L leaves.
+    The leaf law factors across blocks, so with S, H, G the block cell's
+    sums of mu, mu*h and mu*f*h: reach = prod S, dens = H/S and adv = |G|/S.
+    Cost O(L*k*2^n) for L leaves.
     """
     n, k = tree.n, tree.k
     if f.n != n or h.n != n or mu.n != n:
         raise DimensionMismatch("leaf_stats expects single-block f, h, mu")
     fh = tuple(a * b for a, b in zip(f.table, h.values))
-    refs = leaves(tree)
     out: list[LeafStats] = []
-    for ref, cells in zip(refs, _cell_sums(refs, n, k, mu, (h.values, fh, f.table))):
+    for cells in _cell_sums(leaves(tree), n, k, mu, (h.values, fh)):
         reach = prod(c[0] for c in cells)
         if reach == 0:
-            out.append(LeafStats(ref.leaf_id, ref.depth, ref.label, _ZERO,
-                                 None, None, None, None))
             continue
-        dens = tuple(hs / s for s, hs, _, _ in cells)
-        adv = tuple(abs(g) / s for s, _, g, _ in cells)
+        dens = tuple(hs / s for s, hs, _ in cells)
+        adv = tuple(abs(g) / s for s, _, g in cells)
         p = tuple((d - a) / 2 for d, a in zip(dens, adv))
-        q = tuple((s - lab * fs) / (2 * s)
-                  for lab, (s, _, _, fs) in zip(ref.label, cells))
-        out.append(LeafStats(ref.leaf_id, ref.depth, ref.label, reach, dens, adv, p, q))
+        out.append(LeafStats(reach, dens, adv, p))
     return out
 
 
@@ -348,7 +314,8 @@ def conditional_blocks_at_leaf(tree: DecisionTree, mu: Distribution,
     factors = []
     for i, (total,) in enumerate(_cell_sums([ref], n, k, mu)[0]):
         if total == 0:
-            raise UnreachedLeaf(f"leaf {ref.leaf_id} has zero reach probability")
+            raise UnreachedLeaf(f"leaf on subcube {ref.fixed_mask:#x}/{ref.fixed_vals:#x} "
+                                "has zero reach probability")
         bm = (ref.fixed_mask >> (i * n)) & mask
         bv = (ref.fixed_vals >> (i * n)) & mask
         factors.append(Distribution(n, tuple(

@@ -81,7 +81,7 @@ def test_c02_no_error_reduction():
 def test_c03_frontier_oracle_equivalence():
     t0 = time.monotonic()
     rng = random.Random(20240202)
-    trees = enumerate_all_trees(2, 1)
+    trees = enumerate_all_trees(2)
     for labels in itertools.product((1, -1), repeat=4):
         f = BooleanFunction(2, labels)
         for _ in range(5):

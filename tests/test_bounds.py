@@ -59,7 +59,7 @@ probabilities = st.fractions(min_value=0, max_value=1, max_denominator=16)
 @given(st.lists(probabilities, min_size=1, max_size=10))
 @settings(deadline=None, max_examples=40)
 def test_ber_sum_matches_outcome_enumeration(probs):
-    dist = ber_sum(probs)
+    pmf = ber_sum(probs)
     k = len(probs)
     truth = [F(0)] * (k + 1)
     for outcome in itertools.product((0, 1), repeat=k):
@@ -67,24 +67,23 @@ def test_ber_sum_matches_outcome_enumeration(probs):
         for p, o in zip(probs, outcome):
             w *= p if o else 1 - p
         truth[sum(outcome)] += w
-    assert list(dist.pmf) == truth
-    assert sum(dist.pmf) == 1
+    assert list(pmf) == truth
+    assert sum(pmf) == 1
 
 
 def test_binomial_matches_comb_formula():
     d = F(1, 3)
-    dist = binomial(4, d)
-    for z, w in enumerate(dist.pmf):
+    for z, w in enumerate(binomial(4, d)):
         assert w == comb(4, z) * d**z * (1 - d) ** (4 - z)
 
 
 def test_ber_sum_cdf_floors_the_threshold():
-    dist = ber_sum((F(1, 2), F(1, 2)))
-    assert dist.pmf == (F(1, 4), F(1, 2), F(1, 4))
-    assert ber_sum_cdf(dist, 0) == F(1, 4)
-    assert ber_sum_cdf(dist, F(3, 2)) == F(3, 4)
-    assert ber_sum_cdf(dist, 5) == 1
-    assert ber_sum_cdf(dist, F(-1, 2)) == 0
+    pmf = ber_sum((F(1, 2), F(1, 2)))
+    assert pmf == (F(1, 4), F(1, 2), F(1, 4))
+    assert ber_sum_cdf(pmf, 0) == F(1, 4)
+    assert ber_sum_cdf(pmf, F(3, 2)) == F(3, 4)
+    assert ber_sum_cdf(pmf, 5) == 1
+    assert ber_sum_cdf(pmf, F(-1, 2)) == 0
 
 
 def test_ber_sum_rejects_bad_probabilities():

@@ -76,6 +76,22 @@ def test_malformed_config_exits_2(tmp_path):
                      "--out", str(tmp_path)]) == 2
 
 
+def test_run_out_naming_a_file_exits_2(tmp_path, capsys):
+    cfg = _write_config(tmp_path / "config.json", [{"name": "closed-forms"}])
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert cli.main(["run", "--config", cfg, "--out", str(taken)]) == 2
+    assert "cannot write" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("eps", ["-1", "2"])
+def test_product_tree_eps_out_of_range_exits_2(tmp_path, capsys, eps):
+    cfg = _write_config(tmp_path / "config.json",
+                        [{"name": "product-tree", "params": {"eps": eps, "count": 1}}])
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "eps must lie in [0,1/2]" in capsys.readouterr().err
+
+
 def test_bad_precision_exits_2(tmp_path):
     cfg = _write_config(tmp_path / "config.json", [{"name": "closed-forms"}])
     assert cli.main(["run", "--config", cfg, "--precision", "4",
@@ -182,6 +198,24 @@ def test_export_csv_row_count_matches_checks(tmp_path):
                        "slack", "holds"]
     assert len(rows) - 1 == report["summary"]["checks"]
     assert all(row[6] == "true" for row in rows[1:])
+
+
+def test_export_out_into_unwritable_path_exits_2(tmp_path, capsys):
+    report_path = _run_small(tmp_path)
+    # A regular file cannot hold a directory, whatever the permissions.
+    out = report_path / "report.csv"
+    assert cli.main(["export", str(report_path), "--format", "csv",
+                     "--out", str(out)]) == 2
+    assert "cannot write" in capsys.readouterr().err
+
+
+def test_export_csv_refuses_a_malformed_interval_exits_2(tmp_path, capsys):
+    report = json.loads(_run_small(tmp_path).read_text())
+    report["scenarios"][0]["checks"][0]["lhs"] = []
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(report))
+    assert cli.main(["export", str(path), "--format", "csv"]) == 2
+    assert "[lo, hi] pair" in capsys.readouterr().err
 
 
 def test_export_unknown_format_exits_2(tmp_path):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from dtlab import hardcore
-from dtlab.errors import BoostFailure, Infeasible, InvalidValue, IterationBudget
+from dtlab.errors import BoostFailure, GuardExceeded, Infeasible, InvalidValue, IterationBudget
 from dtlab.functions import (
     Distribution,
     constant_measure,
@@ -276,16 +276,18 @@ def test_committee_sizes_are_odd_and_match_formula():
         assert committee_size(d, g) % 2 == 1
 
 
-def test_committee_size_is_the_smallest_odd_r_passing_the_exact_inequality():
+def _passes(r, delta, gamma):
     # Oracle: r * gamma^2 / BOOST_CONSTANT >= ln(1/delta) in 60-digit decimal
     # arithmetic, the exact inequality e^{r gamma^2 / BOOST_CONSTANT} >= 1/delta.
-    def passes(r, delta, gamma):
-        e = r * gamma ** 2 / hardcore.BOOST_CONSTANT
-        with localcontext() as ctx:
-            ctx.prec = 60
-            return (Decimal(e.numerator) / e.denominator
-                    >= (Decimal(delta.denominator) / delta.numerator).ln())
+    e = r * gamma ** 2 / hardcore.BOOST_CONSTANT
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return (Decimal(e.numerator) / e.denominator
+                >= (Decimal(delta.denominator) / delta.numerator).ln())
 
+
+def test_committee_size_is_the_smallest_odd_r_passing_the_exact_inequality():
+    passes = _passes
     deltas = (F(1, 2), F(1, 3), F(1, 4), F(1, 8), F(1, 10), F(1, 100), F(3, 4), F(9, 10))
     gammas = (F(1), F(1, 2), F(1, 3), F(1, 4), F(3, 5), F(1, 10))
     for delta in deltas:
@@ -296,6 +298,19 @@ def test_committee_size_is_the_smallest_odd_r_passing_the_exact_inequality():
             assert r == 1 or not passes(r - 2, delta, gamma), (delta, gamma, r)
     with pytest.raises(InvalidValue):
         committee_size(F(1, 4), F(0))
+
+
+def test_committee_size_survives_float_underflow():
+    # float(delta) is 0 here, so a float 1/delta divides by zero.
+    tiny, gamma = F(1, 10**400), F(1, 2)
+    r = committee_size(tiny, gamma)
+    assert _passes(r, tiny, gamma) and not _passes(r - 2, tiny, gamma)
+    committee = hardcore_solve(parity(2), uniform(2), tiny, gamma, F(2))
+    assert isinstance(committee, Committee) and committee.r == r
+    # float(gamma) ** 2 underflows to 0 here; r is near 2**1333, a committee
+    # no sampler can draw, so it is refused with a typed error.
+    with pytest.raises(GuardExceeded):
+        committee_size(F(1, 4), F(1, 10**200))
 
 
 def test_maj_boost_is_seed_deterministic():

@@ -44,7 +44,7 @@ def _pareto_reduce(pairs, bigger_is_better):
 
 def test_error_frontier_matches_enumeration():
     rng = random.Random(123)
-    trees = enumerate_all_trees(2, 1)
+    trees = enumerate_all_trees(2)
     for _ in range(12):
         f = random_function(rng, 2)
         mu = random_distribution(rng, 2)
@@ -57,7 +57,7 @@ def test_error_frontier_matches_enumeration():
 
 def test_advantage_frontier_matches_enumeration():
     rng = random.Random(321)
-    trees = enumerate_all_trees(2, 1)
+    trees = enumerate_all_trees(2)
     for _ in range(8):
         f = random_function(rng, 2)
         mu = random_distribution(rng, 2)
@@ -151,16 +151,15 @@ def test_advantage_envelope_concavity_in_budget():
 
 
 def test_enumeration_counts_and_validity():
-    trees = enumerate_all_trees(1, 1)
-    assert len(trees) == 6
-    trees2 = enumerate_all_trees(2, 1)
-    assert len(trees2) == 74
-    assert len(set(trees2)) == 74
+    for n, count in enumerate((2, 6, 74, 16_430)):
+        trees = enumerate_all_trees(n)
+        assert len(trees) == len(set(trees)) == count
+        assert all((t.n, t.k) == (n, 1) for t in trees)
 
 
 def test_enumeration_guard():
     with pytest.raises(GuardExceeded):
-        enumerate_all_trees(4, 1)
+        enumerate_all_trees(4)
 
 
 def test_sense_validation():

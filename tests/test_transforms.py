@@ -33,7 +33,6 @@ from dtlab.transforms import (
 from dtlab.trees import (
     DecisionTree,
     Leaf,
-    agreement,
     correlation,
     cube_points,
     error,
@@ -197,7 +196,7 @@ def test_product_tree_keeps_structure_and_beats_xor_success():
         prod = product_power(mu, k)
         for x in prod.support():
             assert path_length(built, x) == path_length(t_xor, x)
-        succ = agreement(built, direct_product(f, k), prod)
+        succ = 1 - error(built, direct_product(f, k), prod)
         xor_corr = correlation(t_xor, xor_power(f, k), prod)
         assert succ >= xor_corr
 
@@ -211,14 +210,14 @@ def test_product_tree_labels_are_locally_optimal():
     built = product_tree(t_xor, f, mu, k)
     prod = product_power(mu, k)
     target = direct_product(f, k)
-    base = agreement(built, target, prod)
+    base = 1 - error(built, target, prod)
     labels = [ref.label for ref in leaves(built)]
     for li, lab in enumerate(labels):
         for blk in range(k):
             flipped = list(labels)
             flipped[li] = tuple(-v if i == blk else v for i, v in enumerate(lab))
             other = _rebuild_with_labels(built, flipped, n, k)
-            assert agreement(other, target, prod) <= base
+            assert 1 - error(other, target, prod) <= base
 
 
 def test_full_parity_tree_is_exact():

@@ -26,10 +26,10 @@ from dtlab.instances import (
 from dtlab.trees import (
     DecisionTree,
     Leaf,
+    LeafRef,
     LeafStats,
     Query,
     RandomizedTree,
-    agreement,
     conditional_blocks_at_leaf,
     correlation,
     cube_points,
@@ -50,11 +50,11 @@ import random
 
 
 def _leaf_reach(tree, mu):
-    """Reach probability of every leaf by point enumeration, zero-mass leaves
-    included."""
-    return {ref.leaf_id: sum((mu.weights[p] for p in cube_points(
+    """Reach probability of every leaf in preorder by point enumeration,
+    zero-mass leaves included."""
+    return [sum((mu.weights[p] for p in cube_points(
                 tree.total_vars, ref.fixed_mask, ref.fixed_vals)), Fraction(0))
-            for ref in leaves(tree)}
+            for ref in leaves(tree)]
 
 
 def _hand_correlation(tree, f, mu, h):
@@ -103,11 +103,11 @@ def test_out_of_range_variable_rejected():
 def test_leaves_are_preorder_negative_child_first():
     t = _xor_tree()
     refs = leaves(t)
-    assert [r.leaf_id for r in refs] == [0, 1, 2, 3]
+    assert [r.label for r in refs] == [(1,), (-1,), (-1,), (1,)]
     # first leaf: both bits clear
     assert refs[0].fixed_mask == 0b11 and refs[0].fixed_vals == 0b00
     assert refs[3].fixed_mask == 0b11 and refs[3].fixed_vals == 0b11
-    assert all(r.depth == 2 for r in refs)
+    assert all(r.fixed_mask == 0b11 for r in refs)
 
 
 def test_cube_points_enumerates_the_subcube():
@@ -129,7 +129,6 @@ def test_expected_depth_and_error_match_brute_force():
         assert expected_depth(t, mu) == depth
         assert error(t, f, mu) == err
         assert correlation(t, f, mu) == 1 - 2 * err
-        assert agreement(t, f, mu) == 1 - err
         corr_h = _hand_correlation(t, f, mu, h)
         assert correlation(t, f, mu, h) == corr_h
         # a mixture's h-weighted correlation averages its components'
@@ -175,8 +174,8 @@ def test_leaf_distribution_sums_to_one():
         t = random_tree(rng, 2, 2)
         mu = product_power(random_distribution(rng, 2), 2)
         dist = _leaf_reach(t, mu)
-        assert sum(dist.values()) == 1
-        assert all(w >= 0 for w in dist.values())
+        assert sum(dist) == 1
+        assert all(w >= 0 for w in dist)
 
 
 def test_leaf_stats_identities():
@@ -191,14 +190,11 @@ def test_leaf_stats_identities():
         reach = sum(s.reach for s in stats)
         assert reach == 1
         for s in stats:
-            if s.reach == 0:
-                assert s.dens is None and s.adv is None
-                continue
+            assert s.reach > 0
             for i in range(k):
                 assert 0 <= s.dens[i] <= 1
                 assert 0 <= s.adv[i] <= s.dens[i]
                 assert s.p[i] == (s.dens[i] - s.adv[i]) / 2
-                assert 0 <= s.q[i] <= 1
             assert s.dens_total == sum(s.dens)
             assert s.adv_total == sum(s.adv)
 
@@ -213,7 +209,6 @@ def test_leaf_stats_on_exact_parity_tree():
         assert s.dens == (Fraction(1, 2),)
         # the leaf label equals f on the whole cell, so adv == dens
         assert s.adv == (Fraction(1, 2),)
-        assert s.q == (Fraction(0),)
 
 
 def test_conditional_blocks_factorize():
@@ -223,9 +218,8 @@ def test_conditional_blocks_factorize():
         t = random_tree(rng, n, k)
         mu = random_distribution(rng, n, allow_zeros=False)
         prod = product_power(mu, k)
-        dist = _leaf_reach(t, prod)
-        for ref in leaves(t):
-            if dist.get(ref.leaf_id, Fraction(0)) == 0:
+        for ref, reach in zip(leaves(t), _leaf_reach(t, prod)):
+            if reach == 0:
                 continue
             factors = conditional_blocks_at_leaf(t, mu, ref)
             cell = [p for p in cube_points(t.total_vars, ref.fixed_mask, ref.fixed_vals)]
@@ -260,7 +254,6 @@ def _ref_leaf_stats(tree, f, h, mu):
         mass = Fraction(0)
         sum_h = [Fraction(0)] * k
         sum_fyh = [Fraction(0)] * k
-        sum_wrong = [Fraction(0)] * k
         for point in cube_points(tree.total_vars, ref.fixed_mask, ref.fixed_vals):
             w = Fraction(1)
             blocks = [(point >> (i * n)) & mask_n for i in range(k)]
@@ -272,17 +265,12 @@ def _ref_leaf_stats(tree, f, h, mu):
             for i, b in enumerate(blocks):
                 sum_h[i] += w * h.values[b]
                 sum_fyh[i] += w * f.table[b] * ref.label[i] * h.values[b]
-                if ref.label[i] != f.table[b]:
-                    sum_wrong[i] += w
         if mass == 0:
-            out.append(LeafStats(ref.leaf_id, ref.depth, ref.label, Fraction(0),
-                                 None, None, None, None))
             continue
         dens = tuple(s / mass for s in sum_h)
         adv = tuple(abs(s) / mass for s in sum_fyh)
         p = tuple((d - a) / 2 for d, a in zip(dens, adv))
-        q = tuple(s / mass for s in sum_wrong)
-        out.append(LeafStats(ref.leaf_id, ref.depth, ref.label, mass, dens, adv, p, q))
+        out.append(LeafStats(mass, dens, adv, p))
     return out
 
 
@@ -316,10 +304,10 @@ def test_leaf_kernel_matches_point_enumeration():
             mu = random_distribution(rng, n)  # zero weights allowed
             got, want = leaf_stats(t, f, h, mu), _ref_leaf_stats(t, f, h, mu)
             assert len(got) == len(want)
-            for g, w in zip(got, want):
+            for row, (g, w) in enumerate(zip(got, want)):
                 for field in dataclasses.fields(LeafStats):
                     assert getattr(g, field.name) == getattr(w, field.name), (
-                        seed, n, k, w.leaf_id, field.name)
+                        seed, n, k, row, field.name)
             for ref in leaves(t):
                 factors = _ref_conditional_blocks(t, mu, ref)
                 if factors is None:
@@ -330,6 +318,24 @@ def test_leaf_kernel_matches_point_enumeration():
                 reached += 1
                 assert conditional_blocks_at_leaf(t, mu, ref) == factors
     assert unreached > 0 and reached > 0
+
+
+def test_leaf_stats_rows_are_the_reached_leaves_in_preorder():
+    assert [f.name for f in dataclasses.fields(LeafStats)] == ["reach", "dens", "adv", "p"]
+    assert [f.name for f in dataclasses.fields(LeafRef)] == [
+        "label", "fixed_mask", "fixed_vals"]
+    unreached = 0
+    for seed in range(6):
+        rng = random.Random(4100 + seed)
+        for n, k in SWEEP_SHAPES:
+            t = random_tree(rng, n, k)
+            mu = random_distribution(rng, n)  # zero weights allowed
+            reach = _leaf_reach(t, product_power(mu, k))
+            stats = leaf_stats(t, random_function(rng, n), random_measure(rng, n), mu)
+            assert [s.reach for s in stats] == [r for r in reach if r > 0]
+            assert sum(s.reach for s in stats) == 1
+            unreached += reach.count(0)
+    assert unreached > 0
 
 
 @given(st.integers(0, 10**6))
