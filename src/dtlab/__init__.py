@@ -56,7 +56,6 @@ from .trees import (
     expected_depth,
     leaf_stats,
     leaves,
-    path_length,
     threshold_error,
 )
 from .synth import (

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from .errors import DimensionMismatch, GuardExceeded, InvalidValue
 from .exactexp import _int, fraction_from_str, fraction_to_str
@@ -172,17 +173,17 @@ def direct_product(f: BooleanFunction, k: int) -> VectorFunction:
 
 def xor_power(f: BooleanFunction, k: int) -> BooleanFunction:
     """Product of f over k blocks (the +-1 form of the k-fold XOR)."""
-    if k < 1:
-        raise InvalidValue(f"k must be >= 1, got {k}")
-    _check_var_count(f.n * k, "xor_power")
-    mask = (1 << f.n) - 1
-    table = []
-    for point in range(1 << (f.n * k)):
-        v = 1
-        for i in range(k):
-            v *= f.table[(point >> (i * f.n)) & mask]
-        table.append(v)
-    return BooleanFunction(f.n * k, tuple(table))
+    return BooleanFunction(f.n * k, tuple(map(prod, direct_product(f, k).table)))
+
+
+def output_rows(target) -> tuple[int, int, tuple[tuple[int, ...], ...]]:
+    """(n, k, rows) of a scalar or vector target: k blocks of n variables and
+    each point's output tuple.  A scalar function is the k=1 case."""
+    if isinstance(target, BooleanFunction):
+        return target.n, 1, tuple((v,) for v in target.table)
+    if isinstance(target, VectorFunction):
+        return target.n, target.k, target.table
+    raise InvalidValue(f"not a function: {target!r}")
 
 
 def uniform(n: int) -> Distribution:

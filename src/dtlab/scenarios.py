@@ -41,6 +41,7 @@ from .errors import InvalidValue
 from .exactexp import (
     DEFAULT_PRECISION_BITS,
     ExpSum,
+    _MAX_DOUBLINGS,
     _int,
     fraction_from_str,
     fraction_to_str,
@@ -85,10 +86,6 @@ _ZERO = Fraction(0)
 class CheckResult:
     name: str
     report: BoundReport
-
-    @property
-    def ok(self) -> bool:
-        return self.report.holds
 
 
 @dataclass(frozen=True)
@@ -281,27 +278,15 @@ def _scn_parity_direct_product(params: dict):
 
 def _scn_closed_forms(params: dict):
     checks = []
-    plain = scaled = 0
-    plain_bad = scaled_bad = 0
-    for i in range(10):
-        for j in range(10):
-            for m in range(10):
-                t, z, d = Fraction(i, 4), Fraction(j), Fraction(m, 2)
-                plain += 1
-                if not lipschitz_check(t, z, d, "plain").holds:
-                    plain_bad += 1
-                if t > 0 and z >= 5 * t:
-                    scaled += 1
-                    if not lipschitz_check(t, z, d, "scaled").holds:
-                        scaled_bad += 1
-    checks.append(CheckResult(
-        "lipschitz-plain-grid",
-        _equality_report("lipschitz-plain-grid", int(plain_bad == 0), 1,
-                         related=(("cases", plain), ("failures", plain_bad)))))
-    checks.append(CheckResult(
-        "lipschitz-scaled-grid",
-        _equality_report("lipschitz-scaled-grid", int(scaled_bad == 0), 1,
-                         related=(("cases", scaled), ("failures", scaled_bad)))))
+    grid = [(Fraction(i, 4), Fraction(j), Fraction(m, 2))
+            for i, j, m in itertools.product(range(10), repeat=3)]
+    for form, cases in (("plain", grid),
+                        ("scaled", [(t, z, d) for t, z, d in grid if t > 0 and z >= 5 * t])):
+        bad = sum(not lipschitz_check(t, z, d, form).holds for t, z, d in cases)
+        checks.append(CheckResult(
+            f"lipschitz-{form}-grid",
+            _equality_report(f"lipschitz-{form}-grid", int(bad == 0), 1,
+                             related=(("cases", len(cases)), ("failures", bad)))))
     checks.append(CheckResult(
         "chernoff-hand-value",
         _equality_report("chernoff-lower-8-4-is-exp-minus-1",
@@ -363,7 +348,10 @@ def run_scenario(name: str, params: dict | None = None) -> ScenarioResult:
         raise InvalidValue(f"unknown scenario {name!r}; "
                            f"known: {sorted(SCENARIOS)}")
     fn, defaults, _desc = SCENARIOS[name]
-    raw = dict(params or {})
+    if params is not None and not isinstance(params, dict):
+        raise InvalidValue(f"scenario {name!r}: params must be a JSON object, "
+                           f"got {params!r}")
+    raw = params or {}
     unknown = set(raw) - set(defaults)
     if unknown:
         raise InvalidValue(f"unknown parameters {sorted(unknown)}; "
@@ -406,8 +394,9 @@ def run_config(config: dict, *, jobs: int = 1,
         raise InvalidValue(f"unknown config keys {sorted(unknown)}")
     prec = precision_bits if precision_bits is not None else _int(
         config.get("precision_bits", DEFAULT_PRECISION_BITS), "precision_bits")
-    if prec < 8:
-        raise InvalidValue("precision_bits must be at least 8")
+    # no verdict needs more than ExpSum.sign's escalation ceiling, and finer
+    # printed intervals cost time without bound
+    _in_range(prec, 8, DEFAULT_PRECISION_BITS << _MAX_DOUBLINGS, "precision_bits")
     entries = config.get("scenarios", [])
     if not isinstance(entries, list):
         raise InvalidValue("config 'scenarios' must be a list")
@@ -436,7 +425,7 @@ def run_config(config: dict, *, jobs: int = 1,
     timings = [(outcomes[i][0].scenario, outcomes[i][1]) for i in order]
 
     total = sum(len(r.checks) for r in results)
-    failed = sum(1 for r in results for c in r.checks if not c.ok)
+    failed = sum(1 for r in results for c in r.checks if not c.report.holds)
     bodies = [{"scenario": r.scenario,
                "params": dict(sorted(r.params.items())),
                "checks": [{**bound_report_to_json(c.report, prec), "name": c.name}

@@ -41,7 +41,7 @@ from math import lcm
 
 from .errors import DimensionMismatch, GuardExceeded, Infeasible, InvalidValue
 from .exactexp import fraction_to_str
-from .functions import BooleanFunction, Distribution, Measure, VectorFunction
+from .functions import BooleanFunction, Distribution, Measure, output_rows
 from .trees import DecisionTree, Leaf, Query, cube_points, tree_to_json
 
 MAX_DP_VARS = 14
@@ -79,7 +79,7 @@ def _scale(values) -> tuple[int, tuple[int, ...]]:
     return scale, tuple(v.numerator * (scale // v.denominator) for v in values)
 
 
-def _leaf_candidate_error(target_rows, weights, pts):
+def _leaf_candidate_error(rows, weights, pts):
     """Best constant guess on a cube: (erring mass, leaf)."""
     masses: dict[tuple[int, ...], int] = {}
     total = 0
@@ -88,7 +88,7 @@ def _leaf_candidate_error(target_rows, weights, pts):
         if w == 0:
             continue
         total += w
-        row = target_rows(p)
+        row = rows[p]
         masses[row] = masses.get(row, 0) + w
     best_label = min(masses, key=lambda r: (-masses[r], r))
     return total - masses[best_label], Leaf(best_label)
@@ -106,14 +106,7 @@ def pareto_frontier(target, mu: Distribution, sense: str = ERROR,
                     h: Measure | None = None) -> ParetoFrontier:
     """Full deterministic frontier with witnesses, depth strictly increasing."""
     if sense == ERROR:
-        if isinstance(target, BooleanFunction):
-            n, k = target.n, 1
-            rows = lambda p: (target.table[p],)
-        elif isinstance(target, VectorFunction):
-            n, k = target.n, target.k
-            rows = lambda p: target.table[p]
-        else:
-            raise InvalidValue(f"not a function: {target!r}")
+        n, k, rows = output_rows(target)
         if h is not None:
             raise InvalidValue("error sense takes no measure")
     elif sense == ADVANTAGE:

@@ -2,7 +2,9 @@
 
 Points over n*k variables are read as k blocks of n bits each; block i
 occupies bits i*n .. i*n+n-1.  Every transform here preserves exact rational
-semantics: nothing here samples.
+semantics: nothing here samples.  The two leaf relabelings, sign_fix_leaves
+and product_tree, only choose labels; trees.relabel_leaves supplies each
+leaf's block-cell sums and rebuilds the tree.
 """
 
 from __future__ import annotations
@@ -12,28 +14,13 @@ from fractions import Fraction
 
 from .errors import DimensionMismatch, GuardExceeded, InvalidValue
 from .functions import BooleanFunction, Distribution, Measure
-from .trees import DecisionTree, Leaf, Query, RandomizedTree, _cell_sums, leaves
+from .trees import DecisionTree, Leaf, Query, RandomizedTree, relabel_leaves
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 # Exact embedding enumerates mu-support^(k-1) fillers per block choice.
 MAX_EMBED_VARS = 14
-
-
-def _rebuild_with_labels(tree: DecisionTree, labels: list[tuple[int, ...]],
-                         n: int, k: int) -> DecisionTree:
-    """Same query structure, new leaf labels in preorder (neg before pos)."""
-    counter = [0]
-
-    def walk(node):
-        if isinstance(node, Leaf):
-            label = labels[counter[0]]
-            counter[0] += 1
-            return Leaf(label)
-        return Query(node.var, walk(node.neg), walk(node.pos))
-
-    return DecisionTree(n, k, walk(tree.root))
 
 
 def sign_fix_leaves(tree: DecisionTree, f: BooleanFunction, h: Measure,
@@ -53,14 +40,13 @@ def sign_fix_leaves(tree: DecisionTree, f: BooleanFunction, h: Measure,
     # cell masses times block i's cell sum of mu*f*h, so it has that sum's
     # sign when the leaf is reached and is 0 (keep the label) when it is not.
     fh = tuple(a * b for a, b in zip(f.table, h.values))
-    refs = leaves(tree)
-    new_labels: list[tuple[int, ...]] = []
-    for ref, cells in zip(refs, _cell_sums(refs, n, k, mu, (fh,))):
+
+    def fixed(label, cells):
         reached = all(s != 0 for s, _ in cells)
-        new_labels.append(tuple(
-            -lab if reached and lab * g < 0 else lab
-            for lab, (_, g) in zip(ref.label, cells)))
-    return _rebuild_with_labels(tree, new_labels, n, k)
+        return tuple(-lab if reached and lab * g < 0 else lab
+                     for lab, (_, g) in zip(label, cells))
+
+    return relabel_leaves(tree, n, k, mu, (fh,), fixed)
 
 
 def _induced_tree(node, filler: int, i: int, n: int):
@@ -122,14 +108,13 @@ def product_tree(t_xor: DecisionTree, f: BooleanFunction, mu: Distribution,
     n = f.n
     if t_xor.n != n * k or mu.n != n:
         raise DimensionMismatch("tree must span k blocks of f's variables")
-    refs = leaves(t_xor)
-    new_labels: list[tuple[int, ...]] = []
-    for cells in _cell_sums(refs, n, k, mu, (f.table,)):
+
+    def signs(_label, cells):
         if any(s == 0 for s, _ in cells):
-            new_labels.append((1,) * k)
-        else:
-            new_labels.append(tuple(1 if g >= 0 else -1 for _, g in cells))
-    return _rebuild_with_labels(t_xor, new_labels, n, k)
+            return (1,) * k
+        return tuple(1 if g >= 0 else -1 for _, g in cells)
+
+    return relabel_leaves(t_xor, n, k, mu, (f.table,), signs)
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,12 @@ trees; every metric extends to mixtures by linearity.
 Reaching a leaf fixes a subcube, so under a k-fold product input law the
 leaf's conditional law factors across blocks (acceptance c07).  One private
 kernel, _cell_sums, uses this for every per-leaf statistic: leaf_stats,
-conditional_blocks_at_leaf, and sign_fix_leaves / product_tree in transforms
-cost O(L*k*2^n) for L leaves instead of walking 2^(nk - depth) points per
-leaf.  What checks that factorization stays on point enumeration, so no check
-is circular: the joint law in bounds.verify_leaf_product and the
-threshold_error lhs of bounds.verify_accuracy_bound.
+conditional_blocks_at_leaf, and relabel_leaves (which serves sign_fix_leaves
+and product_tree in transforms) cost O(L*k*2^n) for L leaves instead of
+walking 2^(nk - depth) points per leaf.  What checks that factorization
+stays on point enumeration, so no check is circular: the joint law in
+bounds.verify_leaf_product and the threshold_error lhs of
+bounds.verify_accuracy_bound.
 """
 
 from __future__ import annotations
@@ -24,12 +25,7 @@ from math import prod
 
 from .errors import DimensionMismatch, InvalidValue, UnreachedLeaf
 from .exactexp import _int, fraction_from_str, fraction_to_str
-from .functions import (
-    BooleanFunction,
-    Distribution,
-    Measure,
-    VectorFunction,
-)
+from .functions import BooleanFunction, Distribution, Measure, output_rows
 
 _ZERO = Fraction(0)
 
@@ -99,19 +95,17 @@ class RandomizedTree:
 # evaluation and leaf enumeration
 
 
-def evaluate(tree: DecisionTree, point: int) -> tuple[int, ...]:
-    node = tree.root
-    while isinstance(node, Query):
-        node = node.pos if (point >> node.var) & 1 else node.neg
-    return node.label
-
-
-def path_length(tree: DecisionTree, point: int) -> int:
+def _walk(tree: DecisionTree, point: int) -> tuple[tuple[int, ...], int]:
+    """(label, path length) of the leaf the point reaches."""
     node, length = tree.root, 0
     while isinstance(node, Query):
         node = node.pos if (point >> node.var) & 1 else node.neg
         length += 1
-    return length
+    return node.label, length
+
+
+def evaluate(tree: DecisionTree, point: int) -> tuple[int, ...]:
+    return _walk(tree, point)[0]
 
 
 @dataclass(frozen=True)
@@ -164,36 +158,23 @@ def expected_depth(tree, mu: Distribution) -> Fraction:
     if mu.n != tree.total_vars:
         raise DimensionMismatch(f"distribution on {mu.n} vars vs tree on {tree.total_vars}")
     return sum(
-        (mu.weights[x] * path_length(tree, x) for x in mu.support()), _ZERO)
+        (mu.weights[x] * _walk(tree, x)[1] for x in mu.support()), _ZERO)
 
 
-def _target_value(target, point):
-    if isinstance(target, BooleanFunction):
-        return (target.table[point],)
-    return target.table[point]
-
-
-def _check_target(tree, target, mu: Distribution) -> None:
-    if isinstance(target, BooleanFunction):
-        if tree.k != 1 or target.n != tree.total_vars:
-            raise DimensionMismatch("scalar target needs a k=1 tree on matching variables")
-    elif isinstance(target, VectorFunction):
-        if (target.n, target.k) != (tree.n, tree.k):
-            raise DimensionMismatch("vector target shape mismatch")
-    else:
-        raise InvalidValue(f"not a function: {target!r}")
+def _target_rows(tree, target, mu: Distribution):
+    """The target's output rows, once its shape and mu's match the tree."""
+    n, k, rows = output_rows(target)
+    if (n, k) != (tree.n, tree.k):
+        raise DimensionMismatch(
+            f"target on {k} blocks of {n} vars vs tree on {tree.k} of {tree.n}")
     if mu.n != tree.total_vars:
         raise DimensionMismatch("distribution size mismatch")
+    return rows
 
 
 def error(tree, target, mu: Distribution) -> Fraction:
     """Probability that the full output tuple differs from the target."""
-    if isinstance(tree, RandomizedTree):
-        return _mix(error, tree, target, mu)
-    _check_target(tree, target, mu)
-    return sum(
-        (mu.weights[x] for x in mu.support()
-         if evaluate(tree, x) != _target_value(target, x)), _ZERO)
+    return threshold_error(tree, target, mu, 0)
 
 
 def correlation(tree, f: BooleanFunction, mu: Distribution,
@@ -201,7 +182,7 @@ def correlation(tree, f: BooleanFunction, mu: Distribution,
     """E_mu[f * T * H] for scalar trees, H = 1 when h is None."""
     if isinstance(tree, RandomizedTree):
         return _mix(correlation, tree, f, mu, h)
-    _check_target(tree, f, mu)
+    _target_rows(tree, f, mu)
     if h is not None and h.n != mu.n:
         raise DimensionMismatch("measure and distribution sizes differ")
     weights = mu.weights if h is None else [w * v for w, v in zip(mu.weights, h.values)]
@@ -213,14 +194,12 @@ def threshold_error(tree, target, mu: Distribution, t: int) -> Fraction:
     """Probability that more than t output coordinates differ from the target."""
     if isinstance(tree, RandomizedTree):
         return _mix(threshold_error, tree, target, mu, t)
-    _check_target(tree, target, mu)
+    rows = _target_rows(tree, target, mu)
     if not 0 <= t <= tree.k:
         raise InvalidValue(f"threshold {t} outside [0, {tree.k}]")
     total = _ZERO
     for x in mu.support():
-        got = evaluate(tree, x)
-        want = _target_value(target, x)
-        wrong = sum(1 for a, b in zip(got, want) if a != b)
+        wrong = sum(1 for a, b in zip(evaluate(tree, x), rows[x]) if a != b)
         if wrong > t:
             total += mu.weights[x]
     return total
@@ -265,6 +244,23 @@ def _cell_sums(refs, n: int, k: int, mu: Distribution,
 
     return [[cell((ref.fixed_mask >> (i * n)) & mask, (ref.fixed_vals >> (i * n)) & mask)
              for i in range(k)] for ref in refs]
+
+
+def relabel_leaves(tree: DecisionTree, n: int, k: int, mu: Distribution,
+                   tables, label) -> DecisionTree:
+    """tree's query structure read as k blocks of n variables, each leaf
+    relabelled label(old label, cells), cells being the leaf's per-block
+    _cell_sums against mu and tables."""
+    refs = leaves(tree)
+    new = iter([label(ref.label, cells)
+                for ref, cells in zip(refs, _cell_sums(refs, n, k, mu, tables))])
+
+    def walk(node):
+        if isinstance(node, Leaf):
+            return Leaf(next(new))
+        return Query(node.var, walk(node.neg), walk(node.pos))
+
+    return DecisionTree(n, k, walk(tree.root))
 
 
 def leaf_stats(tree: DecisionTree, f: BooleanFunction, h: Measure,

@@ -32,9 +32,10 @@ from dtlab.bounds import (
     verify_resilience,
     xor_vs_product_gap,
 )
-from dtlab.errors import InvalidValue
+from dtlab.errors import DimensionMismatch, InvalidValue
 from dtlab.exactexp import ExpSum
 from dtlab.functions import (
+    constant_measure,
     dictator,
     direct_product,
     parity,
@@ -143,6 +144,18 @@ def test_resilience_on_random_instances(phi):
         assert len(reports) == len(PHI_IDS)
         rep = reports[PHI_IDS.index(phi)]
         assert rep.context == f"resilience-{phi}" and rep.holds
+
+
+@pytest.mark.parametrize("verify", [verify_density_conservation, verify_resilience,
+                                    verify_error_no_advantage])
+def test_density_verifiers_refuse_other_than_single_block(verify):
+    n, half = 2, F(1, 2)
+    tree, h, mu = DecisionTree(n, 2, Leaf((1, -1))), constant_measure(n, half), uniform(n)
+    for args in ((tree, constant_measure(n + 1, half), mu),
+                 (tree, h, uniform(n + 1)),
+                 (DecisionTree(n + 1, 2, Leaf((1, -1))), h, mu)):
+        with pytest.raises(DimensionMismatch):
+            verify(*args)
 
 
 def test_accuracy_bound_all_thresholds_and_independent_lhs():

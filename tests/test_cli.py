@@ -92,10 +92,31 @@ def test_product_tree_eps_out_of_range_exits_2(tmp_path, capsys, eps):
     assert "eps must lie in [0,1/2]" in capsys.readouterr().err
 
 
-def test_bad_precision_exits_2(tmp_path):
-    cfg = _write_config(tmp_path / "config.json", [{"name": "closed-forms"}])
-    assert cli.main(["run", "--config", cfg, "--precision", "4",
-                     "--out", str(tmp_path)]) == 2
+def test_bad_precision_exits_2(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    for config, flags in (({}, ["--precision", "4"]), ({}, ["--precision", "8193"]),
+                          ({"precision_bits": 1 << 20}, [])):
+        path.write_text(json.dumps({**config, "scenarios": [{"name": "closed-forms"}]}))
+        assert cli.main(["run", "--config", str(path), *flags, "--out", str(tmp_path)]) == 2
+        assert "precision_bits must lie in [8,8192]" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("params", [[["n", 3]], False, 0, [], "nn"])
+def test_params_that_are_not_an_object_exit_2(tmp_path, capsys, params):
+    cfg = _write_config(tmp_path / "config.json",
+                        [{"name": "parity-claim", "params": params}])
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "scenario 'parity-claim': params must be a JSON object" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_null_params_run_the_defaults(tmp_path):
+    cfg = _write_config(tmp_path / "config.json",
+                        [{"name": "no-boosting", "params": None}])
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["config"]["scenarios"][0]["params"] == {"n": 4}
 
 
 @pytest.mark.parametrize("entry", [

@@ -1,5 +1,7 @@
 """Hardcore-measure game: LP kernel, certificates, and boosted committees."""
 
+import hashlib
+import json
 import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -172,6 +174,7 @@ FORMER_LP_FAILURES = {(6, F(3, 2)), (6, F(1)), (0, F(1)), (9, F(1, 2)), (14, F(3
 
 def test_seeded_sweep_decides_and_rechecks_every_solve():
     solved = set()
+    artifacts = []
     for s in range(16):
         rng = random.Random(9000 + s)
         f = random_function(rng, 3)
@@ -180,11 +183,16 @@ def test_seeded_sweep_decides_and_rechecks_every_solve():
             out = hardcore_solve(f, mu, F(1, 4), F(1, 2), budget)
             if isinstance(out, HardcoreCertificate):
                 assert verify_certificate(out)["ok"], (s, budget)
+                artifacts.append(certificate_to_json(out))
             else:
                 err, cost = committee_metrics(out, f, mu)
                 assert err <= out.delta and cost <= out.r * budget, (s, budget)
+                artifacts.append(committee_to_json(out))
             solved.add((s, budget))
     assert len(solved) == 64 and FORMER_LP_FAILURES <= solved
+    # a refactor must leave every certificate and committee byte-identical
+    assert hashlib.sha256(json.dumps(artifacts, sort_keys=True).encode()).hexdigest() == (
+        "43f76b9ab51149b1e585b85a6f5133667a3e66330c1b476242b3de5abc52282c")
 
 
 # --- best responses

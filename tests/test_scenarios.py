@@ -1,5 +1,6 @@
 """Scenario registry behavior and run-report determinism."""
 
+import hashlib
 import inspect
 import json
 from decimal import Decimal
@@ -81,7 +82,7 @@ def test_direct_product_guard_refuses_before_building(monkeypatch):
 def test_parameters_accept_fraction_strings():
     res = run_scenario("parity-claim", {"n": 2, "eps": "1/2"})
     assert res.params["eps"] == "1/2"
-    assert all(c.ok for c in res.checks)
+    assert all(c.report.holds for c in res.checks)
 
 
 def test_every_scenario_passes_at_small_scale():
@@ -89,7 +90,7 @@ def test_every_scenario_passes_at_small_scale():
         res = run_scenario(name, params)
         assert res.scenario == name
         assert res.checks, name
-        assert all(c.ok for c in res.checks), name
+        assert all(c.report.holds for c in res.checks), name
 
 
 def test_empty_scenario_list_is_a_passing_report():
@@ -134,8 +135,10 @@ def test_config_validation():
         run_config({"scenarios": [{"params": {}}]})
     with pytest.raises(InvalidValue):
         run_config({"scenarios": [{"name": "closed-forms", "extra": 1}]})
-    with pytest.raises(InvalidValue):
-        run_config({"scenarios": []}, precision_bits=4)
+    for bits in (4, 8193):
+        with pytest.raises(InvalidValue, match=r"precision_bits must lie in \[8,8192\]"):
+            run_config({"scenarios": []}, precision_bits=bits)
+    assert run_config({"scenarios": []}, precision_bits=8192)[0]["summary"]["ok"]
 
 
 def test_precision_flag_overrides_config():
@@ -192,3 +195,19 @@ def test_verdicts_do_not_depend_on_precision():
                     assert b is not None and a[0] <= b[1] and b[0] <= a[1]
                     intervals += 1
     assert intervals > 0
+
+
+def test_frontier_report_is_pinned():
+    # the frontier workload's large DPs, with eps and gamma fixed
+    config = {"scenarios": [
+        {"name": "parity-claim", "params": {"n": 6, "eps": "1/4"}},
+        {"name": "parity-claim", "params": {"n": 7, "eps": "1/4"}},
+        {"name": "no-boosting", "params": {"n": 6}},
+        {"name": "no-boosting", "params": {"n": 7}},
+        {"name": "parity-direct-product", "params": {"n": 2, "k": 3, "gamma": "1/2"}},
+        {"name": "parity-direct-product", "params": {"n": 3, "k": 2, "gamma": "1/2"}},
+    ]}
+    data = report_to_bytes(run_config(config)[0])
+    assert len(data) == 2_974_605
+    assert hashlib.sha256(data).hexdigest() == (
+        "a4071dc28a558d1ad85e83eeff308127d61db074cc2a954e51c0bbc242be04c6")

@@ -23,7 +23,6 @@ from dtlab.instances import (
     random_tree,
 )
 from dtlab.transforms import (
-    _rebuild_with_labels,
     embed_block_reduction,
     full_parity_product_tree,
     parity_mixture,
@@ -33,13 +32,14 @@ from dtlab.transforms import (
 from dtlab.trees import (
     DecisionTree,
     Leaf,
+    Query,
+    _walk,
     correlation,
     cube_points,
     error,
     evaluate,
     expected_depth,
     leaves,
-    path_length,
 )
 
 F = Fraction
@@ -113,6 +113,18 @@ def test_embedding_guard():
 SWEEP_SHAPES = [(n, k) for n in (1, 2, 3) for k in (1, 2, 3)] + [(2, 4), (2, 5)]
 
 
+def _with_labels(tree, labels, n, k):
+    """tree's query structure over k blocks of n vars, leaf labels in preorder."""
+    new = iter(labels)
+
+    def walk(node):
+        if isinstance(node, Leaf):
+            return Leaf(next(new))
+        return Query(node.var, walk(node.neg), walk(node.pos))
+
+    return DecisionTree(n, k, walk(tree.root))
+
+
 def _ref_sign_fix(tree, f, h, mu):
     n, k = tree.n, tree.k
     mask_n = (1 << n) - 1
@@ -128,7 +140,7 @@ def _ref_sign_fix(tree, f, h, mu):
                 signed[i] += w * f.table[b] * h.values[b]
         labels.append(tuple(-lab if lab * s < 0 else lab
                             for lab, s in zip(ref.label, signed)))
-    return _rebuild_with_labels(tree, labels, n, k)
+    return _with_labels(tree, labels, n, k)
 
 
 def _block_matches(ref, i, n, x):
@@ -153,7 +165,7 @@ def _ref_product_tree(t_xor, f, mu, k):
             signed = sum((mu.weights[x] * f.table[x] for x in cell), F(0))
             label.append(1 if signed >= 0 else -1)
         labels.append(tuple(label))
-    return _rebuild_with_labels(t_xor, labels, n, k)
+    return _with_labels(t_xor, labels, n, k)
 
 
 def test_sign_fix_and_product_tree_match_point_enumeration():
@@ -195,7 +207,7 @@ def test_product_tree_keeps_structure_and_beats_xor_success():
         assert built.n == n and built.k == k
         prod = product_power(mu, k)
         for x in prod.support():
-            assert path_length(built, x) == path_length(t_xor, x)
+            assert _walk(built, x)[1] == _walk(t_xor, x)[1]
         succ = 1 - error(built, direct_product(f, k), prod)
         xor_corr = correlation(t_xor, xor_power(f, k), prod)
         assert succ >= xor_corr
@@ -216,7 +228,7 @@ def test_product_tree_labels_are_locally_optimal():
         for blk in range(k):
             flipped = list(labels)
             flipped[li] = tuple(-v if i == blk else v for i, v in enumerate(lab))
-            other = _rebuild_with_labels(built, flipped, n, k)
+            other = _with_labels(built, flipped, n, k)
             assert 1 - error(other, target, prod) <= base
 
 
@@ -226,7 +238,7 @@ def test_full_parity_tree_is_exact():
         f = parity(m)
         for x in range(1 << m):
             assert evaluate(t, x) == (f.table[x],)
-            assert path_length(t, x) == m
+            assert _walk(t, x)[1] == m
 
 
 def test_full_parity_product_tree_is_exact():
@@ -234,7 +246,7 @@ def test_full_parity_product_tree_is_exact():
     g = direct_product(parity(2), 2)
     for x in range(16):
         assert evaluate(t, x) == g.table[x]
-        assert path_length(t, x) == 4
+        assert _walk(t, x)[1] == 4
 
 
 def test_parity_mixture_exact_depth_and_error():

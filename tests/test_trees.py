@@ -30,6 +30,7 @@ from dtlab.trees import (
     LeafStats,
     Query,
     RandomizedTree,
+    _walk,
     conditional_blocks_at_leaf,
     correlation,
     cube_points,
@@ -38,7 +39,6 @@ from dtlab.trees import (
     expected_depth,
     leaf_stats,
     leaves,
-    path_length,
     randomized_tree_from_json,
     randomized_tree_to_json,
     threshold_error,
@@ -82,7 +82,7 @@ def test_xor_tree_computes_parity():
     f = parity(2)
     for x in range(4):
         assert evaluate(t, x) == (f.table[x],)
-        assert path_length(t, x) == 2
+        assert _walk(t, x)[1] == 2
 
 
 def test_repeated_query_on_a_path_is_rejected():
@@ -123,7 +123,7 @@ def test_expected_depth_and_error_match_brute_force():
         f = random_function(rng, n)
         mu = random_distribution(rng, n)
         h = random_measure(rng, n)
-        depth = sum(mu.weights[x] * path_length(t, x) for x in range(1 << n))
+        depth = sum(mu.weights[x] * _walk(t, x)[1] for x in range(1 << n))
         err = sum(mu.weights[x] for x in range(1 << n)
                   if evaluate(t, x)[0] != f.table[x])
         assert expected_depth(t, mu) == depth
