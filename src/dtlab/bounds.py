@@ -221,13 +221,11 @@ def verify_resilience(tree: DecisionTree, h: Measure,
     bino = binomial(k, delta)
     sides = {
         "exp-neg-z4": (
-            sum((ExpSum.exp(-dens / 4, reach) for reach, dens in pairs), ExpSum.of(0)),
-            sum((ExpSum.exp(Fraction(-z, 4), w) for z, w in enumerate(bino)),
-                ExpSum.of(0))),
+            ExpSum.total(ExpSum.exp(-dens / 4, reach) for reach, dens in pairs),
+            ExpSum.total(ExpSum.exp(Fraction(-z, 4), w) for z, w in enumerate(bino))),
         "exp-pos-z": (
-            sum((ExpSum.exp(dens, reach) for reach, dens in pairs), ExpSum.of(0)),
-            sum((ExpSum.exp(Fraction(z), w) for z, w in enumerate(bino)),
-                ExpSum.of(0))),
+            ExpSum.total(ExpSum.exp(dens, reach) for reach, dens in pairs),
+            ExpSum.total(ExpSum.exp(Fraction(z), w) for z, w in enumerate(bino))),
         "square-dev": (
             sum((reach * (dens - mean) ** 2 for reach, dens in pairs), _ZERO),
             k * delta * (1 - delta)),
@@ -263,8 +261,7 @@ def verify_accuracy_bound(tree: DecisionTree, f: BooleanFunction, h: Measure,
     for t in range(k + 1):
         lhs = 1 - threshold_error(tree, target, mu_k, t)
         rhs = sum((reach * ber_sum_cdf(pmf, t) for reach, pmf, _ in per_leaf), _ZERO)
-        g_form = sum((g_func(t, gap).scale(reach) for reach, _, gap in per_leaf),
-                     ExpSum.of(0))
+        g_form = ExpSum.total(g_func(t, gap).scale(reach) for reach, _, gap in per_leaf)
         g_dominates = (g_form - rhs).sign() >= 0
         reports.append(_report(
             "accuracy-from-stats", lhs, rhs,
@@ -279,9 +276,8 @@ def verify_error_no_advantage(tree: DecisionTree, h: Measure,
     k = tree.k
     delta = density(h, mu)
     t = delta * k / 10
-    lhs = sum((g_func(t, dens).scale(reach)
-               for reach, dens in _reachable_density_stats(tree, h, mu)),
-              ExpSum.of(0))
+    lhs = ExpSum.total(g_func(t, dens).scale(reach)
+                       for reach, dens in _reachable_density_stats(tree, h, mu))
     rhs = ExpSum.exp(-Fraction(121, 1000) * delta * k)
     return _report("error-no-advantage", lhs, rhs,
                    related=(("delta", delta), ("k", k)))

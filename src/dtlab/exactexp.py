@@ -11,6 +11,14 @@ A nonzero canonical combination (distinct rational exponents, nonzero rational
 coefficients, not purely rational) is never equal to zero, so refinement
 terminates for every comparison that is not an exact rational tie; rational
 ties are decided exactly without any enclosure.
+
+The enclosures of exp come from one fixed-point integer kernel, exp_bounds:
+halve the argument below 1/2 (and about sqrt(precision)/2 times more), sum
+its Taylor series on integers scaled by 2**w, then square back (Brent, J. ACM
+1976).  Directed rounding keeps each side a bound: the lower side floors every
+step, the upper side ceils every step and adds a bound on the series tail.
+The working width w is the precision asked for plus one bit per squaring plus
+guard bits for the series' rounding; exp_bounds's docstring gives the budget.
 """
 
 from __future__ import annotations
@@ -19,6 +27,7 @@ from dataclasses import dataclass
 from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 
 from .errors import InvalidValue, UndecidedComparison
 
@@ -56,11 +65,28 @@ def _int(value, what: str) -> int:
 
 @lru_cache(maxsize=None)
 def exp_bounds(x: Fraction, prec_bits: int = DEFAULT_PRECISION_BITS) -> tuple[Fraction, Fraction]:
-    """Rational lo <= exp(x) <= hi with relative width at most 2**-prec_bits.
+    """Dyadic lo <= exp(x) <= hi with hi - lo <= lo * 2**-prec_bits.
 
-    Taylor series with an explicit geometric remainder bound; negative
-    arguments go through exact interval inversion of exp(-x) so every endpoint
-    stays a directed bound.
+    For x > 0, y = x / 2**r < 2**-(1 + m) and exp(x) = exp(y)**(2**r); the
+    m = isqrt(prec_bits) // 2 halvings past 1/2 trade series terms for
+    squarings.  Both bounds live on integers scaled by S = 2**w.  The series
+    for S*exp(y) is summed twice: from floor(y*S) flooring every step, which
+    only loses mass, and from ceil(y*S) ceiling every step, plus 1 for the
+    tail (the last upper term is 1 and the term ratio y/(k+1) is at most 1/4,
+    so the tail is under 1/3).  Then each side is squared r times,
+    L -> floor(L*L/S) and H -> ceil(H*H/S).  Negative x inverts the bounds
+    for -x, computed one bit tighter.
+
+    Error budget, in units of 1/S.  Term k of either series is within 4 of
+    S*y**k/k!: the step rounds by under 1, the rounded y adds at most
+    y**(k-1)/(k-1)! <= 1, and the error carried from term k-1 is at least
+    halved.  The series stops by term N <= w/2 + 2, so the width after it is
+    under 8(N+1) with lo >= S, a relative width eps0 < 8(N+1)/S.  A squaring
+    maps ln(hi/lo) to at most twice itself plus 3/S, so after r squarings
+    ln(hi/lo) < 2**r * (8N + 11)/S.  With w = prec_bits + r + 8 +
+    bitlen(prec_bits + r) that is under 2**-(prec_bits+1), hence
+    hi/lo - 1 <= 2**-prec_bits.  The final check retries with a wider w
+    should the budget ever fall short.
     """
     if prec_bits < 1:
         raise InvalidValue(f"prec_bits must be positive, got {prec_bits}")
@@ -70,30 +96,42 @@ def exp_bounds(x: Fraction, prec_bits: int = DEFAULT_PRECISION_BITS) -> tuple[Fr
         lo, hi = exp_bounds(-x, prec_bits + 1)
         return 1 / hi, 1 / lo
 
-    tol = Fraction(1, 2 ** prec_bits)
-    term = _ONE
-    total = _ONE
-    i = 0
+    p, q = x.numerator, x.denominator
+    # x < 2**(bitlen(p) - bitlen(q) + 1), so y < 2**-(1 + m)
+    r = max(0, p.bit_length() - q.bit_length() + 2 + isqrt(prec_bits) // 2)
+    w = prec_bits + r + 8 + (prec_bits + r).bit_length()
     while True:
-        i += 1
-        term *= x / i
-        total += term
-        # Remainder after term i is < term * (x/(i+1)) / (1 - x/(i+2)) once the
-        # ratio x/(i+2) drops below 1.
-        if i + 2 > x:
-            ratio = x / (i + 2)
-            tail = term * (x / (i + 1)) / (1 - ratio)
-            if tail <= total * tol:
-                return total, total + tail
+        scale = 1 << w
+        y_lo, rem = divmod(p << w, q << r)
+        y_hi = y_lo + (rem > 0)
+        lo = hi = t_lo = t_hi = scale
+        k = 0
+        while t_hi > 1:
+            k += 1
+            t_lo = (t_lo * y_lo >> w) // k
+            t_hi = -((-t_hi * y_hi >> w) // k)
+            lo += t_lo
+            hi += t_hi
+        hi += 1
+        for _ in range(r):
+            lo = lo * lo >> w
+            hi = -(-hi * hi >> w)
+        if (hi - lo) << prec_bits <= lo:
+            return Fraction(lo, scale), Fraction(hi, scale)
+        w += 32
 
 
 def _canon(terms) -> tuple[tuple[Fraction, Fraction], ...]:
+    """Like terms merged, zeros dropped, ordered by decreasing exponent (an
+    order that negation and scaling keep)."""
     acc: dict[Fraction, Fraction] = {}
     for coeff, expo in terms:
-        coeff = Fraction(coeff)
-        expo = Fraction(expo)
+        if type(coeff) is not Fraction:
+            coeff = Fraction(coeff)
+        if type(expo) is not Fraction:
+            expo = Fraction(expo)
         acc[expo] = acc.get(expo, _ZERO) + coeff
-    return tuple(sorted((a, b) for b, a in acc.items() if a != 0))
+    return tuple((acc[b], b) for b in sorted(acc, reverse=True) if acc[b] != 0)
 
 
 @dataclass(frozen=True)
@@ -107,6 +145,11 @@ class ExpSum:
         if isinstance(value, ExpSum):
             return value
         return ExpSum(_canon([(Fraction(value), _ZERO)]))
+
+    @staticmethod
+    def total(values) -> "ExpSum":
+        """Sum of ExpSums and rationals, canonicalized once."""
+        return ExpSum(_canon(t for v in values for t in ExpSum.of(v).terms))
 
     @staticmethod
     def exp(exponent, coeff=1) -> "ExpSum":

@@ -12,12 +12,12 @@ serialize to byte-identical JSON.
 from __future__ import annotations
 
 import itertools
-import json
 import random
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .bounds import (
     BoundReport,
@@ -444,6 +444,60 @@ def run_config(config: dict, *, jobs: int = 1,
     return report, timings
 
 
+_INF = float("inf")
+
+
+def _json_scalar(o) -> str:
+    """json.dumps's text for a value that is not a container."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if o != o:
+            return "NaN"
+        if o == _INF:
+            return "Infinity"
+        if o == -_INF:
+            return "-Infinity"
+        return float.__repr__(o)
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _write_json(o, out: list, head: str, nl: str) -> None:
+    """Append o's text to out.  head (separator, newline, indent and key) is
+    joined to o's first piece; nl is the newline and indent of o's line."""
+    if isinstance(o, dict):
+        inner = nl + "  "
+        sep, comma = head + "{" + inner, "," + inner
+        for k, v in sorted(o.items()):
+            key = k if isinstance(k, str) else _json_scalar(k)
+            _write_json(v, out, sep + encode_basestring_ascii(key) + ": ", inner)
+            sep = comma
+        out.append(nl + "}" if o else head + "{}")
+    elif isinstance(o, (list, tuple)):
+        inner = nl + "  "
+        sep, comma = head + "[" + inner, "," + inner
+        for v in o:
+            _write_json(v, out, sep, inner)
+            sep = comma
+        out.append(nl + "]" if o else head + "[]")
+    else:
+        out.append(head + _json_scalar(o))
+
+
 def report_to_bytes(report: dict) -> bytes:
-    """Canonical serialization: the byte-determinism contract lives here."""
-    return (json.dumps(report, sort_keys=True, indent=2) + "\n").encode("utf-8")
+    """Canonical serialization, the byte-determinism contract: exactly
+    json.dumps(report, sort_keys=True, indent=2) + "\n" in UTF-8 (so ASCII,
+    non-ASCII escaped), written directly rather than by json's pure-Python
+    indenting encoder."""
+    out: list[str] = []
+    _write_json(report, out, "", "\n")
+    out.append("\n")
+    return "".join(out).encode("utf-8")

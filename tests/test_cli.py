@@ -2,6 +2,9 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -250,6 +253,33 @@ def test_export_rejects_non_report_files(tmp_path):
     path = tmp_path / "junk.json"
     path.write_text("[1, 2, 3]")
     assert cli.main(["export", str(path), "--format", "json"]) == 2
+
+
+def _fresh_python(code, *args):
+    # a fresh interpreter has the shallow stack a `dtlab export` starts with
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                          env=env, capture_output=True, timeout=60)
+
+
+def test_export_json_of_deep_documents(tmp_path):
+    # json.load accepts 990 levels below the top object and refuses 2000;
+    # what it accepts is written back byte for byte as json.dumps would.
+    for depth, code in ((990, 0), (2000, 2)):
+        lists = depth - 1  # lists around an innermost object
+        doc = tmp_path / f"deep{depth}.json"
+        doc.write_text('{"scenarios": ' + "[" * lists + '{"x": 1}' + "]" * lists + "}")
+        out = tmp_path / f"out{depth}.json"
+        done = _fresh_python("import sys; from dtlab.cli import main; sys.exit(main())",
+                             "export", doc, "--format", "json", "--out", out)
+        assert done.returncode == code, done.stderr
+        if code == 0:
+            oracle = _fresh_python(
+                "import json, sys; sys.stdout.write(json.dumps("
+                "json.load(open(sys.argv[1])), sort_keys=True, indent=2) + '\\n')", doc)
+            assert oracle.returncode == 0 and out.read_bytes() == oracle.stdout
+        else:
+            assert b"nests too deeply" in done.stderr and not out.exists()
 
 
 def _artifacts(tmp_path):

@@ -1,7 +1,9 @@
 """Certified exponential arithmetic, checked against an mpmath oracle."""
 
+import random
 from decimal import Decimal
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath
 import pytest
@@ -33,6 +35,76 @@ def test_exp_bounds_bracket_the_true_value(x):
         truth = mpmath.exp(_mpf(x))
         assert _mpf(lo) <= truth <= _mpf(hi)
     assert hi - lo <= hi * Fraction(1, 2**96)
+
+
+@lru_cache(maxsize=None)
+def _taylor_bounds(x: Fraction, prec_bits: int) -> tuple[Fraction, Fraction]:
+    """Oracle: the plain Fraction Taylor series of e^x with a geometric tail
+    bound and no argument reduction; negative x inverts e^-x."""
+    if x == 0:
+        return Fraction(1), Fraction(1)
+    if x < 0:
+        lo, hi = _taylor_bounds(-x, prec_bits + 1)
+        return 1 / hi, 1 / lo
+    tol = Fraction(1, 2**prec_bits)
+    term = total = Fraction(1)
+    i = 0
+    while True:
+        i += 1
+        term *= x / i
+        total += term
+        # The remainder after term i is below term * (x/(i+1)) / (1 - x/(i+2))
+        # once x/(i+2) < 1.
+        if i + 2 > x:
+            tail = term * (x / (i + 1)) / (1 - x / (i + 2))
+            if tail <= total * tol:
+                return total, total + tail
+
+
+def _truth(x: Fraction, bits: int) -> tuple[Fraction, Fraction]:
+    """e^x from mpmath at bits + 64 working bits, widened outward by a
+    relative 2**-bits into an exact rational interval."""
+    with mpmath.workprec(bits + 64):
+        man, exp = mpmath.exp(_mpf(x)).man_exp
+    t = man * Fraction(2) ** exp
+    return t - t / 2**bits, t + t / 2**bits
+
+
+_SWEEP_PRECISIONS = (1, 8, 96, 128, 137, 142, 1024, 8192)
+
+
+def _sweep_points() -> list[Fraction]:
+    rng = random.Random(20261)
+    xs = [Fraction(29473, 32), Fraction(-29473, 32), Fraction(1000), Fraction(-1000),
+          Fraction(1, 2**300), Fraction(1, 2), Fraction(-1, 2)]
+    for _ in range(9):
+        den = rng.choice((1, 3, 32, 10**6, rng.getrandbits(1100) | 1 << 1099 | 1))
+        xs.append(Fraction(rng.randint(-1000 * den, 1000 * den), den))
+    for _ in range(3):  # 1,000+-bit denominators near zero
+        den = rng.getrandbits(1200) | 1 << 1199 | 1
+        xs.append(Fraction(rng.randint(-8 * den, 8 * den), den))
+    return xs
+
+
+@pytest.mark.parametrize("prec", _SWEEP_PRECISIONS)
+def test_exp_bounds_seeded_sweep_against_mpmath_and_the_series(prec):
+    for x in _sweep_points():
+        lo, hi = exp_bounds(x, prec)
+        # the denominator's bits keep the truth's slack below e^x - 1 for tiny x
+        a, b = _truth(x, 2 * prec + 64 + x.denominator.bit_length())
+        assert lo <= a and b <= hi, (x, prec)
+        assert hi - lo <= lo / 2**prec, (x, prec)
+        # The series gets slow as |x| times the bits of x grows; where it is
+        # cheap, its own enclosure must meet this one.
+        if abs(x) * x.denominator.bit_length() <= 20000:
+            olo, ohi = _taylor_bounds(x, 8)
+            assert max(lo, olo) <= min(hi, ohi), (x, prec)
+
+
+def test_exp_bounds_endpoints_are_dyadic_for_positive_x():
+    for x in (Fraction(29473, 32), Fraction(1, 3), Fraction(7)):
+        for end in exp_bounds(x, 128):
+            assert end.denominator & (end.denominator - 1) == 0
 
 
 def test_exp_bounds_exact_at_zero():
@@ -111,6 +183,26 @@ def test_scale_and_negation():
     v = ExpSum.exp(1).scale(Fraction(1, 2))
     assert (v + v - ExpSum.exp(1)).sign() == 0
     assert (-v).scale(0).terms == ()
+
+
+def test_negation_and_scaling_keep_the_canonical_order():
+    a = ExpSum.exp(1, 2) + ExpSum.exp(2, 3)
+    for negated in (-a, a.scale(-1)):
+        assert negated == ExpSum.of(0) - a
+        assert hash(negated) == hash(ExpSum.of(0) - a)
+    assert a.scale(5) == ExpSum.total([a] * 5)
+    assert [b for _, b in (a - 4).terms] == [2, 1, 0]
+
+
+def test_total_matches_repeated_addition():
+    rng = random.Random(77)
+    for _ in range(20):
+        values = [ExpSum.exp(Fraction(rng.randint(-3, 3), rng.randint(1, 2)),
+                             Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+                  for _ in range(rng.randint(0, 12))]
+        values += [Fraction(rng.randint(-2, 2), 3), rng.randint(-1, 1)]
+        rng.shuffle(values)
+        assert ExpSum.total(values) == sum(values, ExpSum.of(0))
 
 
 def test_decimal_interval_brackets_e():

@@ -312,6 +312,7 @@ def test_committee_size_survives_float_underflow():
     # float(delta) is 0 here, so a float 1/delta divides by zero.
     tiny, gamma = F(1, 10**400), F(1, 2)
     r = committee_size(tiny, gamma)
+    assert r == 29475
     assert _passes(r, tiny, gamma) and not _passes(r - 2, tiny, gamma)
     committee = hardcore_solve(parity(2), uniform(2), tiny, gamma, F(2))
     assert isinstance(committee, Committee) and committee.r == r

@@ -3,6 +3,7 @@
 import hashlib
 import inspect
 import json
+import random
 from decimal import Decimal
 from fractions import Fraction
 
@@ -211,3 +212,48 @@ def test_frontier_report_is_pinned():
     assert len(data) == 2_974_605
     assert hashlib.sha256(data).hexdigest() == (
         "a4071dc28a558d1ad85e83eeff308127d61db074cc2a954e51c0bbc242be04c6")
+
+
+_SCALARS = (0.1, -0.0, 1e300, 5e-324, -2.5e-07, 1e16, float("nan"), float("inf"),
+            float("-inf"), None, True, False, 0, -1, 2**64 + 1, -(2**200), "",
+            "plain", "na\u00efve \u2603 \U0001d11e", "\t\n\x00\x1f\x7f \" \\ /",
+            "\ud800 lone", "\u2028\u2029")
+
+
+def _random_text(rng):
+    return "".join(chr(rng.choice((rng.randrange(32, 127), rng.randrange(32),
+                                   rng.randrange(0x110000))))
+                   for _ in range(rng.randrange(6)))
+
+
+def _random_document(rng, depth=0):
+    roll = rng.random()
+    if depth >= 6 or roll < 0.35:
+        pick = rng.randrange(4)
+        return (rng.choice(_SCALARS) if pick == 0 else
+                rng.uniform(-1e6, 1e6) * 10.0 ** rng.randrange(-30, 30) if pick == 1 else
+                rng.getrandbits(100) - 2**99 if pick == 2 else _random_text(rng))
+    width = rng.randrange(4)
+    if roll < 0.65:
+        return [_random_document(rng, depth + 1) for _ in range(width)]
+    return {_random_text(rng): _random_document(rng, depth + 1) for _ in range(width)}
+
+
+def test_report_writer_matches_json_dumps():
+    # every type json.load yields, as `dtlab export --format json` passes
+    # user files through the writer; tuples and non-string keys as json treats them
+    rng = random.Random(4471)
+    docs = [_random_document(rng) for _ in range(300)]
+    docs += [list(_SCALARS), {}, [], [[]], {"a": {}, "b": [{}]}, (1, ("x", ())),
+             {2: "two", -1: None}, {0.5: 1, 1.5: 2}, {True: 1, False: 0}, {None: 0}]
+    for doc in docs:
+        expected = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        assert report_to_bytes(doc) == expected.encode("utf-8"), doc
+
+
+def test_report_writer_refuses_what_json_refuses():
+    for bad in ({"v": Fraction(1, 2)}, [object()], {(1, 2): 0}, {"a": 1, 2: 0}):
+        with pytest.raises(TypeError):
+            json.dumps(bad, sort_keys=True, indent=2)
+        with pytest.raises(TypeError):
+            report_to_bytes(bad)
