@@ -5,7 +5,8 @@ nonnegative; a negative slack is a hard failure, never measurement noise,
 because each side is computed exactly.  All rational quantities are exact;
 whenever e^x enters, the comparison is decided by ExpSum.sign, whose certified
 enclosures are refined until they leave zero, so no verdict depends on a
-precision setting.  Precision only sets the width of serialized intervals.
+precision setting.  The config's precision_bits, passed to
+bound_report_to_json, only sets the width of serialized intervals.
 """
 
 from __future__ import annotations

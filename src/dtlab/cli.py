@@ -16,8 +16,10 @@ import csv
 import io
 import json
 import os
+import re
 import sys
 import tempfile
+from itertools import accumulate
 
 from .errors import GuardExceeded, InvalidValue, UndecidedComparison
 from .exactexp import fraction_to_str
@@ -35,6 +37,14 @@ EXIT_INVALID = 2
 EXIT_GUARD = 3
 EXIT_UNDECIDED = 4
 EXIT_INTERNAL = 5
+
+# Deepest nesting a loaded JSON file may have, checked before parsing: the
+# files dtlab writes nest under 50 deep, and parsing at 256 leaves most of the
+# default 1,000-frame recursion limit to the caller, so the file alone decides.
+MAX_JSON_DEPTH = 256
+# strings and other text; left are brackets and any quote that opens no string
+_NOT_BRACKETS = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"|[^"\[\]{}]+')
+_STEP = {"[": 1, "{": 1, "]": -1, "}": -1, '"': 0}
 
 
 def _atomic_write(path: str, data: bytes) -> None:
@@ -59,19 +69,21 @@ def _atomic_write(path: str, data: bytes) -> None:
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            text = fh.read()
+        steps = map(_STEP.get, _NOT_BRACKETS.sub("", text))
+        if max(accumulate(steps), default=0) > MAX_JSON_DEPTH:
+            raise InvalidValue(f"{path} nests deeper than MAX_JSON_DEPTH = "
+                               f"{MAX_JSON_DEPTH} levels")
+        return json.loads(text)
     except OSError as exc:
         raise InvalidValue(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InvalidValue(f"{path} is not valid JSON: {exc}") from exc
-    except RecursionError as exc:
-        raise InvalidValue(f"{path} nests too deeply to load") from exc
 
 
 def _cmd_run(args) -> int:
     config = _load_json(args.config)
-    report, timings = run_config(config, jobs=args.jobs,
-                                 precision_bits=args.precision)
+    report, timings = run_config(config, jobs=args.jobs)
     for scenario in report["scenarios"]:
         for check in scenario["checks"]:
             mark = "PASS" if check["holds"] else "FAIL"
@@ -165,8 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True, help="config JSON file")
     p_run.add_argument("--jobs", type=int, default=1,
                        help="scenario-level parallelism")
-    p_run.add_argument("--precision", type=int, default=None, metavar="BITS",
-                       help="printed interval width; overrides the config")
     p_run.add_argument("--out", default=".", metavar="DIR",
                        help="directory for report.json")
     p_run.set_defaults(fn=_cmd_run)

@@ -27,10 +27,8 @@ class UnreachedLeaf(DtlabError, ValueError):
 class UndecidedComparison(DtlabError, RuntimeError):
     """An interval comparison stayed undecided at the maximum precision.
 
-    Raised instead of guessing, never passed on an overlapping interval.
-    Verifiers call ExpSum.sign at its default start, so for them this is a
-    failure; a direct ExpSum.sign caller may retry at a higher starting
-    precision or treat the check as failed.
+    Raised instead of guessing, never passed on an overlapping interval;
+    ExpSum.sign raises it only after doubling its precision up to the ceiling.
     """
 
 

@@ -33,8 +33,8 @@ from .errors import InvalidValue, UndecidedComparison
 
 DEFAULT_PRECISION_BITS = 128
 
-# Escalation: comparisons retry at doubled precision until prec * 2**_MAX_DOUBLINGS.
-_MAX_DOUBLINGS = 6
+# Escalation: ExpSum.sign starts at DEFAULT_PRECISION_BITS and doubles up to this.
+MAX_PRECISION_BITS = DEFAULT_PRECISION_BITS << 6
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -197,21 +197,19 @@ class ExpSum:
                 hi += a
                 continue
             elo, ehi = exp_bounds(b, pad)
-            if a >= 0:
-                lo += a * elo
-                hi += a * ehi
-            else:
-                lo += a * ehi
-                hi += a * elo
+            if a < 0:
+                elo, ehi = ehi, elo
+            lo += a * elo
+            hi += a * ehi
         return lo, hi
 
-    def sign(self, prec_bits: int = DEFAULT_PRECISION_BITS) -> int:
+    def sign(self) -> int:
         """Certified sign in {-1, 0, +1}; 0 only for exact rational zero."""
         if self.is_rational:
             v = self.as_rational()
             return (v > 0) - (v < 0)
-        prec = prec_bits
-        for _ in range(_MAX_DOUBLINGS + 1):
+        prec = DEFAULT_PRECISION_BITS
+        while prec <= MAX_PRECISION_BITS:
             lo, hi = self.enclosure(prec)
             if lo > 0:
                 return 1
@@ -219,8 +217,7 @@ class ExpSum:
                 return -1
             prec *= 2
         raise UndecidedComparison(
-            f"sign of {self} undecided at {prec // 2} bits (started at {prec_bits})"
-        )
+            f"sign of {self} undecided at {MAX_PRECISION_BITS} bits")
 
     def __str__(self) -> str:
         if not self.terms:

@@ -23,6 +23,8 @@ cannot escape the solver.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -350,21 +352,18 @@ def maj_boost(weighted_trees, f: BooleanFunction, mu: Distribution,
               seed: int = 0, iterations: int = 0) -> Committee:
     """Sample an odd committee i.i.d. from the dual mixture and keep the first
     sample whose exact error is <= delta and whose summed expected depth is
-    <= r * depth_budget; raise BoostFailure after BOOST_RETRY_CAP samples."""
-    items = [(w, t) for w, t in weighted_trees if w > 0]
-    if not items:
-        raise InvalidValue("empty tree mixture")
+    <= r * depth_budget; raise BoostFailure after BOOST_RETRY_CAP samples.
+    The weights must be nonnegative and sum to exactly 1."""
+    items = [(Fraction(w), t) for w, t in weighted_trees]
+    if any(w < 0 for w, _ in items) or sum(w for w, _ in items) != 1:
+        raise InvalidValue("tree mixture weights must be nonnegative and sum to 1")
+    cumulative = list(itertools.accumulate(w for w, _ in items))
     r = committee_size(delta, gamma)
     rng = random.Random(seed)
 
     def draw():
-        u = Fraction(rng.random())
-        acc = _ZERO
-        for w, t in items:
-            acc += w
-            if u < acc:
-                return t
-        return items[-1][1]
+        # the first tree whose cumulative weight exceeds u < 1 = cumulative[-1]
+        return items[bisect.bisect_right(cumulative, Fraction(rng.random()))][1]
 
     budget = r * Fraction(depth_budget)
     for _ in range(BOOST_RETRY_CAP):

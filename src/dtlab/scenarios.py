@@ -4,7 +4,8 @@ A scenario is a pure function of its params to a list of checks, each
 carrying a BoundReport.  run_scenario parses every param once by the type of
 its default (an int default takes a JSON integer, a string default a
 rational), so a scenario body only checks ranges.  Verdicts are certified and
-take no precision: it only sets how wide the serialized intervals are.
+take no precision: the config's precision_bits only sets how wide the
+serialized intervals are.
 Reports contain no timing or environment data: identical config must
 serialize to byte-identical JSON.
 """
@@ -40,8 +41,8 @@ from .bounds import (
 from .errors import InvalidValue
 from .exactexp import (
     DEFAULT_PRECISION_BITS,
+    MAX_PRECISION_BITS,
     ExpSum,
-    _MAX_DOUBLINGS,
     _int,
     fraction_from_str,
     fraction_to_str,
@@ -154,13 +155,10 @@ def _scn_no_boosting(params: dict):
 
 
 def _brute_frontier(trees, f, mu):
-    pts = sorted(set((expected_depth(t, mu), tree_error(t, f, mu)) for t in trees))
     best = []
-    cur = None
-    for d, e in pts:
-        if cur is None or e < cur:
+    for d, e in sorted({(expected_depth(t, mu), tree_error(t, f, mu)) for t in trees}):
+        if not best or e < best[-1][1]:
             best.append((d, e))
-            cur = e
     return best
 
 
@@ -377,13 +375,12 @@ def default_config() -> dict:
     }
 
 
-def run_config(config: dict, *, jobs: int = 1,
-               precision_bits: int | None = None):
+def run_config(config: dict, *, jobs: int = 1):
     """Run every scenario in the config; returns (report dict, timings).
 
     The report is deterministic for a fixed config; wall-clock timings are
     returned separately so they never reach the serialized output.  The
-    precision only sets the width of the printed intervals.
+    config's precision_bits only sets the width of the printed intervals.
     """
     if _int(jobs, "jobs") < 1:
         raise InvalidValue(f"jobs must be at least 1, got {jobs}")
@@ -392,11 +389,10 @@ def run_config(config: dict, *, jobs: int = 1,
     unknown = set(config) - {"scenarios", "precision_bits"}
     if unknown:
         raise InvalidValue(f"unknown config keys {sorted(unknown)}")
-    prec = precision_bits if precision_bits is not None else _int(
-        config.get("precision_bits", DEFAULT_PRECISION_BITS), "precision_bits")
+    prec = _int(config.get("precision_bits", DEFAULT_PRECISION_BITS), "precision_bits")
     # no verdict needs more than ExpSum.sign's escalation ceiling, and finer
     # printed intervals cost time without bound
-    _in_range(prec, 8, DEFAULT_PRECISION_BITS << _MAX_DOUBLINGS, "precision_bits")
+    _in_range(prec, 8, MAX_PRECISION_BITS, "precision_bits")
     entries = config.get("scenarios", [])
     if not isinstance(entries, list):
         raise InvalidValue("config 'scenarios' must be a list")

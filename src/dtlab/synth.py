@@ -219,8 +219,6 @@ def opt_depth(frontier: ParetoFrontier, eps: Fraction) -> Fraction | None:
         raise InvalidValue("opt_depth needs an error-sense frontier")
     eps = Fraction(eps)
     pairs = [(p.value, p.depth, p.tree) for p in frontier.points]
-    if min(c for c, _, _ in pairs) > eps:
-        return None
     best, _ = mixture_optimum(pairs, eps, minimize=True)
     return best
 

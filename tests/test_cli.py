@@ -97,12 +97,22 @@ def test_product_tree_eps_out_of_range_exits_2(tmp_path, capsys, eps):
 
 def test_bad_precision_exits_2(tmp_path, capsys):
     path = tmp_path / "config.json"
-    for config, flags in (({}, ["--precision", "4"]), ({}, ["--precision", "8193"]),
-                          ({"precision_bits": 1 << 20}, [])):
-        path.write_text(json.dumps({**config, "scenarios": [{"name": "closed-forms"}]}))
-        assert cli.main(["run", "--config", str(path), *flags, "--out", str(tmp_path)]) == 2
+    for bits in (4, 8193, 1 << 20):
+        path.write_text(json.dumps({"precision_bits": bits,
+                                    "scenarios": [{"name": "closed-forms"}]}))
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
         assert "precision_bits must lie in [8,8192]" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
+
+
+def test_precision_flag_is_a_usage_error(tmp_path, capsys):
+    # the config key is the only way to set the printed precision
+    cfg = _write_config(tmp_path / "config.json", [{"name": "closed-forms"}])
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "--config", cfg, "--precision", "128", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --precision 128" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
 
 
 @pytest.mark.parametrize("params", [[["n", 3]], False, 0, [], "nn"])
@@ -262,13 +272,20 @@ def _fresh_python(code, *args):
                           env=env, capture_output=True, timeout=60)
 
 
+def _nested(path, depth):
+    """A report-shaped document whose containers nest depth deep; its
+    innermost string holds brackets and an escaped quote."""
+    lists = depth - 2  # lists between the top and the innermost object
+    path.write_text('{"scenarios": ' + "[" * lists + r'{"x": "[{\"["}'
+                    + "]" * lists + "}")
+    return path
+
+
 def test_export_json_of_deep_documents(tmp_path):
-    # json.load accepts 990 levels below the top object and refuses 2000;
-    # what it accepts is written back byte for byte as json.dumps would.
-    for depth, code in ((990, 0), (2000, 2)):
-        lists = depth - 1  # lists around an innermost object
-        doc = tmp_path / f"deep{depth}.json"
-        doc.write_text('{"scenarios": ' + "[" * lists + '{"x": 1}' + "]" * lists + "}")
+    # a document at MAX_JSON_DEPTH is written back byte for byte as
+    # json.dumps would; one level deeper is refused before parsing
+    for depth, code in ((cli.MAX_JSON_DEPTH, 0), (cli.MAX_JSON_DEPTH + 1, 2)):
+        doc = _nested(tmp_path / f"deep{depth}.json", depth)
         out = tmp_path / f"out{depth}.json"
         done = _fresh_python("import sys; from dtlab.cli import main; sys.exit(main())",
                              "export", doc, "--format", "json", "--out", out)
@@ -279,7 +296,36 @@ def test_export_json_of_deep_documents(tmp_path):
                 "json.load(open(sys.argv[1])), sort_keys=True, indent=2) + '\\n')", doc)
             assert oracle.returncode == 0 and out.read_bytes() == oracle.stdout
         else:
-            assert b"nests too deeply" in done.stderr and not out.exists()
+            assert b"nests deeper than MAX_JSON_DEPTH = 256" in done.stderr
+            assert not out.exists()
+
+
+@pytest.mark.parametrize("command, at_limit", [
+    ("export", ""),
+    ("run", "scenario entry needs a 'name'"),
+    ("verify", "unknown artifact kind"),
+])
+def test_json_nesting_limit_does_not_depend_on_the_callers_stack(
+        tmp_path, capsys, command, at_limit):
+    def main(doc, frames):
+        # cli.main called `frames` frames deeper than this test
+        if frames:
+            return main(doc, frames - 1)
+        argv = {"export": ["export", doc, "--format", "json",
+                           "--out", tmp_path / "out.json"],
+                "run": ["run", "--config", doc, "--out", tmp_path],
+                "verify": ["verify", doc]}[command]
+        return cli.main([str(a) for a in argv])
+
+    ok = _nested(tmp_path / "ok.json", cli.MAX_JSON_DEPTH)
+    deep = _nested(tmp_path / "deep.json", cli.MAX_JSON_DEPTH + 1)
+    for frames in (0, 400):
+        assert main(ok, frames) == (2 if at_limit else 0)
+        err = capsys.readouterr().err
+        assert at_limit in err and "nests deeper" not in err
+        assert main(deep, frames) == 2
+        assert (f"nests deeper than MAX_JSON_DEPTH = {cli.MAX_JSON_DEPTH}"
+                in capsys.readouterr().err)
 
 
 def _artifacts(tmp_path):

@@ -163,10 +163,16 @@ def test_tiny_positive_value_decided_at_default_precision():
 
 
 def test_sign_raises_once_doubling_budget_is_exhausted():
-    x = Fraction(1, 2**80)
-    v = ExpSum.exp(x) - 1 - x
-    with pytest.raises(UndecidedComparison):
-        v.sign(1)
+    # e^x - 1 - x is about x**2 / 2: 2**-8001 is still seen at the 8,192-bit
+    # ceiling, 2**-10001 is not
+    for bits, decided in ((4000, True), (5000, False)):
+        x = Fraction(1, 2**bits)
+        v = ExpSum.exp(x) - 1 - x
+        if decided:
+            assert v.sign() == 1
+        else:
+            with pytest.raises(UndecidedComparison, match="undecided at 8192 bits"):
+                v.sign()
 
 
 def test_arithmetic_matches_oracle():

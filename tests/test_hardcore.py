@@ -361,6 +361,16 @@ def test_boost_failure_names_the_retry_cap():
         maj_boost([(F(1), stump)], parity(2), uniform(2), F(1, 4), F(1, 2), F(0))
 
 
+@pytest.mark.parametrize("weights", [[F(1, 2)], [F(1, 2), F(1, 3)],
+                                     [F(3, 2), F(-1, 2)], []])
+def test_maj_boost_refuses_weights_that_are_not_a_distribution(weights):
+    # a short mixture would leave the sampler to fall back on some tree
+    stump = DecisionTree(2, 1, Leaf((1,)))
+    with pytest.raises(InvalidValue, match="nonnegative and sum to 1"):
+        maj_boost([(w, stump) for w in weights], parity(2), uniform(2),
+                  F(1, 4), F(1, 2), F(2))
+
+
 def test_committee_odd_size_enforced():
     f, mu = dictator(1, 0), uniform(1)
     t = DecisionTree(1, 1, Query(0, Leaf((-1,)), Leaf((1,))))

@@ -1,5 +1,6 @@
 """Scenario registry behavior and run-report determinism."""
 
+import argparse
 import hashlib
 import inspect
 import json
@@ -9,8 +10,9 @@ from fractions import Fraction
 
 import pytest
 
-from dtlab import bounds, scenarios
+from dtlab import bounds, cli, scenarios
 from dtlab.errors import GuardExceeded, InvalidValue
+from dtlab.exactexp import ExpSum
 from dtlab.scenarios import (
     SCENARIOS,
     default_config,
@@ -136,19 +138,17 @@ def test_config_validation():
         run_config({"scenarios": [{"params": {}}]})
     with pytest.raises(InvalidValue):
         run_config({"scenarios": [{"name": "closed-forms", "extra": 1}]})
-    for bits in (4, 8193):
+    # precision has one setter, the config key, range-checked and echoed
+    for bits in (4, 8193, 1 << 20):
         with pytest.raises(InvalidValue, match=r"precision_bits must lie in \[8,8192\]"):
-            run_config({"scenarios": []}, precision_bits=bits)
-    assert run_config({"scenarios": []}, precision_bits=8192)[0]["summary"]["ok"]
-
-
-def test_precision_flag_overrides_config():
-    cfg = {"precision_bits": 64,
-           "scenarios": [{"name": "closed-forms"}]}
-    report, _ = run_config(cfg, precision_bits=96)
-    assert report["config"]["precision_bits"] == 96
-    report2, _ = run_config(cfg)
-    assert report2["config"]["precision_bits"] == 64
+            run_config({"precision_bits": bits, "scenarios": []})
+    for bits in (8, 64, 8192):
+        report, _ = run_config({"precision_bits": bits,
+                                "scenarios": [{"name": "closed-forms"}]})
+        assert report["summary"]["ok"] and report["config"]["precision_bits"] == bits
+    assert run_config({"scenarios": []})[0]["config"]["precision_bits"] == 128
+    with pytest.raises(TypeError):
+        run_config({"scenarios": []}, precision_bits=96)
 
 
 def test_check_payloads_are_json_clean():
@@ -159,16 +159,24 @@ def test_check_payloads_are_json_clean():
     json.dumps(report)
 
 
+def _taking_precision(module):
+    return sorted(name for name, fn in vars(module).items()
+                  if inspect.isfunction(fn) and fn.__module__ == module.__name__
+                  and any("prec" in p for p in inspect.signature(fn).parameters))
+
+
 def test_a_scenario_is_a_function_of_its_params():
-    # precision reaches only the serialization of a report, never a verdict
+    # precision reaches only the serialization of a report, never a verdict,
+    # and is set only by the config key
     for fn, _defaults, _desc in SCENARIOS.values():
         assert list(inspect.signature(fn).parameters) == ["params"]
-    for module in (bounds, scenarios):
-        taking = sorted(name for name, fn in vars(module).items()
-                        if inspect.isfunction(fn) and fn.__module__ == module.__name__
-                        and any("prec" in p for p in inspect.signature(fn).parameters))
-        assert taking == {bounds: ["bound_report_to_json"],
-                          scenarios: ["run_config"]}[module]
+    assert {m.__name__: _taking_precision(m) for m in (bounds, scenarios, cli)} == {
+        "dtlab.bounds": ["bound_report_to_json"], "dtlab.scenarios": [], "dtlab.cli": []}
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    options = [s for p in sub.choices.values() for a in p._actions for s in a.option_strings]
+    assert "--config" in options and not any("prec" in s for s in options)
+    assert list(inspect.signature(ExpSum.sign).parameters) == ["self"]
 
 
 def _interval(value):
@@ -176,8 +184,8 @@ def _interval(value):
 
 
 def test_verdicts_do_not_depend_on_precision():
-    low, _ = run_config(_small_config(), precision_bits=8)
-    high, _ = run_config(_small_config(), precision_bits=256)
+    low, _ = run_config({**_small_config(), "precision_bits": 8})
+    high, _ = run_config({**_small_config(), "precision_bits": 256})
     assert low["summary"] == high["summary"]
     intervals = 0
     for s_low, s_high in zip(low["scenarios"], high["scenarios"], strict=True):

@@ -111,7 +111,9 @@ def test_parity_frontier_and_opt_depth():
     assert opt_depth(front, Fraction(1, 4)) == 1
     assert opt_depth(front, Fraction(1, 2)) == 0
     assert opt_depth(front, Fraction(0)) == 2
-    assert opt_depth(front, Fraction(-1)) is None
+    # the frontier ends at error 0, so no mixture reaches a negative eps
+    for eps in (Fraction(-1), Fraction(-1, 4)):
+        assert opt_depth(front, eps) is None
 
 
 def test_mixture_optimum_interpolates_two_points():
