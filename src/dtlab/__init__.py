@@ -48,6 +48,7 @@ from .trees import (
     LeafStats,
     Query,
     RandomizedTree,
+    block_error_law,
     conditional_blocks_at_leaf,
     correlation,
     cube_points,
@@ -56,7 +57,6 @@ from .trees import (
     expected_depth,
     leaf_stats,
     leaves,
-    threshold_error,
 )
 from .synth import (
     ADVANTAGE,

@@ -34,6 +34,7 @@ from .synth import opt_depth, pareto_frontier
 from .trees import (
     DecisionTree,
     RandomizedTree,
+    block_error_law,
     conditional_blocks_at_leaf,
     correlation,
     cube_points,
@@ -41,7 +42,6 @@ from .trees import (
     expected_depth,
     leaf_stats,
     leaves,
-    threshold_error,
 )
 from .transforms import embed_block_reduction, parity_mixture, product_tree
 
@@ -247,20 +247,19 @@ def verify_accuracy_bound(tree: DecisionTree, f: BooleanFunction, h: Measure,
     """Probability of at most t wrong blocks against the leaf Bernoulli-sum
     form, one report per threshold t = 0..k.
 
-    The leaf statistics and each leaf's Bernoulli-sum law are built once and
-    read at every t.  The lhs is recomputed by direct point enumeration for
-    each t, never from the leaf statistics the rhs uses.  Also emits the
-    coarser exponential form E_leaf[g_t(dens - adv)] and certifies it
-    dominates the Bernoulli-sum rhs.
+    Both sides read every t off one law each, with ber_sum_cdf: the lhs off
+    the tree's block_error_law, by direct point enumeration and never from
+    the leaf statistics, the rhs off each leaf's Bernoulli-sum law, built
+    once from the leaf statistics.  Also emits the coarser exponential form
+    E_leaf[g_t(dens - adv)] and certifies it dominates the Bernoulli-sum rhs.
     """
     k = tree.k
-    target = direct_product(f, k)
-    mu_k = product_power(mu, k)
+    law = block_error_law(tree, direct_product(f, k), product_power(mu, k))
     per_leaf = [(s.reach, ber_sum(s.p), s.dens_total - s.adv_total)
                 for s in leaf_stats(tree, f, h, mu)]
     reports = []
     for t in range(k + 1):
-        lhs = 1 - threshold_error(tree, target, mu_k, t)
+        lhs = ber_sum_cdf(law, t)
         rhs = sum((reach * ber_sum_cdf(pmf, t) for reach, pmf, _ in per_leaf), _ZERO)
         g_form = ExpSum.total(g_func(t, gap).scale(reach) for reach, _, gap in per_leaf)
         g_dominates = (g_form - rhs).sign() >= 0
@@ -291,7 +290,8 @@ def verify_bounds_from_hardcore(tree: DecisionTree,
     right, at e^{-delta*k/10} + 10*gamma.
 
     delta here is the certified measure's density (half the solver's target).
-    Trees over budget are reported with hypothesis_ok False, not as failures.
+    The lhs is read off the tree's block_error_law.  Trees over budget are
+    reported with hypothesis_ok False, not as failures.
     """
     f, mu, h = cert.f, cert.mu, cert.measure
     if tree.n != f.n:
@@ -302,7 +302,7 @@ def verify_bounds_from_hardcore(tree: DecisionTree,
     hypothesis_ok = expected_depth(tree, mu_k) <= k * cert.depth_budget
 
     t = delta * k / 10
-    lhs = 1 - threshold_error(tree, direct_product(f, k), mu_k, floor(t))
+    lhs = ber_sum_cdf(block_error_law(tree, direct_product(f, k), mu_k), t)
     rhs = ExpSum.exp(-t) + 10 * cert.gamma
     return _report("bounds-from-hardcore", lhs, rhs,
                    hypothesis_ok=hypothesis_ok,
@@ -327,14 +327,14 @@ def verify_leaf_product(tree: DecisionTree, mu: Distribution) -> BoundReport:
     mask_n = (1 << n) - 1
     deviation = _ZERO
     for ref in leaves(tree):
-        reach = sum((mu_k.weights[p] for p in
-                     cube_points(tree.total_vars, ref.fixed_mask, ref.fixed_vals)),
-                    _ZERO)
+        cube = [(p, mu_k.weights[p])
+                for p in cube_points(tree.total_vars, ref.fixed_mask, ref.fixed_vals)]
+        reach = sum((w for _, w in cube), _ZERO)
         if reach == 0:
             continue
         factors = conditional_blocks_at_leaf(tree, mu, ref)
-        for p in cube_points(tree.total_vars, ref.fixed_mask, ref.fixed_vals):
-            joint = mu_k.weights[p] / reach
+        for p, w in cube:
+            joint = w / reach
             prod = _ONE
             for i in range(k):
                 prod *= factors[i].weights[(p >> (i * n)) & mask_n]
@@ -387,13 +387,9 @@ def verify_parity_leaf_error(tree: DecisionTree) -> BoundReport:
     worst = _ZERO
     checked = 0
     for ref in leaves(tree):
-        block_fixed = [0] * k
-        for j in range(tree.total_vars):
-            if (ref.fixed_mask >> j) & 1:
-                block_fixed[j // n] += 1
         cube = list(cube_points(tree.total_vars, ref.fixed_mask, ref.fixed_vals))
         for i in range(k):
-            if block_fixed[i] >= n:
+            if (ref.fixed_mask >> (i * n)) & mask_n == mask_n:  # parity determined
                 continue
             wrong = sum(1 for p in cube
                         if ref.label[i] != par.table[(p >> (i * n)) & mask_n])

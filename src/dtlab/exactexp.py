@@ -35,6 +35,7 @@ DEFAULT_PRECISION_BITS = 128
 
 # Escalation: ExpSum.sign starts at DEFAULT_PRECISION_BITS and doubles up to this.
 MAX_PRECISION_BITS = DEFAULT_PRECISION_BITS << 6
+MAX_DIGITS = 4300  # int()'s default limit on the digits of a decimal string
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -45,15 +46,22 @@ def fraction_to_str(q: Fraction) -> str:
 
 
 def fraction_from_str(s: str | int) -> Fraction:
-    """Exact rational from "p/q", an integer or decimal string, or an int."""
+    """Exact rational from "p/q", an integer or decimal string, or an int.
+    A decimal string that could need over MAX_DIGITS digits, the limit int()
+    puts on p and q, is refused before any power of 10 is computed."""
     if isinstance(s, int) and not isinstance(s, bool):
         return Fraction(s)
     if not isinstance(s, str):
         raise InvalidValue(f"expected a rational string like 'p/q', got {s!r}")
+    mantissa, _, exp = s.lower().partition("e")
+    whole, _, point = mantissa.partition(".")
     try:
-        return Fraction(s)
+        e = int(exp or 0)
+        if "/" in s or max(len(whole) + max(len(point), e), 1 + len(point) - e) <= MAX_DIGITS:
+            return Fraction(s)
     except (ValueError, ZeroDivisionError):
-        raise InvalidValue(f"not a rational: {s!r}") from None
+        raise InvalidValue(f"not a rational: {s[:40]!r}") from None
+    raise InvalidValue(f"not a rational of at most {MAX_DIGITS} digits: {s[:40]!r}")
 
 
 def _int(value, what: str) -> int:
@@ -217,7 +225,7 @@ class ExpSum:
                 return -1
             prec *= 2
         raise UndecidedComparison(
-            f"sign of {self} undecided at {MAX_PRECISION_BITS} bits")
+            f"sign of a {len(self.terms)}-term sum undecided at {MAX_PRECISION_BITS} bits")
 
     def __str__(self) -> str:
         if not self.terms:

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
+from string import hexdigits
 
 from .errors import DimensionMismatch, GuardExceeded, InvalidValue
 from .exactexp import _int, fraction_from_str, fraction_to_str
@@ -111,16 +112,17 @@ class Measure:
 # constructors
 
 
+def _parity_sign(x: int, n: int) -> int:
+    """Product of the +-1 values of the n low bits of x (a bit 0 is -1)."""
+    return 1 if (n - bin(x).count("1")) % 2 == 0 else -1
+
+
 def parity(n: int) -> BooleanFunction:
     """Product of all +-1 inputs."""
     if n < 1:
         raise InvalidValue(f"parity needs n >= 1, got {n}")
     _check_var_count(n, "parity")
-    table = []
-    for x in range(1 << n):
-        ones = bin(x).count("1")
-        table.append(1 if (n - ones) % 2 == 0 else -1)
-    return BooleanFunction(n, tuple(table))
+    return BooleanFunction(n, tuple(_parity_sign(x, n) for x in range(1 << n)))
 
 
 def dictator(n: int, j: int) -> BooleanFunction:
@@ -140,15 +142,8 @@ def no_error_reduction_function(n: int) -> BooleanFunction:
     if n < 1:
         raise InvalidValue(f"need n >= 1, got {n}")
     _check_var_count(n, "no_error_reduction_function")
-    table = []
-    for x in range(1 << n):
-        if x & 1:
-            table.append(1)
-        else:
-            rest = x >> 1
-            ones = bin(rest).count("1")
-            table.append(1 if (n - 1 - ones) % 2 == 0 else -1)
-    return BooleanFunction(n, tuple(table))
+    return BooleanFunction(n, tuple(1 if x & 1 else _parity_sign(x >> 1, n - 1)
+                                    for x in range(1 << n)))
 
 
 def constant_function(n: int, value: int) -> BooleanFunction:
@@ -227,17 +222,17 @@ def _hex_width(n: int) -> int:
 
 
 def function_to_json(f: BooleanFunction) -> dict:
-    mask = 0
-    for x, v in enumerate(f.table):
-        if v == 1:
-            mask |= 1 << x
+    mask = sum(1 << x for x, v in enumerate(f.table) if v == 1)
     return {"n": f.n, "table_hex": format(mask, f"0{_hex_width(f.n)}x")}
 
 
 def function_from_json(obj: dict) -> BooleanFunction:
     n = _int(obj["n"], "n")
     _check_var_count(n, "function_from_json")
-    mask = int(obj["table_hex"], 16)
+    hexes = obj["table_hex"]
+    if not isinstance(hexes, str) or not hexes or any(c not in hexdigits for c in hexes):
+        raise InvalidValue(f"table_hex must be a string of hex digits, got {hexes!r}")
+    mask = int(hexes, 16)
     if mask >> (1 << n):
         raise InvalidValue(f"table_hex has bits at or above 2**{n}")
     table = tuple(1 if (mask >> x) & 1 else -1 for x in range(1 << n))
@@ -252,10 +247,15 @@ def distribution_to_json(mu: Distribution) -> list[str]:
     return weights_to_json(mu.weights)
 
 
+def _weights_from_json(items, cls):
+    if not isinstance(items, list):
+        raise InvalidValue(f"weights must be a JSON list, got {type(items).__name__}")
+    values = tuple(fraction_from_str(s) for s in items)
+    return cls(len(values).bit_length() - 1, values)
+
+
 def distribution_from_json(items) -> Distribution:
-    weights = tuple(fraction_from_str(s) for s in items)
-    n = len(weights).bit_length() - 1
-    return Distribution(n, weights)
+    return _weights_from_json(items, Distribution)
 
 
 def measure_to_json(h: Measure) -> list[str]:
@@ -263,6 +263,4 @@ def measure_to_json(h: Measure) -> list[str]:
 
 
 def measure_from_json(items) -> Measure:
-    values = tuple(fraction_from_str(s) for s in items)
-    n = len(values).bit_length() - 1
-    return Measure(n, values)
+    return _weights_from_json(items, Measure)

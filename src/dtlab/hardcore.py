@@ -12,7 +12,8 @@ Solved by column generation: keep a finite pool of deterministic trees, solve
 the restricted game exactly, and grow the pool with exact best responses from
 the advantage-frontier envelope.  Each restricted game is one LP, the row
 player's, solved by a dense two-phase simplex over Fractions with Bland's
-rule, which terminates by construction.  Its optimal tableau gives both
+rule, which terminates by construction; pivots carry the objective rows and
+the ratio test reads constraint rows only.  Its optimal tableau gives both
 players' strategies: H as the primal solution, the tree mixture w as the
 reduced costs of the pool rows' slacks.  The pair is then certified as a
 saddle point without trusting the kernel: both strategies are checked for
@@ -27,6 +28,7 @@ import bisect
 import itertools
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -132,27 +134,22 @@ def _pivot(tab, r: int, c: int) -> None:
 def _bland(tab, basis: list[int], ncols: int) -> None:
     """Minimise the objective whose reduced costs are the last row of tab.
 
-    Rows tab[:-1] are [A | b] in canonical form for `basis`.  Bland's rule
-    (lowest-index entering column among columns < ncols, ratio ties broken
-    on the lowest basic index) never revisits a basis, so the loop ends
-    without an iteration cap.
+    Rows tab[:len(basis)], the only ones ratio-tested, are [A | b] in
+    canonical form for `basis`; objective rows follow.  Bland's rule (lowest
+    entering column below ncols, ratio ties broken on the lowest basic index)
+    never revisits a basis, so the loop ends without an iteration cap.
     """
     costs = tab[-1]
     while True:
         c = next((j for j in range(ncols) if costs[j] < 0), None)
         if c is None:
             return
-        best = None
-        for i, row in enumerate(tab[:-1]):
-            if row[c] > 0:
-                ratio = row[-1] / row[c]
-                if (best is None or ratio < best[0]
-                        or (ratio == best[0] and basis[i] < basis[best[1]])):
-                    best = (ratio, i)
+        best = min(((row[-1] / row[c], basis[i], i) for i, row in enumerate(tab[:len(basis)])
+                    if row[c] > 0), default=None)
         if best is None:
             raise InvalidValue("unbounded LP")
-        _pivot(tab, best[1], c)
-        basis[best[1]] = c
+        _pivot(tab, best[2], c)
+        basis[best[2]] = c
 
 
 def _simplex(tab, basis: list[int], cost, nreal: int) -> Fraction:
@@ -160,16 +157,20 @@ def _simplex(tab, basis: list[int], cost, nreal: int) -> Fraction:
 
     tab holds the rows [A | b] with b >= 0, and basis[i] names a unit column
     of row i.  Columns from nreal on are artificials, driven out by phase 1.
-    On return tab[:-1] and basis are an optimal canonical form and tab[-1]
-    holds the final reduced costs.  A zero-cost column e_i has reduced cost
-    -y_i, so a slack's reduced cost is minus its row's optimal dual value.
+    The phase-2 row, then the phase-1 row (cost 1 on each artificial) if
+    any, are priced once for the starting basis and appended, and _pivot
+    keeps them canonical.  On return tab[:-1] and basis are optimal and
+    tab[-1] holds the reduced costs; a slack's is minus its row's dual value.
     """
     width = len(tab[0])
-    artificial = [i for i, b in enumerate(basis) if b >= nreal]
-    if artificial:
-        tab.append([-sum((tab[i][j] for i in artificial), _ZERO)
-                    if j < nreal or j == width - 1 else _ZERO
-                    for j in range(width)])
+
+    def priced(c):  # reduced costs c - c_B * tab of the current basis
+        basic = [(c[b], tab[i]) for i, b in enumerate(basis) if c[b]]
+        return [c[j] - sum((cb * row[j] for cb, row in basic), _ZERO) for j in range(width)]
+
+    tab.append(priced(list(cost) + [_ZERO] * (width - len(cost))))
+    if any(b >= nreal for b in basis):
+        tab.append(priced([_ZERO] * nreal + [_ONE] * (width - 1 - nreal) + [_ZERO]))
         _bland(tab, basis, nreal)
         if tab.pop()[-1] != 0:
             raise Infeasible("LP has no feasible point")
@@ -181,9 +182,6 @@ def _simplex(tab, basis: list[int], cost, nreal: int) -> Fraction:
                 if c is not None:
                     _pivot(tab, i, c)
                     basis[i] = c
-    full = list(cost) + [_ZERO] * (width - len(cost))
-    tab.append([full[j] - sum((full[b] * tab[i][j] for i, b in enumerate(basis)), _ZERO)
-                for j in range(width)])
     _bland(tab, basis, nreal)
     return -tab[-1][-1]
 
@@ -337,13 +335,14 @@ def committee_metrics(committee: Committee, f: BooleanFunction,
     """(exact pointwise majority error, summed expected depth of all members)."""
     if f.n != mu.n:
         raise DimensionMismatch("function and distribution sizes differ")
+    members = Counter(committee.trees).items()  # each distinct tree, measured once
     err = _ZERO
     for x in mu.support():
-        votes = sum(evaluate(t, x)[0] for t in committee.trees)
+        votes = sum(m * evaluate(t, x)[0] for t, m in members)
         maj = 1 if votes > 0 else -1
         if maj != f.table[x]:
             err += mu.weights[x]
-    cost = sum((expected_depth(t, mu) for t in committee.trees), _ZERO)
+    cost = sum((m * expected_depth(t, mu) for t, m in members), _ZERO)
     return err, cost
 
 

@@ -413,12 +413,9 @@ def run_config(config: dict, *, jobs: int = 1):
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(one, entries))
 
+    outcomes.sort(key=lambda o: (o[0].scenario, str(sorted(o[0].params.items()))))
     results = [r for r, _ in outcomes]
-    order = sorted(range(len(results)),
-                   key=lambda i: (results[i].scenario,
-                                  str(sorted(results[i].params.items()))))
-    results = [results[i] for i in order]
-    timings = [(outcomes[i][0].scenario, outcomes[i][1]) for i in order]
+    timings = [(r.scenario, s) for r, s in outcomes]
 
     total = sum(len(r.checks) for r in results)
     failed = sum(1 for r in results for c in r.checks if not c.report.holds)

@@ -12,7 +12,7 @@ conditional_blocks_at_leaf, and relabel_leaves (which serves sign_fix_leaves
 and product_tree in transforms) cost O(L*k*2^n) for L leaves instead of
 walking 2^(nk - depth) points per leaf.  What checks that factorization
 stays on point enumeration, so no check is circular: the joint law in
-bounds.verify_leaf_product and the threshold_error lhs of
+bounds.verify_leaf_product and the block_error_law behind the lhs of
 bounds.verify_accuracy_bound.
 """
 
@@ -174,7 +174,7 @@ def _target_rows(tree, target, mu: Distribution):
 
 def error(tree, target, mu: Distribution) -> Fraction:
     """Probability that the full output tuple differs from the target."""
-    return threshold_error(tree, target, mu, 0)
+    return 1 - block_error_law(tree, target, mu)[0]
 
 
 def correlation(tree, f: BooleanFunction, mu: Distribution,
@@ -190,19 +190,17 @@ def correlation(tree, f: BooleanFunction, mu: Distribution,
         (weights[x] * f.table[x] * evaluate(tree, x)[0] for x in mu.support()), _ZERO)
 
 
-def threshold_error(tree, target, mu: Distribution, t: int) -> Fraction:
-    """Probability that more than t output coordinates differ from the target."""
+def block_error_law(tree, target, mu: Distribution) -> tuple[Fraction, ...]:
+    """Entry j: the mass of the points where exactly j of the k output
+    coordinates differ from the target, by point enumeration."""
     if isinstance(tree, RandomizedTree):
-        return _mix(threshold_error, tree, target, mu, t)
+        laws = [[w * v for v in block_error_law(t, target, mu)] for w, t in tree.components]
+        return tuple(sum(col, _ZERO) for col in zip(*laws))
     rows = _target_rows(tree, target, mu)
-    if not 0 <= t <= tree.k:
-        raise InvalidValue(f"threshold {t} outside [0, {tree.k}]")
-    total = _ZERO
+    law = [_ZERO] * (tree.k + 1)
     for x in mu.support():
-        wrong = sum(1 for a, b in zip(evaluate(tree, x), rows[x]) if a != b)
-        if wrong > t:
-            total += mu.weights[x]
-    return total
+        law[sum(a != b for a, b in zip(evaluate(tree, x), rows[x]))] += mu.weights[x]
+    return tuple(law)
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,7 @@ from dtlab.instances import (
     xor_tree_instances,
 )
 from dtlab.transforms import full_parity_product_tree
-from dtlab.trees import DecisionTree, Leaf, threshold_error
+from dtlab.trees import DecisionTree, Leaf, evaluate
 
 F = Fraction
 
@@ -158,20 +158,27 @@ def test_density_verifiers_refuse_other_than_single_block(verify):
             verify(*args)
 
 
+def _at_most_wrong_blocks(tree, f, mu, t):
+    """P[at most t of the k blocks wrong] under mu^k, by point enumeration."""
+    target, mu_k = direct_product(f, tree.k), product_power(mu, tree.k)
+    return sum((mu_k.weights[x] for x in range(1 << tree.total_vars)
+                if sum(a != b for a, b in zip(evaluate(tree, x), target.table[x])) <= t),
+               F(0))
+
+
 def test_accuracy_bound_all_thresholds_and_independent_lhs():
     for tree, f, h, mu in INSTANCES[:12]:
         reports = verify_accuracy_bound(tree, f, h, mu)
         assert len(reports) == tree.k + 1
         for t, rep in enumerate(reports):
             assert rep.holds
-            direct = 1 - threshold_error(
-                tree, direct_product(f, tree.k), product_power(mu, tree.k), t)
-            assert rep.lhs.as_rational() == direct
+            assert rep.lhs.as_rational() == _at_most_wrong_blocks(tree, f, mu, t)
             assert dict(rep.related)["g_form_dominates"]
 
 
 def test_each_verifier_builds_its_leaf_statistics_once(monkeypatch):
-    calls = dict.fromkeys(("leaf_stats", "product_power", "direct_product"), 0)
+    calls = dict.fromkeys(("leaf_stats", "product_power", "direct_product",
+                           "block_error_law"), 0)
     for name in calls:
         def counted(*args, _name=name, _real=getattr(bounds, name), **kwargs):
             calls[_name] += 1
@@ -180,10 +187,13 @@ def test_each_verifier_builds_its_leaf_statistics_once(monkeypatch):
 
     for tree, _f, h, mu in INSTANCES[:4]:
         verify_resilience(tree, h, mu)
-    assert calls == {"leaf_stats": 4, "product_power": 0, "direct_product": 0}
+    assert calls == {"leaf_stats": 4, "product_power": 0, "direct_product": 0,
+                     "block_error_law": 0}
+    # one block-error law per call serves the lhs at every threshold
     for tree, f, h, mu in INSTANCES[:4]:
         verify_accuracy_bound(tree, f, h, mu)
-    assert calls == {"leaf_stats": 8, "product_power": 4, "direct_product": 4}
+    assert calls == {"leaf_stats": 8, "product_power": 4, "direct_product": 4,
+                     "block_error_law": 4}
 
 
 def test_error_no_advantage_on_random_instances():

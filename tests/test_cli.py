@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -379,8 +380,12 @@ def test_verify_rejects_witness_over_the_depth_budget(tmp_path, capsys):
     (("f", "n"), 2.7),
     (("f", "table_hex"), "f9"),  # parity(2) is "9"; "f" sets bits past its table
     (("witness", 0, "tree", "n"), 2.0),
+    # a JSON object iterates over its keys, which read as the weights
+    (("mu",), {"1/4": 0, " 1/4": 1, "1/4 ": 2, "2/8": 3}),
+    (("measure",), {"1/8": 0, " 1/8": 1, "1/8 ": 2, "2/16": 3}),
+    (("f", "table_hex"), " 0x9 "),  # int(..., 16) reads this as 9
 ], ids=["iterations", "iterations-negative", "f.n", "f.table_hex",
-        "witness.tree.n"])
+        "witness.tree.n", "mu-object", "measure-object", "f.table_hex-0x"])
 def test_verify_refuses_malformed_certificate_fields(tmp_path, path, value):
     art = certificate_to_json(
         hardcore_solve(parity(2), uniform(2), F(1, 4), F(1, 2), F(0)))
@@ -391,6 +396,26 @@ def test_verify_refuses_malformed_certificate_fields(tmp_path, path, value):
     out = tmp_path / "tampered.json"
     out.write_text(json.dumps(art))
     assert cli.main(["verify", str(out)]) == 2
+
+
+@pytest.mark.parametrize("where", ["config-param", "certificate-field"])
+def test_oversized_decimal_exponent_exits_2_at_once(tmp_path, capsys, where):
+    # Fraction("1e-3000000") would compute 10**3000000 first.
+    if where == "config-param":
+        args = ["run", "--config", _write_config(
+            tmp_path / "config.json",
+            [{"name": "parity-claim", "params": {"eps": "1e-3000000"}}]),
+            "--out", str(tmp_path)]
+    else:
+        art = certificate_to_json(
+            hardcore_solve(parity(2), uniform(2), F(1, 4), F(1, 2), F(0)))
+        art["delta"] = "1e-3000000"
+        (tmp_path / "cert.json").write_text(json.dumps(art))
+        args = ["verify", str(tmp_path / "cert.json")]
+    start = time.monotonic()
+    assert cli.main(args) == 2
+    assert time.monotonic() - start < 1
+    assert "not a rational of at most 4300 digits" in capsys.readouterr().err
 
 
 def test_verify_refuses_negative_committee_iterations(tmp_path):

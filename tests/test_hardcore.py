@@ -147,6 +147,61 @@ def test_degenerate_artificial_is_pivoted_out():
     assert x == [F(0), F(0), F(1)]
 
 
+def _dense_reduced_costs(rows, basis, cost):
+    """c_j - sum_i c_{basis[i]} rows[i][j] over every basic row and column:
+    the from-scratch pricing the carried objective rows must equal."""
+    full = list(cost) + [F(0)] * (len(rows[0]) - len(cost))
+    return [full[j] - sum((full[b] * r[j] for r, b in zip(rows, basis)), F(0))
+            for j in range(len(full))]
+
+
+def test_carried_objective_rows_match_dense_repricing(monkeypatch):
+    # At the start and at the end of each phase, the phase-2 row (and in
+    # phase 1 the phase-1 row, cost 1 on each artificial) equals a
+    # re-pricing of the current basis.
+    simplex, bland = hardcore._simplex, hardcore._bland
+    args, phases = {}, []
+
+    def spied_simplex(tab, basis, cost, nreal):
+        args.update(cost=cost, nreal=nreal)
+        return simplex(tab, basis, cost, nreal)
+
+    def check(tab, basis):
+        m, nreal = len(basis), args["nreal"]
+        rows = tab[:m]
+        assert tab[m] == _dense_reduced_costs(rows, basis, args["cost"])
+        if len(tab) == m + 2:
+            phase1 = [F(0)] * nreal + [F(1)] * (len(tab[0]) - 1 - nreal)
+            assert tab[m + 1] == _dense_reduced_costs(rows, basis, phase1)
+
+    def checked_bland(tab, basis, ncols):
+        check(tab, basis)
+        bland(tab, basis, ncols)
+        check(tab, basis)
+        phases.append(len(tab) - len(basis))
+
+    monkeypatch.setattr(hardcore, "_simplex", spied_simplex)
+    monkeypatch.setattr(hardcore, "_bland", checked_bland)
+    assert hardcore._simplex([list(r) for r in BEALE_ROWS], [4, 5, 6],
+                             BEALE_COST, 7) == F(-5, 4)
+    # costs on the starting slacks, so pricing that basis is not the identity
+    cost = BEALE_COST[:4] + [F(1), F(2), F(3)]
+    tab, basis = [list(r) for r in BEALE_ROWS], [4, 5, 6]
+    value = hardcore._simplex(tab, basis, cost, 7)
+    x = [F(0)] * 7
+    for i, b in enumerate(basis):
+        x[b] = tab[i][-1]
+    _assert_optimal(BEALE_ROWS, cost, value, x, [cost[4 + i] - tab[-1][4 + i] for i in range(3)])
+    assert phases == [1, 1]
+    for s in range(4):
+        rng = random.Random(9000 + s)
+        f = random_function(rng, 3)
+        mu = random_distribution(rng, 3, allow_zeros=False)
+        for budget in SWEEP_BUDGETS:
+            hardcore_solve(f, mu, F(1, 4), F(1, 2), budget)
+    assert phases.count(2) > 10 and phases[2:] == [2, 1] * phases.count(2)
+
+
 def test_restricted_game_runs_one_kernel_solve(monkeypatch):
     calls = {"game": 0, "simplex": 0}
     game, simplex = hardcore._restricted_game, hardcore._simplex
@@ -248,6 +303,27 @@ def test_parity2_committee_above_threshold():
     err, cost = committee_metrics(com, f, mu)
     assert err <= F(1, 4)
     assert cost <= com.r * 2
+
+
+def test_committee_metrics_measures_each_distinct_member_once(monkeypatch):
+    f, mu = parity(2), Distribution(2, (F(1, 2), F(1, 4), F(1, 8), F(1, 8)))
+    x0 = DecisionTree(2, 1, Query(0, Leaf((-1,)), Leaf((1,))))
+    x1 = DecisionTree(2, 1, Query(1, Leaf((1,)), Leaf((-1,))))
+    const = DecisionTree(2, 1, Leaf((-1,)))
+    trees = (x0, x1, x0, const, x0, x1, const)
+    votes = [sum(evaluate(t, x)[0] for t in trees) for x in range(4)]
+    err = sum((mu.weights[x] for x in range(4) if (1 if votes[x] > 0 else -1) != f.table[x]),
+              F(0))
+    cost = sum(hardcore.expected_depth(t, mu) for t in trees)
+    calls = {"expected_depth": 0, "evaluate": 0}
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(hardcore, name)):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(hardcore, name, counted)
+    committee = Committee(f, mu, trees, F(1, 4), F(1, 2), F(1), 0, 1)
+    assert committee_metrics(committee, f, mu) == (err, cost)
+    assert calls == {"expected_depth": 3, "evaluate": 3 * 4}
 
 
 def test_certificate_advantage_monotone_in_budget():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from dtlab.errors import DimensionMismatch, InvalidValue, UnreachedLeaf
 from dtlab.functions import (
     Distribution,
+    VectorFunction,
     constant_measure,
     dictator,
     direct_product,
@@ -31,6 +32,7 @@ from dtlab.trees import (
     Query,
     RandomizedTree,
     _walk,
+    block_error_law,
     conditional_blocks_at_leaf,
     correlation,
     cube_points,
@@ -41,7 +43,6 @@ from dtlab.trees import (
     leaves,
     randomized_tree_from_json,
     randomized_tree_to_json,
-    threshold_error,
     tree_from_json,
     tree_to_json,
 )
@@ -141,15 +142,43 @@ def test_expected_depth_and_error_match_brute_force():
             1 - 2 * error(other, f, mu))
 
 
-def test_threshold_error_counts_block_mistakes():
+def _wrong_blocks_mass(tree, rows, mu, j):
+    """Mass of the points where exactly j output coordinates are wrong."""
+    return sum((mu.weights[x] for x in range(1 << tree.total_vars)
+                if sum(a != b for a, b in zip(evaluate(tree, x), rows[x])) == j),
+               Fraction(0))
+
+
+def test_block_error_law_counts_block_mistakes():
     n, k = 1, 3
     t = DecisionTree(n, k, Query(0, Leaf((-1, 1, 1)), Leaf((1, 1, -1))))
     mu = product_power(uniform(1), k)
     vf = direct_product(dictator(1, 0), 3)
-    for thr in range(k + 1):
-        truth = sum(mu.weights[x] for x in range(1 << (n * k))
-                    if sum(a != b for a, b in zip(evaluate(t, x), vf.table[x])) > thr)
-        assert threshold_error(t, vf, mu, thr) == truth
+    law = block_error_law(t, vf, mu)
+    assert law == tuple(_wrong_blocks_mass(t, vf.table, mu, j) for j in range(k + 1))
+    assert law == (Fraction(1, 4), Fraction(1, 2), Fraction(1, 4), Fraction(0))
+
+
+def test_block_error_law_matches_point_enumeration_on_seeded_instances():
+    rng = random.Random(1313)
+    for n, k in ((1, 1), (1, 3), (2, 2), (3, 1), (2, 3), (1, 5)):
+        for _ in range(8):
+            tree, other = random_tree(rng, n, k), random_tree(rng, n, k)
+            target = VectorFunction(n, k, tuple(
+                tuple(rng.choice((1, -1)) for _ in range(k)) for _ in range(1 << (n * k))))
+            mu = random_distribution(rng, n * k, allow_zeros=True)
+            law = block_error_law(tree, target, mu)
+            assert len(law) == k + 1 and sum(law) == 1
+            assert law == tuple(_wrong_blocks_mass(tree, target.table, mu, j)
+                                for j in range(k + 1))
+            # a mixture's law averages its components'; error is 1 - law[0]
+            w = Fraction(rng.randint(1, 9), 10)
+            rt = RandomizedTree(((w, tree), (1 - w, other)))
+            mixed = tuple(w * a + (1 - w) * _wrong_blocks_mass(other, target.table, mu, j)
+                          for j, a in enumerate(law))
+            assert block_error_law(rt, target, mu) == mixed
+            assert error(tree, target, mu) == 1 - law[0]
+            assert error(rt, target, mu) == 1 - mixed[0]
 
 
 def test_mixture_metrics_average_components():
@@ -362,7 +391,7 @@ def test_metric_dimension_checks():
         error(t, parity(3), uniform(2))
     # a distribution on fewer variables than the tree is refused, not summed
     wide = DecisionTree(3, 1, Query(2, Leaf((1,)), Leaf((-1,))))
-    for metric in (error, correlation, lambda *a: threshold_error(*a, 0)):
+    for metric in (error, correlation, block_error_law):
         with pytest.raises(DimensionMismatch):
             metric(wide, parity(3), uniform(2))
     with pytest.raises(DimensionMismatch):
