@@ -11,15 +11,17 @@ from it computes f with error at most delta.
 Solved by column generation: keep a finite pool of deterministic trees, solve
 the restricted game exactly, and grow the pool with exact best responses from
 the advantage-frontier envelope.  Each restricted game is one LP, the row
-player's, solved by a dense two-phase simplex over Fractions with Bland's
-rule, which terminates by construction; pivots carry the objective rows and
-the ratio test reads constraint rows only.  Its optimal tableau gives both
-players' strategies: H as the primal solution, the tree mixture w as the
-reduced costs of the pool rows' slacks.  The pair is then certified as a
-saddle point without trusting the kernel: both strategies are checked for
-feasibility, and the greedy closed-form minimum against w and the envelope
-maximum against H must both equal the LP value.  A wrong LP answer therefore
-cannot escape the solver.
+player's, solved by a dense two-phase simplex with Bland's rule, which
+terminates by construction; pivots carry the objective rows and the ratio
+test reads constraint rows only.  The tableau is exact but integer: each row
+is ints over one common denominator (integer-preserving pivoting, as in
+Edmonds 1967), and only what is read turns back into Fractions.  Its optimal
+tableau gives both players' strategies: H as the primal solution, the tree
+mixture w as the reduced costs of the pool rows' slacks.  The pair is then
+certified as a saddle point without trusting the kernel, in Fractions: both
+strategies are checked for feasibility, and the greedy closed-form minimum
+against w and the envelope maximum against H must both equal the LP value.
+A wrong LP answer therefore cannot escape the solver.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from .functions import (
     measure_from_json,
     measure_to_json,
 )
-from .synth import ADVANTAGE, mixture_optimum, opt_objective_witness, pareto_frontier
+from .synth import ADVANTAGE, _scale, mixture_optimum, opt_objective_witness, pareto_frontier
 from .trees import (
     DecisionTree,
     RandomizedTree,
@@ -68,7 +70,6 @@ from .trees import (
 )
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 MAX_ITERATIONS = 64
 BOOST_CONSTANT = 8
@@ -119,16 +120,39 @@ class Committee:
 # exact simplex kernel
 
 
+def _reduced(row: list[int]) -> list[int]:
+    g = math.gcd(*row)
+    return row if g == 1 else [v // g for v in row]
+
+
+def _eliminate(row: list[int], unit: list[int], c: int, nonzero) -> list[int]:
+    """row - row[c] * unit, for a unit row (unit[c] == unit[-1]) whose
+    nonzero numerators are at the indices `nonzero`."""
+    g = math.gcd(unit[-1], row[c])
+    a, m = unit[-1] // g, row[c] // g
+    out = [a * v for v in row]
+    for j in nonzero:
+        out[j] -= m * unit[j]
+    return _reduced(out)
+
+
 def _pivot(tab, r: int, c: int) -> None:
-    """Make column c the unit vector e_r by row operations on every row."""
-    p = tab[r][c]
-    row = tab[r] = [v / p for v in tab[r]]
-    nonzero = [j for j, v in enumerate(row) if v]
+    """Make column c the unit vector e_r by row operations on every row.
+
+    A row is a list of ints [a_0, ..., a_{m-1}, b, D]: the column entries
+    and right-hand side of one rational row, all over the positive common
+    denominator D in the last slot, and gcd-reduced, so each rational row has
+    one representation.  Row r over its entry in column c keeps its
+    numerators and takes that entry, sign-fixed, as its denominator; every
+    other row subtracts a multiple of it by int multiply-subtract and one gcd.
+    """
+    p = tab[r]
+    unit = p[:-1] + [p[c]]  # row r divided by its entry in column c
+    unit = tab[r] = _reduced(unit if p[c] > 0 else [-v for v in unit])
+    nonzero = [j for j, v in enumerate(unit[:-1]) if v]
     for i, other in enumerate(tab):
-        m = other[c]
-        if i != r and m:
-            for j in nonzero:
-                other[j] -= m * row[j]
+        if i != r and other[c]:
+            tab[i] = _eliminate(other, unit, c, nonzero)
 
 
 def _bland(tab, basis: list[int], ncols: int) -> None:
@@ -138,41 +162,55 @@ def _bland(tab, basis: list[int], ncols: int) -> None:
     canonical form for `basis`; objective rows follow.  Bland's rule (lowest
     entering column below ncols, ratio ties broken on the lowest basic index)
     never revisits a basis, so the loop ends without an iteration cap.
+    Signs and ratios are invariant under a positive row scale, so reading
+    numerators only (see _pivot for the row layout) picks the pivots the
+    rational tableau would: a reduced cost is negative when its numerator
+    is, and b_i / a_ic is the ratio of row i's numerators, its denominator
+    cancelling; rows are compared by cross-multiplying, as a_ic > 0.
     """
-    costs = tab[-1]
     while True:
+        costs = tab[-1]
         c = next((j for j in range(ncols) if costs[j] < 0), None)
         if c is None:
             return
-        best = min(((row[-1] / row[c], basis[i], i) for i, row in enumerate(tab[:len(basis)])
-                    if row[c] > 0), default=None)
-        if best is None:
+        r = None
+        for i, row in enumerate(tab[:len(basis)]):
+            a = row[c]
+            if a > 0 and (r is None
+                          or (row[-2] * tab[r][c], basis[i]) < (tab[r][-2] * a, basis[r])):
+                r = i
+        if r is None:
             raise InvalidValue("unbounded LP")
-        _pivot(tab, best[2], c)
-        basis[best[2]] = c
+        _pivot(tab, r, c)
+        basis[r] = c
 
 
-def _simplex(tab, basis: list[int], cost, nreal: int) -> Fraction:
+def _simplex(tab, basis: list[int], cost: list[int], nreal: int) -> Fraction:
     """Exact min of cost*x over {x >= 0 : A x = b}; returns the value.
 
-    tab holds the rows [A | b] with b >= 0, and basis[i] names a unit column
-    of row i.  Columns from nreal on are artificials, driven out by phase 1.
-    The phase-2 row, then the phase-1 row (cost 1 on each artificial) if
-    any, are priced once for the starting basis and appended, and _pivot
-    keeps them canonical.  On return tab[:-1] and basis are optimal and
-    tab[-1] holds the reduced costs; a slack's is minus its row's dual value.
+    tab holds the int rows [A | b | D] of _pivot with b >= 0, and basis[i]
+    names a unit column of row i; cost is an int row of the same layout, its
+    right-hand side 0.  Columns from nreal on are artificials, driven out by
+    phase 1.  The phase-2 row, then the phase-1 row (cost 1 on each
+    artificial) if any, are priced once for the starting basis, by clearing
+    each basic column with the same row operation a pivot uses, and appended;
+    _pivot keeps them canonical.  On return tab[:-1] and basis are optimal
+    and tab[-1] holds the reduced costs; a slack's is minus its row's dual
+    value.  Only the value turns back into a Fraction.
     """
     width = len(tab[0])
 
-    def priced(c):  # reduced costs c - c_B * tab of the current basis
-        basic = [(c[b], tab[i]) for i, b in enumerate(basis) if c[b]]
-        return [c[j] - sum((cb * row[j] for cb, row in basic), _ZERO) for j in range(width)]
+    def priced(row):  # reduced costs of the current basis: clear its columns
+        for i, b in enumerate(basis):
+            if row[b]:
+                row = _eliminate(row, tab[i], b, [j for j, v in enumerate(tab[i][:-1]) if v])
+        return row
 
-    tab.append(priced(list(cost) + [_ZERO] * (width - len(cost))))
+    tab.append(priced(cost))
     if any(b >= nreal for b in basis):
-        tab.append(priced([_ZERO] * nreal + [_ONE] * (width - 1 - nreal) + [_ZERO]))
+        tab.append(priced([0] * nreal + [1] * (width - 2 - nreal) + [0, 1]))
         _bland(tab, basis, nreal)
-        if tab.pop()[-1] != 0:
+        if tab.pop()[-2] != 0:
             raise Infeasible("LP has no feasible point")
         for i, b in enumerate(basis):
             if b >= nreal:
@@ -183,7 +221,7 @@ def _simplex(tab, basis: list[int], cost, nreal: int) -> Fraction:
                     _pivot(tab, i, c)
                     basis[i] = c
     _bland(tab, basis, nreal)
-    return -tab[-1][-1]
+    return Fraction(-tab[-1][-2], tab[-1][-1])
 
 
 def _payoff_vector(f: BooleanFunction, mu: Distribution, tree: DecisionTree):
@@ -222,7 +260,10 @@ def _restricted_game(f, mu, half_density, budget, pool, payoffs, depths):
     the final reduced costs of the pool rows' slacks.  Both are then checked
     for feasibility and re-verified by independent evaluations (greedy inner
     minimum for w, envelope inner maximum for H), which together certify a
-    saddle point whatever the kernel did.
+    saddle point whatever the kernel did.  The tableau's rows are built as
+    ints, each scaled by the lcm of its denominators; as the unit column of
+    its starting basic variable then holds that lcm, each row starts
+    gcd-reduced.
     """
     npts = 1 << f.n
     nt = len(pool)
@@ -230,30 +271,34 @@ def _restricted_game(f, mu, half_density, budget, pool, payoffs, depths):
     slack0 = npts + 3
     box0 = slack0 + nt
     art = box0 + npts
-    width = art + 2
+    width = art + 3
 
-    def row(entries, rhs):
-        r = [_ZERO] * width
+    def row(entries, rhs, den):
+        r = [0] * width
         for j, v in entries:
             r[j] = v
-        r[-1] = rhs
+        r[-2], r[-1] = rhs, den
         return r
 
-    tab = [row([*enumerate(payoffs[t]), (npts, -_ONE), (npts + 1, _ONE),
-                (npts + 2, -depths[t]), (slack0 + t, _ONE)], _ZERO)
-           for t in range(nt)]
-    tab += [row([(x, _ONE), (box0 + x, _ONE)], _ONE) for x in range(npts)]
-    tab.append(row([*enumerate(mu.weights), (art, _ONE)], half_density))
+    tab = []
+    for t in range(nt):
+        d, p = _scale(payoffs[t] + (depths[t],))
+        tab.append(row([*enumerate(p[:npts]), (npts, -d), (npts + 1, d), (npts + 2, -p[npts]),
+                        (slack0 + t, d)], 0, d))
+    tab += [row([(x, 1), (box0 + x, 1)], 1, 1) for x in range(npts)]
+    d, p = _scale(mu.weights + (half_density,))
+    tab.append(row([*enumerate(p[:npts]), (art, d)], p[npts], d))
     basis = [slack0 + t for t in range(nt)] + [box0 + x for x in range(npts)] + [art]
-    cost = [_ZERO] * npts + [_ONE, -_ONE, budget]
-    value = _simplex(tab, basis, cost, art)
+    d, p = _scale((1, -1, budget))
+    value = _simplex(tab, basis, row(zip((npts, npts + 1, npts + 2), p), 0, d), art)
 
     z = [_ZERO] * npts
     for i, b in enumerate(basis):
         if b < npts:
-            z[b] = tab[i][-1]
+            z[b] = Fraction(tab[i][-2], tab[i][-1])
     h_r = Measure(f.n, tuple(z))
-    w = tuple(tab[-1][slack0:box0])
+    costs = tab[-1]
+    w = tuple(Fraction(v, costs[-1]) for v in costs[slack0:box0])
 
     # Feasibility of both strategies; Measure already checks 0 <= H <= 1.
     if any(v < 0 for v in w) or sum(w, _ZERO) != 1:

@@ -2,7 +2,10 @@
 
 import hashlib
 import json
+import math
 import random
+import sys
+from collections import Counter
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -22,7 +25,6 @@ from dtlab.hardcore import (
     Committee,
     HardcoreCertificate,
     _pivot,
-    _simplex,
     best_response,
     certificate_from_json,
     certificate_to_json,
@@ -46,19 +48,124 @@ F = Fraction
 
 
 # --- exact simplex kernel
+#
+# The former Fraction kernel is the oracle: on every LP below the int-row
+# kernel in `hardcore` must make the same pivots, leave the same tableau (as
+# rationals) after each one, and end with the same value or the same error.
+
+
+def _oracle_pivot(tab, r, c):
+    """Make column c the unit vector e_r by row operations on every row."""
+    p = tab[r][c]
+    row = tab[r] = [v / p for v in tab[r]]
+    nonzero = [j for j, v in enumerate(row) if v]
+    for i, other in enumerate(tab):
+        m = other[c]
+        if i != r and m:
+            for j in nonzero:
+                other[j] -= m * row[j]
+
+
+def _oracle_bland(tab, basis, ncols):
+    costs = tab[-1]
+    while True:
+        c = next((j for j in range(ncols) if costs[j] < 0), None)
+        if c is None:
+            return
+        best = min(((row[-1] / row[c], basis[i], i) for i, row in enumerate(tab[:len(basis)])
+                    if row[c] > 0), default=None)
+        if best is None:
+            raise InvalidValue("unbounded LP")
+        _oracle_pivot(tab, best[2], c)
+        basis[best[2]] = c
+
+
+def _oracle_simplex(tab, basis, cost, nreal):
+    """Exact min of cost*x over {x >= 0 : A x = b} on Fraction rows [A | b]."""
+    width = len(tab[0])
+
+    def priced(c):
+        basic = [(c[b], tab[i]) for i, b in enumerate(basis) if c[b]]
+        return [c[j] - sum((cb * row[j] for cb, row in basic), F(0)) for j in range(width)]
+
+    tab.append(priced(list(cost) + [F(0)] * (width - len(cost))))
+    if any(b >= nreal for b in basis):
+        tab.append(priced([F(0)] * nreal + [F(1)] * (width - 1 - nreal) + [F(0)]))
+        _oracle_bland(tab, basis, nreal)
+        if tab.pop()[-1] != 0:
+            raise Infeasible("LP has no feasible point")
+        for i, b in enumerate(basis):
+            if b >= nreal:
+                c = next((j for j in range(nreal) if tab[i][j]), None)
+                if c is not None:
+                    _oracle_pivot(tab, i, c)
+                    basis[i] = c
+    _oracle_bland(tab, basis, nreal)
+    return -tab[-1][-1]
+
+
+def _int_row(row):
+    """Fraction row -> the kernel's [numerators..., positive denominator]."""
+    d = math.lcm(*(F(v).denominator for v in row))
+    ints = [int(v * d) for v in row] + [d]
+    g = math.gcd(*ints)
+    return [v // g for v in ints]
+
+
+def _frac_row(row):
+    """The kernel's int row -> its Fractions."""
+    return [F(v, row[-1]) for v in row[:-1]]
+
+
+def _assert_reduced_int_rows(tab):
+    for row in tab:
+        assert all(type(v) is int for v in row), row
+        assert row[-1] > 0 and math.gcd(*row) == 1, row
+
+
+def _traced(module, name, simplex, tab, basis, cost, nreal, snapshot):
+    """Run simplex with module.name (its pivot) spied on: returns (value or
+    raised error, [(r, c, tableau after the pivot)])."""
+    log, pivot = [], getattr(module, name)
+
+    def spy(t, r, c):
+        pivot(t, r, c)
+        log.append((r, c, [snapshot(row) for row in t]))
+
+    setattr(module, name, spy)
+    try:
+        return simplex(tab, basis, cost, nreal), log
+    except (Infeasible, InvalidValue) as e:
+        return e, log
+    finally:
+        setattr(module, name, pivot)
 
 
 def _solve(rows, cost, basis, nreal):
-    """Run the kernel on [A | b] rows; returns (value, x, final tableau)."""
-    tab = [list(r) for r in rows]
-    basis = list(basis)
-    value = _simplex(tab, basis, cost, nreal)
+    """Run the int kernel on Fraction rows [A | b] and check it against the
+    oracle pivot for pivot; returns (value, x, final tableau as Fractions,
+    final basis, pivots), each pivot (r, c, rows in the tableau then)."""
+    cost = list(cost) + [F(0)] * (len(rows[0]) - len(cost))
+    want_basis, got_basis = list(basis), list(basis)
+    want_tab, tab = [list(r) for r in rows], [_int_row(r) for r in rows]
+    want, want_log = _traced(sys.modules[__name__], "_oracle_pivot", _oracle_simplex,
+                             want_tab, want_basis, cost, nreal, list)
+    got, got_log = _traced(hardcore, "_pivot", hardcore._simplex, tab, got_basis,
+                           _int_row(cost), nreal, _frac_row)
+    # the same (row, column) pivots from one start: the same basis after each
+    assert got_log == want_log
+    _assert_reduced_int_rows(tab)
+    if isinstance(want, Exception):
+        assert (type(got), str(got)) == (type(want), str(want))
+        raise got
+    assert got == want and isinstance(got, F)
+    assert [_frac_row(r) for r in tab] == want_tab and got_basis == want_basis
     x = [F(0)] * nreal
-    for i, b in enumerate(basis):
-        assert b < nreal or tab[i][-1] == 0, "artificial left at a nonzero level"
+    for i, b in enumerate(got_basis):
+        assert b < nreal or want_tab[i][-1] == 0, "artificial left at a nonzero level"
         if b < nreal:
-            x[b] = tab[i][-1]
-    return value, x, tab
+            x[b] = want_tab[i][-1]
+    return got, x, want_tab, got_basis, [(r, c, len(t)) for r, c, t in got_log]
 
 
 def _assert_optimal(rows, cost, value, x, duals):
@@ -84,21 +191,24 @@ BEALE_COST = [F(-3, 4), F(20), F(-1, 2), F(6), F(0), F(0), F(0)]
 
 def test_beale_lp_cycles_under_dantzig_rule():
     # The fixture is a real cycling instance: most negative reduced cost in,
-    # lowest basic index out on ratio ties, back to the start in 6 pivots.
-    tab = [list(r) for r in BEALE_ROWS] + [BEALE_COST + [F(0)]]
+    # lowest basic index out on ratio ties, back to the start in 6 pivots,
+    # and so to the same int rows, a basis having one canonical tableau.
+    start = [_int_row(r) for r in BEALE_ROWS] + [_int_row(BEALE_COST + [F(0)])]
+    tab = [list(r) for r in start]
     basis = [4, 5, 6]
     for _ in range(6):
-        c = min(range(7), key=lambda j: (tab[-1][j], j))
-        assert tab[-1][c] < 0
-        r = min((i for i in range(3) if tab[i][c] > 0),
-                key=lambda i: (tab[i][-1] / tab[i][c], basis[i]))
+        rows = [_frac_row(r) for r in tab]
+        c = min(range(7), key=lambda j: (rows[-1][j], j))
+        assert rows[-1][c] < 0
+        r = min((i for i in range(3) if rows[i][c] > 0),
+                key=lambda i: (rows[i][-1] / rows[i][c], basis[i]))
         _pivot(tab, r, c)
         basis[r] = c
-    assert basis == [4, 5, 6]
+    assert basis == [4, 5, 6] and tab == start
 
 
 def test_beale_lp_terminates_under_bland_rule():
-    value, x, tab = _solve(BEALE_ROWS, BEALE_COST, [4, 5, 6], 7)
+    value, x, tab, _, _ = _solve(BEALE_ROWS, BEALE_COST, [4, 5, 6], 7)
     assert value == F(-5, 4)
     assert x == [F(1), F(0), F(1), F(0), F(3, 4), F(0), F(0)]
     # Column 4 + i is a zero-cost slack e_i, so its reduced cost is -y_i.
@@ -110,9 +220,8 @@ def test_ratio_ties_leave_on_the_lowest_basic_index():
     # min -x0 with x0 + b = 1 (b is column 2) and x0 + a = 1 (a is column 1):
     # both rows tie in the ratio test, and Bland's rule removes column 1.
     rows = [[F(1), F(0), F(1), F(1)], [F(1), F(1), F(0), F(1)]]
-    tab = [list(r) for r in rows]
-    basis = [2, 1]
-    assert _simplex(tab, basis, [F(-1), F(0), F(0)], 3) == -1
+    value, _, _, basis, _ = _solve(rows, [F(-1), F(0), F(0)], [2, 1], 3)
+    assert value == -1
     assert basis == [2, 0]
 
 
@@ -142,9 +251,60 @@ def test_degenerate_artificial_is_pivoted_out():
         [F(2), F(0), F(2), F(0), F(0), F(1), F(2)],
     ]
     cost = [F(1), F(-1), F(0)]
-    value, x, _tab = _solve(rows, cost, [3, 4, 5], 3)
+    value, x, _, basis, pivots = _solve(rows, cost, [3, 4, 5], 3)
     assert value == 0
     assert x == [F(0), F(0), F(1)]
+    assert _pivoted_out(pivots, [3, 4, 5], 3, 3) == 1 and basis[2] == 5
+
+
+def _pivoted_out(pivots, basis, nreal, m):
+    """How many pivots drove a zero artificial out between the phases: the
+    phase-1 row is gone (m + 1 rows) and an artificial leaves."""
+    basis, count = list(basis), 0
+    for r, c, rows in pivots:
+        count += rows == m + 1 and basis[r] >= nreal
+        basis[r] = c
+    return count
+
+
+def _random_lp(rng):
+    """A small LP [A | b] with mixed denominators and b >= 0, started on
+    artificials (A x = b) or on slacks (A x + s = b), sometimes with a
+    redundant row (a positive multiple of another); (rows, cost, basis,
+    nreal)."""
+    def q():
+        if rng.random() < 0.3:
+            return F(0)
+        return F(rng.randint(-6, 6), rng.choice((1, 2, 3, 4, 6, 7, 9)))
+
+    m, n = rng.randint(1, 4), rng.randint(1, 4)
+    a = [[q() for _ in range(n)] + [abs(q())] for _ in range(m)]
+    if rng.random() < 0.3:
+        scale = F(rng.randint(1, 5), rng.randint(1, 5))
+        a.append([scale * v for v in rng.choice(a)])
+    m = len(a)
+    rows = [r[:-1] + [F(int(i == j)) for j in range(m)] + r[-1:] for i, r in enumerate(a)]
+    nreal = n if rng.random() < 0.5 else n + m
+    return rows, [q() for _ in range(nreal)], list(range(n, n + m)), nreal
+
+
+def test_int_kernel_pivots_as_the_fraction_oracle_on_random_lps():
+    rng = random.Random(1400)
+    seen = Counter()
+    for _ in range(400):
+        rows, cost, basis, nreal = _random_lp(rng)
+        try:
+            _, _, _, final, pivots = _solve(rows, cost, basis, nreal)
+        except Infeasible:
+            seen["infeasible"] += 1
+            continue
+        except InvalidValue:
+            seen["unbounded"] += 1
+            continue
+        seen["feasible on artificials" if nreal < len(rows[0]) - 1 else "feasible on slacks"] += 1
+        seen["degenerate artificial"] += _pivoted_out(pivots, basis, nreal, len(rows)) > 0
+        seen["redundant row"] += any(b >= nreal for b in final)
+    assert len(seen) == 6 and min(seen.values()) >= 5, seen
 
 
 def _dense_reduced_costs(rows, basis, cost):
@@ -163,16 +323,16 @@ def test_carried_objective_rows_match_dense_repricing(monkeypatch):
     args, phases = {}, []
 
     def spied_simplex(tab, basis, cost, nreal):
-        args.update(cost=cost, nreal=nreal)
+        args.update(cost=_frac_row(cost), nreal=nreal)
         return simplex(tab, basis, cost, nreal)
 
     def check(tab, basis):
         m, nreal = len(basis), args["nreal"]
-        rows = tab[:m]
-        assert tab[m] == _dense_reduced_costs(rows, basis, args["cost"])
+        rows = [_frac_row(r) for r in tab]
+        assert rows[m] == _dense_reduced_costs(rows[:m], basis, args["cost"])
         if len(tab) == m + 2:
-            phase1 = [F(0)] * nreal + [F(1)] * (len(tab[0]) - 1 - nreal)
-            assert tab[m + 1] == _dense_reduced_costs(rows, basis, phase1)
+            phase1 = [F(0)] * nreal + [F(1)] * (len(rows[0]) - 1 - nreal)
+            assert rows[m + 1] == _dense_reduced_costs(rows[:m], basis, phase1)
 
     def checked_bland(tab, basis, ncols):
         check(tab, basis)
@@ -182,16 +342,17 @@ def test_carried_objective_rows_match_dense_repricing(monkeypatch):
 
     monkeypatch.setattr(hardcore, "_simplex", spied_simplex)
     monkeypatch.setattr(hardcore, "_bland", checked_bland)
-    assert hardcore._simplex([list(r) for r in BEALE_ROWS], [4, 5, 6],
-                             BEALE_COST, 7) == F(-5, 4)
+    assert hardcore._simplex([_int_row(r) for r in BEALE_ROWS], [4, 5, 6],
+                             _int_row(BEALE_COST + [F(0)]), 7) == F(-5, 4)
     # costs on the starting slacks, so pricing that basis is not the identity
     cost = BEALE_COST[:4] + [F(1), F(2), F(3)]
-    tab, basis = [list(r) for r in BEALE_ROWS], [4, 5, 6]
-    value = hardcore._simplex(tab, basis, cost, 7)
+    tab, basis = [_int_row(r) for r in BEALE_ROWS], [4, 5, 6]
+    value = hardcore._simplex(tab, basis, _int_row(cost + [F(0)]), 7)
+    rows = [_frac_row(r) for r in tab]
     x = [F(0)] * 7
     for i, b in enumerate(basis):
-        x[b] = tab[i][-1]
-    _assert_optimal(BEALE_ROWS, cost, value, x, [cost[4 + i] - tab[-1][4 + i] for i in range(3)])
+        x[b] = rows[i][-1]
+    _assert_optimal(BEALE_ROWS, cost, value, x, [cost[4 + i] - rows[-1][4 + i] for i in range(3)])
     assert phases == [1, 1]
     for s in range(4):
         rng = random.Random(9000 + s)
@@ -219,6 +380,32 @@ def test_restricted_game_runs_one_kernel_solve(monkeypatch):
     assert calls == {"game": 4, "simplex": 4}
 
 
+def test_restricted_game_rows_stay_gcd_reduced_ints(monkeypatch):
+    # A Fraction back in the kernel's rows, a denominator slot that is not
+    # positive or a row left unreduced fails here: every row is checked as
+    # built and after each pivot of one sweep solve's 8 restricted games.
+    simplex, pivot = hardcore._simplex, hardcore._pivot
+    counts = {"games": 0, "pivots": 0}
+
+    def checked_simplex(tab, basis, cost, nreal):
+        counts["games"] += 1
+        _assert_reduced_int_rows(tab + [cost])
+        return simplex(tab, basis, cost, nreal)
+
+    def checked_pivot(tab, r, c):
+        pivot(tab, r, c)
+        counts["pivots"] += 1
+        _assert_reduced_int_rows(tab)
+
+    monkeypatch.setattr(hardcore, "_simplex", checked_simplex)
+    monkeypatch.setattr(hardcore, "_pivot", checked_pivot)
+    rng = random.Random(9001)
+    f = random_function(rng, 3)
+    mu = random_distribution(rng, 3, allow_zeros=False)
+    assert isinstance(hardcore_solve(f, mu, F(1, 4), F(1, 2), F(1)), HardcoreCertificate)
+    assert counts == {"games": 8, "pivots": 103}
+
+
 # The seeded sweep: 16 (f, mu) pairs on 3 variables with positive mu, at four
 # budgets.  A former sympy-based LP hung on (instance, budget) (6, 3/2),
 # called (6, 1) infeasible, and returned vertices that failed the self-checks
@@ -227,7 +414,15 @@ SWEEP_BUDGETS = (F(1, 2), F(1), F(3, 2), F(2))
 FORMER_LP_FAILURES = {(6, F(3, 2)), (6, F(1)), (0, F(1)), (9, F(1, 2)), (14, F(3, 2))}
 
 
-def test_seeded_sweep_decides_and_rechecks_every_solve():
+def test_seeded_sweep_decides_and_rechecks_every_solve(monkeypatch):
+    pivots = []
+    pivot = hardcore._pivot
+
+    def spied(tab, r, c):
+        pivots.append((r, c))
+        pivot(tab, r, c)
+
+    monkeypatch.setattr(hardcore, "_pivot", spied)
     solved = set()
     artifacts = []
     for s in range(16):
@@ -248,6 +443,22 @@ def test_seeded_sweep_decides_and_rechecks_every_solve():
     # a refactor must leave every certificate and committee byte-identical
     assert hashlib.sha256(json.dumps(artifacts, sort_keys=True).encode()).hexdigest() == (
         "43f76b9ab51149b1e585b85a6f5133667a3e66330c1b476242b3de5abc52282c")
+    # ... and make the pivots the former Fraction kernel made, in its order
+    assert len(pivots) == 1324
+    assert hashlib.sha256(repr(pivots).encode()).hexdigest() == (
+        "c6c6bb451edd75d64e74c6b6994fbb2b35e31ce8326afd855aa11a2a64cb97cd")
+
+
+def test_n4_seeded_solves_boost_committees():
+    # The sweep's first three instances on 4 variables, at budget 2.
+    for s, iterations in enumerate((2, 22, 10)):
+        rng = random.Random(9000 + s)
+        f = random_function(rng, 4)
+        mu = random_distribution(rng, 4, allow_zeros=False)
+        out = hardcore_solve(f, mu, F(1, 4), F(1, 2), F(2))
+        assert isinstance(out, Committee) and out.iterations == iterations, s
+        err, cost = committee_metrics(out, f, mu)
+        assert err <= F(1, 4) and cost <= out.r * 2, s
 
 
 # --- best responses
