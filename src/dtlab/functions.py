@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 from string import hexdigits
 
 from .errors import DimensionMismatch, GuardExceeded, InvalidValue
@@ -21,6 +21,12 @@ from .exactexp import _int, fraction_from_str, fraction_to_str
 MAX_TABLE_VARS = 24
 
 _ZERO = Fraction(0)
+
+
+def _scale(values) -> tuple[int, tuple[int, ...]]:
+    """(D, values * D) for D the least common denominator of the values."""
+    scale = lcm(*(v.denominator for v in values))
+    return scale, tuple(v.numerator * (scale // v.denominator) for v in values)
 
 
 def point_value(point: int, j: int) -> int:
@@ -83,9 +89,11 @@ class Distribution:
         if len(self.weights) != 1 << self.n:
             raise DimensionMismatch(
                 f"weight count {len(self.weights)} != 2**{self.n}")
-        if any(w < 0 for w in self.weights):
+        # on ints: over D, the signs are the numerators' and the sum is D
+        scale, nums = _scale(self.weights)
+        if any(w < 0 for w in nums):
             raise InvalidValue("distribution weights must be nonnegative")
-        if sum(self.weights) != 1:
+        if sum(nums) != scale:
             raise InvalidValue("distribution weights must sum to exactly 1")
 
     def support(self) -> list[int]:

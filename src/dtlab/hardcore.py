@@ -47,6 +47,7 @@ from .functions import (
     BooleanFunction,
     Distribution,
     Measure,
+    _scale,
     constant_measure,
     density,
     function_from_json,
@@ -56,7 +57,7 @@ from .functions import (
     measure_from_json,
     measure_to_json,
 )
-from .synth import ADVANTAGE, _scale, mixture_optimum, opt_objective_witness, pareto_frontier
+from .synth import ADVANTAGE, mixture_optimum, opt_objective_witness, pareto_frontier
 from .trees import (
     DecisionTree,
     RandomizedTree,
@@ -308,8 +309,10 @@ def _restricted_game(f, mu, half_density, budget, pool, payoffs, depths):
     if density(h_r, mu) != half_density:
         raise InvalidValue(f"measure {h_r.values} misses the density (LP kernel bug)")
 
-    # Independent check 1: greedy minimum against the returned mixture.
-    scores = [f.table[x] * sum((w[t] * evaluate(pool[t], x)[0] for t in range(nt)), _ZERO)
+    # Independent check 1: greedy minimum against the returned mixture,
+    # whose zero-weight trees add nothing to any score.
+    live = [t for t in range(nt) if w[t]]
+    scores = [f.table[x] * sum((w[t] * evaluate(pool[t], x)[0] for t in live), _ZERO)
               for x in range(npts)]
     g_value = _greedy_min_measure(mu, half_density, scores)
     if g_value != value:

@@ -13,36 +13,45 @@ The DP works on subcube restrictions with unnormalized (mass-weighted)
 contributions: a query node on a cube of mass m costs m plus the children's
 contributions, so the root values are the true expected depth and objective.
 Restrictions that no tree should distinguish are shared through a memo table;
-zero-mass cubes collapse to a canonical leaf at depth 0.
+zero-mass cubes collapse to a canonical leaf at depth 0.  No cube enumerates
+its points: its mass and its leaf statistic (the mass per label in the error
+sense, the signed mass in the advantage sense) are the sums of its two
+halves on its lowest free variable, which the DP solves anyway, and a single
+point is the base case.  Each of the 3^m cubes then costs one merge, where
+enumerating every cube's points cost 4^m point visits in all.
 
 The kernel runs on Python ints.  Every weight is scaled once by D, the least
 common denominator of mu's weights; in the advantage sense D is taken over
 mu's weights together with the signed weights mu*f*H, whose denominators also
-carry H's.  Cube masses, leaf candidates, depths and objectives are then
+carry H's.  Cube masses, leaf statistics, depths and objectives are then
 integers, and only the root frontier is divided back out by D.  Internally an
 objective is a cost to minimize: the erring mass, or minus the advantage.
-Each cube keeps, per depth, the cheapest candidate, the first one found on
-ties (children in frontier order, variables low to high), and builds a Query
-node only for the candidates that survive the Pareto filter.  That is the
-candidate a stable sort by (depth, cost) followed by the filter would keep.
+A cube's leaf guesses its label of greatest mass (the least such label on
+ties), or the sign of its signed mass (+1 on zero).  Each cube keeps, per
+depth, the cheapest candidate, the first one found on ties (children in
+frontier order, variables low to high), and builds a Query node only for the
+candidates that survive the Pareto filter.  That is the candidate a stable
+sort by (depth, cost) followed by the filter would keep.
 
 Randomized optima are exactly the envelope of the deterministic frontier:
 a mixture's (depth, objective) is the convex combination of its components',
 and optimizing a linear functional over mixtures of finitely many points is
 attained on a support of size at most two.  The envelope routines therefore
-enumerate singletons and tight two-point combinations, which is exhaustive.
+compare the best single point within the bound against the best two-point
+mixture that sits exactly on it, which is read off the lower convex hull of
+the points (see mixture_optimum).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from operator import add
 
 from .errors import DimensionMismatch, GuardExceeded, Infeasible, InvalidValue
 from .exactexp import fraction_to_str
-from .functions import BooleanFunction, Distribution, Measure, output_rows
-from .trees import DecisionTree, Leaf, Query, cube_points, tree_to_json
+from .functions import BooleanFunction, Distribution, Measure, _scale, output_rows
+from .trees import DecisionTree, Leaf, Query, tree_to_json
 
 MAX_DP_VARS = 14
 MAX_ENUM_VARS = 3
@@ -73,35 +82,6 @@ def check_dp_guard(total_vars: int) -> None:
             f"{total_vars} variables exceeds the DP guard {MAX_DP_VARS}")
 
 
-def _scale(values) -> tuple[int, tuple[int, ...]]:
-    """(D, values * D) for D the least common denominator of the values."""
-    scale = lcm(*(v.denominator for v in values))
-    return scale, tuple(v.numerator * (scale // v.denominator) for v in values)
-
-
-def _leaf_candidate_error(rows, weights, pts):
-    """Best constant guess on a cube: (erring mass, leaf)."""
-    masses: dict[tuple[int, ...], int] = {}
-    total = 0
-    for p in pts:
-        w = weights[p]
-        if w == 0:
-            continue
-        total += w
-        row = rows[p]
-        masses[row] = masses.get(row, 0) + w
-    best_label = min(masses, key=lambda r: (-masses[r], r))
-    return total - masses[best_label], Leaf(best_label)
-
-
-def _leaf_candidate_advantage(signed, pts):
-    """Optimal-sign constant guess: (-|sum of signed mass|, leaf)."""
-    s = sum(signed[p] for p in pts)
-    if s >= 0:
-        return -s, Leaf((1,))
-    return s, Leaf((-1,))
-
-
 def pareto_frontier(target, mu: Distribution, sense: str = ERROR,
                     h: Measure | None = None) -> ParetoFrontier:
     """Full deterministic frontier with witnesses, depth strictly increasing."""
@@ -125,37 +105,59 @@ def pareto_frontier(target, mu: Distribution, sense: str = ERROR,
 
     if sense == ERROR:
         scale, weights = _scale(mu.weights)
+        # a cube's leaf statistic: its mass per label, labels sorted
+        labels = sorted(set(rows))
+        point_stats = [tuple(w if label == row else 0 for label in labels)
+                       for w, row in zip(weights, rows)]
+        leaves = [Leaf(label) for label in labels]
     else:
         signed = [w * target.table[p] * h.values[p] for p, w in enumerate(mu.weights)]
         scale, scaled = _scale(list(mu.weights) + signed)
-        weights, signed = scaled[:1 << m], scaled[1 << m:]
+        # a cube's leaf statistic: its signed mass
+        weights, point_stats = scaled[:1 << m], scaled[1 << m:]
 
+    full = (1 << m) - 1
     zero_leaf = Leaf(tuple([1] * k))
-    memo: dict[tuple[int, int], list] = {}
+    pos_leaf, neg_leaf = Leaf((1,)), Leaf((-1,))
+    # (mask, vals) -> (mass, leaf statistic, frontier)
+    memo: dict[tuple[int, int], tuple] = {}
 
-    def solve(mask: int, vals: int) -> list:
+    def solve(mask: int, vals: int) -> tuple:
         key = (mask, vals)
         got = memo.get(key)
         if got is not None:
             return got
-        pts = list(cube_points(m, mask, vals))
-        mass = sum(weights[p] for p in pts)
+        if mask == full:
+            mass, stat = weights[vals], point_stats[vals]
+        else:
+            # the sum of the two halves on the lowest free variable
+            low = ~mask & (mask + 1)
+            half_n = solve(mask | low, vals)
+            half_p = solve(mask | low, vals | low)
+            mass = half_n[0] + half_p[0]
+            if sense == ERROR:
+                stat = tuple(map(add, half_n[1], half_p[1]))
+            else:
+                stat = half_n[1] + half_p[1]
         if mass == 0:
-            kept = memo[key] = [(0, 0, zero_leaf)]
-            return kept
+            got = memo[key] = (0, stat, [(0, 0, zero_leaf)])
+            return got
 
         if sense == ERROR:
-            leaf_cost, leaf = _leaf_candidate_error(rows, weights, pts)
+            top = max(stat)  # the first (least) label of the greatest mass
+            leaf_cost, leaf = mass - top, leaves[stat.index(top)]
+        elif stat >= 0:
+            leaf_cost, leaf = -stat, pos_leaf
         else:
-            leaf_cost, leaf = _leaf_candidate_advantage(signed, pts)
+            leaf_cost, leaf = stat, neg_leaf
         # cheapest (cost, var, neg, pos) per depth, first found on ties
         best: dict[int, tuple] = {}
         for v in range(m):
             bit = 1 << v
             if mask & bit:
                 continue
-            front_n = solve(mask | bit, vals)
-            front_p = solve(mask | bit, vals | bit)
+            front_n = solve(mask | bit, vals)[2]
+            front_p = solve(mask | bit, vals | bit)[2]
             for dn, cn, tn in front_n:
                 base = mass + dn
                 for dp, cp, tp in front_p:
@@ -173,14 +175,14 @@ def pareto_frontier(target, mu: Distribution, sense: str = ERROR,
             if cost < floor:
                 kept.append((d, cost, Query(v, tn, tp)))
                 floor = cost
-        memo[key] = kept
-        return kept
+        got = memo[key] = (mass, stat, kept)
+        return got
 
     sign = 1 if sense == ERROR else -1
     points = tuple(
         FrontierPoint(Fraction(d, scale), Fraction(sign * cost, scale),
                       DecisionTree(n, k, node))
-        for d, cost, node in solve(0, 0))
+        for d, cost, node in solve(0, 0)[2])
     return ParetoFrontier(sense, n, k, points)
 
 
@@ -189,27 +191,63 @@ def pareto_frontier(target, mu: Distribution, sense: str = ERROR,
 
 
 def mixture_optimum(pairs, bound, minimize):
-    """Exact optimum of a linear value over mixtures of (coord, value) points
-    subject to mixture-average coord <= bound.  pairs must be nonempty."""
+    """Exact optimum of a linear value over mixtures of (coord, value, tag)
+    points subject to mixture-average coord <= bound: (best, witness), or
+    (None, None) when every coord exceeds the bound.  pairs is a sequence of
+    rationals in any order; coords may repeat.
+
+    The best single point is the first one of least cost among those with
+    coord <= bound, where the cost is the value, negated when maximizing.  A
+    two-point mixture with average coord exactly bound mixes one point on
+    each side of the bound.  The least such cost lies on the lower convex
+    hull (Andrew's monotone chain) of the points with coord != bound, on its
+    edge that strictly straddles the bound: no point lies below that edge's
+    line, and a pair attains the least cost iff both its points lie on the
+    line.  The pair replaces the single only on strict improvement.  Its
+    witness is the lexicographically first index pair i < j with one point
+    on each side of the bound and both on the line, weighted (lam, 1 - lam)
+    so that the average coord is the bound; that is the pair a scan of all
+    pairs in index order, replacing only on strict improvement, keeps.
+    """
+    # exact and order-preserving ints: coords and bound over one common
+    # denominator, values over another, negated when maximizing
+    _, coords = _scale([c for c, _, _ in pairs] + [bound])
+    *coords, b = coords
+    _, costs = _scale([v for _, v, _ in pairs])
+    if not minimize:
+        costs = [-u for u in costs]
     best = None
-    witness = None
-    for c, v, tag in pairs:
-        if c <= bound:
-            if best is None or (v < best if minimize else v > best):
-                best, witness = v, ((Fraction(1), tag),)
-    for i in range(len(pairs)):
-        ci, vi, ti = pairs[i]
-        for j in range(i + 1, len(pairs)):
+    for i, c in enumerate(coords):
+        if c <= b and (best is None or costs[i] < costs[best]):
+            best = i
+    hull = []
+    for c, u in sorted((c, u) for c, u in zip(coords, costs) if c != b):
+        while len(hull) > 1 and _turn(hull[-2], hull[-1], c, u) <= 0:
+            hull.pop()
+        hull.append((c, u))
+    edge = next(((p, q) for p, q in zip(hull, hull[1:]) if p[0] < b < q[0]), None)
+    if edge is not None:  # points on both sides, so a single exists
+        (ca, ua), (cb, ub) = edge
+        # the edge's cost at the bound, times cb - ca, against the single's
+        if ua * (cb - ca) + (ub - ua) * (b - ca) < costs[best] * (cb - ca):
+            on_line = [i for i, (c, u) in enumerate(zip(coords, costs))
+                       if c != b and (u - ua) * (cb - ca) == (ub - ua) * (c - ca)]
+            i = on_line[0]
+            j = next(j for j in on_line if (coords[j] < b) != (coords[i] < b))
+            ci, vi, ti = pairs[i]
             cj, vj, tj = pairs[j]
-            if ci == cj:
-                continue
             lam = (bound - cj) / (ci - cj)
-            if 0 < lam < 1:
-                v = lam * vi + (1 - lam) * vj
-                if best is None or (v < best if minimize else v > best):
-                    best = v
-                    witness = ((lam, ti), (1 - lam, tj))
-    return best, witness
+            return lam * vi + (1 - lam) * vj, ((lam, ti), (1 - lam, tj))
+    if best is None:
+        return None, None
+    _, v, tag = pairs[best]
+    return v, ((Fraction(1), tag),)
+
+
+def _turn(o, a, c, u):
+    """Twice the signed area of the triangle o, a, (c, u): positive for a
+    counterclockwise turn."""
+    return (a[0] - o[0]) * (u - o[1]) - (a[1] - o[1]) * (c - o[0])
 
 
 def opt_depth(frontier: ParetoFrontier, eps: Fraction) -> Fraction | None:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from dtlab import synth
+from dtlab import hardcore, synth
 from dtlab.errors import GuardExceeded, Infeasible, InvalidValue
 from dtlab.functions import (
     BooleanFunction,
@@ -14,10 +14,12 @@ from dtlab.functions import (
     constant_measure,
     dictator,
     direct_product,
+    no_error_reduction_function,
     parity,
     product_power,
     uniform,
 )
+from dtlab.hardcore import HardcoreCertificate, hardcore_solve, verify_certificate
 from dtlab.instances import random_distribution, random_function, random_measure
 from dtlab.synth import (
     ADVANTAGE,
@@ -122,6 +124,135 @@ def test_mixture_optimum_interpolates_two_points():
     assert best == 1
     weights = sorted(w for w, _ in witness)
     assert weights == [Fraction(1, 2), Fraction(1, 2)]
+
+
+def _pair_scan(pairs, bound, minimize):
+    """mixture_optimum by brute force, kept as its oracle: every single point,
+    then every two-point mixture at average coord exactly bound, in index
+    order, each replacing the best only on strict improvement."""
+    best = None
+    witness = None
+    for c, v, tag in pairs:
+        if c <= bound:
+            if best is None or (v < best if minimize else v > best):
+                best, witness = v, ((Fraction(1), tag),)
+    for i in range(len(pairs)):
+        ci, vi, ti = pairs[i]
+        for j in range(i + 1, len(pairs)):
+            cj, vj, tj = pairs[j]
+            if ci == cj:
+                continue
+            lam = (bound - cj) / (ci - cj)
+            if 0 < lam < 1:
+                v = lam * vi + (1 - lam) * vj
+                if best is None or (v < best if minimize else v > best):
+                    best = v
+                    witness = ((lam, ti), (1 - lam, tj))
+    return best, witness
+
+
+def _random_envelope_case(rng):
+    """Few points on a small integer grid, so that coordinates repeat and
+    points fall on common lines, often with the bound on a point; the bound
+    is a Fraction, so every mixing weight is one too."""
+    size = rng.randrange(1, 7)
+    coords = [rng.randrange(7) for _ in range(size)]
+    if rng.random() < 0.5:  # many points on one line, the rest above it
+        a, b = rng.randrange(-3, 4), rng.randrange(-2, 3)
+        values = [a + b * c + rng.choice((0, 0, 0, 1, 2)) for c in coords]
+    else:
+        values = [rng.randrange(-4, 5) for _ in coords]
+    if rng.random() < 0.5:
+        values = [-v for v in values]
+    pairs = [(c, v, f"t{i}") for i, (c, v) in enumerate(zip(coords, values))]
+    lo, hi = min(coords), max(coords)
+    inside = Fraction(rng.randrange(4 * lo, 4 * hi + 1), 4)
+    bound = Fraction(rng.choice((lo - 1, lo, hi, hi + 1, rng.choice(coords),
+                                 Fraction(lo + hi, 2), inside, inside)))
+    return pairs, bound
+
+
+def _best_pair_value(pairs, bound, minimize):
+    """The best two-point value at average coord exactly bound, or None."""
+    values = [((bound - cj) * vi + (ci - bound) * vj) / (ci - cj)
+              for ci, vi, _ in pairs if ci < bound
+              for cj, vj, _ in pairs if cj > bound]
+    if not values:
+        return None
+    return min(values) if minimize else max(values)
+
+
+def test_hull_walk_matches_the_pair_scan():
+    rng = random.Random(1979)
+    seen = dict.fromkeys(("below", "at-edge", "above", "repeat", "unordered",
+                          "pair", "tie", "three-on-line"), 0)
+    for _ in range(20_000):
+        pairs, bound = _random_envelope_case(rng)
+        coords = [c for c, _, _ in pairs]
+        seen["below"] += bound < min(coords)
+        seen["above"] += bound > max(coords)
+        seen["at-edge"] += bound in (min(coords), max(coords))
+        seen["repeat"] += len(set(coords)) < len(coords)
+        seen["unordered"] += coords != sorted(coords)
+        for minimize in (True, False):
+            want = _pair_scan(pairs, bound, minimize)
+            assert mixture_optimum(pairs, bound, minimize) == want, (pairs, bound, minimize)
+            best, witness = want
+            if witness is None:
+                continue
+            if len(witness) == 1:
+                seen["tie"] += _best_pair_value(pairs, bound, minimize) == best
+                continue
+            seen["pair"] += 1
+            (_, ta), (_, tb) = witness
+            (ca, va), (cb, vb) = ((c, v) for c, v, t in pairs if t in (ta, tb))
+            on_line = [t for c, v, t in pairs
+                       if c != bound and (v - va) * (cb - ca) == (vb - va) * (c - ca)]
+            seen["three-on-line"] += len(on_line) >= 3
+    assert min(seen.values()) >= 500, seen
+
+
+def _check_envelopes(monkeypatch):
+    """Check every mixture_optimum call against the pair scan; returns the
+    calling module of each call."""
+    callers = []
+
+    def spy(caller):
+        def checked(pairs, bound, minimize):
+            got = mixture_optimum(pairs, bound, minimize)
+            assert got == _pair_scan(pairs, bound, minimize), (pairs, bound, minimize)
+            callers.append(caller)
+            return got
+        return checked
+
+    monkeypatch.setattr(synth, "mixture_optimum", spy("synth"))
+    monkeypatch.setattr(hardcore, "mixture_optimum", spy("hardcore"))
+    return callers
+
+
+def test_sweep_envelopes_match_the_pair_scan(monkeypatch):
+    # the n=3 hardcore sweep: best responses and restricted-game re-checks
+    callers = _check_envelopes(monkeypatch)
+    for s in range(16):
+        rng = random.Random(9000 + s)
+        f = random_function(rng, 3)
+        mu = random_distribution(rng, 3, allow_zeros=False)
+        for budget in (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)):
+            out = hardcore_solve(f, mu, Fraction(1, 4), Fraction(1, 2), budget)
+            if isinstance(out, HardcoreCertificate):
+                assert verify_certificate(out)["ok"]
+    assert (callers.count("synth"), callers.count("hardcore")) == (209, 163)
+
+
+def test_opt_depth_envelopes_match_the_pair_scan(monkeypatch):
+    # the parity-claim and no-boosting frontiers of the frontier workload
+    callers = _check_envelopes(monkeypatch)
+    for n in (6, 7):
+        for f in (parity(n), no_error_reduction_function(n)):
+            front = pareto_frontier(f, uniform(n))
+            for i in range(-1, 18):
+                opt_depth(front, Fraction(i, 32))
+    assert len(callers) == 4 * 19
 
 
 def test_opt_objective_witness_is_faithful():
