@@ -61,13 +61,13 @@ from .synth import ADVANTAGE, mixture_optimum, opt_objective_witness, pareto_fro
 from .trees import (
     DecisionTree,
     RandomizedTree,
+    _trees_to_json,
     correlation,
     evaluate,
     expected_depth,
     randomized_tree_from_json,
     randomized_tree_to_json,
     tree_from_json,
-    tree_to_json,
 )
 
 _ZERO = Fraction(0)
@@ -541,6 +541,8 @@ def certificate_from_json(obj: dict) -> HardcoreCertificate:
 
 
 def committee_to_json(committee: Committee) -> dict:
+    """The committee as JSON, read-only: a repeated member, or a node its
+    trees share, is one shared dict."""
     return {
         "kind": "committee",
         "f": function_to_json(committee.f),
@@ -550,7 +552,7 @@ def committee_to_json(committee: Committee) -> dict:
         "depth_budget": fraction_to_str(committee.depth_budget),
         "seed": committee.seed,
         "iterations": committee.iterations,
-        "trees": [tree_to_json(t) for t in committee.trees],
+        "trees": _trees_to_json(committee.trees),
     }
 
 

@@ -381,6 +381,8 @@ def run_config(config: dict, *, jobs: int = 1):
     The report is deterministic for a fixed config; wall-clock timings are
     returned separately so they never reach the serialized output.  The
     config's precision_bits only sets the width of the printed intervals.
+    The report is read-only: frontier points and committee members share
+    tree sub-dicts, so an edit in place would show in each of them.
     """
     if _int(jobs, "jobs") < 1:
         raise InvalidValue(f"jobs must be at least 1, got {jobs}")
@@ -463,24 +465,36 @@ def _json_scalar(o) -> str:
     raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
-def _write_json(o, out: list, head: str, nl: str) -> None:
+def _write_json(o, out: list, head: str, nl: str, seen: dict) -> None:
     """Append o's text to out.  head (separator, newline, indent and key) is
-    joined to o's first piece; nl is the newline and indent of o's line."""
-    if isinstance(o, dict):
+    joined to o's first piece; nl is the newline and indent of o's line.
+    seen maps (id, nl) of each container written so far to its span of out,
+    or, once the container is met again, to its text without the head."""
+    if isinstance(o, (dict, list, tuple)):
+        key = (id(o), nl)
+        got = seen.get(key)
+        if got is not None:
+            if type(got) is tuple:
+                start, end, skip = got
+                got = seen[key] = "".join(out[start:end])[skip:]
+            out.append(head + got)
+            return
+        start = len(out)
         inner = nl + "  "
-        sep, comma = head + "{" + inner, "," + inner
-        for k, v in sorted(o.items()):
-            key = k if isinstance(k, str) else _json_scalar(k)
-            _write_json(v, out, sep + encode_basestring_ascii(key) + ": ", inner)
-            sep = comma
-        out.append(nl + "}" if o else head + "{}")
-    elif isinstance(o, (list, tuple)):
-        inner = nl + "  "
-        sep, comma = head + "[" + inner, "," + inner
-        for v in o:
-            _write_json(v, out, sep, inner)
-            sep = comma
-        out.append(nl + "]" if o else head + "[]")
+        if isinstance(o, dict):
+            sep, comma = head + "{" + inner, "," + inner
+            for k, v in sorted(o.items()):
+                name = k if isinstance(k, str) else _json_scalar(k)
+                _write_json(v, out, sep + encode_basestring_ascii(name) + ": ", inner, seen)
+                sep = comma
+            out.append(nl + "}" if o else head + "{}")
+        else:
+            sep, comma = head + "[" + inner, "," + inner
+            for v in o:
+                _write_json(v, out, sep, inner, seen)
+                sep = comma
+            out.append(nl + "]" if o else head + "[]")
+        seen[key] = (start, len(out), len(head))
     else:
         out.append(head + _json_scalar(o))
 
@@ -489,8 +503,15 @@ def report_to_bytes(report: dict) -> bytes:
     """Canonical serialization, the byte-determinism contract: exactly
     json.dumps(report, sort_keys=True, indent=2) + "\n" in UTF-8 (so ASCII,
     non-ASCII escaped), written directly rather than by json's pure-Python
-    indenting encoder."""
+    indenting encoder.
+
+    A container met again at the same indent, such as a tree dict shared
+    between frontier points or committee members, is written again from its
+    first text.  That text depends only on the object and its indent, and
+    every container stays reachable from report, so its id names it for the
+    whole call.  Only containers met twice keep a string.  A cycle recurses
+    at ever deeper indents, so it still ends in RecursionError."""
     out: list[str] = []
-    _write_json(report, out, "", "\n")
+    _write_json(report, out, "", "\n", {})
     out.append("\n")
     return "".join(out).encode("utf-8")

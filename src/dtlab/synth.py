@@ -51,7 +51,7 @@ from operator import add
 from .errors import DimensionMismatch, GuardExceeded, Infeasible, InvalidValue
 from .exactexp import fraction_to_str
 from .functions import BooleanFunction, Distribution, Measure, _scale, output_rows
-from .trees import DecisionTree, Leaf, Query, tree_to_json
+from .trees import DecisionTree, Leaf, Query, _trees_to_json
 
 MAX_DP_VARS = 14
 MAX_ENUM_VARS = 3
@@ -300,6 +300,9 @@ def enumerate_all_trees(n: int) -> list[DecisionTree]:
 
 
 def frontier_to_json(frontier: ParetoFrontier) -> dict:
+    """The frontier as JSON, read-only: the points' tree dicts share
+    sub-dicts where their trees share DP nodes."""
+    trees = _trees_to_json([p.tree for p in frontier.points])
     return {
         "sense": frontier.sense,
         "n": frontier.n,
@@ -308,8 +311,8 @@ def frontier_to_json(frontier: ParetoFrontier) -> dict:
             {
                 "depth": fraction_to_str(p.depth),
                 "value": fraction_to_str(p.value),
-                "tree": tree_to_json(p.tree),
+                "tree": tree,
             }
-            for p in frontier.points
+            for p, tree in zip(frontier.points, trees)
         ],
     }

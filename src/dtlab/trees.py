@@ -14,6 +14,12 @@ walking 2^(nk - depth) points per leaf.  What checks that factorization
 stays on point enumeration, so no check is circular: the joint law in
 bounds.verify_leaf_product and the block_error_law behind the lhs of
 bounds.verify_accuracy_bound.
+
+Trees may share nodes: synth's DP witnesses are DAGs, a Query reusing its
+children's frontier nodes as a reduced decision diagram shares subgraphs.
+Serialization follows the sharing: within one artifact (a frontier, a
+mixture, a committee) trees that share a node share its JSON dict, which
+scenarios.report_to_bytes then writes once.
 """
 
 from __future__ import annotations
@@ -321,10 +327,25 @@ def conditional_blocks_at_leaf(tree: DecisionTree, mu: Distribution,
 # serialization
 
 
-def _node_to_json(node):
-    if isinstance(node, Leaf):
-        return {"leaf": list(node.label)}
-    return {"q": node.var, "neg": _node_to_json(node.neg), "pos": _node_to_json(node.pos)}
+def _trees_to_json(trees) -> list[dict]:
+    """One JSON dict per tree, memoized by object identity across them all,
+    so a node or tree met again yields the same dict.  (A structural hash
+    of a frozen node walks its whole subtree.)"""
+    memo: dict[int, dict] = {}
+
+    def to_json(x) -> dict:
+        d = memo.get(id(x))
+        if d is None:
+            if isinstance(x, Leaf):
+                d = {"leaf": list(x.label)}
+            elif isinstance(x, Query):
+                d = {"q": x.var, "neg": to_json(x.neg), "pos": to_json(x.pos)}
+            else:
+                d = {"n": x.n, "k": x.k, "root": to_json(x.root)}
+            memo[id(x)] = d
+        return d
+
+    return [to_json(t) for t in trees]
 
 
 def _node_from_json(obj):
@@ -335,7 +356,7 @@ def _node_from_json(obj):
 
 
 def tree_to_json(tree: DecisionTree) -> dict:
-    return {"n": tree.n, "k": tree.k, "root": _node_to_json(tree.root)}
+    return _trees_to_json((tree,))[0]
 
 
 def tree_from_json(obj: dict) -> DecisionTree:
@@ -344,7 +365,8 @@ def tree_from_json(obj: dict) -> DecisionTree:
 
 
 def randomized_tree_to_json(rt: RandomizedTree) -> list:
-    return [{"w": fraction_to_str(w), "tree": tree_to_json(t)} for w, t in rt.components]
+    dicts = _trees_to_json([t for _, t in rt.components])
+    return [{"w": fraction_to_str(w), "tree": d} for (w, _), d in zip(rt.components, dicts)]
 
 
 def randomized_tree_from_json(items) -> RandomizedTree:

@@ -444,7 +444,9 @@ def test_verify_refuses_deeply_nested_witness(tmp_path):
     # json.load itself gives up on this nesting with RecursionError.
     art = certificate_to_json(
         hardcore_solve(parity(2), uniform(2), F(1, 4), F(1, 2), F(0)))
-    art["witness"][0]["tree"]["root"] = "ROOT"
+    # replace, not edit: the artifact's tree dicts may be shared
+    (item,) = art["witness"]
+    art["witness"] = [{**item, "tree": {**item["tree"], "root": "ROOT"}}]
     leaf = '{"leaf": [1]}'
     root = '{"q": 0, "pos": ' + leaf + ', "neg": '
     path = tmp_path / "deep.json"

@@ -1,5 +1,6 @@
 """Hardcore-measure game: LP kernel, certificates, and boosted committees."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -671,3 +672,18 @@ def test_serialization_round_trips():
     assert certificate_from_json(certificate_to_json(cert)) == cert
     com = hardcore_solve(f, mu, F(1, 4), F(1, 2), F(2))
     assert committee_from_json(committee_to_json(com)) == com
+
+
+def test_committee_json_writes_a_repeated_tree_once():
+    # maj_boost repeats one tree object; its dict is shared, not copied
+    com = hardcore_solve(parity(2), uniform(2), F(1, 4), F(1, 2), F(2))
+    assert len(com.trees) > 1 and len({id(t) for t in com.trees}) == 1
+    obj = committee_to_json(com)
+    assert len({id(t) for t in obj["trees"]}) == 1
+    assert committee_from_json(obj) == com
+    # a committee of distinct but equal trees serializes to the same text
+    t = com.trees[0]
+    twin = dataclasses.replace(com, trees=tuple(DecisionTree(t.n, t.k, t.root)
+                                                for _ in com.trees))
+    assert json.dumps(committee_to_json(twin)) == json.dumps(obj)
+    assert committee_from_json(committee_to_json(twin)) == com

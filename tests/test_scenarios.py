@@ -247,6 +247,37 @@ def _random_document(rng, depth=0):
     return {_random_text(rng): _random_document(rng, depth + 1) for _ in range(width)}
 
 
+def _random_shared_document(rng, pool, depth=0):
+    """Like _random_document, but a container may be one made before for the
+    same document, at any depth, so objects recur at equal and other indents
+    and shared containers nest in shared containers."""
+    if pool and rng.random() < 0.3:
+        return rng.choice(pool)
+    roll = rng.random()
+    if depth >= 5 or roll < 0.3:
+        return _random_document(rng, 6)
+    items = [_random_shared_document(rng, pool, depth + 1) for _ in range(rng.randrange(4))]
+    doc = (items if roll < 0.55 else tuple(items) if roll < 0.65 else
+           {_random_text(rng): v for v in items})
+    pool.append(doc)
+    return doc
+
+
+def _shared_documents():
+    leaf = {"leaf": [1, -1]}
+    node = {"q": 0, "neg": leaf, "pos": leaf}
+    empty_dict, empty_list, pair = {}, [], (1, ("x", ()))
+    tree = {"n": 2, "k": 1, "root": {"q": 1, "neg": node, "pos": leaf}}
+    return [
+        {"a": leaf, "b": leaf, "c": [leaf, {"d": leaf}]},       # equal and other indents
+        [node, [node, leaf], {"x": [node]}, tree, [tree]],      # shared in shared
+        [empty_dict, empty_list, {"e": empty_dict, "l": empty_list},
+         [empty_list, [empty_dict]], empty_dict],              # shared empties
+        {"kind": "committee", "trees": [tree] * 67},            # one member repeated
+        [pair, pair, {"p": pair}, [pair, [pair]]],              # shared tuples
+    ]
+
+
 def test_report_writer_matches_json_dumps():
     # every type json.load yields, as `dtlab export --format json` passes
     # user files through the writer; tuples and non-string keys as json treats them
@@ -254,6 +285,10 @@ def test_report_writer_matches_json_dumps():
     docs = [_random_document(rng) for _ in range(300)]
     docs += [list(_SCALARS), {}, [], [[]], {"a": {}, "b": [{}]}, (1, ("x", ())),
              {2: "two", -1: None}, {0.5: 1, 1.5: 2}, {True: 1, False: 0}, {None: 0}]
+    # containers met more than once, which the writer writes again from text
+    docs += _shared_documents()
+    shared_rng = random.Random(4472)
+    docs += [_random_shared_document(shared_rng, []) for _ in range(300)]
     for doc in docs:
         expected = json.dumps(doc, sort_keys=True, indent=2) + "\n"
         assert report_to_bytes(doc) == expected.encode("utf-8"), doc

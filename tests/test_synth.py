@@ -31,7 +31,15 @@ from dtlab.synth import (
     opt_objective_witness,
     pareto_frontier,
 )
-from dtlab.trees import Leaf, Query, cube_points, error, evaluate, expected_depth
+from dtlab.trees import (
+    Leaf,
+    Query,
+    cube_points,
+    error,
+    evaluate,
+    expected_depth,
+    tree_from_json,
+)
 
 
 def _pareto_reduce(pairs, bigger_is_better):
@@ -312,6 +320,34 @@ def test_frontier_serialization_shapes():
     assert blob["sense"] == ERROR
     assert len(blob["points"]) == 3
     assert blob["points"][0]["depth"] == "0/1"
+
+
+def _distinct(roots, children) -> int:
+    seen, stack = set(), list(roots)
+    while stack:
+        x = stack.pop()
+        if id(x) not in seen:
+            seen.add(id(x))
+            stack.extend(children(x))
+    return len(seen)
+
+
+def test_frontier_json_shares_what_the_dp_shares():
+    # The DP's witnesses are DAGs: parity(7)'s 65 points hold 450 distinct
+    # nodes in 8,641 node visits.  The dicts must share as the nodes do,
+    # not expand every tree.
+    front = pareto_frontier(parity(7), uniform(7))
+    blob = frontier_to_json(front)
+    nodes = _distinct((p.tree.root for p in front.points),
+                      lambda x: (x.neg, x.pos) if isinstance(x, Query) else ())
+    dicts = _distinct((pt["tree"]["root"] for pt in blob["points"]),
+                      lambda d: (d["neg"], d["pos"]) if "q" in d else ())
+    size = lambda x: 1 + size(x.neg) + size(x.pos) if isinstance(x, Query) else 1
+    visits = sum(size(p.tree.root) for p in front.points)
+    assert 10 * nodes < visits
+    assert dicts <= nodes
+    for p, pt in zip(front.points, blob["points"]):
+        assert tree_from_json(pt["tree"]) == p.tree
 
 
 # ---------------------------------------------------------------------------

@@ -383,6 +383,28 @@ def test_randomized_tree_json_round_trip():
     assert randomized_tree_from_json(randomized_tree_to_json(rt)) == rt
 
 
+def test_tree_json_shares_dicts_where_nodes_are_shared():
+    # a DAG: both children of the root are one node, whose leaves are one
+    leaf = Leaf((1,))
+    shared = Query(1, leaf, leaf)
+    t = DecisionTree(2, 1, Query(0, shared, shared))
+    obj = tree_to_json(t)
+    assert obj["root"]["neg"] is obj["root"]["pos"]
+    assert obj["root"]["neg"]["neg"] is obj["root"]["neg"]["pos"]
+    assert tree_from_json(obj) == t
+    # a tree repeated in a mixture is one dict; an equal but distinct tree
+    # gets its own
+    twin = DecisionTree(2, 1, Query(0, shared, shared))
+    rt = RandomizedTree(((Fraction(1, 4), t), (Fraction(1, 4), twin),
+                         (Fraction(1, 2), t)))
+    items = randomized_tree_to_json(rt)
+    assert items[0]["tree"] is items[2]["tree"]
+    assert items[1]["tree"] is not items[0]["tree"]
+    assert items[1]["tree"]["root"] is not items[0]["tree"]["root"]
+    assert items[1]["tree"]["root"]["neg"] is items[0]["tree"]["root"]["neg"]
+    assert randomized_tree_from_json(items) == rt
+
+
 def test_metric_dimension_checks():
     t = _xor_tree()
     with pytest.raises(DimensionMismatch):
