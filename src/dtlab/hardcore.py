@@ -57,7 +57,7 @@ from .functions import (
     measure_from_json,
     measure_to_json,
 )
-from .synth import ADVANTAGE, mixture_optimum, opt_objective_witness, pareto_frontier
+from .synth import mixture_optimum, opt_objective_witness, pareto_frontier
 from .trees import (
     DecisionTree,
     RandomizedTree,
@@ -344,7 +344,7 @@ def best_response(f: BooleanFunction, mu: Distribution, h: Measure,
     Computed from the advantage frontier; the witness is one frontier tree or
     a two-point mixture when the optimum sits inside an envelope segment.
     """
-    return opt_objective_witness(pareto_frontier(f, mu, ADVANTAGE, h=h), depth_budget)
+    return opt_objective_witness(pareto_frontier(f, mu, h=h), depth_budget)
 
 
 def committee_size(delta: Fraction, gamma: Fraction) -> int:

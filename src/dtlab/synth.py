@@ -2,36 +2,35 @@
 
 For a target function and input distribution, the frontier lists every
 nondominated pair (expected depth, objective) achievable by a deterministic
-tree, each with a witness tree attached.  Two objectives exist:
-
-  error      minimize Pr[T(X) != F(X)] against a scalar or vector target
-  advantage  maximize E_mu[f * T * H] for a scalar f and a [0,1] measure H
-             (leaf signs chosen optimally, so the maximum of the signed
-             correlation equals the maximum of its absolute value)
+tree, each with a witness tree attached.  The objective is the error
+Pr[T(X) != F(X)] against a scalar or vector target F or, given a [0,1]
+measure H, the advantage E_mu[f * T * H] of a scalar f.  The two are one:
+for the noisy label Y, equal to f(x) with probability (1 + H(x))/2 and to
+-f(x) otherwise, E_mu[f * T * H] = 1 - 2 Pr[T(X) != Y] (a hardcore measure
+read as label noise, as in Impagliazzo's hardcore lemma), so the DP
+minimizes the erring mass in both senses.
 
 The DP works on subcube restrictions with unnormalized (mass-weighted)
 contributions: a query node on a cube of mass m costs m plus the children's
-contributions, so the root values are the true expected depth and objective.
-Restrictions that no tree should distinguish are shared through a memo table;
-zero-mass cubes collapse to a canonical leaf at depth 0.  No cube enumerates
-its points: its mass and its leaf statistic (the mass per label in the error
-sense, the signed mass in the advantage sense) are the sums of its two
-halves on its lowest free variable, which the DP solves anyway, and a single
-point is the base case.  Each of the 3^m cubes then costs one merge, where
-enumerating every cube's points cost 4^m point visits in all.
+contributions, so the root values are the true expected depth and erring
+mass.  Restrictions that no tree should distinguish are shared through a
+memo table; zero-mass cubes collapse to a canonical leaf at depth 0.  No cube
+enumerates its points: its mass and its mass per label are the sums of its
+two halves on its lowest free variable, which the DP solves anyway, and a
+single point is the base case.  Each of the 3^m cubes then costs one merge,
+where enumerating every cube's points cost 4^m point visits in all.
 
 The kernel runs on Python ints.  Every weight is scaled once by D, the least
-common denominator of mu's weights; in the advantage sense D is taken over
-mu's weights together with the signed weights mu*f*H, whose denominators also
-carry H's.  Cube masses, leaf statistics, depths and objectives are then
-integers, and only the root frontier is divided back out by D.  Internally an
-objective is a cost to minimize: the erring mass, or minus the advantage.
-A cube's leaf guesses its label of greatest mass (the least such label on
-ties), or the sign of its signed mass (+1 on zero).  Each cube keeps, per
-depth, the cheapest candidate, the first one found on ties (children in
-frontier order, variables low to high), and builds a Query node only for the
-candidates that survive the Pareto filter.  That is the candidate a stable
-sort by (depth, cost) followed by the filter would keep.
+common denominator of mu's weights, and of the signed weights s = mu*f*H too
+in the advantage sense.  There a point of weight w has the label masses
+(w + s, w - s) for the labels (+1, -1), out of a mass 2w over a scale 2D.
+Cube masses, leaf statistics, depths and erring masses are then integers,
+and only the root frontier is divided back out.  A cube's leaf guesses its
+label of greatest mass, the first one on ties (the least label, or +1).
+Each cube keeps, per depth, the cheapest candidate, the first one found on
+ties (children in frontier order, variables low to high), and builds a Query
+node only for the candidates that survive the Pareto filter.  That is the
+candidate a stable sort by (depth, cost) followed by the filter would keep.
 
 Randomized optima are exactly the envelope of the deterministic frontier:
 a mixture's (depth, objective) is the convex combination of its components',
@@ -82,43 +81,36 @@ def check_dp_guard(total_vars: int) -> None:
             f"{total_vars} variables exceeds the DP guard {MAX_DP_VARS}")
 
 
-def pareto_frontier(target, mu: Distribution, sense: str = ERROR,
+def pareto_frontier(target, mu: Distribution, *,
                     h: Measure | None = None) -> ParetoFrontier:
-    """Full deterministic frontier with witnesses, depth strictly increasing."""
-    if sense == ERROR:
-        n, k, rows = output_rows(target)
-        if h is not None:
-            raise InvalidValue("error sense takes no measure")
-    elif sense == ADVANTAGE:
-        if not isinstance(target, BooleanFunction):
-            raise InvalidValue("advantage sense needs a scalar function")
-        if h is None or h.n != target.n:
-            raise InvalidValue("advantage sense needs a measure on the same variables")
-        n, k = target.n, 1
-    else:
-        raise InvalidValue(f"unknown sense {sense!r}")
+    """Full deterministic frontier with witnesses, depth strictly increasing:
+    of the error against target, or of the advantage against h if given."""
+    n, k, rows = output_rows(target)
+    if h is not None and (not isinstance(target, BooleanFunction) or h.n != n):
+        raise InvalidValue("a measure needs a scalar function on its variables")
 
     m = n * k
     if mu.n != m:
         raise DimensionMismatch(f"distribution on {mu.n} vars vs target on {m}")
     check_dp_guard(m)
 
-    if sense == ERROR:
+    # a cube's leaf statistic: its mass per label
+    if h is None:
         scale, weights = _scale(mu.weights)
-        # a cube's leaf statistic: its mass per label, labels sorted
         labels = sorted(set(rows))
         point_stats = [tuple(w if label == row else 0 for label in labels)
                        for w, row in zip(weights, rows)]
-        leaves = [Leaf(label) for label in labels]
     else:
+        # the noisy label is f with probability (1 + H) / 2, -f otherwise
         signed = [w * target.table[p] * h.values[p] for p, w in enumerate(mu.weights)]
         scale, scaled = _scale(list(mu.weights) + signed)
-        # a cube's leaf statistic: its signed mass
-        weights, point_stats = scaled[:1 << m], scaled[1 << m:]
+        labels = [(1,), (-1,)]
+        point_stats = [(w + s, w - s) for w, s in zip(scaled, scaled[1 << m:])]
+        scale, weights = 2 * scale, [2 * w for w in scaled[:1 << m]]
 
     full = (1 << m) - 1
     zero_leaf = Leaf(tuple([1] * k))
-    pos_leaf, neg_leaf = Leaf((1,)), Leaf((-1,))
+    leaves = [Leaf(label) for label in labels]
     # (mask, vals) -> (mass, leaf statistic, frontier)
     memo: dict[tuple[int, int], tuple] = {}
 
@@ -135,21 +127,13 @@ def pareto_frontier(target, mu: Distribution, sense: str = ERROR,
             half_n = solve(mask | low, vals)
             half_p = solve(mask | low, vals | low)
             mass = half_n[0] + half_p[0]
-            if sense == ERROR:
-                stat = tuple(map(add, half_n[1], half_p[1]))
-            else:
-                stat = half_n[1] + half_p[1]
+            stat = tuple(map(add, half_n[1], half_p[1]))
         if mass == 0:
             got = memo[key] = (0, stat, [(0, 0, zero_leaf)])
             return got
 
-        if sense == ERROR:
-            top = max(stat)  # the first (least) label of the greatest mass
-            leaf_cost, leaf = mass - top, leaves[stat.index(top)]
-        elif stat >= 0:
-            leaf_cost, leaf = -stat, pos_leaf
-        else:
-            leaf_cost, leaf = stat, neg_leaf
+        top = max(stat)  # the first label of the greatest mass
+        leaf_cost, leaf = mass - top, leaves[stat.index(top)]
         # cheapest (cost, var, neg, pos) per depth, first found on ties
         best: dict[int, tuple] = {}
         for v in range(m):
@@ -178,12 +162,12 @@ def pareto_frontier(target, mu: Distribution, sense: str = ERROR,
         got = memo[key] = (mass, stat, kept)
         return got
 
-    sign = 1 if sense == ERROR else -1
     points = tuple(
-        FrontierPoint(Fraction(d, scale), Fraction(sign * cost, scale),
+        FrontierPoint(Fraction(d, scale),
+                      Fraction(cost if h is None else scale - 2 * cost, scale),
                       DecisionTree(n, k, node))
         for d, cost, node in solve(0, 0)[2])
-    return ParetoFrontier(sense, n, k, points)
+    return ParetoFrontier(ERROR if h is None else ADVANTAGE, n, k, points)
 
 
 # ---------------------------------------------------------------------------

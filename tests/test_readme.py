@@ -2,7 +2,9 @@
 real `dtlab` attributes, its command synopsis the parser's real arguments."""
 
 import argparse
+import contextlib
 import importlib
+import io
 import re
 from pathlib import Path
 
@@ -63,3 +65,34 @@ def test_readme_synopsis_matches_the_parser():
         parsed[command] = ({s for a in actions for s in a.option_strings},
                            {a.dest for a in actions if not a.option_strings})
     assert _synopsis() == parsed
+
+
+def _library_example():
+    """(code, expected stdout lines) of the "Library example" block.  The
+    expected output is each print line's trailing comment and the run of
+    whole-line comments right below a print line; `# ...` stands for any
+    number of lines, written as None."""
+    text = README.read_text(encoding="utf-8")
+    code = text.split("## Library example", 1)[1].split("```python\n", 1)[1]
+    code = code.split("```", 1)[0]
+    expected, printing = [], False
+    for line in code.splitlines():
+        if line.startswith("#") and printing:
+            shown = line[1:].strip()
+            expected.append(None if shown == "..." else shown)
+            continue
+        printing = "print(" in line
+        if printing and "  # " in line:
+            expected.append(line.split("  # ", 1)[1].strip())
+    return code, expected
+
+
+def test_readme_library_example_prints_what_it_says():
+    code, expected = _library_example()
+    assert len(expected) >= 5 and None in expected
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, "README.md", "exec"), {})
+    pattern = "".join(r"(?:.*\n)*?" if line is None else re.escape(line) + r"\n"
+                      for line in expected)
+    assert re.fullmatch(pattern, out.getvalue()), (expected, out.getvalue())

@@ -73,7 +73,7 @@ def test_advantage_frontier_matches_enumeration():
         mu = random_distribution(rng, 2)
         h = random_measure(rng, 2)
         dp = [(p.depth, p.value)
-              for p in pareto_frontier(f, mu, ADVANTAGE, h).points]
+              for p in pareto_frontier(f, mu, h=h).points]
 
         def signed(t):
             return sum(mu.weights[x] * f.table[x] * h.values[x] * evaluate(t, x)[0]
@@ -284,7 +284,7 @@ def test_advantage_envelope_concavity_in_budget():
     f = parity(2)
     mu = uniform(2)
     h = constant_measure(2, Fraction(1, 2))
-    front = pareto_frontier(f, mu, ADVANTAGE, h)
+    front = pareto_frontier(f, mu, h=h)
     vals = [opt_objective_witness(front, Fraction(i, 2))[0] for i in range(5)]
     for i in range(1, 4):
         assert 2 * vals[i] >= vals[i - 1] + vals[i + 1]
@@ -306,12 +306,32 @@ def test_enumeration_guard():
 def test_sense_validation():
     f = parity(2)
     mu = uniform(2)
+    h = constant_measure(2, Fraction(1, 2))
     with pytest.raises(InvalidValue):
-        pareto_frontier(f, mu, "weird")
+        pareto_frontier(direct_product(f, 1), mu, h=h)  # not a scalar target
     with pytest.raises(InvalidValue):
-        pareto_frontier(f, mu, ADVANTAGE)  # missing measure
-    with pytest.raises(InvalidValue):
-        pareto_frontier(f, mu, ERROR, constant_measure(2, Fraction(1, 2)))
+        pareto_frontier(f, mu, h=constant_measure(3, Fraction(1, 2)))
+    with pytest.raises(TypeError):
+        pareto_frontier(f, mu, ERROR)  # the sense is no longer an argument
+    assert pareto_frontier(f, mu).sense == ERROR
+    assert pareto_frontier(f, mu, h=h).sense == ADVANTAGE
+
+
+def test_advantage_frontier_is_the_error_frontier_under_full_measure():
+    # E[f*T*H] = 1 - 2 Pr[T != Y] for the noisy label Y: under H = 1 the
+    # label is f itself, and under H = 0 every tree has advantage 0
+    rng = random.Random(2727)
+    for case in range(400):
+        n = rng.randrange(1, 5)
+        f = random_function(rng, n)
+        mu = (random_distribution(rng, n) if case % 2
+              else _sparse_distribution(rng, n))
+        err = pareto_frontier(f, mu).points
+        adv = pareto_frontier(f, mu, h=constant_measure(n, 1)).points
+        assert ([(p.depth, p.value) for p in adv]
+                == [(p.depth, 1 - 2 * p.value) for p in err])
+        flat = pareto_frontier(f, mu, h=constant_measure(n, 0)).points
+        assert [(p.depth, p.value) for p in flat] == [(0, 0)]
 
 
 def test_frontier_serialization_shapes():
@@ -422,9 +442,9 @@ def _reference_frontier(target, mu, sense=ERROR, h=None):
     return solve(0, 0)
 
 
-def _assert_matches_reference(target, mu, sense=ERROR, h=None):
-    got = pareto_frontier(target, mu, sense, h).points
-    want = _reference_frontier(target, mu, sense, h)
+def _assert_matches_reference(target, mu, h=None):
+    got = pareto_frontier(target, mu, h=h).points
+    want = _reference_frontier(target, mu, ERROR if h is None else ADVANTAGE, h)
     assert [(p.depth, p.value, p.tree.root) for p in got] == want
     for p in got:
         assert type(p.depth) is Fraction and type(p.value) is Fraction
@@ -482,7 +502,7 @@ def test_integer_kernel_matches_fraction_reference_advantage_sense():
         f = random_function(rng, n)
         h = random_measure(rng, n)
         for mu in (random_distribution(rng, n), _sparse_distribution(rng, n)):
-            _assert_matches_reference(f, mu, ADVANTAGE, h)
+            _assert_matches_reference(f, mu, h=h)
 
 
 def test_integer_kernel_with_large_coprime_denominators():
@@ -492,7 +512,7 @@ def test_integer_kernel_with_large_coprime_denominators():
         assert max(w.denominator for w in mu.weights) > 100
         f = random_function(rng, m)
         _assert_matches_reference(f, mu)
-        _assert_matches_reference(f, mu, ADVANTAGE, random_measure(rng, m))
+        _assert_matches_reference(f, mu, h=random_measure(rng, m))
         if m % 2 == 0:
             _assert_matches_reference(_random_vector_function(rng, m // 2, 2), mu)
 
