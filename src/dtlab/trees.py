@@ -15,23 +15,22 @@ stays on point enumeration, so no check is circular: the joint law in
 bounds.verify_leaf_product and the block_error_law behind the lhs of
 bounds.verify_accuracy_bound.
 
-Trees may share nodes: synth's DP witnesses are DAGs, a Query reusing its
-children's frontier nodes as a reduced decision diagram shares subgraphs.
-Serialization follows the sharing: within one artifact (a frontier, a
-mixture, a committee) trees that share a node share its JSON dict, which
-scenarios.report_to_bytes then writes once.
+Trees may share nodes, as reduced decision diagrams do: synth's DP reuses them.
+Validity is per node, checked once on first use through a cached shape, so the
+sharing makes it cheap; one artifact's trees share a node's JSON dict too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import prod
 
 from .errors import DimensionMismatch, InvalidValue, UnreachedLeaf
 from .exactexp import _int, fraction_from_str, fraction_to_str
-from .functions import BooleanFunction, Distribution, Measure, output_rows
+from .functions import (
+    MAX_TABLE_VARS, BooleanFunction, Distribution, Measure, _check_var_count, output_rows)
 
 _ZERO = Fraction(0)
 
@@ -40,6 +39,12 @@ _ZERO = Fraction(0)
 class Leaf:
     label: tuple[int, ...]
 
+    @cached_property
+    def shape(self) -> tuple[int, int]:
+        if any(v not in (-1, 1) for v in self.label):
+            raise InvalidValue("leaf labels must be +-1")
+        return 0, len(self.label)
+
 
 @dataclass(frozen=True)
 class Query:
@@ -47,23 +52,22 @@ class Query:
     neg: "Leaf | Query"
     pos: "Leaf | Query"
 
+    @cached_property
+    def shape(self) -> tuple[int, int]:
+        if not 0 <= self.var < MAX_TABLE_VARS:
+            raise InvalidValue(f"query variable {self.var} out of range [0,{MAX_TABLE_VARS})")
+        (neg, width), (pos, pos_width) = _shape(self.neg), _shape(self.pos)
+        if (neg | pos) >> self.var & 1:
+            raise InvalidValue(f"variable {self.var} queried twice on one path")
+        if pos_width != width:
+            raise InvalidValue(f"leaf label width {pos_width} != {width}")
+        return neg | pos | 1 << self.var, width
 
-def _validate(node, total_vars: int, k: int, used: int) -> None:
-    if isinstance(node, Leaf):
-        if len(node.label) != k:
-            raise InvalidValue(f"leaf label width {len(node.label)} != k={k}")
-        if any(v not in (-1, 1) for v in node.label):
-            raise InvalidValue("leaf labels must be +-1")
-        return
-    if not isinstance(node, Query):
+
+def _shape(node) -> tuple[int, int]:
+    if not isinstance(node, (Leaf, Query)):
         raise InvalidValue(f"not a tree node: {node!r}")
-    if not 0 <= node.var < total_vars:
-        raise InvalidValue(f"query variable {node.var} out of range [0,{total_vars})")
-    bit = 1 << node.var
-    if used & bit:
-        raise InvalidValue(f"variable {node.var} queried twice on one path")
-    _validate(node.neg, total_vars, k, used | bit)
-    _validate(node.pos, total_vars, k, used | bit)
+    return node.shape
 
 
 @dataclass(frozen=True)
@@ -75,7 +79,12 @@ class DecisionTree:
     def __post_init__(self):
         if self.n < 0 or self.k < 1:
             raise InvalidValue(f"bad shape n={self.n}, k={self.k}")
-        _validate(self.root, self.n * self.k, self.k, 0)
+        _check_var_count(self.total_vars, "DecisionTree")
+        below, width = _shape(self.root)
+        if width != self.k:
+            raise InvalidValue(f"leaf label width {width} != k={self.k}")
+        if below >> self.total_vars:
+            raise InvalidValue(f"query variable {below.bit_length() - 1} out of range")
 
     @property
     def total_vars(self) -> int:
@@ -351,8 +360,9 @@ def _trees_to_json(trees) -> list[dict]:
 def _node_from_json(obj):
     if "leaf" in obj:
         return Leaf(tuple(_int(v, "leaf label") for v in obj["leaf"]))
-    return Query(_int(obj["q"], "q"), _node_from_json(obj["neg"]),
-                 _node_from_json(obj["pos"]))
+    node = Query(_int(obj["q"], "q"), *map(_node_from_json, (obj["neg"], obj["pos"])))
+    node.shape  # checked as read, so no check recurses down a deep crafted chain
+    return node
 
 
 def tree_to_json(tree: DecisionTree) -> dict:

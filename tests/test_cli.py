@@ -455,6 +455,47 @@ def test_verify_refuses_deeply_nested_witness(tmp_path):
     assert cli.main(["verify", str(path)]) == 2
 
 
+def _certificate_with_witness_tree(**fields):
+    art = certificate_to_json(
+        hardcore_solve(parity(2), uniform(2), F(1, 4), F(1, 2), F(0)))
+    # replace, not edit: the artifact's tree dicts may be shared
+    (item,) = art["witness"]
+    art["witness"] = [{**item, "tree": {**item["tree"], **fields}}]
+    return art
+
+
+@pytest.mark.parametrize("fields, code, message", [
+    ({"n": 10**12}, 3, "exceeds the table guard"),
+    ({"n": 3, "root": {"q": 10**12, "neg": {"leaf": [1]}, "pos": {"leaf": [-1]}}},
+     2, "out of range"),
+], ids=["n", "q"])
+def test_verify_refuses_a_huge_witness_tree_at_once(tmp_path, capsys, fields, code, message):
+    # 1 << q alone would take q/8 bytes.
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(_certificate_with_witness_tree(**fields)))
+    start = time.monotonic()
+    assert cli.main(["verify", str(path)]) == code
+    assert time.monotonic() - start < 1
+    assert message in capsys.readouterr().err
+
+
+def test_verify_refuses_a_long_query_chain_called_deep_in_the_stack(tmp_path, capsys):
+    # As deep as the nesting limit allows (the artifact's wrapping takes 5
+    # levels), called 400 frames down: a check that recursed down the whole
+    # chain on top of the caller's stack would run out of it.
+    root = {"leaf": [1]}
+    for i in range(cli.MAX_JSON_DEPTH - 6):
+        root = {"q": i % 2, "neg": {"leaf": [1]}, "pos": root}
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(_certificate_with_witness_tree(root=root)))
+
+    def main(frames):
+        return main(frames - 1) if frames else cli.main(["verify", str(path)])
+
+    assert main(400) == 2
+    assert "queried twice on one path" in capsys.readouterr().err
+
+
 def test_verify_unknown_kind_exits_2(tmp_path):
     path = tmp_path / "odd.json"
     path.write_text(json.dumps({"kind": "sonnet"}))

@@ -1,6 +1,7 @@
 """Tree structure, evaluation semantics, exact metrics, and leaf statistics."""
 
 import dataclasses
+import re
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,7 @@ from dtlab.instances import (
     random_measure,
     random_tree,
 )
+from dtlab.synth import pareto_frontier
 from dtlab.trees import (
     DecisionTree,
     Leaf,
@@ -99,6 +101,131 @@ def test_label_width_must_match_k():
 def test_out_of_range_variable_rejected():
     with pytest.raises(InvalidValue):
         DecisionTree(1, 1, Query(3, Leaf((1,)), Leaf((1,))))
+
+
+def _validate(node, total_vars: int, k: int, used: int) -> None:
+    # Reference check, independent of the cached node shapes: a top-down walk
+    # that carries the mask of the variables queried above the node.
+    if isinstance(node, Leaf):
+        if len(node.label) != k:
+            raise InvalidValue(f"leaf label width {len(node.label)} != k={k}")
+        if any(v not in (-1, 1) for v in node.label):
+            raise InvalidValue("leaf labels must be +-1")
+        return
+    if not isinstance(node, Query):
+        raise InvalidValue(f"not a tree node: {node!r}")
+    if not 0 <= node.var < total_vars:
+        raise InvalidValue(f"query variable {node.var} out of range [0,{total_vars})")
+    bit = 1 << node.var
+    if used & bit:
+        raise InvalidValue(f"variable {node.var} queried twice on one path")
+    _validate(node.neg, total_vars, k, used | bit)
+    _validate(node.pos, total_vars, k, used | bit)
+
+
+def _raised(check):
+    try:
+        check()
+    except Exception as exc:
+        return type(exc)
+    return None
+
+
+def _leaf_paths(node, path=()):
+    """(path, variables queried above) for every leaf, a path being 'neg'/'pos' steps."""
+    if isinstance(node, Leaf):
+        return [(path, ())]
+    return [(p, (node.var,) + above) for side in ("neg", "pos")
+            for p, above in _leaf_paths(getattr(node, side), path + (side,))]
+
+
+def _replace_at(node, path, new):
+    if not path:
+        return new
+    side, rest = path[0], path[1:]
+    return dataclasses.replace(node, **{side: _replace_at(getattr(node, side), rest, new)})
+
+
+def _mutations(rng, root, n, k):
+    """One invalid copy of root per kind of fault, each planted at a random leaf."""
+    path, above = rng.choice(_leaf_paths(root))
+    leaf = Leaf(tuple(rng.choice((1, -1)) for _ in range(k)))
+    repeat = rng.choice(above) if above else 0
+    planted = {
+        "repeat": Query(repeat, leaf, leaf),
+        "past-n*k": Query(n * k + rng.choice((0, 1, 30, 10**12)), leaf, leaf),
+        "negative": Query(-rng.randrange(1, 4), leaf, leaf),
+        "mixed-width": Leaf(leaf.label + (1,)),
+        "label-0": Leaf((0,) + leaf.label[1:]),
+        "not-a-node": rng.choice((None, (1,) * k, 1, DecisionTree(n, k, leaf))),
+    }
+    out = {kind: _replace_at(root, path, node) for kind, node in planted.items()}
+    if not above:  # a bare leaf has no variable above it to repeat
+        out["repeat"] = Query(0, Query(0, leaf, leaf), leaf)
+    return out
+
+
+def test_node_shapes_accept_and_reject_as_the_top_down_walk():
+    rng = random.Random(20260)
+    shapes = [(n, k) for n in range(1, 6) for k in range(1, 4) if n * k <= 10]
+    for _ in range(2000):
+        n, k = rng.choice(shapes)
+        root = random_tree(rng, n, k).root
+        cases = {"valid": root, **_mutations(rng, root, n, k)}
+        for kind, node in cases.items():
+            expected = _raised(lambda: _validate(node, n * k, k, 0))
+            assert expected is (None if kind == "valid" else InvalidValue), kind
+            assert _raised(lambda: DecisionTree(n, k, node)) is expected, (kind, node)
+
+
+def test_error_messages_name_the_fault():
+    leaf = Leaf((1,))
+    for root, phrase in [
+            (Query(0, Query(0, leaf, leaf), leaf), "queried twice on one path"),
+            (Query(2, leaf, leaf), "out of range"),
+            (Query(-1, leaf, leaf), "out of range"),
+            (Query(0, leaf, Leaf((1, 1))), "leaf label width"),
+            (Leaf((1, 1)), "leaf label width"),
+            (Query(0, leaf, "leaf"), "not a tree node"),
+            (Leaf((0,)), "+-1")]:
+        with pytest.raises(InvalidValue, match=re.escape(phrase)):
+            DecisionTree(2, 1, root)
+
+
+def _distinct_nodes(roots):
+    seen, stack = {}, list(roots)
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            if isinstance(node, Query):
+                stack += [node.neg, node.pos]
+    return len(seen)
+
+
+def test_a_shared_node_is_checked_once(monkeypatch):
+    computed = []
+    for cls in (Leaf, Query):
+        prop = cls.__dict__["shape"]
+
+        def counted(node, func=prop.func):
+            computed.append(node)
+            return func(node)
+        monkeypatch.setattr(prop, "func", counted)
+
+    front = pareto_frontier(parity(7), uniform(7))
+    roots = [p.tree.root for p in front.points]
+    assert 0 < len(computed) <= _distinct_nodes(roots)
+    assert len(computed) == len({id(node) for node in computed})
+    computed.clear()
+    for root in roots:
+        DecisionTree(7, 1, root)
+    assert computed == []
+    bad = Query(0, Query(0, Leaf((1,)), Leaf((1,))), Leaf((1,)))
+    for uses in (1, 2):
+        with pytest.raises(InvalidValue, match="queried twice"):
+            DecisionTree(1, 1, bad)
+        assert sum(node is bad for node in computed) == uses
 
 
 def test_leaves_are_preorder_negative_child_first():
