@@ -11,17 +11,24 @@ from it computes f with error at most delta.
 Solved by column generation: keep a finite pool of deterministic trees, solve
 the restricted game exactly, and grow the pool with exact best responses from
 the advantage-frontier envelope.  Each restricted game is one LP, the row
-player's, solved by a dense two-phase simplex with Bland's rule, which
-terminates by construction; pivots carry the objective rows and the ratio
-test reads constraint rows only.  The tableau is exact but integer: each row
-is ints over one common denominator (integer-preserving pivoting, as in
-Edmonds 1967), and only what is read turns back into Fractions.  Its optimal
-tableau gives both players' strategies: H as the primal solution, the tree
-mixture w as the reduced costs of the pool rows' slacks.  The pair is then
-certified as a saddle point without trusting the kernel, in Fractions: both
-strategies are checked for feasibility, and the greedy closed-form minimum
-against w and the envelope maximum against H must both equal the LP value.
-A wrong LP answer therefore cannot escape the solver.
+player's, in which each pool tree is a constraint row.  A solve's first game
+is solved cold, from a basis of slacks and one artificial, by a dense
+two-phase simplex with Bland's rule, which terminates by construction; pivots
+carry the objective rows and the ratio test reads constraint rows only.  Each
+later game resumes from the last optimal tableau (Kelley's cutting planes,
+seen from the row player): an admitted tree is a new row whose zero-cost slack
+is basic, so the basis stays dual feasible, and a dual simplex (Lemke 1954)
+restores primal feasibility.  Its pivot rule is Bland's in dual form, which is
+Bland's rule applied to the dual LP, so it never revisits a basis and the loop
+ends (Bland 1977).  The tableau is exact but integer: each row is ints over
+one common denominator (integer-preserving pivoting, as in Edmonds 1967), and
+only what is read turns back into Fractions.  Its optimal tableau gives both
+players' strategies: H as the primal solution, the tree mixture w as the
+reduced costs of the pool rows' slacks.  The pair is then certified as a
+saddle point without trusting the kernel, on ints from the pool trees' output
+tables: both strategies are checked for feasibility, and the greedy
+closed-form minimum against w and the envelope maximum against H must both
+equal the LP value.  A wrong LP answer therefore cannot escape the solver.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ import itertools
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (
@@ -186,6 +193,54 @@ def _bland(tab, basis: list[int], ncols: int) -> None:
         basis[r] = c
 
 
+def _dual_bland(tab, basis: list[int]) -> None:
+    """Restore b >= 0 from a dual feasible tableau, keeping it dual feasible.
+
+    tab is as _bland leaves it: rows tab[:len(basis)] are [A | b] in
+    canonical form for `basis`, and tab[-1] holds reduced costs, all >= 0,
+    but some b_i may be negative.  The leaving row is the one with b_i < 0
+    of lowest basic index; the entering column is, among that row's negative
+    entries a_rj, one of least ratio cost_j / |a_rj|, ties going to the
+    lowest column, so every reduced cost stays >= 0.  Ratios are compared by
+    cross-multiplying numerators: within one row the denominators cancel.
+    No negative entry means no x >= 0 meets the row: Infeasible.
+
+    Termination: the dual simplex on this tableau is the primal simplex on
+    the dual LP, whose variables are named by the same column indices.  The
+    leaving basic variable here is the dual's entering variable, and the
+    ratio test here is the dual's ratio test.  So lowest index among the
+    eligible leaving rows, and lowest column among ratio ties, is Bland's
+    rule on the dual, which never revisits a basis (Bland 1977): there are
+    finitely many bases, so the loop ends without an iteration cap.
+    """
+    rows = range(len(basis))
+    while True:
+        r = min((i for i in rows if tab[i][-2] < 0), key=basis.__getitem__, default=None)
+        if r is None:
+            return
+        row, costs = tab[r], tab[-1]
+        c = None
+        for j in range(len(row) - 2):
+            a = row[j]
+            if a < 0 and (c is None or costs[j] * row[c] > costs[c] * a):
+                c = j
+        if c is None:
+            raise Infeasible("LP has no feasible point")
+        _pivot(tab, r, c)
+        basis[r] = c
+
+
+def _priced(row: list[int], tab, basis: list[int]) -> list[int]:
+    """row with the basic columns cleared: each basic row, a unit row, is
+    subtracted by the row operation a pivot uses.  For a cost row these are
+    the reduced costs of the basis; for a new constraint row, the row in the
+    basis' canonical form."""
+    for i, b in enumerate(basis):
+        if row[b]:
+            row = _eliminate(row, tab[i], b, [j for j, v in enumerate(tab[i][:-1]) if v])
+    return row
+
+
 def _simplex(tab, basis: list[int], cost: list[int], nreal: int) -> Fraction:
     """Exact min of cost*x over {x >= 0 : A x = b}; returns the value.
 
@@ -193,23 +248,15 @@ def _simplex(tab, basis: list[int], cost: list[int], nreal: int) -> Fraction:
     names a unit column of row i; cost is an int row of the same layout, its
     right-hand side 0.  Columns from nreal on are artificials, driven out by
     phase 1.  The phase-2 row, then the phase-1 row (cost 1 on each
-    artificial) if any, are priced once for the starting basis, by clearing
-    each basic column with the same row operation a pivot uses, and appended;
-    _pivot keeps them canonical.  On return tab[:-1] and basis are optimal
-    and tab[-1] holds the reduced costs; a slack's is minus its row's dual
-    value.  Only the value turns back into a Fraction.
+    artificial) if any, are priced once for the starting basis by _priced,
+    and appended; _pivot keeps them canonical.  On return tab[:-1] and basis
+    are optimal and tab[-1] holds the reduced costs; a slack's is minus its
+    row's dual value.  Only the value turns back into a Fraction.
     """
     width = len(tab[0])
-
-    def priced(row):  # reduced costs of the current basis: clear its columns
-        for i, b in enumerate(basis):
-            if row[b]:
-                row = _eliminate(row, tab[i], b, [j for j, v in enumerate(tab[i][:-1]) if v])
-        return row
-
-    tab.append(priced(cost))
+    tab.append(_priced(cost, tab, basis))
     if any(b >= nreal for b in basis):
-        tab.append(priced([0] * nreal + [1] * (width - 2 - nreal) + [0, 1]))
+        tab.append(_priced([0] * nreal + [1] * (width - 2 - nreal) + [0, 1], tab, basis))
         _bland(tab, basis, nreal)
         if tab.pop()[-2] != 0:
             raise Infeasible("LP has no feasible point")
@@ -225,111 +272,157 @@ def _simplex(tab, basis: list[int], cost: list[int], nreal: int) -> Fraction:
     return Fraction(-tab[-1][-2], tab[-1][-1])
 
 
-def _payoff_vector(f: BooleanFunction, mu: Distribution, tree: DecisionTree):
-    """c_T(x) = mu(x) f(x) T(x), so payoff(H, T) = sum_x c_T(x) H(x)."""
-    return tuple(
-        mu.weights[x] * f.table[x] * evaluate(tree, x)[0] for x in range(1 << f.n))
+@dataclass
+class _Tableau:
+    """One solve's restricted game, kept from game to game: the last optimal
+    int rows (constraint rows, then the reduced costs), their basis, and the
+    slack column of each pool tree's row, in admission order."""
+
+    rows: list = field(default_factory=list)
+    basis: list = field(default_factory=list)
+    slacks: list = field(default_factory=list)
 
 
-def _greedy_min_measure(mu, half_density, scores):
-    """Exact min of sum_x mu(x) score(x) H(x) over measures of given density.
-
-    Classic fractional fill: put H = 1 on the lowest scores first."""
-    order = sorted(mu.support(), key=lambda x: (scores[x], x))
-    remaining = half_density
-    value = _ZERO
-    for x in order:
-        if remaining == 0:
-            break
-        take = min(mu.weights[x], remaining)
-        value += take * scores[x]
-        remaining -= take
-    if remaining != 0:
-        raise InvalidValue("density exceeds total distribution mass")
-    return value
-
-
-def _restricted_game(f, mu, half_density, budget, pool, payoffs, depths):
+def _restricted_game(f, mu, half_density, budget, tables, depths, game):
     """Exact value and both optimal strategies of the pool-restricted game.
 
-    Returns (value, H, w).  One simplex solve of the row player's LP
+    Returns (value, H, w).  The pool is given by each tree's +-1 output
+    table and expected depth, in admission order.  The row player's LP
 
         min s + budget*y  s.t.  payoff(H, T) <= s + depth_T * y  for T in pool,
                                 mu . H = half_density,  0 <= H <= 1,  y >= 0,
 
-    yields H as its primal solution and the column player's mixture w as
-    the final reduced costs of the pool rows' slacks.  Both are then checked
-    for feasibility and re-verified by independent evaluations (greedy inner
-    minimum for w, envelope inner maximum for H), which together certify a
-    saddle point whatever the kernel did.  The tableau's rows are built as
-    ints, each scaled by the lcm of its denominators; as the unit column of
-    its starting basic variable then holds that lcm, each row starts
-    gcd-reduced.
+    with payoff(H, T) = sum_x mu(x) f(x) T(x) H(x), yields H as its primal
+    solution and the column player's mixture w as the final reduced costs
+    of the pool rows' slacks.  Each row is built as ints, scaled by the lcm
+    of its denominators and gcd-reduced.
+
+    `game` keeps the tableau between the games of one solve.  While it is
+    empty the game is solved cold by _simplex, the density row
+    starting on an artificial.  The artificial's column is then dropped, and
+    its row too if it is still basic: basic at zero on a row with no real
+    entry, which is redundant.  Each tree admitted since the last game adds
+    a slack column before the right-hand side and its own row, put in the
+    basis' canonical form by _priced, with its slack basic.  That slack's
+    reduced cost is 0, so the basis stays dual feasible, and _dual_bland,
+    which ends by Bland's rule in dual form, makes it primal feasible again.
+    A warm game reaches the value a cold one would, possibly at another
+    optimal vertex.
+
+    _check_saddle_point then certifies the pair whatever the kernel did.
     """
     npts = 1 << f.n
-    nt = len(pool)
-    # Columns: H, s+, s-, y, pool slacks, box slacks, density artificial.
-    slack0 = npts + 3
-    box0 = slack0 + nt
-    art = box0 + npts
-    width = art + 3
+    den, mass = _scale(mu.weights + (half_density,))  # mu, then half_density
 
-    def row(entries, rhs, den):
-        r = [0] * width
-        for j, v in entries:
-            r[j] = v
-        r[-2], r[-1] = rhs, den
-        return r
+    def tree_row(t, slack, width):
+        depth = depths[t]
+        d = math.lcm(den, depth.denominator)
+        a = d // den
+        r = [a * mass[x] * f.table[x] * v for x, v in enumerate(tables[t])]
+        r += [-d, d, -depth.numerator * (d // depth.denominator)] + [0] * (width - npts - 3)
+        r[slack] = r[-1] = d
+        return _reduced(r)
 
-    tab = []
-    for t in range(nt):
-        d, p = _scale(payoffs[t] + (depths[t],))
-        tab.append(row([*enumerate(p[:npts]), (npts, -d), (npts + 1, d), (npts + 2, -p[npts]),
-                        (slack0 + t, d)], 0, d))
-    tab += [row([(x, 1), (box0 + x, 1)], 1, 1) for x in range(npts)]
-    d, p = _scale(mu.weights + (half_density,))
-    tab.append(row([*enumerate(p[:npts]), (art, d)], p[npts], d))
-    basis = [slack0 + t for t in range(nt)] + [box0 + x for x in range(npts)] + [art]
-    d, p = _scale((1, -1, budget))
-    value = _simplex(tab, basis, row(zip((npts, npts + 1, npts + 2), p), 0, d), art)
+    basis, slacks = game.basis, game.slacks
+    if not slacks:
+        nt = len(tables)
+        # Columns: H, s+, s-, y, pool slacks, box slacks, density artificial.
+        slack0 = npts + 3
+        box0 = slack0 + nt
+        art = box0 + npts
+        width = art + 3
 
+        def row(entries, rhs, d):
+            r = [0] * width
+            for j, v in entries:
+                r[j] = v
+            r[-2], r[-1] = rhs, d
+            return r
+
+        tab = [tree_row(t, slack0 + t, width) for t in range(nt)]
+        tab += [row([(x, 1), (box0 + x, 1)], 1, 1) for x in range(npts)]
+        tab.append(row([*enumerate(mass[:npts]), (art, den)], mass[npts], den))
+        basis += [slack0 + t for t in range(nt)] + [box0 + x for x in range(npts)] + [art]
+        d, p = _scale((1, -1, budget))
+        _simplex(tab, basis, row(zip((npts, npts + 1, npts + 2), p), 0, d), art)
+        if art in basis:
+            i = basis.index(art)
+            del tab[i], basis[i]
+        game.rows = tab = [_reduced(r[:art] + r[art + 1:]) for r in tab]
+        slacks += range(slack0, box0)
+    else:
+        tab = game.rows
+        for t in range(len(slacks), len(tables)):
+            for r in tab:
+                r.insert(-2, 0)
+            col = len(tab[0]) - 3
+            tab.insert(len(basis), _priced(tree_row(t, col, col + 3), tab, basis))
+            basis.append(col)
+            slacks.append(col)
+        _dual_bland(tab, basis)
+
+    costs = tab[-1]
+    value = Fraction(-costs[-2], costs[-1])
     z = [_ZERO] * npts
     for i, b in enumerate(basis):
         if b < npts:
             z[b] = Fraction(tab[i][-2], tab[i][-1])
     h_r = Measure(f.n, tuple(z))
-    costs = tab[-1]
-    w = tuple(Fraction(v, costs[-1]) for v in costs[slack0:box0])
+    w = tuple(Fraction(costs[j], costs[-1]) for j in slacks)
+    _check_saddle_point(f, mu, half_density, budget, tables, depths, value, h_r, w)
+    return value, h_r, w
+
+
+def _check_saddle_point(f, mu, half_density, budget, tables, depths, value, h, w):
+    """Raise InvalidValue unless measure h and pool mixture w are feasible
+    and both attain `value`, which makes (h, w) a saddle point of the
+    restricted game: no measure does better against w, and no mixture of
+    the pool does better against h.
+
+    Derived from the game's data alone, not from any tableau, on ints: the
+    greedy inner minimum against w scores each point over w's common
+    denominator, the envelope inner maximum against h takes each tree's
+    payoff over mu's and h's, and only the results turn into Fractions.
+    """
+    npts = 1 << f.n
+    den, mass = _scale(mu.weights + (half_density,))  # mu, then half_density
+    dw, wn = _scale(w)
 
     # Feasibility of both strategies; Measure already checks 0 <= H <= 1.
-    if any(v < 0 for v in w) or sum(w, _ZERO) != 1:
+    if any(v < 0 for v in wn) or sum(wn) != dw:
         raise InvalidValue(f"mixture {w} is not a distribution (LP kernel bug)")
-    if sum((v * d for v, d in zip(w, depths)), _ZERO) > budget:
+    dd, dn = _scale(depths)
+    if sum(v * d for v, d in zip(wn, dn)) * budget.denominator > budget.numerator * dw * dd:
         raise InvalidValue(f"mixture {w} exceeds the depth budget (LP kernel bug)")
-    if density(h_r, mu) != half_density:
-        raise InvalidValue(f"measure {h_r.values} misses the density (LP kernel bug)")
+    dh, hn = _scale(h.values)
+    if sum(m * v for m, v in zip(mass[:npts], hn)) != mass[npts] * dh:
+        raise InvalidValue(f"measure {h.values} misses the density (LP kernel bug)")
 
-    # Independent check 1: greedy minimum against the returned mixture,
-    # whose zero-weight trees add nothing to any score.
-    live = [t for t in range(nt) if w[t]]
-    scores = [f.table[x] * sum((w[t] * evaluate(pool[t], x)[0] for t in live), _ZERO)
-              for x in range(npts)]
-    g_value = _greedy_min_measure(mu, half_density, scores)
+    # Greedy minimum against w: the fractional fill that puts H = 1 on the
+    # lowest scores first.  Zero-weight trees add nothing to any score.
+    live = [(v, tables[t]) for t, v in enumerate(wn) if v]
+    scores = [f.table[x] * sum(v * table[x] for v, table in live) for x in range(npts)]
+    remaining, g_num = mass[npts], 0
+    for x in sorted(mu.support(), key=lambda x: (scores[x], x)):
+        take = min(mass[x], remaining)
+        g_num += take * scores[x]
+        remaining -= take
+    if remaining != 0:
+        raise InvalidValue("density exceeds total distribution mass")
+    g_value = Fraction(g_num, den * dw)
     if g_value != value:
         raise InvalidValue(
             f"restricted value {value} not reproduced by greedy minimum {g_value}")
 
-    # Independent check 2: envelope maximum against the returned measure.
-    pairs = []
-    for t in range(nt):
-        pay = sum((payoffs[t][x] * h_r.values[x] for x in range(npts)), _ZERO)
-        pairs.append((depths[t], pay, t))
+    # Envelope maximum against h.
+    terms = [(x, mass[x] * f.table[x] * v) for x, v in enumerate(hn) if v]
+    pairs = [(depths[t], sum(c * table[x] for x, c in terms), t)
+             for t, table in enumerate(tables)]
     e_value, _ = mixture_optimum(pairs, budget, minimize=False)
+    e_value = Fraction(e_value, den * dh)
     if e_value != value:
         raise InvalidValue(
             f"restricted value {value} not reproduced by envelope maximum {e_value}")
-
-    return value, h_r, w
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +487,15 @@ def committee_metrics(committee: Committee, f: BooleanFunction,
     return err, cost
 
 
+def _picker(den: int, weights):
+    """index(u) for u = rng.random(): the first index whose cumulative weight
+    exceeds u, the weights being ints over den and summing to den.  u is
+    exactly k / 2**53, so the first c_i / den > u, for the cumulative sums
+    c_i, is the first c_i * 2**53 > k * den, found on ints by bisection."""
+    bounds = [c << 53 for c in itertools.accumulate(weights)]
+    return lambda u: bisect.bisect_right(bounds, int(u * (1 << 53)) * den)
+
+
 def maj_boost(weighted_trees, f: BooleanFunction, mu: Distribution,
               delta: Fraction, gamma: Fraction, depth_budget: Fraction, *,
               seed: int = 0, iterations: int = 0) -> Committee:
@@ -401,21 +503,19 @@ def maj_boost(weighted_trees, f: BooleanFunction, mu: Distribution,
     sample whose exact error is <= delta and whose summed expected depth is
     <= r * depth_budget; raise BoostFailure after BOOST_RETRY_CAP samples.
     The weights must be nonnegative and sum to exactly 1."""
-    items = [(Fraction(w), t) for w, t in weighted_trees]
-    if any(w < 0 for w, _ in items) or sum(w for w, _ in items) != 1:
+    items = list(weighted_trees)
+    trees = [t for _, t in items]
+    den, weights = _scale([Fraction(w) for w, _ in items])
+    if any(w < 0 for w in weights) or sum(weights) != den:
         raise InvalidValue("tree mixture weights must be nonnegative and sum to 1")
-    cumulative = list(itertools.accumulate(w for w, _ in items))
+    pick = _picker(den, weights)
     r = committee_size(delta, gamma)
     rng = random.Random(seed)
 
-    def draw():
-        # the first tree whose cumulative weight exceeds u < 1 = cumulative[-1]
-        return items[bisect.bisect_right(cumulative, Fraction(rng.random()))][1]
-
     budget = r * Fraction(depth_budget)
     for _ in range(BOOST_RETRY_CAP):
-        trees = tuple(draw() for _ in range(r))
-        committee = Committee(f, mu, trees, Fraction(delta), Fraction(gamma),
+        committee = Committee(f, mu, tuple(trees[pick(rng.random())] for _ in range(r)),
+                              Fraction(delta), Fraction(gamma),
                               Fraction(depth_budget), seed, iterations)
         err, cost = committee_metrics(committee, f, mu)
         if err <= delta and cost <= budget:
@@ -431,12 +531,13 @@ def hardcore_solve(f: BooleanFunction, mu: Distribution, delta: Fraction,
 
     One loop, starting from the constant measure delta/2: take the exact
     best response to the current H; certify H if its advantage is at most
-    the threshold, else admit its trees as new columns, solve the restricted
-    game and, when that value already exceeds the threshold, boost the
-    optimal mixture into a Committee (the tree players win; `seed` drives
-    its sampling).  A HardcoreCertificate's measure has density exactly
+    the threshold, else admit its trees into the pool, solve the restricted
+    game (the first cold, each later one warm from the last tableau) and,
+    when that value already exceeds the threshold, boost the optimal
+    mixture into a Committee (the tree players win; `seed` drives its
+    sampling).  A HardcoreCertificate's measure has density exactly
     delta/2.  Never returns a wrong answer: a best response with no new
-    column, or more than MAX_ITERATIONS restricted games, raises
+    tree, or more than MAX_ITERATIONS restricted games, raises
     IterationBudget instead.
     """
     delta = Fraction(delta)
@@ -454,8 +555,9 @@ def hardcore_solve(f: BooleanFunction, mu: Distribution, delta: Fraction,
     half = delta / 2
     threshold = gamma * half
     pool: list[DecisionTree] = []
-    payoffs: list[tuple] = []
+    tables: list[tuple[int, ...]] = []  # each pool tree's +-1 outputs
     depths: list[Fraction] = []
+    game = _Tableau()
     h = constant_measure(f.n, half)
     iteration = 0
     while True:
@@ -467,7 +569,7 @@ def hardcore_solve(f: BooleanFunction, mu: Distribution, delta: Fraction,
         for _, t in witness:
             if t not in pool:
                 pool.append(t)
-                payoffs.append(_payoff_vector(f, mu, t))
+                tables.append(tuple(evaluate(t, x)[0] for x in range(1 << f.n)))
                 depths.append(expected_depth(t, mu))
         if len(pool) == admitted:
             raise IterationBudget(
@@ -475,7 +577,7 @@ def hardcore_solve(f: BooleanFunction, mu: Distribution, delta: Fraction,
         if iteration == MAX_ITERATIONS:
             raise IterationBudget(f"no decision within {MAX_ITERATIONS} iterations")
         iteration += 1
-        value, h, w = _restricted_game(f, mu, half, depth_budget, pool, payoffs, depths)
+        value, h, w = _restricted_game(f, mu, half, depth_budget, tables, depths, game)
         if value > threshold:
             return maj_boost(list(zip(w, pool)), f, mu, delta, gamma, depth_budget,
                              seed=seed, iterations=iteration)

@@ -22,6 +22,7 @@ sharing makes it cheap; one artifact's trees share a node's JSON dict too.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -54,14 +55,32 @@ class Query:
 
     @cached_property
     def shape(self) -> tuple[int, int]:
+        """The children's shapes are computed first, each on first use, so a
+        check recurses down to the nearest checked nodes.  A path of more
+        than MAX_TABLE_VARS queries repeats a variable, so the recursion is
+        refused at that depth instead of going on down a long chain."""
         if not 0 <= self.var < MAX_TABLE_VARS:
             raise InvalidValue(f"query variable {self.var} out of range [0,{MAX_TABLE_VARS})")
-        (neg, width), (pos, pos_width) = _shape(self.neg), _shape(self.pos)
+        depth = getattr(_checking, "depth", 0)  # unchecked queries above this one
+        if depth == MAX_TABLE_VARS:
+            raise InvalidValue(
+                f"more than {MAX_TABLE_VARS} queries on one path: a variable is "
+                "queried twice on one path")
+        _checking.depth = depth + 1
+        try:
+            (neg, width), (pos, pos_width) = _shape(self.neg), _shape(self.pos)
+        finally:
+            _checking.depth = depth
         if (neg | pos) >> self.var & 1:
             raise InvalidValue(f"variable {self.var} queried twice on one path")
         if pos_width != width:
             raise InvalidValue(f"leaf label width {pos_width} != {width}")
         return neg | pos | 1 << self.var, width
+
+
+# How deeply the running Query.shape computations nest, kept per thread:
+# cached_property serializes them only before Python 3.12.
+_checking = threading.local()
 
 
 def _shape(node) -> tuple[int, int]:

@@ -1,7 +1,9 @@
 """Hardcore-measure game: LP kernel, certificates, and boosted committees."""
 
+import bisect
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -16,6 +18,7 @@ from dtlab import hardcore
 from dtlab.errors import BoostFailure, GuardExceeded, Infeasible, InvalidValue, IterationBudget
 from dtlab.functions import (
     Distribution,
+    Measure,
     constant_measure,
     density,
     dictator,
@@ -37,7 +40,8 @@ from dtlab.hardcore import (
     maj_boost,
     verify_certificate,
 )
-from dtlab.instances import random_distribution, random_function
+from dtlab.instances import random_distribution, random_function, random_tree
+from dtlab.synth import mixture_optimum
 from dtlab.trees import (
     DecisionTree,
     Leaf,
@@ -365,8 +369,10 @@ def test_carried_objective_rows_match_dense_repricing(monkeypatch):
 
 
 def test_restricted_game_runs_one_kernel_solve(monkeypatch):
-    calls = {"game": 0, "simplex": 0}
-    game, simplex = hardcore._restricted_game, hardcore._simplex
+    # _simplex solves the first game cold; each later game resumes
+    # from the last tableau by one _dual_bland run.
+    calls = {"game": 0, "simplex": 0, "dual": 0}
+    game, simplex, dual = hardcore._restricted_game, hardcore._simplex, hardcore._dual_bland
 
     def counted(name, fn):
         def wrapper(*args):
@@ -376,35 +382,49 @@ def test_restricted_game_runs_one_kernel_solve(monkeypatch):
 
     monkeypatch.setattr(hardcore, "_restricted_game", counted("game", game))
     monkeypatch.setattr(hardcore, "_simplex", counted("simplex", simplex))
+    monkeypatch.setattr(hardcore, "_dual_bland", counted("dual", dual))
     mu = Distribution(2, (F(1, 2), F(1, 4), F(1, 8), F(1, 8)))
     assert hardcore_solve(parity(2), mu, F(1, 4), F(1, 2), F(1)).iterations == 4
-    assert calls == {"game": 4, "simplex": 4}
+    assert calls == {"game": 4, "simplex": 1, "dual": 3}
 
 
 def test_restricted_game_rows_stay_gcd_reduced_ints(monkeypatch):
     # A Fraction back in the kernel's rows, a denominator slot that is not
     # positive or a row left unreduced fails here: every row is checked as
-    # built and after each pivot of one sweep solve's 8 restricted games.
-    simplex, pivot = hardcore._simplex, hardcore._pivot
-    counts = {"games": 0, "pivots": 0}
+    # built for the first game, with the rows appended for each warm game,
+    # and after each pivot of one sweep solve's 8 restricted games.
+    game, simplex, dual, pivot = (hardcore._restricted_game, hardcore._simplex,
+                                  hardcore._dual_bland, hardcore._pivot)
+    counts = {"games": 0, "cold": 0, "warm": 0, "pivots": 0}
+
+    def counted_game(*args):
+        counts["games"] += 1
+        return game(*args)
 
     def checked_simplex(tab, basis, cost, nreal):
-        counts["games"] += 1
+        counts["cold"] += 1
         _assert_reduced_int_rows(tab + [cost])
         return simplex(tab, basis, cost, nreal)
+
+    def checked_dual(tab, basis):
+        counts["warm"] += 1
+        _assert_reduced_int_rows(tab)
+        return dual(tab, basis)
 
     def checked_pivot(tab, r, c):
         pivot(tab, r, c)
         counts["pivots"] += 1
         _assert_reduced_int_rows(tab)
 
+    monkeypatch.setattr(hardcore, "_restricted_game", counted_game)
     monkeypatch.setattr(hardcore, "_simplex", checked_simplex)
+    monkeypatch.setattr(hardcore, "_dual_bland", checked_dual)
     monkeypatch.setattr(hardcore, "_pivot", checked_pivot)
     rng = random.Random(9001)
     f = random_function(rng, 3)
     mu = random_distribution(rng, 3, allow_zeros=False)
     assert isinstance(hardcore_solve(f, mu, F(1, 4), F(1, 2), F(1)), HardcoreCertificate)
-    assert counts == {"games": 8, "pivots": 103}
+    assert counts == {"games": 8, "cold": 1, "warm": 7, "pivots": 14}
 
 
 # The seeded sweep: 16 (f, mu) pairs on 3 variables with positive mu, at four
@@ -443,16 +463,43 @@ def test_seeded_sweep_decides_and_rechecks_every_solve(monkeypatch):
     assert len(solved) == 64 and FORMER_LP_FAILURES <= solved
     # a refactor must leave every certificate and committee byte-identical
     assert hashlib.sha256(json.dumps(artifacts, sort_keys=True).encode()).hexdigest() == (
-        "43f76b9ab51149b1e585b85a6f5133667a3e66330c1b476242b3de5abc52282c")
-    # ... and make the pivots the former Fraction kernel made, in its order
-    assert len(pivots) == 1324
+        "917fdf81ec7de746714ed7a40d623bd9522bb81bbab8903418ffd8248c7573fd")
+    # ... and make the same pivots in the same order: in each solve's first
+    # game the former Fraction kernel's, then those of the dual Bland rule
+    assert len(pivots) == 481
     assert hashlib.sha256(repr(pivots).encode()).hexdigest() == (
-        "c6c6bb451edd75d64e74c6b6994fbb2b35e31ce8326afd855aa11a2a64cb97cd")
+        "5f75497a485ac53a5698607c92d461f108dccbb712ae5a1e57363a890ab823dd")
+
+
+def test_every_warm_sweep_game_matches_a_cold_solve_of_its_pool(monkeypatch):
+    # Each restricted game of the n=3 sweep is solved again cold, on
+    # the same pool, by _simplex: the values agree, and both strategy pairs
+    # pass the re-checks inside _restricted_game.
+    game = hardcore._restricted_game
+    seen = Counter()
+
+    def checked(f, mu, half, budget, tables, depths, tableau):
+        warm = bool(tableau.slacks)
+        value, h, w = game(f, mu, half, budget, tables, depths, tableau)
+        cold = game(f, mu, half, budget, tables, depths, hardcore._Tableau())
+        assert cold[0] == value
+        seen["warm" if warm else "cold"] += 1
+        seen["other vertex"] += warm and cold[1:] != (h, w)
+        return value, h, w
+
+    monkeypatch.setattr(hardcore, "_restricted_game", checked)
+    for s in range(16):
+        rng = random.Random(9000 + s)
+        f = random_function(rng, 3)
+        mu = random_distribution(rng, 3, allow_zeros=False)
+        for budget in SWEEP_BUDGETS:
+            hardcore_solve(f, mu, F(1, 4), F(1, 2), budget)
+    assert seen["cold"] == 56 and seen["warm"] == 164 - 56 and seen["other vertex"] > 0, seen
 
 
 def test_n4_seeded_solves_boost_committees():
     # The sweep's first three instances on 4 variables, at budget 2.
-    for s, iterations in enumerate((2, 22, 10)):
+    for s, iterations in enumerate((2, 30, 11)):
         rng = random.Random(9000 + s)
         f = random_function(rng, 4)
         mu = random_distribution(rng, 4, allow_zeros=False)
@@ -460,6 +507,220 @@ def test_n4_seeded_solves_boost_committees():
         assert isinstance(out, Committee) and out.iterations == iterations, s
         err, cost = committee_metrics(out, f, mu)
         assert err <= F(1, 4) and cost <= out.r * 2, s
+
+
+def test_dual_bland_pivots_by_the_rule_through_ratio_ties(monkeypatch):
+    # Re-derived in Fractions before each dual pivot: the leaving row is the
+    # negative-rhs row of lowest basic index, the entering column the lowest
+    # of least cost / |entry|.  Both instances are degenerate: a ratio tie
+    # occurs, and the loop still ends.
+    dual, pivot = hardcore._dual_bland, hardcore._pivot
+    running, seen = [], Counter()
+
+    def spied_dual(tab, basis):
+        running.append(basis)
+        try:
+            dual(tab, basis)
+        finally:
+            running.pop()
+
+    def checked_pivot(tab, r, c):
+        if running:
+            basis = running[-1]
+            rows = [_frac_row(row) for row in tab]
+            negative = [i for i in range(len(basis)) if rows[i][-1] < 0]
+            assert r == min(negative, key=basis.__getitem__)
+            ratios = {j: rows[-1][j] / -a for j, a in enumerate(rows[r][:-1]) if a < 0}
+            tied = [j for j, q in ratios.items() if q == min(ratios.values())]
+            assert c == tied[0]
+            seen["pivots"] += 1
+            seen["ties"] += len(tied) > 1
+        pivot(tab, r, c)
+
+    monkeypatch.setattr(hardcore, "_dual_bland", spied_dual)
+    monkeypatch.setattr(hardcore, "_pivot", checked_pivot)
+    for n, budget in ((2, F(3, 2)), (3, F(2))):
+        out = hardcore_solve(parity(n), uniform(n), F(1, 4), F(1, 2), budget)
+        assert isinstance(out, Committee)
+    assert seen["ties"] >= 2 and seen["pivots"] >= 3, seen
+
+
+def test_dual_bland_refuses_a_row_with_no_negative_entry():
+    # x0 + s = -1 with x0, s >= 0: no entry can enter to make the rhs >= 0
+    tab = [[1, 1, -1, 1], [1, 0, 0, 1]]
+    with pytest.raises(Infeasible):
+        hardcore._dual_bland(tab, [1])
+
+
+@pytest.mark.parametrize("s, kind, iterations", [(0, Committee, 51),
+                                                  (3, HardcoreCertificate, 47)])
+def test_n5_seeded_solves_decide_and_recheck(s, kind, iterations):
+    # Each took 12 s and 37 s when every game was solved cold.
+    rng = random.Random(9000 + s)
+    f = random_function(rng, 5)
+    mu = random_distribution(rng, 5, allow_zeros=False)
+    out = hardcore_solve(f, mu, F(1, 4), F(1, 2), F(2))
+    assert type(out) is kind and out.iterations == iterations
+    if kind is Committee:
+        err, cost = committee_metrics(out, f, mu)
+        assert err <= F(1, 4) and cost <= out.r * 2
+    else:
+        assert verify_certificate(out)["ok"]
+
+
+def _random_pool(rng, n, size):
+    """(mu, tables, depths, budget): a random mu and pool of trees on n
+    variables, the budget at least the first tree's depth so that the game
+    is bounded."""
+    mu = random_distribution(rng, n, allow_zeros=rng.random() < 0.3)
+    trees = [random_tree(rng, n, 1) for _ in range(size)]
+    tables = [tuple(evaluate(t, x)[0] for x in range(1 << n)) for t in trees]
+    depths = [hardcore.expected_depth(t, mu) for t in trees]
+    budget = depths[0] + F(rng.randint(0, 4 * n), 4)
+    return mu, tables, depths, budget
+
+
+def test_warm_games_match_cold_solves_on_random_pools(monkeypatch):
+    # Rows appended one at a time: after each, the warm game's value is the
+    # value _simplex finds cold on the same pool, and both strategy
+    # pairs pass the re-checks (each raises InvalidValue otherwise).
+    pivot, pivots = hardcore._pivot, []
+
+    def counted(tab, r, c):
+        pivots.append((r, c))
+        pivot(tab, r, c)
+
+    monkeypatch.setattr(hardcore, "_pivot", counted)
+    game = hardcore._restricted_game
+    rng = random.Random(1900)
+    seen = Counter()
+    for _ in range(150):
+        n = rng.randint(1, 3)
+        f = random_function(rng, n)
+        mu, tables, depths, budget = _random_pool(rng, n, rng.randint(2, 7))
+        half = F(rng.randint(1, 7), 8)
+        tableau = hardcore._Tableau()
+        for k in range(1, len(tables) + 1):
+            before = len(pivots)
+            warm = game(f, mu, half, budget, tables[:k], depths[:k], tableau)
+            if k > 1:
+                seen["warm games"] += 1
+                seen["warm games that pivot"] += len(pivots) > before
+            cold = game(f, mu, half, budget, tables[:k], depths[:k], hardcore._Tableau())
+            assert warm[0] == cold[0]
+            seen["other vertex"] += warm[1:] != cold[1:]
+    assert min(seen.values()) >= 20, seen
+
+
+def _payoff_vector(f, mu, table):
+    """c_T(x) = mu(x) f(x) T(x), so payoff(H, T) = sum_x c_T(x) H(x)."""
+    return tuple(mu.weights[x] * f.table[x] * table[x] for x in range(1 << f.n))
+
+
+def _greedy_min_measure(mu, half_density, scores):
+    """Exact min of sum_x mu(x) score(x) H(x) over measures of given density.
+
+    Classic fractional fill: put H = 1 on the lowest scores first."""
+    order = sorted(mu.support(), key=lambda x: (scores[x], x))
+    remaining = half_density
+    value = F(0)
+    for x in order:
+        if remaining == 0:
+            break
+        take = min(mu.weights[x], remaining)
+        value += take * scores[x]
+        remaining -= take
+    if remaining != 0:
+        raise InvalidValue("density exceeds total distribution mass")
+    return value
+
+
+def _oracle_saddle_point(f, mu, half_density, budget, tables, depths, value, h, w):
+    """The former Fraction re-checks of a restricted game's answer: the
+    message of the InvalidValue they raise, or None when they accept."""
+    npts = 1 << f.n
+    try:
+        if any(v < 0 for v in w) or sum(w, F(0)) != 1:
+            raise InvalidValue(f"mixture {w} is not a distribution (LP kernel bug)")
+        if sum((v * d for v, d in zip(w, depths)), F(0)) > budget:
+            raise InvalidValue(f"mixture {w} exceeds the depth budget (LP kernel bug)")
+        if density(h, mu) != half_density:
+            raise InvalidValue(f"measure {h.values} misses the density (LP kernel bug)")
+        live = [t for t in range(len(tables)) if w[t]]
+        scores = [f.table[x] * sum((w[t] * tables[t][x] for t in live), F(0))
+                  for x in range(npts)]
+        g_value = _greedy_min_measure(mu, half_density, scores)
+        if g_value != value:
+            raise InvalidValue(
+                f"restricted value {value} not reproduced by greedy minimum {g_value}")
+        pairs = []
+        for t, table in enumerate(tables):
+            payoffs = _payoff_vector(f, mu, table)
+            pairs.append((depths[t], sum((payoffs[x] * h.values[x] for x in range(npts)),
+                                         F(0)), t))
+        e_value, _ = mixture_optimum(pairs, budget, minimize=False)
+        if e_value != value:
+            raise InvalidValue(
+                f"restricted value {value} not reproduced by envelope maximum {e_value}")
+    except InvalidValue as exc:
+        return str(exc)
+    return None
+
+
+def _tampered(rng, mu, depths, value, h, w):
+    """The game's answer, then copies with one part changed: the value, the
+    mixture (weight moved between two trees, a negative weight, a scale, all
+    weight on the deepest tree) or the measure (mass moved between two
+    points at the same density, or halved)."""
+    out = [(value, h, w), (value + F(rng.choice((-1, 1)), 64), h, w)]
+    deepest = depths.index(max(depths))
+    out.append((value, h, tuple(F(t == deepest) for t in range(len(w)))))
+    i, j = rng.randrange(len(w)), rng.randrange(len(w))
+    for shift in (w[i] * F(rng.randint(1, 4), 4), w[i] + F(1, 8)):
+        moved = list(w)
+        moved[i] -= shift
+        moved[j] += shift
+        out.append((value, h, tuple(moved)))
+    out.append((value, h, tuple(2 * v for v in w)))
+    support = mu.support()
+    x, y = rng.choice(support), rng.choice(support)
+    eps = F(rng.randint(1, 8), 64) * mu.weights[x] * mu.weights[y]
+    values = list(h.values)
+    values[x] -= eps / mu.weights[x]
+    values[y] += eps / mu.weights[y]
+    if all(0 <= v <= 1 for v in values):
+        out.append((value, Measure(h.n, tuple(values)), w))
+    for lower in (True, False):  # density below or above half_density
+        out.append((value, Measure(h.n, tuple((v + (not lower)) / 2 for v in h.values)), w))
+    return out
+
+
+def test_saddle_point_checks_refuse_as_the_fraction_checks():
+    # The int checks accept the game's answer and refuse each tampered copy
+    # with the message the former Fraction checks give.
+    rng = random.Random(1902)
+    seen = Counter()
+    for _ in range(150):
+        n = rng.randint(1, 3)
+        f = random_function(rng, n)
+        mu, tables, depths, budget = _random_pool(rng, n, rng.randint(1, 5))
+        half = F(rng.randint(1, 7), 8)
+        answer = hardcore._restricted_game(f, mu, half, budget, tables, depths,
+                                           hardcore._Tableau())
+        for value, h, w in _tampered(rng, mu, depths, *answer):
+            want = _oracle_saddle_point(f, mu, half, budget, tables, depths, value, h, w)
+            try:
+                hardcore._check_saddle_point(f, mu, half, budget, tables, depths, value, h, w)
+                got = None
+            except InvalidValue as exc:
+                got = str(exc)
+            assert got == want, (got, want)
+            seen[next((p for p in SADDLE_POINT_FAULTS if p in (want or "")), want)] += 1
+    assert set(seen) == {None, *SADDLE_POINT_FAULTS} and min(seen.values()) >= 20, seen
+
+
+SADDLE_POINT_FAULTS = ("not a distribution", "exceeds the depth budget", "misses the density",
+                       "greedy minimum", "envelope maximum")
 
 
 # --- best responses
@@ -657,6 +918,27 @@ def test_maj_boost_refuses_weights_that_are_not_a_distribution(weights):
     with pytest.raises(InvalidValue, match="nonnegative and sum to 1"):
         maj_boost([(w, stump) for w in weights], parity(2), uniform(2),
                   F(1, 4), F(1, 2), F(2))
+
+
+def test_maj_boost_draws_pick_as_the_fraction_bisect():
+    # rng.random() is k / 2**53.  The int comparison must pick the index a
+    # bisect over the Fraction cumulative weights picks, also for draws on
+    # a cumulative boundary, which dyadic weights make exact.
+    rng = random.Random(1901)
+    seen = Counter()
+    for mixture in range(50):
+        total = 1 << rng.randint(0, 6) if mixture % 2 else rng.randint(1, 40)
+        cuts = sorted(rng.randint(0, total) for _ in range(rng.randint(0, 5)))
+        weights = [F(b - a, total) for a, b in zip([0] + cuts, cuts + [total])]
+        pick = hardcore._picker(*hardcore._scale(weights))
+        cumulative = list(itertools.accumulate(weights))
+        draws = [rng.random() for _ in range(200)]
+        boundaries = [float(c) for c in cumulative if c < 1 and F(float(c)) == c]
+        for u in draws + boundaries:
+            assert pick(u) == bisect.bisect_right(cumulative, F(u)), (weights, u)
+            seen["on a boundary"] += F(u) in cumulative
+        seen["draws"] += len(draws)
+    assert seen["draws"] == 10_000 and seen["on a boundary"] >= 50, seen
 
 
 def test_committee_odd_size_enforced():

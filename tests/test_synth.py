@@ -249,7 +249,7 @@ def test_sweep_envelopes_match_the_pair_scan(monkeypatch):
             out = hardcore_solve(f, mu, Fraction(1, 4), Fraction(1, 2), budget)
             if isinstance(out, HardcoreCertificate):
                 assert verify_certificate(out)["ok"]
-    assert (callers.count("synth"), callers.count("hardcore")) == (209, 163)
+    assert (callers.count("synth"), callers.count("hardcore")) == (210, 164)
 
 
 def test_opt_depth_envelopes_match_the_pair_scan(monkeypatch):

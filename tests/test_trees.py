@@ -2,6 +2,8 @@
 
 import dataclasses
 import re
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -190,6 +192,48 @@ def test_error_messages_name_the_fault():
             (Leaf((0,)), "+-1")]:
         with pytest.raises(InvalidValue, match=re.escape(phrase)):
             DecisionTree(2, 1, root)
+
+
+def _chain(variables):
+    node = Leaf((1,))
+    for v in variables:
+        node = Query(v, Leaf((1,)), node)
+    return node
+
+
+@pytest.mark.parametrize("length", [300, 400, 2000])
+def test_a_long_query_chain_is_refused_without_recursing_down_it(length):
+    # No path has more than MAX_TABLE_VARS = 24 queries without a repeat, so
+    # the check stops 24 queries down instead of recursing to the bottom.
+    with pytest.raises(InvalidValue, match="queried twice on one path"):
+        DecisionTree(24, 1, _chain(i % 24 for i in range(length)))
+    DecisionTree(24, 1, _chain(range(24)))
+
+
+def test_shape_checks_in_threads_keep_their_own_depth():
+    # Each thread counts its own nesting: checks of 24-query chains running
+    # side by side, switching often, must not add up to a refusal.  Before
+    # Python 3.12 cached_property's lock runs them one at a time anyway.
+    errors = []
+
+    def check():
+        try:
+            for _ in range(100):
+                DecisionTree(24, 1, _chain(range(24)))
+        except InvalidValue as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=check) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and errors == []
 
 
 def _distinct_nodes(roots):
