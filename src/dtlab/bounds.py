@@ -12,6 +12,7 @@ bound_report_to_json, only sets the width of serialized intervals.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import floor
 
@@ -58,6 +59,9 @@ class BoundReport:
     hypothesis_ok distinguishes instances outside a statement's hypotheses
     (where holds says nothing) from genuine bound violations.  related keeps
     side values worth reporting without widening the lhs/rhs contract.
+    The slack is built once per report and kept, with the enclosure that
+    signed it, so that printing it at the default width encloses nothing
+    again.
     """
 
     context: str
@@ -67,7 +71,7 @@ class BoundReport:
     hypothesis_ok: bool = True
     related: tuple[tuple[str, object], ...] = ()
 
-    @property
+    @cached_property
     def slack(self) -> ExpSum:
         return self.rhs - self.lhs
 
@@ -75,8 +79,11 @@ class BoundReport:
 def _report(context: str, lhs, rhs, *, hypothesis_ok: bool = True,
             related=()) -> BoundReport:
     lhs, rhs = ExpSum.of(lhs), ExpSum.of(rhs)
-    return BoundReport(context, lhs, rhs, (rhs - lhs).sign() >= 0,
-                       hypothesis_ok, tuple(related))
+    slack = rhs - lhs
+    report = BoundReport(context, lhs, rhs, slack.sign() >= 0,
+                         hypothesis_ok, tuple(related))
+    report.__dict__["slack"] = slack  # the cached slack is the one just signed
+    return report
 
 
 def _equality_report(context: str, lhs: Fraction, rhs: Fraction,
@@ -155,11 +162,14 @@ def chernoff_upper2x(mu_sum) -> ExpSum:
     return ExpSum.exp(-mu_sum / 3)
 
 
+def _g_exponent(t: Fraction, z: Fraction) -> Fraction:
+    """min(0, t - z/4), decided exactly: g_t(z) is e to this power."""
+    return min(t - z / 4, _ZERO)
+
+
 def g_func(t, z) -> ExpSum:
     """min(1, e^{t - z/4}), decided exactly: the min picks 1 iff t >= z/4."""
-    t, z = Fraction(t), Fraction(z)
-    e = t - z / 4
-    return ExpSum.of(1) if e >= 0 else ExpSum.exp(e)
+    return ExpSum.exp(_g_exponent(Fraction(t), Fraction(z)))
 
 
 def lipschitz_check(t, z, delta, form: str = "plain") -> BoundReport:
@@ -261,7 +271,8 @@ def verify_accuracy_bound(tree: DecisionTree, f: BooleanFunction, h: Measure,
     for t in range(k + 1):
         lhs = ber_sum_cdf(law, t)
         rhs = sum((reach * ber_sum_cdf(pmf, t) for reach, pmf, _ in per_leaf), _ZERO)
-        g_form = ExpSum.total(g_func(t, gap).scale(reach) for reach, _, gap in per_leaf)
+        g_form = ExpSum.total(ExpSum.exp(_g_exponent(t, gap), reach)
+                              for reach, _, gap in per_leaf)
         g_dominates = (g_form - rhs).sign() >= 0
         reports.append(_report(
             "accuracy-from-stats", lhs, rhs,
@@ -276,7 +287,7 @@ def verify_error_no_advantage(tree: DecisionTree, h: Measure,
     k = tree.k
     delta = density(h, mu)
     t = delta * k / 10
-    lhs = ExpSum.total(g_func(t, dens).scale(reach)
+    lhs = ExpSum.total(ExpSum.exp(_g_exponent(t, dens), reach)
                        for reach, dens in _reachable_density_stats(tree, h, mu))
     rhs = ExpSum.exp(-Fraction(121, 1000) * delta * k)
     return _report("error-no-advantage", lhs, rhs,

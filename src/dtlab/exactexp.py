@@ -7,10 +7,16 @@ enclosures of exp, refined until the sign of a difference is certain.  A
 comparison is never decided while zero still lies inside the enclosure; if the
 maximum precision is reached first, UndecidedComparison is raised.
 
-A nonzero canonical combination (distinct rational exponents, nonzero rational
-coefficients, not purely rational) is never equal to zero, so refinement
-terminates for every comparison that is not an exact rational tie; rational
-ties are decided exactly without any enclosure.
+Every ExpSum is canonical: its terms have distinct rational exponents in
+decreasing order and nonzero rational coefficients.  The public constructor
+ExpSum(terms) enforces this through _canon, so a hand-built value equals,
+hashes and signs as its canonical form; the kernel's own operations (of, exp,
++, -, scale, total) build through ExpSum._make, which skips the check because
+their results are canonical already: a sum merges two sorted term lists in
+one pass.  A nonzero canonical combination that is not purely rational is
+never equal to zero, so refinement terminates for every comparison that is
+not an exact rational tie; rational ties are decided exactly without any
+enclosure.
 
 The enclosures of exp come from one fixed-point integer kernel, exp_bounds:
 halve the argument below 1/2 (and about sqrt(precision)/2 times more), sum
@@ -26,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal, localcontext
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import isqrt
 
 from .errors import InvalidValue, UndecidedComparison
@@ -142,27 +148,42 @@ def _canon(terms) -> tuple[tuple[Fraction, Fraction], ...]:
     return tuple((acc[b], b) for b in sorted(acc, reverse=True) if acc[b] != 0)
 
 
+def _frac(value) -> Fraction:
+    return value if type(value) is Fraction else Fraction(value)
+
+
 @dataclass(frozen=True)
 class ExpSum:
-    """Exact value sum_i a_i * exp(b_i); closed under +, -, and rational scaling."""
+    """Exact value sum_i a_i * exp(b_i); closed under +, -, and rational
+    scaling.  Canonical always; see the module docstring."""
 
     terms: tuple[tuple[Fraction, Fraction], ...]
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "terms", _canon(self.terms))
+
+    @staticmethod
+    def _make(terms: tuple[tuple[Fraction, Fraction], ...]) -> "ExpSum":
+        """An ExpSum on terms that are canonical already, unchecked."""
+        value = object.__new__(ExpSum)
+        object.__setattr__(value, "terms", terms)
+        return value
+
     @staticmethod
     def of(value) -> "ExpSum":
-        if isinstance(value, ExpSum):
-            return value
-        return ExpSum(_canon([(Fraction(value), _ZERO)]))
+        return value if isinstance(value, ExpSum) else ExpSum.exp(_ZERO, value)
 
     @staticmethod
     def total(values) -> "ExpSum":
         """Sum of ExpSums and rationals, canonicalized once."""
-        return ExpSum(_canon(t for v in values for t in ExpSum.of(v).terms))
+        return ExpSum._make(_canon(t for v in values for t in ExpSum.of(v).terms))
 
     @staticmethod
     def exp(exponent, coeff=1) -> "ExpSum":
         """coeff * e**exponent."""
-        return ExpSum(_canon([(Fraction(coeff), Fraction(exponent))]))
+        coeff = _frac(coeff)
+        exponent = _frac(exponent)
+        return ExpSum._make(((coeff, exponent),) if coeff else ())
 
     @property
     def is_rational(self) -> bool:
@@ -174,13 +195,35 @@ class ExpSum:
         return self.terms[0][0] if self.terms else _ZERO
 
     def __add__(self, other) -> "ExpSum":
+        """One merge of the two term lists, both sorted by decreasing exponent."""
         other = ExpSum.of(other)
-        return ExpSum(_canon(self.terms + other.terms))
+        mine, theirs = self.terms, other.terms
+        if not theirs:
+            return self
+        if not mine:
+            return other
+        out = []
+        i = j = 0
+        while i < len(mine) and j < len(theirs):
+            (a, b), (c, d) = mine[i], theirs[j]
+            if b > d:
+                out.append(mine[i])
+                i += 1
+            elif d > b:
+                out.append(theirs[j])
+                j += 1
+            else:
+                coeff = a + c
+                if coeff:
+                    out.append((coeff, b))
+                i += 1
+                j += 1
+        return ExpSum._make((*out, *mine[i:], *theirs[j:]))
 
     __radd__ = __add__
 
     def __neg__(self) -> "ExpSum":
-        return ExpSum(tuple((-a, b) for a, b in self.terms))
+        return ExpSum._make(tuple((-a, b) for a, b in self.terms))
 
     def __sub__(self, other) -> "ExpSum":
         return self + (-ExpSum.of(other))
@@ -189,10 +232,10 @@ class ExpSum:
         return ExpSum.of(other) + (-self)
 
     def scale(self, factor) -> "ExpSum":
-        factor = Fraction(factor)
+        factor = _frac(factor)
         if factor == 0:
-            return ExpSum(())
-        return ExpSum(tuple((a * factor, b) for a, b in self.terms))
+            return ExpSum._make(())
+        return ExpSum._make(tuple((a * factor, b) for a, b in self.terms))
 
     def enclosure(self, prec_bits: int = DEFAULT_PRECISION_BITS) -> tuple[Fraction, Fraction]:
         """Guaranteed rational interval containing the exact value."""
@@ -211,6 +254,17 @@ class ExpSum:
             hi += a * ehi
         return lo, hi
 
+    @cached_property
+    def _default_enclosure(self) -> tuple[Fraction, Fraction]:
+        """enclosure() at the default width, kept: a report's slack is signed
+        and then printed at that width."""
+        return self.enclosure()
+
+    def _enclosure(self, prec_bits: int) -> tuple[Fraction, Fraction]:
+        if prec_bits == DEFAULT_PRECISION_BITS:
+            return self._default_enclosure
+        return self.enclosure(prec_bits)
+
     def sign(self) -> int:
         """Certified sign in {-1, 0, +1}; 0 only for exact rational zero."""
         if self.is_rational:
@@ -218,7 +272,7 @@ class ExpSum:
             return (v > 0) - (v < 0)
         prec = DEFAULT_PRECISION_BITS
         while prec <= MAX_PRECISION_BITS:
-            lo, hi = self.enclosure(prec)
+            lo, hi = self._enclosure(prec)
             if lo > 0:
                 return 1
             if hi < 0:
@@ -249,7 +303,7 @@ def _decimal_directed(q: Fraction, rounding) -> str:
 def decimal_interval(value: ExpSum, prec_bits: int = DEFAULT_PRECISION_BITS) -> tuple[str, str]:
     """30-digit decimal strings [lo, hi] with outward rounding, still a true
     enclosure."""
-    lo, hi = value.enclosure(prec_bits)
+    lo, hi = value._enclosure(prec_bits)
     return (_decimal_directed(lo, ROUND_FLOOR), _decimal_directed(hi, ROUND_CEILING))
 
 

@@ -49,6 +49,7 @@ from .exactexp import (
 )
 from .functions import (
     BooleanFunction,
+    _scale,
     dictator,
     direct_product,
     no_error_reduction_function,
@@ -78,7 +79,7 @@ from .synth import (
     opt_depth,
     pareto_frontier,
 )
-from .trees import error as tree_error, expected_depth
+from .trees import _walk
 
 _ZERO = Fraction(0)
 
@@ -154,18 +155,30 @@ def _scn_no_boosting(params: dict):
     return checks, {"frontier": frontier_to_json(frontier)}
 
 
-def _brute_frontier(trees, f, mu):
+def _brute_frontier(walks, f, mu):
+    """(depth, error) frontier of the enumerated trees by point enumeration:
+    walks holds each tree's (label, path length) at every point, and both
+    sides sum on ints over mu's common denominator."""
+    scale, nums = _scale(mu.weights)
+    sides = set()
+    for walk in walks:
+        depth = err = 0
+        for w, ((label,), length), want in zip(nums, walk, f.table):
+            depth += w * length
+            if label != want:
+                err += w
+        sides.add((depth, err))
     best = []
-    for d, e in sorted({(expected_depth(t, mu), tree_error(t, f, mu)) for t in trees}):
+    for d, e in sorted(sides):
         if not best or e < best[-1][1]:
             best.append((d, e))
-    return best
+    return [(Fraction(d, scale), Fraction(e, scale)) for d, e in best]
 
 
 def _scn_frontier_oracle(params: dict):
     per_function = _in_range(params["distributions"], 1, 20, "distributions")
     rng = random.Random(params["seed"])
-    trees = enumerate_all_trees(2)
+    walks = [[_walk(t, x) for x in range(4)] for t in enumerate_all_trees(2)]
     checks = []
     for idx, labels in enumerate(itertools.product((1, -1), repeat=4)):
         f = BooleanFunction(2, labels)
@@ -173,7 +186,7 @@ def _scn_frontier_oracle(params: dict):
         for _ in range(per_function):
             mu = random_distribution(rng, 2)
             dp = [(p.depth, p.value) for p in pareto_frontier(f, mu).points]
-            if dp != _brute_frontier(trees, f, mu):
+            if dp != _brute_frontier(walks, f, mu):
                 mismatches += 1
         checks.append(CheckResult(
             f"table-{idx:02d}",

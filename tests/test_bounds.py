@@ -33,7 +33,7 @@ from dtlab.bounds import (
     xor_vs_product_gap,
 )
 from dtlab.errors import DimensionMismatch, InvalidValue
-from dtlab.exactexp import ExpSum
+from dtlab.exactexp import DEFAULT_PRECISION_BITS, ExpSum
 from dtlab.functions import (
     constant_measure,
     dictator,
@@ -194,6 +194,35 @@ def test_each_verifier_builds_its_leaf_statistics_once(monkeypatch):
         verify_accuracy_bound(tree, f, h, mu)
     assert calls == {"leaf_stats": 8, "product_power": 4, "direct_product": 4,
                      "block_error_law": 4}
+
+
+def test_each_report_encloses_its_slack_once(monkeypatch):
+    calls = []
+    real = ExpSum.enclosure
+
+    def counted(self, prec_bits=DEFAULT_PRECISION_BITS):
+        calls.append((self, prec_bits))
+        return real(self, prec_bits)
+
+    monkeypatch.setattr(ExpSum, "enclosure", counted)
+    batches = [lambda: [lipschitz_check(0, 4, F(1, 2), "plain")],
+               lambda: [lipschitz_check(1, 7, F(1, 3), "scaled")]]
+    batches += [lambda inst=inst: verify_resilience(inst[0], inst[2], inst[3])
+                for inst in INSTANCES[:3]]
+    checked = 0
+    for build in batches:
+        calls.clear()
+        reports = build()
+        blobs = [bound_report_to_json(rep) for rep in reports]
+        for rep, blob in zip(reports, blobs):
+            if rep.slack.is_rational:
+                continue
+            assert isinstance(blob["slack"], list)
+            # signed in _report, printed from the same enclosure
+            assert sum(1 for v, prec in calls
+                       if v == rep.slack and prec == DEFAULT_PRECISION_BITS) == 1
+            checked += 1
+    assert checked >= 8
 
 
 def test_error_no_advantage_on_random_instances():

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from dtlab.errors import InvalidValue, UndecidedComparison
 from dtlab.exactexp import (
     ExpSum,
+    _canon,
     decimal_interval,
     exp_bounds,
     fraction_from_str,
@@ -200,6 +201,71 @@ def test_negation_and_scaling_keep_the_canonical_order():
         assert hash(negated) == hash(ExpSum.of(0) - a)
     assert a.scale(5) == ExpSum.total([a] * 5)
     assert [b for _, b in (a - 4).terms] == [2, 1, 0]
+
+
+def test_hand_built_sums_are_canonicalized():
+    # left unmerged, the first would read 1 and the others spin to the
+    # precision ceiling
+    for terms in (((1, 0), (-1, 0)), ((1, 1), (-1, 1)), ((0, 1),)):
+        v = ExpSum(terms)
+        assert v.terms == ()
+        assert v == ExpSum.of(0) and hash(v) == hash(ExpSum.of(0))
+        assert v.as_rational() == 0 and v.sign() == 0
+    mixed = ExpSum(((1, 0), (2, 1), (Fraction(1, 2), -1), (3, 1), (True, 0)))
+    built = ExpSum.exp(1, 5) + 2 + ExpSum.exp(-1, Fraction(1, 2))
+    assert mixed == built and hash(mixed) == hash(built)
+    assert all(type(a) is Fraction and type(b) is Fraction for a, b in mixed.terms)
+    assert (mixed - built).sign() == 0
+
+
+def _random_terms(rng):
+    """A term list with repeated exponents, zero coefficients, terms that
+    cancel, and int, bool and Fraction entries; a third are rational only."""
+    rational_only = rng.random() < 1 / 3
+    pool = [0] if rational_only else [0, 1, -1, Fraction(1, 2), Fraction(-2, 3), 2]
+
+    def number(lo, hi):
+        kind = rng.randrange(4)
+        if kind == 0:
+            return rng.randint(lo, hi)
+        if kind == 1:
+            return rng.random() < 0.5
+        return Fraction(rng.randint(lo, hi), rng.randint(1, 3))
+
+    terms = [(number(-3, 3), rng.choice(pool)) for _ in range(rng.randint(0, 6))]
+    if terms and rng.random() < 0.3:
+        a, b = rng.choice(terms)
+        terms.append((-a, b))
+    rng.shuffle(terms)
+    return terms
+
+
+def _canonical_form(v: ExpSum) -> tuple:
+    assert all(type(a) is Fraction and type(b) is Fraction for a, b in v.terms)
+    return v.terms, hash(v)
+
+
+def test_kernel_operations_match_the_canonicalizing_constructor():
+    rng = random.Random(2020)
+    for _ in range(1000):
+        ta, tb = _random_terms(rng), _random_terms(rng)
+        a, b = ExpSum(ta), ExpSum(tb)
+        q = rng.choice([0, 1, -2, True, Fraction(rng.randint(-5, 5), rng.randint(1, 4))])
+        c, e = rng.choice(ta + tb + [(0, 1), (True, False)])
+
+        def expect(terms):
+            return _canonical_form(ExpSum(tuple(terms)))
+
+        assert a.terms == _canon(ta)
+        assert _canonical_form(a + b) == expect(a.terms + b.terms)
+        assert _canonical_form(a - b) == expect(a.terms + tuple((-x, y) for x, y in b.terms))
+        assert _canonical_form(-a) == expect((-x, y) for x, y in a.terms)
+        assert _canonical_form(a.scale(q)) == expect((x * q, y) for x, y in a.terms)
+        assert _canonical_form(a + q) == expect(a.terms + ((q, 0),))
+        assert _canonical_form(q - a) == expect([(q, 0)] + [(-x, y) for x, y in a.terms])
+        assert _canonical_form(ExpSum.of(c)) == expect([(c, 0)])
+        assert _canonical_form(ExpSum.exp(e, c)) == expect([(c, e)])
+        assert _canonical_form(ExpSum.total([a, b, q])) == expect(a.terms + b.terms + ((q, 0),))
 
 
 def test_total_matches_repeated_addition():

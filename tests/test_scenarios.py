@@ -1,8 +1,10 @@
 """Scenario registry behavior and run-report determinism."""
 
 import argparse
+import dataclasses
 import hashlib
 import inspect
+import itertools
 import json
 import random
 from decimal import Decimal
@@ -13,6 +15,8 @@ import pytest
 from dtlab import bounds, cli, scenarios
 from dtlab.errors import GuardExceeded, InvalidValue
 from dtlab.exactexp import ExpSum
+from dtlab.functions import BooleanFunction
+from dtlab.instances import random_distribution
 from dtlab.scenarios import (
     SCENARIOS,
     default_config,
@@ -21,6 +25,8 @@ from dtlab.scenarios import (
     run_config,
     run_scenario,
 )
+from dtlab.synth import enumerate_all_trees
+from dtlab.trees import _walk, error, expected_depth
 
 SMALL_PARAMS = {
     "parity-claim": {"n": 2},
@@ -220,6 +226,31 @@ def test_frontier_report_is_pinned():
     assert len(data) == 2_974_605
     assert hashlib.sha256(data).hexdigest() == (
         "a4071dc28a558d1ad85e83eeff308127d61db074cc2a954e51c0bbc242be04c6")
+
+
+def test_frontier_oracle_table_matches_the_per_tree_sums(monkeypatch):
+    trees = enumerate_all_trees(2)
+    walks = [[_walk(t, x) for x in range(4)] for t in trees]
+    rng = random.Random(157)
+    for labels in itertools.product((1, -1), repeat=4):
+        f = BooleanFunction(2, labels)
+        for _ in range(4):
+            mu = random_distribution(rng, 2)
+            best = []
+            for d, e in sorted({(expected_depth(t, mu), error(t, f, mu)) for t in trees}):
+                if not best or e < best[-1][1]:
+                    best.append((d, e))
+            assert scenarios._brute_frontier(walks, f, mu) == best
+    # and the scenario still tells a wrong DP frontier from the enumeration
+    real = scenarios.pareto_frontier
+
+    def shifted(f, mu):
+        front = real(f, mu)
+        return dataclasses.replace(front, points=front.points[1:])
+
+    monkeypatch.setattr(scenarios, "pareto_frontier", shifted)
+    result = run_scenario("frontier-oracle", {"distributions": 1})
+    assert not any(c.report.holds for c in result.checks)
 
 
 _SCALARS = (0.1, -0.0, 1e300, 5e-324, -2.5e-07, 1e16, float("nan"), float("inf"),
