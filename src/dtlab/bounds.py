@@ -14,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import floor
+from itertools import accumulate
+from math import floor, prod
 
 from .errors import DimensionMismatch, InvalidValue
 from .exactexp import DEFAULT_PRECISION_BITS, ExpSum, value_json
@@ -22,6 +23,7 @@ from .functions import (
     BooleanFunction,
     Distribution,
     Measure,
+    _scale,
     constant_function,
     density,
     direct_product,
@@ -47,7 +49,6 @@ from .trees import (
 from .transforms import embed_block_reduction, parity_mixture, product_tree
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 PHI_IDS = ("exp-neg-z4", "exp-pos-z", "square-dev", "tail-low", "tail-high")
 
@@ -114,19 +115,29 @@ def bound_report_to_json(report: BoundReport,
 # Bernoulli sums and closed-form tail bounds
 
 
+def _ber_poly(p) -> tuple[int, list[int]]:
+    """(B, c) with c[z]/B the probability that a sum of independent
+    Bernoulli(p_i) variables is z.  For p_i = a_i/b_i in lowest terms, c
+    holds the int coefficients of prod((b_i - a_i) + a_i*x) and B = prod b_i,
+    so the convolution runs on ints."""
+    den, coeffs = 1, [1]
+    for v in p:
+        v = Fraction(v)
+        a, b = v.numerator, v.denominator
+        if not 0 <= a <= b:
+            raise InvalidValue("Bernoulli parameters must lie in [0,1]")
+        nxt = [c * (b - a) for c in coeffs] + [0]
+        for z, c in enumerate(coeffs):
+            nxt[z + 1] += c * a
+        den, coeffs = den * b, nxt
+    return den, coeffs
+
+
 def ber_sum(p) -> tuple[Fraction, ...]:
-    """pmf of a sum of independent Bernoulli(p_i) variables, indexed by the sum."""
-    probs = tuple(Fraction(v) for v in p)
-    if any(not 0 <= v <= 1 for v in probs):
-        raise InvalidValue("Bernoulli parameters must lie in [0,1]")
-    pmf = [_ONE]
-    for v in probs:
-        nxt = [_ZERO] * (len(pmf) + 1)
-        for z, w in enumerate(pmf):
-            nxt[z] += w * (1 - v)
-            nxt[z + 1] += w * v
-        pmf = nxt
-    return tuple(pmf)
+    """pmf of a sum of independent Bernoulli(p_i) variables, indexed by the
+    sum: _ber_poly's int coefficients over their common denominator B."""
+    den, coeffs = _ber_poly(p)
+    return tuple(Fraction(c, den) for c in coeffs)
 
 
 def binomial(k: int, delta) -> tuple[Fraction, ...]:
@@ -257,22 +268,28 @@ def verify_accuracy_bound(tree: DecisionTree, f: BooleanFunction, h: Measure,
     """Probability of at most t wrong blocks against the leaf Bernoulli-sum
     form, one report per threshold t = 0..k.
 
-    Both sides read every t off one law each, with ber_sum_cdf: the lhs off
-    the tree's block_error_law, by direct point enumeration and never from
-    the leaf statistics, the rhs off each leaf's Bernoulli-sum law, built
-    once from the leaf statistics.  Also emits the coarser exponential form
-    E_leaf[g_t(dens - adv)] and certifies it dominates the Bernoulli-sum rhs.
+    Both sides read every t off one law each: the lhs off the tree's
+    block_error_law with ber_sum_cdf, by direct point enumeration and never
+    from the leaf statistics; the rhs off each leaf's Bernoulli-sum law,
+    built once from the leaf statistics as _ber_poly's int coefficients, so
+    that reach * cdf(t) is one int prefix sum over one denominator per leaf.
+    Also emits the coarser exponential form E_leaf[g_t(dens - adv)] and
+    certifies it dominates the Bernoulli-sum rhs.
     """
     k = tree.k
     law = block_error_law(tree, direct_product(f, k), product_power(mu, k))
-    per_leaf = [(s.reach, ber_sum(s.p), s.dens_total - s.adv_total)
-                for s in leaf_stats(tree, f, h, mu)]
+    per_leaf = []
+    for s in leaf_stats(tree, f, h, mu):
+        den, coeffs = _ber_poly(s.p)
+        per_leaf.append((s.reach, s.reach.denominator * den,
+                         [s.reach.numerator * c for c in accumulate(coeffs)],
+                         s.dens_total - s.adv_total))
     reports = []
     for t in range(k + 1):
         lhs = ber_sum_cdf(law, t)
-        rhs = sum((reach * ber_sum_cdf(pmf, t) for reach, pmf, _ in per_leaf), _ZERO)
+        rhs = sum((Fraction(cdf[t], den) for _, den, cdf, _ in per_leaf), _ZERO)
         g_form = ExpSum.total(ExpSum.exp(_g_exponent(t, gap), reach)
-                              for reach, _, gap in per_leaf)
+                              for reach, _, _, gap in per_leaf)
         g_dominates = (g_form - rhs).sign() >= 0
         reports.append(_report(
             "accuracy-from-stats", lhs, rhs,
@@ -328,28 +345,35 @@ def verify_bounds_from_hardcore(tree: DecisionTree,
 def verify_leaf_product(tree: DecisionTree, mu: Distribution) -> BoundReport:
     """Conditional input law at each reachable leaf factors across blocks.
 
-    lhs is the total absolute deviation between the conditional joint and the
-    product of its per-block marginals; the law holds iff it is exactly 0.
+    lhs is the total absolute deviation, over every reachable leaf and every
+    point p of its cube, between the conditional joint mu^k(p)/reach and the
+    product of the k per-block factors from conditional_blocks_at_leaf; the
+    law holds iff it is exactly 0.  It is summed on ints, point by point and
+    never factored: with mu scaled to ints m, the joint is prod m[p_i] and
+    reach its sum over the cube; with factor i scaled to ints L over its
+    denominator D_i, a leaf adds the int sum of
+    |joint * prod D_i - prod L_i[p_i] * reach| over reach * prod D_i.
     """
     n, k = tree.n, tree.k
     if mu.n != n:
         raise DimensionMismatch("verify_leaf_product expects single-block mu")
-    mu_k = product_power(mu, k)
+    weights = _scale(mu.weights)[1]
     mask_n = (1 << n) - 1
+    shifts = range(0, n * k, n)
     deviation = _ZERO
     for ref in leaves(tree):
-        cube = [(p, mu_k.weights[p])
+        cube = [[(p >> s) & mask_n for s in shifts]
                 for p in cube_points(tree.total_vars, ref.fixed_mask, ref.fixed_vals)]
-        reach = sum((w for _, w in cube), _ZERO)
+        joints = [prod(weights[b] for b in blocks) for blocks in cube]
+        reach = sum(joints)
         if reach == 0:
             continue
-        factors = conditional_blocks_at_leaf(tree, mu, ref)
-        for p, w in cube:
-            joint = w / reach
-            prod = _ONE
-            for i in range(k):
-                prod *= factors[i].weights[(p >> (i * n)) & mask_n]
-            deviation += abs(joint - prod)
+        scales, factors = zip(*(_scale(d.weights)
+                                for d in conditional_blocks_at_leaf(tree, mu, ref)))
+        den = prod(scales)
+        total = sum(abs(joint * den - prod(fac[b] for fac, b in zip(factors, blocks)) * reach)
+                    for blocks, joint in zip(cube, joints))
+        deviation += Fraction(total, reach * den)
     return _report("leaf-product-law", deviation, _ZERO)
 
 

@@ -198,16 +198,19 @@ def uniform(n: int) -> Distribution:
 def product_power(mu: Distribution, k: int) -> Distribution:
     """k-fold product distribution over block-structured points.
 
-    Built as an iterated Kronecker product: each step puts a new block in the
-    high bits, one multiplication per point.
+    Built as an iterated Kronecker product on mu's weights scaled to ints:
+    each step puts a new block in the high bits, one multiplication per
+    point, and each weight is divided by the scale to the k once at the end.
     """
     if k < 1:
         raise InvalidValue(f"k must be >= 1, got {k}")
     _check_var_count(mu.n * k, "product_power")
-    weights = mu.weights
+    scale, base = _scale(mu.weights)
+    weights = base
     for _ in range(k - 1):
-        weights = tuple(b * a for b in mu.weights for a in weights)
-    return Distribution(mu.n * k, weights)
+        weights = [b * a for b in base for a in weights]
+    den = scale ** k
+    return Distribution(mu.n * k, tuple(Fraction(w, den) for w in weights))
 
 
 def density(h: Measure, mu: Distribution) -> Fraction:

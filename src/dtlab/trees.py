@@ -10,10 +10,12 @@ leaf's conditional law factors across blocks (acceptance c07).  One private
 kernel, _cell_sums, uses this for every per-leaf statistic: leaf_stats,
 conditional_blocks_at_leaf, and relabel_leaves (which serves sign_fix_leaves
 and product_tree in transforms) cost O(L*k*2^n) for L leaves instead of
-walking 2^(nk - depth) points per leaf.  What checks that factorization
-stays on point enumeration, so no check is circular: the joint law in
-bounds.verify_leaf_product and the block_error_law behind the lhs of
-bounds.verify_accuracy_bound.
+walking 2^(nk - depth) points per leaf.  Its sums are ints, over mu's and
+each table's own least common denominator, which it returns with them; the
+callers build one Fraction per returned value.  What checks that
+factorization stays on point enumeration, so no check is circular: the joint
+law that bounds.verify_leaf_product sums point by point over each leaf's
+cube, and the block_error_law behind the lhs of bounds.verify_accuracy_bound.
 
 Trees may share nodes, as reduced decision diagrams do: synth's DP reuses them.
 Validity is per node, checked once on first use through a cached shape, so the
@@ -31,7 +33,8 @@ from math import prod
 from .errors import DimensionMismatch, InvalidValue, UnreachedLeaf
 from .exactexp import _int, fraction_from_str, fraction_to_str
 from .functions import (
-    MAX_TABLE_VARS, BooleanFunction, Distribution, Measure, _check_var_count, output_rows)
+    MAX_TABLE_VARS, BooleanFunction, Distribution, Measure, _check_var_count, _scale,
+    output_rows)
 
 _ZERO = Fraction(0)
 
@@ -231,10 +234,12 @@ def block_error_law(tree, target, mu: Distribution) -> tuple[Fraction, ...]:
         laws = [[w * v for v in block_error_law(t, target, mu)] for w, t in tree.components]
         return tuple(sum(col, _ZERO) for col in zip(*laws))
     rows = _target_rows(tree, target, mu)
-    law = [_ZERO] * (tree.k + 1)
-    for x in mu.support():
-        law[sum(a != b for a, b in zip(evaluate(tree, x), rows[x]))] += mu.weights[x]
-    return tuple(law)
+    scale, weights = _scale(mu.weights)
+    law = [0] * (tree.k + 1)
+    for x, w in enumerate(weights):
+        if w:
+            law[sum(a != b for a, b in zip(evaluate(tree, x), rows[x]))] += w
+    return tuple(Fraction(v, scale) for v in law)
 
 
 # ---------------------------------------------------------------------------
@@ -259,33 +264,39 @@ class LeafStats:
         return sum(self.adv, _ZERO)
 
 
-def _cell_sums(refs, n: int, k: int, mu: Distribution,
-               tables=()) -> list[list[tuple[Fraction, ...]]]:
-    """Per leaf, per block i: (sum of mu, sum of mu*t for t in tables) over the
+def _cell_sums(refs, n: int, k: int, mu: Distribution, tables=()
+               ) -> tuple[tuple[int, ...], list[list[tuple[int, ...]]]]:
+    """(scales, cells): per leaf, per block i, ints (S, T_1, ...) over the
     leaf's block-i cell {x : x & bm == bv}, bm and bv being block i's slices
-    of fixed_mask and fixed_vals.  Tables are single-block, mu-zero points are
-    skipped, and each distinct cell is summed once."""
+    of fixed_mask and fixed_vals.  For scales = (D, E_1, ...), the least
+    common denominators of mu and of each table, S/D is the cell's sum of
+    mu and T_j/(D*E_j) its sum of mu*t_j.  Tables are single-block, mu-zero
+    points are skipped, and each distinct cell is summed once."""
     mask = (1 << n) - 1
-    rows = [(x, (w,) + tuple(w * t[x] for t in tables))
-            for x, w in enumerate(mu.weights) if w != 0]
-    zeros = (_ZERO,) * (1 + len(tables))
+    scale, weights = _scale(mu.weights)
+    scaled = [_scale(t) for t in tables]
+    rows = [(x, (w,) + tuple(w * t[x] for _, t in scaled))
+            for x, w in enumerate(weights) if w]
+    zeros = (0,) * (1 + len(tables))
 
     @lru_cache(maxsize=None)
-    def cell(bm: int, bv: int) -> tuple[Fraction, ...]:
+    def cell(bm: int, bv: int) -> tuple[int, ...]:
         return tuple(map(sum, zip(zeros, *(r for x, r in rows if x & bm == bv))))
 
-    return [[cell((ref.fixed_mask >> (i * n)) & mask, (ref.fixed_vals >> (i * n)) & mask)
-             for i in range(k)] for ref in refs]
+    cells = [[cell((ref.fixed_mask >> (i * n)) & mask, (ref.fixed_vals >> (i * n)) & mask)
+              for i in range(k)] for ref in refs]
+    return (scale,) + tuple(e for e, _ in scaled), cells
 
 
 def relabel_leaves(tree: DecisionTree, n: int, k: int, mu: Distribution,
                    tables, label) -> DecisionTree:
     """tree's query structure read as k blocks of n variables, each leaf
     relabelled label(old label, cells), cells being the leaf's per-block
-    _cell_sums against mu and tables."""
+    _cell_sums against mu and tables.  The sums are scaled by positive
+    ints, so their signs and zeros are the true sums'."""
     refs = leaves(tree)
     new = iter([label(ref.label, cells)
-                for ref, cells in zip(refs, _cell_sums(refs, n, k, mu, tables))])
+                for ref, cells in zip(refs, _cell_sums(refs, n, k, mu, tables)[1])])
 
     def walk(node):
         if isinstance(node, Leaf):
@@ -307,21 +318,24 @@ def leaf_stats(tree: DecisionTree, f: BooleanFunction, h: Measure,
 
     The leaf law factors across blocks, so with S, H, G the block cell's
     sums of mu, mu*h and mu*f*h: reach = prod S, dens = H/S and adv = |G|/S.
-    Cost O(L*k*2^n) for L leaves.
+    Each is one Fraction of _cell_sums' ints.  Cost O(L*k*2^n) for L leaves.
     """
     n, k = tree.n, tree.k
     if f.n != n or h.n != n or mu.n != n:
         raise DimensionMismatch("leaf_stats expects single-block f, h, mu")
     fh = tuple(a * b for a, b in zip(f.table, h.values))
+    (scale, eh, eg), per_leaf = _cell_sums(leaves(tree), n, k, mu, (h.values, fh))
+    reach_den = scale ** k
     out: list[LeafStats] = []
-    for cells in _cell_sums(leaves(tree), n, k, mu, (h.values, fh)):
+    for cells in per_leaf:
         reach = prod(c[0] for c in cells)
         if reach == 0:
             continue
-        dens = tuple(hs / s for s, hs, _ in cells)
-        adv = tuple(abs(g) / s for s, _, g in cells)
-        p = tuple((d - a) / 2 for d, a in zip(dens, adv))
-        out.append(LeafStats(reach, dens, adv, p))
+        out.append(LeafStats(
+            Fraction(reach, reach_den),
+            tuple(Fraction(hs, s * eh) for s, hs, _ in cells),
+            tuple(Fraction(abs(g), s * eg) for s, _, g in cells),
+            tuple(Fraction(hs * eg - abs(g) * eh, 2 * s * eh * eg) for s, hs, g in cells)))
     return out
 
 
@@ -339,15 +353,16 @@ def conditional_blocks_at_leaf(tree: DecisionTree, mu: Distribution,
     if mu.n != n:
         raise DimensionMismatch("conditional_blocks_at_leaf expects single-block mu")
     mask = (1 << n) - 1
+    weights = _scale(mu.weights)[1]
     factors = []
-    for i, (total,) in enumerate(_cell_sums([ref], n, k, mu)[0]):
+    for i, (total,) in enumerate(_cell_sums([ref], n, k, mu)[1][0]):
         if total == 0:
             raise UnreachedLeaf(f"leaf on subcube {ref.fixed_mask:#x}/{ref.fixed_vals:#x} "
                                 "has zero reach probability")
         bm = (ref.fixed_mask >> (i * n)) & mask
         bv = (ref.fixed_vals >> (i * n)) & mask
         factors.append(Distribution(n, tuple(
-            w / total if x & bm == bv else _ZERO for x, w in enumerate(mu.weights))))
+            Fraction(w, total) if x & bm == bv else _ZERO for x, w in enumerate(weights))))
     return tuple(factors)
 
 

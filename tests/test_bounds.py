@@ -194,6 +194,11 @@ def test_each_verifier_builds_its_leaf_statistics_once(monkeypatch):
         verify_accuracy_bound(tree, f, h, mu)
     assert calls == {"leaf_stats": 8, "product_power": 4, "direct_product": 4,
                      "block_error_law": 4}
+    # the leaf-product joint is enumerated point by point, never read off mu^k
+    for tree, mu in leaf_product_instances(seed=99, count=4):
+        verify_leaf_product(tree, mu)
+    assert calls == {"leaf_stats": 8, "product_power": 4, "direct_product": 4,
+                     "block_error_law": 4}
 
 
 def test_each_report_encloses_its_slack_once(monkeypatch):
