@@ -11,11 +11,13 @@ bound_report_to_json, only sets the width of serialized intervals.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import accumulate
-from math import floor, prod
+from math import floor, lcm, prod
+from operator import itemgetter
 
 from .errors import DimensionMismatch, InvalidValue
 from .exactexp import DEFAULT_PRECISION_BITS, ExpSum, value_json
@@ -23,7 +25,6 @@ from .functions import (
     BooleanFunction,
     Distribution,
     Measure,
-    _scale,
     constant_function,
     density,
     direct_product,
@@ -173,14 +174,28 @@ def chernoff_upper2x(mu_sum) -> ExpSum:
     return ExpSum.exp(-mu_sum / 3)
 
 
-def _g_exponent(t: Fraction, z: Fraction) -> Fraction:
-    """min(0, t - z/4), decided exactly: g_t(z) is e to this power."""
-    return min(t - z / 4, _ZERO)
+def _groups(pairs) -> list[tuple[Fraction, Fraction]]:
+    """(z, total weight) per distinct z of (weight, z) pairs, z increasing:
+    the sums built from them are canonical by construction."""
+    acc: dict[Fraction, Fraction] = {}
+    for w, z in pairs:
+        acc[z] = acc.get(z, _ZERO) + w
+    return sorted(acc.items())
+
+
+def _g_sum(groups, t) -> ExpSum:
+    """sum_z w_z * g_t(z) over _groups of positive weights.  The z <= 4t
+    merge into one rational term; the others keep the distinct exponents
+    t - z/4, which decrease as z grows."""
+    i = bisect_right(groups, 4 * t, key=itemgetter(0))
+    flat = sum((w for _, w in groups[:i]), _ZERO)
+    terms = tuple((w, t - z / 4) for z, w in groups[i:])
+    return ExpSum._make(((flat, _ZERO),) + terms if flat else terms)
 
 
 def g_func(t, z) -> ExpSum:
     """min(1, e^{t - z/4}), decided exactly: the min picks 1 iff t >= z/4."""
-    return ExpSum.exp(_g_exponent(Fraction(t), Fraction(z)))
+    return ExpSum.exp(min(Fraction(t) - Fraction(z) / 4, _ZERO))
 
 
 def lipschitz_check(t, z, delta, form: str = "plain") -> BoundReport:
@@ -240,14 +255,12 @@ def verify_resilience(tree: DecisionTree, h: Measure,
     delta = density(h, mu)
     mean = delta * k
     pairs = _reachable_density_stats(tree, h, mu)
-    bino = binomial(k, delta)
+    leaf, bino = _groups(pairs), _groups((w, Fraction(z))
+                                         for z, w in enumerate(binomial(k, delta)) if w)
     sides = {
-        "exp-neg-z4": (
-            ExpSum.total(ExpSum.exp(-dens / 4, reach) for reach, dens in pairs),
-            ExpSum.total(ExpSum.exp(Fraction(-z, 4), w) for z, w in enumerate(bino))),
-        "exp-pos-z": (
-            ExpSum.total(ExpSum.exp(dens, reach) for reach, dens in pairs),
-            ExpSum.total(ExpSum.exp(Fraction(z), w) for z, w in enumerate(bino))),
+        "exp-neg-z4": (_g_sum(leaf, 0), _g_sum(bino, 0)),  # g_0(z) = e**(-z/4)
+        "exp-pos-z": tuple(ExpSum._make(tuple((w, z) for z, w in reversed(g)))
+                           for g in (leaf, bino)),  # largest z first
         "square-dev": (
             sum((reach * (dens - mean) ** 2 for reach, dens in pairs), _ZERO),
             k * delta * (1 - delta)),
@@ -272,24 +285,23 @@ def verify_accuracy_bound(tree: DecisionTree, f: BooleanFunction, h: Measure,
     block_error_law with ber_sum_cdf, by direct point enumeration and never
     from the leaf statistics; the rhs off each leaf's Bernoulli-sum law,
     built once from the leaf statistics as _ber_poly's int coefficients, so
-    that reach * cdf(t) is one int prefix sum over one denominator per leaf.
-    Also emits the coarser exponential form E_leaf[g_t(dens - adv)] and
-    certifies it dominates the Bernoulli-sum rhs.
+    that each t's rhs is one int sum over the leaves' common denominator.
+    Also emits the coarser exponential form E_leaf[g_t(dens - adv)], from
+    leaves grouped once (_g_sum), and certifies it dominates the rhs.
     """
     k = tree.k
     law = block_error_law(tree, direct_product(f, k), product_power(mu, k))
-    per_leaf = []
-    for s in leaf_stats(tree, f, h, mu):
-        den, coeffs = _ber_poly(s.p)
-        per_leaf.append((s.reach, s.reach.denominator * den,
-                         [s.reach.numerator * c for c in accumulate(coeffs)],
-                         s.dens_total - s.adv_total))
+    stats = leaf_stats(tree, f, h, mu)
+    laws = [(s.reach, *_ber_poly(s.p)) for s in stats]
+    den = lcm(*(r.denominator * b for r, b, _ in laws))
+    cdfs = [[r.numerator * (den // (r.denominator * b)) * c for c in accumulate(coeffs)]
+            for r, b, coeffs in laws]
+    gaps = _groups((s.reach, s.dens_total - s.adv_total) for s in stats)
     reports = []
     for t in range(k + 1):
         lhs = ber_sum_cdf(law, t)
-        rhs = sum((Fraction(cdf[t], den) for _, den, cdf, _ in per_leaf), _ZERO)
-        g_form = ExpSum.total(ExpSum.exp(_g_exponent(t, gap), reach)
-                              for reach, _, _, gap in per_leaf)
+        rhs = Fraction(sum(cdf[t] for cdf in cdfs), den)
+        g_form = _g_sum(gaps, t)
         g_dominates = (g_form - rhs).sign() >= 0
         reports.append(_report(
             "accuracy-from-stats", lhs, rhs,
@@ -304,8 +316,7 @@ def verify_error_no_advantage(tree: DecisionTree, h: Measure,
     k = tree.k
     delta = density(h, mu)
     t = delta * k / 10
-    lhs = ExpSum.total(ExpSum.exp(_g_exponent(t, dens), reach)
-                       for reach, dens in _reachable_density_stats(tree, h, mu))
+    lhs = _g_sum(_groups(_reachable_density_stats(tree, h, mu)), t)
     rhs = ExpSum.exp(-Fraction(121, 1000) * delta * k)
     return _report("error-no-advantage", lhs, rhs,
                    related=(("delta", delta), ("k", k)))
@@ -349,15 +360,15 @@ def verify_leaf_product(tree: DecisionTree, mu: Distribution) -> BoundReport:
     point p of its cube, between the conditional joint mu^k(p)/reach and the
     product of the k per-block factors from conditional_blocks_at_leaf; the
     law holds iff it is exactly 0.  It is summed on ints, point by point and
-    never factored: with mu scaled to ints m, the joint is prod m[p_i] and
-    reach its sum over the cube; with factor i scaled to ints L over its
-    denominator D_i, a leaf adds the int sum of
+    never factored: with mu's scaled ints m, the joint is prod m[p_i] and
+    reach its sum over the cube; with factor i's scaled ints L over D_i, both
+    kept from where the laws were built and not rescaled, a leaf adds the sum of
     |joint * prod D_i - prod L_i[p_i] * reach| over reach * prod D_i.
     """
     n, k = tree.n, tree.k
     if mu.n != n:
         raise DimensionMismatch("verify_leaf_product expects single-block mu")
-    weights = _scale(mu.weights)[1]
+    weights = mu.scaled[1]
     mask_n = (1 << n) - 1
     shifts = range(0, n * k, n)
     deviation = _ZERO
@@ -368,8 +379,7 @@ def verify_leaf_product(tree: DecisionTree, mu: Distribution) -> BoundReport:
         reach = sum(joints)
         if reach == 0:
             continue
-        scales, factors = zip(*(_scale(d.weights)
-                                for d in conditional_blocks_at_leaf(tree, mu, ref)))
+        scales, factors = zip(*(d.scaled for d in conditional_blocks_at_leaf(tree, mu, ref)))
         den = prod(scales)
         total = sum(abs(joint * den - prod(fac[b] for fac, b in zip(factors, blocks)) * reach)
                     for blocks, joint in zip(cube, joints))

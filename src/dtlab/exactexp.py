@@ -25,6 +25,14 @@ its Taylor series on integers scaled by 2**w, then square back (Brent, J. ACM
 step, the upper side ceils every step and adds a bound on the series tail.
 The working width w is the precision asked for plus one bit per squaring plus
 guard bits for the series' rounding; exp_bounds's docstring gives the budget.
+
+ExpSum.enclosure sums on one such scale 2**w (Brent and Zimmermann, Modern
+Computer Arithmetic, 2010): each e**b from exp_bounds at prec + GUARD_BITS
+whatever the term count, each a*e**b floored onto the scale for the low side
+and ceiled for the high.  With 2**top a bound on the largest term (within
+about a factor 16), w = prec + 2*GUARD_BITS - top, so each side lies within
+#terms * 2**-w, under #terms * 2**-(prec+28) of the largest term, of the
+exact sum of the term intervals: below the error of the terms themselves.
 """
 
 from __future__ import annotations
@@ -41,6 +49,7 @@ DEFAULT_PRECISION_BITS = 128
 
 # Escalation: ExpSum.sign starts at DEFAULT_PRECISION_BITS and doubles up to this.
 MAX_PRECISION_BITS = DEFAULT_PRECISION_BITS << 6
+GUARD_BITS = 16  # ExpSum.enclosure's extra bits, twice over; see above
 MAX_DIGITS = 4300  # int()'s default limit on the digits of a decimal string
 
 _ZERO = Fraction(0)
@@ -238,21 +247,24 @@ class ExpSum:
         return ExpSum._make(tuple((a * factor, b) for a, b in self.terms))
 
     def enclosure(self, prec_bits: int = DEFAULT_PRECISION_BITS) -> tuple[Fraction, Fraction]:
-        """Guaranteed rational interval containing the exact value."""
-        # Extra bits absorb the summation of several term intervals.
-        pad = prec_bits + 8 + max(1, len(self.terms)).bit_length()
-        lo = hi = _ZERO
-        for a, b in self.terms:
-            if b == 0:
-                lo += a
-                hi += a
-                continue
-            elo, ehi = exp_bounds(b, pad)
+        """Guaranteed rational interval containing the exact value, summed on
+        one fixed-point int scale; the module docstring bounds its width."""
+        pad = prec_bits + GUARD_BITS
+        terms = [(a, *(exp_bounds(b, pad) if b else (_ONE, _ONE))) for a, b in self.terms]
+        # |a| * ehi < 2**top for every term
+        top = max((a.numerator.bit_length() - a.denominator.bit_length()
+                   + ehi.numerator.bit_length() - ehi.denominator.bit_length() + 2
+                   for a, _, ehi in terms), default=0)
+        w = max(0, pad + GUARD_BITS - top)
+        lo = hi = 0
+        for a, elo, ehi in terms:
             if a < 0:
                 elo, ehi = ehi, elo
-            lo += a * elo
-            hi += a * ehi
-        return lo, hi
+            p, q = a.numerator << w, a.denominator
+            lo += p * elo.numerator // (q * elo.denominator)
+            hi -= -p * ehi.numerator // (q * ehi.denominator)
+        scale = 1 << w
+        return Fraction(lo, scale), Fraction(hi, scale)
 
     @cached_property
     def _default_enclosure(self) -> tuple[Fraction, Fraction]:

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
+from functools import cached_property
+from math import gcd, lcm, prod
 from string import hexdigits
 
 from .errors import DimensionMismatch, GuardExceeded, InvalidValue
@@ -90,11 +91,27 @@ class Distribution:
             raise DimensionMismatch(
                 f"weight count {len(self.weights)} != 2**{self.n}")
         # on ints: over D, the signs are the numerators' and the sum is D
-        scale, nums = _scale(self.weights)
+        scale, nums = self.scaled
         if any(w < 0 for w in nums):
             raise InvalidValue("distribution weights must be nonnegative")
         if sum(nums) != scale:
             raise InvalidValue("distribution weights must sum to exactly 1")
+
+    @cached_property
+    def scaled(self) -> tuple[int, tuple[int, ...]]:
+        """_scale(weights), computed by validation and read by int kernels."""
+        return _scale(self.weights)
+
+    @staticmethod
+    def _of_ints(n: int, scale: int, nums) -> "Distribution":
+        """The law nums/scale, checked as Distribution(n, weights) is; its
+        scaled form is the ints reduced by their gcd, not a rescaling."""
+        g = gcd(scale, *nums)
+        law = object.__new__(Distribution)  # frozen: fields go in __dict__
+        law.__dict__.update(n=n, scaled=(scale // g, tuple(m // g for m in nums)),
+                            weights=tuple(Fraction(m, scale) if m else _ZERO for m in nums))
+        law.__post_init__()
+        return law
 
     def support(self) -> list[int]:
         return [x for x, w in enumerate(self.weights) if w > 0]
@@ -198,19 +215,19 @@ def uniform(n: int) -> Distribution:
 def product_power(mu: Distribution, k: int) -> Distribution:
     """k-fold product distribution over block-structured points.
 
-    Built as an iterated Kronecker product on mu's weights scaled to ints:
-    each step puts a new block in the high bits, one multiplication per
-    point, and each weight is divided by the scale to the k once at the end.
+    Built as an iterated Kronecker product on mu's scaled ints: each step
+    puts a new block in the high bits, one multiplication per point.  With D
+    mu's least denominator, no prime of D divides every int, so D**k is the
+    least denominator of the product, and the law is built from its ints.
     """
     if k < 1:
         raise InvalidValue(f"k must be >= 1, got {k}")
     _check_var_count(mu.n * k, "product_power")
-    scale, base = _scale(mu.weights)
+    scale, base = mu.scaled
     weights = base
     for _ in range(k - 1):
         weights = [b * a for b in base for a in weights]
-    den = scale ** k
-    return Distribution(mu.n * k, tuple(Fraction(w, den) for w in weights))
+    return Distribution._of_ints(mu.n * k, scale ** k, weights)
 
 
 def density(h: Measure, mu: Distribution) -> Fraction:

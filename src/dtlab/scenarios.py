@@ -49,7 +49,6 @@ from .exactexp import (
 )
 from .functions import (
     BooleanFunction,
-    _scale,
     dictator,
     direct_product,
     no_error_reduction_function,
@@ -159,7 +158,7 @@ def _brute_frontier(walks, f, mu):
     """(depth, error) frontier of the enumerated trees by point enumeration:
     walks holds each tree's (label, path length) at every point, and both
     sides sum on ints over mu's common denominator."""
-    scale, nums = _scale(mu.weights)
+    scale, nums = mu.scaled
     sides = set()
     for walk in walks:
         depth = err = 0

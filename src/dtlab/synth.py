@@ -96,7 +96,7 @@ def pareto_frontier(target, mu: Distribution, *,
 
     # a cube's leaf statistic: its mass per label
     if h is None:
-        scale, weights = _scale(mu.weights)
+        scale, weights = mu.scaled
         labels = sorted(set(rows))
         point_stats = [tuple(w if label == row else 0 for label in labels)
                        for w, row in zip(weights, rows)]

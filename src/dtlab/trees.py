@@ -10,9 +10,10 @@ leaf's conditional law factors across blocks (acceptance c07).  One private
 kernel, _cell_sums, uses this for every per-leaf statistic: leaf_stats,
 conditional_blocks_at_leaf, and relabel_leaves (which serves sign_fix_leaves
 and product_tree in transforms) cost O(L*k*2^n) for L leaves instead of
-walking 2^(nk - depth) points per leaf.  Its sums are ints, over mu's and
-each table's own least common denominator, which it returns with them; the
-callers build one Fraction per returned value.  What checks that
+walking 2^(nk - depth) points per leaf.  Its sums are ints, over mu's
+(Distribution.scaled, never rescaled) and each table's least common
+denominator, which it returns with them; the callers build one Fraction per
+value, or a factor law straight from ints.  What checks that
 factorization stays on point enumeration, so no check is circular: the joint
 law that bounds.verify_leaf_product sums point by point over each leaf's
 cube, and the block_error_law behind the lhs of bounds.verify_accuracy_bound.
@@ -234,7 +235,7 @@ def block_error_law(tree, target, mu: Distribution) -> tuple[Fraction, ...]:
         laws = [[w * v for v in block_error_law(t, target, mu)] for w, t in tree.components]
         return tuple(sum(col, _ZERO) for col in zip(*laws))
     rows = _target_rows(tree, target, mu)
-    scale, weights = _scale(mu.weights)
+    scale, weights = mu.scaled
     law = [0] * (tree.k + 1)
     for x, w in enumerate(weights):
         if w:
@@ -273,7 +274,7 @@ def _cell_sums(refs, n: int, k: int, mu: Distribution, tables=()
     mu and T_j/(D*E_j) its sum of mu*t_j.  Tables are single-block, mu-zero
     points are skipped, and each distinct cell is summed once."""
     mask = (1 << n) - 1
-    scale, weights = _scale(mu.weights)
+    scale, weights = mu.scaled
     scaled = [_scale(t) for t in tables]
     rows = [(x, (w,) + tuple(w * t[x] for _, t in scaled))
             for x, w in enumerate(weights) if w]
@@ -353,7 +354,7 @@ def conditional_blocks_at_leaf(tree: DecisionTree, mu: Distribution,
     if mu.n != n:
         raise DimensionMismatch("conditional_blocks_at_leaf expects single-block mu")
     mask = (1 << n) - 1
-    weights = _scale(mu.weights)[1]
+    weights = mu.scaled[1]
     factors = []
     for i, (total,) in enumerate(_cell_sums([ref], n, k, mu)[1][0]):
         if total == 0:
@@ -361,8 +362,8 @@ def conditional_blocks_at_leaf(tree: DecisionTree, mu: Distribution,
                                 "has zero reach probability")
         bm = (ref.fixed_mask >> (i * n)) & mask
         bv = (ref.fixed_vals >> (i * n)) & mask
-        factors.append(Distribution(n, tuple(
-            Fraction(w, total) if x & bm == bv else _ZERO for x, w in enumerate(weights))))
+        factors.append(Distribution._of_ints(n, total, tuple(
+            w if x & bm == bv else 0 for x, w in enumerate(weights))))
     return tuple(factors)
 
 

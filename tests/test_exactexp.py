@@ -279,6 +279,74 @@ def test_total_matches_repeated_addition():
         assert ExpSum.total(values) == sum(values, ExpSum.of(0))
 
 
+def _fraction_sum_enclosure(v: ExpSum, prec_bits: int) -> tuple[Fraction, Fraction]:
+    """Oracle: the enclosure as an exact Fraction sum of the term intervals,
+    each e**b at a width that grows with the term count, as the kernel
+    summed before it moved onto one fixed-point scale."""
+    pad = prec_bits + 8 + max(1, len(v.terms)).bit_length()
+    lo = hi = Fraction(0)
+    for a, b in v.terms:
+        if b == 0:
+            lo += a
+            hi += a
+            continue
+        elo, ehi = exp_bounds(b, pad)
+        if a < 0:
+            elo, ehi = ehi, elo
+        lo += a * elo
+        hi += a * ehi
+    return lo, hi
+
+
+_ORACLE_EXPONENTS = (Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 4), Fraction(-3, 4),
+                     Fraction(5, 3), Fraction(-7, 2), Fraction(8), Fraction(-8), Fraction(1, 1000))
+
+
+def _oracle_sum(rng) -> ExpSum:
+    """0 to 12 terms over a few shared exponents, with negative coefficients
+    and magnitudes from 2**-200 to 2**60.  In a third of the sums a rational
+    term nearly cancels the rest, matching it to 20..180 bits of the scale."""
+    base = rng.randint(-200, 60)
+    terms = []
+    for _ in range(rng.randint(0, 12)):
+        mag = Fraction(2) ** max(-200, base - rng.randint(0, 24))
+        coeff = Fraction(rng.randint(1, 2**30), rng.choice((1, 3, 7, 1000))) / 2**30 * mag
+        terms.append((coeff if rng.random() < 0.5 else -coeff, rng.choice(_ORACLE_EXPONENTS)))
+    if terms and rng.random() < 1 / 3:
+        scale = Fraction(2) ** base
+        value = _fraction_sum_enclosure(ExpSum(tuple(terms)), 400)[0] / scale
+        bits = rng.randint(20, 180)
+        terms.append((-Fraction(round(value * 2**bits), 2**bits) * scale, 0))
+    return ExpSum(tuple(terms))
+
+
+def _decided(lo, hi) -> int:
+    return 1 if lo > 0 else -1 if hi < 0 else 0
+
+
+def test_fixed_point_enclosure_against_the_fraction_sum_and_mpmath():
+    rng = random.Random(2201)
+    decided = near_zero = 0
+    for _ in range(2000):
+        v = _oracle_sum(rng)
+        lo, hi = v.enclosure(128)
+        olo, ohi = _fraction_sum_enclosure(v, 128)
+        with mpmath.workprec(600):
+            neg, man, exp, _ = mpmath.fsum(_mpf(a) * mpmath.exp(_mpf(b))
+                                           for a, b in v.terms)._mpf_
+        assert lo <= (-1) ** neg * man * Fraction(2) ** exp <= hi
+        # a rounding unit 2**-w is under 2**-156 times the largest term
+        largest = max((abs(a) * exp_bounds(b, 64)[1] for a, b in v.terms), default=0)
+        assert hi - lo <= (ohi - olo) + len(v.terms) * largest / 2**156
+        # where the Fraction sum signs at 128 bits, the fixed-point sum signs alike
+        if _decided(olo, ohi):
+            assert _decided(lo, hi) == _decided(olo, ohi) == v.sign()
+            decided += 1
+        elif v.terms:
+            near_zero += 1
+    assert decided >= 1500 and near_zero >= 50
+
+
 def test_decimal_interval_brackets_e():
     lo, hi = decimal_interval(ExpSum.exp(1))
     e_ref = Decimal("2.718281828459045235360287471352")

@@ -1,4 +1,5 @@
-"""Every field or property of a package dataclass is read somewhere.
+"""Every field, property or cached property of a package dataclass is read
+somewhere.
 
 A record member that no module in the package or the benchmark harness
 reads as an attribute is data nobody uses; the scan matches by name.
@@ -21,8 +22,15 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
     return False
 
 
+def _is_property(dec: ast.expr) -> bool:
+    """property, or cached_property bare or as functools.cached_property."""
+    name = dec.attr if isinstance(dec, ast.Attribute) else getattr(dec, "id", None)
+    return name in ("property", "cached_property")
+
+
 def _members(source: str) -> list[tuple[str, str]]:
-    """(class, member) for every field and property of each dataclass."""
+    """(class, member) for every field, property and cached property of each
+    dataclass."""
     out = []
     for node in ast.walk(ast.parse(source)):
         if not (isinstance(node, ast.ClassDef) and _is_dataclass(node)):
@@ -31,8 +39,7 @@ def _members(source: str) -> list[tuple[str, str]]:
             if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
                 out.append((node.name, item.target.id))
             elif isinstance(item, ast.FunctionDef) and any(
-                    isinstance(d, ast.Name) and d.id == "property"
-                    for d in item.decorator_list):
+                    map(_is_property, item.decorator_list)):
                 out.append((node.name, item.name))
     return out
 
@@ -55,7 +62,9 @@ def test_every_dataclass_member_is_read():
 
 def test_the_scan_sees_an_unread_field():
     definitions = (
+        "import functools\n"
         "from dataclasses import dataclass\n"
+        "from functools import cached_property\n"
         "@dataclass(frozen=True)\n"
         "class A:\n"
         "    x: int\n"
@@ -63,10 +72,20 @@ def test_the_scan_sees_an_unread_field():
         "    @property\n"
         "    def z(self):\n"
         "        return self.x\n"
+        "    @cached_property\n"
+        "    def c(self):\n"
+        "        return self.x\n"
+        "    @functools.cached_property\n"
+        "    def d(self):\n"
+        "        return self.x\n"
+        "    @cached_property\n"
+        "    def e(self):\n"
+        "        return self.x\n"
         "@dataclass\n"
         "class B:\n"
         "    w: int\n"
         "class C:\n"
         "    v: int\n")
-    reader = "def f(a, b):\n    a.y = 1\n    return b.w\n"
-    assert _unread_members([definitions], [definitions, reader]) == ["A.y", "A.z"]
+    reader = "def f(a, b):\n    a.y = 1\n    return b.w + a.e\n"
+    assert _unread_members([definitions], [definitions, reader]) == [
+        "A.y", "A.z", "A.c", "A.d"]

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dtlab import functions
 from dtlab.errors import DimensionMismatch, GuardExceeded, InvalidValue
 from dtlab.functions import (
     BooleanFunction,
@@ -29,6 +30,7 @@ from dtlab.functions import (
     product_power,
     uniform,
     xor_power,
+    _scale,
 )
 from dtlab.instances import random_distribution
 
@@ -172,3 +174,37 @@ def test_distribution_and_measure_json_round_trip():
     assert distribution_from_json(distribution_to_json(mu)) == mu
     h = Measure(2, (Fraction(0), Fraction(1), Fraction(1, 7), Fraction(2, 7)))
     assert measure_from_json(measure_to_json(h)) == h
+
+
+def test_int_built_laws_equal_the_fraction_built_ones(monkeypatch):
+    rng = random.Random(2202)
+    for _ in range(300):
+        n = rng.randint(0, 3)
+        nums = [rng.choice((0, rng.randint(1, 50))) for _ in range(1 << n)]
+        nums[rng.randrange(1 << n)] += 1
+        g = rng.choice((1, 2, 6, 35))  # a scale with common factors, reduced once
+        law = Distribution._of_ints(n, sum(nums) * g, [m * g for m in nums])
+        want = Distribution(n, tuple(Fraction(m, sum(nums)) for m in nums))
+        assert (law.n, law.weights) == (want.n, want.weights)
+        assert all(type(w) is Fraction for w in law.weights)
+        assert law == want and hash(law) == hash(want)
+        assert law.scaled == want.scaled == _scale(want.weights)
+    # the int path keeps its scaled form instead of rescaling its weights
+    monkeypatch.setattr(functions, "_scale", None)
+    assert product_power(want, 3).scaled[0] == want.scaled[0] ** 3
+
+
+@pytest.mark.parametrize("n, nums, scale, error", [
+    (1, (2, -1), 1, InvalidValue),
+    (2, (0, 0, 0, 0), 1, InvalidValue),
+    (1, (1, 1), 3, InvalidValue),
+    (1, (1, 1, 1), 3, DimensionMismatch),
+    (2, (1, 2), 3, DimensionMismatch),
+    (25, (1,), 1, GuardExceeded),
+])
+def test_int_built_laws_refuse_what_the_fraction_path_refuses(n, nums, scale, error):
+    with pytest.raises(error) as got:
+        Distribution._of_ints(n, scale, nums)
+    with pytest.raises(error) as want:
+        Distribution(n, tuple(Fraction(m, scale) for m in nums))
+    assert str(got.value) == str(want.value)

@@ -19,9 +19,21 @@ from dtlab.bounds import (
     ber_sum_cdf,
     binomial,
     verify_accuracy_bound,
+    verify_error_no_advantage,
     verify_leaf_product,
+    verify_resilience,
 )
-from dtlab.functions import Distribution, Measure, direct_product, product_power
+from dtlab.errors import UnreachedLeaf
+from dtlab.exactexp import ExpSum
+from dtlab.functions import (
+    Distribution,
+    Measure,
+    _scale,
+    constant_function,
+    density,
+    direct_product,
+    product_power,
+)
 from dtlab.instances import random_distribution, random_function, random_tree
 from dtlab.trees import (
     LeafStats,
@@ -219,6 +231,52 @@ def test_product_power_and_block_error_law_match_the_fraction_forms():
         assert mu_k == _frac_product_power(mu, tree.k)
         target = direct_product(f, tree.k)
         assert block_error_law(tree, target, mu_k) == _frac_block_error_law(tree, target, mu_k)
+
+
+def test_int_built_laws_keep_their_weights_scaled_form():
+    built = 0
+    for tree, _f, _h, mu in _sweep():
+        laws = [product_power(mu, tree.k)]
+        for ref in leaves(tree):
+            try:
+                laws += conditional_blocks_at_leaf(tree, mu, ref)
+            except UnreachedLeaf:
+                pass
+        for law in laws:
+            assert law.scaled == _scale(law.weights)
+            assert law == Distribution(law.n, law.weights)
+        built += len(laws)
+    assert built >= 1000
+
+
+def _same_sum(got: ExpSum, want: ExpSum) -> None:
+    assert got == want and hash(got) == hash(want)
+    assert all(type(a) is Fraction and type(b) is Fraction for a, b in got.terms)
+
+
+def test_grouped_exp_sums_equal_their_canonicalized_totals():
+    """Each leaf average of exponentials that bounds builds from grouped
+    leaves equals ExpSum.total over one term per leaf or binomial point."""
+    for tree, f, h, mu in _sweep():
+        k = tree.k
+        stats = leaf_stats(tree, f, h, mu)
+        for t, rep in enumerate(verify_accuracy_bound(tree, f, h, mu)):
+            _same_sum(dict(rep.related)["g_form"], ExpSum.total(
+                ExpSum.exp(min(t - (s.dens_total - s.adv_total) / 4, 0), s.reach)
+                for s in stats))
+        pairs = [(s.reach, s.dens_total)
+                 for s in leaf_stats(tree, constant_function(tree.n, 1), h, mu)]
+        delta = density(h, mu)
+        bino = list(enumerate(binomial(k, delta)))
+        neg, pos = verify_resilience(tree, h, mu)[:2]
+        assert (neg.context, pos.context) == ("resilience-exp-neg-z4", "resilience-exp-pos-z")
+        _same_sum(neg.lhs, ExpSum.total(ExpSum.exp(-d / 4, r) for r, d in pairs))
+        _same_sum(neg.rhs, ExpSum.total(ExpSum.exp(F(-z, 4), w) for z, w in bino))
+        _same_sum(pos.lhs, ExpSum.total(ExpSum.exp(d, r) for r, d in pairs))
+        _same_sum(pos.rhs, ExpSum.total(ExpSum.exp(z, w) for z, w in bino))
+        t = delta * k / 10
+        _same_sum(verify_error_no_advantage(tree, h, mu).lhs,
+                  ExpSum.total(ExpSum.exp(min(t - d / 4, 0), r) for r, d in pairs))
 
 
 def test_ber_sum_matches_the_fraction_convolution():
