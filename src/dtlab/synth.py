@@ -13,12 +13,15 @@ minimizes the erring mass in both senses.
 The DP works on subcube restrictions with unnormalized (mass-weighted)
 contributions: a query node on a cube of mass m costs m plus the children's
 contributions, so the root values are the true expected depth and erring
-mass.  Restrictions that no tree should distinguish are shared through a
-memo table; zero-mass cubes collapse to a canonical leaf at depth 0.  No cube
-enumerates its points: its mass and its mass per label are the sums of its
-two halves on its lowest free variable, which the DP solves anyway, and a
-single point is the base case.  Each of the 3^m cubes then costs one merge,
-where enumerating every cube's points cost 4^m point visits in all.
+mass.  It is one pass over the 3^m cubes in the order of their base-3 index
+c = sum of d_v * 3^v, where the digit d_v is 0 or 1 when v is fixed to that
+bit and 2 when v is free.  A cube's halves on a free v, c - 2 * 3^v and
+c - 3^v, have smaller indices, so the pass meets them first, and each cube
+is solved once, into flat lists indexed by c.  Zero-mass cubes collapse to a
+canonical leaf at depth 0.  No cube enumerates its points: its mass and its
+mass per label are the sums of its two halves on its lowest free variable,
+and a single point is the base case.  Each cube then costs one merge, where
+enumerating every cube's points cost 4^m point visits in all.
 
 The kernel runs on Python ints.  Every weight is scaled once by D, the least
 common denominator of mu's weights, and of the signed weights s = mu*f*H too
@@ -28,9 +31,11 @@ Cube masses, leaf statistics, depths and erring masses are then integers,
 and only the root frontier is divided back out.  A cube's leaf guesses its
 label of greatest mass, the first one on ties (the least label, or +1).
 Each cube keeps, per depth, the cheapest candidate, the first one found on
-ties (children in frontier order, variables low to high), and builds a Query
-node only for the candidates that survive the Pareto filter.  That is the
+ties (children in frontier order, variables low to high).  That is the
 candidate a stable sort by (depth, cost) followed by the filter would keep.
+A candidate that survives the Pareto filter keeps a spec of its witness, its
+variable and its children's specs, and only the root frontier's witnesses
+become Query nodes: one per spec, so they share what the DP shares.
 
 Randomized optima are exactly the envelope of the deterministic frontier:
 a mixture's (depth, objective) is the convex combination of its components',
@@ -84,7 +89,13 @@ def check_dp_guard(total_vars: int) -> None:
 def pareto_frontier(target, mu: Distribution, *,
                     h: Measure | None = None) -> ParetoFrontier:
     """Full deterministic frontier with witnesses, depth strictly increasing:
-    of the error against target, or of the advantage against h if given."""
+    of the error against target, or of the advantage against h if given.
+
+    One pass over the cubes in base-3 index order (see the module docstring)
+    fills flat 3^m lists of masses, leaf statistics and frontiers, whose
+    entries hold witness specs.  The DP guard is checked before any table is
+    built, and Query nodes are built only for the root frontier's witnesses."""
+    check_dp_guard(mu.n)  # before any table: mu must be on the target's n*k
     n, k, rows = output_rows(target)
     if h is not None and (not isinstance(target, BooleanFunction) or h.n != n):
         raise InvalidValue("a measure needs a scalar function on its variables")
@@ -92,7 +103,6 @@ def pareto_frontier(target, mu: Distribution, *,
     m = n * k
     if mu.n != m:
         raise DimensionMismatch(f"distribution on {mu.n} vars vs target on {m}")
-    check_dp_guard(m)
 
     # a cube's leaf statistic: its mass per label
     if h is None:
@@ -108,66 +118,82 @@ def pareto_frontier(target, mu: Distribution, *,
         point_stats = [(w + s, w - s) for w, s in zip(scaled, scaled[1 << m:])]
         scale, weights = 2 * scale, [2 * w for w in scaled[:1 << m]]
 
-    full = (1 << m) - 1
-    zero_leaf = Leaf(tuple([1] * k))
-    leaves = [Leaf(label) for label in labels]
-    # (mask, vals) -> (mass, leaf statistic, frontier)
-    memo: dict[tuple[int, int], tuple] = {}
+    # cube c = sum of d_v * 3^v: digit 0 or 1 fixes v to that bit, 2 frees it
+    free = [0]  # free[c]: the mask of c's free variables
+    cubes = [0]  # cubes[p]: the cube of point p
+    steps = [()]  # steps[mask]: (v, 3^v, 2 * 3^v) per variable v of mask, low to high
+    for v in range(m):
+        bit, pos = 1 << v, 3 ** v
+        free = free + free + [f | bit for f in free]
+        cubes = cubes + [c + pos for c in cubes]
+        steps = steps + [s + ((v, pos, 2 * pos),) for s in steps]
+    masses = [0] * len(free)
+    stats = [None] * len(free)
+    fronts = [None] * len(free)
+    for c, w, stat in zip(cubes, weights, point_stats):
+        masses[c], stats[c] = w, stat
 
-    def solve(mask: int, vals: int) -> tuple:
-        key = (mask, vals)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        if mask == full:
-            mass, stat = weights[vals], point_stats[vals]
-        else:
+    zero_front = ((0, 0, Leaf(tuple([1] * k))),)
+    leaves = [Leaf(label) for label in labels]
+    for c, f in enumerate(free):
+        todo = steps[f]
+        if todo:
             # the sum of the two halves on the lowest free variable
-            low = ~mask & (mask + 1)
-            half_n = solve(mask | low, vals)
-            half_p = solve(mask | low, vals | low)
-            mass = half_n[0] + half_p[0]
-            stat = tuple(map(add, half_n[1], half_p[1]))
+            _, pos, neg = todo[0]
+            mass = masses[c] = masses[c - neg] + masses[c - pos]
+            stat = stats[c] = tuple(map(add, stats[c - neg], stats[c - pos]))
+        else:
+            mass, stat = masses[c], stats[c]
         if mass == 0:
-            got = memo[key] = (0, stat, [(0, 0, zero_leaf)])
-            return got
+            fronts[c] = zero_front
+            continue
 
         top = max(stat)  # the first label of the greatest mass
         leaf_cost, leaf = mass - top, leaves[stat.index(top)]
         # cheapest (cost, var, neg, pos) per depth, first found on ties
         best: dict[int, tuple] = {}
-        for v in range(m):
-            bit = 1 << v
-            if mask & bit:
-                continue
-            front_n = solve(mask | bit, vals)[2]
-            front_p = solve(mask | bit, vals | bit)[2]
-            for dn, cn, tn in front_n:
+        for v, pos, neg in todo:
+            front_p = fronts[c - pos]
+            for dn, cn, sn in fronts[c - neg]:
                 base = mass + dn
-                for dp, cp, tp in front_p:
+                for dp, cp, sp in front_p:
                     cost = cn + cp
                     if cost >= leaf_cost:  # never beats the leaf at depth 0
                         continue
                     d = base + dp
                     got = best.get(d)
                     if got is None or cost < got[0]:
-                        best[d] = (cost, v, tn, tp)
+                        best[d] = (cost, v, sn, sp)
+        # a kept candidate's witness is its (cost, var, neg, pos) spec
         kept = [(0, leaf_cost, leaf)]
         floor = leaf_cost
         for d in sorted(best):
-            cost, v, tn, tp = best[d]
-            if cost < floor:
-                kept.append((d, cost, Query(v, tn, tp)))
-                floor = cost
-        got = memo[key] = (mass, stat, kept)
-        return got
+            spec = best[d]
+            if spec[0] < floor:
+                kept.append((d, spec[0], spec))
+                floor = spec[0]
+        fronts[c] = kept
 
+    memo: dict[int, Query] = {}
     points = tuple(
         FrontierPoint(Fraction(d, scale),
                       Fraction(cost if h is None else scale - 2 * cost, scale),
-                      DecisionTree(n, k, node))
-        for d, cost, node in solve(0, 0)[2])
+                      DecisionTree(n, k, _witness(spec, memo)))
+        for d, cost, spec in fronts[-1])  # the root: every digit 2
     return ParetoFrontier(ERROR if h is None else ADVANTAGE, n, k, points)
+
+
+def _witness(spec, memo: dict[int, Query]):
+    """The node of a witness spec, a Leaf or a (cost, var, neg, pos) tuple:
+    one Query per spec, memoized by identity, so specs that the DP shares
+    give shared nodes."""
+    if isinstance(spec, Leaf):
+        return spec
+    node = memo.get(id(spec))
+    if node is None:
+        _, v, neg, pos = spec
+        node = memo[id(spec)] = Query(v, _witness(neg, memo), _witness(pos, memo))
+    return node
 
 
 # ---------------------------------------------------------------------------

@@ -376,20 +376,20 @@ def _trees_to_json(trees) -> list[dict]:
     so a node or tree met again yields the same dict.  (A structural hash
     of a frozen node walks its whole subtree.)"""
     memo: dict[int, dict] = {}
+    return [_to_json(t, memo) for t in trees]
 
-    def to_json(x) -> dict:
-        d = memo.get(id(x))
-        if d is None:
-            if isinstance(x, Leaf):
-                d = {"leaf": list(x.label)}
-            elif isinstance(x, Query):
-                d = {"q": x.var, "neg": to_json(x.neg), "pos": to_json(x.pos)}
-            else:
-                d = {"n": x.n, "k": x.k, "root": to_json(x.root)}
-            memo[id(x)] = d
-        return d
 
-    return [to_json(t) for t in trees]
+def _to_json(x, memo: dict[int, dict]) -> dict:
+    d = memo.get(id(x))
+    if d is None:
+        if isinstance(x, Leaf):
+            d = {"leaf": list(x.label)}
+        elif isinstance(x, Query):
+            d = {"q": x.var, "neg": _to_json(x.neg, memo), "pos": _to_json(x.pos, memo)}
+        else:
+            d = {"n": x.n, "k": x.k, "root": _to_json(x.root, memo)}
+        memo[id(x)] = d
+    return d
 
 
 def _node_from_json(obj):

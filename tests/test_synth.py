@@ -1,6 +1,8 @@
 """Frontier DP against brute-force enumeration, and mixture envelopes."""
 
+import gc
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -21,9 +23,13 @@ from dtlab.functions import (
 )
 from dtlab.hardcore import HardcoreCertificate, hardcore_solve, verify_certificate
 from dtlab.instances import random_distribution, random_function, random_measure
+from dtlab.scenarios import report_to_bytes
 from dtlab.synth import (
     ADVANTAGE,
     ERROR,
+    MAX_DP_VARS,
+    FrontierPoint,
+    ParetoFrontier,
     enumerate_all_trees,
     frontier_to_json,
     mixture_optimum,
@@ -32,6 +38,7 @@ from dtlab.synth import (
     pareto_frontier,
 )
 from dtlab.trees import (
+    DecisionTree,
     Leaf,
     Query,
     cube_points,
@@ -443,11 +450,19 @@ def _reference_frontier(target, mu, sense=ERROR, h=None):
 
 
 def _assert_matches_reference(target, mu, h=None):
-    got = pareto_frontier(target, mu, h=h).points
-    want = _reference_frontier(target, mu, ERROR if h is None else ADVANTAGE, h)
+    sense = ERROR if h is None else ADVANTAGE
+    front = pareto_frontier(target, mu, h=h)
+    got = front.points
+    want = _reference_frontier(target, mu, sense, h)
     assert [(p.depth, p.value, p.tree.root) for p in got] == want
     for p in got:
         assert type(p.depth) is Fraction and type(p.value) is Fraction
+    # the report bytes too, which the kernel's shared witnesses must not move
+    n, k = (target.n, 1) if isinstance(target, BooleanFunction) else (target.n, target.k)
+    oracle = ParetoFrontier(sense, n, k, tuple(
+        FrontierPoint(d, v, DecisionTree(n, k, root)) for d, v, root in want))
+    assert (report_to_bytes(frontier_to_json(front))
+            == report_to_bytes(frontier_to_json(oracle)))
 
 
 def _sparse_distribution(rng, m):
@@ -523,3 +538,34 @@ def test_frontier_guard_refuses_above_max_dp_vars(monkeypatch):
     assert pareto_frontier(parity(3), uniform(3)).points[-1].depth == 3
     with pytest.raises(GuardExceeded, match="4 variables exceeds the DP guard 3"):
         pareto_frontier(parity(4), uniform(4))
+
+
+def test_frontier_guard_refuses_before_any_table():
+    # parity and uniform on 15 variables hold 2^15 weights; refusing must
+    # not build the 3^15-cube tables, nor even the target's output rows
+    m = MAX_DP_VARS + 1
+    f, mu = parity(m), uniform(m)
+    for h in (None, constant_measure(m, Fraction(1, 2))):
+        tracemalloc.start()
+        try:
+            with pytest.raises(GuardExceeded, match=f"{m} variables exceeds the DP guard"):
+                pareto_frontier(f, mu, h=h)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+def test_frontier_and_its_json_leave_no_cyclic_garbage():
+    # nothing in a frontier call or its serialization is a reference cycle,
+    # so nothing waits for the cyclic collector to be freed
+    f, mu = parity(5), uniform(5)
+    gc.collect()
+    gc.disable()
+    try:
+        front = pareto_frontier(f, mu)
+        assert gc.collect() == 0
+        frontier_to_json(front)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
