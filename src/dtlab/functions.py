@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm, prod
+from operator import mul
 from string import hexdigits
 
 from .errors import DimensionMismatch, GuardExceeded, InvalidValue
@@ -129,8 +130,16 @@ class Measure:
         if len(self.values) != 1 << self.n:
             raise DimensionMismatch(
                 f"value count {len(self.values)} != 2**{self.n}")
-        if any(v < 0 or v > 1 for v in self.values):
+        # on ints: over E, a value lies in [0,1] iff its numerator lies in [0,E]
+        scale, nums = self.scaled
+        if any(v < 0 or v > scale for v in nums):
             raise InvalidValue("measure values must lie in [0,1]")
+
+    @cached_property
+    def scaled(self) -> tuple[int, tuple[int, ...]]:
+        """_scale(values): (E, values * E) for E the values' least common
+        denominator, computed by validation and read by the int kernels."""
+        return _scale(self.values)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +243,8 @@ def density(h: Measure, mu: Distribution) -> Fraction:
     """E_mu[H], the mass of the fractional set."""
     if h.n != mu.n:
         raise DimensionMismatch(f"measure on {h.n} vars vs distribution on {mu.n}")
-    return sum((mu.weights[x] * h.values[x] for x in range(1 << h.n)), _ZERO)
+    (d, weights), (e, values) = mu.scaled, h.scaled
+    return Fraction(sum(map(mul, weights, values)), d * e)
 
 
 def constant_measure(n: int, value: Fraction) -> Measure:

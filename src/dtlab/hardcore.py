@@ -312,7 +312,7 @@ def _restricted_game(f, mu, half_density, budget, tables, depths, game):
     _check_saddle_point then certifies the pair whatever the kernel did.
     """
     npts = 1 << f.n
-    den, mass = _scale(mu.weights + (half_density,))  # mu, then half_density
+    den, mass = _masses(mu, half_density)
 
     def tree_row(t, slack, width):
         depth = depths[t]
@@ -373,6 +373,15 @@ def _restricted_game(f, mu, half_density, budget, tables, depths, game):
     return value, h_r, w
 
 
+def _masses(mu: Distribution, half_density: Fraction) -> tuple[int, list[int]]:
+    """(den, mass): mu's weights, then half_density, as ints over their least
+    common denominator den, which is mu.scaled's times one lcm."""
+    d, weights = mu.scaled
+    den = math.lcm(d, half_density.denominator)
+    a, b = den // d, den // half_density.denominator
+    return den, [a * w for w in weights] + [b * half_density.numerator]
+
+
 def _check_saddle_point(f, mu, half_density, budget, tables, depths, value, h, w):
     """Raise InvalidValue unless measure h and pool mixture w are feasible
     and both attain `value`, which makes (h, w) a saddle point of the
@@ -385,7 +394,7 @@ def _check_saddle_point(f, mu, half_density, budget, tables, depths, value, h, w
     payoff over mu's and h's, and only the results turn into Fractions.
     """
     npts = 1 << f.n
-    den, mass = _scale(mu.weights + (half_density,))  # mu, then half_density
+    den, mass = _masses(mu, half_density)
     dw, wn = _scale(w)
 
     # Feasibility of both strategies; Measure already checks 0 <= H <= 1.
@@ -394,7 +403,7 @@ def _check_saddle_point(f, mu, half_density, budget, tables, depths, value, h, w
     dd, dn = _scale(depths)
     if sum(v * d for v, d in zip(wn, dn)) * budget.denominator > budget.numerator * dw * dd:
         raise InvalidValue(f"mixture {w} exceeds the depth budget (LP kernel bug)")
-    dh, hn = _scale(h.values)
+    dh, hn = h.scaled
     if sum(m * v for m, v in zip(mass[:npts], hn)) != mass[npts] * dh:
         raise InvalidValue(f"measure {h.values} misses the density (LP kernel bug)")
 
@@ -403,7 +412,7 @@ def _check_saddle_point(f, mu, half_density, budget, tables, depths, value, h, w
     live = [(v, tables[t]) for t, v in enumerate(wn) if v]
     scores = [f.table[x] * sum(v * table[x] for v, table in live) for x in range(npts)]
     remaining, g_num = mass[npts], 0
-    for x in sorted(mu.support(), key=lambda x: (scores[x], x)):
+    for x in sorted((x for x in range(npts) if mass[x]), key=lambda x: (scores[x], x)):
         take = min(mass[x], remaining)
         g_num += take * scores[x]
         remaining -= take
@@ -477,14 +486,15 @@ def committee_metrics(committee: Committee, f: BooleanFunction,
     if f.n != mu.n:
         raise DimensionMismatch("function and distribution sizes differ")
     members = Counter(committee.trees).items()  # each distinct tree, measured once
-    err = _ZERO
-    for x in mu.support():
-        votes = sum(m * evaluate(t, x)[0] for t, m in members)
-        maj = 1 if votes > 0 else -1
-        if maj != f.table[x]:
-            err += mu.weights[x]
+    scale, weights = mu.scaled
+    err = 0  # over scale
+    for x, w in enumerate(weights):
+        if w:
+            votes = sum(m * evaluate(t, x)[0] for t, m in members)
+            if (1 if votes > 0 else -1) != f.table[x]:
+                err += w
     cost = sum((m * expected_depth(t, mu) for t, m in members), _ZERO)
-    return err, cost
+    return Fraction(err, scale), cost
 
 
 def _picker(den: int, weights):

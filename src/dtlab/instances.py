@@ -44,20 +44,21 @@ def random_tree(rng: random.Random, n: int, k: int) -> DecisionTree:
     Each node is a leaf with chance 0.35, so depth profiles vary; the root
     is re-rolled a few times to avoid a bare-leaf bias at small sizes.
     """
-
-    def build(avail):
-        if not avail or rng.random() < 0.35:
-            return Leaf(tuple(rng.choice((1, -1)) for _ in range(k)))
-        var = avail[rng.randrange(len(avail))]
-        rest = [v for v in avail if v != var]
-        return Query(var, build(rest), build(rest))
-
-    root = build(list(range(n * k)))
+    root = _random_node(rng, list(range(n * k)), k)
     for _ in range(3):
         if isinstance(root, Query):
             break
-        root = build(list(range(n * k)))
+        root = _random_node(rng, list(range(n * k)), k)
     return DecisionTree(n, k, root)
+
+
+def _random_node(rng: random.Random, avail: list[int], k: int):
+    """A random subtree querying only avail, its negative child drawn first."""
+    if not avail or rng.random() < 0.35:
+        return Leaf(tuple(rng.choice((1, -1)) for _ in range(k)))
+    var = avail[rng.randrange(len(avail))]
+    rest = [v for v in avail if v != var]
+    return Query(var, _random_node(rng, rest, k), _random_node(rng, rest, k))
 
 
 def standard_verification_instances(seed: int, count: int):

@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -424,6 +423,8 @@ def run_config(config: dict, *, jobs: int = 1):
     if jobs == 1 or len(entries) <= 1:
         outcomes = [one(e) for e in entries]
     else:
+        # imported here: concurrent.futures pulls in logging, which no jobs=1 run needs
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(one, entries))
 

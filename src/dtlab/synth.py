@@ -23,13 +23,18 @@ mass per label are the sums of its two halves on its lowest free variable,
 and a single point is the base case.  Each cube then costs one merge, where
 enumerating every cube's points cost 4^m point visits in all.
 
-The kernel runs on Python ints.  Every weight is scaled once by D, the least
-common denominator of mu's weights, and of the signed weights s = mu*f*H too
-in the advantage sense.  There a point of weight w has the label masses
-(w + s, w - s) for the labels (+1, -1), out of a mass 2w over a scale 2D.
-Cube masses, leaf statistics, depths and erring masses are then integers,
-and only the root frontier is divided back out.  A cube's leaf guesses its
-label of greatest mass, the first one on ties (the least label, or +1).
+The kernel runs on Python ints, read off mu.scaled = (D, w) and, in the
+advantage sense, h.scaled = (E, v).  In the error sense a point has the mass
+w over the scale D.  In the advantage sense the scale is 2*D*E, and a point
+has the mass 2*w*E and the label masses w*E + w*f*v and w*E - w*f*v for the
+labels (+1, -1); any common positive scale scales every cost and depth
+alike, so it gives the same frontier and the same tie-breaks.  Cube masses,
+leaf statistics, depths and erring masses are then integers, and only the
+root frontier is divided back out.  A cube's leaf statistic is one int, so
+its halves merge by one add: with two labels or fewer, the mass of the first
+label (the other has the rest); with more, each label's mass in a bit field
+that no cube's mass overflows.  A cube's leaf guesses its label of greatest
+mass, the first one on ties (the least label, or +1).
 Each cube keeps, per depth, the cheapest candidate, the first one found on
 ties (children in frontier order, variables low to high).  That is the
 candidate a stable sort by (depth, cost) followed by the filter would keep.
@@ -50,7 +55,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
 
 from .errors import DimensionMismatch, GuardExceeded, Infeasible, InvalidValue
 from .exactexp import fraction_to_str
@@ -104,19 +108,29 @@ def pareto_frontier(target, mu: Distribution, *,
     if mu.n != m:
         raise DimensionMismatch(f"distribution on {mu.n} vars vs target on {m}")
 
-    # a cube's leaf statistic: its mass per label
+    # a cube's leaf statistic is one int, so its halves merge by one add:
+    # with two labels or fewer, the mass of the first (the other has the
+    # rest); with more, every label's mass in a field of `width` bits, which
+    # no cube's mass reaches
+    width = 0
     if h is None:
         scale, weights = mu.scaled
         labels = sorted(set(rows))
-        point_stats = [tuple(w if label == row else 0 for label in labels)
-                       for w, row in zip(weights, rows)]
+        if len(labels) > 2:
+            width = scale.bit_length()
+            shift = {label: width * i for i, label in enumerate(labels)}
+            point_stats = [w << shift[row] for w, row in zip(weights, rows)]
+        else:
+            point_stats = [w if row == labels[0] else 0 for w, row in zip(weights, rows)]
     else:
-        # the noisy label is f with probability (1 + H) / 2, -f otherwise
-        signed = [w * target.table[p] * h.values[p] for p, w in enumerate(mu.weights)]
-        scale, scaled = _scale(list(mu.weights) + signed)
+        # the noisy label is f with probability (1 + H) / 2, -f otherwise:
+        # over 2*D*E, with (D, w) = mu.scaled and (E, v) = h.scaled, a point
+        # has the mass 2*w*E and the label masses w*E + w*f*v and w*E - w*f*v
+        (d, ws), (e, vs) = mu.scaled, h.scaled
         labels = [(1,), (-1,)]
-        point_stats = [(w + s, w - s) for w, s in zip(scaled, scaled[1 << m:])]
-        scale, weights = 2 * scale, [2 * w for w in scaled[:1 << m]]
+        point_stats = [w * (e + y * v) for w, y, v in zip(ws, target.table, vs)]
+        scale, weights = 2 * d * e, [2 * e * w for w in ws]
+    field, shifts = (1 << width) - 1, [width * i for i in range(len(labels))]
 
     # cube c = sum of d_v * 3^v: digit 0 or 1 fixes v to that bit, 2 frees it
     free = [0]  # free[c]: the mask of c's free variables
@@ -141,15 +155,21 @@ def pareto_frontier(target, mu: Distribution, *,
             # the sum of the two halves on the lowest free variable
             _, pos, neg = todo[0]
             mass = masses[c] = masses[c - neg] + masses[c - pos]
-            stat = stats[c] = tuple(map(add, stats[c - neg], stats[c - pos]))
+            stat = stats[c] = stats[c - neg] + stats[c - pos]
         else:
             mass, stat = masses[c], stats[c]
         if mass == 0:
             fronts[c] = zero_front
             continue
 
-        top = max(stat)  # the first label of the greatest mass
-        leaf_cost, leaf = mass - top, leaves[stat.index(top)]
+        # the leaf guesses the first label of the greatest mass
+        if width:
+            fields = [stat >> s & field for s in shifts]
+            top = max(fields)
+            leaf_cost, leaf = mass - top, leaves[fields.index(top)]
+        else:
+            rest = mass - stat
+            leaf_cost, leaf = (rest, leaves[0]) if stat >= rest else (stat, leaves[1])
         # cheapest (cost, var, neg, pos) per depth, first found on ties
         best: dict[int, tuple] = {}
         for v, pos, neg in todo:
@@ -291,18 +311,19 @@ def enumerate_all_trees(n: int) -> list[DecisionTree]:
     """Every scalar tree on n variables, no variable queried twice on a path."""
     if n > MAX_ENUM_VARS:
         raise GuardExceeded(f"{n} variables exceeds the enumeration guard {MAX_ENUM_VARS}")
+    return [DecisionTree(n, 1, node) for node in _all_nodes(tuple(range(n)))]
 
-    def build(avail: tuple[int, ...]):
-        nodes = [Leaf((-1,)), Leaf((1,))]
-        for v in avail:
-            rest = tuple(u for u in avail if u != v)
-            subs = build(rest)
-            for tn in subs:
-                for tp in subs:
-                    nodes.append(Query(v, tn, tp))
-        return nodes
 
-    return [DecisionTree(n, 1, node) for node in build(tuple(range(n)))]
+def _all_nodes(avail: tuple[int, ...]) -> list:
+    """Every scalar node querying only avail: the two leaves, then for each
+    v the queries on v over every pair of nodes on the rest."""
+    nodes = [Leaf((-1,)), Leaf((1,))]
+    for v in avail:
+        subs = _all_nodes(tuple(u for u in avail if u != v))
+        for tn in subs:
+            for tp in subs:
+                nodes.append(Query(v, tn, tp))
+    return nodes
 
 
 # ---------------------------------------------------------------------------

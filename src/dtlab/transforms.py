@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from operator import mul
 
 from .errors import DimensionMismatch, GuardExceeded, InvalidValue
 from .functions import BooleanFunction, Distribution, Measure
@@ -39,7 +40,8 @@ def sign_fix_leaves(tree: DecisionTree, f: BooleanFunction, h: Measure,
     # The signed correlation on block i is the product of the other blocks'
     # cell masses times block i's cell sum of mu*f*h, so it has that sum's
     # sign when the leaf is reached and is 0 (keep the label) when it is not.
-    fh = tuple(a * b for a, b in zip(f.table, h.values))
+    e, hs = h.scaled
+    fh = (e, tuple(map(mul, f.table, hs)))  # f*h has h's scale
 
     def fixed(label, cells):
         reached = all(s != 0 for s, _ in cells)
@@ -114,7 +116,7 @@ def product_tree(t_xor: DecisionTree, f: BooleanFunction, mu: Distribution,
             return (1,) * k
         return tuple(1 if g >= 0 else -1 for _, g in cells)
 
-    return relabel_leaves(t_xor, n, k, mu, (f.table,), signs)
+    return relabel_leaves(t_xor, n, k, mu, ((1, f.table),), signs)
 
 
 # ---------------------------------------------------------------------------
@@ -123,15 +125,17 @@ def product_tree(t_xor: DecisionTree, f: BooleanFunction, mu: Distribution,
 
 def full_parity_product_tree(n: int, k: int) -> DecisionTree:
     """Query all k*n variables; leaf labels are the k per-block parities."""
+    return DecisionTree(n, k, _parity_node(0, (1,) * k, n, k))
 
-    def build(var: int, accs: tuple[int, ...]):
-        if var == n * k:
-            return Leaf(accs)
-        b = var // n
-        flipped = accs[:b] + (-accs[b],) + accs[b + 1:]
-        return Query(var, build(var + 1, flipped), build(var + 1, accs))
 
-    return DecisionTree(n, k, build(0, (1,) * k))
+def _parity_node(var: int, accs: tuple[int, ...], n: int, k: int):
+    """The full parity subtree from variable var on, accs holding the block
+    parities of the variables above it."""
+    if var == n * k:
+        return Leaf(accs)
+    b = var // n
+    flipped = accs[:b] + (-accs[b],) + accs[b + 1:]
+    return Query(var, _parity_node(var + 1, flipped, n, k), _parity_node(var + 1, accs, n, k))
 
 
 def parity_mixture(n: int, k: int, gamma) -> RandomizedTree:

@@ -12,11 +12,16 @@ conditional_blocks_at_leaf, and relabel_leaves (which serves sign_fix_leaves
 and product_tree in transforms) cost O(L*k*2^n) for L leaves instead of
 walking 2^(nk - depth) points per leaf.  Its sums are ints, over mu's
 (Distribution.scaled, never rescaled) and each table's least common
-denominator, which it returns with them; the callers build one Fraction per
-value, or a factor law straight from ints.  What checks that
-factorization stays on point enumeration, so no check is circular: the joint
-law that bounds.verify_leaf_product sums point by point over each leaf's
-cube, and the block_error_law behind the lhs of bounds.verify_accuracy_bound.
+denominator (h's is Measure.scaled), which it returns with them; the callers
+build one Fraction per value, or a factor law straight from ints.  What
+checks that factorization stays on point enumeration, so no check is
+circular: the joint law that bounds.verify_leaf_product sums point by point
+over each leaf's cube, and the block_error_law behind the lhs of
+bounds.verify_accuracy_bound.
+
+The exact metrics read the same scaled ints.  expected_depth, correlation
+(over mu.scaled times h.scaled pointwise when h is given) and block_error_law
+are each one int sum over the points, turned into one Fraction at the output.
 
 Trees may share nodes, as reduced decision diagrams do: synth's DP reuses them.
 Validity is per node, checked once on first use through a cached shape, so the
@@ -30,12 +35,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import prod
+from operator import mul
 
 from .errors import DimensionMismatch, InvalidValue, UnreachedLeaf
 from .exactexp import _int, fraction_from_str, fraction_to_str
 from .functions import (
-    MAX_TABLE_VARS, BooleanFunction, Distribution, Measure, _check_var_count, _scale,
-    output_rows)
+    MAX_TABLE_VARS, BooleanFunction, Distribution, Measure, _check_var_count, output_rows)
 
 _ZERO = Fraction(0)
 
@@ -158,16 +163,14 @@ class LeafRef:
 def leaves(tree: DecisionTree) -> list[LeafRef]:
     """Every leaf in preorder, negative child first."""
     out: list[LeafRef] = []
-
-    def walk(node, mask: int, vals: int) -> None:
+    todo = [(tree.root, 0, 0)]  # popped last in, so the negative child goes on top
+    while todo:
+        node, mask, vals = todo.pop()
         if isinstance(node, Leaf):
             out.append(LeafRef(node.label, mask, vals))
-            return
-        bit = 1 << node.var
-        walk(node.neg, mask | bit, vals)
-        walk(node.pos, mask | bit, vals | bit)
-
-    walk(tree.root, 0, 0)
+        else:
+            bit = 1 << node.var
+            todo += (node.pos, mask | bit, vals | bit), (node.neg, mask | bit, vals)
     return out
 
 
@@ -191,12 +194,13 @@ def _mix(metric, rt, *args):
 
 
 def expected_depth(tree, mu: Distribution) -> Fraction:
+    """E_mu[path length], one int sum over mu.scaled."""
     if isinstance(tree, RandomizedTree):
         return _mix(expected_depth, tree, mu)
     if mu.n != tree.total_vars:
         raise DimensionMismatch(f"distribution on {mu.n} vars vs tree on {tree.total_vars}")
-    return sum(
-        (mu.weights[x] * _walk(tree, x)[1] for x in mu.support()), _ZERO)
+    scale, weights = mu.scaled
+    return Fraction(sum(w * _walk(tree, x)[1] for x, w in enumerate(weights) if w), scale)
 
 
 def _target_rows(tree, target, mu: Distribution):
@@ -217,15 +221,19 @@ def error(tree, target, mu: Distribution) -> Fraction:
 
 def correlation(tree, f: BooleanFunction, mu: Distribution,
                 h: Measure | None = None) -> Fraction:
-    """E_mu[f * T * H] for scalar trees, H = 1 when h is None."""
+    """E_mu[f * T * H] for scalar trees, H = 1 when h is None: one int sum
+    over mu.scaled, times h.scaled pointwise when h is given."""
     if isinstance(tree, RandomizedTree):
         return _mix(correlation, tree, f, mu, h)
     _target_rows(tree, f, mu)
-    if h is not None and h.n != mu.n:
-        raise DimensionMismatch("measure and distribution sizes differ")
-    weights = mu.weights if h is None else [w * v for w, v in zip(mu.weights, h.values)]
-    return sum(
-        (weights[x] * f.table[x] * evaluate(tree, x)[0] for x in mu.support()), _ZERO)
+    scale, weights = mu.scaled
+    if h is not None:
+        if h.n != mu.n:
+            raise DimensionMismatch("measure and distribution sizes differ")
+        e, values = h.scaled
+        scale, weights = scale * e, map(mul, weights, values)
+    return Fraction(sum(w * f.table[x] * evaluate(tree, x)[0]
+                        for x, w in enumerate(weights) if w), scale)
 
 
 def block_error_law(tree, target, mu: Distribution) -> tuple[Fraction, ...]:
@@ -269,14 +277,14 @@ def _cell_sums(refs, n: int, k: int, mu: Distribution, tables=()
                ) -> tuple[tuple[int, ...], list[list[tuple[int, ...]]]]:
     """(scales, cells): per leaf, per block i, ints (S, T_1, ...) over the
     leaf's block-i cell {x : x & bm == bv}, bm and bv being block i's slices
-    of fixed_mask and fixed_vals.  For scales = (D, E_1, ...), the least
-    common denominators of mu and of each table, S/D is the cell's sum of
-    mu and T_j/(D*E_j) its sum of mu*t_j.  Tables are single-block, mu-zero
-    points are skipped, and each distinct cell is summed once."""
+    of fixed_mask and fixed_vals.  Each table is given scaled, as a pair
+    (E_j, ints) whose ints over E_j are a single-block t_j.  For scales =
+    (D, E_1, ...), D from mu.scaled, S/D is the cell's sum of mu and
+    T_j/(D*E_j) its sum of mu*t_j.  mu-zero points are skipped, and each
+    distinct cell is summed once."""
     mask = (1 << n) - 1
     scale, weights = mu.scaled
-    scaled = [_scale(t) for t in tables]
-    rows = [(x, (w,) + tuple(w * t[x] for _, t in scaled))
+    rows = [(x, (w,) + tuple(w * t[x] for _, t in tables))
             for x, w in enumerate(weights) if w]
     zeros = (0,) * (1 + len(tables))
 
@@ -286,25 +294,27 @@ def _cell_sums(refs, n: int, k: int, mu: Distribution, tables=()
 
     cells = [[cell((ref.fixed_mask >> (i * n)) & mask, (ref.fixed_vals >> (i * n)) & mask)
               for i in range(k)] for ref in refs]
-    return (scale,) + tuple(e for e, _ in scaled), cells
+    return (scale,) + tuple(e for e, _ in tables), cells
 
 
 def relabel_leaves(tree: DecisionTree, n: int, k: int, mu: Distribution,
                    tables, label) -> DecisionTree:
     """tree's query structure read as k blocks of n variables, each leaf
     relabelled label(old label, cells), cells being the leaf's per-block
-    _cell_sums against mu and tables.  The sums are scaled by positive
-    ints, so their signs and zeros are the true sums'."""
+    _cell_sums against mu and the scaled tables.  The sums are scaled by
+    positive ints, so their signs and zeros are the true sums'."""
     refs = leaves(tree)
     new = iter([label(ref.label, cells)
                 for ref, cells in zip(refs, _cell_sums(refs, n, k, mu, tables)[1])])
+    return DecisionTree(n, k, _relabelled(tree.root, new))
 
-    def walk(node):
-        if isinstance(node, Leaf):
-            return Leaf(next(new))
-        return Query(node.var, walk(node.neg), walk(node.pos))
 
-    return DecisionTree(n, k, walk(tree.root))
+def _relabelled(node, new):
+    """node rebuilt with the next label of the iterator `new` at each leaf,
+    in preorder."""
+    if isinstance(node, Leaf):
+        return Leaf(next(new))
+    return Query(node.var, _relabelled(node.neg, new), _relabelled(node.pos, new))
 
 
 def leaf_stats(tree: DecisionTree, f: BooleanFunction, h: Measure,
@@ -324,8 +334,9 @@ def leaf_stats(tree: DecisionTree, f: BooleanFunction, h: Measure,
     n, k = tree.n, tree.k
     if f.n != n or h.n != n or mu.n != n:
         raise DimensionMismatch("leaf_stats expects single-block f, h, mu")
-    fh = tuple(a * b for a, b in zip(f.table, h.values))
-    (scale, eh, eg), per_leaf = _cell_sums(leaves(tree), n, k, mu, (h.values, fh))
+    eh, hs = h.scaled  # f*h has h's scale
+    (scale, _, _), per_leaf = _cell_sums(
+        leaves(tree), n, k, mu, ((eh, hs), (eh, tuple(map(mul, f.table, hs)))))
     reach_den = scale ** k
     out: list[LeafStats] = []
     for cells in per_leaf:
@@ -335,8 +346,8 @@ def leaf_stats(tree: DecisionTree, f: BooleanFunction, h: Measure,
         out.append(LeafStats(
             Fraction(reach, reach_den),
             tuple(Fraction(hs, s * eh) for s, hs, _ in cells),
-            tuple(Fraction(abs(g), s * eg) for s, _, g in cells),
-            tuple(Fraction(hs * eg - abs(g) * eh, 2 * s * eh * eg) for s, hs, g in cells)))
+            tuple(Fraction(abs(g), s * eh) for s, _, g in cells),
+            tuple(Fraction(hs - abs(g), 2 * s * eh) for s, hs, g in cells)))
     return out
 
 

@@ -208,3 +208,48 @@ def test_int_built_laws_refuse_what_the_fraction_path_refuses(n, nums, scale, er
     with pytest.raises(error) as want:
         Distribution(n, tuple(Fraction(m, scale) for m in nums))
     assert str(got.value) == str(want.value)
+
+
+def _fraction_measure_check(n, values):
+    """Measure's former validation, comparing each Fraction with 0 and 1."""
+    functions._check_var_count(n, "Measure")
+    if len(values) != 1 << n:
+        raise DimensionMismatch(f"value count {len(values)} != 2**{n}")
+    if any(v < 0 or v > 1 for v in values):
+        raise InvalidValue("measure values must lie in [0,1]")
+
+
+def _outcome(check, *args):
+    try:
+        check(*args)
+    except Exception as exc:  # the type and message are what is compared
+        return type(exc), str(exc)
+    return None
+
+
+def test_measure_checks_on_ints_as_on_fractions():
+    rng = random.Random(2402)
+    pool = [Fraction(0), Fraction(1), 0, 1, True, Fraction(1, 3), Fraction(5, 12),
+            Fraction(-1, 3), Fraction(-1, 10 ** 12), -1, Fraction(4, 3), 2,
+            Fraction(10 ** 12 + 1, 10 ** 12), Fraction(10 ** 12 - 1, 10 ** 12)]
+    seen = {"ok": 0, "negative": 0, "above one": 0, "length": 0}
+    for _ in range(600):
+        n = rng.randrange(0, 4)
+        length = (1 << n) + rng.choice((0, 0, 0, -1, 1)) if n else 1 + rng.choice((0, 1))
+        values = tuple(rng.choice(pool) if rng.random() < 0.3 else rng.choice(pool[:6])
+                       for _ in range(length))
+        want = _outcome(_fraction_measure_check, n, values)
+        assert _outcome(Measure, n, values) == want
+        if want is None:
+            seen["ok"] += 1
+            assert Measure(n, values).scaled == _scale(values)
+        elif want[0] is DimensionMismatch:
+            seen["length"] += 1
+        else:
+            seen["negative" if min(values) < 0 else "above one"] += 1
+    assert min(seen.values()) >= 50, seen
+    for n in (-1, 25):
+        assert _outcome(Measure, n, (0,)) == _outcome(_fraction_measure_check, n, (0,))
+    # the scaled form needs rationals: a float has no denominator
+    with pytest.raises(AttributeError):
+        Measure(1, (0.5, 0.25))

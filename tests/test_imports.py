@@ -1,6 +1,9 @@
 """Every imported name in the package and its tests is used."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -33,3 +36,13 @@ def test_no_unused_imports(path):
 def test_the_scan_sees_an_unused_import():
     assert _unused_imports("import os\nimport sys\nfrom a import b as c\nsys.exit(c)\n") == [
         "os (line 1)"]
+
+
+def test_importing_dtlab_leaves_out_the_thread_pool():
+    # only run_config with jobs > 1 imports concurrent.futures (and logging)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep))}
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, dtlab; print('concurrent.futures' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr

@@ -1,17 +1,19 @@
-"""The Fraction forms of the leaf-statistics kernels and the batch verifiers,
-kept as oracles for their int versions.
+"""The Fraction forms of the leaf-statistics kernels, the batch verifiers and
+the exact metrics, kept as oracles for their int versions.
 
 Each oracle below does its arithmetic in Fractions, point by point or term
 by term, as the kernels did before they were moved onto ints.  They are
 compared on a seeded sweep of (tree, f, h, mu) with n <= 3 and k <= 4: mu
 with zero weights, and h with values of mixed denominators from
-{2, 3, 4, 5, 8}, 0 and 1 among them.
+{2, 3, 4, 5, 8}, 0 and 1 among them.  The metrics have a sweep of their own,
+of scalar trees and their mixtures on up to 5 variables.
 """
 
 import dataclasses
 import random
 from fractions import Fraction
 from functools import cache, lru_cache
+from math import gcd
 
 from dtlab import bounds
 from dtlab.bounds import (
@@ -34,14 +36,19 @@ from dtlab.functions import (
     direct_product,
     product_power,
 )
+from dtlab.hardcore import Committee, committee_metrics
 from dtlab.instances import random_distribution, random_function, random_tree
 from dtlab.trees import (
     LeafStats,
+    RandomizedTree,
     _cell_sums,
+    _walk,
     block_error_law,
     conditional_blocks_at_leaf,
+    correlation,
     cube_points,
     evaluate,
+    expected_depth,
     leaf_stats,
     leaves,
 )
@@ -151,6 +158,33 @@ def _frac_accuracy_rhs(stats, t):
     return sum((s.reach * ber_sum_cdf(_frac_ber_sum(s.p), t) for s in stats), _ZERO)
 
 
+def _frac_expected_depth(tree, mu):
+    if isinstance(tree, RandomizedTree):
+        return sum((w * _frac_expected_depth(t, mu) for w, t in tree.components), _ZERO)
+    return sum((mu.weights[x] * _walk(tree, x)[1] for x in mu.support()), _ZERO)
+
+
+def _frac_correlation(tree, f, mu, h=None):
+    if isinstance(tree, RandomizedTree):
+        return sum((w * _frac_correlation(t, f, mu, h) for w, t in tree.components), _ZERO)
+    weights = mu.weights if h is None else [w * v for w, v in zip(mu.weights, h.values)]
+    return sum((weights[x] * f.table[x] * evaluate(tree, x)[0] for x in mu.support()), _ZERO)
+
+
+def _frac_density(h, mu):
+    return sum((mu.weights[x] * h.values[x] for x in range(1 << h.n)), _ZERO)
+
+
+def _frac_committee_error(trees, f, mu):
+    """The mass where the members' majority vote, one vote per seat, misses f."""
+    err = _ZERO
+    for x in mu.support():
+        votes = sum(evaluate(t, x)[0] for t in trees)
+        if (1 if votes > 0 else -1) != f.table[x]:
+            err += mu.weights[x]
+    return err
+
+
 # ---------------------------------------------------------------------------
 # the seeded sweep
 
@@ -198,7 +232,7 @@ def test_cell_sums_are_the_fraction_sums_over_their_scales():
         fh = tuple(a * b for a, b in zip(f.table, h.values))
         refs = leaves(tree)
         for tables in ((), (f.table,), (h.values, fh)):
-            scales, cells = _cell_sums(refs, tree.n, tree.k, mu, tables)
+            scales, cells = _cell_sums(refs, tree.n, tree.k, mu, [_scale(t) for t in tables])
             want = _frac_cell_sums(refs, tree.n, tree.k, mu, tables)
             for got_leaf, want_leaf in zip(cells, want, strict=True):
                 for got, sums in zip(got_leaf, want_leaf, strict=True):
@@ -300,6 +334,84 @@ def test_accuracy_bound_matches_the_fraction_rhs_and_lhs():
             assert rep.holds
             assert rep.rhs.as_rational() == _frac_accuracy_rhs(stats, t)
             assert rep.lhs.as_rational() == ber_sum_cdf(law, t)
+
+
+# ---------------------------------------------------------------------------
+# the exact metrics
+
+
+# h's denominators: coprime to each other and to mu's, or sharing factors
+_METRIC_DENOMS = (2, 3, 4, 5, 6, 7, 9, 12)
+
+
+@cache
+def _metric_sweep():
+    """(trees, f, h, mu): three scalar trees on 1 to 5 variables, mu with
+    zero weights on every third instance at least, h with 0 and 1 among its
+    values and each value's denominator drawn from _METRIC_DENOMS."""
+    rng = random.Random(2400)
+    out = []
+    for i in range(SWEEP_SIZE):
+        n = 1 + i % 5
+        mu = random_distribution(rng, n)
+        if i % 3 == 0 and n > 1:
+            weights = list(mu.weights)
+            weights[rng.randrange(1 << n)] = _ZERO
+            if any(weights):
+                mu = Distribution(n, tuple(w / sum(weights) for w in weights))
+        values = [F(rng.randrange(0, d + 1), d)
+                  for d in (rng.choice(_METRIC_DENOMS) for _ in range(1 << n))]
+        if n > 1:
+            zero, one = rng.sample(range(1 << n), 2)
+            values[zero], values[one] = _ZERO, F(1)
+        trees = tuple(random_tree(rng, n, 1) for _ in range(3))
+        out.append((trees, random_function(rng, n), Measure(n, tuple(values)), mu))
+    return out
+
+
+def test_the_metric_sweep_covers_its_cases():
+    sweep = _metric_sweep()
+    assert len(sweep) >= 300
+    assert sum(1 for *_, mu in sweep if 0 in mu.weights) >= 100
+    coprime = sum(1 for *_, h, mu in sweep if gcd(h.scaled[0], mu.scaled[0]) == 1)
+    assert 50 <= coprime <= len(sweep) - 50  # and as many whose D*E is unreduced
+    assert sum(1 for *_, h, _mu in sweep if 0 in h.values and 1 in h.values) >= 200
+
+
+def _mixture(rng, trees):
+    cut = F(rng.randrange(1, 12), 12)
+    rest = (1 - cut) * F(rng.randrange(1, 7), 7)
+    return RandomizedTree(((cut, trees[0]), (rest, trees[1]), (1 - cut - rest, trees[2])))
+
+
+def _same(got, want):
+    assert got == want and type(got) is Fraction
+
+
+def test_expected_depth_correlation_and_density_match_the_fraction_forms():
+    rng = random.Random(2401)
+    for trees, f, h, mu in _metric_sweep():
+        _same(density(h, mu), _frac_density(h, mu))
+        for tree in trees + (_mixture(rng, trees),):
+            _same(expected_depth(tree, mu), _frac_expected_depth(tree, mu))
+            _same(correlation(tree, f, mu), _frac_correlation(tree, f, mu))
+            _same(correlation(tree, f, mu, h), _frac_correlation(tree, f, mu, h))
+    # block-structured trees under product laws, on the leaf-statistics sweep
+    for tree, _f, h, mu in _sweep():
+        mu_k = product_power(mu, tree.k)
+        _same(expected_depth(tree, mu_k), _frac_expected_depth(tree, mu_k))
+        _same(density(h, mu), _frac_density(h, mu))
+
+
+def test_committee_metrics_match_the_fraction_forms():
+    rng = random.Random(2403)
+    for trees, f, _h, mu in _metric_sweep():
+        # repeated members, so a tree met again is counted once per seat
+        members = tuple(rng.choice(trees) for _ in range(rng.choice((1, 3, 5, 7))))
+        committee = Committee(f, mu, members, F(1, 4), F(1, 2), F(1), 0, 0)
+        err, cost = committee_metrics(committee, f, mu)
+        _same(err, _frac_committee_error(members, f, mu))
+        _same(cost, sum((_frac_expected_depth(t, mu) for t in members), _ZERO))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Frontier DP against brute-force enumeration, and mixture envelopes."""
 
 import gc
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -12,6 +13,7 @@ from dtlab.errors import GuardExceeded, Infeasible, InvalidValue
 from dtlab.functions import (
     BooleanFunction,
     Distribution,
+    Measure,
     VectorFunction,
     constant_measure,
     dictator,
@@ -518,6 +520,37 @@ def test_integer_kernel_matches_fraction_reference_advantage_sense():
         h = random_measure(rng, n)
         for mu in (random_distribution(rng, n), _sparse_distribution(rng, n)):
             _assert_matches_reference(f, mu, h=h)
+
+
+def test_advantage_kernel_with_sparse_mu_and_zeros_in_h():
+    # the scale is 2*D*E from mu.scaled and h.scaled: E coprime to D, or
+    # sharing factors with it, and zero-mass and zero-signed cubes alike
+    rng = random.Random(5151)
+    shared = 0
+    for i in range(60):
+        n = 1 + i % 4
+        f = random_function(rng, n)
+        den = rng.choice((2, 3, 5, 6, 7, 12))
+        h = Measure(n, tuple(Fraction(rng.randrange(0, den + 1), den) if rng.random() < 0.5
+                             else Fraction(0) for _ in range(1 << n)))
+        mu = _sparse_distribution(rng, n) if i % 3 else _coprime_distribution(n)
+        shared += math.gcd(mu.scaled[0], h.scaled[0]) > 1
+        _assert_matches_reference(f, mu, h=h)
+    assert 10 <= shared <= 50
+
+
+def test_label_fields_hold_a_whole_mass():
+    # more than two labels pack into fields of width D.bit_length(), and a
+    # cube whose whole mass has one label fills its field up to D
+    rng = random.Random(5252)
+    for n, k in ((1, 2), (1, 3), (2, 2)):
+        g = _random_vector_function(rng, n, k)
+        assert len(set(g.table)) > 2
+        keep = g.table[0]
+        for dense in (False, True):
+            raw = [rng.randrange(1, 9) if dense or row == keep else 0 for row in g.table]
+            mu = Distribution(n * k, tuple(Fraction(v, sum(raw)) for v in raw))
+            _assert_matches_reference(g, mu)
 
 
 def test_integer_kernel_with_large_coprime_denominators():

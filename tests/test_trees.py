@@ -1,6 +1,7 @@
 """Tree structure, evaluation semantics, exact metrics, and leaf statistics."""
 
 import dataclasses
+import gc
 import re
 import sys
 import threading
@@ -27,7 +28,8 @@ from dtlab.instances import (
     random_measure,
     random_tree,
 )
-from dtlab.synth import pareto_frontier
+from dtlab.synth import enumerate_all_trees, pareto_frontier
+from dtlab.transforms import full_parity_product_tree, product_tree, sign_fix_leaves
 from dtlab.trees import (
     DecisionTree,
     Leaf,
@@ -280,6 +282,30 @@ def test_leaves_are_preorder_negative_child_first():
     assert refs[0].fixed_mask == 0b11 and refs[0].fixed_vals == 0b00
     assert refs[3].fixed_mask == 0b11 and refs[3].fixed_vals == 0b11
     assert all(r.fixed_mask == 0b11 for r in refs)
+
+
+def test_tree_walks_and_builders_leave_no_cyclic_garbage():
+    # no recursive closure: nothing a call leaves behind waits for the
+    # cyclic collector to be freed
+    full = full_parity_product_tree(5, 1)
+    f, mu, h = parity(5), uniform(5), constant_measure(5, Fraction(1, 3))
+    calls = [
+        lambda: leaves(full),
+        lambda: sign_fix_leaves(full, f, h, mu),
+        lambda: product_tree(full_parity_product_tree(4, 1), parity(2), uniform(2), 2),
+        lambda: full_parity_product_tree(3, 2),
+        lambda: random_tree(random.Random(5), 3, 2),
+        lambda: enumerate_all_trees(2),
+    ]
+    gc.collect()
+    gc.disable()
+    try:
+        for call in calls:
+            for _ in range(10):
+                call()
+            assert gc.collect() == 0, call
+    finally:
+        gc.enable()
 
 
 def test_cube_points_enumerates_the_subcube():
