@@ -11,13 +11,13 @@ from it computes f with error at most delta.
 Solved by column generation: keep a finite pool of deterministic trees, solve
 the restricted game exactly, and grow the pool with exact best responses from
 the advantage-frontier envelope.  Each restricted game is one LP, the row
-player's, in which each pool tree is a constraint row.  A solve's first game
-is solved cold, from a basis of slacks and one artificial, by a dense
-two-phase simplex with Bland's rule, which terminates by construction; pivots
-carry the objective rows and the ratio test reads constraint rows only.  Each
-later game resumes from the last optimal tableau (Kelley's cutting planes,
-seen from the row player): an admitted tree is a new row whose zero-cost slack
-is basic, so the basis stays dual feasible, and a dual simplex (Lemke 1954)
+player's, in which each pool tree is a constraint row, and every game runs
+one kernel, a dense dual simplex (Lemke 1954).  A solve's first game starts
+from a seed basis, reached in two pivots, whose duals are those of the
+mixture on the first pool tree within the budget: it is dual feasible.
+Each later game resumes from the last optimal tableau (Kelley's cutting
+planes, seen from the row player): an admitted tree is a new row whose
+zero-cost slack is basic, so the basis stays dual feasible.  The dual simplex
 restores primal feasibility.  Its pivot rule is Bland's in dual form, which is
 Bland's rule applied to the dual LP, so it never revisits a basis and the loop
 ends (Bland 1977).  The tableau is exact but integer: each row is ints over
@@ -163,41 +163,11 @@ def _pivot(tab, r: int, c: int) -> None:
             tab[i] = _eliminate(other, unit, c, nonzero)
 
 
-def _bland(tab, basis: list[int], ncols: int) -> None:
-    """Minimise the objective whose reduced costs are the last row of tab.
-
-    Rows tab[:len(basis)], the only ones ratio-tested, are [A | b] in
-    canonical form for `basis`; objective rows follow.  Bland's rule (lowest
-    entering column below ncols, ratio ties broken on the lowest basic index)
-    never revisits a basis, so the loop ends without an iteration cap.
-    Signs and ratios are invariant under a positive row scale, so reading
-    numerators only (see _pivot for the row layout) picks the pivots the
-    rational tableau would: a reduced cost is negative when its numerator
-    is, and b_i / a_ic is the ratio of row i's numerators, its denominator
-    cancelling; rows are compared by cross-multiplying, as a_ic > 0.
-    """
-    while True:
-        costs = tab[-1]
-        c = next((j for j in range(ncols) if costs[j] < 0), None)
-        if c is None:
-            return
-        r = None
-        for i, row in enumerate(tab[:len(basis)]):
-            a = row[c]
-            if a > 0 and (r is None
-                          or (row[-2] * tab[r][c], basis[i]) < (tab[r][-2] * a, basis[r])):
-                r = i
-        if r is None:
-            raise InvalidValue("unbounded LP")
-        _pivot(tab, r, c)
-        basis[r] = c
-
-
 def _dual_bland(tab, basis: list[int]) -> None:
     """Restore b >= 0 from a dual feasible tableau, keeping it dual feasible.
 
-    tab is as _bland leaves it: rows tab[:len(basis)] are [A | b] in
-    canonical form for `basis`, and tab[-1] holds reduced costs, all >= 0,
+    Rows tab[:len(basis)] are [A | b] in canonical form for `basis` (see
+    _pivot for the int row layout), and tab[-1] holds reduced costs, all >= 0,
     but some b_i may be negative.  The leaving row is the one with b_i < 0
     of lowest basic index; the entering column is, among that row's negative
     entries a_rj, one of least ratio cost_j / |a_rj|, ties going to the
@@ -241,37 +211,6 @@ def _priced(row: list[int], tab, basis: list[int]) -> list[int]:
     return row
 
 
-def _simplex(tab, basis: list[int], cost: list[int], nreal: int) -> Fraction:
-    """Exact min of cost*x over {x >= 0 : A x = b}; returns the value.
-
-    tab holds the int rows [A | b | D] of _pivot with b >= 0, and basis[i]
-    names a unit column of row i; cost is an int row of the same layout, its
-    right-hand side 0.  Columns from nreal on are artificials, driven out by
-    phase 1.  The phase-2 row, then the phase-1 row (cost 1 on each
-    artificial) if any, are priced once for the starting basis by _priced,
-    and appended; _pivot keeps them canonical.  On return tab[:-1] and basis
-    are optimal and tab[-1] holds the reduced costs; a slack's is minus its
-    row's dual value.  Only the value turns back into a Fraction.
-    """
-    width = len(tab[0])
-    tab.append(_priced(cost, tab, basis))
-    if any(b >= nreal for b in basis):
-        tab.append(_priced([0] * nreal + [1] * (width - 2 - nreal) + [0, 1], tab, basis))
-        _bland(tab, basis, nreal)
-        if tab.pop()[-2] != 0:
-            raise Infeasible("LP has no feasible point")
-        for i, b in enumerate(basis):
-            if b >= nreal:
-                # Basic at zero: pivot it out.  A row with no real entry is
-                # redundant and never changes again.
-                c = next((j for j in range(nreal) if tab[i][j]), None)
-                if c is not None:
-                    _pivot(tab, i, c)
-                    basis[i] = c
-    _bland(tab, basis, nreal)
-    return Fraction(-tab[-1][-2], tab[-1][-1])
-
-
 @dataclass
 class _Tableau:
     """One solve's restricted game, kept from game to game: the last optimal
@@ -298,16 +237,22 @@ def _restricted_game(f, mu, half_density, budget, tables, depths, game):
     of its denominators and gcd-reduced.
 
     `game` keeps the tableau between the games of one solve.  While it is
-    empty the game is solved cold by _simplex, the density row
-    starting on an artificial.  The artificial's column is then dropped, and
-    its row too if it is still basic: basic at zero on a row with no real
-    entry, which is redundant.  Each tree admitted since the last game adds
-    a slack column before the right-hand side and its own row, put in the
-    basis' canonical form by _priced, with its slack basic.  That slack's
-    reduced cost is 0, so the basis stays dual feasible, and _dual_bland,
-    which ends by Bland's rule in dual form, makes it primal feasible again.
-    A warm game reaches the value a cold one would, possibly at another
-    optimal vertex.
+    empty, the first pool's tree rows, box rows and density row are built
+    and put on a seed basis that plays t0, the first pool tree within the
+    budget, alone: s+ on t0's row, every other tree's slack, every box
+    slack, and on the density row H at x0, the first point of positive mass
+    where f*T_t0 is least.  Two pivots reach it, H_x0 then s+.  Its duals
+    are those of the mixture on t0, so its reduced costs are mass_x *
+    (f*T_t0(x) - f*T_t0(x0)) on H_x, budget - depth_t0 on y, 0 on s- and 1
+    on t0's slack, all >= 0: the basis is dual feasible.  With no tree
+    within the budget, s + budget*y falls without bound along y, and the
+    game raises Infeasible.  Each tree admitted since the last game adds a
+    slack column before the right-hand side and its own row, put in the
+    basis' canonical form by _priced, with its slack basic.  That slack's reduced cost is 0,
+    so the basis stays dual feasible.  Either way _dual_bland, which ends by
+    Bland's rule in dual form, makes the basis primal feasible.  A warm
+    game reaches the value a first game on the same pool would, possibly at
+    another optimal vertex.
 
     _check_saddle_point then certifies the pair whatever the kernel did.
     """
@@ -325,12 +270,14 @@ def _restricted_game(f, mu, half_density, budget, tables, depths, game):
 
     basis, slacks = game.basis, game.slacks
     if not slacks:
+        t0 = next((t for t, depth in enumerate(depths) if depth <= budget), None)
+        if t0 is None:
+            raise Infeasible("no pool tree within the depth budget: the game is unbounded")
         nt = len(tables)
-        # Columns: H, s+, s-, y, pool slacks, box slacks, density artificial.
+        # Columns: H, s+, s-, y, pool slacks, box slacks.
         slack0 = npts + 3
         box0 = slack0 + nt
-        art = box0 + npts
-        width = art + 3
+        width = box0 + npts + 2
 
         def row(entries, rhs, d):
             r = [0] * width
@@ -339,17 +286,17 @@ def _restricted_game(f, mu, half_density, budget, tables, depths, game):
             r[-2], r[-1] = rhs, d
             return r
 
-        tab = [tree_row(t, slack0 + t, width) for t in range(nt)]
+        game.rows = tab = [tree_row(t, slack0 + t, width) for t in range(nt)]
         tab += [row([(x, 1), (box0 + x, 1)], 1, 1) for x in range(npts)]
-        tab.append(row([*enumerate(mass[:npts]), (art, den)], mass[npts], den))
-        basis += [slack0 + t for t in range(nt)] + [box0 + x for x in range(npts)] + [art]
-        d, p = _scale((1, -1, budget))
-        _simplex(tab, basis, row(zip((npts, npts + 1, npts + 2), p), 0, d), art)
-        if art in basis:
-            i = basis.index(art)
-            del tab[i], basis[i]
-        game.rows = tab = [_reduced(r[:art] + r[art + 1:]) for r in tab]
+        tab.append(row(enumerate(mass[:npts]), mass[npts], den))
+        x0 = min((x for x in range(npts) if mass[x]), key=lambda x: f.table[x] * tables[t0][x])
+        _pivot(tab, len(tab) - 1, x0)
+        _pivot(tab, t0, npts)
+        basis += [slack0 + t for t in range(nt)] + [box0 + x for x in range(npts)] + [x0]
+        basis[t0] = npts
         slacks += range(slack0, box0)
+        d, p = _scale((1, -1, budget))
+        tab.append(_priced(row(zip((npts, npts + 1, npts + 2), p), 0, d), tab, basis))
     else:
         tab = game.rows
         for t in range(len(slacks), len(tables)):
@@ -359,7 +306,7 @@ def _restricted_game(f, mu, half_density, budget, tables, depths, game):
             tab.insert(len(basis), _priced(tree_row(t, col, col + 3), tab, basis))
             basis.append(col)
             slacks.append(col)
-        _dual_bland(tab, basis)
+    _dual_bland(tab, basis)
 
     costs = tab[-1]
     value = Fraction(-costs[-2], costs[-1])
@@ -485,7 +432,10 @@ def committee_metrics(committee: Committee, f: BooleanFunction,
     """(exact pointwise majority error, summed expected depth of all members)."""
     if f.n != mu.n:
         raise DimensionMismatch("function and distribution sizes differ")
-    members = Counter(committee.trees).items()  # each distinct tree, measured once
+    # Each seated tree object, measured once.  Seats are counted by identity:
+    # hashing a tree walks it, and maj_boost seats its pool's objects.
+    seats = Counter(map(id, committee.trees))
+    members = [(t, seats[i]) for i, t in {id(t): t for t in committee.trees}.items()]
     scale, weights = mu.scaled
     err = 0  # over scale
     for x, w in enumerate(weights):
@@ -542,10 +492,10 @@ def hardcore_solve(f: BooleanFunction, mu: Distribution, delta: Fraction,
     One loop, starting from the constant measure delta/2: take the exact
     best response to the current H; certify H if its advantage is at most
     the threshold, else admit its trees into the pool, solve the restricted
-    game (the first cold, each later one warm from the last tableau) and,
-    when that value already exceeds the threshold, boost the optimal
-    mixture into a Committee (the tree players win; `seed` drives its
-    sampling).  A HardcoreCertificate's measure has density exactly
+    game (the first from a seed basis, each later one warm from the last
+    tableau) and, when that value already exceeds the threshold, boost the
+    optimal mixture into a Committee (the tree players win; `seed` drives
+    its sampling).  A HardcoreCertificate's measure has density exactly
     delta/2.  Never returns a wrong answer: a best response with no new
     tree, or more than MAX_ITERATIONS restricted games, raises
     IterationBudget instead.

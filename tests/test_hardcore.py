@@ -54,9 +54,11 @@ F = Fraction
 
 # --- exact simplex kernel
 #
-# The former Fraction kernel is the oracle: on every LP below the int-row
-# kernel in `hardcore` must make the same pivots, leave the same tableau (as
-# rationals) after each one, and end with the same value or the same error.
+# Two Fraction oracles.  A dual simplex by Bland's rule in dual form: on
+# every LP below the int-row kernel in `hardcore` must make the same pivots,
+# leave the same tableau (as rationals) after each one, and end in the same
+# tableau or the same error.  And the former two-phase primal simplex, which
+# solves restricted games from their own rows, independently of the kernel.
 
 
 def _oracle_pivot(tab, r, c):
@@ -69,6 +71,26 @@ def _oracle_pivot(tab, r, c):
         if i != r and m:
             for j in nonzero:
                 other[j] -= m * row[j]
+
+
+def _oracle_dual_bland(tab, basis, seen):
+    """Restore b >= 0 on Fraction rows [A | b] in canonical form for basis,
+    reduced costs (all >= 0) last: the negative-rhs row of lowest basic index
+    leaves, the lowest column of least cost / |entry| enters.  Counts the
+    pivots with a ratio tie in seen."""
+    costs = tab[-1]
+    while True:
+        negative = [i for i in range(len(basis)) if tab[i][-1] < 0]
+        if not negative:
+            return
+        r = min(negative, key=basis.__getitem__)
+        ratios = [(costs[j] / -a, j) for j, a in enumerate(tab[r][:-1]) if a < 0]
+        if not ratios:
+            raise Infeasible("LP has no feasible point")
+        least, c = min(ratios)
+        seen["ratio tie"] += sum(q == least for q, _ in ratios) > 1
+        _oracle_pivot(tab, r, c)
+        basis[r] = c
 
 
 def _oracle_bland(tab, basis, ncols):
@@ -86,7 +108,8 @@ def _oracle_bland(tab, basis, ncols):
 
 
 def _oracle_simplex(tab, basis, cost, nreal):
-    """Exact min of cost*x over {x >= 0 : A x = b} on Fraction rows [A | b]."""
+    """Exact min of cost*x over {x >= 0 : A x = b} on Fraction rows [A | b],
+    by two phases of Bland's rule, columns from nreal on being artificials."""
     width = len(tab[0])
 
     def priced(c):
@@ -109,6 +132,39 @@ def _oracle_simplex(tab, basis, cost, nreal):
     return -tab[-1][-1]
 
 
+def _oracle_game(f, mu, half_density, budget, tables, depths):
+    """(value, H, w) of the pool-restricted game by _oracle_simplex, cold.
+
+    Fraction rows in the first game's column layout plus an artificial on
+    the density row: H, s+, s-, y, pool slacks, box slacks, artificial,
+    started on the slacks and the artificial.  w is the pool slacks'
+    reduced costs, as in _restricted_game."""
+    npts, nt = 1 << f.n, len(tables)
+    slack0 = npts + 3
+    box0 = slack0 + nt
+    art = box0 + npts
+
+    def row(entries, rhs):
+        r = [F(0)] * (art + 2)
+        for j, v in entries:
+            r[j] = F(v)
+        r[-1] = F(rhs)
+        return r
+
+    tab = [row([*((x, mu.weights[x] * f.table[x] * v) for x, v in enumerate(tables[t])),
+                (npts, -1), (npts + 1, 1), (npts + 2, -depths[t]), (slack0 + t, 1)], 0)
+           for t in range(nt)]
+    tab += [row([(x, 1), (box0 + x, 1)], 1) for x in range(npts)]
+    tab.append(row([*enumerate(mu.weights), (art, 1)], half_density))
+    basis = [slack0 + t for t in range(nt)] + [box0 + x for x in range(npts)] + [art]
+    value = _oracle_simplex(tab, basis, [F(0)] * npts + [F(1), F(-1), budget], art)
+    z = [F(0)] * npts
+    for i, b in enumerate(basis):
+        if b < npts:
+            z[b] = tab[i][-1]
+    return value, Measure(f.n, tuple(z)), tuple(tab[-1][slack0:box0])
+
+
 def _int_row(row):
     """Fraction row -> the kernel's [numerators..., positive denominator]."""
     d = math.lcm(*(F(v).denominator for v in row))
@@ -128,9 +184,9 @@ def _assert_reduced_int_rows(tab):
         assert row[-1] > 0 and math.gcd(*row) == 1, row
 
 
-def _traced(module, name, simplex, tab, basis, cost, nreal, snapshot):
-    """Run simplex with module.name (its pivot) spied on: returns (value or
-    raised error, [(r, c, tableau after the pivot)])."""
+def _traced(module, name, kernel, snapshot, *args):
+    """Run kernel(*args) with module.name (its pivot) spied on: returns
+    (result or raised Infeasible, [(r, c, tableau after the pivot)])."""
     log, pivot = [], getattr(module, name)
 
     def spy(t, r, c):
@@ -139,50 +195,11 @@ def _traced(module, name, simplex, tab, basis, cost, nreal, snapshot):
 
     setattr(module, name, spy)
     try:
-        return simplex(tab, basis, cost, nreal), log
-    except (Infeasible, InvalidValue) as e:
+        return kernel(*args), log
+    except Infeasible as e:
         return e, log
     finally:
         setattr(module, name, pivot)
-
-
-def _solve(rows, cost, basis, nreal):
-    """Run the int kernel on Fraction rows [A | b] and check it against the
-    oracle pivot for pivot; returns (value, x, final tableau as Fractions,
-    final basis, pivots), each pivot (r, c, rows in the tableau then)."""
-    cost = list(cost) + [F(0)] * (len(rows[0]) - len(cost))
-    want_basis, got_basis = list(basis), list(basis)
-    want_tab, tab = [list(r) for r in rows], [_int_row(r) for r in rows]
-    want, want_log = _traced(sys.modules[__name__], "_oracle_pivot", _oracle_simplex,
-                             want_tab, want_basis, cost, nreal, list)
-    got, got_log = _traced(hardcore, "_pivot", hardcore._simplex, tab, got_basis,
-                           _int_row(cost), nreal, _frac_row)
-    # the same (row, column) pivots from one start: the same basis after each
-    assert got_log == want_log
-    _assert_reduced_int_rows(tab)
-    if isinstance(want, Exception):
-        assert (type(got), str(got)) == (type(want), str(want))
-        raise got
-    assert got == want and isinstance(got, F)
-    assert [_frac_row(r) for r in tab] == want_tab and got_basis == want_basis
-    x = [F(0)] * nreal
-    for i, b in enumerate(got_basis):
-        assert b < nreal or want_tab[i][-1] == 0, "artificial left at a nonzero level"
-        if b < nreal:
-            x[b] = want_tab[i][-1]
-    return got, x, want_tab, got_basis, [(r, c, len(t)) for r, c, t in got_log]
-
-
-def _assert_optimal(rows, cost, value, x, duals):
-    """Certificate from the original data: x feasible, y dual feasible, and
-    both objectives equal."""
-    assert all(v >= 0 for v in x)
-    for r in rows:
-        assert sum(a * v for a, v in zip(r, x)) == r[-1]
-    assert sum(c * v for c, v in zip(cost, x)) == value
-    for j, c in enumerate(cost):
-        assert c - sum(y * r[j] for y, r in zip(duals, rows)) >= 0
-    assert sum(y * r[-1] for y, r in zip(duals, rows)) == value
 
 
 # Beale's LP in Chvatal's form: columns x4..x7 then the slacks x1..x3.
@@ -212,167 +229,53 @@ def test_beale_lp_cycles_under_dantzig_rule():
     assert basis == [4, 5, 6] and tab == start
 
 
-def test_beale_lp_terminates_under_bland_rule():
-    value, x, tab, _, _ = _solve(BEALE_ROWS, BEALE_COST, [4, 5, 6], 7)
-    assert value == F(-5, 4)
-    assert x == [F(1), F(0), F(1), F(0), F(3, 4), F(0), F(0)]
-    # Column 4 + i is a zero-cost slack e_i, so its reduced cost is -y_i.
-    duals = [-tab[-1][4 + i] for i in range(3)]
-    _assert_optimal(BEALE_ROWS, BEALE_COST, value, x, duals)
-
-
-def test_ratio_ties_leave_on_the_lowest_basic_index():
-    # min -x0 with x0 + b = 1 (b is column 2) and x0 + a = 1 (a is column 1):
-    # both rows tie in the ratio test, and Bland's rule removes column 1.
-    rows = [[F(1), F(0), F(1), F(1)], [F(1), F(1), F(0), F(1)]]
-    value, _, _, basis, _ = _solve(rows, [F(-1), F(0), F(0)], [2, 1], 3)
-    assert value == -1
-    assert basis == [2, 0]
-
-
-def test_infeasible_system_raises():
-    # x1 + x2 = 1 and x1 + x2 = 2, each row started on an artificial.
-    rows = [[F(1), F(1), F(1), F(0), F(1)], [F(1), F(1), F(0), F(1), F(2)]]
-    with pytest.raises(Infeasible):
-        _solve(rows, [F(0), F(0)], [2, 3], 2)
-
-
-def test_unbounded_system_raises():
-    # min -x1  s.t.  x1 - x2 + s = 1: x1 = 1 + x2 grows without bound.
-    rows = [[F(1), F(-1), F(1), F(1)]]
-    with pytest.raises(InvalidValue, match="unbounded"):
-        _solve(rows, [F(-1), F(0), F(0)], [2], 3)
-
-
-def test_degenerate_artificial_is_pivoted_out():
-    # Rows x1 + x3 = 1, -x2 = 0 and the redundant 2x1 + 2x3 = 2, each on an
-    # artificial (columns 3..5).  Phase 1 ends with the -x2 row's artificial
-    # basic at zero.  Left there, phase 2 would let x2 enter, find no ratio
-    # row and call the LP unbounded.  The redundant row keeps an artificial
-    # at zero for good.
-    rows = [
-        [F(1), F(0), F(1), F(1), F(0), F(0), F(1)],
-        [F(0), F(-1), F(0), F(0), F(1), F(0), F(0)],
-        [F(2), F(0), F(2), F(0), F(0), F(1), F(2)],
-    ]
-    cost = [F(1), F(-1), F(0)]
-    value, x, _, basis, pivots = _solve(rows, cost, [3, 4, 5], 3)
-    assert value == 0
-    assert x == [F(0), F(0), F(1)]
-    assert _pivoted_out(pivots, [3, 4, 5], 3, 3) == 1 and basis[2] == 5
-
-
-def _pivoted_out(pivots, basis, nreal, m):
-    """How many pivots drove a zero artificial out between the phases: the
-    phase-1 row is gone (m + 1 rows) and an artificial leaves."""
-    basis, count = list(basis), 0
-    for r, c, rows in pivots:
-        count += rows == m + 1 and basis[r] >= nreal
-        basis[r] = c
-    return count
-
-
-def _random_lp(rng):
-    """A small LP [A | b] with mixed denominators and b >= 0, started on
-    artificials (A x = b) or on slacks (A x + s = b), sometimes with a
-    redundant row (a positive multiple of another); (rows, cost, basis,
-    nreal)."""
-    def q():
+def _random_dual_lp(rng):
+    """A small LP in canonical form for a slack basis that is dual feasible
+    but not always primal: rows [A | I | b] with mixed denominators and some
+    b < 0, then the reduced costs [c | 0 | 0] with c >= 0; (rows, basis).
+    Small numerators make ratio ties common, and a row with b < 0 and no
+    negative entry makes the LP infeasible."""
+    def q(lo):
         if rng.random() < 0.3:
             return F(0)
-        return F(rng.randint(-6, 6), rng.choice((1, 2, 3, 4, 6, 7, 9)))
+        return F(rng.randint(lo, 6), rng.choice((1, 2, 3)))
 
     m, n = rng.randint(1, 4), rng.randint(1, 4)
-    a = [[q() for _ in range(n)] + [abs(q())] for _ in range(m)]
-    if rng.random() < 0.3:
-        scale = F(rng.randint(1, 5), rng.randint(1, 5))
-        a.append([scale * v for v in rng.choice(a)])
-    m = len(a)
-    rows = [r[:-1] + [F(int(i == j)) for j in range(m)] + r[-1:] for i, r in enumerate(a)]
-    nreal = n if rng.random() < 0.5 else n + m
-    return rows, [q() for _ in range(nreal)], list(range(n, n + m)), nreal
+    rows = [[q(-6) for _ in range(n)] + [F(int(i == j)) for j in range(m)] + [q(-6)]
+            for i in range(m)]
+    return rows + [[q(0) for _ in range(n)] + [F(0)] * (m + 1)], list(range(n, n + m))
 
 
 def test_int_kernel_pivots_as_the_fraction_oracle_on_random_lps():
-    rng = random.Random(1400)
+    rng = random.Random(2500)
     seen = Counter()
     for _ in range(400):
-        rows, cost, basis, nreal = _random_lp(rng)
-        try:
-            _, _, _, final, pivots = _solve(rows, cost, basis, nreal)
-        except Infeasible:
+        rows, basis = _random_dual_lp(rng)
+        want_tab, want_basis = [list(r) for r in rows], list(basis)
+        tab, got_basis = [_int_row(r) for r in rows], list(basis)
+        want, want_log = _traced(sys.modules[__name__], "_oracle_pivot", _oracle_dual_bland,
+                                 list, want_tab, want_basis, seen)
+        got, got_log = _traced(hardcore, "_pivot", hardcore._dual_bland, _frac_row,
+                               tab, got_basis)
+        # the same (row, column) pivots from one start: the same basis after each
+        assert got_log == want_log
+        _assert_reduced_int_rows(tab)
+        if isinstance(want, Infeasible):
+            assert (type(got), str(got)) == (type(want), str(want))
             seen["infeasible"] += 1
             continue
-        except InvalidValue:
-            seen["unbounded"] += 1
-            continue
-        seen["feasible on artificials" if nreal < len(rows[0]) - 1 else "feasible on slacks"] += 1
-        seen["degenerate artificial"] += _pivoted_out(pivots, basis, nreal, len(rows)) > 0
-        seen["redundant row"] += any(b >= nreal for b in final)
-    assert len(seen) == 6 and min(seen.values()) >= 5, seen
-
-
-def _dense_reduced_costs(rows, basis, cost):
-    """c_j - sum_i c_{basis[i]} rows[i][j] over every basic row and column:
-    the from-scratch pricing the carried objective rows must equal."""
-    full = list(cost) + [F(0)] * (len(rows[0]) - len(cost))
-    return [full[j] - sum((full[b] * r[j] for r, b in zip(rows, basis)), F(0))
-            for j in range(len(full))]
-
-
-def test_carried_objective_rows_match_dense_repricing(monkeypatch):
-    # At the start and at the end of each phase, the phase-2 row (and in
-    # phase 1 the phase-1 row, cost 1 on each artificial) equals a
-    # re-pricing of the current basis.
-    simplex, bland = hardcore._simplex, hardcore._bland
-    args, phases = {}, []
-
-    def spied_simplex(tab, basis, cost, nreal):
-        args.update(cost=_frac_row(cost), nreal=nreal)
-        return simplex(tab, basis, cost, nreal)
-
-    def check(tab, basis):
-        m, nreal = len(basis), args["nreal"]
-        rows = [_frac_row(r) for r in tab]
-        assert rows[m] == _dense_reduced_costs(rows[:m], basis, args["cost"])
-        if len(tab) == m + 2:
-            phase1 = [F(0)] * nreal + [F(1)] * (len(rows[0]) - 1 - nreal)
-            assert rows[m + 1] == _dense_reduced_costs(rows[:m], basis, phase1)
-
-    def checked_bland(tab, basis, ncols):
-        check(tab, basis)
-        bland(tab, basis, ncols)
-        check(tab, basis)
-        phases.append(len(tab) - len(basis))
-
-    monkeypatch.setattr(hardcore, "_simplex", spied_simplex)
-    monkeypatch.setattr(hardcore, "_bland", checked_bland)
-    assert hardcore._simplex([_int_row(r) for r in BEALE_ROWS], [4, 5, 6],
-                             _int_row(BEALE_COST + [F(0)]), 7) == F(-5, 4)
-    # costs on the starting slacks, so pricing that basis is not the identity
-    cost = BEALE_COST[:4] + [F(1), F(2), F(3)]
-    tab, basis = [_int_row(r) for r in BEALE_ROWS], [4, 5, 6]
-    value = hardcore._simplex(tab, basis, _int_row(cost + [F(0)]), 7)
-    rows = [_frac_row(r) for r in tab]
-    x = [F(0)] * 7
-    for i, b in enumerate(basis):
-        x[b] = rows[i][-1]
-    _assert_optimal(BEALE_ROWS, cost, value, x, [cost[4 + i] - rows[-1][4 + i] for i in range(3)])
-    assert phases == [1, 1]
-    for s in range(4):
-        rng = random.Random(9000 + s)
-        f = random_function(rng, 3)
-        mu = random_distribution(rng, 3, allow_zeros=False)
-        for budget in SWEEP_BUDGETS:
-            hardcore_solve(f, mu, F(1, 4), F(1, 2), budget)
-    assert phases.count(2) > 10 and phases[2:] == [2, 1] * phases.count(2)
+        assert got is None and got_basis == want_basis
+        assert [_frac_row(r) for r in tab] == want_tab
+        assert min(r[-1] for r in want_tab[:-1]) >= 0 and min(want_tab[-1][:-1]) >= 0
+        seen["feasible after pivots" if want_log else "feasible at the start"] += 1
+    assert len(seen) == 4 and min(seen.values()) >= 5, seen
 
 
 def test_restricted_game_runs_one_kernel_solve(monkeypatch):
-    # _simplex solves the first game cold; each later game resumes
-    # from the last tableau by one _dual_bland run.
-    calls = {"game": 0, "simplex": 0, "dual": 0}
-    game, simplex, dual = hardcore._restricted_game, hardcore._simplex, hardcore._dual_bland
+    # Every game, the first from its seed basis and each later one from the
+    # last tableau, is one _dual_bland run.
+    calls = {"game": 0, "dual": 0}
+    game, dual = hardcore._restricted_game, hardcore._dual_bland
 
     def counted(name, fn):
         def wrapper(*args):
@@ -381,33 +284,27 @@ def test_restricted_game_runs_one_kernel_solve(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(hardcore, "_restricted_game", counted("game", game))
-    monkeypatch.setattr(hardcore, "_simplex", counted("simplex", simplex))
     monkeypatch.setattr(hardcore, "_dual_bland", counted("dual", dual))
     mu = Distribution(2, (F(1, 2), F(1, 4), F(1, 8), F(1, 8)))
     assert hardcore_solve(parity(2), mu, F(1, 4), F(1, 2), F(1)).iterations == 4
-    assert calls == {"game": 4, "simplex": 1, "dual": 3}
+    assert calls == {"game": 4, "dual": 4}
 
 
 def test_restricted_game_rows_stay_gcd_reduced_ints(monkeypatch):
     # A Fraction back in the kernel's rows, a denominator slot that is not
-    # positive or a row left unreduced fails here: every row is checked as
-    # built for the first game, with the rows appended for each warm game,
-    # and after each pivot of one sweep solve's 8 restricted games.
-    game, simplex, dual, pivot = (hardcore._restricted_game, hardcore._simplex,
-                                  hardcore._dual_bland, hardcore._pivot)
-    counts = {"games": 0, "cold": 0, "warm": 0, "pivots": 0}
+    # positive or a row left unreduced fails here: every row is checked after
+    # each pivot, the two seed pivots of the first game included, and at each
+    # _dual_bland entry with the rows appended for a warm game, over one
+    # sweep solve's 8 restricted games.
+    game, dual, pivot = hardcore._restricted_game, hardcore._dual_bland, hardcore._pivot
+    counts = {"games": 0, "dual": 0, "pivots": 0}
 
     def counted_game(*args):
         counts["games"] += 1
         return game(*args)
 
-    def checked_simplex(tab, basis, cost, nreal):
-        counts["cold"] += 1
-        _assert_reduced_int_rows(tab + [cost])
-        return simplex(tab, basis, cost, nreal)
-
     def checked_dual(tab, basis):
-        counts["warm"] += 1
+        counts["dual"] += 1
         _assert_reduced_int_rows(tab)
         return dual(tab, basis)
 
@@ -417,14 +314,13 @@ def test_restricted_game_rows_stay_gcd_reduced_ints(monkeypatch):
         _assert_reduced_int_rows(tab)
 
     monkeypatch.setattr(hardcore, "_restricted_game", counted_game)
-    monkeypatch.setattr(hardcore, "_simplex", checked_simplex)
     monkeypatch.setattr(hardcore, "_dual_bland", checked_dual)
     monkeypatch.setattr(hardcore, "_pivot", checked_pivot)
     rng = random.Random(9001)
     f = random_function(rng, 3)
     mu = random_distribution(rng, 3, allow_zeros=False)
     assert isinstance(hardcore_solve(f, mu, F(1, 4), F(1, 2), F(1)), HardcoreCertificate)
-    assert counts == {"games": 8, "cold": 1, "warm": 7, "pivots": 14}
+    assert counts == {"games": 8, "dual": 8, "pivots": 14}
 
 
 # The seeded sweep: 16 (f, mu) pairs on 3 variables with positive mu, at four
@@ -465,26 +361,27 @@ def test_seeded_sweep_decides_and_rechecks_every_solve(monkeypatch):
     assert hashlib.sha256(json.dumps(artifacts, sort_keys=True).encode()).hexdigest() == (
         "917fdf81ec7de746714ed7a40d623bd9522bb81bbab8903418ffd8248c7573fd")
     # ... and make the same pivots in the same order: in each solve's first
-    # game the former Fraction kernel's, then those of the dual Bland rule
-    assert len(pivots) == 481
+    # game the two seed pivots, then those of the dual Bland rule
+    assert len(pivots) == 446
     assert hashlib.sha256(repr(pivots).encode()).hexdigest() == (
-        "5f75497a485ac53a5698607c92d461f108dccbb712ae5a1e57363a890ab823dd")
+        "8fd8ad8d5e1f8512ddd96d6c20c80a2006b47af11cda23b42fff3830a3a9cd03")
 
 
 def test_every_warm_sweep_game_matches_a_cold_solve_of_its_pool(monkeypatch):
-    # Each restricted game of the n=3 sweep is solved again cold, on
-    # the same pool, by _simplex: the values agree, and both strategy pairs
-    # pass the re-checks inside _restricted_game.
+    # Each restricted game of the n=3 sweep is solved again cold, on the
+    # same pool, by the Fraction two-phase oracle: the values agree, and
+    # both strategy pairs pass the saddle-point re-checks.
     game = hardcore._restricted_game
     seen = Counter()
 
     def checked(f, mu, half, budget, tables, depths, tableau):
-        warm = bool(tableau.slacks)
+        first = not tableau.slacks
         value, h, w = game(f, mu, half, budget, tables, depths, tableau)
-        cold = game(f, mu, half, budget, tables, depths, hardcore._Tableau())
+        cold = _oracle_game(f, mu, half, budget, tables, depths)
+        hardcore._check_saddle_point(f, mu, half, budget, tables, depths, *cold)
         assert cold[0] == value
-        seen["warm" if warm else "cold"] += 1
-        seen["other vertex"] += warm and cold[1:] != (h, w)
+        seen["first" if first else "warm"] += 1
+        seen["other vertex"] += cold[1:] != (h, w)
         return value, h, w
 
     monkeypatch.setattr(hardcore, "_restricted_game", checked)
@@ -494,7 +391,7 @@ def test_every_warm_sweep_game_matches_a_cold_solve_of_its_pool(monkeypatch):
         mu = random_distribution(rng, 3, allow_zeros=False)
         for budget in SWEEP_BUDGETS:
             hardcore_solve(f, mu, F(1, 4), F(1, 2), budget)
-    assert seen["cold"] == 56 and seen["warm"] == 164 - 56 and seen["other vertex"] > 0, seen
+    assert seen["first"] == 56 and seen["warm"] == 164 - 56 and seen["other vertex"] > 0, seen
 
 
 def test_n4_seeded_solves_boost_committees():
@@ -582,8 +479,9 @@ def _random_pool(rng, n, size):
 
 def test_warm_games_match_cold_solves_on_random_pools(monkeypatch):
     # Rows appended one at a time: after each, the warm game's value is the
-    # value _simplex finds cold on the same pool, and both strategy
-    # pairs pass the re-checks (each raises InvalidValue otherwise).
+    # value the Fraction two-phase oracle finds cold on the same pool, and
+    # both strategy pairs pass the re-checks (each raises InvalidValue
+    # otherwise).
     pivot, pivots = hardcore._pivot, []
 
     def counted(tab, r, c):
@@ -606,10 +504,64 @@ def test_warm_games_match_cold_solves_on_random_pools(monkeypatch):
             if k > 1:
                 seen["warm games"] += 1
                 seen["warm games that pivot"] += len(pivots) > before
-            cold = game(f, mu, half, budget, tables[:k], depths[:k], hardcore._Tableau())
+            cold = _oracle_game(f, mu, half, budget, tables[:k], depths[:k])
+            hardcore._check_saddle_point(f, mu, half, budget, tables[:k], depths[:k], *cold)
             assert warm[0] == cold[0]
             seen["other vertex"] += warm[1:] != cold[1:]
     assert min(seen.values()) >= 20, seen
+
+
+def test_every_dual_bland_run_starts_dual_feasible(monkeypatch):
+    # At each _dual_bland entry every reduced cost is >= 0, and each basic
+    # column's is 0: after the two seed pivots of a first game as after the
+    # rows a warm game appends, on the n=3 sweep and on random pools.
+    game, dual = hardcore._restricted_game, hardcore._dual_bland
+    first, seen = [], Counter()
+
+    def spied_game(f, mu, half, budget, tables, depths, tableau):
+        first.append(not tableau.slacks)
+        return game(f, mu, half, budget, tables, depths, tableau)
+
+    def checked_dual(tab, basis):
+        costs = tab[-1]
+        assert min(costs[:-2]) >= 0 and not any(costs[b] for b in basis)
+        seen["first" if first.pop() else "warm"] += 1
+        dual(tab, basis)
+
+    monkeypatch.setattr(hardcore, "_restricted_game", spied_game)
+    monkeypatch.setattr(hardcore, "_dual_bland", checked_dual)
+    for s in range(16):
+        rng = random.Random(9000 + s)
+        f = random_function(rng, 3)
+        mu = random_distribution(rng, 3, allow_zeros=False)
+        for budget in SWEEP_BUDGETS:
+            hardcore_solve(f, mu, F(1, 4), F(1, 2), budget)
+    assert seen == {"first": 56, "warm": 164 - 56}, seen
+    rng = random.Random(2501)
+    for _ in range(150):
+        n = rng.randint(1, 3)
+        f = random_function(rng, n)
+        mu, tables, depths, budget = _random_pool(rng, n, rng.randint(1, 7))
+        half = F(rng.randint(1, 7), 8)
+        tableau = hardcore._Tableau()
+        for k in range(1, len(tables) + 1):
+            hardcore._restricted_game(f, mu, half, budget, tables[:k], depths[:k], tableau)
+    assert seen["first"] == 56 + 150 and seen["warm"] > 164, seen
+
+
+def test_a_pool_with_no_tree_within_the_budget_raises_infeasible():
+    # Every pool tree is deeper than the budget, so s + budget*y falls without
+    # bound along y; the cold oracle finds the LP unbounded too.
+    f, mu = parity(2), Distribution(2, (F(1, 2), F(1, 4), F(1, 8), F(1, 8)))
+    trees = [DecisionTree(2, 1, Query(0, Leaf((-1,)), Leaf((1,)))),
+             DecisionTree(2, 1, Query(1, Leaf((1,)), Query(0, Leaf((1,)), Leaf((-1,)))))]
+    tables = [tuple(evaluate(t, x)[0] for x in range(4)) for t in trees]
+    depths = [hardcore.expected_depth(t, mu) for t in trees]
+    budget = min(depths) - F(1, 8)
+    with pytest.raises(Infeasible, match="no pool tree within the depth budget"):
+        hardcore._restricted_game(f, mu, F(1, 8), budget, tables, depths, hardcore._Tableau())
+    with pytest.raises(InvalidValue, match="unbounded"):
+        _oracle_game(f, mu, F(1, 8), budget, tables, depths)
 
 
 def _payoff_vector(f, mu, table):
@@ -797,6 +749,10 @@ def test_committee_metrics_measures_each_distinct_member_once(monkeypatch):
     committee = Committee(f, mu, trees, F(1, 4), F(1, 2), F(1), 0, 1)
     assert committee_metrics(committee, f, mu) == (err, cost)
     assert calls == {"expected_depth": 3, "evaluate": 3 * 4}
+    # Seats are counted by object identity: equal trees that are distinct
+    # objects, as a committee read from JSON may hold, are measured apart.
+    copies = tuple(DecisionTree(t.n, t.k, t.root) for t in trees)
+    assert committee_metrics(dataclasses.replace(committee, trees=copies), f, mu) == (err, cost)
 
 
 def test_certificate_advantage_monotone_in_budget():
