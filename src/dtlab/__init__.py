@@ -13,6 +13,7 @@ from .errors import (
     Infeasible,
     InvalidValue,
     IterationBudget,
+    KernelFault,
     UndecidedComparison,
     UnreachedLeaf,
 )

@@ -6,7 +6,8 @@ to JSON or CSV, and re-check a serialized certificate or committee.
 Exit codes: 0 all checks pass, 1 some check failed, 2 invalid config,
 scenario, format, or output path, 3 size guard exceeded, 4 comparison
 undecided at the maximum precision, 5 a solver ran out of its iteration
-or retry budget, or an internal error.
+or retry budget, a solver's answer failed its re-check (KernelFault), or
+another internal error.
 """
 
 from __future__ import annotations
@@ -213,7 +214,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except Exception as exc:
-        # IterationBudget, BoostFailure, or a bug.
+        # IterationBudget, BoostFailure, KernelFault, or a bug.
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

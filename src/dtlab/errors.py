@@ -36,6 +36,11 @@ class IterationBudget(DtlabError, RuntimeError):
     """An iterative solver hit its iteration cap before converging."""
 
 
+class KernelFault(DtlabError, RuntimeError):
+    """A solver's answer failed its independent re-check: a bug in the
+    package, not a fault of its input."""
+
+
 class BoostFailure(DtlabError, RuntimeError):
     """Committee sampling exhausted its retry cap at the configured seed."""
 

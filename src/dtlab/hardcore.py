@@ -48,6 +48,7 @@ from .errors import (
     Infeasible,
     InvalidValue,
     IterationBudget,
+    KernelFault,
 )
 from .exactexp import ExpSum, _int, fraction_from_str, fraction_to_str
 from .functions import (
@@ -314,6 +315,8 @@ def _restricted_game(f, mu, half_density, budget, tables, depths, game):
     for i, b in enumerate(basis):
         if b < npts:
             z[b] = Fraction(tab[i][-2], tab[i][-1])
+    if not all(0 <= v <= 1 for v in z):
+        raise KernelFault(f"measure {z} leaves [0,1] (LP kernel bug)")
     h_r = Measure(f.n, tuple(z))
     w = tuple(Fraction(costs[j], costs[-1]) for j in slacks)
     _check_saddle_point(f, mu, half_density, budget, tables, depths, value, h_r, w)
@@ -330,10 +333,11 @@ def _masses(mu: Distribution, half_density: Fraction) -> tuple[int, list[int]]:
 
 
 def _check_saddle_point(f, mu, half_density, budget, tables, depths, value, h, w):
-    """Raise InvalidValue unless measure h and pool mixture w are feasible
+    """Raise KernelFault unless measure h and pool mixture w are feasible
     and both attain `value`, which makes (h, w) a saddle point of the
     restricted game: no measure does better against w, and no mixture of
-    the pool does better against h.
+    the pool does better against h.  A failure is a bug in the LP kernel,
+    never a fault of the input, so it is a RuntimeError (CLI exit 5).
 
     Derived from the game's data alone, not from any tableau, on ints: the
     greedy inner minimum against w scores each point over w's common
@@ -346,13 +350,13 @@ def _check_saddle_point(f, mu, half_density, budget, tables, depths, value, h, w
 
     # Feasibility of both strategies; Measure already checks 0 <= H <= 1.
     if any(v < 0 for v in wn) or sum(wn) != dw:
-        raise InvalidValue(f"mixture {w} is not a distribution (LP kernel bug)")
+        raise KernelFault(f"mixture {w} is not a distribution (LP kernel bug)")
     dd, dn = _scale(depths)
     if sum(v * d for v, d in zip(wn, dn)) * budget.denominator > budget.numerator * dw * dd:
-        raise InvalidValue(f"mixture {w} exceeds the depth budget (LP kernel bug)")
+        raise KernelFault(f"mixture {w} exceeds the depth budget (LP kernel bug)")
     dh, hn = h.scaled
     if sum(m * v for m, v in zip(mass[:npts], hn)) != mass[npts] * dh:
-        raise InvalidValue(f"measure {h.values} misses the density (LP kernel bug)")
+        raise KernelFault(f"measure {h.values} misses the density (LP kernel bug)")
 
     # Greedy minimum against w: the fractional fill that puts H = 1 on the
     # lowest scores first.  Zero-weight trees add nothing to any score.
@@ -364,10 +368,10 @@ def _check_saddle_point(f, mu, half_density, budget, tables, depths, value, h, w
         g_num += take * scores[x]
         remaining -= take
     if remaining != 0:
-        raise InvalidValue("density exceeds total distribution mass")
+        raise KernelFault("density exceeds total distribution mass")
     g_value = Fraction(g_num, den * dw)
     if g_value != value:
-        raise InvalidValue(
+        raise KernelFault(
             f"restricted value {value} not reproduced by greedy minimum {g_value}")
 
     # Envelope maximum against h.
@@ -377,7 +381,7 @@ def _check_saddle_point(f, mu, half_density, budget, tables, depths, value, h, w
     e_value, _ = mixture_optimum(pairs, budget, minimize=False)
     e_value = Fraction(e_value, den * dh)
     if e_value != value:
-        raise InvalidValue(
+        raise KernelFault(
             f"restricted value {value} not reproduced by envelope maximum {e_value}")
 
 

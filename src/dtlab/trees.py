@@ -24,16 +24,16 @@ The exact metrics read the same scaled ints.  expected_depth, correlation
 are each one int sum over the points, turned into one Fraction at the output.
 
 Trees may share nodes, as reduced decision diagrams do: synth's DP reuses them.
-Validity is per node, checked once on first use through a cached shape, so the
-sharing makes it cheap; one artifact's trees share a node's JSON dict too.
+Validity is per node, checked once when the node is built from its children's
+stored shapes, so no invalid node exists and the sharing makes it cheap; one
+artifact's trees share a node's JSON dict too.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import prod
 from operator import mul
 
@@ -49,11 +49,10 @@ _ZERO = Fraction(0)
 class Leaf:
     label: tuple[int, ...]
 
-    @cached_property
-    def shape(self) -> tuple[int, int]:
+    def __post_init__(self):
         if any(v not in (-1, 1) for v in self.label):
             raise InvalidValue("leaf labels must be +-1")
-        return 0, len(self.label)
+        self.__dict__["shape"] = 0, len(self.label)
 
 
 @dataclass(frozen=True)
@@ -62,34 +61,17 @@ class Query:
     neg: "Leaf | Query"
     pos: "Leaf | Query"
 
-    @cached_property
-    def shape(self) -> tuple[int, int]:
-        """The children's shapes are computed first, each on first use, so a
-        check recurses down to the nearest checked nodes.  A path of more
-        than MAX_TABLE_VARS queries repeats a variable, so the recursion is
-        refused at that depth instead of going on down a long chain."""
+    def __post_init__(self):
+        """Checked in O(1) from the children's stored shapes, each a pair
+        (mask of the variables queried below, label width)."""
         if not 0 <= self.var < MAX_TABLE_VARS:
             raise InvalidValue(f"query variable {self.var} out of range [0,{MAX_TABLE_VARS})")
-        depth = getattr(_checking, "depth", 0)  # unchecked queries above this one
-        if depth == MAX_TABLE_VARS:
-            raise InvalidValue(
-                f"more than {MAX_TABLE_VARS} queries on one path: a variable is "
-                "queried twice on one path")
-        _checking.depth = depth + 1
-        try:
-            (neg, width), (pos, pos_width) = _shape(self.neg), _shape(self.pos)
-        finally:
-            _checking.depth = depth
+        (neg, width), (pos, pos_width) = _shape(self.neg), _shape(self.pos)
         if (neg | pos) >> self.var & 1:
             raise InvalidValue(f"variable {self.var} queried twice on one path")
         if pos_width != width:
             raise InvalidValue(f"leaf label width {pos_width} != {width}")
-        return neg | pos | 1 << self.var, width
-
-
-# How deeply the running Query.shape computations nest, kept per thread:
-# cached_property serializes them only before Python 3.12.
-_checking = threading.local()
+        self.__dict__["shape"] = neg | pos | 1 << self.var, width
 
 
 def _shape(node) -> tuple[int, int]:
@@ -403,12 +385,17 @@ def _to_json(x, memo: dict[int, dict]) -> dict:
     return d
 
 
-def _node_from_json(obj):
+def _node_from_json(obj, depth: int = 0):
+    """The node of a dict with `depth` queries above it.  A path of more than
+    MAX_TABLE_VARS queries repeats a variable, so a deep crafted chain is
+    refused at that depth instead of read down to its bottom."""
     if "leaf" in obj:
         return Leaf(tuple(_int(v, "leaf label") for v in obj["leaf"]))
-    node = Query(_int(obj["q"], "q"), *map(_node_from_json, (obj["neg"], obj["pos"])))
-    node.shape  # checked as read, so no check recurses down a deep crafted chain
-    return node
+    if depth == MAX_TABLE_VARS:
+        raise InvalidValue(f"more than {MAX_TABLE_VARS} queries on one path: "
+                           "a variable is queried twice on one path")
+    return Query(_int(obj["q"], "q"), _node_from_json(obj["neg"], depth + 1),
+                 _node_from_json(obj["pos"], depth + 1))
 
 
 def tree_to_json(tree: DecisionTree) -> dict:

@@ -11,7 +11,7 @@ from fractions import Fraction as F
 import pytest
 
 from dtlab import cli
-from dtlab.errors import BoostFailure, IterationBudget, UndecidedComparison
+from dtlab.errors import BoostFailure, IterationBudget, KernelFault, UndecidedComparison
 from dtlab.functions import parity, uniform
 from dtlab.hardcore import certificate_to_json, committee_to_json, hardcore_solve
 from dtlab.trees import (
@@ -189,6 +189,7 @@ def test_undecided_comparison_exits_4(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("exc", [IterationBudget("no decision"),
                                  BoostFailure("retry cap"),
+                                 KernelFault("not reproduced (LP kernel bug)"),
                                  ZeroDivisionError("a bug")])
 def test_solver_budget_and_internal_errors_exit_5(tmp_path, monkeypatch, capsys, exc):
     def raiser(params):

@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import random
+import re
 import sys
 from collections import Counter
 from decimal import Decimal, localcontext
@@ -15,7 +16,8 @@ from fractions import Fraction
 import pytest
 
 from dtlab import hardcore
-from dtlab.errors import BoostFailure, GuardExceeded, Infeasible, InvalidValue, IterationBudget
+from dtlab.errors import (
+    BoostFailure, GuardExceeded, Infeasible, InvalidValue, IterationBudget, KernelFault)
 from dtlab.functions import (
     Distribution,
     Measure,
@@ -664,11 +666,39 @@ def test_saddle_point_checks_refuse_as_the_fraction_checks():
             try:
                 hardcore._check_saddle_point(f, mu, half, budget, tables, depths, value, h, w)
                 got = None
-            except InvalidValue as exc:
+            except KernelFault as exc:
                 got = str(exc)
             assert got == want, (got, want)
             seen[next((p for p in SADDLE_POINT_FAULTS if p in (want or "")), want)] += 1
     assert set(seen) == {None, *SADDLE_POINT_FAULTS} and min(seen.values()) >= 20, seen
+
+
+@pytest.mark.parametrize("at, slot, fault", [
+    (3, None, "not reproduced by greedy minimum"),
+    (1, -2, "leaves [0,1]"),
+], ids=["reduced-cost", "density-rhs"])
+def test_a_corrupted_pivot_raises_a_kernel_fault(monkeypatch, at, slot, fault):
+    # The first game's third pivot is its first by _dual_bland, with the
+    # reduced costs in the last row (slot None: the first nonzero one); its
+    # first pivot leaves the density row last, slot -2 its right-hand side.
+    # A kernel bug is no fault of the input: no ValueError, so CLI exit 5.
+    pivot, calls = hardcore._pivot, []
+
+    def corrupted(tab, r, c):
+        pivot(tab, r, c)
+        calls.append((r, c))
+        if len(calls) == at:
+            last = tab[-1]
+            j = next(j for j, v in enumerate(last[:-2]) if v) if slot is None else slot
+            last[j] += last[-1]
+
+    monkeypatch.setattr(hardcore, "_pivot", corrupted)
+    rng = random.Random(9000)
+    f = random_function(rng, 3)
+    mu = random_distribution(rng, 3, allow_zeros=False)
+    with pytest.raises(KernelFault, match=re.escape(fault)) as caught:
+        hardcore_solve(f, mu, F(1, 4), F(1, 2), F(1))
+    assert not isinstance(caught.value, ValueError)
 
 
 SADDLE_POINT_FAULTS = ("not a distribution", "exceeds the depth budget", "misses the density",
@@ -910,6 +940,27 @@ def test_serialization_round_trips():
     assert certificate_from_json(certificate_to_json(cert)) == cert
     com = hardcore_solve(f, mu, F(1, 4), F(1, 2), F(2))
     assert committee_from_json(committee_to_json(com)) == com
+
+
+@pytest.mark.parametrize("kind", ["certificate", "committee"])
+def test_artifact_readers_refuse_a_deep_tree_chain(kind):
+    # Each reads its trees by tree_from_json, which stops 24 queries down a
+    # 5,000-deep chain instead of recursing to its bottom.
+    root = {"leaf": [1]}
+    for i in range(5000):
+        root = {"q": i % 2, "neg": {"leaf": [1]}, "pos": root}
+    tree = {"n": 2, "k": 1, "root": root}
+    f, mu = parity(2), uniform(2)
+    if kind == "certificate":
+        art = certificate_to_json(hardcore_solve(f, mu, F(1, 4), F(1, 2), F(1)))
+        art["witness"] = [{"w": "1", "tree": tree}]
+        read = certificate_from_json
+    else:
+        art = committee_to_json(hardcore_solve(f, mu, F(1, 4), F(1, 2), F(2)))
+        art["trees"] = [tree] * len(art["trees"])
+        read = committee_from_json
+    with pytest.raises(InvalidValue, match="more than 24 queries on one path"):
+        read(art)
 
 
 def test_committee_json_writes_a_repeated_tree_once():

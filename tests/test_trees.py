@@ -107,24 +107,41 @@ def test_out_of_range_variable_rejected():
         DecisionTree(1, 1, Query(3, Leaf((1,)), Leaf((1,))))
 
 
-def _validate(node, total_vars: int, k: int, used: int) -> None:
-    # Reference check, independent of the cached node shapes: a top-down walk
-    # that carries the mask of the variables queried above the node.
+def _spec(node):
+    """The node as a plain tuple spec: ("leaf", label) or ("q", var, neg, pos)."""
     if isinstance(node, Leaf):
-        if len(node.label) != k:
-            raise InvalidValue(f"leaf label width {len(node.label)} != k={k}")
-        if any(v not in (-1, 1) for v in node.label):
+        return ("leaf", node.label)
+    return ("q", node.var, _spec(node.neg), _spec(node.pos))
+
+
+def _build(spec):
+    """The nodes of a spec, built bottom-up; ("raw", x) stands for x itself."""
+    if spec[0] == "leaf":
+        return Leaf(spec[1])
+    if spec[0] == "q":
+        return Query(spec[1], _build(spec[2]), _build(spec[3]))
+    return spec[1]
+
+
+def _validate(spec, total_vars: int, k: int, used: int) -> None:
+    # Reference check on a spec, independent of trees.py: a top-down walk
+    # that carries the mask of the variables queried above the node.
+    if spec[0] == "leaf":
+        if len(spec[1]) != k:
+            raise InvalidValue(f"leaf label width {len(spec[1])} != k={k}")
+        if any(v not in (-1, 1) for v in spec[1]):
             raise InvalidValue("leaf labels must be +-1")
         return
-    if not isinstance(node, Query):
-        raise InvalidValue(f"not a tree node: {node!r}")
-    if not 0 <= node.var < total_vars:
-        raise InvalidValue(f"query variable {node.var} out of range [0,{total_vars})")
-    bit = 1 << node.var
+    if spec[0] != "q":
+        raise InvalidValue(f"not a tree node: {spec[1]!r}")
+    _, var, neg, pos = spec
+    if not 0 <= var < total_vars:
+        raise InvalidValue(f"query variable {var} out of range [0,{total_vars})")
+    bit = 1 << var
     if used & bit:
-        raise InvalidValue(f"variable {node.var} queried twice on one path")
-    _validate(node.neg, total_vars, k, used | bit)
-    _validate(node.pos, total_vars, k, used | bit)
+        raise InvalidValue(f"variable {var} queried twice on one path")
+    _validate(neg, total_vars, k, used | bit)
+    _validate(pos, total_vars, k, used | bit)
 
 
 def _raised(check):
@@ -135,65 +152,70 @@ def _raised(check):
     return None
 
 
-def _leaf_paths(node, path=()):
-    """(path, variables queried above) for every leaf, a path being 'neg'/'pos' steps."""
-    if isinstance(node, Leaf):
+def _leaf_paths(spec, path=()):
+    """(path, variables queried above) for every leaf of a spec, a path being
+    the spec indices 2 (neg) and 3 (pos) of its steps."""
+    if spec[0] == "leaf":
         return [(path, ())]
-    return [(p, (node.var,) + above) for side in ("neg", "pos")
-            for p, above in _leaf_paths(getattr(node, side), path + (side,))]
+    return [(p, (spec[1],) + above) for side in (2, 3)
+            for p, above in _leaf_paths(spec[side], path + (side,))]
 
 
-def _replace_at(node, path, new):
+def _replace_at(spec, path, new):
     if not path:
         return new
     side, rest = path[0], path[1:]
-    return dataclasses.replace(node, **{side: _replace_at(getattr(node, side), rest, new)})
+    return spec[:side] + (_replace_at(spec[side], rest, new),) + spec[side + 1:]
 
 
 def _mutations(rng, root, n, k):
-    """One invalid copy of root per kind of fault, each planted at a random leaf."""
+    """One invalid copy of spec root per kind of fault, each planted at a
+    random leaf."""
     path, above = rng.choice(_leaf_paths(root))
-    leaf = Leaf(tuple(rng.choice((1, -1)) for _ in range(k)))
+    leaf = ("leaf", tuple(rng.choice((1, -1)) for _ in range(k)))
     repeat = rng.choice(above) if above else 0
     planted = {
-        "repeat": Query(repeat, leaf, leaf),
-        "past-n*k": Query(n * k + rng.choice((0, 1, 30, 10**12)), leaf, leaf),
-        "negative": Query(-rng.randrange(1, 4), leaf, leaf),
-        "mixed-width": Leaf(leaf.label + (1,)),
-        "label-0": Leaf((0,) + leaf.label[1:]),
-        "not-a-node": rng.choice((None, (1,) * k, 1, DecisionTree(n, k, leaf))),
+        "repeat": ("q", repeat, leaf, leaf),
+        "past-n*k": ("q", n * k + rng.choice((0, 1, 30, 10**12)), leaf, leaf),
+        "negative": ("q", -rng.randrange(1, 4), leaf, leaf),
+        "mixed-width": ("leaf", leaf[1] + (1,)),
+        "label-0": ("leaf", (0,) + leaf[1][1:]),
+        "not-a-node": ("raw", rng.choice(
+            (None, (1,) * k, 1, DecisionTree(n, k, Leaf(leaf[1]))))),
     }
-    out = {kind: _replace_at(root, path, node) for kind, node in planted.items()}
+    out = {kind: _replace_at(root, path, spec) for kind, spec in planted.items()}
     if not above:  # a bare leaf has no variable above it to repeat
-        out["repeat"] = Query(0, Query(0, leaf, leaf), leaf)
+        out["repeat"] = ("q", 0, ("q", 0, leaf, leaf), leaf)
     return out
 
 
 def test_node_shapes_accept_and_reject_as_the_top_down_walk():
+    # No invalid node can be built, so each fault is planted in a spec, and
+    # the spec's nodes are built bottom-up under the check.
     rng = random.Random(20260)
     shapes = [(n, k) for n in range(1, 6) for k in range(1, 4) if n * k <= 10]
     for _ in range(2000):
         n, k = rng.choice(shapes)
-        root = random_tree(rng, n, k).root
+        root = _spec(random_tree(rng, n, k).root)
         cases = {"valid": root, **_mutations(rng, root, n, k)}
-        for kind, node in cases.items():
-            expected = _raised(lambda: _validate(node, n * k, k, 0))
+        for kind, spec in cases.items():
+            expected = _raised(lambda: _validate(spec, n * k, k, 0))
             assert expected is (None if kind == "valid" else InvalidValue), kind
-            assert _raised(lambda: DecisionTree(n, k, node)) is expected, (kind, node)
+            assert _raised(lambda: DecisionTree(n, k, _build(spec))) is expected, (kind, spec)
 
 
 def test_error_messages_name_the_fault():
     leaf = Leaf((1,))
-    for root, phrase in [
-            (Query(0, Query(0, leaf, leaf), leaf), "queried twice on one path"),
-            (Query(2, leaf, leaf), "out of range"),
-            (Query(-1, leaf, leaf), "out of range"),
-            (Query(0, leaf, Leaf((1, 1))), "leaf label width"),
-            (Leaf((1, 1)), "leaf label width"),
-            (Query(0, leaf, "leaf"), "not a tree node"),
-            (Leaf((0,)), "+-1")]:
+    for build, phrase in [
+            (lambda: Query(0, Query(0, leaf, leaf), leaf), "queried twice on one path"),
+            (lambda: Query(2, leaf, leaf), "out of range"),
+            (lambda: Query(-1, leaf, leaf), "out of range"),
+            (lambda: Query(0, leaf, Leaf((1, 1))), "leaf label width"),
+            (lambda: Leaf((1, 1)), "leaf label width"),
+            (lambda: Query(0, leaf, "leaf"), "not a tree node"),
+            (lambda: Leaf((0,)), "+-1")]:
         with pytest.raises(InvalidValue, match=re.escape(phrase)):
-            DecisionTree(2, 1, root)
+            DecisionTree(2, 1, build())
 
 
 def _chain(variables):
@@ -205,17 +227,17 @@ def _chain(variables):
 
 @pytest.mark.parametrize("length", [300, 400, 2000])
 def test_a_long_query_chain_is_refused_without_recursing_down_it(length):
-    # No path has more than MAX_TABLE_VARS = 24 queries without a repeat, so
-    # the check stops 24 queries down instead of recursing to the bottom.
+    # No path has more than MAX_TABLE_VARS = 24 queries without a repeat, and
+    # each node is checked as it is built, so the chain stops at its 25th.
     with pytest.raises(InvalidValue, match="queried twice on one path"):
         DecisionTree(24, 1, _chain(i % 24 for i in range(length)))
     DecisionTree(24, 1, _chain(range(24)))
 
 
 def test_shape_checks_in_threads_keep_their_own_depth():
-    # Each thread counts its own nesting: checks of 24-query chains running
-    # side by side, switching often, must not add up to a refusal.  Before
-    # Python 3.12 cached_property's lock runs them one at a time anyway.
+    # 24-query chains built side by side, switching often, must not add up
+    # to a refusal: each node is checked from its own children's stored
+    # shapes, so no check state is shared between threads.
     errors = []
 
     def check():
@@ -238,40 +260,42 @@ def test_shape_checks_in_threads_keep_their_own_depth():
     assert not any(t.is_alive() for t in threads) and errors == []
 
 
-def _distinct_nodes(roots):
-    seen, stack = {}, list(roots)
+def _node_ids(roots):
+    """The ids of the distinct nodes below the roots."""
+    seen, stack = set(), list(roots)
     while stack:
         node = stack.pop()
         if id(node) not in seen:
-            seen[id(node)] = node
+            seen.add(id(node))
             if isinstance(node, Query):
                 stack += [node.neg, node.pos]
-    return len(seen)
+    return seen
 
 
 def test_a_shared_node_is_checked_once(monkeypatch):
     computed = []
     for cls in (Leaf, Query):
-        prop = cls.__dict__["shape"]
-
-        def counted(node, func=prop.func):
+        def counted(node, check=cls.__post_init__):
             computed.append(node)
-            return func(node)
-        monkeypatch.setattr(prop, "func", counted)
+            check(node)
+        monkeypatch.setattr(cls, "__post_init__", counted)
 
     front = pareto_frontier(parity(7), uniform(7))
     roots = [p.tree.root for p in front.points]
-    assert 0 < len(computed) <= _distinct_nodes(roots)
-    assert len(computed) == len({id(node) for node in computed})
+    checked = {id(node) for node in computed}
+    assert 0 < len(computed) == len(checked)
+    assert _node_ids(roots) <= checked
     computed.clear()
     for root in roots:
         DecisionTree(7, 1, root)
     assert computed == []
-    bad = Query(0, Query(0, Leaf((1,)), Leaf((1,))), Leaf((1,)))
-    for uses in (1, 2):
+    leaf = Leaf((1,))
+    inner = Query(0, leaf, leaf)
+    computed.clear()
+    for builds in (1, 2):
         with pytest.raises(InvalidValue, match="queried twice"):
-            DecisionTree(1, 1, bad)
-        assert sum(node is bad for node in computed) == uses
+            Query(0, inner, leaf)
+        assert len(computed) == builds and computed[-1].neg is inner
 
 
 def test_leaves_are_preorder_negative_child_first():
@@ -600,6 +624,36 @@ def test_tree_json_shares_dicts_where_nodes_are_shared():
     assert items[1]["tree"]["root"] is not items[0]["tree"]["root"]
     assert items[1]["tree"]["root"]["neg"] is items[0]["tree"]["root"]["neg"]
     assert randomized_tree_from_json(items) == rt
+
+
+def _call_with_frames_left(frames, call):
+    """call() run about `frames` frames short of the recursion limit."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+
+    def down(n):
+        return down(n - 1) if n else call()
+    return down(sys.getrecursionlimit() - depth - frames)
+
+
+def _json_chain(variables):
+    root = {"leaf": [1]}
+    for v in variables:
+        root = {"q": v, "neg": {"leaf": [1]}, "pos": root}
+    return root
+
+
+def test_a_deep_json_chain_is_refused_without_reading_down_it():
+    # A path of more than MAX_TABLE_VARS = 24 queries repeats a variable, so
+    # the reader stops 24 queries down instead of recursing 5,000 deep: with
+    # 100 frames left, a guard placed 10 times deeper would run out of stack.
+    chain = {"n": 2, "k": 1, "root": _json_chain(i % 2 for i in range(5000))}
+    with pytest.raises(InvalidValue, match="more than 24 queries on one path"):
+        _call_with_frames_left(100, lambda: tree_from_json(chain))
+    longest = {"n": 24, "k": 1, "root": _json_chain(range(24))}
+    assert _call_with_frames_left(100, lambda: tree_from_json(longest)) == DecisionTree(
+        24, 1, _chain(range(24)))
 
 
 def test_metric_dimension_checks():
