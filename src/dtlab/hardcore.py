@@ -40,6 +40,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import (
     BoostFailure,
@@ -83,7 +84,7 @@ _ZERO = Fraction(0)
 MAX_ITERATIONS = 64
 BOOST_CONSTANT = 8
 BOOST_RETRY_CAP = 16
-MAX_COMMITTEE_BITS = 128
+MAX_COMMITTEE_SIZE = 65535  # odd: the largest committee_size returns
 
 
 @dataclass(frozen=True)
@@ -400,12 +401,12 @@ def best_response(f: BooleanFunction, mu: Distribution, h: Measure,
     return opt_objective_witness(pareto_frontier(f, mu, h=h), depth_budget)
 
 
+@lru_cache
 def committee_size(delta: Fraction, gamma: Fraction) -> int:
     """Smallest odd r with e^{r * gamma^2 / BOOST_CONSTANT} >= 1/delta, each
-    candidate decided by a certified ExpSum sign.  A float log of delta's
-    numerator and denominator (no float division to underflow) only picks
-    where a galloping search starts.  Sizes past 2**MAX_COMMITTEE_BITS raise
-    GuardExceeded: no sampler could draw such a committee."""
+    candidate decided by a certified ExpSum sign, found by one bisection over
+    the odd r <= MAX_COMMITTEE_SIZE (the test is monotone in r); past that,
+    GuardExceeded.  Memoized: a run's solves repeat a few (delta, gamma)."""
     delta, gamma = Fraction(delta), Fraction(gamma)
     if delta <= 0 or gamma <= 0:
         raise InvalidValue("committee_size needs positive delta and gamma")
@@ -414,17 +415,10 @@ def committee_size(delta: Fraction, gamma: Fraction) -> int:
     def passes(j: int) -> bool:  # the odd candidate r = 2j + 1
         return (ExpSum.exp((2 * j + 1) * rate) - 1 / delta).sign() >= 0
 
-    log_inv = Fraction(math.log(delta.denominator) - math.log(delta.numerator))
-    start = max(1, math.ceil(log_inv / rate))
-    if start.bit_length() > MAX_COMMITTEE_BITS:
-        raise GuardExceeded(
-            f"committee size near 2**{start.bit_length()} exceeds 2**{MAX_COMMITTEE_BITS}")
-    # Gallop to lo < hi with passes(hi) and lo == -1 or not passes(lo); bisect.
-    lo, hi, step = start // 2 - 1, start // 2, 1
-    while lo >= 0 and passes(lo):
-        hi, lo, step = lo, max(lo - 2 * step, -1), 2 * step
-    while not passes(hi):
-        lo, hi, step = hi, hi + 2 * step, 2 * step
+    lo, hi = -1, MAX_COMMITTEE_SIZE // 2  # passes(hi); lo == -1 or not passes(lo)
+    if not passes(hi):
+        raise GuardExceeded(f"committee size exceeds {MAX_COMMITTEE_SIZE} seats "
+                            f"at delta={delta}, gamma={gamma}")
     while hi - lo > 1:
         mid = (lo + hi) // 2
         lo, hi = (lo, mid) if passes(mid) else (mid, hi)
@@ -500,9 +494,10 @@ def hardcore_solve(f: BooleanFunction, mu: Distribution, delta: Fraction,
     tableau) and, when that value already exceeds the threshold, boost the
     optimal mixture into a Committee (the tree players win; `seed` drives
     its sampling).  A HardcoreCertificate's measure has density exactly
-    delta/2.  Never returns a wrong answer: a best response with no new
-    tree, or more than MAX_ITERATIONS restricted games, raises
-    IterationBudget instead.
+    delta/2.  Never returns a wrong answer: more than MAX_ITERATIONS games
+    raise IterationBudget, and a best response above the threshold with no
+    new tree raises KernelFault, since the last game's certified saddle
+    point shows no pool mixture beats its value, at most the threshold.
     """
     delta = Fraction(delta)
     gamma = Fraction(gamma)
@@ -536,8 +531,7 @@ def hardcore_solve(f: BooleanFunction, mu: Distribution, delta: Fraction,
                 tables.append(tuple(evaluate(t, x)[0] for x in range(1 << f.n)))
                 depths.append(expected_depth(t, mu))
         if len(pool) == admitted:
-            raise IterationBudget(
-                "best response exceeded the restricted value without new columns")
+            raise KernelFault("best response adds no tree to the pool (kernel bug)")
         if iteration == MAX_ITERATIONS:
             raise IterationBudget(f"no decision within {MAX_ITERATIONS} iterations")
         iteration += 1

@@ -177,6 +177,14 @@ def test_guard_violation_exits_3(tmp_path):
     assert cli.main(["run", "--config", cfg, "--out", str(tmp_path)]) == 3
 
 
+def test_committee_past_the_seat_limit_exits_3(tmp_path, capsys):
+    cfg = _write_config(tmp_path / "config.json",
+                        [{"name": "hardcore-pipeline", "params": {"gamma": "1/1048576"}}])
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path)]) == 3
+    assert "65535 seats" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_undecided_comparison_exits_4(tmp_path, monkeypatch):
     def raiser(params):
         raise UndecidedComparison("stuck")

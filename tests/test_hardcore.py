@@ -18,6 +18,7 @@ import pytest
 from dtlab import hardcore
 from dtlab.errors import (
     BoostFailure, GuardExceeded, Infeasible, InvalidValue, IterationBudget, KernelFault)
+from dtlab.exactexp import exp_bounds
 from dtlab.functions import (
     Distribution,
     Measure,
@@ -323,6 +324,27 @@ def test_restricted_game_rows_stay_gcd_reduced_ints(monkeypatch):
     mu = random_distribution(rng, 3, allow_zeros=False)
     assert isinstance(hardcore_solve(f, mu, F(1, 4), F(1, 2), F(1)), HardcoreCertificate)
     assert counts == {"games": 8, "dual": 8, "pivots": 14}
+
+
+def test_best_response_with_no_new_tree_is_a_kernel_fault(monkeypatch):
+    # After a game whose value is at most the threshold, its certified saddle
+    # point rules out a pool mixture above the threshold.  A best response
+    # that admits no tree yet beats the threshold is a kernel bug, not a
+    # budget: here the second best response replays the first.
+    real, first = hardcore.best_response, []
+
+    def replayed(*args):
+        if not first:
+            first.append(real(*args))
+        return first[0]
+
+    monkeypatch.setattr(hardcore, "best_response", replayed)
+    rng = random.Random(9001)  # plays 8 games before it certifies
+    f = random_function(rng, 3)
+    mu = random_distribution(rng, 3, allow_zeros=False)
+    with pytest.raises(KernelFault, match="no tree"):
+        hardcore_solve(f, mu, F(1, 4), F(1, 2), F(1))
+    assert first[0][0] > F(1, 2) * F(1, 4) / 2
 
 
 # The seeded sweep: 16 (f, mu) pairs on 3 variables with positive mu, at four
@@ -844,17 +866,61 @@ def test_committee_size_is_the_smallest_odd_r_passing_the_exact_inequality():
 
 
 def test_committee_size_survives_float_underflow():
-    # float(delta) is 0 here, so a float 1/delta divides by zero.
+    # float(delta) is 0 here: the search must stay on exact values.
     tiny, gamma = F(1, 10**400), F(1, 2)
     r = committee_size(tiny, gamma)
     assert r == 29475
     assert _passes(r, tiny, gamma) and not _passes(r - 2, tiny, gamma)
     committee = hardcore_solve(parity(2), uniform(2), tiny, gamma, F(2))
     assert isinstance(committee, Committee) and committee.r == r
-    # float(gamma) ** 2 underflows to 0 here; r is near 2**1333, a committee
-    # no sampler can draw, so it is refused with a typed error.
+    # float(gamma) ** 2 is 0 here; r is near 2**1333, far past the seat
+    # limit, so it is refused with a typed error.
     with pytest.raises(GuardExceeded):
         committee_size(F(1, 4), F(1, 10**200))
+
+
+def test_committee_size_refuses_more_seats_than_its_limit():
+    # About 2**43.5 seats, which no run could sample: refused at once.
+    with pytest.raises(GuardExceeded, match="65535 seats"):
+        committee_size(F(1, 4), F(1, 2**20))
+    # The exact boundary at gamma = 1, where r passes iff e^{r/8} >= 1/delta:
+    # N <= e^{65534/8} makes r = 65535 the least, M >= e^{65536/8} passes no
+    # r within the limit.
+    assert hardcore.MAX_COMMITTEE_SIZE == 65535
+    lo, _ = exp_bounds(F(65534, 8))
+    n = lo.numerator // lo.denominator
+    assert committee_size(F(1, n), F(1)) == 65535
+    assert _passes(65535, F(1, n), F(1)) and not _passes(65533, F(1, n), F(1))
+    _, hi = exp_bounds(F(65536, 8))
+    m = -(-hi.numerator // hi.denominator)
+    assert not _passes(65535, F(1, m), F(1))
+    with pytest.raises(GuardExceeded):
+        committee_size(F(1, m), F(1))
+
+
+def test_committee_size_on_a_seeded_grid_straddling_the_seat_limit():
+    # Each delta puts ln(1/delta) near r * gamma^2 / BOOST_CONSTANT for an r
+    # drawn from both sides of the limit: the answer is the least odd r the
+    # Decimal oracle passes, or GuardExceeded exactly when the limit fails.
+    limit = hardcore.MAX_COMMITTEE_SIZE
+    rng = random.Random(2727)
+    refused = 0
+    for _ in range(24):
+        gamma = F(rng.randint(1, 64), 64)
+        e = rng.randint(limit - 3000, limit + 3000) * gamma ** 2 / hardcore.BOOST_CONSTANT
+        with localcontext() as ctx:
+            ctx.prec = 60
+            inverse = int((Decimal(e.numerator) / e.denominator).exp())
+        delta = F(rng.randint(1, 9), inverse)
+        if _passes(limit, delta, gamma):
+            r = committee_size(delta, gamma)
+            assert r % 2 == 1 and _passes(r, delta, gamma), (delta, gamma, r)
+            assert not _passes(r - 2, delta, gamma), (delta, gamma, r)
+        else:
+            refused += 1
+            with pytest.raises(GuardExceeded):
+                committee_size(delta, gamma)
+    assert 0 < refused < 24
 
 
 def test_maj_boost_is_seed_deterministic():

@@ -9,7 +9,7 @@ import re
 from pathlib import Path
 
 import dtlab
-from dtlab import cli
+from dtlab import cli, functions, hardcore, synth
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -38,6 +38,16 @@ def test_readme_module_table_names_exist():
             defined_in = getattr(dtlab, name).__module__
             assert defined_in == module_name, (
                 f"README puts {name} in {module_name}; it lives in {defined_in}")
+
+
+def test_readme_guard_limits_are_the_constants():
+    """The opening paragraph's "at most" limits, in order, are the guards'
+    constants: a guard retuned without its README figure fails here."""
+    text = README.read_text(encoding="utf-8")
+    opening = next(p for p in text.split("\n\n") if "desk-scale" in p)
+    limits = (functions.MAX_TABLE_VARS, functions.MAX_TABLE_VARS, synth.MAX_DP_VARS,
+              synth.MAX_ENUM_VARS, hardcore.MAX_COMMITTEE_SIZE)
+    assert re.findall(r"at most\s+([\d,^]*\d)", opening) == [f"{v:,}" for v in limits]
 
 
 def _synopsis():
