@@ -17,6 +17,7 @@ from .errors import (
     UndecidedComparison,
     UnreachedLeaf,
 )
+from .records import Record
 from .exactexp import (
     DEFAULT_PRECISION_BITS,
     ExpSum,

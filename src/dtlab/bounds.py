@@ -12,7 +12,6 @@ bound_report_to_json, only sets the width of serialized intervals.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import accumulate
@@ -34,6 +33,7 @@ from .functions import (
     xor_power,
 )
 from .hardcore import HardcoreCertificate
+from .records import Record
 from .synth import opt_depth, pareto_frontier
 from .trees import (
     DecisionTree,
@@ -54,8 +54,7 @@ _ZERO = Fraction(0)
 PHI_IDS = ("exp-neg-z4", "exp-pos-z", "square-dev", "tail-low", "tail-high")
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(Record):
     """One checked inequality: holds iff slack = rhs - lhs is nonnegative.
 
     hypothesis_ok distinguishes instances outside a statement's hypotheses
@@ -72,6 +71,12 @@ class BoundReport:
     holds: bool
     hypothesis_ok: bool = True
     related: tuple[tuple[str, object], ...] = ()
+
+    def __init__(self, context: str, lhs: ExpSum, rhs: ExpSum, holds: bool,
+                 hypothesis_ok: bool = True, related: tuple[tuple[str, object], ...] = ()):
+        fields = self.__dict__
+        fields["context"], fields["lhs"], fields["rhs"] = context, lhs, rhs
+        fields["holds"], fields["hypothesis_ok"], fields["related"] = holds, hypothesis_ok, related
 
     @cached_property
     def slack(self) -> ExpSum:

@@ -37,13 +37,13 @@ exact sum of the term intervals: below the error of the terms themselves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal, localcontext
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import isqrt
 
 from .errors import InvalidValue, UndecidedComparison
+from .records import Record
 
 DEFAULT_PRECISION_BITS = 128
 
@@ -161,8 +161,7 @@ def _frac(value) -> Fraction:
     return value if type(value) is Fraction else Fraction(value)
 
 
-@dataclass(frozen=True)
-class ExpSum:
+class ExpSum(Record):
     """Exact value sum_i a_i * exp(b_i); closed under +, -, and rational
     scaling.  Canonical always; see the module docstring."""
 

@@ -9,15 +9,14 @@ exact rationals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm, prod
 from operator import mul
-from string import hexdigits
 
 from .errors import DimensionMismatch, GuardExceeded, InvalidValue
 from .exactexp import _int, fraction_from_str, fraction_to_str
+from .records import Record
 
 # Hard cap on variables for any op that materializes a 2**m table.
 MAX_TABLE_VARS = 24
@@ -43,8 +42,7 @@ def _check_var_count(n: int, what: str) -> None:
         raise GuardExceeded(f"{what}: {n} variables exceeds the table guard {MAX_TABLE_VARS}")
 
 
-@dataclass(frozen=True)
-class BooleanFunction:
+class BooleanFunction(Record):
     """Dense truth table over {-1,+1}^n, outputs in {-1,+1}."""
 
     n: int
@@ -59,8 +57,7 @@ class BooleanFunction:
             raise InvalidValue("function outputs must be +-1")
 
 
-@dataclass(frozen=True)
-class VectorFunction:
+class VectorFunction(Record):
     """k-tuple of +-1 outputs over {-1,+1}^(n*k); block i owns variables [i*n, (i+1)*n)."""
 
     n: int
@@ -79,8 +76,7 @@ class VectorFunction:
                 raise InvalidValue("vector outputs must be +-1 tuples of width k")
 
 
-@dataclass(frozen=True)
-class Distribution:
+class Distribution(Record):
     """Probability weights over packed points of {-1,+1}^n; sums to exactly 1."""
 
     n: int
@@ -118,18 +114,18 @@ class Distribution:
         return [x for x, w in enumerate(self.weights) if w > 0]
 
 
-@dataclass(frozen=True)
-class Measure:
+class Measure(Record):
     """Pointwise values in [0,1] over {-1,+1}^n (a fractional subset)."""
 
     n: int
     values: tuple[Fraction, ...]
 
-    def __post_init__(self):
-        _check_var_count(self.n, "Measure")
-        if len(self.values) != 1 << self.n:
-            raise DimensionMismatch(
-                f"value count {len(self.values)} != 2**{self.n}")
+    def __init__(self, n: int, values: tuple[Fraction, ...]):
+        _check_var_count(n, "Measure")
+        if len(values) != 1 << n:
+            raise DimensionMismatch(f"value count {len(values)} != 2**{n}")
+        fields = self.__dict__
+        fields["n"], fields["values"] = n, values
         # on ints: over E, a value lies in [0,1] iff its numerator lies in [0,E]
         scale, nums = self.scaled
         if any(v < 0 or v > scale for v in nums):
@@ -268,7 +264,8 @@ def function_from_json(obj: dict) -> BooleanFunction:
     n = _int(obj["n"], "n")
     _check_var_count(n, "function_from_json")
     hexes = obj["table_hex"]
-    if not isinstance(hexes, str) or not hexes or any(c not in hexdigits for c in hexes):
+    if (not isinstance(hexes, str) or not hexes
+            or any(c not in "0123456789abcdefABCDEF" for c in hexes)):
         raise InvalidValue(f"table_hex must be a string of hex digits, got {hexes!r}")
     mask = int(hexes, 16)
     if mask >> (1 << n):

@@ -38,7 +38,6 @@ import itertools
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -66,6 +65,7 @@ from .functions import (
     measure_from_json,
     measure_to_json,
 )
+from .records import Record
 from .synth import mixture_optimum, opt_objective_witness, pareto_frontier
 from .trees import (
     DecisionTree,
@@ -87,8 +87,7 @@ BOOST_RETRY_CAP = 16
 MAX_COMMITTEE_SIZE = 65535  # odd: the largest committee_size returns
 
 
-@dataclass(frozen=True)
-class HardcoreCertificate:
+class HardcoreCertificate(Record):
     """A measure no depth-budgeted tree mixture correlates with beyond gamma*delta/2."""
 
     f: BooleanFunction
@@ -102,8 +101,7 @@ class HardcoreCertificate:
     iterations: int
 
 
-@dataclass(frozen=True)
-class Committee:
+class Committee(Record):
     """Odd-size sample of trees whose pointwise majority computes f well."""
 
     f: BooleanFunction
@@ -213,15 +211,15 @@ def _priced(row: list[int], tab, basis: list[int]) -> list[int]:
     return row
 
 
-@dataclass
 class _Tableau:
     """One solve's restricted game, kept from game to game: the last optimal
     int rows (constraint rows, then the reduced costs), their basis, and the
     slack column of each pool tree's row, in admission order."""
 
-    rows: list = field(default_factory=list)
-    basis: list = field(default_factory=list)
-    slacks: list = field(default_factory=list)
+    __slots__ = ("rows", "basis", "slacks")
+
+    def __init__(self):
+        self.rows, self.basis, self.slacks = [], [], []
 
 
 def _restricted_game(f, mu, half_density, budget, tables, depths, game):

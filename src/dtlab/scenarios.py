@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
@@ -70,6 +69,7 @@ from .instances import (
     standard_verification_instances,
     xor_tree_instances,
 )
+from .records import Record
 from .synth import (
     check_dp_guard,
     enumerate_all_trees,
@@ -82,14 +82,12 @@ from .trees import _walk
 _ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     name: str
     report: BoundReport
 
 
-@dataclass(frozen=True)
-class ScenarioResult:
+class ScenarioResult(Record):
     scenario: str
     params: dict
     checks: tuple[CheckResult, ...]

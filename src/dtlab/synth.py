@@ -53,12 +53,12 @@ the points (see mixture_optimum).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionMismatch, GuardExceeded, Infeasible, InvalidValue
 from .exactexp import fraction_to_str
 from .functions import BooleanFunction, Distribution, Measure, _scale, output_rows
+from .records import Record
 from .trees import DecisionTree, Leaf, Query, _trees_to_json
 
 MAX_DP_VARS = 14
@@ -68,15 +68,17 @@ ERROR = "error"
 ADVANTAGE = "advantage"
 
 
-@dataclass(frozen=True)
-class FrontierPoint:
+class FrontierPoint(Record):
     depth: Fraction
     value: Fraction
     tree: DecisionTree
 
+    def __init__(self, depth: Fraction, value: Fraction, tree: DecisionTree):
+        fields = self.__dict__
+        fields["depth"], fields["value"], fields["tree"] = depth, value, tree
 
-@dataclass(frozen=True)
-class ParetoFrontier:
+
+class ParetoFrontier(Record):
     sense: str
     n: int
     k: int

@@ -31,7 +31,6 @@ artifact's trees share a node's JSON dict too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import prod
@@ -41,37 +40,40 @@ from .errors import DimensionMismatch, InvalidValue, UnreachedLeaf
 from .exactexp import _int, fraction_from_str, fraction_to_str
 from .functions import (
     MAX_TABLE_VARS, BooleanFunction, Distribution, Measure, _check_var_count, output_rows)
+from .records import Record
 
 _ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class Leaf:
+class Leaf(Record):
     label: tuple[int, ...]
 
-    def __post_init__(self):
-        if any(v not in (-1, 1) for v in self.label):
+    def __init__(self, label: tuple[int, ...]):
+        if any(v not in (-1, 1) for v in label):
             raise InvalidValue("leaf labels must be +-1")
-        self.__dict__["shape"] = 0, len(self.label)
+        fields = self.__dict__
+        fields["label"], fields["shape"] = label, (0, len(label))
 
 
-@dataclass(frozen=True)
-class Query:
+class Query(Record):
     var: int
     neg: "Leaf | Query"
     pos: "Leaf | Query"
 
-    def __post_init__(self):
+    def __init__(self, var: int, neg: "Leaf | Query", pos: "Leaf | Query"):
         """Checked in O(1) from the children's stored shapes, each a pair
         (mask of the variables queried below, label width)."""
-        if not 0 <= self.var < MAX_TABLE_VARS:
-            raise InvalidValue(f"query variable {self.var} out of range [0,{MAX_TABLE_VARS})")
-        (neg, width), (pos, pos_width) = _shape(self.neg), _shape(self.pos)
-        if (neg | pos) >> self.var & 1:
-            raise InvalidValue(f"variable {self.var} queried twice on one path")
+        if not 0 <= var < MAX_TABLE_VARS:
+            raise InvalidValue(f"query variable {var} out of range [0,{MAX_TABLE_VARS})")
+        (below, width), (pos_below, pos_width) = _shape(neg), _shape(pos)
+        below |= pos_below
+        if below >> var & 1:
+            raise InvalidValue(f"variable {var} queried twice on one path")
         if pos_width != width:
             raise InvalidValue(f"leaf label width {pos_width} != {width}")
-        self.__dict__["shape"] = neg | pos | 1 << self.var, width
+        fields = self.__dict__
+        fields["var"], fields["neg"], fields["pos"] = var, neg, pos
+        fields["shape"] = below | 1 << var, width
 
 
 def _shape(node) -> tuple[int, int]:
@@ -80,40 +82,41 @@ def _shape(node) -> tuple[int, int]:
     return node.shape
 
 
-@dataclass(frozen=True)
-class DecisionTree:
+class DecisionTree(Record):
     n: int
     k: int
     root: "Leaf | Query"
 
-    def __post_init__(self):
-        if self.n < 0 or self.k < 1:
-            raise InvalidValue(f"bad shape n={self.n}, k={self.k}")
-        _check_var_count(self.total_vars, "DecisionTree")
-        below, width = _shape(self.root)
-        if width != self.k:
-            raise InvalidValue(f"leaf label width {width} != k={self.k}")
-        if below >> self.total_vars:
+    def __init__(self, n: int, k: int, root: "Leaf | Query"):
+        if n < 0 or k < 1:
+            raise InvalidValue(f"bad shape n={n}, k={k}")
+        _check_var_count(n * k, "DecisionTree")
+        below, width = _shape(root)
+        if width != k:
+            raise InvalidValue(f"leaf label width {width} != k={k}")
+        if below >> n * k:
             raise InvalidValue(f"query variable {below.bit_length() - 1} out of range")
+        fields = self.__dict__
+        fields["n"], fields["k"], fields["root"] = n, k, root
 
     @property
     def total_vars(self) -> int:
         return self.n * self.k
 
 
-@dataclass(frozen=True)
-class RandomizedTree:
+class RandomizedTree(Record):
     components: tuple[tuple[Fraction, DecisionTree], ...]
 
-    def __post_init__(self):
-        if not self.components:
+    def __init__(self, components: tuple[tuple[Fraction, DecisionTree], ...]):
+        if not components:
             raise InvalidValue("a randomized tree needs at least one component")
-        if any(w <= 0 for w, _ in self.components):
+        if any(w <= 0 for w, _ in components):
             raise InvalidValue("component weights must be positive")
-        if sum(w for w, _ in self.components) != 1:
+        if sum(w for w, _ in components) != 1:
             raise InvalidValue("component weights must sum to exactly 1")
-        if len({(t.n, t.k) for _, t in self.components}) > 1:
+        if len({(t.n, t.k) for _, t in components}) > 1:
             raise DimensionMismatch("mixture components disagree on (n, k)")
+        self.__dict__["components"] = components
 
 
 # ---------------------------------------------------------------------------
@@ -133,13 +136,16 @@ def evaluate(tree: DecisionTree, point: int) -> tuple[int, ...]:
     return _walk(tree, point)[0]
 
 
-@dataclass(frozen=True)
-class LeafRef:
+class LeafRef(Record):
     """One leaf plus the subcube of inputs that reach it."""
 
     label: tuple[int, ...]
     fixed_mask: int
     fixed_vals: int
+
+    def __init__(self, label: tuple[int, ...], fixed_mask: int, fixed_vals: int):
+        fields = self.__dict__
+        fields["label"], fields["fixed_mask"], fields["fixed_vals"] = label, fixed_mask, fixed_vals
 
 
 def leaves(tree: DecisionTree) -> list[LeafRef]:
@@ -237,14 +243,18 @@ def block_error_law(tree, target, mu: Distribution) -> tuple[Fraction, ...]:
 # per-leaf hardcore statistics
 
 
-@dataclass(frozen=True)
-class LeafStats:
+class LeafStats(Record):
     """Exact conditional statistics of one positive-mass leaf against (f, H, mu^k)."""
 
     reach: Fraction
     dens: tuple[Fraction, ...]
     adv: tuple[Fraction, ...]
     p: tuple[Fraction, ...]
+
+    def __init__(self, reach: Fraction, dens: tuple[Fraction, ...],
+                 adv: tuple[Fraction, ...], p: tuple[Fraction, ...]):
+        fields = self.__dict__
+        fields["reach"], fields["dens"], fields["adv"], fields["p"] = reach, dens, adv, p
 
     @property
     def dens_total(self) -> Fraction:

@@ -1,7 +1,6 @@
 """Hardcore-measure game: LP kernel, certificates, and boosted committees."""
 
 import bisect
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -804,7 +803,8 @@ def test_committee_metrics_measures_each_distinct_member_once(monkeypatch):
     # Seats are counted by object identity: equal trees that are distinct
     # objects, as a committee read from JSON may hold, are measured apart.
     copies = tuple(DecisionTree(t.n, t.k, t.root) for t in trees)
-    assert committee_metrics(dataclasses.replace(committee, trees=copies), f, mu) == (err, cost)
+    twins = Committee(f, mu, copies, F(1, 4), F(1, 2), F(1), 0, 1)
+    assert committee_metrics(twins, f, mu) == (err, cost)
 
 
 def test_certificate_advantage_monotone_in_budget():
@@ -1038,7 +1038,7 @@ def test_committee_json_writes_a_repeated_tree_once():
     assert committee_from_json(obj) == com
     # a committee of distinct but equal trees serializes to the same text
     t = com.trees[0]
-    twin = dataclasses.replace(com, trees=tuple(DecisionTree(t.n, t.k, t.root)
-                                                for _ in com.trees))
+    twin = Committee(com.f, com.mu, tuple(DecisionTree(t.n, t.k, t.root) for _ in com.trees),
+                     com.delta, com.gamma, com.depth_budget, com.seed, com.iterations)
     assert json.dumps(committee_to_json(twin)) == json.dumps(obj)
     assert committee_from_json(committee_to_json(twin)) == com

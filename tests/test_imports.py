@@ -39,10 +39,13 @@ def test_the_scan_sees_an_unused_import():
 
 
 def test_importing_dtlab_leaves_out_the_thread_pool():
-    # only run_config with jobs > 1 imports concurrent.futures (and logging)
+    # only run_config with jobs > 1 imports concurrent.futures (and logging);
+    # records need no dataclasses (nor its inspect), hex checks no string
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(ROOT / "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep))}
+    absent = ("dataclasses", "inspect", "string", "concurrent.futures")
     done = subprocess.run(
-        [sys.executable, "-c", "import sys, dtlab; print('concurrent.futures' in sys.modules)"],
+        [sys.executable, "-c",
+         f"import sys, dtlab; print([m for m in {absent!r} if m in sys.modules])"],
         env=env, capture_output=True, text=True, timeout=60)
-    assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
+    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr

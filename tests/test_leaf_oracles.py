@@ -9,7 +9,6 @@ with zero weights, and h with values of mixed denominators from
 of scalar trees and their mixtures on up to 5 variables.
 """
 
-import dataclasses
 import random
 from fractions import Fraction
 from functools import cache, lru_cache
@@ -248,8 +247,8 @@ def test_leaf_stats_and_conditional_blocks_match_the_fraction_forms():
         got, want = leaf_stats(tree, f, h, mu), _frac_leaf_stats(tree, f, h, mu)
         assert len(got) == len(want)
         for g, w in zip(got, want):
-            for field in dataclasses.fields(LeafStats):
-                assert getattr(g, field.name) == getattr(w, field.name), field.name
+            for name in LeafStats._fields:
+                assert getattr(g, name) == getattr(w, name), name
         for ref in leaves(tree):
             want = _frac_conditional_blocks(tree, mu, ref)
             if want is None:
@@ -440,7 +439,7 @@ def test_leaf_product_deviation_matches_the_fraction_sum(monkeypatch):
 
 def _with_p(scale_p):
     def doctored(tree, f, h, mu):
-        return [dataclasses.replace(s, p=tuple(map(scale_p, s.p)))
+        return [LeafStats(s.reach, s.dens, s.adv, tuple(map(scale_p, s.p)))
                 for s in leaf_stats(tree, f, h, mu)]
     return doctored
 

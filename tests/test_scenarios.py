@@ -1,7 +1,6 @@
 """Scenario registry behavior and run-report determinism."""
 
 import argparse
-import dataclasses
 import hashlib
 import inspect
 import itertools
@@ -25,7 +24,7 @@ from dtlab.scenarios import (
     run_config,
     run_scenario,
 )
-from dtlab.synth import enumerate_all_trees
+from dtlab.synth import ParetoFrontier, enumerate_all_trees
 from dtlab.trees import _walk, error, expected_depth
 
 SMALL_PARAMS = {
@@ -246,7 +245,7 @@ def test_frontier_oracle_table_matches_the_per_tree_sums(monkeypatch):
 
     def shifted(f, mu):
         front = real(f, mu)
-        return dataclasses.replace(front, points=front.points[1:])
+        return ParetoFrontier(front.sense, front.n, front.k, front.points[1:])
 
     monkeypatch.setattr(scenarios, "pareto_frontier", shifted)
     result = run_scenario("frontier-oracle", {"distributions": 1})
