@@ -167,14 +167,14 @@ class ExpSum(Record):
 
     terms: tuple[tuple[Fraction, Fraction], ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "terms", _canon(self.terms))
+    def __init__(self, terms) -> None:
+        self.__dict__["terms"] = _canon(terms)
 
     @staticmethod
     def _make(terms: tuple[tuple[Fraction, Fraction], ...]) -> "ExpSum":
         """An ExpSum on terms that are canonical already, unchecked."""
         value = object.__new__(ExpSum)
-        object.__setattr__(value, "terms", terms)
+        value.__dict__["terms"] = terms
         return value
 
     @staticmethod

@@ -17,18 +17,20 @@ from a seed basis, reached in two pivots, whose duals are those of the
 mixture on the first pool tree within the budget: it is dual feasible.
 Each later game resumes from the last optimal tableau (Kelley's cutting
 planes, seen from the row player): an admitted tree is a new row whose
-zero-cost slack is basic, so the basis stays dual feasible.  The dual simplex
-restores primal feasibility.  Its pivot rule is Bland's in dual form, which is
-Bland's rule applied to the dual LP, so it never revisits a basis and the loop
-ends (Bland 1977).  The tableau is exact but integer: each row is ints over
-one common denominator (integer-preserving pivoting, as in Edmonds 1967), and
-only what is read turns back into Fractions.  Its optimal tableau gives both
-players' strategies: H as the primal solution, the tree mixture w as the
-reduced costs of the pool rows' slacks.  The pair is then certified as a
-saddle point without trusting the kernel, on ints from the pool trees' output
-tables: both strategies are checked for feasibility, and the greedy
-closed-form minimum against w and the envelope maximum against H must both
-equal the LP value.  A wrong LP answer therefore cannot escape the solver.
+zero-cost slack is basic, so the basis stays dual feasible.  Every
+inequality row, the first game's too, enters by that one step, `_admit`.
+The dual simplex restores primal feasibility.  Its pivot rule is Bland's in
+dual form, which is Bland's rule applied to the dual LP, so it never
+revisits a basis and the loop ends (Bland 1977).  The tableau is exact but
+integer: each row is ints over one common denominator (integer-preserving
+pivoting, as in Edmonds 1967), and only what is read turns back into
+Fractions.  Its optimal tableau gives both players' strategies: H as the
+primal solution, the tree mixture w as the reduced costs of the pool rows'
+slacks.  The pair is then certified as a saddle point without trusting the
+kernel, on ints from the pool trees' output tables: both strategies are
+checked for feasibility, and the greedy closed-form minimum against w and the
+envelope maximum against H must both equal the LP value.  A wrong LP answer
+therefore cannot escape the solver.
 """
 
 from __future__ import annotations
@@ -200,15 +202,26 @@ def _dual_bland(tab, basis: list[int]) -> None:
         basis[r] = c
 
 
-def _priced(row: list[int], tab, basis: list[int]) -> list[int]:
-    """row with the basic columns cleared: each basic row, a unit row, is
-    subtracted by the row operation a pivot uses.  For a cost row these are
-    the reduced costs of the basis; for a new constraint row, the row in the
-    basis' canonical form."""
+def _admit(tab, basis: list[int], entries, rhs: int, d: int) -> None:
+    """Admit the constraint row sum_j entries[j] * x_j + s = rhs, all over
+    d, with s a new slack column, basic.  The column goes in before every
+    row's right-hand side; the row, gcd-reduced, is put in the basis'
+    canonical form, each basic row (a unit row) subtracted by the row
+    operation a pivot uses, and inserted after the basic rows, so the
+    reduced costs stay last.  s has reduced cost 0: a dual feasible basis
+    stays dual feasible."""
+    for r in tab:
+        r.insert(-2, 0)
+    row = [0] * len(tab[0])
+    for j, v in entries:
+        row[j] = v
+    row[-3:] = d, rhs, d
+    row = _reduced(row)
     for i, b in enumerate(basis):
         if row[b]:
             row = _eliminate(row, tab[i], b, [j for j, v in enumerate(tab[i][:-1]) if v])
-    return row
+    tab.insert(len(basis), row)
+    basis.append(len(row) - 3)
 
 
 class _Tableau:
@@ -236,76 +249,57 @@ def _restricted_game(f, mu, half_density, budget, tables, depths, game):
     of the pool rows' slacks.  Each row is built as ints, scaled by the lcm
     of its denominators and gcd-reduced.
 
-    `game` keeps the tableau between the games of one solve.  While it is
-    empty, the first pool's tree rows, box rows and density row are built
-    and put on a seed basis that plays t0, the first pool tree within the
-    budget, alone: s+ on t0's row, every other tree's slack, every box
-    slack, and on the density row H at x0, the first point of positive mass
-    where f*T_t0 is least.  Two pivots reach it, H_x0 then s+.  Its duals
-    are those of the mixture on t0, so its reduced costs are mass_x *
-    (f*T_t0(x) - f*T_t0(x0)) on H_x, budget - depth_t0 on y, 0 on s- and 1
-    on t0's slack, all >= 0: the basis is dual feasible.  With no tree
-    within the budget, s + budget*y falls without bound along y, and the
-    game raises Infeasible.  Each tree admitted since the last game adds a
-    slack column before the right-hand side and its own row, put in the
-    basis' canonical form by _priced, with its slack basic.  That slack's reduced cost is 0,
-    so the basis stays dual feasible.  Either way _dual_bland, which ends by
-    Bland's rule in dual form, makes the basis primal feasible.  A warm
-    game reaches the value a first game on the same pool would, possibly at
-    another optimal vertex.
+    `game` keeps the tableau between the games of one solve, and every
+    inequality row enters it by one step, _admit: a new basic slack column
+    and the row in the basis' canonical form.  While `game` is empty, the
+    cost row over H, s+, s-, y is laid down, then the first pool's tree rows
+    and the box rows H_x + s = 1 are admitted, the box rows last so that
+    the columns run H, s+, s-, y, first-pool slacks, box slacks, later
+    slacks: Bland's rule chooses by column index, so this order fixes a
+    solve's pivots and with them its certificates and committees.  The
+    density row, the one equality, comes last, with H at x0 basic, x0 the
+    first point of positive mass where f*T_t0 is least and t0 the first
+    pool tree within the budget.  Two pivots, H_x0 on the density row and
+    then s+ on t0's row, carry the cost row to the reduced costs of a seed
+    basis that plays t0 alone.  Its duals are those of the mixture on t0,
+    so its reduced costs are mass_x * (f*T_t0(x) - f*T_t0(x0)) on H_x,
+    budget - depth_t0 on y, 0 on s- and 1 on t0's slack, all >= 0: the
+    basis is dual feasible.  With no tree within the budget, s + budget*y
+    falls without bound along y, and the game raises Infeasible before it
+    builds any row.  A later game admits the trees added since the last;
+    each new slack's reduced cost is 0, so the basis stays dual feasible.
+    Either way _dual_bland, which ends by Bland's rule in dual form, makes
+    the basis primal feasible.  A warm game reaches the value a first game
+    on the same pool would, possibly at another optimal vertex.
 
     _check_saddle_point then certifies the pair whatever the kernel did.
     """
     npts = 1 << f.n
     den, mass = _masses(mu, half_density)
-
-    def tree_row(t, slack, width):
-        depth = depths[t]
-        d = math.lcm(den, depth.denominator)
-        a = d // den
-        r = [a * mass[x] * f.table[x] * v for x, v in enumerate(tables[t])]
-        r += [-d, d, -depth.numerator * (d // depth.denominator)] + [0] * (width - npts - 3)
-        r[slack] = r[-1] = d
-        return _reduced(r)
-
-    basis, slacks = game.basis, game.slacks
-    if not slacks:
+    tab, basis, slacks = game.rows, game.basis, game.slacks
+    first = not slacks
+    if first:
         t0 = next((t for t, depth in enumerate(depths) if depth <= budget), None)
         if t0 is None:
             raise Infeasible("no pool tree within the depth budget: the game is unbounded")
-        nt = len(tables)
-        # Columns: H, s+, s-, y, pool slacks, box slacks.
-        slack0 = npts + 3
-        box0 = slack0 + nt
-        width = box0 + npts + 2
-
-        def row(entries, rhs, d):
-            r = [0] * width
-            for j, v in entries:
-                r[j] = v
-            r[-2], r[-1] = rhs, d
-            return r
-
-        game.rows = tab = [tree_row(t, slack0 + t, width) for t in range(nt)]
-        tab += [row([(x, 1), (box0 + x, 1)], 1, 1) for x in range(npts)]
-        tab.append(row(enumerate(mass[:npts]), mass[npts], den))
-        x0 = min((x for x in range(npts) if mass[x]), key=lambda x: f.table[x] * tables[t0][x])
-        _pivot(tab, len(tab) - 1, x0)
-        _pivot(tab, t0, npts)
-        basis += [slack0 + t for t in range(nt)] + [box0 + x for x in range(npts)] + [x0]
-        basis[t0] = npts
-        slacks += range(slack0, box0)
         d, p = _scale((1, -1, budget))
-        tab.append(_priced(row(zip((npts, npts + 1, npts + 2), p), 0, d), tab, basis))
-    else:
-        tab = game.rows
-        for t in range(len(slacks), len(tables)):
-            for r in tab:
-                r.insert(-2, 0)
-            col = len(tab[0]) - 3
-            tab.insert(len(basis), _priced(tree_row(t, col, col + 3), tab, basis))
-            basis.append(col)
-            slacks.append(col)
+        tab.append([0] * npts + [*p, 0, d])  # costs of H, s+, s-, y; rhs; D
+    for t in range(len(slacks), len(tables)):
+        depth = depths[t]
+        d = math.lcm(den, depth.denominator)
+        a, y = d // den, depth.numerator * (d // depth.denominator)
+        entries = [(x, a * mass[x] * f.table[x] * v) for x, v in enumerate(tables[t])]
+        _admit(tab, basis, entries + [(npts, -d), (npts + 1, d), (npts + 2, -y)], 0, d)
+        slacks.append(basis[-1])
+    if first:
+        for x in range(npts):
+            _admit(tab, basis, [(x, 1)], 1, 1)
+        tab.insert(len(basis), mass[:npts] + [0] * (len(tab[0]) - npts - 2) + [mass[npts], den])
+        x0 = min((x for x in range(npts) if mass[x]), key=lambda x: f.table[x] * tables[t0][x])
+        _pivot(tab, len(basis), x0)
+        basis.append(x0)
+        _pivot(tab, t0, npts)
+        basis[t0] = npts
     _dual_bland(tab, basis)
 
     costs = tab[-1]

@@ -472,6 +472,23 @@ def test_dual_bland_refuses_a_row_with_no_negative_entry():
         hardcore._dual_bland(tab, [1])
 
 
+def test_admit_enters_a_row_reduced_and_canonical_with_its_slack_basic():
+    # Columns x0, x1, s0 then rhs, D; x0 basic in x0 + x1 + s0 = 2, and the
+    # reduced costs last.  2*x1 + s1 = 3 comes in at d = 2 as [0, 4, 0, 2,
+    # 6, 2], clear of every basic column: only the gcd step reduces it.
+    tab = [[1, 1, 1, 2, 1], [0, 3, 1, 0, 1]]
+    basis = [0]
+    hardcore._admit(tab, basis, [(1, 4)], 6, 2)
+    assert tab == [[1, 1, 1, 0, 2, 1], [0, 2, 0, 1, 3, 1], [0, 3, 1, 0, 0, 1]]
+    assert basis == [0, 3]
+    # x0 + x1 + s2 = 2 has basic x0: it enters as its difference from x0's
+    # row, -s0 + s2 = 0, still above the reduced costs.
+    hardcore._admit(tab, basis, [(0, 2), (1, 2)], 4, 2)
+    assert tab == [[1, 1, 1, 0, 0, 2, 1], [0, 2, 0, 1, 0, 3, 1],
+                   [0, 0, -1, 0, 1, 0, 1], [0, 3, 1, 0, 0, 0, 1]]
+    assert basis == [0, 3, 4]
+
+
 @pytest.mark.parametrize("s, kind, iterations", [(0, Committee, 51),
                                                   (3, HardcoreCertificate, 47)])
 def test_n5_seeded_solves_decide_and_recheck(s, kind, iterations):
@@ -572,6 +589,94 @@ def test_every_dual_bland_run_starts_dual_feasible(monkeypatch):
     assert seen["first"] == 56 + 150 and seen["warm"] > 164, seen
 
 
+def _oracle_first_tableau(f, mu, half_density, budget, tables, depths):
+    """(rows, basis, slacks, t0) of a first game at its _dual_bland entry,
+    by the former fixed-width build: every row laid out at its final width
+    in the columns H, s+, s-, y, pool slacks, box slacks; the tree rows, box
+    rows and density row; the two seed pivots; then the cost row priced
+    against the seed basis."""
+    npts, nt = 1 << f.n, len(tables)
+    den, mass = hardcore._masses(mu, half_density)
+    t0 = next(t for t, depth in enumerate(depths) if depth <= budget)
+    slack0 = npts + 3
+    box0 = slack0 + nt
+    width = box0 + npts + 2
+
+    def row(entries, rhs, d):
+        r = [0] * width
+        for j, v in entries:
+            r[j] = v
+        r[-2], r[-1] = rhs, d
+        return r
+
+    tab = []
+    for t in range(nt):
+        depth = depths[t]
+        d = math.lcm(den, depth.denominator)
+        y = depth.numerator * (d // depth.denominator)
+        r = row([(x, d // den * mass[x] * f.table[x] * v) for x, v in enumerate(tables[t])]
+                + [(npts, -d), (npts + 1, d), (npts + 2, -y), (slack0 + t, d)], 0, d)
+        tab.append(hardcore._reduced(r))
+    tab += [row([(x, 1), (box0 + x, 1)], 1, 1) for x in range(npts)]
+    tab.append(row(enumerate(mass[:npts]), mass[npts], den))
+    x0 = min((x for x in range(npts) if mass[x]), key=lambda x: f.table[x] * tables[t0][x])
+    _pivot(tab, len(tab) - 1, x0)
+    _pivot(tab, t0, npts)
+    basis = [slack0 + t for t in range(nt)] + [box0 + x for x in range(npts)] + [x0]
+    basis[t0] = npts
+    d = budget.denominator
+    cost = row([(npts, d), (npts + 1, -d), (npts + 2, budget.numerator)], 0, d)
+    for i, b in enumerate(basis):
+        if cost[b]:
+            cost = hardcore._eliminate(cost, tab[i], b, [j for j, v in enumerate(tab[i][:-1]) if v])
+    return tab + [cost], basis, list(range(slack0, box0)), t0
+
+
+def test_first_games_enter_dual_bland_as_the_fixed_width_build(monkeypatch):
+    # Rows admitted one at a time reach the tableau the former fixed-width
+    # build laid out: the same int rows in the same order, the same basis
+    # and pool slacks, on the n=3 sweep's first games and on random pools,
+    # some played first by a tree other than the first.
+    game, dual = hardcore._restricted_game, hardcore._dual_bland
+    entry, seen = [], Counter()
+
+    def spied_game(*args):
+        entry.append((args, not args[-1].slacks))
+        try:
+            return game(*args)
+        finally:
+            entry.pop()
+
+    def checked_dual(tab, basis):
+        args, first = entry[-1]
+        if first:
+            rows, want_basis, slacks, t0 = _oracle_first_tableau(*args[:-1])
+            assert (tab, basis, args[-1].slacks) == (rows, want_basis, slacks)
+            seen["first"] += 1
+            seen["t0 > 0"] += t0 > 0
+        dual(tab, basis)
+
+    monkeypatch.setattr(hardcore, "_restricted_game", spied_game)
+    monkeypatch.setattr(hardcore, "_dual_bland", checked_dual)
+    for s in range(16):
+        rng = random.Random(9000 + s)
+        f = random_function(rng, 3)
+        mu = random_distribution(rng, 3, allow_zeros=False)
+        for budget in SWEEP_BUDGETS:
+            hardcore_solve(f, mu, F(1, 4), F(1, 2), budget)
+    assert seen["first"] == 56, seen
+    rng = random.Random(2902)
+    for _ in range(150):
+        n = rng.randint(1, 4)
+        f = random_function(rng, n)
+        mu, tables, depths, budget = _random_pool(rng, n, rng.randint(1, 7))
+        if rng.random() < 0.5:
+            budget = rng.choice(depths)
+        half = F(rng.randint(1, 7), 8)
+        hardcore._restricted_game(f, mu, half, budget, tables, depths, hardcore._Tableau())
+    assert seen["first"] == 56 + 150 and seen["t0 > 0"] >= 20, seen
+
+
 def test_a_pool_with_no_tree_within_the_budget_raises_infeasible():
     # Every pool tree is deeper than the budget, so s + budget*y falls without
     # bound along y; the cold oracle finds the LP unbounded too.
@@ -581,8 +686,11 @@ def test_a_pool_with_no_tree_within_the_budget_raises_infeasible():
     tables = [tuple(evaluate(t, x)[0] for x in range(4)) for t in trees]
     depths = [hardcore.expected_depth(t, mu) for t in trees]
     budget = min(depths) - F(1, 8)
+    tableau = hardcore._Tableau()
     with pytest.raises(Infeasible, match="no pool tree within the depth budget"):
-        hardcore._restricted_game(f, mu, F(1, 8), budget, tables, depths, hardcore._Tableau())
+        hardcore._restricted_game(f, mu, F(1, 8), budget, tables, depths, tableau)
+    # refused before any row is built, the cost row included
+    assert (tableau.rows, tableau.basis, tableau.slacks) == ([], [], [])
     with pytest.raises(InvalidValue, match="unbounded"):
         _oracle_game(f, mu, F(1, 8), budget, tables, depths)
 
@@ -694,14 +802,15 @@ def test_saddle_point_checks_refuse_as_the_fraction_checks():
     assert set(seen) == {None, *SADDLE_POINT_FAULTS} and min(seen.values()) >= 20, seen
 
 
-@pytest.mark.parametrize("at, slot, fault", [
-    (3, None, "not reproduced by greedy minimum"),
-    (1, -2, "leaves [0,1]"),
+@pytest.mark.parametrize("at, row, slot, fault", [
+    (3, -1, None, "not reproduced by greedy minimum"),
+    (1, -2, -2, "leaves [0,1]"),
 ], ids=["reduced-cost", "density-rhs"])
-def test_a_corrupted_pivot_raises_a_kernel_fault(monkeypatch, at, slot, fault):
+def test_a_corrupted_pivot_raises_a_kernel_fault(monkeypatch, at, row, slot, fault):
     # The first game's third pivot is its first by _dual_bland, with the
     # reduced costs in the last row (slot None: the first nonzero one); its
-    # first pivot leaves the density row last, slot -2 its right-hand side.
+    # first pivot leaves the density row just above the reduced costs, slot
+    # -2 its right-hand side.
     # A kernel bug is no fault of the input: no ValueError, so CLI exit 5.
     pivot, calls = hardcore._pivot, []
 
@@ -709,9 +818,9 @@ def test_a_corrupted_pivot_raises_a_kernel_fault(monkeypatch, at, slot, fault):
         pivot(tab, r, c)
         calls.append((r, c))
         if len(calls) == at:
-            last = tab[-1]
-            j = next(j for j, v in enumerate(last[:-2]) if v) if slot is None else slot
-            last[j] += last[-1]
+            hit = tab[row]
+            j = next(j for j, v in enumerate(hit[:-2]) if v) if slot is None else slot
+            hit[j] += hit[-1]
 
     monkeypatch.setattr(hardcore, "_pivot", corrupted)
     rng = random.Random(9000)

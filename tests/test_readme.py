@@ -40,14 +40,25 @@ def test_readme_module_table_names_exist():
                 f"README puts {name} in {module_name}; it lives in {defined_in}")
 
 
+def _opening():
+    """README's opening paragraph on the package's limits."""
+    return next(p for p in README.read_text(encoding="utf-8").split("\n\n")
+                if "desk-scale" in p)
+
+
 def test_readme_guard_limits_are_the_constants():
     """The opening paragraph's "at most" limits, in order, are the guards'
     constants: a guard retuned without its README figure fails here."""
-    text = README.read_text(encoding="utf-8")
-    opening = next(p for p in text.split("\n\n") if "desk-scale" in p)
     limits = (functions.MAX_TABLE_VARS, functions.MAX_TABLE_VARS, synth.MAX_DP_VARS,
               synth.MAX_ENUM_VARS, hardcore.MAX_COMMITTEE_SIZE)
-    assert re.findall(r"at most\s+([\d,^]*\d)", opening) == [f"{v:,}" for v in limits]
+    assert re.findall(r"at most\s+([\d,^]*\d)", _opening()) == [f"{v:,}" for v in limits]
+
+
+def test_readme_game_cap_is_max_iterations():
+    """The opening paragraph's cap on a solve's restricted games is the
+    solver's MAX_ITERATIONS."""
+    assert re.findall(r"cap\s+of\s+([\d,]+)\s+games", _opening()) == [
+        f"{hardcore.MAX_ITERATIONS:,}"]
 
 
 def _synopsis():
