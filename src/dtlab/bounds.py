@@ -69,8 +69,8 @@ class BoundReport(Record):
     lhs: ExpSum
     rhs: ExpSum
     holds: bool
-    hypothesis_ok: bool = True
-    related: tuple[tuple[str, object], ...] = ()
+    hypothesis_ok: bool
+    related: tuple[tuple[str, object], ...]
 
     def __init__(self, context: str, lhs: ExpSum, rhs: ExpSum, holds: bool,
                  hypothesis_ok: bool = True, related: tuple[tuple[str, object], ...] = ()):

@@ -11,7 +11,7 @@ Every ExpSum is canonical: its terms have distinct rational exponents in
 decreasing order and nonzero rational coefficients.  The public constructor
 ExpSum(terms) enforces this through _canon, so a hand-built value equals,
 hashes and signs as its canonical form; the kernel's own operations (of, exp,
-+, -, scale, total) build through ExpSum._make, which skips the check because
++, -, total) build through ExpSum._make, which skips the check because
 their results are canonical already: a sum merges two sorted term lists in
 one pass.  A nonzero canonical combination that is not purely rational is
 never equal to zero, so refinement terminates for every comparison that is
@@ -162,8 +162,8 @@ def _frac(value) -> Fraction:
 
 
 class ExpSum(Record):
-    """Exact value sum_i a_i * exp(b_i); closed under +, -, and rational
-    scaling.  Canonical always; see the module docstring."""
+    """Exact value sum_i a_i * exp(b_i); closed under + and -.  Canonical
+    always; see the module docstring."""
 
     terms: tuple[tuple[Fraction, Fraction], ...]
 
@@ -238,12 +238,6 @@ class ExpSum(Record):
 
     def __rsub__(self, other) -> "ExpSum":
         return ExpSum.of(other) + (-self)
-
-    def scale(self, factor) -> "ExpSum":
-        factor = _frac(factor)
-        if factor == 0:
-            return ExpSum._make(())
-        return ExpSum._make(tuple((a * factor, b) for a, b in self.terms))
 
     def enclosure(self, prec_bits: int = DEFAULT_PRECISION_BITS) -> tuple[Fraction, Fraction]:
         """Guaranteed rational interval containing the exact value, summed on

@@ -48,13 +48,14 @@ class BooleanFunction(Record):
     n: int
     table: tuple[int, ...]
 
-    def __post_init__(self):
-        _check_var_count(self.n, "BooleanFunction")
-        if len(self.table) != 1 << self.n:
-            raise DimensionMismatch(
-                f"table length {len(self.table)} != 2**{self.n}")
-        if any(v not in (-1, 1) for v in self.table):
+    def __init__(self, n: int, table: tuple[int, ...]):
+        _check_var_count(n, "BooleanFunction")
+        if len(table) != 1 << n:
+            raise DimensionMismatch(f"table length {len(table)} != 2**{n}")
+        if any(v not in (-1, 1) for v in table):
             raise InvalidValue("function outputs must be +-1")
+        fields = self.__dict__
+        fields["n"], fields["table"] = n, table
 
 
 class VectorFunction(Record):
@@ -64,16 +65,17 @@ class VectorFunction(Record):
     k: int
     table: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        if self.k < 1:
-            raise InvalidValue(f"k must be >= 1, got {self.k}")
-        _check_var_count(self.n * self.k, "VectorFunction")
-        if len(self.table) != 1 << (self.n * self.k):
-            raise DimensionMismatch(
-                f"table length {len(self.table)} != 2**{self.n * self.k}")
-        for row in self.table:
-            if len(row) != self.k or any(v not in (-1, 1) for v in row):
+    def __init__(self, n: int, k: int, table: tuple[tuple[int, ...], ...]):
+        if k < 1:
+            raise InvalidValue(f"k must be >= 1, got {k}")
+        _check_var_count(n * k, "VectorFunction")
+        if len(table) != 1 << (n * k):
+            raise DimensionMismatch(f"table length {len(table)} != 2**{n * k}")
+        for row in table:
+            if len(row) != k or any(v not in (-1, 1) for v in row):
                 raise InvalidValue("vector outputs must be +-1 tuples of width k")
+        fields = self.__dict__
+        fields["n"], fields["k"], fields["table"] = n, k, table
 
 
 class Distribution(Record):
@@ -82,11 +84,12 @@ class Distribution(Record):
     n: int
     weights: tuple[Fraction, ...]
 
-    def __post_init__(self):
-        _check_var_count(self.n, "Distribution")
-        if len(self.weights) != 1 << self.n:
-            raise DimensionMismatch(
-                f"weight count {len(self.weights)} != 2**{self.n}")
+    def __init__(self, n: int, weights: tuple[Fraction, ...]):
+        _check_var_count(n, "Distribution")
+        if len(weights) != 1 << n:
+            raise DimensionMismatch(f"weight count {len(weights)} != 2**{n}")
+        fields = self.__dict__
+        fields["n"], fields["weights"] = n, weights
         # on ints: over D, the signs are the numerators' and the sum is D
         scale, nums = self.scaled
         if any(w < 0 for w in nums):
@@ -101,13 +104,13 @@ class Distribution(Record):
 
     @staticmethod
     def _of_ints(n: int, scale: int, nums) -> "Distribution":
-        """The law nums/scale, checked as Distribution(n, weights) is; its
-        scaled form is the ints reduced by their gcd, not a rescaling."""
+        """The law nums/scale, checked by Distribution.__init__; its scaled
+        form is the ints reduced by their gcd, stored first so that the
+        check reads it instead of rescaling the weights."""
         g = gcd(scale, *nums)
-        law = object.__new__(Distribution)  # frozen: fields go in __dict__
-        law.__dict__.update(n=n, scaled=(scale // g, tuple(m // g for m in nums)),
-                            weights=tuple(Fraction(m, scale) if m else _ZERO for m in nums))
-        law.__post_init__()
+        law = object.__new__(Distribution)
+        law.__dict__["scaled"] = scale // g, tuple(m // g for m in nums)
+        law.__init__(n, tuple(Fraction(m, scale) if m else _ZERO for m in nums))
         return law
 
     def support(self) -> list[int]:

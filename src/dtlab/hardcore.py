@@ -102,6 +102,15 @@ class HardcoreCertificate(Record):
     witness: RandomizedTree
     iterations: int
 
+    def __init__(self, f: BooleanFunction, mu: Distribution, measure: Measure,
+                 delta: Fraction, gamma: Fraction, depth_budget: Fraction,
+                 best_response_advantage: Fraction, witness: RandomizedTree, iterations: int):
+        fields = self.__dict__
+        fields["f"], fields["mu"], fields["measure"] = f, mu, measure
+        fields["delta"], fields["gamma"], fields["depth_budget"] = delta, gamma, depth_budget
+        fields["best_response_advantage"] = best_response_advantage
+        fields["witness"], fields["iterations"] = witness, iterations
+
 
 class Committee(Record):
     """Odd-size sample of trees whose pointwise majority computes f well."""
@@ -115,11 +124,17 @@ class Committee(Record):
     seed: int
     iterations: int
 
-    def __post_init__(self):
-        if len(self.trees) % 2 != 1:
+    def __init__(self, f: BooleanFunction, mu: Distribution, trees: tuple[DecisionTree, ...],
+                 delta: Fraction, gamma: Fraction, depth_budget: Fraction, seed: int,
+                 iterations: int):
+        if len(trees) % 2 != 1:
             raise InvalidValue("committee size must be odd")
-        if any((t.n, t.k) != (self.f.n, 1) for t in self.trees):
+        if any((t.n, t.k) != (f.n, 1) for t in trees):
             raise DimensionMismatch("committee trees must be k=1 trees on f's variables")
+        fields = self.__dict__
+        fields["f"], fields["mu"], fields["trees"] = f, mu, trees
+        fields["delta"], fields["gamma"], fields["depth_budget"] = delta, gamma, depth_budget
+        fields["seed"], fields["iterations"] = seed, iterations
 
     @property
     def r(self) -> int:

@@ -1,17 +1,19 @@
 """Immutable records: the one base of the package's value types.
 
 A subclass of Record names its fields as its own class annotations, in
-order; a class attribute after an annotation is that field's default.  An
-instance is an immutable value: == and hash compare the tuple of field values
-within one class, repr is `Name(field=value, ...)`, assigning or deleting an
-attribute raises AttributeError, and it pickles and copies.
+order.  An instance is an immutable value: == and hash compare the tuple of
+field values within one class, repr is `Name(field=value, ...)`, assigning or
+deleting an attribute raises AttributeError, and it pickles and copies.
 
-Field values live in the instance __dict__, so functools.cached_property
-works and a constructor may store a derived value beside the fields.  The
-generic __init__ takes the fields by position or keyword, fills defaults,
-then calls __post_init__ to validate.  A record built on a hot path defines
-its own __init__ instead, which checks its arguments and writes the fields
-to self.__dict__ directly.
+Every record type builds one way: its own __init__, whose parameters are the
+fields in order, checks its arguments and writes each field once into
+self.__dict__.  Field values live there, so functools.cached_property works
+and a constructor may store a derived value beside the fields.  Two
+constructors prepare an instance before that: ExpSum._make writes terms that
+are canonical by construction and skips __init__, on the arithmetic's hot
+path; Distribution._of_ints stores the law's integer form, which it already
+has, and then runs __init__, so that int-built and Fraction-built laws pass
+one validation.
 
 The base imports only operator and generates no code per class, so that
 `import dtlab` loads none of inspect, dis, ast or tokenize.
@@ -34,42 +36,11 @@ class Record:
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
-    _defaults: dict = {}
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._fields = fields = tuple(cls.__dict__.get("__annotations__", ()))
-        cls._defaults = {name: cls.__dict__[name] for name in fields if name in cls.__dict__}
         cls._values = staticmethod(_getter(fields))
-
-    def __init__(self, *args, **kwargs):
-        if kwargs or len(args) != len(self._fields):
-            args = self._bind(args, kwargs)
-        self.__dict__.update(zip(self._fields, args))
-        self.__post_init__()
-
-    @classmethod
-    def _bind(cls, args: tuple, kwargs: dict) -> tuple:
-        """The field values from positional and keyword arguments and the
-        defaults, refused with the TypeError a Python signature raises."""
-        name, fields = cls.__name__, cls._fields
-        if len(args) > len(fields):
-            raise TypeError(f"{name}() takes {len(fields)} positional "
-                            f"arguments but {len(args)} were given")
-        given = dict(zip(fields, args))
-        for key in kwargs:
-            if key not in fields:
-                raise TypeError(f"{name}() got an unexpected keyword argument {key!r}")
-            if key in given:
-                raise TypeError(f"{name}() got multiple values for argument {key!r}")
-        given = {**cls._defaults, **given, **kwargs}
-        missing = [key for key in fields if key not in given]
-        if missing:
-            raise TypeError(f"{name}() missing required arguments: {', '.join(missing)}")
-        return tuple(given[key] for key in fields)
-
-    def __post_init__(self) -> None:
-        """Validation run by the generic __init__; nothing by default."""
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

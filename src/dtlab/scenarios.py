@@ -86,12 +86,22 @@ class CheckResult(Record):
     name: str
     report: BoundReport
 
+    def __init__(self, name: str, report: BoundReport):
+        fields = self.__dict__
+        fields["name"], fields["report"] = name, report
+
 
 class ScenarioResult(Record):
     scenario: str
     params: dict
     checks: tuple[CheckResult, ...]
     artifacts: dict
+
+    def __init__(self, scenario: str, params: dict, checks: tuple[CheckResult, ...],
+                 artifacts: dict):
+        fields = self.__dict__
+        fields["scenario"], fields["params"] = scenario, params
+        fields["checks"], fields["artifacts"] = checks, artifacts
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,10 @@ class ParetoFrontier(Record):
     k: int
     points: tuple[FrontierPoint, ...]
 
+    def __init__(self, sense: str, n: int, k: int, points: tuple[FrontierPoint, ...]):
+        fields = self.__dict__
+        fields["sense"], fields["n"], fields["k"], fields["points"] = sense, n, k, points
+
 
 def check_dp_guard(total_vars: int) -> None:
     """Refuse a frontier DP over more than MAX_DP_VARS variables."""

@@ -408,10 +408,6 @@ def _node_from_json(obj, depth: int = 0):
                  _node_from_json(obj["pos"], depth + 1))
 
 
-def tree_to_json(tree: DecisionTree) -> dict:
-    return _trees_to_json((tree,))[0]
-
-
 def tree_from_json(obj: dict) -> DecisionTree:
     return DecisionTree(_int(obj["n"], "n"), _int(obj["k"], "k"),
                         _node_from_json(obj["root"]))

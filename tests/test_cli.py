@@ -19,8 +19,8 @@ from dtlab.trees import (
     Leaf,
     Query,
     RandomizedTree,
+    _trees_to_json,
     randomized_tree_to_json,
-    tree_to_json,
 )
 from dtlab.scenarios import SCENARIOS, report_to_bytes
 
@@ -440,8 +440,9 @@ def test_verify_refuses_committee_of_mis_shaped_trees(tmp_path, capsys):
     # bits as a scalar tree on parity(2), so only a shape check refuses it.
     committee = hardcore_solve(parity(2), uniform(2), F(1, 4), F(1, 2), F(2))
     art = committee_to_json(committee)
-    vector = tree_to_json(DecisionTree(1, 2, Query(0, Query(1, Leaf((1, 1)), Leaf((-1, 1))),
-                                                   Query(1, Leaf((-1, 1)), Leaf((1, 1))))))
+    tree = DecisionTree(1, 2, Query(0, Query(1, Leaf((1, 1)), Leaf((-1, 1))),
+                                    Query(1, Leaf((-1, 1)), Leaf((1, 1)))))
+    vector = _trees_to_json((tree,))[0]
     art["trees"] = [vector] * len(art["trees"])
     path = tmp_path / "mis-shaped.json"
     path.write_text(json.dumps(art))

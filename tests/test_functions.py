@@ -1,6 +1,7 @@
 """Point encodings, named functions, distributions, and their serialization."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from dtlab.functions import (
     BooleanFunction,
     Distribution,
     Measure,
+    VectorFunction,
     constant_function,
     constant_measure,
     density,
@@ -208,6 +210,66 @@ def test_int_built_laws_refuse_what_the_fraction_path_refuses(n, nums, scale, er
     with pytest.raises(error) as want:
         Distribution(n, tuple(Fraction(m, scale) for m in nums))
     assert str(got.value) == str(want.value)
+
+
+def _former_function_check(n, table):
+    """BooleanFunction's checks as the generic record __init__ ran them."""
+    functions._check_var_count(n, "BooleanFunction")
+    if len(table) != 1 << n:
+        raise DimensionMismatch(f"table length {len(table)} != 2**{n}")
+    if any(v not in (-1, 1) for v in table):
+        raise InvalidValue("function outputs must be +-1")
+
+
+def _former_vector_check(n, k, table):
+    """VectorFunction's checks as the generic record __init__ ran them."""
+    if k < 1:
+        raise InvalidValue(f"k must be >= 1, got {k}")
+    functions._check_var_count(n * k, "VectorFunction")
+    if len(table) != 1 << (n * k):
+        raise DimensionMismatch(f"table length {len(table)} != 2**{n * k}")
+    for row in table:
+        if len(row) != k or any(v not in (-1, 1) for v in row):
+            raise InvalidValue("vector outputs must be +-1 tuples of width k")
+
+
+def _former_law_check(n, weights):
+    """Distribution's checks as the generic record __init__ ran them, on Fractions."""
+    functions._check_var_count(n, "Distribution")
+    if len(weights) != 1 << n:
+        raise DimensionMismatch(f"weight count {len(weights)} != 2**{n}")
+    if any(w < 0 for w in weights):
+        raise InvalidValue("distribution weights must be nonnegative")
+    if sum(weights) != 1:
+        raise InvalidValue("distribution weights must sum to exactly 1")
+
+
+def test_function_and_law_constructors_refuse_as_the_former_checks():
+    """Seeded argument lists with one or several faults at once: each
+    constructor raises the first fault in the former order, with its message."""
+    rng = random.Random(3001)
+    signs, values = (1, -1), (1, -1, 1, -1, 0, 2)
+    weights = (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(-1, 4), Fraction(1))
+    seen = set()
+    for _ in range(1500):
+        n = rng.choice((-1, 0, 1, 2, 3, 25))
+        size = (1 << n if 0 <= n <= 3 else 2) + rng.choice((0, 0, 0, -1, 1))
+        table = tuple(rng.choice(signs if rng.random() < 0.7 else values)
+                      for _ in range(max(size, 0)))
+        law = tuple(rng.choice(weights) for _ in range(max(size, 0)))
+        k = rng.choice((-1, 0, 1, 2, 3, 13))
+        width = max(k, 0) + rng.choice((0, 0, 0, 0, -1, 1))
+        rows = tuple(tuple(rng.choice(signs if rng.random() < 0.9 else values)
+                           for _ in range(max(width, 0)))
+                     for _ in range(1 << n * k if 0 <= n * k <= 3 else 2))
+        for build, check, args in ((BooleanFunction, _former_function_check, (n, table)),
+                                   (VectorFunction, _former_vector_check, (n, k, rows)),
+                                   (Distribution, _former_law_check, (n, law))):
+            want = _outcome(check, *args)
+            assert _outcome(build, *args) == want, (build, args)
+            seen.add((build.__name__, want and re.sub(r"-?\d+", "#", want[1])))
+    # every refusal of each type (two guard messages among them) and a success
+    assert len(seen) == 5 + 6 + 6, sorted(seen, key=str)
 
 
 def _fraction_measure_check(n, values):

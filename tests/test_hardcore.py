@@ -16,7 +16,8 @@ import pytest
 
 from dtlab import hardcore
 from dtlab.errors import (
-    BoostFailure, GuardExceeded, Infeasible, InvalidValue, IterationBudget, KernelFault)
+    BoostFailure, DimensionMismatch, GuardExceeded, Infeasible, InvalidValue, IterationBudget,
+    KernelFault)
 from dtlab.exactexp import exp_bounds
 from dtlab.functions import (
     Distribution,
@@ -1107,6 +1108,15 @@ def test_committee_odd_size_enforced():
     t = DecisionTree(1, 1, Query(0, Leaf((-1,)), Leaf((1,))))
     with pytest.raises(InvalidValue):
         Committee(f, mu, (t, t), F(1, 4), F(1, 2), F(1), 0, 1)
+
+
+def test_committee_refuses_an_even_size_before_a_mis_shaped_tree():
+    f, mu = dictator(1, 0), uniform(1)
+    wide = DecisionTree(2, 1, Query(1, Leaf((-1,)), Leaf((1,))))
+    with pytest.raises(InvalidValue, match="committee size must be odd"):
+        Committee(f, mu, (wide, wide), F(1, 4), F(1, 2), F(1), 0, 1)
+    with pytest.raises(DimensionMismatch, match="k=1 trees on f's variables"):
+        Committee(f, mu, (wide,), F(1, 4), F(1, 2), F(1), 0, 1)
 
 
 def test_serialization_round_trips():

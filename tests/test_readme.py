@@ -2,6 +2,7 @@
 real `dtlab` attributes, its command synopsis the parser's real arguments."""
 
 import argparse
+import ast
 import contextlib
 import importlib
 import io
@@ -38,6 +39,28 @@ def test_readme_module_table_names_exist():
             defined_in = getattr(dtlab, name).__module__
             assert defined_in == module_name, (
                 f"README puts {name} in {module_name}; it lives in {defined_in}")
+
+
+def _package_stdlib_imports() -> set[str]:
+    """The modules that the package's modules, less the command line, import
+    at module level; relative and __future__ imports left out."""
+    found = set()
+    for path in sorted((README.parent / "src" / "dtlab").glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.Import):
+                found |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                found.add(node.module)
+    return found - {"__future__"}
+
+
+def test_readme_install_lists_the_stdlib_modules_import_dtlab_loads():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Install", 1)[1].split("\n## ", 1)[0]
+    listed = section.split("modules itself:", 1)[1].split("(", 1)[0]
+    assert set(re.findall(r"`([^`]+)`", listed)) == _package_stdlib_imports()
 
 
 def _opening():

@@ -7,11 +7,13 @@ reduce-based round trip (pickle for the record, deepcopy for the twin, which
 is not importable by name).
 """
 
+import ast
 import copy
 import dataclasses
 import pickle
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -41,6 +43,7 @@ from dtlab.trees import (
 )
 
 SEEDS = range(6)
+PACKAGE = sorted((Path(__file__).resolve().parent.parent / "src" / "dtlab").glob("*.py"))
 
 
 def _fraction(rng):
@@ -203,29 +206,14 @@ def test_defaults_fill_as_the_twin_does():
         twin(*short, related=full.related))
 
 
-class _Pair(Record):
-    """A record on the generic __init__, with a default."""
-
-    left: object
-    right: object = "default"
-
-    def __post_init__(self):
-        if self.left is None:
-            raise ValueError("left is None")
-
-
-def test_the_generic_init_binds_as_the_twin_does():
-    twin = dataclasses.make_dataclass(
-        "_Pair", [("left", object), ("right", object, dataclasses.field(default="default"))],
-        frozen=True)
-    assert _Pair._fields == ("left", "right") and _Pair._defaults == {"right": "default"}
-    for args, kwargs in (((1,), {}), ((1, 2), {}), ((), {"left": 1}),
-                         ((1,), {"right": 2}), ((), {"right": 2, "left": 1})):
-        got, want = _Pair(*args, **kwargs), twin(*args, **kwargs)
-        assert repr(got) == repr(want) and hash(got) == hash(want)
-    for args, kwargs in (((), {}), ((1, 2, 3), {}), ((1,), {"left": 1}),
-                         ((1,), {"other": 2}), ((), {"right": 2})):
-        assert _raises(lambda: _Pair(*args, **kwargs)) is TypeError
-        assert _raises(lambda: twin(*args, **kwargs)) is TypeError
-    with pytest.raises(ValueError, match="left is None"):  # __post_init__ ran
-        _Pair(None)
+def test_every_record_type_builds_through_its_own_init():
+    for cls, (fields, _) in BUILDERS.items():
+        assert "__init__" in cls.__dict__, cls
+        code = cls.__init__.__code__
+        assert code.co_varnames[1:code.co_argcount] == fields, cls
+    assert not {"__init__", "_bind", "_defaults", "__post_init__"} & set(Record.__dict__)
+    hooks = [f"{path.name}:{node.name}" for path in PACKAGE
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.ClassDef)
+             and any(getattr(item, "name", None) == "__post_init__" for item in node.body)]
+    assert hooks == []
