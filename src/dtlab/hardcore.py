@@ -27,7 +27,7 @@ pivoting, as in Edmonds 1967), and only what is read turns back into
 Fractions.  Its optimal tableau gives both players' strategies: H as the
 primal solution, the tree mixture w as the reduced costs of the pool rows'
 slacks.  The pair is then certified as a saddle point without trusting the
-kernel, on ints from the pool trees' output tables: both strategies are
+kernel, on ints from the pool trees' payoff rows: both strategies are
 checked for feasibility, and the greedy closed-form minimum against w and the
 envelope maximum against H must both equal the LP value.  A wrong LP answer
 therefore cannot escape the solver.
@@ -89,6 +89,18 @@ BOOST_RETRY_CAP = 16
 MAX_COMMITTEE_SIZE = 65535  # odd: the largest committee_size returns
 
 
+def _check_domain(f, mu, delta, gamma, depth_budget) -> None:
+    """Refuse a game no solve takes: delta, gamma, budget or sizes out of range."""
+    if not 0 < delta < 1:
+        raise InvalidValue(f"delta must lie in (0,1), got {delta}")
+    if not 0 < gamma <= 1:
+        raise InvalidValue(f"gamma must lie in (0,1], got {gamma}")
+    if depth_budget < 0:
+        raise InvalidValue("depth budget must be nonnegative")
+    if f.n != mu.n:
+        raise DimensionMismatch("function and distribution sizes differ")
+
+
 class HardcoreCertificate(Record):
     """A measure no depth-budgeted tree mixture correlates with beyond gamma*delta/2."""
 
@@ -105,6 +117,7 @@ class HardcoreCertificate(Record):
     def __init__(self, f: BooleanFunction, mu: Distribution, measure: Measure,
                  delta: Fraction, gamma: Fraction, depth_budget: Fraction,
                  best_response_advantage: Fraction, witness: RandomizedTree, iterations: int):
+        _check_domain(f, mu, delta, gamma, depth_budget)
         fields = self.__dict__
         fields["f"], fields["mu"], fields["measure"] = f, mu, measure
         fields["delta"], fields["gamma"], fields["depth_budget"] = delta, gamma, depth_budget
@@ -131,6 +144,7 @@ class Committee(Record):
             raise InvalidValue("committee size must be odd")
         if any((t.n, t.k) != (f.n, 1) for t in trees):
             raise DimensionMismatch("committee trees must be k=1 trees on f's variables")
+        _check_domain(f, mu, delta, gamma, depth_budget)
         fields = self.__dict__
         fields["f"], fields["mu"], fields["trees"] = f, mu, trees
         fields["delta"], fields["gamma"], fields["depth_budget"] = delta, gamma, depth_budget
@@ -239,34 +253,35 @@ def _admit(tab, basis: list[int], entries, rhs: int, d: int) -> None:
     basis.append(len(row) - 3)
 
 
-class _Tableau:
-    """One solve's restricted game, kept from game to game: the last optimal
-    int rows (constraint rows, then the reduced costs), their basis, and the
-    slack column of each pool tree's row, in admission order."""
+class _Game:
+    """One solve's restricted game.  Data: `mass`, mu's weights then
+    half_density as ints over den; the budget; `pool`, one (tree, payoff row
+    f*T in +-1 ints, expected depth) per tree, in admission order.  State:
+    the last optimal int rows, their basis, each pool tree's slack."""
 
-    __slots__ = ("rows", "basis", "slacks")
+    __slots__ = ("den", "mass", "budget", "pool", "rows", "basis", "slacks")
 
-    def __init__(self):
+    def __init__(self, mu: Distribution, half_density: Fraction, budget: Fraction):
+        self.den, self.mass = _masses(mu, half_density)
+        self.budget, self.pool = budget, []
         self.rows, self.basis, self.slacks = [], [], []
 
 
-def _restricted_game(f, mu, half_density, budget, tables, depths, game):
+def _restricted_game(game: _Game):
     """Exact value and both optimal strategies of the pool-restricted game.
 
-    Returns (value, H, w).  The pool is given by each tree's +-1 output
-    table and expected depth, in admission order.  The row player's LP
+    Returns (value, H, w).  The row player's LP
 
         min s + budget*y  s.t.  payoff(H, T) <= s + depth_T * y  for T in pool,
                                 mu . H = half_density,  0 <= H <= 1,  y >= 0,
 
     with payoff(H, T) = sum_x mu(x) f(x) T(x) H(x), yields H as its primal
     solution and the column player's mixture w as the final reduced costs
-    of the pool rows' slacks.  Each row is built as ints, scaled by the lcm
-    of its denominators and gcd-reduced.
+    of the pool rows' slacks.
 
     `game` keeps the tableau between the games of one solve, and every
     inequality row enters it by one step, _admit: a new basic slack column
-    and the row in the basis' canonical form.  While `game` is empty, the
+    and the row in the basis' canonical form.  While it is empty, the
     cost row over H, s+, s-, y is laid down, then the first pool's tree rows
     and the box rows H_x + s = 1 are admitted, the box rows last so that
     the columns run H, s+, s-, y, first-pool slacks, box slacks, later
@@ -289,28 +304,27 @@ def _restricted_game(f, mu, half_density, budget, tables, depths, game):
 
     _check_saddle_point then certifies the pair whatever the kernel did.
     """
-    npts = 1 << f.n
-    den, mass = _masses(mu, half_density)
+    den, mass, budget, pool = game.den, game.mass, game.budget, game.pool
     tab, basis, slacks = game.rows, game.basis, game.slacks
+    npts = len(mass) - 1
     first = not slacks
     if first:
-        t0 = next((t for t, depth in enumerate(depths) if depth <= budget), None)
+        t0 = next((t for t, (_, _, depth) in enumerate(pool) if depth <= budget), None)
         if t0 is None:
             raise Infeasible("no pool tree within the depth budget: the game is unbounded")
         d, p = _scale((1, -1, budget))
         tab.append([0] * npts + [*p, 0, d])  # costs of H, s+, s-, y; rhs; D
-    for t in range(len(slacks), len(tables)):
-        depth = depths[t]
+    for _, payoff, depth in pool[len(slacks):]:
         d = math.lcm(den, depth.denominator)
         a, y = d // den, depth.numerator * (d // depth.denominator)
-        entries = [(x, a * mass[x] * f.table[x] * v) for x, v in enumerate(tables[t])]
+        entries = [(x, a * m * v) for x, (m, v) in enumerate(zip(mass, payoff))]
         _admit(tab, basis, entries + [(npts, -d), (npts + 1, d), (npts + 2, -y)], 0, d)
         slacks.append(basis[-1])
     if first:
         for x in range(npts):
             _admit(tab, basis, [(x, 1)], 1, 1)
         tab.insert(len(basis), mass[:npts] + [0] * (len(tab[0]) - npts - 2) + [mass[npts], den])
-        x0 = min((x for x in range(npts) if mass[x]), key=lambda x: f.table[x] * tables[t0][x])
+        x0 = min((x for x in range(npts) if mass[x]), key=pool[t0][1].__getitem__)
         _pivot(tab, len(basis), x0)
         basis.append(x0)
         _pivot(tab, t0, npts)
@@ -325,9 +339,9 @@ def _restricted_game(f, mu, half_density, budget, tables, depths, game):
             z[b] = Fraction(tab[i][-2], tab[i][-1])
     if not all(0 <= v <= 1 for v in z):
         raise KernelFault(f"measure {z} leaves [0,1] (LP kernel bug)")
-    h_r = Measure(f.n, tuple(z))
+    h_r = Measure(npts.bit_length() - 1, tuple(z))
     w = tuple(Fraction(costs[j], costs[-1]) for j in slacks)
-    _check_saddle_point(f, mu, half_density, budget, tables, depths, value, h_r, w)
+    _check_saddle_point(game, value, h_r, w)
     return value, h_r, w
 
 
@@ -340,26 +354,26 @@ def _masses(mu: Distribution, half_density: Fraction) -> tuple[int, list[int]]:
     return den, [a * w for w in weights] + [b * half_density.numerator]
 
 
-def _check_saddle_point(f, mu, half_density, budget, tables, depths, value, h, w):
+def _check_saddle_point(game: _Game, value: Fraction, h: Measure, w) -> None:
     """Raise KernelFault unless measure h and pool mixture w are feasible
     and both attain `value`, which makes (h, w) a saddle point of the
     restricted game: no measure does better against w, and no mixture of
     the pool does better against h.  A failure is a bug in the LP kernel,
     never a fault of the input, so it is a RuntimeError (CLI exit 5).
 
-    Derived from the game's data alone, not from any tableau, on ints: the
+    Derived from the game's data alone, not from its tableau, on ints: the
     greedy inner minimum against w scores each point over w's common
     denominator, the envelope inner maximum against h takes each tree's
     payoff over mu's and h's, and only the results turn into Fractions.
     """
-    npts = 1 << f.n
-    den, mass = _masses(mu, half_density)
+    den, mass, budget, pool = game.den, game.mass, game.budget, game.pool
+    npts = len(mass) - 1
     dw, wn = _scale(w)
 
     # Feasibility of both strategies; Measure already checks 0 <= H <= 1.
     if any(v < 0 for v in wn) or sum(wn) != dw:
         raise KernelFault(f"mixture {w} is not a distribution (LP kernel bug)")
-    dd, dn = _scale(depths)
+    dd, dn = _scale([depth for _, _, depth in pool])
     if sum(v * d for v, d in zip(wn, dn)) * budget.denominator > budget.numerator * dw * dd:
         raise KernelFault(f"mixture {w} exceeds the depth budget (LP kernel bug)")
     dh, hn = h.scaled
@@ -368,8 +382,8 @@ def _check_saddle_point(f, mu, half_density, budget, tables, depths, value, h, w
 
     # Greedy minimum against w: the fractional fill that puts H = 1 on the
     # lowest scores first.  Zero-weight trees add nothing to any score.
-    live = [(v, tables[t]) for t, v in enumerate(wn) if v]
-    scores = [f.table[x] * sum(v * table[x] for v, table in live) for x in range(npts)]
+    live = [(v, payoff) for v, (_, payoff, _) in zip(wn, pool) if v]
+    scores = [sum(v * payoff[x] for v, payoff in live) for x in range(npts)]
     remaining, g_num = mass[npts], 0
     for x in sorted((x for x in range(npts) if mass[x]), key=lambda x: (scores[x], x)):
         take = min(mass[x], remaining)
@@ -383,9 +397,9 @@ def _check_saddle_point(f, mu, half_density, budget, tables, depths, value, h, w
             f"restricted value {value} not reproduced by greedy minimum {g_value}")
 
     # Envelope maximum against h.
-    terms = [(x, mass[x] * f.table[x] * v) for x, v in enumerate(hn) if v]
-    pairs = [(depths[t], sum(c * table[x] for x, c in terms), t)
-             for t, table in enumerate(tables)]
+    terms = [(x, mass[x] * v) for x, v in enumerate(hn) if v]
+    pairs = [(depth, sum(c * payoff[x] for x, c in terms), t)
+             for t, (_, payoff, depth) in enumerate(pool)]
     e_value, _ = mixture_optimum(pairs, budget, minimize=False)
     e_value = Fraction(e_value, den * dh)
     if e_value != value:
@@ -509,21 +523,11 @@ def hardcore_solve(f: BooleanFunction, mu: Distribution, delta: Fraction,
     delta = Fraction(delta)
     gamma = Fraction(gamma)
     depth_budget = Fraction(depth_budget)
-    if not 0 < delta < 1:
-        raise InvalidValue(f"delta must lie in (0,1), got {delta}")
-    if not 0 < gamma <= 1:
-        raise InvalidValue(f"gamma must lie in (0,1], got {gamma}")
-    if depth_budget < 0:
-        raise InvalidValue("depth budget must be nonnegative")
-    if f.n != mu.n:
-        raise DimensionMismatch("function and distribution sizes differ")
+    _check_domain(f, mu, delta, gamma, depth_budget)
 
     half = delta / 2
     threshold = gamma * half
-    pool: list[DecisionTree] = []
-    tables: list[tuple[int, ...]] = []  # each pool tree's +-1 outputs
-    depths: list[Fraction] = []
-    game = _Tableau()
+    game = _Game(mu, half, depth_budget)
     h = constant_measure(f.n, half)
     iteration = 0
     while True:
@@ -531,21 +535,20 @@ def hardcore_solve(f: BooleanFunction, mu: Distribution, delta: Fraction,
         if advantage <= threshold:
             return HardcoreCertificate(f, mu, h, delta, gamma, depth_budget,
                                        advantage, RandomizedTree(witness), iteration)
-        admitted = len(pool)
+        admitted = len(game.pool)
         for _, t in witness:
-            if t not in pool:
-                pool.append(t)
-                tables.append(tuple(evaluate(t, x)[0] for x in range(1 << f.n)))
-                depths.append(expected_depth(t, mu))
-        if len(pool) == admitted:
+            if t not in (tree for tree, _, _ in game.pool):
+                payoff = tuple(v * evaluate(t, x)[0] for x, v in enumerate(f.table))
+                game.pool.append((t, payoff, expected_depth(t, mu)))
+        if len(game.pool) == admitted:
             raise KernelFault("best response adds no tree to the pool (kernel bug)")
         if iteration == MAX_ITERATIONS:
             raise IterationBudget(f"no decision within {MAX_ITERATIONS} iterations")
         iteration += 1
-        value, h, w = _restricted_game(f, mu, half, depth_budget, tables, depths, game)
+        value, h, w = _restricted_game(game)
         if value > threshold:
-            return maj_boost(list(zip(w, pool)), f, mu, delta, gamma, depth_budget,
-                             seed=seed, iterations=iteration)
+            return maj_boost(zip(w, (tree for tree, _, _ in game.pool)), f, mu, delta, gamma,
+                             depth_budget, seed=seed, iterations=iteration)
 
 
 def verify_certificate(cert: HardcoreCertificate) -> dict:

@@ -427,6 +427,35 @@ def test_oversized_decimal_exponent_exits_2_at_once(tmp_path, capsys, where):
     assert "not a rational of at most 4300 digits" in capsys.readouterr().err
 
 
+# Fields no solve can write, each refused as hardcore_solve refuses it: on a
+# parity(3) certificate and a parity(2) committee, the ones that verified
+# (exit 0) or failed a check (exit 1) before the records checked them.
+DOMAIN_FIELDS = [("delta", "0"), ("delta", "1"), ("delta", "3/2"), ("gamma", "0"),
+                 ("gamma", "-1/2"), ("gamma", "3/2"), ("gamma", "1e5"),
+                 ("depth_budget", "-1"), ("mu", ["1/16"] * 16)]
+
+
+@pytest.mark.parametrize("kind", ["certificate", "committee"])
+@pytest.mark.parametrize("field, value", DOMAIN_FIELDS,
+                         ids=[f"{k}={v if isinstance(v, str) else len(v)}"
+                              for k, v in DOMAIN_FIELDS])
+def test_verify_refuses_an_out_of_domain_field(tmp_path, capsys, kind, field, value):
+    if kind == "certificate":
+        art = certificate_to_json(
+            hardcore_solve(parity(3), uniform(3), F(1, 4), F(1, 2), F(0)))
+    else:
+        art = committee_to_json(
+            hardcore_solve(parity(2), uniform(2), F(1, 4), F(1, 2), F(2)))
+    art[field] = value
+    path = tmp_path / "out-of-domain.json"
+    path.write_text(json.dumps(art))
+    assert cli.main(["verify", str(path)]) == 2
+    message = {"delta": "delta must lie in (0,1)", "gamma": "gamma must lie in (0,1]",
+               "depth_budget": "depth budget must be nonnegative",
+               "mu": "function and distribution sizes differ"}[field]
+    assert message in capsys.readouterr().err
+
+
 def test_verify_refuses_negative_committee_iterations(tmp_path):
     art = _artifacts(tmp_path)["committee"]
     art["iterations"] = -7

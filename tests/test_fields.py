@@ -19,7 +19,7 @@ RECORDS = {
     "ExpSum",  # exactexp
     "Leaf", "Query", "DecisionTree", "RandomizedTree", "LeafRef", "LeafStats",  # trees
     "FrontierPoint", "ParetoFrontier",  # synth
-    "HardcoreCertificate", "Committee", "_Tableau",  # hardcore
+    "HardcoreCertificate", "Committee", "_Game",  # hardcore
     "BoundReport",  # bounds
     "CheckResult", "ScenarioResult",  # scenarios
 }

@@ -168,6 +168,28 @@ def _oracle_game(f, mu, half_density, budget, tables, depths):
     return value, Measure(f.n, tuple(z)), tuple(tab[-1][slack0:box0])
 
 
+def _pool_entry(f, mu, tree):
+    """(tree, payoff row f*T as +-1 ints, expected depth): a pool tree as a
+    solve admits it into its game."""
+    payoff = tuple(v * evaluate(tree, x)[0] for x, v in enumerate(f.table))
+    return tree, payoff, hardcore.expected_depth(tree, mu)
+
+
+def _game(f, mu, half, budget, trees):
+    """A game on the pool `trees`, not yet played."""
+    game = hardcore._Game(mu, half, budget)
+    game.pool += [_pool_entry(f, mu, t) for t in trees]
+    return game
+
+
+def _oracle_args(f, mu, half, game):
+    """The Fraction oracles' arguments for a game's pool: f, mu and each
+    tree's +-1 outputs and expected depth, re-derived from the trees."""
+    trees = [t for t, _, _ in game.pool]
+    tables = [tuple(evaluate(t, x)[0] for x in range(1 << f.n)) for t in trees]
+    return f, mu, half, game.budget, tables, [hardcore.expected_depth(t, mu) for t in trees]
+
+
 def _int_row(row):
     """Fraction row -> the kernel's [numerators..., positive denominator]."""
     d = math.lcm(*(F(v).denominator for v in row))
@@ -395,14 +417,14 @@ def test_every_warm_sweep_game_matches_a_cold_solve_of_its_pool(monkeypatch):
     # Each restricted game of the n=3 sweep is solved again cold, on the
     # same pool, by the Fraction two-phase oracle: the values agree, and
     # both strategy pairs pass the saddle-point re-checks.
-    game = hardcore._restricted_game
+    solve = hardcore._restricted_game
     seen = Counter()
 
-    def checked(f, mu, half, budget, tables, depths, tableau):
-        first = not tableau.slacks
-        value, h, w = game(f, mu, half, budget, tables, depths, tableau)
-        cold = _oracle_game(f, mu, half, budget, tables, depths)
-        hardcore._check_saddle_point(f, mu, half, budget, tables, depths, *cold)
+    def checked(game):
+        first = not game.slacks
+        value, h, w = solve(game)
+        cold = _oracle_game(*_oracle_args(f, mu, F(1, 8), game))
+        hardcore._check_saddle_point(game, *cold)
         assert cold[0] == value
         seen["first" if first else "warm"] += 1
         seen["other vertex"] += cold[1:] != (h, w)
@@ -507,15 +529,13 @@ def test_n5_seeded_solves_decide_and_recheck(s, kind, iterations):
 
 
 def _random_pool(rng, n, size):
-    """(mu, tables, depths, budget): a random mu and pool of trees on n
-    variables, the budget at least the first tree's depth so that the game
-    is bounded."""
+    """(mu, trees, budget): a random mu and pool of trees on n variables,
+    the budget at least the first tree's depth so that the game is
+    bounded."""
     mu = random_distribution(rng, n, allow_zeros=rng.random() < 0.3)
     trees = [random_tree(rng, n, 1) for _ in range(size)]
-    tables = [tuple(evaluate(t, x)[0] for x in range(1 << n)) for t in trees]
-    depths = [hardcore.expected_depth(t, mu) for t in trees]
-    budget = depths[0] + F(rng.randint(0, 4 * n), 4)
-    return mu, tables, depths, budget
+    budget = hardcore.expected_depth(trees[0], mu) + F(rng.randint(0, 4 * n), 4)
+    return mu, trees, budget
 
 
 def test_warm_games_match_cold_solves_on_random_pools(monkeypatch):
@@ -530,23 +550,23 @@ def test_warm_games_match_cold_solves_on_random_pools(monkeypatch):
         pivot(tab, r, c)
 
     monkeypatch.setattr(hardcore, "_pivot", counted)
-    game = hardcore._restricted_game
     rng = random.Random(1900)
     seen = Counter()
     for _ in range(150):
         n = rng.randint(1, 3)
         f = random_function(rng, n)
-        mu, tables, depths, budget = _random_pool(rng, n, rng.randint(2, 7))
+        mu, trees, budget = _random_pool(rng, n, rng.randint(2, 7))
         half = F(rng.randint(1, 7), 8)
-        tableau = hardcore._Tableau()
-        for k in range(1, len(tables) + 1):
+        game = hardcore._Game(mu, half, budget)
+        for k, tree in enumerate(trees):
+            game.pool.append(_pool_entry(f, mu, tree))
             before = len(pivots)
-            warm = game(f, mu, half, budget, tables[:k], depths[:k], tableau)
-            if k > 1:
+            warm = hardcore._restricted_game(game)
+            if k:
                 seen["warm games"] += 1
                 seen["warm games that pivot"] += len(pivots) > before
-            cold = _oracle_game(f, mu, half, budget, tables[:k], depths[:k])
-            hardcore._check_saddle_point(f, mu, half, budget, tables[:k], depths[:k], *cold)
+            cold = _oracle_game(*_oracle_args(f, mu, half, game))
+            hardcore._check_saddle_point(game, *cold)
             assert warm[0] == cold[0]
             seen["other vertex"] += warm[1:] != cold[1:]
     assert min(seen.values()) >= 20, seen
@@ -556,12 +576,12 @@ def test_every_dual_bland_run_starts_dual_feasible(monkeypatch):
     # At each _dual_bland entry every reduced cost is >= 0, and each basic
     # column's is 0: after the two seed pivots of a first game as after the
     # rows a warm game appends, on the n=3 sweep and on random pools.
-    game, dual = hardcore._restricted_game, hardcore._dual_bland
+    solve, dual = hardcore._restricted_game, hardcore._dual_bland
     first, seen = [], Counter()
 
-    def spied_game(f, mu, half, budget, tables, depths, tableau):
-        first.append(not tableau.slacks)
-        return game(f, mu, half, budget, tables, depths, tableau)
+    def spied_game(game):
+        first.append(not game.slacks)
+        return solve(game)
 
     def checked_dual(tab, basis):
         costs = tab[-1]
@@ -582,11 +602,11 @@ def test_every_dual_bland_run_starts_dual_feasible(monkeypatch):
     for _ in range(150):
         n = rng.randint(1, 3)
         f = random_function(rng, n)
-        mu, tables, depths, budget = _random_pool(rng, n, rng.randint(1, 7))
-        half = F(rng.randint(1, 7), 8)
-        tableau = hardcore._Tableau()
-        for k in range(1, len(tables) + 1):
-            hardcore._restricted_game(f, mu, half, budget, tables[:k], depths[:k], tableau)
+        mu, trees, budget = _random_pool(rng, n, rng.randint(1, 7))
+        game = hardcore._Game(mu, F(rng.randint(1, 7), 8), budget)
+        for tree in trees:
+            game.pool.append(_pool_entry(f, mu, tree))
+            hardcore._restricted_game(game)
     assert seen["first"] == 56 + 150 and seen["warm"] > 164, seen
 
 
@@ -638,27 +658,29 @@ def test_first_games_enter_dual_bland_as_the_fixed_width_build(monkeypatch):
     # build laid out: the same int rows in the same order, the same basis
     # and pool slacks, on the n=3 sweep's first games and on random pools,
     # some played first by a tree other than the first.
-    game, dual = hardcore._restricted_game, hardcore._dual_bland
+    solve, dual = hardcore._restricted_game, hardcore._dual_bland
     entry, seen = [], Counter()
 
-    def spied_game(*args):
-        entry.append((args, not args[-1].slacks))
+    def spied_game(game):
+        entry.append((game, not game.slacks))
         try:
-            return game(*args)
+            return solve(game)
         finally:
             entry.pop()
 
     def checked_dual(tab, basis):
-        args, first = entry[-1]
+        game, first = entry[-1]
         if first:
-            rows, want_basis, slacks, t0 = _oracle_first_tableau(*args[:-1])
-            assert (tab, basis, args[-1].slacks) == (rows, want_basis, slacks)
+            rows, want_basis, slacks, t0 = _oracle_first_tableau(
+                *_oracle_args(f, mu, half, game))
+            assert (tab, basis, game.slacks) == (rows, want_basis, slacks)
             seen["first"] += 1
             seen["t0 > 0"] += t0 > 0
         dual(tab, basis)
 
     monkeypatch.setattr(hardcore, "_restricted_game", spied_game)
     monkeypatch.setattr(hardcore, "_dual_bland", checked_dual)
+    half = F(1, 8)
     for s in range(16):
         rng = random.Random(9000 + s)
         f = random_function(rng, 3)
@@ -670,11 +692,11 @@ def test_first_games_enter_dual_bland_as_the_fixed_width_build(monkeypatch):
     for _ in range(150):
         n = rng.randint(1, 4)
         f = random_function(rng, n)
-        mu, tables, depths, budget = _random_pool(rng, n, rng.randint(1, 7))
+        mu, trees, budget = _random_pool(rng, n, rng.randint(1, 7))
         if rng.random() < 0.5:
-            budget = rng.choice(depths)
+            budget = hardcore.expected_depth(rng.choice(trees), mu)
         half = F(rng.randint(1, 7), 8)
-        hardcore._restricted_game(f, mu, half, budget, tables, depths, hardcore._Tableau())
+        hardcore._restricted_game(_game(f, mu, half, budget, trees))
     assert seen["first"] == 56 + 150 and seen["t0 > 0"] >= 20, seen
 
 
@@ -684,16 +706,14 @@ def test_a_pool_with_no_tree_within_the_budget_raises_infeasible():
     f, mu = parity(2), Distribution(2, (F(1, 2), F(1, 4), F(1, 8), F(1, 8)))
     trees = [DecisionTree(2, 1, Query(0, Leaf((-1,)), Leaf((1,)))),
              DecisionTree(2, 1, Query(1, Leaf((1,)), Query(0, Leaf((1,)), Leaf((-1,)))))]
-    tables = [tuple(evaluate(t, x)[0] for x in range(4)) for t in trees]
-    depths = [hardcore.expected_depth(t, mu) for t in trees]
-    budget = min(depths) - F(1, 8)
-    tableau = hardcore._Tableau()
+    budget = min(hardcore.expected_depth(t, mu) for t in trees) - F(1, 8)
+    game = _game(f, mu, F(1, 8), budget, trees)
     with pytest.raises(Infeasible, match="no pool tree within the depth budget"):
-        hardcore._restricted_game(f, mu, F(1, 8), budget, tables, depths, tableau)
+        hardcore._restricted_game(game)
     # refused before any row is built, the cost row included
-    assert (tableau.rows, tableau.basis, tableau.slacks) == ([], [], [])
+    assert (game.rows, game.basis, game.slacks) == ([], [], [])
     with pytest.raises(InvalidValue, match="unbounded"):
-        _oracle_game(f, mu, F(1, 8), budget, tables, depths)
+        _oracle_game(*_oracle_args(f, mu, F(1, 8), game))
 
 
 def _payoff_vector(f, mu, table):
@@ -779,6 +799,15 @@ def _tampered(rng, mu, depths, value, h, w):
     return out
 
 
+def _verdict(game, value, h, w):
+    """None if _check_saddle_point accepts, else its KernelFault's message."""
+    try:
+        hardcore._check_saddle_point(game, value, h, w)
+    except KernelFault as exc:
+        return str(exc)
+    return None
+
+
 def test_saddle_point_checks_refuse_as_the_fraction_checks():
     # The int checks accept the game's answer and refuse each tampered copy
     # with the message the former Fraction checks give.
@@ -787,20 +816,63 @@ def test_saddle_point_checks_refuse_as_the_fraction_checks():
     for _ in range(150):
         n = rng.randint(1, 3)
         f = random_function(rng, n)
-        mu, tables, depths, budget = _random_pool(rng, n, rng.randint(1, 5))
+        mu, trees, budget = _random_pool(rng, n, rng.randint(1, 5))
         half = F(rng.randint(1, 7), 8)
-        answer = hardcore._restricted_game(f, mu, half, budget, tables, depths,
-                                           hardcore._Tableau())
-        for value, h, w in _tampered(rng, mu, depths, *answer):
-            want = _oracle_saddle_point(f, mu, half, budget, tables, depths, value, h, w)
-            try:
-                hardcore._check_saddle_point(f, mu, half, budget, tables, depths, value, h, w)
-                got = None
-            except KernelFault as exc:
-                got = str(exc)
+        game = _game(f, mu, half, budget, trees)
+        answer = hardcore._restricted_game(game)
+        args = _oracle_args(f, mu, half, game)
+        for value, h, w in _tampered(rng, mu, args[-1], *answer):
+            want = _oracle_saddle_point(*args, value, h, w)
+            got = _verdict(game, value, h, w)
             assert got == want, (got, want)
             seen[next((p for p in SADDLE_POINT_FAULTS if p in (want or "")), want)] += 1
     assert set(seen) == {None, *SADDLE_POINT_FAULTS} and min(seen.values()) >= 20, seen
+
+
+def test_saddle_point_checks_read_the_game_data_alone():
+    # The re-checks share one object with the kernel's state but never read
+    # it: with the rows, basis and slacks emptied they accept and refuse the
+    # same answers, each with the same message.
+    rng = random.Random(3101)
+    seen = Counter()
+    for _ in range(60):
+        n = rng.randint(1, 3)
+        f = random_function(rng, n)
+        mu, trees, budget = _random_pool(rng, n, rng.randint(1, 5))
+        game = _game(f, mu, F(rng.randint(1, 7), 8), budget, trees)
+        answers = _tampered(rng, mu, [d for _, _, d in game.pool],
+                            *hardcore._restricted_game(game))
+        verdicts = [_verdict(game, *answer) for answer in answers]
+        for state in (game.rows, game.basis, game.slacks):
+            assert state
+            state.clear()
+        assert [_verdict(game, *answer) for answer in answers] == verdicts
+        seen.update(v is None for v in verdicts)
+    assert seen[True] >= 60 and seen[False] >= 60, seen
+
+
+def test_a_solve_scales_mu_once(monkeypatch):
+    # One _masses call per solve, in its _Game, however many games it plays:
+    # 64 over the n=3 sweep's 164 games (two per game, 328, when each game
+    # and each re-check scaled mu again).
+    calls = Counter()
+    masses, solve = hardcore._masses, hardcore._restricted_game
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(hardcore, "_masses", counted("masses", masses))
+    monkeypatch.setattr(hardcore, "_restricted_game", counted("games", solve))
+    for s in range(16):
+        rng = random.Random(9000 + s)
+        f = random_function(rng, 3)
+        mu = random_distribution(rng, 3, allow_zeros=False)
+        for budget in SWEEP_BUDGETS:
+            hardcore_solve(f, mu, F(1, 4), F(1, 2), budget)
+    assert calls == {"masses": 64, "games": 164}
 
 
 @pytest.mark.parametrize("at, row, slot, fault", [
@@ -1117,6 +1189,43 @@ def test_committee_refuses_an_even_size_before_a_mis_shaped_tree():
         Committee(f, mu, (wide, wide), F(1, 4), F(1, 2), F(1), 0, 1)
     with pytest.raises(DimensionMismatch, match="k=1 trees on f's variables"):
         Committee(f, mu, (wide,), F(1, 4), F(1, 2), F(1), 0, 1)
+
+
+# (delta, gamma, depth budget, mu's size) out of the solver's domain, each
+# with the refusal hardcore_solve gives.
+OUT_OF_DOMAIN = [
+    ((F(0), F(1, 2), F(1), 2), "delta must lie in (0,1), got 0"),
+    ((F(1), F(1, 2), F(1), 2), "delta must lie in (0,1), got 1"),
+    ((F(3, 2), F(1, 2), F(1), 2), "delta must lie in (0,1), got 3/2"),
+    ((F(1, 4), F(0), F(1), 2), "gamma must lie in (0,1], got 0"),
+    ((F(1, 4), F(-1, 2), F(1), 2), "gamma must lie in (0,1], got -1/2"),
+    ((F(1, 4), F(3, 2), F(1), 2), "gamma must lie in (0,1], got 3/2"),
+    ((F(1, 4), F(100000), F(1), 2), "gamma must lie in (0,1], got 100000"),
+    ((F(1, 4), F(1, 2), F(-1, 8), 2), "depth budget must be nonnegative"),
+    ((F(1, 4), F(1, 2), F(1), 3), "function and distribution sizes differ"),
+]
+
+
+@pytest.mark.parametrize("args, message", OUT_OF_DOMAIN, ids=[
+    "delta-0", "delta-1", "delta-3/2", "gamma-0", "gamma--1/2", "gamma-3/2", "gamma-1e5",
+    "budget--1/8", "mu-size"])
+def test_artifacts_refuse_what_hardcore_solve_refuses(args, message):
+    # A certificate or committee is refused when built, as the solve would
+    # refuse its game; the boundary values gamma = 1 and budget 0 are kept.
+    delta, gamma, budget, m = args
+    f, mu, t = parity(2), uniform(m), DecisionTree(2, 1, Leaf((1,)))
+    cert = hardcore_solve(parity(2), uniform(2), F(1, 4), F(1, 2), F(0))
+    builds = [lambda: hardcore_solve(f, mu, delta, gamma, budget),
+              lambda: HardcoreCertificate(f, mu, cert.measure, delta, gamma, budget,
+                                          F(0), cert.witness, 0),
+              lambda: Committee(f, mu, (t,), delta, gamma, budget, 0, 0)]
+    kind = DimensionMismatch if m != 2 else InvalidValue
+    for build in builds:
+        with pytest.raises(kind) as caught:
+            build()
+        assert str(caught.value) == message
+    HardcoreCertificate(f, uniform(2), cert.measure, F(1, 4), F(1), F(0), F(0), cert.witness, 0)
+    Committee(f, uniform(2), (t,), F(1, 4), F(1), F(0), 0, 0)
 
 
 def test_serialization_round_trips():

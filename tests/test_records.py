@@ -65,6 +65,12 @@ def _report(rng):
                        rng.random() < 0.5, related)
 
 
+def _domain(rng):
+    """(delta, gamma, depth budget) in the solver's domain, which the
+    certificate and committee constructors check."""
+    return F(rng.randrange(1, 8), 8), F(rng.randrange(1, 9), 8), _fraction(rng)
+
+
 def _mixture(rng):
     w = F(rng.randrange(1, 8), 8)
     return RandomizedTree(((w, _tree(rng)), (1 - w, _tree(rng))))
@@ -99,14 +105,14 @@ BUILDERS = {
          "best_response_advantage", "witness", "iterations"),
         lambda rng: HardcoreCertificate(
             random_function(rng, 2), random_distribution(rng, 2), random_measure(rng, 2),
-            _fraction(rng), _fraction(rng), _fraction(rng), _fraction(rng), _mixture(rng),
+            *_domain(rng), _fraction(rng), _mixture(rng),
             rng.randrange(1, 9))),
     Committee: (
         ("f", "mu", "trees", "delta", "gamma", "depth_budget", "seed", "iterations"),
         lambda rng: Committee(
             random_function(rng, 2), random_distribution(rng, 2),
             tuple(_tree(rng) for _ in range(rng.choice((1, 3, 5)))),
-            _fraction(rng), _fraction(rng), _fraction(rng), rng.randrange(99),
+            *_domain(rng), rng.randrange(99),
             rng.randrange(1, 9))),
     BoundReport: (("context", "lhs", "rhs", "holds", "hypothesis_ok", "related"), _report),
     CheckResult: (("name", "report"), lambda rng: CheckResult(f"c{rng.randrange(9)}",
