@@ -89,9 +89,24 @@ MUTANTS = [
      TEST_HARDCORE),
     (HARDCORE,
      'raise KernelFault("best response adds no tree to the pool (kernel bug)")',
-     'raise IterationBudget("best response adds no tree to the pool (kernel bug)")',
+     'raise BoostFailure("best response adds no tree to the pool (kernel bug)")',
      TEST_HARDCORE),
     (HARDCORE, "MAX_COMMITTEE_SIZE = 65535", "MAX_COMMITTEE_SIZE = 65537", "tests/test_readme.py"),
+
+    # --- one cost guard on the restricted game
+    # a game whose estimate equals the limit is refused
+    (HARDCORE, "        if cost > MAX_GAME_COST:\n", "        if cost >= MAX_GAME_COST:\n",
+     TEST_HARDCORE),
+    # the estimate drops its point factor
+    (HARDCORE,
+     "* (len(game.pool) + 2 * npts + 5) * npts\n",
+     "* (len(game.pool) + 2 * npts + 5)\n",
+     TEST_HARDCORE),
+    # the estimate counts the pool before the best response's trees enter
+    (HARDCORE,
+     "        cost = (len(game.pool) + npts + 2)",
+     "        cost = (admitted + npts + 2)",
+     TEST_HARDCORE),
 
     # --- records check themselves when built
     # an even committee accepted
@@ -157,6 +172,6 @@ MUTANTS = [
      "tests/test_trees.py"),
 
     # --- README figures read by the tests
-    ("README.md", "only the cap of 64 games", "only the cap of 65 games", "tests/test_readme.py"),
+    ("README.md", "would exceed 4,194,304", "would exceed 4,194,305", "tests/test_readme.py"),
     ("README.md", "`random`, `time` and", "`random` and", "tests/test_readme.py"),
 ]

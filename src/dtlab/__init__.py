@@ -12,7 +12,6 @@ from .errors import (
     GuardExceeded,
     Infeasible,
     InvalidValue,
-    IterationBudget,
     KernelFault,
     UndecidedComparison,
     UnreachedLeaf,

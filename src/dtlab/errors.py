@@ -32,10 +32,6 @@ class UndecidedComparison(DtlabError, RuntimeError):
     """
 
 
-class IterationBudget(DtlabError, RuntimeError):
-    """An iterative solver hit its iteration cap before converging."""
-
-
 class KernelFault(DtlabError, RuntimeError):
     """A solver's answer failed its independent re-check: a bug in the
     package, not a fault of its input."""

@@ -49,7 +49,6 @@ from .errors import (
     GuardExceeded,
     Infeasible,
     InvalidValue,
-    IterationBudget,
     KernelFault,
 )
 from .exactexp import ExpSum, _int, fraction_from_str, fraction_to_str
@@ -83,7 +82,7 @@ from .trees import (
 
 _ZERO = Fraction(0)
 
-MAX_ITERATIONS = 64
+MAX_GAME_COST = 1 << 22  # tableau cells times points, checked before each game
 BOOST_CONSTANT = 8
 BOOST_RETRY_CAP = 16
 MAX_COMMITTEE_SIZE = 65535  # odd: the largest committee_size returns
@@ -515,10 +514,14 @@ def hardcore_solve(f: BooleanFunction, mu: Distribution, delta: Fraction,
     tableau) and, when that value already exceeds the threshold, boost the
     optimal mixture into a Committee (the tree players win; `seed` drives
     its sampling).  A HardcoreCertificate's measure has density exactly
-    delta/2.  Never returns a wrong answer: more than MAX_ITERATIONS games
-    raise IterationBudget, and a best response above the threshold with no
-    new tree raises KernelFault, since the last game's certified saddle
-    point shows no pool mixture beats its value, at most the threshold.
+    delta/2.  Never returns a wrong answer.  It ends with no game count:
+    each game admits a tree not yet in the pool, of finitely many, or the
+    solve raises KernelFault (the last game's certified saddle point shows
+    no pool mixture beats its value, at most the threshold), and Bland's
+    rule ends each game.  One guard bounds the work, and the games, each of
+    which adds a row: before a game builds any row, its (pool + 2^n + 2)
+    rows times (pool + 2^(n+1) + 5) columns times 2^n points (pivots per
+    game grow with them) must be at most MAX_GAME_COST, else GuardExceeded.
     """
     delta = Fraction(delta)
     gamma = Fraction(gamma)
@@ -529,7 +532,7 @@ def hardcore_solve(f: BooleanFunction, mu: Distribution, delta: Fraction,
     threshold = gamma * half
     game = _Game(mu, half, depth_budget)
     h = constant_measure(f.n, half)
-    iteration = 0
+    iteration, npts = 0, 1 << f.n
     while True:
         advantage, witness = best_response(f, mu, h, depth_budget)
         if advantage <= threshold:
@@ -542,9 +545,11 @@ def hardcore_solve(f: BooleanFunction, mu: Distribution, delta: Fraction,
                 game.pool.append((t, payoff, expected_depth(t, mu)))
         if len(game.pool) == admitted:
             raise KernelFault("best response adds no tree to the pool (kernel bug)")
-        if iteration == MAX_ITERATIONS:
-            raise IterationBudget(f"no decision within {MAX_ITERATIONS} iterations")
         iteration += 1
+        cost = (len(game.pool) + npts + 2) * (len(game.pool) + 2 * npts + 5) * npts
+        if cost > MAX_GAME_COST:
+            raise GuardExceeded(f"restricted game {iteration} costs {cost:,} tableau cells "
+                                f"times points, over the limit {MAX_GAME_COST:,}")
         value, h, w = _restricted_game(game)
         if value > threshold:
             return maj_boost(zip(w, (tree for tree, _, _ in game.pool)), f, mu, delta, gamma,

@@ -16,10 +16,10 @@ import pytest
 
 from dtlab import hardcore
 from dtlab.errors import (
-    BoostFailure, DimensionMismatch, GuardExceeded, Infeasible, InvalidValue, IterationBudget,
-    KernelFault)
+    BoostFailure, DimensionMismatch, GuardExceeded, Infeasible, InvalidValue, KernelFault)
 from dtlab.exactexp import exp_bounds
 from dtlab.functions import (
+    BooleanFunction,
     Distribution,
     Measure,
     constant_measure,
@@ -1125,14 +1125,73 @@ def test_committee_single_tree_when_one_member_suffices():
     assert cost <= com.r
 
 
-def test_iteration_budget_raises(monkeypatch):
-    # this skewed instance needs 4 column-generation rounds to settle
+def _game_cost(pool: int, n: int) -> int:
+    """The guard's estimate of a restricted game: its tableau's rows times
+    its columns times the 2^n points."""
+    npts = 1 << n
+    return (pool + npts + 2) * (pool + 2 * npts + 5) * npts
+
+
+@pytest.mark.parametrize("slack, refused", [(-1, 2), (0, 3)], ids=["below", "at"])
+def test_game_cost_guard_refuses_before_the_game_is_built(monkeypatch, slack, refused):
+    # This skewed instance plays 4 restricted games before it certifies.  A
+    # limit just below its second game's estimate refuses that game; a limit
+    # equal to it lets the game be built and refuses the third.
     f = parity(2)
     mu = Distribution(2, (F(1, 2), F(1, 4), F(1, 8), F(1, 8)))
+    real, built = hardcore._restricted_game, []
+
+    def spy(game):
+        built.append(_game_cost(len(game.pool), f.n))
+        return real(game)
+
+    monkeypatch.setattr(hardcore, "_restricted_game", spy)
     assert hardcore_solve(f, mu, F(1, 4), F(1, 2), F(1)).iterations == 4
-    monkeypatch.setattr(hardcore, "MAX_ITERATIONS", 1)
-    with pytest.raises(IterationBudget, match="within 1 iterations"):
+    costs, limit = built[:], built[1] + slack
+    assert costs == sorted(set(costs))  # each game adds a row
+    built.clear()
+    monkeypatch.setattr(hardcore, "MAX_GAME_COST", limit)
+    with pytest.raises(GuardExceeded, match=f"game {refused} costs {costs[refused - 1]:,} "
+                                            f".* limit {limit:,}$"):
         hardcore_solve(f, mu, F(1, 4), F(1, 2), F(1))
+    assert built == costs[:refused - 1] and max(built) <= limit
+
+
+def test_game_cost_guard_refuses_n7_before_any_game(monkeypatch):
+    # The smallest n=7 game, a pool of one tree, is over the limit.
+    def unbuilt(game):
+        raise AssertionError("a restricted game was built")
+
+    monkeypatch.setattr(hardcore, "_restricted_game", unbuilt)
+    assert _game_cost(1, 7) > hardcore.MAX_GAME_COST
+    rng = random.Random(9000)
+    f = random_function(rng, 7)
+    mu = random_distribution(rng, 7, allow_zeros=False)
+    with pytest.raises(GuardExceeded, match="restricted game 1 costs "):
+        hardcore_solve(f, mu, F(1, 4), F(1, 2), F(3))
+
+
+def _majority(n: int) -> BooleanFunction:
+    return BooleanFunction(n, tuple(1 if 2 * bin(x).count("1") > n else -1
+                                    for x in range(1 << n)))
+
+
+@pytest.mark.parametrize("scale, games", [(F(1), 65), (F(99, 100), 56)],
+                         ids=["certifies", "boosts"])
+def test_majority5_decides_at_its_exact_threshold(scale, games):
+    # gamma* = 16/65 is majority(5)'s least certifiable gamma under uniform
+    # at delta = 1/4, budget 1, from the game on Hamming-weight classes.  At
+    # gamma* the solve certifies, after 65 restricted games; just below it
+    # the tree players win.
+    f, mu = _majority(5), uniform(5)
+    out = hardcore_solve(f, mu, F(1, 4), scale * F(16, 65), F(1))
+    assert out.iterations == games
+    if scale == 1:
+        assert isinstance(out, HardcoreCertificate) and verify_certificate(out)["ok"]
+    else:
+        assert isinstance(out, Committee)
+        err, cost = committee_metrics(out, f, mu)
+        assert err <= out.delta and cost <= out.r * out.depth_budget
 
 
 def test_boost_failure_names_the_retry_cap():

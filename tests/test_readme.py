@@ -77,11 +77,11 @@ def test_readme_guard_limits_are_the_constants():
     assert re.findall(r"at most\s+([\d,^]*\d)", _opening()) == [f"{v:,}" for v in limits]
 
 
-def test_readme_game_cap_is_max_iterations():
-    """The opening paragraph's cap on a solve's restricted games is the
-    solver's MAX_ITERATIONS."""
-    assert re.findall(r"cap\s+of\s+([\d,]+)\s+games", _opening()) == [
-        f"{hardcore.MAX_ITERATIONS:,}"]
+def test_readme_game_cost_limit_is_max_game_cost():
+    """The opening paragraph's limit on a restricted game's cost is the
+    solver's MAX_GAME_COST."""
+    assert re.findall(r"would\s+exceed\s+([\d,]+)", _opening()) == [
+        f"{hardcore.MAX_GAME_COST:,}"]
 
 
 def _synopsis():
