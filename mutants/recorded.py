@@ -31,11 +31,21 @@ MUTANTS = [
      "dd, dn = _scale([depth for _, _, depth in pool])",
      "dd, dn = _scale([depth for _, _, depth in pool][:len(game.slacks)])",
      TEST_HARDCORE),
-    # mu is scaled again before every game instead of once per solve
+    # the half density enters the game as the first cell's mass, not after
+    # the cells
     (HARDCORE,
-     "        value, h, w = _restricted_game(game)\n",
-     "        game.den, game.mass = _masses(mu, half)\n"
-     "        value, h, w = _restricted_game(game)\n",
+     "_Game(*_scale((*mu.weights, half)), depth_budget)",
+     "_Game(*_scale((half, *mu.weights)), depth_budget)",
+     TEST_HARDCORE),
+    # the saddle-point check lets a cell value above 1 through
+    (HARDCORE,
+     "    if not all(0 <= v <= dz for v in zn):\n",
+     "    if not all(0 <= v for v in zn):\n",
+     TEST_HARDCORE),
+    # ... or one below 0
+    (HARDCORE,
+     "    if not all(0 <= v <= dz for v in zn):\n",
+     "    if not all(v <= dz for v in zn):\n",
      TEST_HARDCORE),
     # a first game lays down its cost row before it refuses a pool with no
     # tree within the budget
@@ -44,9 +54,9 @@ MUTANTS = [
      "        if t0 is None:\n"
      '            raise Infeasible("no pool tree within the depth budget: the game is unbounded")\n'
      "        d, p = _scale((1, -1, budget))\n"
-     "        tab.append([0] * npts + [*p, 0, d])  # costs of H, s+, s-, y; rhs; D\n",
+     "        tab.append([0] * cells + [*p, 0, d])  # costs of H, s+, s-, y; rhs; D\n",
      "        d, p = _scale((1, -1, budget))\n"
-     "        tab.append([0] * npts + [*p, 0, d])  # costs of H, s+, s-, y; rhs; D\n"
+     "        tab.append([0] * cells + [*p, 0, d])  # costs of H, s+, s-, y; rhs; D\n"
      "        t0 = next((t for t, (_, _, depth) in enumerate(pool) if depth <= budget), None)\n"
      "        if t0 is None:\n"
      '            raise Infeasible("no pool tree within the depth budget: the game is unbounded")\n',
@@ -93,19 +103,19 @@ MUTANTS = [
      TEST_HARDCORE),
     (HARDCORE, "MAX_COMMITTEE_SIZE = 65535", "MAX_COMMITTEE_SIZE = 65537", "tests/test_readme.py"),
 
-    # --- one cost guard on the restricted game
+    # --- one cost guard, checked by the restricted game itself
     # a game whose estimate equals the limit is refused
-    (HARDCORE, "        if cost > MAX_GAME_COST:\n", "        if cost >= MAX_GAME_COST:\n",
+    (HARDCORE, "    if cost > MAX_GAME_COST:\n", "    if cost >= MAX_GAME_COST:\n",
      TEST_HARDCORE),
-    # the estimate drops its point factor
+    # the estimate drops its cell factor
     (HARDCORE,
-     "* (len(game.pool) + 2 * npts + 5) * npts\n",
-     "* (len(game.pool) + 2 * npts + 5)\n",
+     "* (trees + 2 * cells + 5) * cells\n",
+     "* (trees + 2 * cells + 5)\n",
      TEST_HARDCORE),
-    # the estimate counts the pool before the best response's trees enter
+    # the estimate counts only the trees already admitted, not the new ones
     (HARDCORE,
-     "        cost = (len(game.pool) + npts + 2)",
-     "        cost = (admitted + npts + 2)",
+     "cells, trees = len(mass) - 1, len(pool)\n",
+     "cells, trees = len(mass) - 1, len(slacks)\n",
      TEST_HARDCORE),
 
     # --- records check themselves when built

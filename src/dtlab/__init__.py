@@ -68,7 +68,6 @@ from .synth import (
     frontier_to_json,
     mixture_optimum,
     opt_depth,
-    opt_objective_witness,
     pareto_frontier,
 )
 from .hardcore import (

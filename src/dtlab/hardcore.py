@@ -12,8 +12,11 @@ Solved by column generation: keep a finite pool of deterministic trees, solve
 the restricted game exactly, and grow the pool with exact best responses from
 the advantage-frontier envelope.  Each restricted game is one LP, the row
 player's, in which each pool tree is a constraint row, and every game runs
-one kernel, a dense dual simplex (Lemke 1954).  A solve's first game starts
-from a seed basis, reached in two pivots, whose duals are those of the
+one kernel, a dense dual simplex (Lemke 1954).  A game holds one int mass
+per cell (here a point, weighted by mu), refuses its own tableau over the
+cost guard before admitting a row, and returns cell values, from which the
+solve builds the next measure.  A solve's first game starts from a seed
+basis, reached in two pivots, whose duals are those of the
 mixture on the first pool tree within the budget: it is dual feasible.
 Each later game resumes from the last optimal tableau (Kelley's cutting
 planes, seen from the row player): an admitted tree is a new row whose
@@ -67,7 +70,7 @@ from .functions import (
     measure_to_json,
 )
 from .records import Record
-from .synth import mixture_optimum, opt_objective_witness, pareto_frontier
+from .synth import mixture_optimum, pareto_frontier
 from .trees import (
     DecisionTree,
     RandomizedTree,
@@ -82,7 +85,7 @@ from .trees import (
 
 _ZERO = Fraction(0)
 
-MAX_GAME_COST = 1 << 22  # tableau cells times points, checked before each game
+MAX_GAME_COST = 1 << 22  # tableau entries times cells, checked before each game
 BOOST_CONSTANT = 8
 BOOST_RETRY_CAP = 16
 MAX_COMMITTEE_SIZE = 65535  # odd: the largest committee_size returns
@@ -253,15 +256,15 @@ def _admit(tab, basis: list[int], entries, rhs: int, d: int) -> None:
 
 
 class _Game:
-    """One solve's restricted game.  Data: `mass`, mu's weights then
-    half_density as ints over den; the budget; `pool`, one (tree, payoff row
-    f*T in +-1 ints, expected depth) per tree, in admission order.  State:
-    the last optimal int rows, their basis, each pool tree's slack."""
+    """One solve's restricted game.  Data: `mass`, one int per cell (mu's
+    weight at a point) then the half density, over `den`; the budget; `pool`,
+    one (tree, payoff row f*T in +-1 ints, expected depth) per tree, in
+    admission order.  State: the last optimal int rows, basis, pool slacks."""
 
     __slots__ = ("den", "mass", "budget", "pool", "rows", "basis", "slacks")
 
-    def __init__(self, mu: Distribution, half_density: Fraction, budget: Fraction):
-        self.den, self.mass = _masses(mu, half_density)
+    def __init__(self, den: int, mass, budget: Fraction):
+        self.den, self.mass = den, mass
         self.budget, self.pool = budget, []
         self.rows, self.basis, self.slacks = [], [], []
 
@@ -269,14 +272,19 @@ class _Game:
 def _restricted_game(game: _Game):
     """Exact value and both optimal strategies of the pool-restricted game.
 
-    Returns (value, H, w).  The row player's LP
+    Returns (value, z, w), z the tuple of H's cell values.  The row player's LP
 
         min s + budget*y  s.t.  payoff(H, T) <= s + depth_T * y  for T in pool,
-                                mu . H = half_density,  0 <= H <= 1,  y >= 0,
+                                mass . H = half_density,  0 <= H <= 1,  y >= 0,
 
-    with payoff(H, T) = sum_x mu(x) f(x) T(x) H(x), yields H as its primal
-    solution and the column player's mixture w as the final reduced costs
-    of the pool rows' slacks.
+    with payoff(H, T) = sum_x mass(x) f(x) T(x) H(x) over the cells x, yields
+    H as its primal solution and the column player's mixture w as the final
+    reduced costs of the pool rows' slacks.
+
+    Guard: before any row is admitted, rows (pool + cells + 2) times columns
+    (pool + 2*cells + 5) times cells (pivots grow with them) must be at most
+    MAX_GAME_COST, else GuardExceeded, the game unchanged.  Each game of a
+    solve adds a row, so this bounds its games too.
 
     `game` keeps the tableau between the games of one solve, and every
     inequality row enters it by one step, _admit: a new basic slack column
@@ -287,7 +295,7 @@ def _restricted_game(game: _Game):
     slacks: Bland's rule chooses by column index, so this order fixes a
     solve's pivots and with them its certificates and committees.  The
     density row, the one equality, comes last, with H at x0 basic, x0 the
-    first point of positive mass where f*T_t0 is least and t0 the first
+    first cell of positive mass where f*T_t0 is least and t0 the first
     pool tree within the budget.  Two pivots, H_x0 on the density row and
     then s+ on t0's row, carry the cost row to the reduced costs of a seed
     basis that plays t0 alone.  Its duals are those of the mixture on t0,
@@ -305,86 +313,83 @@ def _restricted_game(game: _Game):
     """
     den, mass, budget, pool = game.den, game.mass, game.budget, game.pool
     tab, basis, slacks = game.rows, game.basis, game.slacks
-    npts = len(mass) - 1
+    cells, trees = len(mass) - 1, len(pool)
+    cost = (trees + cells + 2) * (trees + 2 * cells + 5) * cells
+    if cost > MAX_GAME_COST:
+        raise GuardExceeded(f"restricted game on a pool of {trees} trees costs {cost:,} "
+                            f"tableau entries times cells, over the limit {MAX_GAME_COST:,}")
     first = not slacks
     if first:
         t0 = next((t for t, (_, _, depth) in enumerate(pool) if depth <= budget), None)
         if t0 is None:
             raise Infeasible("no pool tree within the depth budget: the game is unbounded")
         d, p = _scale((1, -1, budget))
-        tab.append([0] * npts + [*p, 0, d])  # costs of H, s+, s-, y; rhs; D
+        tab.append([0] * cells + [*p, 0, d])  # costs of H, s+, s-, y; rhs; D
     for _, payoff, depth in pool[len(slacks):]:
         d = math.lcm(den, depth.denominator)
         a, y = d // den, depth.numerator * (d // depth.denominator)
         entries = [(x, a * m * v) for x, (m, v) in enumerate(zip(mass, payoff))]
-        _admit(tab, basis, entries + [(npts, -d), (npts + 1, d), (npts + 2, -y)], 0, d)
+        _admit(tab, basis, entries + [(cells, -d), (cells + 1, d), (cells + 2, -y)], 0, d)
         slacks.append(basis[-1])
     if first:
-        for x in range(npts):
+        for x in range(cells):
             _admit(tab, basis, [(x, 1)], 1, 1)
-        tab.insert(len(basis), mass[:npts] + [0] * (len(tab[0]) - npts - 2) + [mass[npts], den])
-        x0 = min((x for x in range(npts) if mass[x]), key=pool[t0][1].__getitem__)
+        tab.insert(len(basis), [*mass[:cells]] + [0] * (len(tab[0]) - cells - 2)
+                   + [mass[cells], den])
+        x0 = min((x for x in range(cells) if mass[x]), key=pool[t0][1].__getitem__)
         _pivot(tab, len(basis), x0)
         basis.append(x0)
-        _pivot(tab, t0, npts)
-        basis[t0] = npts
+        _pivot(tab, t0, cells)
+        basis[t0] = cells
     _dual_bland(tab, basis)
 
     costs = tab[-1]
     value = Fraction(-costs[-2], costs[-1])
-    z = [_ZERO] * npts
+    z = [_ZERO] * cells
     for i, b in enumerate(basis):
-        if b < npts:
+        if b < cells:
             z[b] = Fraction(tab[i][-2], tab[i][-1])
-    if not all(0 <= v <= 1 for v in z):
-        raise KernelFault(f"measure {z} leaves [0,1] (LP kernel bug)")
-    h_r = Measure(npts.bit_length() - 1, tuple(z))
+    z = tuple(z)
     w = tuple(Fraction(costs[j], costs[-1]) for j in slacks)
-    _check_saddle_point(game, value, h_r, w)
-    return value, h_r, w
+    _check_saddle_point(game, value, z, w)
+    return value, z, w
 
 
-def _masses(mu: Distribution, half_density: Fraction) -> tuple[int, list[int]]:
-    """(den, mass): mu's weights, then half_density, as ints over their least
-    common denominator den, which is mu.scaled's times one lcm."""
-    d, weights = mu.scaled
-    den = math.lcm(d, half_density.denominator)
-    a, b = den // d, den // half_density.denominator
-    return den, [a * w for w in weights] + [b * half_density.numerator]
-
-
-def _check_saddle_point(game: _Game, value: Fraction, h: Measure, w) -> None:
-    """Raise KernelFault unless measure h and pool mixture w are feasible
-    and both attain `value`, which makes (h, w) a saddle point of the
-    restricted game: no measure does better against w, and no mixture of
-    the pool does better against h.  A failure is a bug in the LP kernel,
+def _check_saddle_point(game: _Game, value: Fraction, z, w) -> None:
+    """Raise KernelFault unless cell values z and pool mixture w are
+    feasible and both attain `value`, which makes (z, w) a saddle point of
+    the restricted game: no measure does better against w, and no mixture
+    of the pool does better against z.  A failure is a bug in the LP kernel,
     never a fault of the input, so it is a RuntimeError (CLI exit 5).
 
     Derived from the game's data alone, not from its tableau, on ints: the
-    greedy inner minimum against w scores each point over w's common
-    denominator, the envelope inner maximum against h takes each tree's
-    payoff over mu's and h's, and only the results turn into Fractions.
+    greedy inner minimum against w scores each cell over w's common
+    denominator, the envelope inner maximum against z takes each tree's
+    payoff over the masses' and z's, and only the results turn into
+    Fractions.
     """
     den, mass, budget, pool = game.den, game.mass, game.budget, game.pool
-    npts = len(mass) - 1
+    cells = len(mass) - 1
     dw, wn = _scale(w)
 
-    # Feasibility of both strategies; Measure already checks 0 <= H <= 1.
+    # Feasibility of both strategies.
     if any(v < 0 for v in wn) or sum(wn) != dw:
         raise KernelFault(f"mixture {w} is not a distribution (LP kernel bug)")
     dd, dn = _scale([depth for _, _, depth in pool])
     if sum(v * d for v, d in zip(wn, dn)) * budget.denominator > budget.numerator * dw * dd:
         raise KernelFault(f"mixture {w} exceeds the depth budget (LP kernel bug)")
-    dh, hn = h.scaled
-    if sum(m * v for m, v in zip(mass[:npts], hn)) != mass[npts] * dh:
-        raise KernelFault(f"measure {h.values} misses the density (LP kernel bug)")
+    dz, zn = _scale(z)
+    if not all(0 <= v <= dz for v in zn):
+        raise KernelFault(f"measure {z} leaves [0,1] (LP kernel bug)")
+    if sum(m * v for m, v in zip(mass[:cells], zn)) != mass[cells] * dz:
+        raise KernelFault(f"measure {z} misses the density (LP kernel bug)")
 
     # Greedy minimum against w: the fractional fill that puts H = 1 on the
     # lowest scores first.  Zero-weight trees add nothing to any score.
     live = [(v, payoff) for v, (_, payoff, _) in zip(wn, pool) if v]
-    scores = [sum(v * payoff[x] for v, payoff in live) for x in range(npts)]
-    remaining, g_num = mass[npts], 0
-    for x in sorted((x for x in range(npts) if mass[x]), key=lambda x: (scores[x], x)):
+    scores = [sum(v * payoff[x] for v, payoff in live) for x in range(cells)]
+    remaining, g_num = mass[cells], 0
+    for x in sorted((x for x in range(cells) if mass[x]), key=lambda x: (scores[x], x)):
         take = min(mass[x], remaining)
         g_num += take * scores[x]
         remaining -= take
@@ -395,12 +400,12 @@ def _check_saddle_point(game: _Game, value: Fraction, h: Measure, w) -> None:
         raise KernelFault(
             f"restricted value {value} not reproduced by greedy minimum {g_value}")
 
-    # Envelope maximum against h.
-    terms = [(x, mass[x] * v) for x, v in enumerate(hn) if v]
+    # Envelope maximum against z.
+    terms = [(x, mass[x] * v) for x, v in enumerate(zn) if v]
     pairs = [(depth, sum(c * payoff[x] for x, c in terms), t)
              for t, (_, payoff, depth) in enumerate(pool)]
     e_value, _ = mixture_optimum(pairs, budget, minimize=False)
-    e_value = Fraction(e_value, den * dh)
+    e_value = Fraction(e_value, den * dz)
     if e_value != value:
         raise KernelFault(
             f"restricted value {value} not reproduced by envelope maximum {e_value}")
@@ -413,12 +418,16 @@ def _check_saddle_point(game: _Game, value: Fraction, h: Measure, w) -> None:
 def best_response(f: BooleanFunction, mu: Distribution, h: Measure,
                   depth_budget: Fraction):
     """(advantage, witness components): the exact max of E[f*T*H] over tree
-    mixtures of expected depth <= budget, and a mixture attaining it.
-
-    Computed from the advantage frontier; the witness is one frontier tree or
-    a two-point mixture when the optimum sits inside an envelope segment.
-    """
-    return opt_objective_witness(pareto_frontier(f, mu, h=h), depth_budget)
+    mixtures of expected depth <= budget, and a mixture attaining it, read
+    off the advantage frontier's envelope: one frontier tree, or two when the
+    optimum sits inside an envelope segment.  Infeasible if no frontier tree
+    is within the budget."""
+    points = pareto_frontier(f, mu, h=h).points
+    best, witness = mixture_optimum([(p.depth, p.value, p.tree) for p in points],
+                                    depth_budget, minimize=False)
+    if best is None:
+        raise Infeasible("no frontier point within the depth budget")
+    return best, witness
 
 
 @lru_cache
@@ -510,18 +519,17 @@ def hardcore_solve(f: BooleanFunction, mu: Distribution, delta: Fraction,
     One loop, starting from the constant measure delta/2: take the exact
     best response to the current H; certify H if its advantage is at most
     the threshold, else admit its trees into the pool, solve the restricted
-    game (the first from a seed basis, each later one warm from the last
-    tableau) and, when that value already exceeds the threshold, boost the
-    optimal mixture into a Committee (the tree players win; `seed` drives
-    its sampling).  A HardcoreCertificate's measure has density exactly
-    delta/2.  Never returns a wrong answer.  It ends with no game count:
-    each game admits a tree not yet in the pool, of finitely many, or the
-    solve raises KernelFault (the last game's certified saddle point shows
-    no pool mixture beats its value, at most the threshold), and Bland's
-    rule ends each game.  One guard bounds the work, and the games, each of
-    which adds a row: before a game builds any row, its (pool + 2^n + 2)
-    rows times (pool + 2^(n+1) + 5) columns times 2^n points (pivots per
-    game grow with them) must be at most MAX_GAME_COST, else GuardExceeded.
+    game on mu's weights, one cell per point (the first from a seed basis,
+    each later one warm from the last tableau), and, when that value
+    already exceeds the threshold, boost the optimal mixture into a
+    Committee (the tree players win; `seed` drives its sampling); else its
+    cell values are the next H.  A HardcoreCertificate's measure has
+    density exactly delta/2.  Never returns a wrong answer.  It ends with no
+    game count: each game admits a tree not yet in the pool, of finitely
+    many, or the solve raises KernelFault (the last game's certified saddle
+    point shows no pool mixture beats its value, at most the threshold),
+    and Bland's rule ends each game.  The game's cost guard bounds the work
+    (see _restricted_game): GuardExceeded before it builds any row.
     """
     delta = Fraction(delta)
     gamma = Fraction(gamma)
@@ -530,9 +538,9 @@ def hardcore_solve(f: BooleanFunction, mu: Distribution, delta: Fraction,
 
     half = delta / 2
     threshold = gamma * half
-    game = _Game(mu, half, depth_budget)
+    game = _Game(*_scale((*mu.weights, half)), depth_budget)
     h = constant_measure(f.n, half)
-    iteration, npts = 0, 1 << f.n
+    iteration = 0
     while True:
         advantage, witness = best_response(f, mu, h, depth_budget)
         if advantage <= threshold:
@@ -546,14 +554,11 @@ def hardcore_solve(f: BooleanFunction, mu: Distribution, delta: Fraction,
         if len(game.pool) == admitted:
             raise KernelFault("best response adds no tree to the pool (kernel bug)")
         iteration += 1
-        cost = (len(game.pool) + npts + 2) * (len(game.pool) + 2 * npts + 5) * npts
-        if cost > MAX_GAME_COST:
-            raise GuardExceeded(f"restricted game {iteration} costs {cost:,} tableau cells "
-                                f"times points, over the limit {MAX_GAME_COST:,}")
-        value, h, w = _restricted_game(game)
+        value, z, w = _restricted_game(game)
         if value > threshold:
             return maj_boost(zip(w, (tree for tree, _, _ in game.pool)), f, mu, delta, gamma,
                              depth_budget, seed=seed, iterations=iteration)
+        h = Measure(f.n, z)
 
 
 def verify_certificate(cert: HardcoreCertificate) -> dict:

@@ -55,7 +55,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import DimensionMismatch, GuardExceeded, Infeasible, InvalidValue
+from .errors import DimensionMismatch, GuardExceeded, InvalidValue
 from .exactexp import fraction_to_str
 from .functions import BooleanFunction, Distribution, Measure, _scale, output_rows
 from .records import Record
@@ -295,18 +295,6 @@ def opt_depth(frontier: ParetoFrontier, eps: Fraction) -> Fraction | None:
     pairs = [(p.value, p.depth, p.tree) for p in frontier.points]
     best, _ = mixture_optimum(pairs, eps, minimize=True)
     return best
-
-
-def opt_objective_witness(frontier: ParetoFrontier, depth_budget: Fraction):
-    """(best mixture objective at the depth budget, witness components)."""
-    budget = Fraction(depth_budget)
-    if budget < 0:
-        raise Infeasible("negative depth budget")
-    pairs = [(p.depth, p.value, p.tree) for p in frontier.points]
-    best, witness = mixture_optimum(pairs, budget, minimize=(frontier.sense == ERROR))
-    if best is None:
-        raise Infeasible("no frontier point within the depth budget")
-    return best, witness
 
 
 # ---------------------------------------------------------------------------

@@ -136,12 +136,12 @@ def _oracle_simplex(tab, basis, cost, nreal):
 
 
 def _oracle_game(f, mu, half_density, budget, tables, depths):
-    """(value, H, w) of the pool-restricted game by _oracle_simplex, cold.
+    """(value, z, w) of the pool-restricted game by _oracle_simplex, cold.
 
     Fraction rows in the first game's column layout plus an artificial on
     the density row: H, s+, s-, y, pool slacks, box slacks, artificial,
     started on the slacks and the artificial.  w is the pool slacks'
-    reduced costs, as in _restricted_game."""
+    reduced costs, and z the cell values of H, as in _restricted_game."""
     npts, nt = 1 << f.n, len(tables)
     slack0 = npts + 3
     box0 = slack0 + nt
@@ -165,7 +165,7 @@ def _oracle_game(f, mu, half_density, budget, tables, depths):
     for i, b in enumerate(basis):
         if b < npts:
             z[b] = tab[i][-1]
-    return value, Measure(f.n, tuple(z)), tuple(tab[-1][slack0:box0])
+    return value, tuple(z), tuple(tab[-1][slack0:box0])
 
 
 def _pool_entry(f, mu, tree):
@@ -176,8 +176,9 @@ def _pool_entry(f, mu, tree):
 
 
 def _game(f, mu, half, budget, trees):
-    """A game on the pool `trees`, not yet played."""
-    game = hardcore._Game(mu, half, budget)
+    """A game on the pool `trees`, not yet played: one cell per point, its
+    mass mu's weight there, as a solve builds it."""
+    game = hardcore._Game(*hardcore._scale((*mu.weights, half)), budget)
     game.pool += [_pool_entry(f, mu, t) for t in trees]
     return game
 
@@ -422,13 +423,13 @@ def test_every_warm_sweep_game_matches_a_cold_solve_of_its_pool(monkeypatch):
 
     def checked(game):
         first = not game.slacks
-        value, h, w = solve(game)
+        value, z, w = solve(game)
         cold = _oracle_game(*_oracle_args(f, mu, F(1, 8), game))
         hardcore._check_saddle_point(game, *cold)
         assert cold[0] == value
         seen["first" if first else "warm"] += 1
-        seen["other vertex"] += cold[1:] != (h, w)
-        return value, h, w
+        seen["other vertex"] += cold[1:] != (z, w)
+        return value, z, w
 
     monkeypatch.setattr(hardcore, "_restricted_game", checked)
     for s in range(16):
@@ -557,7 +558,7 @@ def test_warm_games_match_cold_solves_on_random_pools(monkeypatch):
         f = random_function(rng, n)
         mu, trees, budget = _random_pool(rng, n, rng.randint(2, 7))
         half = F(rng.randint(1, 7), 8)
-        game = hardcore._Game(mu, half, budget)
+        game = _game(f, mu, half, budget, [])
         for k, tree in enumerate(trees):
             game.pool.append(_pool_entry(f, mu, tree))
             before = len(pivots)
@@ -603,7 +604,7 @@ def test_every_dual_bland_run_starts_dual_feasible(monkeypatch):
         n = rng.randint(1, 3)
         f = random_function(rng, n)
         mu, trees, budget = _random_pool(rng, n, rng.randint(1, 7))
-        game = hardcore._Game(mu, F(rng.randint(1, 7), 8), budget)
+        game = _game(f, mu, F(rng.randint(1, 7), 8), budget, [])
         for tree in trees:
             game.pool.append(_pool_entry(f, mu, tree))
             hardcore._restricted_game(game)
@@ -617,7 +618,7 @@ def _oracle_first_tableau(f, mu, half_density, budget, tables, depths):
     rows and density row; the two seed pivots; then the cost row priced
     against the seed basis."""
     npts, nt = 1 << f.n, len(tables)
-    den, mass = hardcore._masses(mu, half_density)
+    den, mass = hardcore._scale((*mu.weights, half_density))
     t0 = next(t for t, depth in enumerate(depths) if depth <= budget)
     slack0 = npts + 3
     box0 = slack0 + nt
@@ -739,8 +740,9 @@ def _greedy_min_measure(mu, half_density, scores):
     return value
 
 
-def _oracle_saddle_point(f, mu, half_density, budget, tables, depths, value, h, w):
-    """The former Fraction re-checks of a restricted game's answer: the
+def _oracle_saddle_point(f, mu, half_density, budget, tables, depths, value, z, w):
+    """The former Fraction re-checks of a restricted game's answer, with
+    the cell values z checked to lie in [0,1] as Measure checks them: the
     message of the InvalidValue they raise, or None when they accept."""
     npts = 1 << f.n
     try:
@@ -748,8 +750,11 @@ def _oracle_saddle_point(f, mu, half_density, budget, tables, depths, value, h, 
             raise InvalidValue(f"mixture {w} is not a distribution (LP kernel bug)")
         if sum((v * d for v, d in zip(w, depths)), F(0)) > budget:
             raise InvalidValue(f"mixture {w} exceeds the depth budget (LP kernel bug)")
+        if not all(0 <= v <= 1 for v in z):
+            raise InvalidValue(f"measure {z} leaves [0,1] (LP kernel bug)")
+        h = Measure(f.n, z)
         if density(h, mu) != half_density:
-            raise InvalidValue(f"measure {h.values} misses the density (LP kernel bug)")
+            raise InvalidValue(f"measure {z} misses the density (LP kernel bug)")
         live = [t for t in range(len(tables)) if w[t]]
         scores = [f.table[x] * sum((w[t] * tables[t][x] for t in live), F(0))
                   for x in range(npts)]
@@ -771,38 +776,41 @@ def _oracle_saddle_point(f, mu, half_density, budget, tables, depths, value, h, 
     return None
 
 
-def _tampered(rng, mu, depths, value, h, w):
+def _tampered(rng, mu, depths, value, z, w):
     """The game's answer, then copies with one part changed: the value, the
     mixture (weight moved between two trees, a negative weight, a scale, all
-    weight on the deepest tree) or the measure (mass moved between two
-    points at the same density, or halved)."""
-    out = [(value, h, w), (value + F(rng.choice((-1, 1)), 64), h, w)]
+    weight on the deepest tree) or the cell values (mass moved between two
+    points at the same density, halved, or one value set below 0 or above
+    1)."""
+    out = [(value, z, w), (value + F(rng.choice((-1, 1)), 64), z, w)]
     deepest = depths.index(max(depths))
-    out.append((value, h, tuple(F(t == deepest) for t in range(len(w)))))
+    out.append((value, z, tuple(F(t == deepest) for t in range(len(w)))))
     i, j = rng.randrange(len(w)), rng.randrange(len(w))
     for shift in (w[i] * F(rng.randint(1, 4), 4), w[i] + F(1, 8)):
         moved = list(w)
         moved[i] -= shift
         moved[j] += shift
-        out.append((value, h, tuple(moved)))
-    out.append((value, h, tuple(2 * v for v in w)))
+        out.append((value, z, tuple(moved)))
+    out.append((value, z, tuple(2 * v for v in w)))
     support = mu.support()
     x, y = rng.choice(support), rng.choice(support)
     eps = F(rng.randint(1, 8), 64) * mu.weights[x] * mu.weights[y]
-    values = list(h.values)
+    values = list(z)
     values[x] -= eps / mu.weights[x]
     values[y] += eps / mu.weights[y]
     if all(0 <= v <= 1 for v in values):
-        out.append((value, Measure(h.n, tuple(values)), w))
+        out.append((value, tuple(values), w))
     for lower in (True, False):  # density below or above half_density
-        out.append((value, Measure(h.n, tuple((v + (not lower)) / 2 for v in h.values)), w))
+        out.append((value, tuple((v + (not lower)) / 2 for v in z), w))
+    for stray in (F(-1, 8), F(9, 8)):  # one value out of [0,1]
+        out.append((value, z[:x] + (stray,) + z[x + 1:], w))
     return out
 
 
-def _verdict(game, value, h, w):
+def _verdict(game, value, z, w):
     """None if _check_saddle_point accepts, else its KernelFault's message."""
     try:
-        hardcore._check_saddle_point(game, value, h, w)
+        hardcore._check_saddle_point(game, value, z, w)
     except KernelFault as exc:
         return str(exc)
     return None
@@ -821,9 +829,9 @@ def test_saddle_point_checks_refuse_as_the_fraction_checks():
         game = _game(f, mu, half, budget, trees)
         answer = hardcore._restricted_game(game)
         args = _oracle_args(f, mu, half, game)
-        for value, h, w in _tampered(rng, mu, args[-1], *answer):
-            want = _oracle_saddle_point(*args, value, h, w)
-            got = _verdict(game, value, h, w)
+        for value, z, w in _tampered(rng, mu, args[-1], *answer):
+            want = _oracle_saddle_point(*args, value, z, w)
+            got = _verdict(game, value, z, w)
             assert got == want, (got, want)
             seen[next((p for p in SADDLE_POINT_FAULTS if p in (want or "")), want)] += 1
     assert set(seen) == {None, *SADDLE_POINT_FAULTS} and min(seen.values()) >= 20, seen
@@ -852,11 +860,11 @@ def test_saddle_point_checks_read_the_game_data_alone():
 
 
 def test_a_solve_scales_mu_once(monkeypatch):
-    # One _masses call per solve, in its _Game, however many games it plays:
-    # 64 over the n=3 sweep's 164 games (two per game, 328, when each game
-    # and each re-check scaled mu again).
+    # One _Game per solve, built from mu's weights scaled once, however many
+    # games it plays: 64 over the n=3 sweep's 164 games (mu was scaled twice
+    # per game, 328 times, when each game and each re-check scaled it again).
     calls = Counter()
-    masses, solve = hardcore._masses, hardcore._restricted_game
+    build, solve = hardcore._Game, hardcore._restricted_game
 
     def counted(name, fn):
         def wrapper(*args):
@@ -864,7 +872,7 @@ def test_a_solve_scales_mu_once(monkeypatch):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(hardcore, "_masses", counted("masses", masses))
+    monkeypatch.setattr(hardcore, "_Game", counted("built", build))
     monkeypatch.setattr(hardcore, "_restricted_game", counted("games", solve))
     for s in range(16):
         rng = random.Random(9000 + s)
@@ -872,7 +880,7 @@ def test_a_solve_scales_mu_once(monkeypatch):
         mu = random_distribution(rng, 3, allow_zeros=False)
         for budget in SWEEP_BUDGETS:
             hardcore_solve(f, mu, F(1, 4), F(1, 2), budget)
-    assert calls == {"masses": 64, "games": 164}
+    assert calls == {"built": 64, "games": 164}
 
 
 @pytest.mark.parametrize("at, row, slot, fault", [
@@ -904,8 +912,8 @@ def test_a_corrupted_pivot_raises_a_kernel_fault(monkeypatch, at, row, slot, fau
     assert not isinstance(caught.value, ValueError)
 
 
-SADDLE_POINT_FAULTS = ("not a distribution", "exceeds the depth budget", "misses the density",
-                       "greedy minimum", "envelope maximum")
+SADDLE_POINT_FAULTS = ("not a distribution", "exceeds the depth budget", "leaves [0,1]",
+                       "misses the density", "greedy minimum", "envelope maximum")
 
 
 # --- best responses
@@ -938,6 +946,13 @@ def test_best_response_dominates_handcrafted_trees():
     hand_adv = sum(mu.weights[x] * f.table[x] * h.values[x] * evaluate(hand, x)[0]
                    for x in range(4))
     assert advantage >= hand_adv
+
+
+def test_best_response_refuses_a_negative_budget():
+    # No frontier tree has a negative expected depth, so no mixture is
+    # within the budget.
+    with pytest.raises(Infeasible, match="no frontier point within the depth budget"):
+        best_response(parity(2), uniform(2), constant_measure(2, F(1, 2)), F(-1, 8))
 
 
 # --- full pipeline on parity, frozen values
@@ -1132,43 +1147,90 @@ def _game_cost(pool: int, n: int) -> int:
     return (pool + npts + 2) * (pool + 2 * npts + 5) * npts
 
 
+def _state(game):
+    """A copy of a game's kernel state: its rows, basis and pool slacks."""
+    return [row[:] for row in game.rows], game.basis[:], game.slacks[:]
+
+
 @pytest.mark.parametrize("slack, refused", [(-1, 2), (0, 3)], ids=["below", "at"])
 def test_game_cost_guard_refuses_before_the_game_is_built(monkeypatch, slack, refused):
     # This skewed instance plays 4 restricted games before it certifies.  A
-    # limit just below its second game's estimate refuses that game; a limit
-    # equal to it lets the game be built and refuses the third.
+    # limit just below its second game's estimate refuses that game before
+    # it admits a row; a limit equal to it lets the game be built and
+    # refuses the third.
     f = parity(2)
     mu = Distribution(2, (F(1, 2), F(1, 4), F(1, 8), F(1, 8)))
-    real, built = hardcore._restricted_game, []
+    real, built, kept = hardcore._restricted_game, [], []
 
     def spy(game):
-        built.append(_game_cost(len(game.pool), f.n))
-        return real(game)
+        before = _state(game)
+        try:
+            answer = real(game)
+        except GuardExceeded:
+            kept.append(_state(game) == before)
+            raise
+        built.append((len(game.pool), _game_cost(len(game.pool), f.n)))
+        return answer
 
     monkeypatch.setattr(hardcore, "_restricted_game", spy)
     assert hardcore_solve(f, mu, F(1, 4), F(1, 2), F(1)).iterations == 4
-    costs, limit = built[:], built[1] + slack
+    games, limit = built[:], built[1][1] + slack
+    costs = [cost for _, cost in games]
     assert costs == sorted(set(costs))  # each game adds a row
     built.clear()
     monkeypatch.setattr(hardcore, "MAX_GAME_COST", limit)
-    with pytest.raises(GuardExceeded, match=f"game {refused} costs {costs[refused - 1]:,} "
+    pool, cost = games[refused - 1]
+    with pytest.raises(GuardExceeded, match=f"pool of {pool} trees costs {cost:,} "
                                             f".* limit {limit:,}$"):
         hardcore_solve(f, mu, F(1, 4), F(1, 2), F(1))
-    assert built == costs[:refused - 1] and max(built) <= limit
+    assert built == games[:refused - 1] and max(costs[:refused - 1]) <= limit
+    assert kept == [True]
 
 
 def test_game_cost_guard_refuses_n7_before_any_game(monkeypatch):
-    # The smallest n=7 game, a pool of one tree, is over the limit.
-    def unbuilt(game):
-        raise AssertionError("a restricted game was built")
+    # The smallest n=7 game, a pool of one tree, is over the limit.  This
+    # solve's first game, on two trees, is refused before it admits a row.
+    real, states = hardcore._restricted_game, []
 
-    monkeypatch.setattr(hardcore, "_restricted_game", unbuilt)
+    def spy(game):
+        try:
+            return real(game)
+        finally:
+            states.append(_state(game))
+
+    monkeypatch.setattr(hardcore, "_restricted_game", spy)
     assert _game_cost(1, 7) > hardcore.MAX_GAME_COST
     rng = random.Random(9000)
     f = random_function(rng, 7)
     mu = random_distribution(rng, 7, allow_zeros=False)
-    with pytest.raises(GuardExceeded, match="restricted game 1 costs "):
+    with pytest.raises(GuardExceeded, match=f"pool of 2 trees costs {_game_cost(2, 7):,} "):
         hardcore_solve(f, mu, F(1, 4), F(1, 2), F(3))
+    assert states == [([], [], [])]
+
+
+def test_an_over_limit_game_refuses_itself_and_stays_as_it_was(monkeypatch):
+    # _restricted_game checks its own estimate before it admits a row: a
+    # played game whose next pool is over the limit, and a first game over
+    # it, raise GuardExceeded with their rows, basis and slacks unchanged.
+    # At the limit the same game is played.
+    f, mu = parity(2), Distribution(2, (F(1, 2), F(1, 4), F(1, 8), F(1, 8)))
+    trees = [DecisionTree(2, 1, Query(0, Leaf((-1,)), Leaf((1,)))),
+             DecisionTree(2, 1, Query(1, Leaf((1,)), Leaf((-1,))))]
+    game = _game(f, mu, F(1, 8), F(1), trees[:1])
+    hardcore._restricted_game(game)
+    game.pool.append(_pool_entry(f, mu, trees[1]))
+    cost = _game_cost(2, f.n)
+    monkeypatch.setattr(hardcore, "MAX_GAME_COST", cost - 1)
+    for played in (game, _game(f, mu, F(1, 8), F(1), trees)):
+        before = _state(played)
+        with pytest.raises(GuardExceeded, match=f"^restricted game on a pool of 2 trees costs "
+                                                f"{cost:,} .* limit {cost - 1:,}$"):
+            hardcore._restricted_game(played)
+        assert _state(played) == before
+    assert before == ([], [], [])
+    monkeypatch.setattr(hardcore, "MAX_GAME_COST", cost)
+    hardcore._restricted_game(game)
+    assert len(game.slacks) == 2
 
 
 def _majority(n: int) -> BooleanFunction:

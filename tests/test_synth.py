@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from dtlab import hardcore, synth
-from dtlab.errors import GuardExceeded, Infeasible, InvalidValue
+from dtlab.errors import GuardExceeded, InvalidValue
 from dtlab.functions import (
     BooleanFunction,
     Distribution,
@@ -23,7 +23,7 @@ from dtlab.functions import (
     product_power,
     uniform,
 )
-from dtlab.hardcore import HardcoreCertificate, hardcore_solve, verify_certificate
+from dtlab.hardcore import HardcoreCertificate, best_response, hardcore_solve, verify_certificate
 from dtlab.instances import random_distribution, random_function, random_measure
 from dtlab.scenarios import report_to_bytes
 from dtlab.synth import (
@@ -36,7 +36,6 @@ from dtlab.synth import (
     frontier_to_json,
     mixture_optimum,
     opt_depth,
-    opt_objective_witness,
     pareto_frontier,
 )
 from dtlab.trees import (
@@ -248,7 +247,8 @@ def _check_envelopes(monkeypatch):
 
 
 def test_sweep_envelopes_match_the_pair_scan(monkeypatch):
-    # the n=3 hardcore sweep: best responses and restricted-game re-checks
+    # the n=3 hardcore sweep: 210 best responses and 164 restricted-game
+    # re-checks, all read by hardcore
     callers = _check_envelopes(monkeypatch)
     for s in range(16):
         rng = random.Random(9000 + s)
@@ -258,7 +258,7 @@ def test_sweep_envelopes_match_the_pair_scan(monkeypatch):
             out = hardcore_solve(f, mu, Fraction(1, 4), Fraction(1, 2), budget)
             if isinstance(out, HardcoreCertificate):
                 assert verify_certificate(out)["ok"]
-    assert (callers.count("synth"), callers.count("hardcore")) == (210, 164)
+    assert (callers.count("synth"), callers.count("hardcore")) == (0, 210 + 164)
 
 
 def test_opt_depth_envelopes_match_the_pair_scan(monkeypatch):
@@ -272,19 +272,18 @@ def test_opt_depth_envelopes_match_the_pair_scan(monkeypatch):
     assert len(callers) == 4 * 19
 
 
-def test_opt_objective_witness_is_faithful():
+def test_mixture_optimum_is_faithful_on_an_error_frontier():
     f = parity(2)
     mu = uniform(2)
-    front = pareto_frontier(f, mu)
-    val, witness = opt_objective_witness(front, Fraction(1))
+    pairs = [(p.depth, p.value, p.tree) for p in pareto_frontier(f, mu).points]
+    val, witness = mixture_optimum(pairs, Fraction(1), minimize=True)
     assert val == Fraction(1, 4)
     assert sum(w for w, _ in witness) == 1
     mixed = sum(w * error(t, f, mu) for w, t in witness)
     depth = sum(w * expected_depth(t, mu) for w, t in witness)
     assert mixed == val and depth <= 1
-    assert opt_objective_witness(front, Fraction(10))[0] == 0
-    with pytest.raises(Infeasible):
-        opt_objective_witness(front, Fraction(-1))
+    assert mixture_optimum(pairs, Fraction(10), minimize=True)[0] == 0
+    assert mixture_optimum(pairs, Fraction(-1), minimize=True) == (None, None)
 
 
 def test_advantage_envelope_concavity_in_budget():
@@ -293,8 +292,7 @@ def test_advantage_envelope_concavity_in_budget():
     f = parity(2)
     mu = uniform(2)
     h = constant_measure(2, Fraction(1, 2))
-    front = pareto_frontier(f, mu, h=h)
-    vals = [opt_objective_witness(front, Fraction(i, 2))[0] for i in range(5)]
+    vals = [best_response(f, mu, h, Fraction(i, 2))[0] for i in range(5)]
     for i in range(1, 4):
         assert 2 * vals[i] >= vals[i - 1] + vals[i + 1]
         assert vals[i] >= vals[i - 1]
