@@ -8,6 +8,8 @@ says what the mutant breaks.
 
 HARDCORE = "src/dtlab/hardcore.py"
 TEST_HARDCORE = "tests/test_hardcore.py"
+SYNTH = "src/dtlab/synth.py"
+TEST_SYNTH = "tests/test_synth.py"
 
 MUTANTS = [
     # --- the restricted game's data in one _Game
@@ -180,6 +182,37 @@ MUTANTS = [
      "tests/test_trees.py"),
     ("src/dtlab/trees.py", "if depth == MAX_TABLE_VARS:", "if depth == 10 * MAX_TABLE_VARS:",
      "tests/test_trees.py"),
+
+    # --- the subcube DP's tie rules: the first candidate found is kept
+    # a later candidate of equal cost replaces an earlier one at its depth
+    (SYNTH, "if got is None or cost < got[0]:", "if got is None or cost <= got[0]:",
+     TEST_SYNTH),
+    # a leaf guesses the second label when both have equal mass
+    (SYNTH,
+     "(rest, leaves[0]) if stat >= rest else (stat, leaves[1])",
+     "(rest, leaves[0]) if stat > rest else (stat, leaves[1])",
+     TEST_SYNTH),
+    # a cube tries its free variables high to low
+    (SYNTH,
+     "steps = steps + [s + ((v, pos, 2 * pos),) for s in steps]",
+     "steps = steps + [((v, pos, 2 * pos),) + s for s in steps]",
+     TEST_SYNTH),
+    # Left out as equivalent: a skip keyed on the ordered pair of child ids
+    # stays exact, and so do ids for every frontier or for the root's.
+
+    # --- each distinct pair of child frontiers combined once per cube
+    # a frontier's id forgets its costs
+    (SYNTH,
+     "ids.setdefault(tuple([(d, cost) for d, cost, _ in kept]), len(ids))",
+     "ids.setdefault(tuple([d for d, cost, _ in kept]), len(ids))",
+     TEST_SYNTH),
+    # a pair is keyed on the neg child alone
+    (SYNTH,
+     "pair = (kn, kp) if kn < kp else (kp, kn)",
+     "pair = kn",
+     TEST_SYNTH),
+    # a pair offered in any earlier cube is skipped, though its mass differs
+    (SYNTH, "if offered.get(pair) == c:", "if pair in offered:", TEST_SYNTH),
 
     # --- README figures read by the tests
     ("README.md", "would exceed 4,194,304", "would exceed 4,194,305", "tests/test_readme.py"),

@@ -42,6 +42,21 @@ A candidate that survives the Pareto filter keeps a spec of its witness, its
 variable and its children's specs, and only the root frontier's witnesses
 become Query nodes: one per spec, so they share what the DP shares.
 
+A cube combines each distinct pair of child frontiers once.  Every frontier
+of three or more points gets an int id of its (depth, cost) sequence, local
+to one call, and a variable whose unordered pair of child ids an earlier
+variable of the same cube already had is skipped.  This is exact: all the
+variables of a cube share its mass and its leaf cost, so a variable's
+candidates (mass + dn + dp, cn + cp) depend only on the unordered pair of
+child sequences.  The earlier variable has offered every (depth, cost) the
+skipped one would, and an entry is replaced only by a strictly cheaper one,
+so the skipped variable could change neither a kept point nor its witness.
+For a symmetric target under a symmetric distribution, such as parity under
+uniform, every free variable splits a cube into the same two child
+frontiers, so many variables are skipped.  Smaller frontiers get no id: a
+pair of one- or two-point frontiers gives at most four candidates, which
+are cheaper to recombine than to look up.
+
 Randomized optima are exactly the envelope of the deterministic frontier:
 a mixture's (depth, objective) is the convex combination of its components',
 and optimizing a linear functional over mixtures of finitely many points is
@@ -102,9 +117,13 @@ def pareto_frontier(target, mu: Distribution, *,
     of the error against target, or of the advantage against h if given.
 
     One pass over the cubes in base-3 index order (see the module docstring)
-    fills flat 3^m lists of masses, leaf statistics and frontiers, whose
-    entries hold witness specs.  The DP guard is checked before any table is
-    built, and Query nodes are built only for the root frontier's witnesses."""
+    fills flat 3^m lists of masses, leaf statistics, frontiers (whose
+    entries hold witness specs) and frontier ids.  A cube skips a variable
+    whose unordered pair of child ids an earlier variable of it already
+    combined, which is exact; only frontiers of three or more points get an
+    id, of their (depth, cost) sequence, and the ids are local to this call.
+    The DP guard is checked before any table is built, and Query nodes are
+    built only for the root frontier's witnesses."""
     check_dp_guard(mu.n)  # before any table: mu must be on the target's n*k
     n, k, rows = output_rows(target)
     if h is not None and (not isinstance(target, BooleanFunction) or h.n != n):
@@ -150,9 +169,13 @@ def pareto_frontier(target, mu: Distribution, *,
     masses = [0] * len(free)
     stats = [None] * len(free)
     fronts = [None] * len(free)
+    keys = [-1] * len(free)  # keys[c]: the id of c's frontier, if it has 3+ points
+    ids: dict[tuple, int] = {}  # (depth, cost) sequence -> id, in this call only
+    offered: dict[tuple, int] = {}  # unordered pair of child ids -> last cube to use it
     for c, w, stat in zip(cubes, weights, point_stats):
         masses[c], stats[c] = w, stat
 
+    root = len(free) - 1  # every digit 2
     zero_front = ((0, 0, Leaf(tuple([1] * k))),)
     leaves = [Leaf(label) for label in labels]
     for c, f in enumerate(free):
@@ -179,6 +202,12 @@ def pareto_frontier(target, mu: Distribution, *,
         # cheapest (cost, var, neg, pos) per depth, first found on ties
         best: dict[int, tuple] = {}
         for v, pos, neg in todo:
+            kn, kp = keys[c - neg], keys[c - pos]
+            if kn >= 0 and kp >= 0:
+                pair = (kn, kp) if kn < kp else (kp, kn)
+                if offered.get(pair) == c:  # an earlier variable offered all v would
+                    continue
+                offered[pair] = c
             front_p = fronts[c - pos]
             for dn, cn, sn in fronts[c - neg]:
                 base = mass + dn
@@ -199,13 +228,15 @@ def pareto_frontier(target, mu: Distribution, *,
                 kept.append((d, spec[0], spec))
                 floor = spec[0]
         fronts[c] = kept
+        if len(kept) > 2 and c != root:  # no parent reads the root's id
+            keys[c] = ids.setdefault(tuple([(d, cost) for d, cost, _ in kept]), len(ids))
 
     memo: dict[int, Query] = {}
     points = tuple(
         FrontierPoint(Fraction(d, scale),
                       Fraction(cost if h is None else scale - 2 * cost, scale),
                       DecisionTree(n, k, _witness(spec, memo)))
-        for d, cost, spec in fronts[-1])  # the root: every digit 2
+        for d, cost, spec in fronts[root])
     return ParetoFrontier(ERROR if h is None else ADVANTAGE, n, k, points)
 
 

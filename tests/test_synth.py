@@ -563,6 +563,59 @@ def test_integer_kernel_with_large_coprime_denominators():
             _assert_matches_reference(_random_vector_function(rng, m // 2, 2), mu)
 
 
+def _weight_classes(rng, n, values):
+    """One value per Hamming weight, drawn from `values`: a table that every
+    permutation of the n variables leaves fixed."""
+    per_weight = [rng.choice(values) for _ in range(n + 1)]
+    return tuple(per_weight[bin(x).count("1")] for x in range(1 << n))
+
+
+def _exchangeable_distribution(rng, m):
+    raw = _weight_classes(rng, m, range(1, 9))
+    return Distribution(m, tuple(Fraction(v, sum(raw)) for v in raw))
+
+
+def _majority(n):
+    return BooleanFunction(n, tuple(1 if 2 * bin(x).count("1") > n else -1
+                                    for x in range(1 << n)))
+
+
+def _symmetric_in_two(table):
+    """The table with each point's value copied to the point with bits 0 and
+    1 swapped: a function symmetric in its first two variables."""
+    return tuple(table[x ^ 3] if x & 3 == 2 else table[x] for x in range(len(table)))
+
+
+def test_integer_kernel_matches_fraction_reference_on_symmetric_inputs():
+    # in a cube of a symmetric target several variables split it into the
+    # same pair of child frontiers, and the kernel combines such a pair once
+    rng = random.Random(7070)
+    scalars = [parity(n) for n in range(1, 5)]
+    scalars += [no_error_reduction_function(n) for n in range(2, 5)]
+    scalars += [_majority(3)]
+    scalars += [BooleanFunction(n, _symmetric_in_two(random_function(rng, n).table))
+                for n in (2, 3, 4, 4)]
+    for f in scalars:
+        n = f.n
+        for mu in (uniform(n), _exchangeable_distribution(rng, n),
+                   product_power(random_distribution(rng, 1), n)):
+            _assert_matches_reference(f, mu)
+            for h in (constant_measure(n, Fraction(1)),
+                      constant_measure(n, Fraction(rng.randrange(1, 4), 4)),
+                      Measure(n, _weight_classes(rng, n, [Fraction(i, 4) for i in range(5)]))):
+                _assert_matches_reference(f, mu, h=h)
+    # vector targets too: their leaves pick among many labels, so a cube's
+    # children hold more varied frontiers than a scalar target's
+    vectors = [direct_product(parity(2), 2), direct_product(parity(1), 3)]
+    vectors += [VectorFunction(n, k, _symmetric_in_two(_random_vector_function(rng, n, k).table))
+                for _ in range(4) for n, k in ((1, 3), (1, 4), (2, 2))]
+    for g in vectors:
+        n, k = g.n, g.k
+        for mu in (uniform(n * k), _exchangeable_distribution(rng, n * k),
+                   product_power(random_distribution(rng, n), k)):
+            _assert_matches_reference(g, mu)
+
+
 def test_frontier_guard_refuses_above_max_dp_vars(monkeypatch):
     # a lowered cap keeps the DP small should the guard ever stop firing
     monkeypatch.setattr(synth, "MAX_DP_VARS", 3)
