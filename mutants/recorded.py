@@ -10,6 +10,8 @@ HARDCORE = "src/dtlab/hardcore.py"
 TEST_HARDCORE = "tests/test_hardcore.py"
 SYNTH = "src/dtlab/synth.py"
 TEST_SYNTH = "tests/test_synth.py"
+TREES = "src/dtlab/trees.py"
+TEST_LEAF = "tests/test_leaf_oracles.py"
 
 MUTANTS = [
     # --- the restricted game's data in one _Game
@@ -142,8 +144,8 @@ MUTANTS = [
     # an int-built law's scaled form is stored after its check reads it
     ("src/dtlab/functions.py",
      '        law.__dict__["scaled"] = scale // g, tuple(m // g for m in nums)\n'
-     "        law.__init__(n, tuple(Fraction(m, scale) if m else _ZERO for m in nums))\n",
-     "        law.__init__(n, tuple(Fraction(m, scale) if m else _ZERO for m in nums))\n"
+     "        law._check(n, nums)\n",
+     "        law._check(n, nums)\n"
      '        law.__dict__["scaled"] = scale // g, tuple(m // g for m in nums)\n',
      "tests/test_functions.py"),
     # a Boolean function checks its table length before its variable count
@@ -213,6 +215,32 @@ MUTANTS = [
      TEST_SYNTH),
     # a pair offered in any earlier cube is skipped, though its mass differs
     (SYNTH, "if offered.get(pair) == c:", "if pair in offered:", TEST_SYNTH),
+
+    # --- int-built records build their Fractions on first read
+    # an int-built law's lazy weights come out in reverse point order
+    ("src/dtlab/functions.py",
+     "return tuple(Fraction(m, scale) if m else _ZERO for m in nums)",
+     "return tuple(Fraction(m, scale) if m else _ZERO for m in nums[::-1])",
+     TEST_LEAF),
+    # direct_product keeps product()'s order: block 0 in the high place
+    ("src/dtlab/functions.py", "tuple(row[::-1] for row in product(",
+     "tuple(row for row in product(", TEST_LEAF),
+    # a lazy density is over S alone, not S*E
+    (TREES, "Fraction(h, s * self._e) for s, h, _ in", "Fraction(h, s) for s, h, _ in",
+     TEST_LEAF),
+    # a lazy advantage keeps the sign of G
+    (TREES, "Fraction(abs(g), s * self._e) for s, _, g in",
+     "Fraction(g, s * self._e) for s, _, g in", TEST_LEAF),
+    # a lazy p is over S*E, not 2*S*E
+    (TREES, "Fraction(h - abs(g), 2 * s * self._e)", "Fraction(h - abs(g), s * self._e)",
+     TEST_LEAF),
+    # a total weights every cell by the first block's S
+    (TREES, "abs(c[j]) * (r // c[0]) for c in cells", "abs(c[j]) * (r // cells[0][0]) for c in cells",
+     TEST_LEAF),
+    # the advantage total sums the cells' H
+    (TREES, "return self._total(2) if", "return self._total(1) if", TEST_LEAF),
+    # Left out as equivalent: lazy weights over the unreduced scale, which
+    # Fraction normalizes.
 
     # --- README figures read by the tests
     ("README.md", "would exceed 4,194,304", "would exceed 4,194,305", "tests/test_readme.py"),

@@ -19,7 +19,7 @@ from math import floor, lcm, prod
 from operator import itemgetter
 
 from .errors import DimensionMismatch, InvalidValue
-from .exactexp import DEFAULT_PRECISION_BITS, ExpSum, value_json
+from .exactexp import DEFAULT_PRECISION_BITS, ExpSum, _frac, value_json
 from .functions import (
     BooleanFunction,
     Distribution,
@@ -128,7 +128,7 @@ def _ber_poly(p) -> tuple[int, list[int]]:
     so the convolution runs on ints."""
     den, coeffs = 1, [1]
     for v in p:
-        v = Fraction(v)
+        v = _frac(v)
         a, b = v.numerator, v.denominator
         if not 0 <= a <= b:
             raise InvalidValue("Bernoulli parameters must lie in [0,1]")
@@ -152,7 +152,7 @@ def binomial(k: int, delta) -> tuple[Fraction, ...]:
 
 def ber_sum_cdf(pmf: tuple[Fraction, ...], t) -> Fraction:
     """Pr[z <= t] for z with the given pmf; t may be any rational."""
-    t = Fraction(t)
+    t = _frac(t)
     if t < 0:
         return _ZERO
     return sum(pmf[: min(len(pmf), floor(t) + 1)], _ZERO)
@@ -163,7 +163,7 @@ def chernoff_lower(mu_sum, t) -> ExpSum:
 
     Reported as the vacuous 1 when t exceeds the mean (or the mean is 0).
     """
-    mu_sum, t = Fraction(mu_sum), Fraction(t)
+    mu_sum, t = _frac(mu_sum), _frac(t)
     if mu_sum < 0 or t < 0:
         raise InvalidValue("chernoff_lower needs nonnegative mean and threshold")
     if t > mu_sum or mu_sum == 0:
@@ -173,7 +173,7 @@ def chernoff_lower(mu_sum, t) -> ExpSum:
 
 def chernoff_upper2x(mu_sum) -> ExpSum:
     """Closed-form bound exp(-mu/3) on the upper tail Pr[z >= 2 mu]."""
-    mu_sum = Fraction(mu_sum)
+    mu_sum = _frac(mu_sum)
     if mu_sum < 0:
         raise InvalidValue("chernoff_upper2x needs a nonnegative mean")
     return ExpSum.exp(-mu_sum / 3)
@@ -200,7 +200,7 @@ def _g_sum(groups, t) -> ExpSum:
 
 def g_func(t, z) -> ExpSum:
     """min(1, e^{t - z/4}), decided exactly: the min picks 1 iff t >= z/4."""
-    return ExpSum.exp(min(Fraction(t) - Fraction(z) / 4, _ZERO))
+    return ExpSum.exp(min(_frac(t) - _frac(z) / 4, _ZERO))
 
 
 def lipschitz_check(t, z, delta, form: str = "plain") -> BoundReport:
@@ -209,7 +209,7 @@ def lipschitz_check(t, z, delta, form: str = "plain") -> BoundReport:
     The scaled form is only claimed for z >= 5t with t > 0; asking for it
     outside that range is an error, not a failed bound.
     """
-    t, z, delta = Fraction(t), Fraction(z), Fraction(delta)
+    t, z, delta = _frac(t), _frac(z), _frac(delta)
     if t < 0 or z < 0 or delta < 0:
         raise InvalidValue("lipschitz_check needs nonnegative t, z, delta")
     if form == "plain":

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from itertools import product
 from math import gcd, lcm, prod
 from operator import mul
 
@@ -77,6 +78,13 @@ class VectorFunction(Record):
         fields = self.__dict__
         fields["n"], fields["k"], fields["table"] = n, k, table
 
+    @staticmethod
+    def _make(n: int, k: int, table: tuple[tuple[int, ...], ...]) -> "VectorFunction":
+        """A VectorFunction on a table that is valid by construction, unchecked."""
+        g = object.__new__(VectorFunction)
+        g.__dict__.update(n=n, k=k, table=table)
+        return g
+
 
 class Distribution(Record):
     """Probability weights over packed points of {-1,+1}^n; sums to exactly 1."""
@@ -85,11 +93,25 @@ class Distribution(Record):
     weights: tuple[Fraction, ...]
 
     def __init__(self, n: int, weights: tuple[Fraction, ...]):
+        self.__dict__["weights"] = weights
+        self._check(n, weights)
+
+    @staticmethod
+    def _of_ints(n: int, scale: int, nums) -> "Distribution":
+        """The law nums/scale, checked as Distribution.__init__ checks; its
+        scaled form is the ints reduced by their gcd, and its weights are
+        built from that form on first read."""
+        g = gcd(scale, *nums)
+        law = object.__new__(Distribution)
+        law.__dict__["scaled"] = scale // g, tuple(m // g for m in nums)
+        law._check(n, nums)
+        return law
+
+    def _check(self, n: int, weights) -> None:
         _check_var_count(n, "Distribution")
         if len(weights) != 1 << n:
             raise DimensionMismatch(f"weight count {len(weights)} != 2**{n}")
-        fields = self.__dict__
-        fields["n"], fields["weights"] = n, weights
+        self.__dict__["n"] = n
         # on ints: over D, the signs are the numerators' and the sum is D
         scale, nums = self.scaled
         if any(w < 0 for w in nums):
@@ -102,16 +124,11 @@ class Distribution(Record):
         """_scale(weights), computed by validation and read by int kernels."""
         return _scale(self.weights)
 
-    @staticmethod
-    def _of_ints(n: int, scale: int, nums) -> "Distribution":
-        """The law nums/scale, checked by Distribution.__init__; its scaled
-        form is the ints reduced by their gcd, stored first so that the
-        check reads it instead of rescaling the weights."""
-        g = gcd(scale, *nums)
-        law = object.__new__(Distribution)
-        law.__dict__["scaled"] = scale // g, tuple(m // g for m in nums)
-        law.__init__(n, tuple(Fraction(m, scale) if m else _ZERO for m in nums))
-        return law
+    @cached_property
+    def weights(self) -> tuple[Fraction, ...]:
+        """An int-built law's weights, from its scaled form."""
+        scale, nums = self.scaled
+        return tuple(Fraction(m, scale) if m else _ZERO for m in nums)
 
     def support(self) -> list[int]:
         return [x for x, w in enumerate(self.weights) if w > 0]
@@ -191,12 +208,8 @@ def direct_product(f: BooleanFunction, k: int) -> VectorFunction:
     if k < 1:
         raise InvalidValue(f"k must be >= 1, got {k}")
     _check_var_count(f.n * k, "direct_product")
-    mask = (1 << f.n) - 1
-    table = tuple(
-        tuple(f.table[(point >> (i * f.n)) & mask] for i in range(k))
-        for point in range(1 << (f.n * k))
-    )
-    return VectorFunction(f.n, k, table)
+    # product() varies its last place fastest, and block 0 is the low bits
+    return VectorFunction._make(f.n, k, tuple(row[::-1] for row in product(f.table, repeat=k)))
 
 
 def xor_power(f: BooleanFunction, k: int) -> BooleanFunction:

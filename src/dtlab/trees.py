@@ -12,8 +12,8 @@ conditional_blocks_at_leaf, and relabel_leaves (which serves sign_fix_leaves
 and product_tree in transforms) cost O(L*k*2^n) for L leaves instead of
 walking 2^(nk - depth) points per leaf.  Its sums are ints, over mu's
 (Distribution.scaled, never rescaled) and each table's least common
-denominator (h's is Measure.scaled), which it returns with them; the callers
-build one Fraction per value, or a factor law straight from ints.  What
+denominator (h's is Measure.scaled), which it returns with them.  A LeafStats
+row or factor law keeps them and builds its Fractions only when read.  What
 checks that factorization stays on point enumeration, so no check is
 circular: the joint law that bounds.verify_leaf_product sums point by point
 over each leaf's cube, and the block_error_law behind the lhs of
@@ -32,7 +32,7 @@ artifact's trees share a node's JSON dict too.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import prod
 from operator import mul
 
@@ -256,13 +256,42 @@ class LeafStats(Record):
         fields = self.__dict__
         fields["reach"], fields["dens"], fields["adv"], fields["p"] = reach, dens, adv, p
 
-    @property
-    def dens_total(self) -> Fraction:
-        return sum(self.dens, _ZERO)
+    @staticmethod
+    def _of_cells(reach: Fraction, cells, e: int) -> "LeafStats":
+        """The stats of a leaf whose block cells have the int sums (S, H, G)
+        of mu, mu*h and mu*f*h, h's over E, which it keeps: dens, adv, p and
+        the totals are built from them on first read."""
+        stats = object.__new__(LeafStats)
+        fields = stats.__dict__
+        fields["reach"], fields["_cells"], fields["_e"] = reach, cells, e
+        return stats
 
-    @property
+    @cached_property
+    def dens(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(h, s * self._e) for s, h, _ in self._cells)
+
+    @cached_property
+    def adv(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(abs(g), s * self._e) for s, _, g in self._cells)
+
+    @cached_property
+    def p(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(h - abs(g), 2 * s * self._e) for s, h, g in self._cells)
+
+    @cached_property
+    def dens_total(self) -> Fraction:
+        return self._total(1) if "_cells" in self.__dict__ else sum(self.dens, _ZERO)
+
+    @cached_property
     def adv_total(self) -> Fraction:
-        return sum(self.adv, _ZERO)
+        return self._total(2) if "_cells" in self.__dict__ else sum(self.adv, _ZERO)
+
+    def _total(self, j: int) -> Fraction:
+        """sum_i |c_i| * (R/S_i) over E*R, for c_i cell i's H (j=1) or G (j=2)
+        and R = prod S_i: the sum of the cells' |c_i|/(S_i*E) as one Fraction."""
+        cells = self._cells
+        r = prod(c[0] for c in cells)
+        return Fraction(sum(abs(c[j]) * (r // c[0]) for c in cells), self._e * r)
 
 
 def _cell_sums(refs, n: int, k: int, mu: Distribution, tables=()
@@ -321,7 +350,9 @@ def leaf_stats(tree: DecisionTree, f: BooleanFunction, h: Measure,
 
     The leaf law factors across blocks, so with S, H, G the block cell's
     sums of mu, mu*h and mu*f*h: reach = prod S, dens = H/S and adv = |G|/S.
-    Each is one Fraction of _cell_sums' ints.  Cost O(L*k*2^n) for L leaves.
+    reach is built here; each row keeps its cells' ints and builds the other
+    fields from them when read (LeafStats._of_cells).  Cost O(L*k*2^n) for
+    L leaves.
     """
     n, k = tree.n, tree.k
     if f.n != n or h.n != n or mu.n != n:
@@ -333,13 +364,8 @@ def leaf_stats(tree: DecisionTree, f: BooleanFunction, h: Measure,
     out: list[LeafStats] = []
     for cells in per_leaf:
         reach = prod(c[0] for c in cells)
-        if reach == 0:
-            continue
-        out.append(LeafStats(
-            Fraction(reach, reach_den),
-            tuple(Fraction(hs, s * eh) for s, hs, _ in cells),
-            tuple(Fraction(abs(g), s * eh) for s, _, g in cells),
-            tuple(Fraction(hs - abs(g), 2 * s * eh) for s, hs, g in cells)))
+        if reach:
+            out.append(LeafStats._of_cells(Fraction(reach, reach_den), cells, eh))
     return out
 
 

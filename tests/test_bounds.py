@@ -120,6 +120,31 @@ def test_lipschitz_forms_and_hypotheses():
         lipschitz_check(1, 1, 1, "fancy")
 
 
+def _spellings(v):
+    """A Fraction argument as a Fraction, a "p/q" string and, when whole, an int."""
+    if not isinstance(v, Fraction):
+        return [v]
+    return [v, str(v)] + ([int(v)] if v.denominator == 1 else [])
+
+
+def test_closed_forms_read_ints_and_strings_as_their_fractions():
+    pmf = ber_sum((F(1, 3), F(1, 2), F(1)))
+    cases = [
+        (g_func, (F(1, 2), F(3))), (g_func, (F(0), F(4))),
+        (lipschitz_check, (F(1, 2), F(3), F(1, 4), "plain")),
+        (lipschitz_check, (F(1, 2), F(4), F(2), "scaled")),
+        (ber_sum_cdf, (pmf, F(3, 2))), (ber_sum_cdf, (pmf, F(2))),
+        (chernoff_lower, (F(8), F(4))), (chernoff_lower, (F(5, 2), F(1, 3))),
+        (chernoff_upper2x, (F(6),)), (chernoff_upper2x, (F(7, 3),)),
+    ]
+    for fn, args in cases:
+        want = fn(*args)
+        for spelled in itertools.product(*map(_spellings, args)):
+            assert fn(*spelled) == want
+    for p in itertools.product(*map(_spellings, (F(1, 3), F(1, 2), F(1), F(0)))):
+        assert bounds._ber_poly(p) == bounds._ber_poly((F(1, 3), F(1, 2), F(1), F(0)))
+
+
 def test_constant_chain():
     reports = constant_chain_reports()
     assert [r.context for r in reports] == [

@@ -9,6 +9,7 @@ with zero weights, and h with values of mixed denominators from
 of scalar trees and their mixtures on up to 5 variables.
 """
 
+import pickle
 import random
 from fractions import Fraction
 from functools import cache, lru_cache
@@ -29,6 +30,7 @@ from dtlab.exactexp import ExpSum
 from dtlab.functions import (
     Distribution,
     Measure,
+    VectorFunction,
     _scale,
     constant_function,
     density,
@@ -280,6 +282,84 @@ def test_int_built_laws_keep_their_weights_scaled_form():
             assert law == Distribution(law.n, law.weights)
         built += len(laws)
     assert built >= 1000
+
+
+def _former_direct_product(f, k):
+    """direct_product's table by bit-slicing, block 0 in the low bits."""
+    mask = (1 << f.n) - 1
+    return tuple(tuple(f.table[(point >> (i * f.n)) & mask] for i in range(k))
+                 for point in range(1 << (f.n * k)))
+
+
+def _former_product_power(mu, k):
+    """product_power's (scale, ints) by the Kronecker loop on mu's ints."""
+    scale, base = _scale(mu.weights)
+    weights = base
+    for _ in range(k - 1):
+        weights = [b * a for b in base for a in weights]
+    return scale ** k, weights
+
+
+def test_direct_product_and_product_power_match_the_former_loops():
+    rng = random.Random(2102)
+    shapes = [(n, k) for n in range(1, 11) for k in range(1, 11) if n * k <= 10]
+    assert len(shapes) == 27 and (10, 1) in shapes and (1, 10) in shapes
+    for n, k in shapes:
+        f, mu = random_function(rng, n), random_distribution(rng, n)
+        got = direct_product(f, k)
+        assert got.table == _former_direct_product(f, k)
+        assert got == VectorFunction(n, k, _former_direct_product(f, k))
+        scale, ints = _former_product_power(mu, k)
+        law = product_power(mu, k)
+        assert law == Distribution(n * k, tuple(F(w, scale) for w in ints))
+        assert law.scaled == _scale(law.weights)
+
+
+def _same_record(lazy, eager, unread):
+    """lazy, built from a kernel's ints, behaves as eager, built by the
+    public constructor; the attributes in unread are built on first read."""
+    assert not lazy.__dict__.keys() & unread
+    copy = pickle.loads(pickle.dumps(lazy))
+    assert not copy.__dict__.keys() & unread
+    assert hash(lazy) == hash(eager) and repr(lazy) == repr(eager)
+    assert lazy == eager and eager == lazy and lazy.__dict__.keys() >= set(lazy._fields)
+    assert copy == eager and hash(copy) == hash(eager) and repr(copy) == repr(eager)
+    assert pickle.loads(pickle.dumps(lazy)) == eager
+
+
+def test_int_built_records_behave_as_public_built_ones():
+    laws = rows = 0
+    for tree, f, h, mu in _sweep():
+        _same_record(product_power(mu, tree.k), _frac_product_power(mu, tree.k), {"weights"})
+        laws += 1
+        for ref in leaves(tree):
+            want = _frac_conditional_blocks(tree, mu, ref)
+            for got, eager in zip(conditional_blocks_at_leaf(tree, mu, ref) if want else (),
+                                  want or (), strict=True):
+                _same_record(got, eager, {"weights"})
+                laws += 1
+        unread = {"dens", "adv", "p", "dens_total", "adv_total"}
+        for got, eager in zip(leaf_stats(tree, f, h, mu), _frac_leaf_stats(tree, f, h, mu),
+                              strict=True):
+            _same_record(got, eager, unread)
+            rows += 1
+    assert laws >= 1000 and rows >= 1000
+
+
+def test_leaf_totals_are_the_fraction_sums_of_the_oracle_fields():
+    """dens_total and adv_total, read before any other field, from the
+    cells' ints; and summed from the fields on public-built stats."""
+    multi = 0
+    for tree, f, h, mu in _sweep():
+        for got, want in zip(leaf_stats(tree, f, h, mu), _frac_leaf_stats(tree, f, h, mu),
+                             strict=True):
+            _same(got.dens_total, sum(want.dens, _ZERO))
+            _same(got.adv_total, sum(want.adv, _ZERO))
+            assert not got.__dict__.keys() & {"dens", "adv", "p"}
+            _same(want.dens_total, sum(want.dens, _ZERO))
+            _same(want.adv_total, sum(want.adv, _ZERO))
+            multi += len({s for s, _, _ in got._cells}) > 1
+    assert multi >= 300
 
 
 def _same_sum(got: ExpSum, want: ExpSum) -> None:
