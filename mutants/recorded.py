@@ -66,6 +66,19 @@ MUTANTS = [
      '            raise Infeasible("no pool tree within the depth budget: the game is unbounded")\n',
      TEST_HARDCORE),
 
+    # --- the cells' bounds 0 <= H <= 1 held by complement flags, not box rows
+    # the box slacks are ranked before the first pool's slacks
+    (HARDCORE, "        game.box = cells + 3 + trees\n", "        game.box = cells + 3\n",
+     TEST_HARDCORE),
+    # a basic H above 1 is complemented in its row, but its flag stays
+    (HARDCORE, "row[b], flip[b] = d, not flip[b]", "row[b] = d", TEST_HARDCORE),
+    # an admitted row substitutes 1 - H_x without taking the entry off its rhs
+    (HARDCORE, "               sum(e for (_, e), up in zip(entries, flip) if up), d)",
+     "               0, d)", TEST_HARDCORE),
+    # an H at its upper bound reads as 0
+    (HARDCORE, "z = [_ONE if up else _ZERO for up in flip]", "z = [_ZERO for up in flip]",
+     TEST_HARDCORE),
+
     # --- artifacts refuse what no solve takes
     # a certificate no longer checks its domain
     (HARDCORE,
@@ -237,6 +250,8 @@ MUTANTS = [
     # a total weights every cell by the first block's S
     (TREES, "abs(c[j]) * (r // c[0]) for c in cells", "abs(c[j]) * (r // cells[0][0]) for c in cells",
      TEST_LEAF),
+    # the accuracy bound's int p is over S*E, not 2*S*E
+    (TREES, "[(h - abs(g), 2 * s * self._e) for", "[(h - abs(g), s * self._e) for", TEST_LEAF),
     # the advantage total sums the cells' H
     (TREES, "return self._total(2) if", "return self._total(1) if", TEST_LEAF),
     # Left out as equivalent: lazy weights over the unreduced scale, which

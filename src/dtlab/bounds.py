@@ -123,13 +123,11 @@ def bound_report_to_json(report: BoundReport,
 
 def _ber_poly(p) -> tuple[int, list[int]]:
     """(B, c) with c[z]/B the probability that a sum of independent
-    Bernoulli(p_i) variables is z.  For p_i = a_i/b_i in lowest terms, c
-    holds the int coefficients of prod((b_i - a_i) + a_i*x) and B = prod b_i,
-    so the convolution runs on ints."""
+    Bernoulli(a_i/b_i) variables is z, p being the int pairs (a_i, b_i),
+    b_i > 0: c holds the int coefficients of prod((b_i - a_i) + a_i*x) and
+    B = prod b_i, so the convolution runs on ints."""
     den, coeffs = 1, [1]
-    for v in p:
-        v = _frac(v)
-        a, b = v.numerator, v.denominator
+    for a, b in p:
         if not 0 <= a <= b:
             raise InvalidValue("Bernoulli parameters must lie in [0,1]")
         nxt = [c * (b - a) for c in coeffs] + [0]
@@ -142,7 +140,7 @@ def _ber_poly(p) -> tuple[int, list[int]]:
 def ber_sum(p) -> tuple[Fraction, ...]:
     """pmf of a sum of independent Bernoulli(p_i) variables, indexed by the
     sum: _ber_poly's int coefficients over their common denominator B."""
-    den, coeffs = _ber_poly(p)
+    den, coeffs = _ber_poly((v.numerator, v.denominator) for v in map(_frac, p))
     return tuple(Fraction(c, den) for c in coeffs)
 
 
@@ -289,15 +287,16 @@ def verify_accuracy_bound(tree: DecisionTree, f: BooleanFunction, h: Measure,
     Both sides read every t off one law each: the lhs off the tree's
     block_error_law with ber_sum_cdf, by direct point enumeration and never
     from the leaf statistics; the rhs off each leaf's Bernoulli-sum law,
-    built once from the leaf statistics as _ber_poly's int coefficients, so
-    that each t's rhs is one int sum over the leaves' common denominator.
+    built once from each leaf's p as int pairs (LeafStats._p_ints) into
+    _ber_poly's int coefficients, so that each t's rhs is one int sum over
+    the leaves' common denominator.
     Also emits the coarser exponential form E_leaf[g_t(dens - adv)], from
     leaves grouped once (_g_sum), and certifies it dominates the rhs.
     """
     k = tree.k
     law = block_error_law(tree, direct_product(f, k), product_power(mu, k))
     stats = leaf_stats(tree, f, h, mu)
-    laws = [(s.reach, *_ber_poly(s.p)) for s in stats]
+    laws = [(s.reach, *_ber_poly(s._p_ints())) for s in stats]
     den = lcm(*(r.denominator * b for r, b, _ in laws))
     cdfs = [[r.numerator * (den // (r.denominator * b)) * c for c in accumulate(coeffs)]
             for r, b, coeffs in laws]

@@ -22,12 +22,13 @@ Each later game resumes from the last optimal tableau (Kelley's cutting
 planes, seen from the row player): an admitted tree is a new row whose
 zero-cost slack is basic, so the basis stays dual feasible.  Every
 inequality row, the first game's too, enters by that one step, `_admit`.
-The dual simplex restores primal feasibility.  Its pivot rule is Bland's in
-dual form, which is Bland's rule applied to the dual LP, so it never
-revisits a basis and the loop ends (Bland 1977).  The tableau is exact but
-integer: each row is ints over one common denominator (integer-preserving
-pivoting, as in Edmonds 1967), and only what is read turns back into
-Fractions.  Its optimal tableau gives both players' strategies: H as the
+The dual simplex restores primal feasibility.  No bound H <= 1 is a row: an
+H at it is held as 1 - H (Dantzig 1955).  The pivot rule, Bland's in dual
+form on the column order of the LP with those rows, makes that LP's pivots,
+so it never revisits a basis and the loop ends (Bland 1977).  The tableau
+is exact but integer: each row is ints over one common denominator
+(integer-preserving pivoting, as in Edmonds 1967), and only what is read
+turns back into Fractions.  Its optimal tableau gives both players' strategies: H as the
 primal solution, the tree mixture w as the reduced costs of the pool rows'
 slacks.  The pair is then certified as a saddle point without trusting the
 kernel, on ints from the pool trees' payoff rows: both strategies are
@@ -83,7 +84,7 @@ from .trees import (
     tree_from_json,
 )
 
-_ZERO = Fraction(0)
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 MAX_GAME_COST = 1 << 22  # tableau entries times cells, checked before each game
 BOOST_CONSTANT = 8
@@ -196,34 +197,56 @@ def _pivot(tab, r: int, c: int) -> None:
             tab[i] = _eliminate(other, unit, c, nonzero)
 
 
-def _dual_bland(tab, basis: list[int]) -> None:
+def _dual_bland(tab, basis: list[int], flip=(), box: int = 0) -> None:
     """Restore b >= 0 from a dual feasible tableau, keeping it dual feasible.
 
     Rows tab[:len(basis)] are [A | b] in canonical form for `basis` (see
     _pivot for the int row layout), and tab[-1] holds reduced costs, all >= 0,
-    but some b_i may be negative.  The leaving row is the one with b_i < 0
-    of lowest basic index; the entering column is, among that row's negative
-    entries a_rj, one of least ratio cost_j / |a_rj|, ties going to the
-    lowest column, so every reduced cost stays >= 0.  Ratios are compared by
-    cross-multiplying numerators: within one row the denominators cancel.
-    No negative entry means no x >= 0 meets the row: Infeasible.
+    but some b_i may be negative.  Columns j < len(flip) are bounded,
+    0 <= x_j <= 1, and hold 1 - x_j where flip[j] (Dantzig's upper bounding).
+    A column's rank is its index in the explicit LP that writes each bound
+    as a row x_j + u_j = 1, the slacks u_j ranked from `box` on: j, or
+    box + j for a complemented j, which is u_j; columns from box on follow.
+    With no bounded column the rank is the index.
 
-    Termination: the dual simplex on this tableau is the primal simplex on
-    the dual LP, whose variables are named by the same column indices.  The
-    leaving basic variable here is the dual's entering variable, and the
-    ratio test here is the dual's ratio test.  So lowest index among the
-    eligible leaving rows, and lowest column among ratio ties, is Bland's
-    rule on the dual, which never revisits a basis (Bland 1977): there are
-    finitely many bases, so the loop ends without an iteration cap.
+    A basic variable may leave when negative, with its rank, or when bounded
+    and above 1, with its complement's rank; the least rank leaves.  One
+    above 1 is first complemented in its row (entries negated, rhs D - b,
+    flip switched), where it is negative.  The entering column is, among
+    that row's negative entries a_rj, one of least ratio cost_j / |a_rj|,
+    ties going to the least rank, so every reduced cost stays >= 0.  Ratios
+    are compared by cross-multiplying numerators: within one row the
+    denominators cancel.  No negative entry means no x meets the row:
+    Infeasible.
+
+    Termination: each pivot is the one the dual simplex makes on the
+    explicit LP, whose box rows and their basic slacks the tableau leaves
+    out.  That is the primal simplex on the dual LP, whose variables are
+    named by the same ranks: the leaving basic variable is the dual's
+    entering one, and the ratio test the dual's.  So least rank among the
+    eligible leaving variables, and among ratio ties, is Bland's rule on the
+    dual, which never revisits a basis (Bland 1977): there are finitely many
+    bases, so the loop ends without an iteration cap.
     """
-    rows = range(len(basis))
+    k = len(flip)
+
+    def rank(j: int, up: bool) -> int:  # as u_j if up
+        return (box + j if up else j) if j < k else j + k if j >= box else j
+
     while True:
-        r = min((i for i in rows if tab[i][-2] < 0), key=basis.__getitem__, default=None)
-        if r is None:
+        eligible = [(rank(b, (b < k and flip[b]) != (v > 0)), i) for i, b in enumerate(basis)
+                    if (v := tab[i][-2]) < 0 or b < k and v > tab[i][-1]]
+        if not eligible:
             return
-        row, costs = tab[r], tab[-1]
+        r = min(eligible)[1]
+        row, costs, b = tab[r], tab[-1], basis[r]
+        if row[-2] > 0:  # above 1: complement it
+            d = row[-1]
+            row = tab[r] = [-v for v in row[:-2]] + [d - row[-2], d]
+            row[b], flip[b] = d, not flip[b]
         c = None
-        for j in range(len(row) - 2):
+        for j in ([j for j in range(k) if not flip[j]] + [*range(k, box)]
+                  + [j for j in range(k) if flip[j]] + [*range(box, len(row) - 2)]):
             a = row[j]
             if a < 0 and (c is None or costs[j] * row[c] > costs[c] * a):
                 c = j
@@ -259,14 +282,16 @@ class _Game:
     """One solve's restricted game.  Data: `mass`, one int per cell (mu's
     weight at a point) then the half density, over `den`; the budget; `pool`,
     one (tree, payoff row f*T in +-1 ints, expected depth) per tree, in
-    admission order.  State: the last optimal int rows, basis, pool slacks."""
+    admission order.  State: the last optimal int rows, basis, pool slacks,
+    each cell's complement flag and the first box slack's rank (_dual_bland)."""
 
-    __slots__ = ("den", "mass", "budget", "pool", "rows", "basis", "slacks")
+    __slots__ = ("den", "mass", "budget", "pool", "rows", "basis", "slacks", "flip", "box")
 
     def __init__(self, den: int, mass, budget: Fraction):
         self.den, self.mass = den, mass
         self.budget, self.pool = budget, []
         self.rows, self.basis, self.slacks = [], [], []
+        self.flip, self.box = [False] * (len(mass) - 1), 0
 
 
 def _restricted_game(game: _Game):
@@ -284,35 +309,37 @@ def _restricted_game(game: _Game):
     Guard: before any row is admitted, rows (pool + cells + 2) times columns
     (pool + 2*cells + 5) times cells (pivots grow with them) must be at most
     MAX_GAME_COST, else GuardExceeded, the game unchanged.  Each game of a
-    solve adds a row, so this bounds its games too.
+    solve adds a row, so this bounds its games too.  It counts the explicit
+    LP's box rows and slacks, which the tableau leaves out: an over-estimate.
 
     `game` keeps the tableau between the games of one solve, and every
     inequality row enters it by one step, _admit: a new basic slack column
-    and the row in the basis' canonical form.  While it is empty, the
-    cost row over H, s+, s-, y is laid down, then the first pool's tree rows
-    and the box rows H_x + s = 1 are admitted, the box rows last so that
-    the columns run H, s+, s-, y, first-pool slacks, box slacks, later
-    slacks: Bland's rule chooses by column index, so this order fixes a
-    solve's pivots and with them its certificates and committees.  The
-    density row, the one equality, comes last, with H at x0 basic, x0 the
-    first cell of positive mass where f*T_t0 is least and t0 the first
-    pool tree within the budget.  Two pivots, H_x0 on the density row and
-    then s+ on t0's row, carry the cost row to the reduced costs of a seed
-    basis that plays t0 alone.  Its duals are those of the mixture on t0,
-    so its reduced costs are mass_x * (f*T_t0(x) - f*T_t0(x0)) on H_x,
-    budget - depth_t0 on y, 0 on s- and 1 on t0's slack, all >= 0: the
-    basis is dual feasible.  With no tree within the budget, s + budget*y
-    falls without bound along y, and the game raises Infeasible before it
-    builds any row.  A later game admits the trees added since the last;
-    each new slack's reduced cost is 0, so the basis stays dual feasible.
-    Either way _dual_bland, which ends by Bland's rule in dual form, makes
-    the basis primal feasible.  A warm game reaches the value a first game
-    on the same pool would, possibly at another optimal vertex.
+    and the row in the basis' canonical form, 1 - H_x put in for each
+    complemented H_x.  While it is empty, the cost row over H, s+, s-, y is
+    laid down and the first pool's tree rows are admitted.  No bound
+    H_x <= 1 is a row: each is a complement flag (see _dual_bland), ranked
+    as the explicit LP's box slack u_x in H_x + u_x = 1, after the first
+    pool's slacks.  This order fixes a solve's pivots and with them its
+    certificates and committees.  The density row, the one equality, comes
+    last, with H at x0 basic, x0 the first cell of positive mass where
+    f*T_t0 is least and t0 the first pool tree within the budget.  Two
+    pivots, H_x0 on the density row and then s+ on t0's row, carry the cost
+    row to the reduced costs of a seed basis that plays t0 alone.  Its duals
+    are those of the mixture on t0, so its reduced costs are mass_x *
+    (f*T_t0(x) - f*T_t0(x0)) on H_x, budget - depth_t0 on y, 0 on s- and 1
+    on t0's slack, all >= 0: the basis is dual feasible.  With no tree
+    within the budget, s + budget*y falls without bound along y, and the
+    game raises Infeasible before it builds any row.  A later game admits
+    the trees added since the last; each new slack's reduced cost is 0, so
+    the basis stays dual feasible.  Either way _dual_bland, Bland's rule in
+    dual form replayed on the explicit LP, ends and makes the basis primal
+    feasible.  A warm game reaches the value a first game on the same pool
+    would, possibly at another optimal vertex.
 
     _check_saddle_point then certifies the pair whatever the kernel did.
     """
     den, mass, budget, pool = game.den, game.mass, game.budget, game.pool
-    tab, basis, slacks = game.rows, game.basis, game.slacks
+    tab, basis, slacks, flip = game.rows, game.basis, game.slacks, game.flip
     cells, trees = len(mass) - 1, len(pool)
     cost = (trees + cells + 2) * (trees + 2 * cells + 5) * cells
     if cost > MAX_GAME_COST:
@@ -325,15 +352,16 @@ def _restricted_game(game: _Game):
             raise Infeasible("no pool tree within the depth budget: the game is unbounded")
         d, p = _scale((1, -1, budget))
         tab.append([0] * cells + [*p, 0, d])  # costs of H, s+, s-, y; rhs; D
+        game.box = cells + 3 + trees
     for _, payoff, depth in pool[len(slacks):]:
         d = math.lcm(den, depth.denominator)
         a, y = d // den, depth.numerator * (d // depth.denominator)
-        entries = [(x, a * m * v) for x, (m, v) in enumerate(zip(mass, payoff))]
-        _admit(tab, basis, entries + [(cells, -d), (cells + 1, d), (cells + 2, -y)], 0, d)
+        entries = [(x, -e if up else e) for x, (e, up) in
+                   enumerate(zip([a * m * v for m, v in zip(mass, payoff)], flip))]
+        _admit(tab, basis, entries + [(cells, -d), (cells + 1, d), (cells + 2, -y)],
+               sum(e for (_, e), up in zip(entries, flip) if up), d)
         slacks.append(basis[-1])
     if first:
-        for x in range(cells):
-            _admit(tab, basis, [(x, 1)], 1, 1)
         tab.insert(len(basis), [*mass[:cells]] + [0] * (len(tab[0]) - cells - 2)
                    + [mass[cells], den])
         x0 = min((x for x in range(cells) if mass[x]), key=pool[t0][1].__getitem__)
@@ -341,14 +369,15 @@ def _restricted_game(game: _Game):
         basis.append(x0)
         _pivot(tab, t0, cells)
         basis[t0] = cells
-    _dual_bland(tab, basis)
+    _dual_bland(tab, basis, flip, game.box)
 
     costs = tab[-1]
     value = Fraction(-costs[-2], costs[-1])
-    z = [_ZERO] * cells
+    z = [_ONE if up else _ZERO for up in flip]
     for i, b in enumerate(basis):
         if b < cells:
-            z[b] = Fraction(tab[i][-2], tab[i][-1])
+            v, d = tab[i][-2:]
+            z[b] = Fraction(d - v if flip[b] else v, d)
     z = tuple(z)
     w = tuple(Fraction(costs[j], costs[-1]) for j in slacks)
     _check_saddle_point(game, value, z, w)

@@ -32,7 +32,7 @@ artifact's trees share a node's JSON dict too.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import prod
 from operator import mul
 
@@ -278,6 +278,12 @@ class LeafStats(Record):
     def p(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(h - abs(g), 2 * s * self._e) for s, h, g in self._cells)
 
+    def _p_ints(self) -> list[tuple[int, int]]:
+        """p as int pairs, (H - |G|, 2*S*E) off the kept cells: no Fraction."""
+        if "_cells" not in self.__dict__:
+            return [(v.numerator, v.denominator) for v in self.p]
+        return [(h - abs(g), 2 * s * self._e) for s, h, g in self._cells]
+
     @cached_property
     def dens_total(self) -> Fraction:
         return self._total(1) if "_cells" in self.__dict__ else sum(self.dens, _ZERO)
@@ -308,13 +314,15 @@ def _cell_sums(refs, n: int, k: int, mu: Distribution, tables=()
     rows = [(x, (w,) + tuple(w * t[x] for _, t in tables))
             for x, w in enumerate(weights) if w]
     zeros = (0,) * (1 + len(tables))
-
-    @lru_cache(maxsize=None)
-    def cell(bm: int, bv: int) -> tuple[int, ...]:
-        return tuple(map(sum, zip(zeros, *(r for x, r in rows if x & bm == bv))))
-
-    cells = [[cell((ref.fixed_mask >> (i * n)) & mask, (ref.fixed_vals >> (i * n)) & mask)
-              for i in range(k)] for ref in refs]
+    memo: dict[tuple[int, int], tuple[int, ...]] = {}
+    cells = []
+    for ref in refs:
+        cells.append(row := [])
+        for i in range(k):
+            bm, bv = (ref.fixed_mask >> (i * n)) & mask, (ref.fixed_vals >> (i * n)) & mask
+            if (bm, bv) not in memo:
+                memo[bm, bv] = tuple(map(sum, zip(zeros, *(r for x, r in rows if x & bm == bv))))
+            row.append(memo[bm, bv])
     return (scale,) + tuple(e for e, _ in tables), cells
 
 

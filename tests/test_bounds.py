@@ -142,7 +142,7 @@ def test_closed_forms_read_ints_and_strings_as_their_fractions():
         for spelled in itertools.product(*map(_spellings, args)):
             assert fn(*spelled) == want
     for p in itertools.product(*map(_spellings, (F(1, 3), F(1, 2), F(1), F(0)))):
-        assert bounds._ber_poly(p) == bounds._ber_poly((F(1, 3), F(1, 2), F(1), F(0)))
+        assert bounds.ber_sum(p) == bounds.ber_sum((F(1, 3), F(1, 2), F(1), F(0)))
 
 
 def test_constant_chain():

@@ -9,6 +9,7 @@ import random
 import re
 import sys
 from collections import Counter
+from types import SimpleNamespace
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -138,10 +139,11 @@ def _oracle_simplex(tab, basis, cost, nreal):
 def _oracle_game(f, mu, half_density, budget, tables, depths):
     """(value, z, w) of the pool-restricted game by _oracle_simplex, cold.
 
-    Fraction rows in the first game's column layout plus an artificial on
-    the density row: H, s+, s-, y, pool slacks, box slacks, artificial,
-    started on the slacks and the artificial.  w is the pool slacks'
-    reduced costs, and z the cell values of H, as in _restricted_game."""
+    Fraction rows in the explicit layout, the bounds H <= 1 as box rows,
+    plus an artificial on the density row: H, s+, s-, y, pool slacks, box
+    slacks, artificial, started on the slacks and the artificial.  w is the
+    pool slacks' reduced costs, and z the cell values of H, as in
+    _restricted_game."""
     npts, nt = 1 << f.n, len(tables)
     slack0 = npts + 3
     box0 = slack0 + nt
@@ -228,6 +230,40 @@ def _traced(module, name, kernel, snapshot, *args):
         setattr(module, name, pivot)
 
 
+def _explicit(game, j):
+    """Column j of a game's bounded tableau as its index in the explicit
+    layout H, s+, s-, y, first-pool slacks, box slacks, later slacks: a
+    complemented H_x is the box slack u_x = 1 - H_x."""
+    cells = len(game.flip)
+    if j < cells:
+        return game.box + j if game.flip[j] else j
+    return j + cells if j >= game.box else j
+
+
+def _explicit_pivots(monkeypatch):
+    """Spy on every pivot of every restricted game: returns the list that
+    collects each as (leaving, entering) in explicit-layout indices, the
+    leaving variable None for the density row's seed pivot."""
+    game_fn, pivot, games, log = hardcore._restricted_game, hardcore._pivot, [], []
+
+    def spied_game(game):
+        games.append(game)
+        try:
+            return game_fn(game)
+        finally:
+            games.pop()
+
+    def spied_pivot(tab, r, c):
+        game = games[-1]
+        leaving = _explicit(game, game.basis[r]) if r < len(game.basis) else None
+        log.append((leaving, _explicit(game, c)))
+        pivot(tab, r, c)
+
+    monkeypatch.setattr(hardcore, "_restricted_game", spied_game)
+    monkeypatch.setattr(hardcore, "_pivot", spied_pivot)
+    return log
+
+
 # Beale's LP in Chvatal's form: columns x4..x7 then the slacks x1..x3.
 BEALE_ROWS = [
     [F(1, 4), F(-8), F(-1), F(9), F(1), F(0), F(0), F(0)],
@@ -299,18 +335,27 @@ def test_int_kernel_pivots_as_the_fraction_oracle_on_random_lps():
 
 def test_restricted_game_runs_one_kernel_solve(monkeypatch):
     # Every game, the first from its seed basis and each later one from the
-    # last tableau, is one _dual_bland run.
+    # last tableau, is one _dual_bland run, with the cells' bounds as
+    # complement flags: the tableau holds one row per pool tree, the density
+    # row and the reduced costs, and columns H, s+, s-, y and the pool
+    # slacks, no box row H_x + u_x = 1 and no box slack u_x.
     calls = {"game": 0, "dual": 0}
     game, dual = hardcore._restricted_game, hardcore._dual_bland
 
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapper
+    def counted_game(played):
+        calls["game"] += 1
+        answer = game(played)
+        cells, trees = len(played.flip), len(played.pool)
+        assert len(played.rows) == trees + 2 and len(played.basis) == trees + 1
+        assert {len(row) for row in played.rows} == {cells + 3 + trees + 2}
+        return answer
 
-    monkeypatch.setattr(hardcore, "_restricted_game", counted("game", game))
-    monkeypatch.setattr(hardcore, "_dual_bland", counted("dual", dual))
+    def counted_dual(tab, basis, flip, box):
+        calls["dual"] += 1
+        return dual(tab, basis, flip, box)
+
+    monkeypatch.setattr(hardcore, "_restricted_game", counted_game)
+    monkeypatch.setattr(hardcore, "_dual_bland", counted_dual)
     mu = Distribution(2, (F(1, 2), F(1, 4), F(1, 8), F(1, 8)))
     assert hardcore_solve(parity(2), mu, F(1, 4), F(1, 2), F(1)).iterations == 4
     assert calls == {"game": 4, "dual": 4}
@@ -319,9 +364,10 @@ def test_restricted_game_runs_one_kernel_solve(monkeypatch):
 def test_restricted_game_rows_stay_gcd_reduced_ints(monkeypatch):
     # A Fraction back in the kernel's rows, a denominator slot that is not
     # positive or a row left unreduced fails here: every row is checked after
-    # each pivot, the two seed pivots of the first game included, and at each
-    # _dual_bland entry with the rows appended for a warm game, over one
-    # sweep solve's 8 restricted games.
+    # each pivot, the two seed pivots of the first game included, at each
+    # _dual_bland entry with the rows appended for a warm game, and at its
+    # exit, after the last row it complemented, over one sweep solve's 8
+    # restricted games.
     game, dual, pivot = hardcore._restricted_game, hardcore._dual_bland, hardcore._pivot
     counts = {"games": 0, "dual": 0, "pivots": 0}
 
@@ -329,10 +375,11 @@ def test_restricted_game_rows_stay_gcd_reduced_ints(monkeypatch):
         counts["games"] += 1
         return game(*args)
 
-    def checked_dual(tab, basis):
+    def checked_dual(tab, basis, flip, box):
         counts["dual"] += 1
         _assert_reduced_int_rows(tab)
-        return dual(tab, basis)
+        dual(tab, basis, flip, box)
+        _assert_reduced_int_rows(tab)
 
     def checked_pivot(tab, r, c):
         pivot(tab, r, c)
@@ -379,14 +426,7 @@ FORMER_LP_FAILURES = {(6, F(3, 2)), (6, F(1)), (0, F(1)), (9, F(1, 2)), (14, F(3
 
 
 def test_seeded_sweep_decides_and_rechecks_every_solve(monkeypatch):
-    pivots = []
-    pivot = hardcore._pivot
-
-    def spied(tab, r, c):
-        pivots.append((r, c))
-        pivot(tab, r, c)
-
-    monkeypatch.setattr(hardcore, "_pivot", spied)
+    pivots = _explicit_pivots(monkeypatch)
     solved = set()
     artifacts = []
     for s in range(16):
@@ -408,10 +448,12 @@ def test_seeded_sweep_decides_and_rechecks_every_solve(monkeypatch):
     assert hashlib.sha256(json.dumps(artifacts, sort_keys=True).encode()).hexdigest() == (
         "917fdf81ec7de746714ed7a40d623bd9522bb81bbab8903418ffd8248c7573fd")
     # ... and make the same pivots in the same order: in each solve's first
-    # game the two seed pivots, then those of the dual Bland rule
+    # game the two seed pivots, then those of the dual Bland rule, each
+    # named by its (leaving, entering) variables in the explicit layout, as
+    # the kernel made them when the box rows were rows of its tableau
     assert len(pivots) == 446
     assert hashlib.sha256(repr(pivots).encode()).hexdigest() == (
-        "8fd8ad8d5e1f8512ddd96d6c20c80a2006b47af11cda23b42fff3830a3a9cd03")
+        "63a3813b453c5de730e6fa3ce235f5de322b13ba8538b1802ab93f2888bfea9a")
 
 
 def test_every_warm_sweep_game_matches_a_cold_solve_of_its_pool(monkeypatch):
@@ -454,31 +496,41 @@ def test_n4_seeded_solves_boost_committees():
 
 
 def test_dual_bland_pivots_by_the_rule_through_ratio_ties(monkeypatch):
-    # Re-derived in Fractions before each dual pivot: the leaving row is the
-    # negative-rhs row of lowest basic index, the entering column the lowest
-    # of least cost / |entry|.  Both instances are degenerate: a ratio tie
-    # occurs, and the loop still ends.
+    # Re-derived in Fractions before each dual pivot, every variable named by
+    # its explicit-layout index: the leaving row is, among the rows with a
+    # negative basic variable or a basic H above 1 (whose box slack is then
+    # negative, and whose row the kernel has already complemented), the one
+    # of least index; the entering column the least of least cost / |entry|.
+    # The instances are degenerate: a ratio tie occurs, an H goes above 1,
+    # and the loop still ends.
     dual, pivot = hardcore._dual_bland, hardcore._pivot
     running, seen = [], Counter()
 
-    def spied_dual(tab, basis):
-        running.append(basis)
+    def spied_dual(tab, basis, flip, box):
+        running.append(SimpleNamespace(basis=basis, flip=flip, box=box))
         try:
-            dual(tab, basis)
+            dual(tab, basis, flip, box)
         finally:
             running.pop()
 
     def checked_pivot(tab, r, c):
         if running:
-            basis = running[-1]
-            rows = [_frac_row(row) for row in tab]
-            negative = [i for i in range(len(basis)) if rows[i][-1] < 0]
-            assert r == min(negative, key=basis.__getitem__)
+            game = running[-1]
+            cells, rows = len(game.flip), [_frac_row(row) for row in tab]
+            eligible = {}
+            for i, b in enumerate(game.basis):
+                if rows[i][-1] < 0:
+                    eligible[i] = _explicit(game, b)
+                elif b < cells and rows[i][-1] > 1:
+                    eligible[i] = game.box + b if not game.flip[b] else b
+            assert eligible[r] == min(eligible.values()) and rows[r][-1] < 0
             ratios = {j: rows[-1][j] / -a for j, a in enumerate(rows[r][:-1]) if a < 0}
-            tied = [j for j, q in ratios.items() if q == min(ratios.values())]
-            assert c == tied[0]
+            tied = sorted(_explicit(game, j) for j, q in ratios.items()
+                          if q == min(ratios.values()))
+            assert _explicit(game, c) == tied[0]
             seen["pivots"] += 1
             seen["ties"] += len(tied) > 1
+            seen["complemented"] += any(b < cells and game.flip[b] for b in game.basis)
         pivot(tab, r, c)
 
     monkeypatch.setattr(hardcore, "_dual_bland", spied_dual)
@@ -486,7 +538,10 @@ def test_dual_bland_pivots_by_the_rule_through_ratio_ties(monkeypatch):
     for n, budget in ((2, F(3, 2)), (3, F(2))):
         out = hardcore_solve(parity(n), uniform(n), F(1, 4), F(1, 2), budget)
         assert isinstance(out, Committee)
-    assert seen["ties"] >= 2 and seen["pivots"] >= 3, seen
+    rng = random.Random(9001)
+    f = random_function(rng, 3)
+    hardcore_solve(f, random_distribution(rng, 3, allow_zeros=False), F(1, 4), F(1, 2), F(1))
+    assert seen["ties"] >= 2 and seen["pivots"] >= 3 and seen["complemented"], seen
 
 
 def test_dual_bland_refuses_a_row_with_no_negative_entry():
@@ -584,11 +639,11 @@ def test_every_dual_bland_run_starts_dual_feasible(monkeypatch):
         first.append(not game.slacks)
         return solve(game)
 
-    def checked_dual(tab, basis):
+    def checked_dual(tab, basis, flip, box):
         costs = tab[-1]
         assert min(costs[:-2]) >= 0 and not any(costs[b] for b in basis)
         seen["first" if first.pop() else "warm"] += 1
-        dual(tab, basis)
+        dual(tab, basis, flip, box)
 
     monkeypatch.setattr(hardcore, "_restricted_game", spied_game)
     monkeypatch.setattr(hardcore, "_dual_bland", checked_dual)
@@ -612,11 +667,11 @@ def test_every_dual_bland_run_starts_dual_feasible(monkeypatch):
 
 
 def _oracle_first_tableau(f, mu, half_density, budget, tables, depths):
-    """(rows, basis, slacks, t0) of a first game at its _dual_bland entry,
-    by the former fixed-width build: every row laid out at its final width
-    in the columns H, s+, s-, y, pool slacks, box slacks; the tree rows, box
-    rows and density row; the two seed pivots; then the cost row priced
-    against the seed basis."""
+    """(rows, basis, slacks, t0) of a first game at its _dual_bland entry in
+    the explicit layout, by the former fixed-width build: every row laid out
+    at its final width in the columns H, s+, s-, y, pool slacks, box slacks;
+    the tree rows, box rows H_x + u_x = 1 and density row; the two seed
+    pivots; then the cost row priced against the seed basis."""
     npts, nt = 1 << f.n, len(tables)
     den, mass = hardcore._scale((*mu.weights, half_density))
     t0 = next(t for t, depth in enumerate(depths) if depth <= budget)
@@ -656,9 +711,12 @@ def _oracle_first_tableau(f, mu, half_density, budget, tables, depths):
 
 def test_first_games_enter_dual_bland_as_the_fixed_width_build(monkeypatch):
     # Rows admitted one at a time reach the tableau the former fixed-width
-    # build laid out: the same int rows in the same order, the same basis
-    # and pool slacks, on the n=3 sweep's first games and on random pools,
-    # some played first by a tree other than the first.
+    # build laid out, less its box rows and box-slack columns (every box
+    # slack is basic there, so its column is zero in every other row): the
+    # same int rows in the same order, the same basis and pool slacks, no
+    # cell complemented and the box slacks ranked from the first after the
+    # pool slacks, on the n=3 sweep's first games and on random pools, some
+    # played first by a tree other than the first.
     solve, dual = hardcore._restricted_game, hardcore._dual_bland
     entry, seen = [], Counter()
 
@@ -669,15 +727,21 @@ def test_first_games_enter_dual_bland_as_the_fixed_width_build(monkeypatch):
         finally:
             entry.pop()
 
-    def checked_dual(tab, basis):
+    def checked_dual(tab, basis, flip, box):
         game, first = entry[-1]
         if first:
             rows, want_basis, slacks, t0 = _oracle_first_tableau(
                 *_oracle_args(f, mu, half, game))
-            assert (tab, basis, game.slacks) == (rows, want_basis, slacks)
+            cells, trees = len(flip), len(slacks)
+            box0 = cells + 3 + trees
+            bounded = [row[:box0] + row[box0 + cells:] for row in rows[:trees] + rows[-2:]]
+            assert len(rows) == trees + cells + 2
+            assert (tab, basis, game.slacks) == (
+                bounded, [b for b in want_basis if not box0 <= b < box0 + cells], slacks)
+            assert (flip, box) == ([False] * cells, box0)
             seen["first"] += 1
             seen["t0 > 0"] += t0 > 0
-        dual(tab, basis)
+        dual(tab, basis, flip, box)
 
     monkeypatch.setattr(hardcore, "_restricted_game", spied_game)
     monkeypatch.setattr(hardcore, "_dual_bland", checked_dual)
@@ -699,6 +763,102 @@ def test_first_games_enter_dual_bland_as_the_fixed_width_build(monkeypatch):
         half = F(rng.randint(1, 7), 8)
         hardcore._restricted_game(_game(f, mu, half, budget, trees))
     assert seen["first"] == 56 + 150 and seen["t0 > 0"] >= 20, seen
+
+
+def _oracle_explicit_game(state, f, mu, half_density, budget, tables, depths):
+    """(value, z, w) of the pool-restricted game in the explicit layout, on
+    Fraction rows played warm by _oracle_dual_bland: columns H, s+, s-, y,
+    first-pool slacks, box slacks u_x with H_x + u_x = 1 as rows, later
+    slacks.  `state` keeps the rows, basis and pool slacks between the games
+    of one pool.  A first game lays down the tree rows, box rows and density
+    row and makes the two seed pivots of _restricted_game; a later one
+    admits each new tree row in the basis' canonical form."""
+    npts, rows, basis, slacks = 1 << f.n, state["rows"], state["basis"], state["slacks"]
+
+    def tree_row(t, width):
+        row = [F(0)] * width
+        for x in range(npts):
+            row[x] = mu.weights[x] * f.table[x] * tables[t][x]
+        row[npts:npts + 3] = F(-1), F(1), -depths[t]
+        return row
+
+    if not slacks:
+        nt = len(tables)
+        slack0, box0 = npts + 3, npts + 3 + nt
+        width = box0 + npts + 1
+        for t in range(nt):
+            rows.append(tree_row(t, width))
+            rows[-1][slack0 + t] = F(1)
+        for x in range(npts):
+            rows.append([F(x == j or box0 + x == j) for j in range(width - 1)] + [F(1)])
+        rows.append([*mu.weights] + [F(0)] * (width - npts - 1) + [half_density])
+        rows.append([F(0)] * npts + [F(1), F(-1), budget] + [F(0)] * (width - npts - 3))
+        basis += [slack0 + t for t in range(nt)] + [box0 + x for x in range(npts)]
+        slacks += range(slack0, box0)
+        t0 = next(t for t, depth in enumerate(depths) if depth <= budget)
+        x0 = min((x for x in range(npts) if mu.weights[x]),
+                 key=lambda x: f.table[x] * tables[t0][x])
+        _oracle_pivot(rows, len(basis), x0)
+        basis.append(x0)
+        _oracle_pivot(rows, t0, npts)
+        basis[t0] = npts
+    for t in range(len(slacks), len(tables)):
+        for row in rows:
+            row.insert(-1, F(0))
+        new = tree_row(t, len(rows[0]))
+        new[-2] = F(1)
+        for i, b in enumerate(basis):
+            m = new[b]
+            if m:
+                new = [v - m * u for v, u in zip(new, rows[i])]
+        rows.insert(len(basis), new)
+        basis.append(len(new) - 2)
+        slacks.append(len(new) - 2)
+    _oracle_dual_bland(rows, basis, Counter())
+    z = [F(0)] * npts
+    for i, b in enumerate(basis):
+        if b < npts:
+            z[b] = rows[i][-1]
+    return -rows[-1][-1], tuple(z), tuple(rows[-1][j] for j in slacks)
+
+
+def test_bounded_kernel_pivots_as_the_explicit_layout_on_random_pools(monkeypatch):
+    # The explicit layout, its bounds as box rows, played in Fractions by
+    # _oracle_dual_bland next to the int kernel on the same pools, a tree at
+    # a time: every game makes the same pivots, each named by its (leaving,
+    # entering) variables, and ends at the same (value, z, w).
+    got, want, state = _explicit_pivots(monkeypatch), [], {}
+    pivot = _oracle_pivot
+
+    def spied(tab, r, c):
+        basis = state["basis"]
+        want.append((basis[r] if r < len(basis) else None, c))
+        pivot(tab, r, c)
+
+    monkeypatch.setattr(sys.modules[__name__], "_oracle_pivot", spied)
+    rng = random.Random(3601)
+    seen = Counter()
+    for _ in range(120):
+        n = rng.randint(1, 4)
+        f = random_function(rng, n)
+        mu, trees, budget = _random_pool(rng, n, rng.randint(1, 7))
+        half = F(rng.randint(1, 7), 8)
+        game = _game(f, mu, half, budget, [])
+        state.update(rows=[], basis=[], slacks=[])
+        for tree in trees:
+            game.pool.append(_pool_entry(f, mu, tree))
+            answer = hardcore._restricted_game(game)
+            assert _oracle_explicit_game(state, *_oracle_args(f, mu, half, game)) == answer
+            assert got == want
+            box = range(game.box, game.box + len(game.flip))
+            seen["games"] += 1
+            seen["H at 1"] += any(game.flip)
+            seen["pivots"] += len(got)
+            seen["upper-bound pivots"] += sum(a in box or b in box for a, b in got)
+            got.clear()
+            want.clear()
+    assert seen["games"] >= 400 and seen["upper-bound pivots"] >= 100, seen
+    assert seen["H at 1"] >= 100, seen
 
 
 def test_a_pool_with_no_tree_within_the_budget_raises_infeasible():
@@ -885,13 +1045,14 @@ def test_a_solve_scales_mu_once(monkeypatch):
 
 @pytest.mark.parametrize("at, row, slot, fault", [
     (3, -1, None, "not reproduced by greedy minimum"),
-    (1, -2, -2, "leaves [0,1]"),
+    (1, -2, -2, "misses the density"),
 ], ids=["reduced-cost", "density-rhs"])
 def test_a_corrupted_pivot_raises_a_kernel_fault(monkeypatch, at, row, slot, fault):
     # The first game's third pivot is its first by _dual_bland, with the
     # reduced costs in the last row (slot None: the first nonzero one); its
     # first pivot leaves the density row just above the reduced costs, slot
-    # -2 its right-hand side.
+    # -2 its right-hand side.  The kernel then brings every H within its
+    # bounds, as it brings any basic variable, so the density is what moves.
     # A kernel bug is no fault of the input: no ValueError, so CLI exit 5.
     pivot, calls = hardcore._pivot, []
 
