@@ -257,6 +257,14 @@ MUTANTS = [
     # Left out as equivalent: lazy weights over the unreduced scale, which
     # Fraction normalizes.
 
+    # --- one printed precision; sign() escalates from the kept default enclosure
+    # a config may state any precision_bits below the fixed 128
+    ("src/dtlab/scenarios.py", '"precision_bits") != DEFAULT_PRECISION_BITS:',
+     '"precision_bits") > DEFAULT_PRECISION_BITS:', "tests/test_scenarios.py"),
+    # an enclosure with an endpoint at zero decides the sign
+    ("src/dtlab/exactexp.py", "        while lo <= 0 <= hi:\n", "        while lo < 0 < hi:\n",
+     "tests/test_exactexp.py"),
+
     # --- README figures read by the tests
     ("README.md", "would exceed 4,194,304", "would exceed 4,194,305", "tests/test_readme.py"),
     ("README.md", "`random`, `time` and", "`random` and", "tests/test_readme.py"),

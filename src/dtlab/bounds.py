@@ -5,8 +5,8 @@ nonnegative; a negative slack is a hard failure, never measurement noise,
 because each side is computed exactly.  All rational quantities are exact;
 whenever e^x enters, the comparison is decided by ExpSum.sign, whose certified
 enclosures are refined until they leave zero, so no verdict depends on a
-precision setting.  The config's precision_bits, passed to
-bound_report_to_json, only sets the width of serialized intervals.
+precision setting.  bound_report_to_json prints every interval at the one
+width sign() starts from, DEFAULT_PRECISION_BITS.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from math import floor, lcm, prod
 from operator import itemgetter
 
 from .errors import DimensionMismatch, InvalidValue
-from .exactexp import DEFAULT_PRECISION_BITS, ExpSum, _frac, value_json
+from .exactexp import ExpSum, _frac, value_json
 from .functions import (
     BooleanFunction,
     Distribution,
@@ -61,8 +61,8 @@ class BoundReport(Record):
     (where holds says nothing) from genuine bound violations.  related keeps
     side values worth reporting without widening the lhs/rhs contract.
     The slack is built once per report and kept, with the enclosure that
-    signed it, so that printing it at the default width encloses nothing
-    again.
+    signed it, so that printing it, always at that first width, encloses
+    nothing again.
     """
 
     context: str
@@ -99,12 +99,11 @@ def _equality_report(context: str, lhs: Fraction, rhs: Fraction,
                        True, tuple(related))
 
 
-def bound_report_to_json(report: BoundReport,
-                         prec_bits: int = DEFAULT_PRECISION_BITS) -> dict:
+def bound_report_to_json(report: BoundReport) -> dict:
     def val(v):
         if isinstance(v, bool) or not isinstance(v, (ExpSum, Fraction, int)):
             return v
-        return value_json(ExpSum.of(v), prec_bits)
+        return value_json(ExpSum.of(v))
 
     return {
         "context": report.context,

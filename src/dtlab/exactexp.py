@@ -261,30 +261,24 @@ class ExpSum(Record):
 
     @cached_property
     def _default_enclosure(self) -> tuple[Fraction, Fraction]:
-        """enclosure() at the default width, kept: a report's slack is signed
-        and then printed at that width."""
+        """enclosure() at the default width, kept: sign() starts from it, and
+        it is the one interval that decimal_interval prints."""
         return self.enclosure()
-
-    def _enclosure(self, prec_bits: int) -> tuple[Fraction, Fraction]:
-        if prec_bits == DEFAULT_PRECISION_BITS:
-            return self._default_enclosure
-        return self.enclosure(prec_bits)
 
     def sign(self) -> int:
         """Certified sign in {-1, 0, +1}; 0 only for exact rational zero."""
         if self.is_rational:
             v = self.as_rational()
             return (v > 0) - (v < 0)
+        lo, hi = self._default_enclosure
         prec = DEFAULT_PRECISION_BITS
-        while prec <= MAX_PRECISION_BITS:
-            lo, hi = self._enclosure(prec)
-            if lo > 0:
-                return 1
-            if hi < 0:
-                return -1
+        while lo <= 0 <= hi:
+            if prec >= MAX_PRECISION_BITS:
+                raise UndecidedComparison(
+                    f"sign of a {len(self.terms)}-term sum undecided at {MAX_PRECISION_BITS} bits")
             prec *= 2
-        raise UndecidedComparison(
-            f"sign of a {len(self.terms)}-term sum undecided at {MAX_PRECISION_BITS} bits")
+            lo, hi = self.enclosure(prec)
+        return 1 if lo > 0 else -1
 
     def __str__(self) -> str:
         if not self.terms:
@@ -305,15 +299,16 @@ def _decimal_directed(q: Fraction, rounding) -> str:
         return str(Decimal(q.numerator) / Decimal(q.denominator))
 
 
-def decimal_interval(value: ExpSum, prec_bits: int = DEFAULT_PRECISION_BITS) -> tuple[str, str]:
-    """30-digit decimal strings [lo, hi] with outward rounding, still a true
-    enclosure."""
-    lo, hi = value._enclosure(prec_bits)
+def decimal_interval(value: ExpSum) -> tuple[str, str]:
+    """The kept enclosure at DEFAULT_PRECISION_BITS as 30-digit decimal
+    strings [lo, hi], rounded outward: still a true enclosure."""
+    lo, hi = value._default_enclosure
     return (_decimal_directed(lo, ROUND_FLOOR), _decimal_directed(hi, ROUND_CEILING))
 
 
-def value_json(value: ExpSum, prec_bits: int = DEFAULT_PRECISION_BITS):
-    """Serialize: exact rationals as 'p/q', anything else as a [lo, hi] pair."""
+def value_json(value: ExpSum):
+    """Serialize: exact rationals as 'p/q', anything else as decimal_interval's
+    [lo, hi] pair."""
     if value.is_rational:
         return fraction_to_str(value.as_rational())
-    return list(decimal_interval(value, prec_bits))
+    return list(decimal_interval(value))

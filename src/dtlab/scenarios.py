@@ -4,8 +4,8 @@ A scenario is a pure function of its params to a list of checks, each
 carrying a BoundReport.  run_scenario parses every param once by the type of
 its default (an int default takes a JSON integer, a string default a
 rational), so a scenario body only checks ranges.  Verdicts are certified and
-take no precision: the config's precision_bits only sets how wide the
-serialized intervals are.
+take no precision, and every interval is printed at DEFAULT_PRECISION_BITS:
+a config may state precision_bits only as that value.
 Reports contain no timing or environment data: identical config must
 serialize to byte-identical JSON.
 """
@@ -39,7 +39,6 @@ from .bounds import (
 from .errors import InvalidValue
 from .exactexp import (
     DEFAULT_PRECISION_BITS,
-    MAX_PRECISION_BITS,
     ExpSum,
     _int,
     fraction_from_str,
@@ -398,8 +397,9 @@ def run_config(config: dict, *, jobs: int = 1):
     """Run every scenario in the config; returns (report dict, timings).
 
     The report is deterministic for a fixed config; wall-clock timings are
-    returned separately so they never reach the serialized output.  The
-    config's precision_bits only sets the width of the printed intervals.
+    returned separately so they never reach the serialized output.  Every
+    interval is printed at DEFAULT_PRECISION_BITS; a config's precision_bits,
+    if stated, must be that value, and is echoed.
     The report is read-only: frontier points and committee members share
     tree sub-dicts, so an edit in place would show in each of them.
     """
@@ -410,10 +410,10 @@ def run_config(config: dict, *, jobs: int = 1):
     unknown = set(config) - {"scenarios", "precision_bits"}
     if unknown:
         raise InvalidValue(f"unknown config keys {sorted(unknown)}")
-    prec = _int(config.get("precision_bits", DEFAULT_PRECISION_BITS), "precision_bits")
-    # no verdict needs more than ExpSum.sign's escalation ceiling, and finer
-    # printed intervals cost time without bound
-    _in_range(prec, 8, MAX_PRECISION_BITS, "precision_bits")
+    if _int(config.get("precision_bits", DEFAULT_PRECISION_BITS),
+            "precision_bits") != DEFAULT_PRECISION_BITS:
+        raise InvalidValue(f"precision_bits is fixed at {DEFAULT_PRECISION_BITS}, "
+                           f"got {config['precision_bits']}")
     entries = config.get("scenarios", [])
     if not isinstance(entries, list):
         raise InvalidValue("config 'scenarios' must be a list")
@@ -444,12 +444,12 @@ def run_config(config: dict, *, jobs: int = 1):
     failed = sum(1 for r in results for c in r.checks if not c.report.holds)
     bodies = [{"scenario": r.scenario,
                "params": dict(sorted(r.params.items())),
-               "checks": [{**bound_report_to_json(c.report, prec), "name": c.name}
+               "checks": [{**bound_report_to_json(c.report), "name": c.name}
                           for c in r.checks],
                "artifacts": r.artifacts} for r in results]
     report = {
         "config": {
-            "precision_bits": prec,
+            "precision_bits": DEFAULT_PRECISION_BITS,
             "scenarios": [{"name": b["scenario"], "params": b["params"]}
                           for b in bodies],
         },

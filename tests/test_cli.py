@@ -97,17 +97,21 @@ def test_product_tree_eps_out_of_range_exits_2(tmp_path, capsys, eps):
 
 
 def test_bad_precision_exits_2(tmp_path, capsys):
+    # every report is printed at 128 bits; a config may only restate that
     path = tmp_path / "config.json"
-    for bits in (4, 8193, 1 << 20):
+    for bits in (4, 8, 129, 8192):
         path.write_text(json.dumps({"precision_bits": bits,
                                     "scenarios": [{"name": "closed-forms"}]}))
         assert cli.main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
-        assert "precision_bits must lie in [8,8192]" in capsys.readouterr().err
+        out = capsys.readouterr()
+        assert f"precision_bits is fixed at 128, got {bits}" in out.err
+        # refused before any scenario ran: no check line and no timing line
+        assert out.out == "" and "# timing" not in out.err
         assert not (tmp_path / "report.json").exists()
 
 
 def test_precision_flag_is_a_usage_error(tmp_path, capsys):
-    # the config key is the only way to set the printed precision
+    # the printed precision is not a setting
     cfg = _write_config(tmp_path / "config.json", [{"name": "closed-forms"}])
     with pytest.raises(SystemExit) as exc:
         cli.main(["run", "--config", cfg, "--precision", "128", "--out", str(tmp_path)])

@@ -6,12 +6,11 @@ import inspect
 import itertools
 import json
 import random
-from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
-from dtlab import bounds, cli, scenarios
+from dtlab import bounds, cli, exactexp, scenarios
 from dtlab.errors import GuardExceeded, InvalidValue
 from dtlab.exactexp import ExpSum
 from dtlab.functions import BooleanFunction
@@ -143,17 +142,15 @@ def test_config_validation():
         run_config({"scenarios": [{"params": {}}]})
     with pytest.raises(InvalidValue):
         run_config({"scenarios": [{"name": "closed-forms", "extra": 1}]})
-    # precision has one setter, the config key, range-checked and echoed
-    for bits in (4, 8193, 1 << 20):
-        with pytest.raises(InvalidValue, match=r"precision_bits must lie in \[8,8192\]"):
+    # the printed precision is fixed: a config may restate it, and it is echoed
+    for bits in (4, 8, 64, 127, 129, 256, 8192, 1 << 20):
+        with pytest.raises(InvalidValue, match=f"precision_bits is fixed at 128, got {bits}"):
             run_config({"precision_bits": bits, "scenarios": []})
-    for bits in (8, 64, 8192):
-        report, _ = run_config({"precision_bits": bits,
-                                "scenarios": [{"name": "closed-forms"}]})
-        assert report["summary"]["ok"] and report["config"]["precision_bits"] == bits
-    assert run_config({"scenarios": []})[0]["config"]["precision_bits"] == 128
+    for stated in ({"precision_bits": 128}, {}):
+        report, _ = run_config({**stated, "scenarios": [{"name": "closed-forms"}]})
+        assert report["summary"]["ok"] and report["config"]["precision_bits"] == 128
     with pytest.raises(TypeError):
-        run_config({"scenarios": []}, precision_bits=96)
+        run_config({"scenarios": []}, precision_bits=128)
 
 
 def test_check_payloads_are_json_clean():
@@ -171,12 +168,13 @@ def _taking_precision(module):
 
 
 def test_a_scenario_is_a_function_of_its_params():
-    # precision reaches only the serialization of a report, never a verdict,
-    # and is set only by the config key
+    # no verdict and no printed value takes a precision: there is no setting
     for fn, _defaults, _desc in SCENARIOS.values():
         assert list(inspect.signature(fn).parameters) == ["params"]
     assert {m.__name__: _taking_precision(m) for m in (bounds, scenarios, cli)} == {
-        "dtlab.bounds": ["bound_report_to_json"], "dtlab.scenarios": [], "dtlab.cli": []}
+        "dtlab.bounds": [], "dtlab.scenarios": [], "dtlab.cli": []}
+    for fn in (exactexp.value_json, exactexp.decimal_interval):
+        assert list(inspect.signature(fn).parameters) == ["value"]
     sub = next(a for a in cli.build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
     options = [s for p in sub.choices.values() for a in p._actions for s in a.option_strings]
@@ -184,31 +182,10 @@ def test_a_scenario_is_a_function_of_its_params():
     assert list(inspect.signature(ExpSum.sign).parameters) == ["self"]
 
 
-def _interval(value):
-    return [Fraction(Decimal(v)) for v in value] if isinstance(value, list) else None
-
-
-def test_verdicts_do_not_depend_on_precision():
-    low, _ = run_config({**_small_config(), "precision_bits": 8})
-    high, _ = run_config({**_small_config(), "precision_bits": 256})
-    assert low["summary"] == high["summary"]
-    intervals = 0
-    for s_low, s_high in zip(low["scenarios"], high["scenarios"], strict=True):
-        assert s_low["artifacts"] == s_high["artifacts"]
-        for c_low, c_high in zip(s_low["checks"], s_high["checks"], strict=True):
-            assert (c_low["name"], c_low["holds"]) == (c_high["name"], c_high["holds"])
-            assert c_low["related"].keys() == c_high["related"].keys()
-            sides = [(c_low[k], c_high[k]) for k in ("lhs", "rhs", "slack")]
-            sides += [(v, c_high["related"][k]) for k, v in c_low["related"].items()]
-            for v_low, v_high in sides:
-                a, b = _interval(v_low), _interval(v_high)
-                if a is None:
-                    # an exact side is printed the same at every precision
-                    assert v_low == v_high, c_low["name"]
-                else:
-                    assert b is not None and a[0] <= b[1] and b[0] <= a[1]
-                    intervals += 1
-    assert intervals > 0
+def test_stating_the_fixed_precision_changes_no_byte():
+    stated = {"precision_bits": 128, **_small_config()}
+    assert report_to_bytes(run_config(stated)[0]) == report_to_bytes(
+        run_config(_small_config())[0])
 
 
 def test_frontier_report_is_pinned():
