@@ -258,9 +258,9 @@ MUTANTS = [
     # Fraction normalizes.
 
     # --- one printed precision; sign() escalates from the kept default enclosure
-    # a config may state any precision_bits below the fixed 128
-    ("src/dtlab/scenarios.py", '"precision_bits") != DEFAULT_PRECISION_BITS:',
-     '"precision_bits") > DEFAULT_PRECISION_BITS:', "tests/test_scenarios.py"),
+    # a config may state a precision_bits wider than the fixed 128
+    ("src/dtlab/scenarios.py", "8, DEFAULT_PRECISION_BITS, \"precision_bits\")",
+     "8, 2 * DEFAULT_PRECISION_BITS, \"precision_bits\")", "tests/test_scenarios.py"),
     # an enclosure with an endpoint at zero decides the sign
     ("src/dtlab/exactexp.py", "        while lo <= 0 <= hi:\n", "        while lo < 0 < hi:\n",
      "tests/test_exactexp.py"),

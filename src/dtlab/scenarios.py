@@ -5,7 +5,7 @@ carrying a BoundReport.  run_scenario parses every param once by the type of
 its default (an int default takes a JSON integer, a string default a
 rational), so a scenario body only checks ranges.  Verdicts are certified and
 take no precision, and every interval is printed at DEFAULT_PRECISION_BITS:
-a config may state precision_bits only as that value.
+a config's precision_bits is at most a floor on that width.
 Reports contain no timing or environment data: identical config must
 serialize to byte-identical JSON.
 """
@@ -398,8 +398,9 @@ def run_config(config: dict, *, jobs: int = 1):
 
     The report is deterministic for a fixed config; wall-clock timings are
     returned separately so they never reach the serialized output.  Every
-    interval is printed at DEFAULT_PRECISION_BITS; a config's precision_bits,
-    if stated, must be that value, and is echoed.
+    interval is printed at DEFAULT_PRECISION_BITS, and the report echoes that
+    width.  A config may state precision_bits in [8, DEFAULT_PRECISION_BITS],
+    a floor that width meets, so no stated value changes a byte.
     The report is read-only: frontier points and committee members share
     tree sub-dicts, so an edit in place would show in each of them.
     """
@@ -410,10 +411,10 @@ def run_config(config: dict, *, jobs: int = 1):
     unknown = set(config) - {"scenarios", "precision_bits"}
     if unknown:
         raise InvalidValue(f"unknown config keys {sorted(unknown)}")
-    if _int(config.get("precision_bits", DEFAULT_PRECISION_BITS),
-            "precision_bits") != DEFAULT_PRECISION_BITS:
-        raise InvalidValue(f"precision_bits is fixed at {DEFAULT_PRECISION_BITS}, "
-                           f"got {config['precision_bits']}")
+    # a stated precision is a floor, met by the one width every report is
+    # printed at; no setting prints wider
+    _in_range(_int(config.get("precision_bits", DEFAULT_PRECISION_BITS), "precision_bits"),
+              8, DEFAULT_PRECISION_BITS, "precision_bits")
     entries = config.get("scenarios", [])
     if not isinstance(entries, list):
         raise InvalidValue("config 'scenarios' must be a list")

@@ -97,14 +97,14 @@ def test_product_tree_eps_out_of_range_exits_2(tmp_path, capsys, eps):
 
 
 def test_bad_precision_exits_2(tmp_path, capsys):
-    # every report is printed at 128 bits; a config may only restate that
+    # every report is printed at 128 bits; no stated precision prints wider
     path = tmp_path / "config.json"
-    for bits in (4, 8, 129, 8192):
+    for bits in (4, 7, 129, 8192):
         path.write_text(json.dumps({"precision_bits": bits,
                                     "scenarios": [{"name": "closed-forms"}]}))
         assert cli.main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
         out = capsys.readouterr()
-        assert f"precision_bits is fixed at 128, got {bits}" in out.err
+        assert f"precision_bits must lie in [8,128], got {bits}" in out.err
         # refused before any scenario ran: no check line and no timing line
         assert out.out == "" and "# timing" not in out.err
         assert not (tmp_path / "report.json").exists()
