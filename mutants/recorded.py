@@ -265,6 +265,32 @@ MUTANTS = [
     ("src/dtlab/exactexp.py", "        while lo <= 0 <= hi:\n", "        while lo < 0 < hi:\n",
      "tests/test_exactexp.py"),
 
+    # --- ExpSum on ints: one int-keyed exp kernel
+    # a negative exponent keeps the positive side's ends in place: lo > hi
+    ("src/dtlab/exactexp.py", "        return d, c, b, a\n", "        return b, a, d, c\n",
+     "tests/test_exactexp.py"),
+    # the upper end is reduced one bit past its trailing zeros
+    ("src/dtlab/exactexp.py", "min(w, (hi & -hi).bit_length() - 1)",
+     "min(w, (hi & -hi).bit_length())", "tests/test_exactexp.py"),
+    # the bit budget leaves out the precision asked for
+    ("src/dtlab/exactexp.py", "bits = (p * 47275 // q >> 15) + prec_bits",
+     "bits = (p * 47275 // q >> 15)", "tests/test_exactexp.py"),
+    # a negative coefficient swaps only the numerators of its term's bounds
+    ("src/dtlab/exactexp.py", "a, b, c, d = c, d, a, b", "a, c = c, a",
+     "tests/test_exactexp.py"),
+    # is_rational reads only the first term: 1 + e**-1 passes as rational
+    ("src/dtlab/exactexp.py", "(len(self.terms) == 1 and not self.terms[0][1])",
+     "(not self.terms[0][1])", "tests/test_exactexp.py"),
+    # a difference keeps the signs of the subtrahend's tail
+    ("src/dtlab/exactexp.py", "tail = [(-c, d) for c, d in theirs[j:]] if negate",
+     "tail = [(c, d) for c, d in theirs[j:]] if negate", "tests/test_exactexp.py"),
+    # ... or of a subtrahend term taken inside the merge
+    ("src/dtlab/exactexp.py", "out.append((-c, d) if negate else theirs[j])",
+     "out.append(theirs[j])", "tests/test_exactexp.py"),
+    # the printed upper end is rounded down, not up
+    ("src/dtlab/exactexp.py", "        ctx.rounding = ROUND_CEILING\n",
+     "        ctx.rounding = ROUND_FLOOR\n", "tests/test_exactexp.py"),
+
     # --- README figures read by the tests
     ("README.md", "would exceed 4,194,304", "would exceed 4,194,305", "tests/test_readme.py"),
     ("README.md", "`random`, `time` and", "`random` and", "tests/test_readme.py"),

@@ -18,16 +18,18 @@ never equal to zero, so refinement terminates for every comparison that is
 not an exact rational tie; rational ties are decided exactly without any
 enclosure.
 
-The enclosures of exp come from one fixed-point integer kernel, exp_bounds:
-halve the argument below 1/2 (and about sqrt(precision)/2 times more), sum
-its Taylor series on integers scaled by 2**w, then square back (Brent, J. ACM
-1976).  Directed rounding keeps each side a bound: the lower side floors every
-step, the upper side ceils every step and adds a bound on the series tail.
-The working width w is the precision asked for plus one bit per squaring plus
-guard bits for the series' rounding; exp_bounds's docstring gives the budget.
+The enclosures of exp come from one cached int kernel, _exp_ints(p, q,
+prec_bits) for e**(p/q) (Brent, J. ACM 1976): halve the argument below 1/2
+(and about sqrt(precision)/2 times more), sum its Taylor series on ints scaled
+by 2**w, flooring every step for the lower side and ceiling every step plus a
+tail bound for the upper, then square back and reduce each dyadic end to an
+int pair by a shift.  A negative exponent swaps and inverts the pairs of its
+negation, built one bit tighter.  An exponent whose bounds would need over
+MAX_EXP_BITS bits is refused before any squaring.  exp_bounds reads the
+kernel as Fractions.
 
-ExpSum.enclosure sums on one such scale 2**w (Brent and Zimmermann, Modern
-Computer Arithmetic, 2010): each e**b from exp_bounds at prec + GUARD_BITS
+ExpSum.enclosure sums on one scale 2**w (Brent and Zimmermann, Modern
+Computer Arithmetic, 2010): each e**b from the kernel at prec + GUARD_BITS
 whatever the term count, each a*e**b floored onto the scale for the low side
 and ceiled for the high.  With 2**top a bound on the largest term (within
 about a factor 16), w = prec + 2*GUARD_BITS - top, so each side lies within
@@ -42,18 +44,17 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import isqrt
 
-from .errors import InvalidValue, UndecidedComparison
+from .errors import GuardExceeded, InvalidValue, UndecidedComparison
 from .records import Record
 
 DEFAULT_PRECISION_BITS = 128
 
-# Escalation: ExpSum.sign starts at DEFAULT_PRECISION_BITS and doubles up to this.
-MAX_PRECISION_BITS = DEFAULT_PRECISION_BITS << 6
+MAX_PRECISION_BITS = DEFAULT_PRECISION_BITS << 6  # ExpSum.sign doubles up to this
 GUARD_BITS = 16  # ExpSum.enclosure's extra bits, twice over; see above
 MAX_DIGITS = 4300  # int()'s default limit on the digits of a decimal string
+MAX_EXP_BITS = 1 << 16  # |x|*log2(e) + prec_bits; committee_size's e**(65535/8) fits
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def fraction_to_str(q: Fraction) -> str:
@@ -87,18 +88,12 @@ def _int(value, what: str) -> int:
 
 
 @lru_cache(maxsize=None)
-def exp_bounds(x: Fraction, prec_bits: int = DEFAULT_PRECISION_BITS) -> tuple[Fraction, Fraction]:
-    """Dyadic lo <= exp(x) <= hi with hi - lo <= lo * 2**-prec_bits.
-
-    For x > 0, y = x / 2**r < 2**-(1 + m) and exp(x) = exp(y)**(2**r); the
-    m = isqrt(prec_bits) // 2 halvings past 1/2 trade series terms for
-    squarings.  Both bounds live on integers scaled by S = 2**w.  The series
-    for S*exp(y) is summed twice: from floor(y*S) flooring every step, which
-    only loses mass, and from ceil(y*S) ceiling every step, plus 1 for the
-    tail (the last upper term is 1 and the term ratio y/(k+1) is at most 1/4,
-    so the tail is under 1/3).  Then each side is squared r times,
-    L -> floor(L*L/S) and H -> ceil(H*H/S).  Negative x inverts the bounds
-    for -x, computed one bit tighter.
+def _exp_ints(p: int, q: int, prec_bits: int) -> tuple[int, int, int, int]:
+    """Reduced ints a/b <= exp(p/q) <= c/d (q > 0) with c/d - a/b <= a/b *
+    2**-prec_bits, by the module docstring's method: for x = p/q > 0, the
+    series of S*exp(y), S = 2**w, y = x/2**r < 2**-(1 + isqrt(prec_bits)//2),
+    squared r times.  Its upper side adds 1 for the tail: the last upper term
+    is 1 and the term ratio y/(k+1) is at most 1/4, so the tail is under 1/3.
 
     Error budget, in units of 1/S.  Term k of either series is within 4 of
     S*y**k/k!: the step rounds by under 1, the rounded y adds at most
@@ -113,21 +108,21 @@ def exp_bounds(x: Fraction, prec_bits: int = DEFAULT_PRECISION_BITS) -> tuple[Fr
     """
     if prec_bits < 1:
         raise InvalidValue(f"prec_bits must be positive, got {prec_bits}")
-    if x == 0:
-        return _ONE, _ONE
-    if x < 0:
-        lo, hi = exp_bounds(-x, prec_bits + 1)
-        return 1 / hi, 1 / lo
-
-    p, q = x.numerator, x.denominator
+    if p == 0:
+        return 1, 1, 1, 1
+    if p < 0:
+        a, b, c, d = _exp_ints(-p, q, prec_bits + 1)
+        return d, c, b, a
+    bits = (p * 47275 // q >> 15) + prec_bits  # 47275 / 2**15 just over log2(e)
+    if bits > MAX_EXP_BITS:
+        raise GuardExceeded(f"exp(x), |x| ~ {p // q}, needs ~{bits} bits, over {MAX_EXP_BITS}")
     # x < 2**(bitlen(p) - bitlen(q) + 1), so y < 2**-(1 + m)
     r = max(0, p.bit_length() - q.bit_length() + 2 + isqrt(prec_bits) // 2)
     w = prec_bits + r + 8 + (prec_bits + r).bit_length()
     while True:
-        scale = 1 << w
         y_lo, rem = divmod(p << w, q << r)
         y_hi = y_lo + (rem > 0)
-        lo = hi = t_lo = t_hi = scale
+        lo = hi = t_lo = t_hi = 1 << w
         k = 0
         while t_hi > 1:
             k += 1
@@ -140,8 +135,20 @@ def exp_bounds(x: Fraction, prec_bits: int = DEFAULT_PRECISION_BITS) -> tuple[Fr
             lo = lo * lo >> w
             hi = -(-hi * hi >> w)
         if (hi - lo) << prec_bits <= lo:
-            return Fraction(lo, scale), Fraction(hi, scale)
+            s, t = min(w, (lo & -lo).bit_length() - 1), min(w, (hi & -hi).bit_length() - 1)
+            return lo >> s, 1 << w - s, hi >> t, 1 << w - t
         w += 32
+
+
+def exp_bounds(x, prec_bits: int = DEFAULT_PRECISION_BITS) -> tuple[Fraction, Fraction]:
+    """_exp_ints as Fractions lo <= exp(x) <= hi, hi - lo <= lo * 2**-prec_bits;
+    x is anything ExpSum.exp accepts, and cache_info is the kernel's."""
+    x = _frac(x)
+    a, b, c, d = _exp_ints(x.numerator, x.denominator, prec_bits)
+    return Fraction(a, b), Fraction(c, d)
+
+
+exp_bounds.cache_info = _exp_ints.cache_info
 
 
 def _canon(terms) -> tuple[tuple[Fraction, Fraction], ...]:
@@ -149,21 +156,23 @@ def _canon(terms) -> tuple[tuple[Fraction, Fraction], ...]:
     order that negation and scaling keep)."""
     acc: dict[Fraction, Fraction] = {}
     for coeff, expo in terms:
-        if type(coeff) is not Fraction:
-            coeff = Fraction(coeff)
-        if type(expo) is not Fraction:
-            expo = Fraction(expo)
+        coeff, expo = _frac(coeff), _frac(expo)
         acc[expo] = acc.get(expo, _ZERO) + coeff
     return tuple((acc[b], b) for b in sorted(acc, reverse=True) if acc[b] != 0)
 
 
 def _frac(value) -> Fraction:
-    return value if type(value) is Fraction else Fraction(value)
+    """value read exactly as a Fraction (ints, floats, "p/q"), or InvalidValue."""
+    if type(value) is Fraction:
+        return value
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise InvalidValue(f"not a rational: {value!r:.40}") from None
 
 
 class ExpSum(Record):
-    """Exact value sum_i a_i * exp(b_i); closed under + and -.  Canonical
-    always; see the module docstring."""
+    """Exact value sum_i a_i * exp(b_i), closed under + and -; always canonical."""
 
     terms: tuple[tuple[Fraction, Fraction], ...]
 
@@ -189,27 +198,28 @@ class ExpSum(Record):
     @staticmethod
     def exp(exponent, coeff=1) -> "ExpSum":
         """coeff * e**exponent."""
-        coeff = _frac(coeff)
-        exponent = _frac(exponent)
+        coeff, exponent = _frac(coeff), _frac(exponent)
         return ExpSum._make(((coeff, exponent),) if coeff else ())
 
     @property
     def is_rational(self) -> bool:
-        return all(b == 0 for _, b in self.terms)
+        """Canonical exponents are distinct: no term, or one at exponent 0."""
+        return not self.terms or (len(self.terms) == 1 and not self.terms[0][1])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational:
             raise InvalidValue(f"not an exact rational: {self}")
         return self.terms[0][0] if self.terms else _ZERO
 
-    def __add__(self, other) -> "ExpSum":
-        """One merge of the two term lists, both sorted by decreasing exponent."""
+    def __add__(self, other, negate: bool = False) -> "ExpSum":
+        """self + other, or self - other if negate: one merge of the two term
+        lists, both sorted by decreasing exponent, negating other's as it goes."""
         other = ExpSum.of(other)
         mine, theirs = self.terms, other.terms
         if not theirs:
             return self
         if not mine:
-            return other
+            return -other if negate else other
         out = []
         i = j = 0
         while i < len(mine) and j < len(theirs):
@@ -218,15 +228,16 @@ class ExpSum(Record):
                 out.append(mine[i])
                 i += 1
             elif d > b:
-                out.append(theirs[j])
+                out.append((-c, d) if negate else theirs[j])
                 j += 1
             else:
-                coeff = a + c
+                coeff = a - c if negate else a + c
                 if coeff:
                     out.append((coeff, b))
                 i += 1
                 j += 1
-        return ExpSum._make((*out, *mine[i:], *theirs[j:]))
+        tail = [(-c, d) for c, d in theirs[j:]] if negate else theirs[j:]
+        return ExpSum._make((*out, *mine[i:], *tail))
 
     __radd__ = __add__
 
@@ -234,30 +245,31 @@ class ExpSum(Record):
         return ExpSum._make(tuple((-a, b) for a, b in self.terms))
 
     def __sub__(self, other) -> "ExpSum":
-        return self + (-ExpSum.of(other))
+        return self.__add__(other, True)
 
     def __rsub__(self, other) -> "ExpSum":
-        return ExpSum.of(other) + (-self)
+        return ExpSum.of(other).__add__(self, True)
 
     def enclosure(self, prec_bits: int = DEFAULT_PRECISION_BITS) -> tuple[Fraction, Fraction]:
         """Guaranteed rational interval containing the exact value, summed on
         one fixed-point int scale; the module docstring bounds its width."""
         pad = prec_bits + GUARD_BITS
-        terms = [(a, *(exp_bounds(b, pad) if b else (_ONE, _ONE))) for a, b in self.terms]
-        # |a| * ehi < 2**top for every term
-        top = max((a.numerator.bit_length() - a.denominator.bit_length()
-                   + ehi.numerator.bit_length() - ehi.denominator.bit_length() + 2
-                   for a, _, ehi in terms), default=0)
+        # (p, q, a, b, c, d): coefficient p/q, e**exponent within [a/b, c/d]
+        terms = [(x.numerator, x.denominator,
+                  *(_exp_ints(y.numerator, y.denominator, pad) if y else (1, 1, 1, 1)))
+                 for x, y in self.terms]
+        # |p/q| * c/d < 2**top for every term
+        top = max((p.bit_length() - q.bit_length() + c.bit_length() - d.bit_length() + 2
+                   for p, q, _, _, c, d in terms), default=0)
         w = max(0, pad + GUARD_BITS - top)
         lo = hi = 0
-        for a, elo, ehi in terms:
-            if a < 0:
-                elo, ehi = ehi, elo
-            p, q = a.numerator << w, a.denominator
-            lo += p * elo.numerator // (q * elo.denominator)
-            hi -= -p * ehi.numerator // (q * ehi.denominator)
-        scale = 1 << w
-        return Fraction(lo, scale), Fraction(hi, scale)
+        for p, q, a, b, c, d in terms:
+            if p < 0:
+                a, b, c, d = c, d, a, b
+            p <<= w
+            lo += p * a // (q * b)
+            hi -= -p * c // (q * d)
+        return Fraction(lo, 1 << w), Fraction(hi, 1 << w)
 
     @cached_property
     def _default_enclosure(self) -> tuple[Fraction, Fraction]:
@@ -281,34 +293,22 @@ class ExpSum(Record):
         return 1 if lo > 0 else -1
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for a, b in self.terms:
-            if b == 0:
-                parts.append(fraction_to_str(a))
-            else:
-                parts.append(f"{fraction_to_str(a)}*exp({fraction_to_str(b)})")
-        return " + ".join(parts)
-
-
-def _decimal_directed(q: Fraction, rounding) -> str:
-    with localcontext() as ctx:
-        ctx.prec = 30
-        ctx.rounding = rounding
-        return str(Decimal(q.numerator) / Decimal(q.denominator))
+        return " + ".join(fraction_to_str(a) + (f"*exp({fraction_to_str(b)})" if b else "")
+                          for a, b in self.terms) or "0"
 
 
 def decimal_interval(value: ExpSum) -> tuple[str, str]:
     """The kept enclosure at DEFAULT_PRECISION_BITS as 30-digit decimal
     strings [lo, hi], rounded outward: still a true enclosure."""
     lo, hi = value._default_enclosure
-    return (_decimal_directed(lo, ROUND_FLOOR), _decimal_directed(hi, ROUND_CEILING))
+    with localcontext() as ctx:
+        ctx.prec, ctx.rounding = 30, ROUND_FLOOR
+        low = str(Decimal(lo.numerator) / lo.denominator)
+        ctx.rounding = ROUND_CEILING
+        return low, str(Decimal(hi.numerator) / hi.denominator)
 
 
 def value_json(value: ExpSum):
-    """Serialize: exact rationals as 'p/q', anything else as decimal_interval's
-    [lo, hi] pair."""
-    if value.is_rational:
-        return fraction_to_str(value.as_rational())
-    return list(decimal_interval(value))
+    """Serialize: exact rationals as 'p/q', others as decimal_interval's pair."""
+    return (fraction_to_str(value.as_rational()) if value.is_rational
+            else list(decimal_interval(value)))

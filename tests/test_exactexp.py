@@ -1,17 +1,22 @@
 """Certified exponential arithmetic, checked against an mpmath oracle."""
 
 import random
-from decimal import Decimal
+import time
+from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 
 import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dtlab.errors import InvalidValue, UndecidedComparison
+from dtlab.errors import GuardExceeded, InvalidValue, UndecidedComparison
 from dtlab.exactexp import (
+    GUARD_BITS,
+    MAX_EXP_BITS,
+    MAX_PRECISION_BITS,
     ExpSum,
     _canon,
     decimal_interval,
@@ -115,6 +120,79 @@ def test_exp_bounds_exact_at_zero():
 def test_exp_bounds_rejects_nonpositive_precision():
     with pytest.raises(InvalidValue):
         exp_bounds(Fraction(1), 0)
+
+
+def test_exp_bounds_reads_what_expsum_exp_reads():
+    for same, exact in ((0.5, Fraction(1, 2)), ("1/2", Fraction(1, 2)), (-2, Fraction(-2)),
+                        (True, Fraction(1)), (-0.125, Fraction(-1, 8)), ("0", Fraction(0))):
+        assert exp_bounds(same, 96) == exp_bounds(exact, 96)
+        assert ExpSum.exp(same) == ExpSum.exp(exact)
+    for bad in (None, "half", "1/0", float("nan"), float("inf"), [1], 1j):
+        with pytest.raises(InvalidValue):
+            exp_bounds(bad)
+        with pytest.raises(InvalidValue):
+            ExpSum.exp(bad)
+
+
+def test_huge_exponents_are_refused_before_any_squaring():
+    # e**(10**9) would need about 1.44e9 bits, and squaring toward them takes
+    # minutes and gigabytes: both signs are refused at once.
+    for x in (Fraction(10**9), Fraction(-10**9), Fraction(-(10**30) - 1, 7)):
+        start = time.process_time()
+        estimate = r"14427\d{5}" if abs(x) == 10**9 else r"\d+"
+        with pytest.raises(GuardExceeded, match=rf"needs ~{estimate} bits, over {MAX_EXP_BITS}"):
+            ExpSum.exp(x).sign()
+        with pytest.raises(GuardExceeded, match=rf"needs ~{estimate} bits, over {MAX_EXP_BITS}"):
+            exp_bounds(x)
+        assert time.process_time() - start < 0.5
+    # the estimate |x|*log2(e) + prec_bits is refused just past the limit
+    # and computed just below it ...
+    for margin, refused in ((2, True), (-4, False)):
+        x = Fraction(MAX_EXP_BITS - 128 + margin) / Fraction(1442695, 10**6)
+        if refused:
+            with pytest.raises(GuardExceeded):
+                exp_bounds(x, 128)
+        else:
+            lo, hi = exp_bounds(x, 128)
+            assert lo.numerator.bit_length() - lo.denominator.bit_length() > MAX_EXP_BITS - 200
+    # ... while committee_size's largest exponent, 65535/8, passes at the
+    # widest enclosure that sign() asks for, on both sides
+    widest = MAX_PRECISION_BITS + GUARD_BITS
+    for y in (Fraction(65535, 8), Fraction(-65535, 8), Fraction(65536, 8)):
+        lo, hi = exp_bounds(y, widest)
+        assert 0 < hi - lo <= lo / 2**widest
+
+
+def _former_exp_bounds(x: Fraction, prec_bits: int) -> tuple[Fraction, Fraction]:
+    """Oracle: the Fraction body that exp_bounds had before the int kernel,
+    kept verbatim but for the cache and the argument checks."""
+    if x == 0:
+        return Fraction(1), Fraction(1)
+    if x < 0:
+        lo, hi = _former_exp_bounds(-x, prec_bits + 1)
+        return 1 / hi, 1 / lo
+    p, q = x.numerator, x.denominator
+    r = max(0, p.bit_length() - q.bit_length() + 2 + isqrt(prec_bits) // 2)
+    w = prec_bits + r + 8 + (prec_bits + r).bit_length()
+    while True:
+        scale = 1 << w
+        y_lo, rem = divmod(p << w, q << r)
+        y_hi = y_lo + (rem > 0)
+        lo = hi = t_lo = t_hi = scale
+        k = 0
+        while t_hi > 1:
+            k += 1
+            t_lo = (t_lo * y_lo >> w) // k
+            t_hi = -((-t_hi * y_hi >> w) // k)
+            lo += t_lo
+            hi += t_hi
+        hi += 1
+        for _ in range(r):
+            lo = lo * lo >> w
+            hi = -(-hi * hi >> w)
+        if (hi - lo) << prec_bits <= lo:
+            return Fraction(lo, scale), Fraction(hi, scale)
+        w += 32
 
 
 @given(st.fractions(max_denominator=10**6))
@@ -342,6 +420,63 @@ def test_fixed_point_enclosure_against_the_fraction_sum_and_mpmath():
         elif v.terms:
             near_zero += 1
     assert decided >= 1500 and near_zero >= 50
+
+
+def _former_enclosure(v: ExpSum, prec_bits: int) -> tuple[Fraction, Fraction]:
+    """Oracle: the fixed-point enclosure as it read Fraction bounds of e**b
+    before the int kernel."""
+    pad = prec_bits + GUARD_BITS
+    terms = [(a, *(_former_exp_bounds(b, pad) if b else (Fraction(1), Fraction(1))))
+             for a, b in v.terms]
+    top = max((a.numerator.bit_length() - a.denominator.bit_length()
+               + ehi.numerator.bit_length() - ehi.denominator.bit_length() + 2
+               for a, _, ehi in terms), default=0)
+    w = max(0, pad + GUARD_BITS - top)
+    lo = hi = 0
+    for a, elo, ehi in terms:
+        if a < 0:
+            elo, ehi = ehi, elo
+        p, q = a.numerator << w, a.denominator
+        lo += p * elo.numerator // (q * elo.denominator)
+        hi -= -p * ehi.numerator // (q * ehi.denominator)
+    return Fraction(lo, 1 << w), Fraction(hi, 1 << w)
+
+
+def _former_print(q: Fraction, rounding) -> str:
+    """Oracle: one end as decimal_interval printed it, in a context of its own."""
+    with localcontext() as ctx:
+        ctx.prec = 30
+        ctx.rounding = rounding
+        return str(Decimal(q.numerator) / Decimal(q.denominator))
+
+
+def test_int_kernel_is_bit_identical_to_the_fraction_body():
+    """A one-ulp shift in a bound keeps every containment test green but
+    moves printed digits, so the kernel must equal the former body exactly."""
+    rng = random.Random(3838)
+    for _ in range(200):
+        den = rng.choice((1, 2, 3, 32, 1000, 10**6 + 3, rng.getrandbits(80) | 1))
+        x = Fraction(rng.randint(-rng.choice((1, 40, 1000)) * den, 1000 * den), den)
+        for prec in (64, 128, 129, 144, 145, 256):
+            assert exp_bounds(x, prec) == _former_exp_bounds(x, prec), (x, prec)
+    rng = random.Random(3839)
+    for _ in range(300):
+        v = _oracle_sum(rng)
+        for prec in (128, 256):
+            assert v.enclosure(prec) == _former_enclosure(v, prec)
+        lo, hi = _former_enclosure(v, 128)
+        assert decimal_interval(v) == (_former_print(lo, ROUND_FLOOR),
+                                       _former_print(hi, ROUND_CEILING))
+
+
+def test_is_rational_reads_the_canonical_form():
+    """The O(1) test against the walk over every term that it replaced."""
+    rng = random.Random(3840)
+    for _ in range(1000):
+        v = ExpSum(_random_terms(rng)) + ExpSum(_random_terms(rng))
+        assert v.is_rational == all(b == 0 for _, b in v.terms)
+    for v in (ExpSum.exp(-1) + 1, 1 - ExpSum.exp(1), ExpSum.exp(2) - ExpSum.exp(2) + 3):
+        assert v.is_rational == (v == ExpSum.of(3))
 
 
 def test_decimal_interval_brackets_e():

@@ -10,7 +10,7 @@ import re
 from pathlib import Path
 
 import dtlab
-from dtlab import cli, functions, hardcore, synth
+from dtlab import cli, exactexp, functions, hardcore, synth
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -73,7 +73,7 @@ def test_readme_guard_limits_are_the_constants():
     """The opening paragraph's "at most" limits, in order, are the guards'
     constants: a guard retuned without its README figure fails here."""
     limits = (functions.MAX_TABLE_VARS, functions.MAX_TABLE_VARS, synth.MAX_DP_VARS,
-              synth.MAX_ENUM_VARS, hardcore.MAX_COMMITTEE_SIZE)
+              synth.MAX_ENUM_VARS, hardcore.MAX_COMMITTEE_SIZE, exactexp.MAX_EXP_BITS)
     assert re.findall(r"at most\s+([\d,^]*\d)", _opening()) == [f"{v:,}" for v in limits]
 
 
