@@ -98,6 +98,8 @@ MUTANTS = [
      "tests/test_cli.py"),
     # gamma above 1 accepted
     (HARDCORE, "    if not 0 < gamma <= 1:\n", "    if not 0 < gamma:\n", TEST_HARDCORE),
+    # committee_size no longer checks delta and gamma
+    (HARDCORE, "    _check_rates(delta, gamma)\n    rate = ", "    rate = ", TEST_HARDCORE),
 
     # --- one admission step into the tableau
     # an admitted row goes below the reduced costs
@@ -238,22 +240,20 @@ MUTANTS = [
     # direct_product keeps product()'s order: block 0 in the high place
     ("src/dtlab/functions.py", "tuple(row[::-1] for row in product(",
      "tuple(row for row in product(", TEST_LEAF),
-    # a lazy density is over S alone, not S*E
-    (TREES, "Fraction(h, s * self._e) for s, h, _ in", "Fraction(h, s) for s, h, _ in",
-     TEST_LEAF),
-    # a lazy advantage keeps the sign of G
-    (TREES, "Fraction(abs(g), s * self._e) for s, _, g in",
-     "Fraction(g, s * self._e) for s, _, g in", TEST_LEAF),
-    # a lazy p is over S*E, not 2*S*E
-    (TREES, "Fraction(h - abs(g), 2 * s * self._e)", "Fraction(h - abs(g), s * self._e)",
-     TEST_LEAF),
     # a total weights every cell by the first block's S
     (TREES, "abs(c[j]) * (r // c[0]) for c in cells", "abs(c[j]) * (r // cells[0][0]) for c in cells",
      TEST_LEAF),
     # the accuracy bound's int p is over S*E, not 2*S*E
-    (TREES, "[(h - abs(g), 2 * s * self._e) for", "[(h - abs(g), s * self._e) for", TEST_LEAF),
+    (TREES, "[(h - abs(g), 2 * s * self.scale) for", "[(h - abs(g), s * self.scale) for",
+     TEST_LEAF),
     # the advantage total sums the cells' H
-    (TREES, "return self._total(2) if", "return self._total(1) if", TEST_LEAF),
+    (TREES, "        return self._total(2)\n", "        return self._total(1)\n", TEST_LEAF),
+    # a conditional block law keeps the points outside the block's cell
+    (TREES, "ints = tuple(w if x & bm == bv else 0 for x, w in enumerate(weights))",
+     "ints = tuple(w if x & bm == bv or not x else 0 for x, w in enumerate(weights))",
+     TEST_LEAF),
+    # a massless first block is not refused as an unreached leaf
+    (TREES, "        if total == 0:\n", "        if total == 0 and i:\n", TEST_LEAF),
     # Left out as equivalent: lazy weights over the unreduced scale, which
     # Fraction normalizes.
 

@@ -191,11 +191,6 @@ class ExpSum(Record):
         return value if isinstance(value, ExpSum) else ExpSum.exp(_ZERO, value)
 
     @staticmethod
-    def total(values) -> "ExpSum":
-        """Sum of ExpSums and rationals, canonicalized once."""
-        return ExpSum._make(_canon(t for v in values for t in ExpSum.of(v).terms))
-
-    @staticmethod
     def exp(exponent, coeff=1) -> "ExpSum":
         """coeff * e**exponent."""
         coeff, exponent = _frac(coeff), _frac(exponent)

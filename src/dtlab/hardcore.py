@@ -92,12 +92,17 @@ BOOST_RETRY_CAP = 16
 MAX_COMMITTEE_SIZE = 65535  # odd: the largest committee_size returns
 
 
-def _check_domain(f, mu, delta, gamma, depth_budget) -> None:
-    """Refuse a game no solve takes: delta, gamma, budget or sizes out of range."""
+def _check_rates(delta, gamma) -> None:
+    """Refuse a delta outside (0,1) or a gamma outside (0,1]."""
     if not 0 < delta < 1:
         raise InvalidValue(f"delta must lie in (0,1), got {delta}")
     if not 0 < gamma <= 1:
         raise InvalidValue(f"gamma must lie in (0,1], got {gamma}")
+
+
+def _check_domain(f, mu, delta, gamma, depth_budget) -> None:
+    """Refuse a game no solve takes: delta, gamma, budget or sizes out of range."""
+    _check_rates(delta, gamma)
     if depth_budget < 0:
         raise InvalidValue("depth budget must be nonnegative")
     if f.n != mu.n:
@@ -464,10 +469,10 @@ def committee_size(delta: Fraction, gamma: Fraction) -> int:
     """Smallest odd r with e^{r * gamma^2 / BOOST_CONSTANT} >= 1/delta, each
     candidate decided by a certified ExpSum sign, found by one bisection over
     the odd r <= MAX_COMMITTEE_SIZE (the test is monotone in r); past that,
-    GuardExceeded.  Memoized: a run's solves repeat a few (delta, gamma)."""
+    GuardExceeded.  A delta outside (0,1) or a gamma outside (0,1] is refused
+    before any candidate.  Memoized: a run's solves repeat a few (delta, gamma)."""
     delta, gamma = Fraction(delta), Fraction(gamma)
-    if delta <= 0 or gamma <= 0:
-        raise InvalidValue("committee_size needs positive delta and gamma")
+    _check_rates(delta, gamma)
     rate = gamma ** 2 / BOOST_CONSTANT
 
     def passes(j: int) -> bool:  # the odd candidate r = 2j + 1

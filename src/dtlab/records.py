@@ -8,15 +8,13 @@ deleting an attribute raises AttributeError, and it pickles and copies.
 Every record type builds one way: its own __init__, whose parameters are the
 fields in order, checks its arguments and writes each field once into
 self.__dict__.  Field values live there, so functools.cached_property works
-and a constructor may store a derived value beside the fields.  Four private
+and a constructor may store a derived value beside the fields.  Three private
 constructors skip __init__ and prepare an instance from data a kernel holds:
 ExpSum._make (terms canonical by construction), VectorFunction._make (the
-table direct_product built from a valid function), Distribution._of_ints
-(the law's reduced ints, checked as __init__ checks) and LeafStats._of_cells
-(reach and the leaf's per-block int sums).  The last two build some fields
-on first read, as cached_properties: a law's weights, a row's dens, adv and
-p (and its dens_total and adv_total); so ==, hash, repr and pickling see the
-same values whichever constructor built the instance.
+table direct_product built from a valid function) and Distribution._of_ints
+(the law's reduced ints, checked as __init__ checks).  The last builds the
+law's weights on first read, as a cached_property, so ==, hash, repr and
+pickling see the same values whichever constructor built the instance.
 
 The base imports only operator and generates no code per class, so that
 `import dtlab` loads none of inspect, dis, ast or tokenize.

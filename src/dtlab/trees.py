@@ -7,13 +7,14 @@ trees; every metric extends to mixtures by linearity.
 
 Reaching a leaf fixes a subcube, so under a k-fold product input law the
 leaf's conditional law factors across blocks (acceptance c07).  One private
-kernel, _cell_sums, uses this for every per-leaf statistic: leaf_stats,
-conditional_blocks_at_leaf, and relabel_leaves (which serves sign_fix_leaves
-and product_tree in transforms) cost O(L*k*2^n) for L leaves instead of
-walking 2^(nk - depth) points per leaf.  Its sums are ints, over mu's
-(Distribution.scaled, never rescaled) and each table's least common
-denominator (h's is Measure.scaled), which it returns with them.  A LeafStats
-row or factor law keeps them and builds its Fractions only when read.  What
+kernel, _cell_sums, uses this for the per-leaf sums: leaf_stats and
+relabel_leaves (which serves sign_fix_leaves and product_tree in transforms)
+cost O(L*k*2^n) for L leaves instead of walking 2^(nk - depth) points per
+leaf, and conditional_blocks_at_leaf filters mu's ints once per block.  Its
+sums are ints, over mu's (Distribution.scaled, never rescaled) and each
+table's least common denominator (h's is Measure.scaled), which it returns
+with them.  A LeafStats row keeps its cell ints and builds its totals on
+first read; a factor law keeps its ints and builds its weights so.  What
 checks that factorization stays on point enumeration, so no check is
 circular: the joint law that bounds.verify_leaf_product sums point by point
 over each leaf's cube, and the block_error_law behind the lhs of
@@ -244,63 +245,41 @@ def block_error_law(tree, target, mu: Distribution) -> tuple[Fraction, ...]:
 
 
 class LeafStats(Record):
-    """Exact conditional statistics of one positive-mass leaf against (f, H, mu^k)."""
+    """Exact conditional statistics of one positive-mass leaf against
+    (f, H, mu^k), kept as ints: cells[i] = (S, H, G) are block i's cell sums
+    of mu, mu*h and mu*f*h, over D, D*E and D*E for D mu's scale and E =
+    scale, h's.  Block i's density is H/(S*E), its advantage |G|/(S*E) and
+    its p = (H - |G|)/(2*S*E)."""
 
     reach: Fraction
-    dens: tuple[Fraction, ...]
-    adv: tuple[Fraction, ...]
-    p: tuple[Fraction, ...]
+    cells: tuple[tuple[int, int, int], ...]
+    scale: int
 
-    def __init__(self, reach: Fraction, dens: tuple[Fraction, ...],
-                 adv: tuple[Fraction, ...], p: tuple[Fraction, ...]):
+    def __init__(self, reach: Fraction, cells: tuple[tuple[int, int, int], ...], scale: int):
         fields = self.__dict__
-        fields["reach"], fields["dens"], fields["adv"], fields["p"] = reach, dens, adv, p
-
-    @staticmethod
-    def _of_cells(reach: Fraction, cells, e: int) -> "LeafStats":
-        """The stats of a leaf whose block cells have the int sums (S, H, G)
-        of mu, mu*h and mu*f*h, h's over E, which it keeps: dens, adv, p and
-        the totals are built from them on first read."""
-        stats = object.__new__(LeafStats)
-        fields = stats.__dict__
-        fields["reach"], fields["_cells"], fields["_e"] = reach, cells, e
-        return stats
-
-    @cached_property
-    def dens(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(h, s * self._e) for s, h, _ in self._cells)
-
-    @cached_property
-    def adv(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(abs(g), s * self._e) for s, _, g in self._cells)
-
-    @cached_property
-    def p(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(h - abs(g), 2 * s * self._e) for s, h, g in self._cells)
+        fields["reach"], fields["cells"], fields["scale"] = reach, cells, scale
 
     def _p_ints(self) -> list[tuple[int, int]]:
-        """p as int pairs, (H - |G|, 2*S*E) off the kept cells: no Fraction."""
-        if "_cells" not in self.__dict__:
-            return [(v.numerator, v.denominator) for v in self.p]
-        return [(h - abs(g), 2 * s * self._e) for s, h, g in self._cells]
+        """Each block's p as an int pair (H - |G|, 2*S*E): no Fraction."""
+        return [(h - abs(g), 2 * s * self.scale) for s, h, g in self.cells]
 
     @cached_property
     def dens_total(self) -> Fraction:
-        return self._total(1) if "_cells" in self.__dict__ else sum(self.dens, _ZERO)
+        return self._total(1)
 
     @cached_property
     def adv_total(self) -> Fraction:
-        return self._total(2) if "_cells" in self.__dict__ else sum(self.adv, _ZERO)
+        return self._total(2)
 
     def _total(self, j: int) -> Fraction:
         """sum_i |c_i| * (R/S_i) over E*R, for c_i cell i's H (j=1) or G (j=2)
         and R = prod S_i: the sum of the cells' |c_i|/(S_i*E) as one Fraction."""
-        cells = self._cells
+        cells = self.cells
         r = prod(c[0] for c in cells)
-        return Fraction(sum(abs(c[j]) * (r // c[0]) for c in cells), self._e * r)
+        return Fraction(sum(abs(c[j]) * (r // c[0]) for c in cells), self.scale * r)
 
 
-def _cell_sums(refs, n: int, k: int, mu: Distribution, tables=()
+def _cell_sums(refs, n: int, k: int, mu: Distribution, tables
                ) -> tuple[tuple[int, ...], list[list[tuple[int, ...]]]]:
     """(scales, cells): per leaf, per block i, ints (S, T_1, ...) over the
     leaf's block-i cell {x : x & bm == bv}, bm and bv being block i's slices
@@ -358,9 +337,9 @@ def leaf_stats(tree: DecisionTree, f: BooleanFunction, h: Measure,
 
     The leaf law factors across blocks, so with S, H, G the block cell's
     sums of mu, mu*h and mu*f*h: reach = prod S, dens = H/S and adv = |G|/S.
-    reach is built here; each row keeps its cells' ints and builds the other
-    fields from them when read (LeafStats._of_cells).  Cost O(L*k*2^n) for
-    L leaves.
+    reach is built here; each row keeps its cells' ints (LeafStats.cells)
+    and builds dens_total and adv_total from them on first read.  Cost
+    O(L*k*2^n) for L leaves.
     """
     n, k = tree.n, tree.k
     if f.n != n or h.n != n or mu.n != n:
@@ -373,7 +352,7 @@ def leaf_stats(tree: DecisionTree, f: BooleanFunction, h: Measure,
     for cells in per_leaf:
         reach = prod(c[0] for c in cells)
         if reach:
-            out.append(LeafStats._of_cells(Fraction(reach, reach_den), cells, eh))
+            out.append(LeafStats(Fraction(reach, reach_den), tuple(cells), eh))
     return out
 
 
@@ -393,14 +372,14 @@ def conditional_blocks_at_leaf(tree: DecisionTree, mu: Distribution,
     mask = (1 << n) - 1
     weights = mu.scaled[1]
     factors = []
-    for i, (total,) in enumerate(_cell_sums([ref], n, k, mu)[1][0]):
+    for i in range(k):
+        bm, bv = (ref.fixed_mask >> (i * n)) & mask, (ref.fixed_vals >> (i * n)) & mask
+        ints = tuple(w if x & bm == bv else 0 for x, w in enumerate(weights))
+        total = sum(ints)
         if total == 0:
             raise UnreachedLeaf(f"leaf on subcube {ref.fixed_mask:#x}/{ref.fixed_vals:#x} "
                                 "has zero reach probability")
-        bm = (ref.fixed_mask >> (i * n)) & mask
-        bv = (ref.fixed_vals >> (i * n)) & mask
-        factors.append(Distribution._of_ints(n, total, tuple(
-            w if x & bm == bv else 0 for x, w in enumerate(weights))))
+        factors.append(Distribution._of_ints(n, total, ints))
     return tuple(factors)
 
 

@@ -1223,6 +1223,18 @@ def test_committee_size_is_the_smallest_odd_r_passing_the_exact_inequality():
         committee_size(F(1, 4), F(0))
 
 
+def test_committee_size_refuses_delta_and_gamma_outside_the_solver_domain():
+    # refused before any candidate, with the solver's own messages: gamma = 3
+    # would ask e^x past MAX_EXP_BITS, and a delta >= 1 would get r = 1
+    for gamma in (F(2), F(3)):
+        with pytest.raises(InvalidValue, match=re.escape(f"gamma must lie in (0,1], got {gamma}")):
+            committee_size(F(1, 4), gamma)
+    for delta in (F(0), F(1), F(2)):
+        with pytest.raises(InvalidValue, match=re.escape(f"delta must lie in (0,1), got {delta}")):
+            committee_size(delta, F(1, 2))
+    assert committee_size(F(1, 4), F(1)) == 13
+
+
 def test_committee_size_survives_float_underflow():
     # float(delta) is 0 here: the search must stay on exact values.
     tiny, gamma = F(1, 10**400), F(1, 2)

@@ -91,8 +91,17 @@ def _frac_leaf_stats(tree, f, h, mu):
         dens = tuple(hs / s for s, hs, _ in cells)
         adv = tuple(abs(g) / s for s, _, g in cells)
         p = tuple((d - a) / 2 for d, a in zip(dens, adv))
-        out.append(LeafStats(reach, dens, adv, p))
+        out.append((reach, dens, adv, p))
     return out
+
+
+def _leaf_fields(s):
+    """(reach, dens, adv, p) of a LeafStats row: block i's density, advantage
+    and p from its cell ints (S, H, G) over S*E, E being the row's scale."""
+    e = s.scale
+    return (s.reach, tuple(F(h, c * e) for c, h, _ in s.cells),
+            tuple(F(abs(g), c * e) for c, _, g in s.cells),
+            tuple(F(h - abs(g), 2 * c * e) for c, h, g in s.cells))
 
 
 def _frac_conditional_blocks(tree, mu, ref):
@@ -155,8 +164,9 @@ def _frac_leaf_product_deviation(tree, mu, factors_at):
     return deviation
 
 
-def _frac_accuracy_rhs(stats, t):
-    return sum((s.reach * ber_sum_cdf(_frac_ber_sum(s.p), t) for s in stats), _ZERO)
+def _frac_accuracy_rhs(rows, t):
+    """The rhs at t from (reach, dens, adv, p) rows."""
+    return sum((reach * ber_sum_cdf(_frac_ber_sum(p), t) for reach, *_, p in rows), _ZERO)
 
 
 def _frac_expected_depth(tree, mu):
@@ -247,10 +257,7 @@ def test_leaf_stats_and_conditional_blocks_match_the_fraction_forms():
     unreached = 0
     for tree, f, h, mu in _sweep():
         got, want = leaf_stats(tree, f, h, mu), _frac_leaf_stats(tree, f, h, mu)
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            for name in LeafStats._fields:
-                assert getattr(g, name) == getattr(w, name), name
+        assert [_leaf_fields(g) for g in got] == want
         for ref in leaves(tree):
             want = _frac_conditional_blocks(tree, mu, ref)
             if want is None:
@@ -316,8 +323,9 @@ def test_direct_product_and_product_power_match_the_former_loops():
 
 
 def _same_record(lazy, eager, unread):
-    """lazy, built from a kernel's ints, behaves as eager, built by the
-    public constructor; the attributes in unread are built on first read."""
+    """lazy, whose attributes in unread are built on first read, behaves as
+    eager: a law built from a kernel's ints as one built by the public
+    constructor, a leaf row with unread totals as one whose totals are read."""
     assert not lazy.__dict__.keys() & unread
     copy = pickle.loads(pickle.dumps(lazy))
     assert not copy.__dict__.keys() & unread
@@ -338,27 +346,26 @@ def test_int_built_records_behave_as_public_built_ones():
                                   want or (), strict=True):
                 _same_record(got, eager, {"weights"})
                 laws += 1
-        unread = {"dens", "adv", "p", "dens_total", "adv_total"}
-        for got, eager in zip(leaf_stats(tree, f, h, mu), _frac_leaf_stats(tree, f, h, mu),
-                              strict=True):
-            _same_record(got, eager, unread)
+        # a row hashes by its tuple of cells, and its totals, once read, are
+        # kept beside its fields and seen by none of ==, hash, repr, pickle
+        for read in leaf_stats(tree, f, h, mu):
+            fresh = LeafStats(read.reach, read.cells, read.scale)
+            assert (read.dens_total, read.adv_total) == (fresh._total(1), fresh._total(2))
+            _same_record(fresh, read, {"dens_total", "adv_total"})
             rows += 1
     assert laws >= 1000 and rows >= 1000
 
 
 def test_leaf_totals_are_the_fraction_sums_of_the_oracle_fields():
-    """dens_total and adv_total, read before any other field, from the
-    cells' ints; and summed from the fields on public-built stats."""
+    """dens_total and adv_total, one Fraction each of the cells' ints, are
+    the Fraction sums of the oracle's per-block dens and adv."""
     multi = 0
     for tree, f, h, mu in _sweep():
-        for got, want in zip(leaf_stats(tree, f, h, mu), _frac_leaf_stats(tree, f, h, mu),
-                             strict=True):
-            _same(got.dens_total, sum(want.dens, _ZERO))
-            _same(got.adv_total, sum(want.adv, _ZERO))
-            assert not got.__dict__.keys() & {"dens", "adv", "p"}
-            _same(want.dens_total, sum(want.dens, _ZERO))
-            _same(want.adv_total, sum(want.adv, _ZERO))
-            multi += len({s for s, _, _ in got._cells}) > 1
+        for got, (_, dens, adv, _) in zip(leaf_stats(tree, f, h, mu),
+                                          _frac_leaf_stats(tree, f, h, mu), strict=True):
+            _same(got.dens_total, sum(dens, _ZERO))
+            _same(got.adv_total, sum(adv, _ZERO))
+            multi += len({s for s, _, _ in got.cells}) > 1
     assert multi >= 300
 
 
@@ -369,34 +376,35 @@ def _same_sum(got: ExpSum, want: ExpSum) -> None:
 
 def test_grouped_exp_sums_equal_their_canonicalized_totals():
     """Each leaf average of exponentials that bounds builds from grouped
-    leaves equals ExpSum.total over one term per leaf or binomial point."""
+    leaves equals the canonicalizing ExpSum over one term per leaf or
+    binomial point."""
     for tree, f, h, mu in _sweep():
         k = tree.k
         stats = leaf_stats(tree, f, h, mu)
         for t, rep in enumerate(verify_accuracy_bound(tree, f, h, mu)):
-            _same_sum(dict(rep.related)["g_form"], ExpSum.total(
-                ExpSum.exp(min(t - (s.dens_total - s.adv_total) / 4, 0), s.reach)
-                for s in stats))
+            _same_sum(dict(rep.related)["g_form"], ExpSum(
+                (s.reach, min(t - (s.dens_total - s.adv_total) / 4, 0)) for s in stats))
         pairs = [(s.reach, s.dens_total)
                  for s in leaf_stats(tree, constant_function(tree.n, 1), h, mu)]
         delta = density(h, mu)
         bino = list(enumerate(binomial(k, delta)))
         neg, pos = verify_resilience(tree, h, mu)[:2]
         assert (neg.context, pos.context) == ("resilience-exp-neg-z4", "resilience-exp-pos-z")
-        _same_sum(neg.lhs, ExpSum.total(ExpSum.exp(-d / 4, r) for r, d in pairs))
-        _same_sum(neg.rhs, ExpSum.total(ExpSum.exp(F(-z, 4), w) for z, w in bino))
-        _same_sum(pos.lhs, ExpSum.total(ExpSum.exp(d, r) for r, d in pairs))
-        _same_sum(pos.rhs, ExpSum.total(ExpSum.exp(z, w) for z, w in bino))
+        _same_sum(neg.lhs, ExpSum((r, -d / 4) for r, d in pairs))
+        _same_sum(neg.rhs, ExpSum((w, F(-z, 4)) for z, w in bino))
+        _same_sum(pos.lhs, ExpSum((r, d) for r, d in pairs))
+        _same_sum(pos.rhs, ExpSum((w, z) for z, w in bino))
         t = delta * k / 10
         _same_sum(verify_error_no_advantage(tree, h, mu).lhs,
-                  ExpSum.total(ExpSum.exp(min(t - d / 4, 0), r) for r, d in pairs))
+                  ExpSum((r, min(t - d / 4, 0)) for r, d in pairs))
 
 
 def test_ber_sum_matches_the_fraction_convolution():
     rng = random.Random(2101)
     for tree, f, h, mu in _sweep():
         for s in leaf_stats(tree, f, h, mu):
-            assert ber_sum(s.p) == _frac_ber_sum(s.p)
+            p = _leaf_fields(s)[3]
+            assert ber_sum(p) == _frac_ber_sum(p)
         delta = F(rng.randrange(0, 9), rng.choice((1, 2, 3, 5, 8)))
         if delta <= 1:
             assert binomial(tree.k, delta) == _frac_ber_sum((delta,) * tree.k)
@@ -517,9 +525,12 @@ def test_leaf_product_deviation_matches_the_fraction_sum(monkeypatch):
     assert failed >= 100
 
 
-def _with_p(scale_p):
+def _at_double_scale(q: int):
+    """leaf_stats with each row's scale E doubled and 2*q*S*E added to each
+    cell's H: each p = (H - |G|)/(2*S*E) becomes (q + p)/2."""
     def doctored(tree, f, h, mu):
-        return [LeafStats(s.reach, s.dens, s.adv, tuple(map(scale_p, s.p)))
+        return [LeafStats(s.reach, tuple((c, hs + 2 * q * c * s.scale, g) for c, hs, g in s.cells),
+                          2 * s.scale)
                 for s in leaf_stats(tree, f, h, mu)]
     return doctored
 
@@ -528,14 +539,14 @@ def test_accuracy_rhs_follows_the_leaf_p(monkeypatch):
     # a smaller p makes each leaf's Bernoulli sum smaller, so its cdf and the
     # rhs grow; a larger p than the leaf's true error rate breaks the bound
     failed = 0
-    for scale_p, must_hold in ((lambda p: p / 2, True), (lambda p: (1 + p) / 2, False)):
-        doctored = _with_p(scale_p)
-        monkeypatch.setattr(bounds, "leaf_stats", doctored)
+    for q, must_hold in ((0, True), (1, False)):
+        monkeypatch.setattr(bounds, "leaf_stats", _at_double_scale(q))
         for tree, f, h, mu in _sweep()[:60]:
-            stats = doctored(tree, f, h, mu)
+            rows = [(reach, dens, adv, tuple((q + v) / 2 for v in p))
+                    for reach, dens, adv, p in _frac_leaf_stats(tree, f, h, mu)]
             reports = verify_accuracy_bound(tree, f, h, mu)
             for t, rep in enumerate(reports):
-                want = _frac_accuracy_rhs(stats, t)
+                want = _frac_accuracy_rhs(rows, t)
                 assert rep.rhs.as_rational() == want
                 assert rep.holds == (want >= rep.lhs.as_rational())
             if must_hold:

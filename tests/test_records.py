@@ -91,7 +91,7 @@ BUILDERS = {
     DecisionTree: (("n", "k", "root"), lambda rng: _tree(rng, 2, 2)),
     RandomizedTree: (("components",), _mixture),
     LeafRef: (("label", "fixed_mask", "fixed_vals"), lambda rng: leaves(_tree(rng))[0]),
-    LeafStats: (("reach", "dens", "adv", "p"),
+    LeafStats: (("reach", "cells", "scale"),
                 lambda rng: leaf_stats(_tree(rng), random_function(rng, 2),
                                        random_measure(rng, 2), random_distribution(rng, 2))[0]),
     FrontierPoint: (("depth", "value", "tree"),
