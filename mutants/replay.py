@@ -2,10 +2,10 @@
 
 For each mutant the repository's src/, tests/, benchmarks/*.py, README.md
 and pyproject.toml are copied to a fresh temporary directory, the mutant's
-old text is replaced by its new text there, and its test file runs with
-`pytest -x` in a subprocess, two mutants at a time.  A failing run kills
-the mutant.  A mutant whose old text does not occur exactly once in its
-module is stale and is not run.
+old text is replaced by its new text there, and its test, a pytest node
+id, runs with `pytest -x` in a subprocess, two mutants at a time.  A failing
+run kills the mutant.  A mutant whose old text does not occur exactly once
+in its module is stale and is not run.
 
     python mutants/replay.py        # one line per mutant; exit 1 unless all killed
     python -m pytest mutants/       # the same, as one test

@@ -11,15 +11,13 @@ width sign() starts from, DEFAULT_PRECISION_BITS.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from functools import cached_property
 from fractions import Fraction
 from itertools import accumulate
 from math import floor, lcm, prod
-from operator import itemgetter
 
 from .errors import DimensionMismatch, InvalidValue
-from .exactexp import ExpSum, _frac, value_json
+from .exactexp import ExpSum, _add, _frac, _ratio, _reduce, value_json
 from .functions import (
     BooleanFunction,
     Distribution,
@@ -176,49 +174,73 @@ def chernoff_upper2x(mu_sum) -> ExpSum:
     return ExpSum.exp(-mu_sum / 3)
 
 
-def _groups(pairs) -> list[tuple[Fraction, Fraction]]:
-    """(z, total weight) per distinct z of (weight, z) pairs, z increasing:
-    the sums built from them are canonical by construction."""
-    acc: dict[Fraction, Fraction] = {}
+def _groups(pairs) -> list[tuple[int, int, int, int]]:
+    """(p, q, n, d) per distinct z = n/d of (weight, z) pairs (ints or
+    Fractions), p/q their total weight, z increasing.  Each is also the
+    ExpSum term (p/q)*e**z, so the sums built from them are canonical by
+    construction.  Leaves are keyed by z's reduced int pair."""
+    acc: dict[tuple[int, int], tuple[int, int]] = {}
     for w, z in pairs:
-        acc[z] = acc.get(z, _ZERO) + w
-    return sorted(acc.items())
+        key = z.numerator, z.denominator
+        acc[key] = _add(*acc.get(key, (0, 1)), w.numerator, w.denominator)
+    den = lcm(*(d for _, d in acc))
+    return [(p, q, n, d) for (n, d), (p, q) in
+            sorted(acc.items(), key=lambda item: item[0][0] * (den // item[0][1]))]
+
+
+def _g_exponent(a: int, b: int, n: int, d: int) -> tuple[int, int]:
+    """min(t - z/4, 0) for t = a/b and z = n/d (b, d > 0) as a reduced int
+    pair: g_t(z) = min(1, e^{t - z/4}) is e to this power."""
+    num = 4 * a * d - b * n
+    return (0, 1) if num >= 0 else _reduce(num, 4 * b * d)
+
+
+def _g(a: int, b: int, n: int, d: int) -> ExpSum:
+    """g_t(z) for t = a/b and z = n/d, as one term."""
+    return ExpSum._make(((1, 1, *_g_exponent(a, b, n, d)),))
 
 
 def _g_sum(groups, t) -> ExpSum:
     """sum_z w_z * g_t(z) over _groups of positive weights.  The z <= 4t
     merge into one rational term; the others keep the distinct exponents
     t - z/4, which decrease as z grows."""
-    i = bisect_right(groups, 4 * t, key=itemgetter(0))
-    flat = sum((w for _, w in groups[:i]), _ZERO)
-    terms = tuple((w, t - z / 4) for z, w in groups[i:])
-    return ExpSum._make(((flat, _ZERO),) + terms if flat else terms)
+    a, b = t.numerator, t.denominator
+    flat, terms = (0, 1), []
+    for p, q, n, d in groups:
+        r, s = _g_exponent(a, b, n, d)
+        if r:
+            terms.append((p, q, r, s))
+        else:
+            flat = _add(*flat, p, q)
+    return ExpSum._make(((*flat, 0, 1), *terms) if flat[0] else tuple(terms))
 
 
 def g_func(t, z) -> ExpSum:
     """min(1, e^{t - z/4}), decided exactly: the min picks 1 iff t >= z/4."""
-    return ExpSum.exp(min(_frac(t) - _frac(z) / 4, _ZERO))
+    return _g(*_ratio(t), *_ratio(z))
 
 
 def lipschitz_check(t, z, delta, form: str = "plain") -> BoundReport:
     """g_t(z - delta) <= g_t(z) + delta/4 (plain) or + delta/t (scaled).
 
     The scaled form is only claimed for z >= 5t with t > 0; asking for it
-    outside that range is an error, not a failed bound.
+    outside that range is an error, not a failed bound.  t = a/b, z = n/d
+    and delta = e/f are read as reduced int pairs, and both sides built on ints.
     """
-    t, z, delta = _frac(t), _frac(z), _frac(delta)
-    if t < 0 or z < 0 or delta < 0:
+    (a, b), (n, d), (e, f) = _ratio(t), _ratio(z), _ratio(delta)
+    if a < 0 or n < 0 or e < 0:
         raise InvalidValue("lipschitz_check needs nonnegative t, z, delta")
     if form == "plain":
-        step = delta / 4
+        step = _reduce(e, 4 * f)
     elif form == "scaled":
-        if t == 0 or z < 5 * t:
-            raise InvalidValue(
-                f"scaled form needs z >= 5t with t > 0, got t={t}, z={z}")
-        step = delta / t
+        if a == 0 or n * b < 5 * a * d:
+            raise InvalidValue(f"scaled form needs z >= 5t with t > 0, "
+                               f"got t={Fraction(a, b)}, z={Fraction(n, d)}")
+        step = _reduce(e * b, f * a)
     else:
         raise InvalidValue(f"unknown form {form!r}")
-    return _report(f"lipschitz-{form}", g_func(t, z - delta), g_func(t, z) + step)
+    rhs = _g(a, b, n, d) + ExpSum._make(((*step, 0, 1),) if e else ())
+    return _report(f"lipschitz-{form}", _g(a, b, n * f - e * d, d * f), rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -257,11 +279,10 @@ def verify_resilience(tree: DecisionTree, h: Measure,
     delta = density(h, mu)
     mean = delta * k
     pairs = _reachable_density_stats(tree, h, mu)
-    leaf, bino = _groups(pairs), _groups((w, Fraction(z))
-                                         for z, w in enumerate(binomial(k, delta)) if w)
+    leaf, bino = _groups(pairs), _groups((w, z) for z, w in enumerate(binomial(k, delta)) if w)
     sides = {
         "exp-neg-z4": (_g_sum(leaf, 0), _g_sum(bino, 0)),  # g_0(z) = e**(-z/4)
-        "exp-pos-z": tuple(ExpSum._make(tuple((w, z) for z, w in reversed(g)))
+        "exp-pos-z": tuple(ExpSum._make(tuple(reversed(g)))
                            for g in (leaf, bino)),  # largest z first
         "square-dev": (
             sum((reach * (dens - mean) ** 2 for reach, dens in pairs), _ZERO),

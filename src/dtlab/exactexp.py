@@ -7,16 +7,21 @@ enclosures of exp, refined until the sign of a difference is certain.  A
 comparison is never decided while zero still lies inside the enclosure; if the
 maximum precision is reached first, UndecidedComparison is raised.
 
-Every ExpSum is canonical: its terms have distinct rational exponents in
-decreasing order and nonzero rational coefficients.  The public constructor
-ExpSum(terms) enforces this through _canon, so a hand-built value equals,
-hashes and signs as its canonical form; the kernel's own operations (of, exp,
-+, -, total) build through ExpSum._make, which skips the check because
-their results are canonical already: a sum merges two sorted term lists in
-one pass.  A nonzero canonical combination that is not purely rational is
-never equal to zero, so refinement terminates for every comparison that is
-not an exact rational tie; rational ties are decided exactly without any
-enclosure.
+Every ExpSum is canonical: its terms are int quadruples (p, q, r, s), each
+the term (p/q)*e**(r/s) with q, s > 0, p != 0 and both pairs gcd-reduced,
+their exponents distinct and decreasing.  The public constructor
+ExpSum(terms) takes (coeff, exponent) rationals, or such quadruples, and
+canonicalizes them through _canon, so a hand-built value equals, hashes and
+signs as its canonical form.  The kernel's own operations build through
+ExpSum._make, which takes quadruples that are canonical already, unchecked,
+and they run on ints with no Fraction built: of, exp, +, - and negation,
+is_rational (and as_rational's test of it), sign (a rational's is p's),
+enclosure, str and value_json.  A sum merges the two sorted term lists in
+one pass: it orders exponents r/s and x/y by r*y against x*s, and adds the
+coefficients of one exponent as p*v + u*q over q*v, reduced by one gcd.  A
+nonzero canonical combination that is not purely rational is never equal to
+zero, so refinement terminates for every comparison that is not an exact
+rational tie; rational ties are decided exactly without any enclosure.
 
 The enclosures of exp come from one cached int kernel, _exp_ints(p, q,
 prec_bits) for e**(p/q) (Brent, J. ACM 1976): halve the argument below 1/2
@@ -42,7 +47,7 @@ from __future__ import annotations
 from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal, localcontext
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import isqrt
+from math import gcd, isqrt
 
 from .errors import GuardExceeded, InvalidValue, UndecidedComparison
 from .records import Record
@@ -143,22 +148,11 @@ def _exp_ints(p: int, q: int, prec_bits: int) -> tuple[int, int, int, int]:
 def exp_bounds(x, prec_bits: int = DEFAULT_PRECISION_BITS) -> tuple[Fraction, Fraction]:
     """_exp_ints as Fractions lo <= exp(x) <= hi, hi - lo <= lo * 2**-prec_bits;
     x is anything ExpSum.exp accepts, and cache_info is the kernel's."""
-    x = _frac(x)
-    a, b, c, d = _exp_ints(x.numerator, x.denominator, prec_bits)
+    a, b, c, d = _exp_ints(*_ratio(x), prec_bits)
     return Fraction(a, b), Fraction(c, d)
 
 
 exp_bounds.cache_info = _exp_ints.cache_info
-
-
-def _canon(terms) -> tuple[tuple[Fraction, Fraction], ...]:
-    """Like terms merged, zeros dropped, ordered by decreasing exponent (an
-    order that negation and scaling keep)."""
-    acc: dict[Fraction, Fraction] = {}
-    for coeff, expo in terms:
-        coeff, expo = _frac(coeff), _frac(expo)
-        acc[expo] = acc.get(expo, _ZERO) + coeff
-    return tuple((acc[b], b) for b in sorted(acc, reverse=True) if acc[b] != 0)
 
 
 def _frac(value) -> Fraction:
@@ -171,40 +165,80 @@ def _frac(value) -> Fraction:
         raise InvalidValue(f"not a rational: {value!r:.40}") from None
 
 
-class ExpSum(Record):
-    """Exact value sum_i a_i * exp(b_i), closed under + and -; always canonical."""
+def _ratio(value) -> tuple[int, int]:
+    """value read exactly as a reduced int pair (p, q), q > 0, or InvalidValue;
+    an int builds no Fraction."""
+    if type(value) is int:
+        return value, 1
+    value = _frac(value)
+    return value.numerator, value.denominator
 
-    terms: tuple[tuple[Fraction, Fraction], ...]
+
+def _reduce(p: int, q: int) -> tuple[int, int]:
+    """p/q, q > 0, reduced by one gcd."""
+    g = gcd(p, q)
+    return p // g, q // g
+
+
+def _add(p: int, q: int, u: int, v: int) -> tuple[int, int]:
+    """p/q + u/v as p*v + u*q over q*v, reduced by one gcd."""
+    return _reduce(p * v + u * q, q * v)
+
+
+def _canon(terms) -> tuple[tuple[int, int, int, int], ...]:
+    """Like terms merged, zeros dropped, ordered by decreasing exponent (an
+    order that negation and scaling keep), each term as its int quadruple.
+    A term is a (coeff, exponent) pair of rationals, or a quadruple (p, q,
+    r, s) read as (p/q, r/s), so that ExpSum(v.terms) == v."""
+    acc: dict[Fraction, Fraction] = {}
+    for term in terms:
+        if len(term) == 4:
+            p, q, r, s = map(_frac, term)
+            if not q or not s:
+                raise InvalidValue(f"not a rational: a zero denominator in {term!r:.40}")
+            term = p / q, r / s
+        coeff, expo = map(_frac, term)
+        acc[expo] = acc.get(expo, _ZERO) + coeff
+    return tuple((a.numerator, a.denominator, b.numerator, b.denominator)
+                 for b in sorted(acc, reverse=True) if (a := acc[b]))
+
+
+class ExpSum(Record):
+    """Exact value sum_i (p_i/q_i) * exp(r_i/s_i), closed under + and -;
+    always canonical (see the module docstring)."""
+
+    terms: tuple[tuple[int, int, int, int], ...]
 
     def __init__(self, terms) -> None:
         self.__dict__["terms"] = _canon(terms)
 
     @staticmethod
-    def _make(terms: tuple[tuple[Fraction, Fraction], ...]) -> "ExpSum":
-        """An ExpSum on terms that are canonical already, unchecked."""
+    def _make(terms: tuple[tuple[int, int, int, int], ...]) -> "ExpSum":
+        """An ExpSum on quadruples that are canonical already, unchecked."""
         value = object.__new__(ExpSum)
         value.__dict__["terms"] = terms
         return value
 
     @staticmethod
     def of(value) -> "ExpSum":
-        return value if isinstance(value, ExpSum) else ExpSum.exp(_ZERO, value)
+        return value if isinstance(value, ExpSum) else ExpSum.exp(0, value)
 
     @staticmethod
     def exp(exponent, coeff=1) -> "ExpSum":
         """coeff * e**exponent."""
-        coeff, exponent = _frac(coeff), _frac(exponent)
-        return ExpSum._make(((coeff, exponent),) if coeff else ())
+        p, q = _ratio(coeff)
+        r, s = _ratio(exponent)
+        return ExpSum._make(((p, q, r, s),) if p else ())
 
     @property
     def is_rational(self) -> bool:
         """Canonical exponents are distinct: no term, or one at exponent 0."""
-        return not self.terms or (len(self.terms) == 1 and not self.terms[0][1])
+        return not self.terms or (len(self.terms) == 1 and not self.terms[0][2])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational:
             raise InvalidValue(f"not an exact rational: {self}")
-        return self.terms[0][0] if self.terms else _ZERO
+        return Fraction(*self.terms[0][:2]) if self.terms else _ZERO
 
     def __add__(self, other, negate: bool = False) -> "ExpSum":
         """self + other, or self - other if negate: one merge of the two term
@@ -218,26 +252,27 @@ class ExpSum(Record):
         out = []
         i = j = 0
         while i < len(mine) and j < len(theirs):
-            (a, b), (c, d) = mine[i], theirs[j]
-            if b > d:
+            (p, q, r, s), (u, v, x, y) = mine[i], theirs[j]
+            order = r * y - x * s  # the sign of r/s - x/y
+            if order > 0:
                 out.append(mine[i])
                 i += 1
-            elif d > b:
-                out.append((-c, d) if negate else theirs[j])
+            elif order < 0:
+                out.append((-u, v, x, y) if negate else theirs[j])
                 j += 1
             else:
-                coeff = a - c if negate else a + c
-                if coeff:
-                    out.append((coeff, b))
+                p, q = _add(p, q, -u if negate else u, v)
+                if p:
+                    out.append((p, q, r, s))
                 i += 1
                 j += 1
-        tail = [(-c, d) for c, d in theirs[j:]] if negate else theirs[j:]
+        tail = [(-u, v, x, y) for u, v, x, y in theirs[j:]] if negate else theirs[j:]
         return ExpSum._make((*out, *mine[i:], *tail))
 
     __radd__ = __add__
 
     def __neg__(self) -> "ExpSum":
-        return ExpSum._make(tuple((-a, b) for a, b in self.terms))
+        return ExpSum._make(tuple((-p, q, r, s) for p, q, r, s in self.terms))
 
     def __sub__(self, other) -> "ExpSum":
         return self.__add__(other, True)
@@ -250,9 +285,8 @@ class ExpSum(Record):
         one fixed-point int scale; the module docstring bounds its width."""
         pad = prec_bits + GUARD_BITS
         # (p, q, a, b, c, d): coefficient p/q, e**exponent within [a/b, c/d]
-        terms = [(x.numerator, x.denominator,
-                  *(_exp_ints(y.numerator, y.denominator, pad) if y else (1, 1, 1, 1)))
-                 for x, y in self.terms]
+        terms = [(p, q, *(_exp_ints(r, s, pad) if r else (1, 1, 1, 1)))
+                 for p, q, r, s in self.terms]
         # |p/q| * c/d < 2**top for every term
         top = max((p.bit_length() - q.bit_length() + c.bit_length() - d.bit_length() + 2
                    for p, q, _, _, c, d in terms), default=0)
@@ -275,8 +309,8 @@ class ExpSum(Record):
     def sign(self) -> int:
         """Certified sign in {-1, 0, +1}; 0 only for exact rational zero."""
         if self.is_rational:
-            v = self.as_rational()
-            return (v > 0) - (v < 0)
+            p = self.terms[0][0] if self.terms else 0
+            return (p > 0) - (p < 0)
         lo, hi = self._default_enclosure
         prec = DEFAULT_PRECISION_BITS
         while lo <= 0 <= hi:
@@ -288,8 +322,8 @@ class ExpSum(Record):
         return 1 if lo > 0 else -1
 
     def __str__(self) -> str:
-        return " + ".join(fraction_to_str(a) + (f"*exp({fraction_to_str(b)})" if b else "")
-                          for a, b in self.terms) or "0"
+        return " + ".join(f"{p}/{q}" + (f"*exp({r}/{s})" if r else "")
+                          for p, q, r, s in self.terms) or "0"
 
 
 def decimal_interval(value: ExpSum) -> tuple[str, str]:
@@ -305,5 +339,7 @@ def decimal_interval(value: ExpSum) -> tuple[str, str]:
 
 def value_json(value: ExpSum):
     """Serialize: exact rationals as 'p/q', others as decimal_interval's pair."""
-    return (fraction_to_str(value.as_rational()) if value.is_rational
-            else list(decimal_interval(value)))
+    if not value.is_rational:
+        return list(decimal_interval(value))
+    p, q = value.terms[0][:2] if value.terms else (0, 1)
+    return f"{p}/{q}"

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import InvalidValue
 from .functions import BooleanFunction, Distribution, Measure
@@ -61,12 +62,17 @@ def _random_node(rng: random.Random, avail: list[int], k: int):
     return Query(var, _random_node(rng, rest, k), _random_node(rng, rest, k))
 
 
+@lru_cache(maxsize=1)
 def standard_verification_instances(seed: int, count: int):
     """The shared (tree, measure, distribution) stream for the leaf-statistics
     suites: n <= 3, k <= 3, all rational, reproducible from the seed.
 
-    Yields (tree, f, h, mu) tuples; f is drawn alongside even though the
-    density checks ignore it, so the same seed serves every criterion.
+    A tuple of (tree, f, h, mu) tuples; f is drawn alongside even though the
+    density checks ignore it, so the same seed serves every criterion.  The
+    last stream built is kept and shared, so that two scenarios on one seed
+    build it once: its records are immutable, and a miss that two threads
+    compute at once gives equal values.  run_config drops it once its
+    scenarios have run.
     """
     if count < 1:
         raise InvalidValue("need a positive instance count")
@@ -80,7 +86,7 @@ def standard_verification_instances(seed: int, count: int):
         h = random_measure(rng, n)
         mu = random_distribution(rng, n)
         out.append((tree, f, h, mu))
-    return out
+    return tuple(out)
 
 
 def sign_fixed_instances(seed: int, count: int):

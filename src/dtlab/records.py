@@ -10,9 +10,10 @@ fields in order, checks its arguments and writes each field once into
 self.__dict__.  Field values live there, so functools.cached_property works
 and a constructor may store a derived value beside the fields.  Three private
 constructors skip __init__ and prepare an instance from data a kernel holds:
-ExpSum._make (terms canonical by construction), VectorFunction._make (the
-table direct_product built from a valid function) and Distribution._of_ints
-(the law's reduced ints, checked as __init__ checks).  The last builds the
+ExpSum._make (reduced int quadruples (p, q, r, s), canonical by
+construction), VectorFunction._make (the table direct_product built from a
+valid function) and Distribution._of_ints (the law's reduced ints, checked
+as __init__ checks).  The last builds the
 law's weights on first read, as a cached_property, so ==, hash, repr and
 pickling see the same values whichever constructor built the instance.
 

@@ -437,6 +437,9 @@ def run_config(config: dict, *, jobs: int = 1):
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(one, entries))
 
+    # the scenarios that share an instance stream have run: free it before
+    # the report is built, so that it adds nothing to the run's peak memory
+    standard_verification_instances.cache_clear()
     outcomes.sort(key=lambda o: (o[0].scenario, str(sorted(o[0].params.items()))))
     results = [r for r, _ in outcomes]
     timings = [(r.scenario, s) for r, s in outcomes]

@@ -1,6 +1,8 @@
 """Closed-form tail bounds and the leaf-statistics inequality verifiers."""
 
 import itertools
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import comb
 
@@ -49,6 +51,7 @@ from dtlab.instances import (
     standard_verification_instances,
     xor_tree_instances,
 )
+from dtlab.scenarios import run_config
 from dtlab.transforms import full_parity_product_tree
 from dtlab.trees import DecisionTree, Leaf, evaluate
 
@@ -153,6 +156,29 @@ def test_constant_chain():
 
 
 INSTANCES = standard_verification_instances(seed=1234, count=25)
+
+
+def test_the_instance_stream_is_built_once_and_shared_as_a_tuple():
+    """Each (seed, count) stream is built once, also when four threads ask
+    for it together, and no caller can change the shared stream."""
+    first = standard_verification_instances(404, 100)
+    assert type(first) is tuple and standard_verification_instances(404, 100) is first
+    fresh = standard_verification_instances.__wrapped__(404, 100)
+    assert fresh == first and fresh is not first
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # threads interleave inside the miss
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            streams = list(pool.map(standard_verification_instances, [405] * 8, [30] * 8))
+    finally:
+        sys.setswitchinterval(switch)
+    assert all(s == standard_verification_instances.__wrapped__(405, 30) for s in streams)
+    assert any(s is standard_verification_instances(405, 30) for s in streams)
+    with pytest.raises(InvalidValue, match="positive instance count"):
+        standard_verification_instances(404, 0)
+    # a run drops the stream its scenarios shared before it builds the report
+    run_config({"scenarios": [{"name": "density-conservation", "params": {"count": 2}}]})
+    assert standard_verification_instances.cache_info().currsize == 0
 
 
 def test_density_conservation_on_random_instances():

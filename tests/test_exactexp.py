@@ -5,7 +5,7 @@ import time
 from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import gcd, isqrt
 
 import mpmath
 import pytest
@@ -276,7 +276,7 @@ def test_negation_and_scaling_keep_the_canonical_order():
     a = ExpSum.exp(1, 2) + ExpSum.exp(2, 3)
     assert -a == ExpSum.of(0) - a
     assert hash(-a) == hash(ExpSum.of(0) - a)
-    assert [b for _, b in (a - 4).terms] == [2, 1, 0]
+    assert [b for _, b in _pairs(a - 4)] == [2, 1, 0]
 
 
 def test_hand_built_sums_are_canonicalized():
@@ -290,7 +290,8 @@ def test_hand_built_sums_are_canonicalized():
     mixed = ExpSum(((1, 0), (2, 1), (Fraction(1, 2), -1), (3, 1), (True, 0)))
     built = ExpSum.exp(1, 5) + 2 + ExpSum.exp(-1, Fraction(1, 2))
     assert mixed == built and hash(mixed) == hash(built)
-    assert all(type(a) is Fraction and type(b) is Fraction for a, b in mixed.terms)
+    assert _pairs(mixed) == ((5, 1), (2, 0), (Fraction(1, 2), -1))
+    assert mixed.terms == ((5, 1, 1, 1), (2, 1, 0, 1), (1, 2, -1, 1))
     assert (mixed - built).sign() == 0
 
 
@@ -316,9 +317,21 @@ def _random_terms(rng):
     return terms
 
 
+def _pairs(v: ExpSum) -> tuple[tuple[Fraction, Fraction], ...]:
+    """v's terms as (coefficient, exponent) Fraction pairs, after checking
+    their int form: quadruples (p, q, r, s) of ints, p/q and r/s reduced,
+    q, s > 0 and p != 0, with strictly decreasing exponents."""
+    for term in v.terms:
+        p, q, r, s = term
+        assert all(type(x) is int for x in term), term
+        assert p and q > 0 and s > 0 and gcd(p, q) == gcd(r, s) == 1, term
+    pairs = tuple((Fraction(p, q), Fraction(r, s)) for p, q, r, s in v.terms)
+    assert all(b > d for (_, b), (_, d) in zip(pairs, pairs[1:])), pairs
+    return pairs
+
+
 def _canonical_form(v: ExpSum) -> tuple:
-    assert all(type(a) is Fraction and type(b) is Fraction for a, b in v.terms)
-    return v.terms, hash(v)
+    return _pairs(v), v.terms, hash(v)
 
 
 def test_kernel_operations_match_the_canonicalizing_constructor():
@@ -333,11 +346,12 @@ def test_kernel_operations_match_the_canonicalizing_constructor():
             return _canonical_form(ExpSum(tuple(terms)))
 
         assert a.terms == _canon(ta)
-        assert _canonical_form(a + b) == expect(a.terms + b.terms)
-        assert _canonical_form(a - b) == expect(a.terms + tuple((-x, y) for x, y in b.terms))
-        assert _canonical_form(-a) == expect((-x, y) for x, y in a.terms)
-        assert _canonical_form(a + q) == expect(a.terms + ((q, 0),))
-        assert _canonical_form(q - a) == expect([(q, 0)] + [(-x, y) for x, y in a.terms])
+        pa, pb = _pairs(a), _pairs(b)
+        assert _canonical_form(a + b) == expect(pa + pb)
+        assert _canonical_form(a - b) == expect(pa + tuple((-x, y) for x, y in pb))
+        assert _canonical_form(-a) == expect((-x, y) for x, y in pa)
+        assert _canonical_form(a + q) == expect(pa + ((q, 0),))
+        assert _canonical_form(q - a) == expect([(q, 0)] + [(-x, y) for x, y in pa])
         assert _canonical_form(ExpSum.of(c)) == expect([(c, 0)])
         assert _canonical_form(ExpSum.exp(e, c)) == expect([(c, e)])
 
@@ -350,7 +364,8 @@ def test_total_matches_repeated_addition():
                   for _ in range(rng.randint(0, 12))]
         values += [Fraction(rng.randint(-2, 2), 3), rng.randint(-1, 1)]
         rng.shuffle(values)
-        total = ExpSum(t for v in values for t in ExpSum.of(v).terms)
+        total = ExpSum(t for v in values for t in _pairs(ExpSum.of(v)))
+        assert ExpSum(t for v in values for t in ExpSum.of(v).terms) == total
         assert _canonical_form(total) == _canonical_form(sum(values, ExpSum.of(0)))
 
 
@@ -360,7 +375,7 @@ def _fraction_sum_enclosure(v: ExpSum, prec_bits: int) -> tuple[Fraction, Fracti
     summed before it moved onto one fixed-point scale."""
     pad = prec_bits + 8 + max(1, len(v.terms)).bit_length()
     lo = hi = Fraction(0)
-    for a, b in v.terms:
+    for a, b in _pairs(v):
         if b == 0:
             lo += a
             hi += a
@@ -408,10 +423,10 @@ def test_fixed_point_enclosure_against_the_fraction_sum_and_mpmath():
         olo, ohi = _fraction_sum_enclosure(v, 128)
         with mpmath.workprec(600):
             neg, man, exp, _ = mpmath.fsum(_mpf(a) * mpmath.exp(_mpf(b))
-                                           for a, b in v.terms)._mpf_
+                                           for a, b in _pairs(v))._mpf_
         assert lo <= (-1) ** neg * man * Fraction(2) ** exp <= hi
         # a rounding unit 2**-w is under 2**-156 times the largest term
-        largest = max((abs(a) * exp_bounds(b, 64)[1] for a, b in v.terms), default=0)
+        largest = max((abs(a) * exp_bounds(b, 64)[1] for a, b in _pairs(v)), default=0)
         assert hi - lo <= (ohi - olo) + len(v.terms) * largest / 2**156
         # where the Fraction sum signs at 128 bits, the fixed-point sum signs alike
         if _decided(olo, ohi):
@@ -422,12 +437,12 @@ def test_fixed_point_enclosure_against_the_fraction_sum_and_mpmath():
     assert decided >= 1500 and near_zero >= 50
 
 
-def _former_enclosure(v: ExpSum, prec_bits: int) -> tuple[Fraction, Fraction]:
-    """Oracle: the fixed-point enclosure as it read Fraction bounds of e**b
-    before the int kernel."""
+def _former_enclosure(pairs, prec_bits: int) -> tuple[Fraction, Fraction]:
+    """Oracle: the fixed-point enclosure of a sum of (coefficient, exponent)
+    Fraction pairs as it read Fraction bounds of e**b before the int kernel."""
     pad = prec_bits + GUARD_BITS
     terms = [(a, *(_former_exp_bounds(b, pad) if b else (Fraction(1), Fraction(1))))
-             for a, b in v.terms]
+             for a, b in pairs]
     top = max((a.numerator.bit_length() - a.denominator.bit_length()
                + ehi.numerator.bit_length() - ehi.denominator.bit_length() + 2
                for a, _, ehi in terms), default=0)
@@ -463,8 +478,8 @@ def test_int_kernel_is_bit_identical_to_the_fraction_body():
     for _ in range(300):
         v = _oracle_sum(rng)
         for prec in (128, 256):
-            assert v.enclosure(prec) == _former_enclosure(v, prec)
-        lo, hi = _former_enclosure(v, 128)
+            assert v.enclosure(prec) == _former_enclosure(_pairs(v), prec)
+        lo, hi = _former_enclosure(_pairs(v), 128)
         assert decimal_interval(v) == (_former_print(lo, ROUND_FLOOR),
                                        _former_print(hi, ROUND_CEILING))
 
@@ -474,9 +489,150 @@ def test_is_rational_reads_the_canonical_form():
     rng = random.Random(3840)
     for _ in range(1000):
         v = ExpSum(_random_terms(rng)) + ExpSum(_random_terms(rng))
-        assert v.is_rational == all(b == 0 for _, b in v.terms)
+        assert v.is_rational == all(b == 0 for _, b in _pairs(v))
     for v in (ExpSum.exp(-1) + 1, 1 - ExpSum.exp(1), ExpSum.exp(2) - ExpSum.exp(2) + 3):
         assert v.is_rational == (v == ExpSum.of(3))
+
+
+class _FormerExpSum:
+    """Oracle: ExpSum as it was on (coefficient, exponent) Fraction pairs,
+    kept but for the record base, the kept default enclosure and the
+    precision ceiling's message; every result, a merge's too, goes through
+    the Fraction canonicalization."""
+
+    def __init__(self, terms):
+        acc = {}
+        for coeff, expo in terms:
+            coeff, expo = Fraction(coeff), Fraction(expo)
+            acc[expo] = acc.get(expo, Fraction(0)) + coeff
+        self.terms = tuple((acc[b], b) for b in sorted(acc, reverse=True) if acc[b] != 0)
+
+    @staticmethod
+    def of(value):
+        return value if isinstance(value, _FormerExpSum) else _FormerExpSum.exp(0, value)
+
+    @staticmethod
+    def exp(exponent, coeff=1):
+        return _FormerExpSum([(coeff, exponent)])
+
+    @property
+    def is_rational(self):
+        return not self.terms or (len(self.terms) == 1 and not self.terms[0][1])
+
+    def as_rational(self):
+        if not self.is_rational:
+            raise InvalidValue("not an exact rational")
+        return self.terms[0][0] if self.terms else Fraction(0)
+
+    def __add__(self, other, negate=False):
+        other = _FormerExpSum.of(other)
+        mine, theirs = self.terms, other.terms
+        out = []
+        i = j = 0
+        while i < len(mine) and j < len(theirs):
+            (a, b), (c, d) = mine[i], theirs[j]
+            if b > d:
+                out.append(mine[i])
+                i += 1
+            elif d > b:
+                out.append((-c, d) if negate else theirs[j])
+                j += 1
+            else:
+                coeff = a - c if negate else a + c
+                if coeff:
+                    out.append((coeff, b))
+                i += 1
+                j += 1
+        tail = [(-c, d) for c, d in theirs[j:]] if negate else theirs[j:]
+        return _FormerExpSum((*out, *mine[i:], *tail))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _FormerExpSum((-a, b) for a, b in self.terms)
+
+    def __sub__(self, other):
+        return self.__add__(other, True)
+
+    def __rsub__(self, other):
+        return _FormerExpSum.of(other).__add__(self, True)
+
+    def enclosure(self, prec_bits=128):
+        return _former_enclosure(self.terms, prec_bits)
+
+    def sign(self):
+        if self.is_rational:
+            v = self.as_rational()
+            return (v > 0) - (v < 0)
+        prec = 128
+        lo, hi = self.enclosure(prec)
+        while lo <= 0 <= hi:
+            if prec >= MAX_PRECISION_BITS:
+                raise UndecidedComparison("undecided")
+            prec *= 2
+            lo, hi = self.enclosure(prec)
+        return 1 if lo > 0 else -1
+
+    def __str__(self):
+        return " + ".join(fraction_to_str(a) + (f"*exp({fraction_to_str(b)})" if b else "")
+                          for a, b in self.terms) or "0"
+
+    def value_json(self):
+        if self.is_rational:
+            return fraction_to_str(self.as_rational())
+        lo, hi = self.enclosure(128)
+        return [_former_print(lo, ROUND_FLOOR), _former_print(hi, ROUND_CEILING)]
+
+
+def _same_as_former(got: ExpSum, want: _FormerExpSum) -> None:
+    """got, built on ints, reads as the former Fraction-pair value."""
+    assert _pairs(got) == want.terms
+    assert got.is_rational == want.is_rational
+    if want.is_rational:
+        assert got.as_rational() == want.as_rational()
+    else:
+        with pytest.raises(InvalidValue):
+            got.as_rational()
+    assert got.sign() == want.sign()
+    assert str(got) == str(want)
+    assert value_json(got) == want.value_json()
+    for prec in (128, 256):
+        assert got.enclosure(prec) == want.enclosure(prec)
+
+
+def test_int_kernel_matches_the_former_fraction_pair_expsum():
+    """Every operation on the int quadruples against the Fraction-pair
+    ExpSum they replaced, on 300 seeded sums with cancelling exponents and
+    rational-only sums."""
+    rng = random.Random(4040)
+    cancelled = rational = 0
+    for _ in range(300):
+        ta, tb = _random_terms(rng), _random_terms(rng)
+        if ta and rng.random() < 0.3:  # b cancels part or all of a
+            tb += [(-c, e) for c, e in ta[:rng.randint(1, len(ta))]]
+        a, b = ExpSum(ta), ExpSum(tb)
+        fa, fb = _FormerExpSum(ta), _FormerExpSum(tb)
+        q = rng.choice([0, 1, -2, True, Fraction(rng.randint(-5, 5), rng.randint(1, 4))])
+        c, e = rng.choice(ta + tb + [(0, 1), (True, False), (Fraction(-3, 2), Fraction(1, 3))])
+        for got, want in ((a, fa), (a + b, fa + fb), (a - b, fa - fb), (b - a, fb - fa),
+                          (-a, -fa), (a + q, fa + q), (q - a, q - fa), (a - a, fa - fa),
+                          (ExpSum.of(c), _FormerExpSum.of(c)),
+                          (ExpSum.exp(e, c), _FormerExpSum.exp(e, c))):
+            _same_as_former(got, want)
+            rational += got.is_rational
+        cancelled += len((a + b).terms) < len({y for _, y in _pairs(a) + _pairs(b)})
+    assert cancelled >= 30 and rational >= 300
+
+
+def test_a_quadruple_term_reads_as_its_pair():
+    """ExpSum(v.terms) == v, and a quadruple with a zero denominator is
+    refused as a pair with one is."""
+    v = ExpSum(((Fraction(4, 6), Fraction(-2, 4)), (3, 0)))
+    assert v.terms == ((3, 1, 0, 1), (2, 3, -1, 2))
+    assert ExpSum(v.terms) == v and ExpSum(((2, 3, -1, 2), (-2, 3, -1, 2))) == ExpSum.of(0)
+    for bad in (((1, 0, 1, 1),), ((1, 1, 1, 0),), ((1, "1/0"),)):
+        with pytest.raises(InvalidValue):
+            ExpSum(bad)
 
 
 def test_decimal_interval_brackets_e():

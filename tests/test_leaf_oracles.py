@@ -9,23 +9,28 @@ with zero weights, and h with values of mixed denominators from
 of scalar trees and their mixtures on up to 5 variables.
 """
 
+import itertools
 import pickle
 import random
 from fractions import Fraction
 from functools import cache, lru_cache
 from math import gcd
 
+import pytest
+
 from dtlab import bounds
 from dtlab.bounds import (
     ber_sum,
     ber_sum_cdf,
     binomial,
+    g_func,
+    lipschitz_check,
     verify_accuracy_bound,
     verify_error_no_advantage,
     verify_leaf_product,
     verify_resilience,
 )
-from dtlab.errors import UnreachedLeaf
+from dtlab.errors import InvalidValue, UnreachedLeaf
 from dtlab.exactexp import ExpSum
 from dtlab.functions import (
     Distribution,
@@ -53,6 +58,7 @@ from dtlab.trees import (
     leaf_stats,
     leaves,
 )
+from test_exactexp import _FormerExpSum, _pairs
 
 F = Fraction
 _ZERO = F(0)
@@ -371,7 +377,7 @@ def test_leaf_totals_are_the_fraction_sums_of_the_oracle_fields():
 
 def _same_sum(got: ExpSum, want: ExpSum) -> None:
     assert got == want and hash(got) == hash(want)
-    assert all(type(a) is Fraction and type(b) is Fraction for a, b in got.terms)
+    assert _pairs(got) == _pairs(want)
 
 
 def test_grouped_exp_sums_equal_their_canonicalized_totals():
@@ -397,6 +403,55 @@ def test_grouped_exp_sums_equal_their_canonicalized_totals():
         t = delta * k / 10
         _same_sum(verify_error_no_advantage(tree, h, mu).lhs,
                   ExpSum((r, min(t - d / 4, 0)) for r, d in pairs))
+
+
+def _frac_lipschitz(t, z, delta, form):
+    """Oracle: lipschitz_check's two sides as bounds built them on Fractions,
+    as former ExpSums, or the message of the InvalidValue it raised."""
+    t, z, delta = F(t), F(z), F(delta)
+    if t < 0 or z < 0 or delta < 0:
+        return "lipschitz_check needs nonnegative t, z, delta"
+    if form == "plain":
+        step = delta / 4
+    elif form == "scaled":
+        if t == 0 or z < 5 * t:
+            return f"scaled form needs z >= 5t with t > 0, got t={t}, z={z}"
+        step = delta / t
+    else:
+        return f"unknown form {form!r}"
+    return _frac_g(t, z - delta), _frac_g(t, z) + step
+
+
+def _frac_g(t, z) -> _FormerExpSum:
+    return _FormerExpSum.exp(min(F(t) - F(z) / 4, 0))
+
+
+def test_g_func_and_lipschitz_check_match_the_fraction_forms():
+    """The int helper against the Fraction sides on the closed-forms
+    scenario's grid (where z - delta is negative too), on str, float and
+    int inputs, with every refusal's message."""
+    grid = [(F(i, 4), F(j), F(m, 2)) for i, j, m in itertools.product(range(10), repeat=3)]
+    mixed = [("1/2", 3, 0.25), (0.5, "7", 1), (2, 0.5, "3/2"), ("3", 15, 0), (1, 1, 3),
+             (-1, 1, 1), (1, -0.5, 1), (1, 1, "-1/2"), (0, 1, 1), ("1/2", 2, 1), (0.75, 3, 0)]
+    shown = {"sides": 0, "refused": 0, "negative": 0}
+    for t, z, d in grid + mixed:
+        for form in ("plain", "scaled", "fancy"):
+            want = _frac_lipschitz(t, z, d, form)
+            if isinstance(want, str):
+                with pytest.raises(InvalidValue) as exc:
+                    lipschitz_check(t, z, d, form)
+                assert str(exc.value) == want
+                shown["refused"] += 1
+                continue
+            rep = lipschitz_check(t, z, d, form)
+            lhs, rhs = want
+            assert (_pairs(rep.lhs), _pairs(rep.rhs)) == (lhs.terms, rhs.terms), (t, z, d)
+            assert rep.holds == ((rhs - lhs).sign() >= 0)
+            shown["sides"] += 1
+            shown["negative"] += F(z) < F(d)
+        for x in (z, F(z) - F(d)):
+            assert _pairs(g_func(t, x)) == _frac_g(t, x).terms
+    assert shown["sides"] >= 1320 and shown["refused"] >= 1700 and shown["negative"] >= 250
 
 
 def test_ber_sum_matches_the_fraction_convolution():
