@@ -162,14 +162,12 @@ MUTANTS = [
     # a vector function's row width is not checked
     ("src/dtlab/functions.py", "if len(row) != k or any(", "if any(",
      "tests/test_functions.py::test_function_and_law_constructors_refuse_as_the_former_checks"),
-    # an int-built law's scaled form is stored after its check reads it
+    # an int-built law hands its check the ints unreduced: its scale keeps a
+    # common factor
     ("src/dtlab/functions.py",
-     '        law.__dict__["scaled"] = scale // g, tuple(m // g for m in nums)\n'
-     "        law._check(n, nums)\n",
-     "        law._check(n, nums)\n"
-     '        law.__dict__["scaled"] = scale // g, tuple(m // g for m in nums)\n',
-
-     "tests/test_functions.py::test_int_built_laws_refuse_what_the_fraction_path_refuses[1-nums0-1-InvalidValue]"),
+     "law._check(n, scale // g, tuple(m // g for m in nums))",
+     "law._check(n, scale, tuple(nums))",
+     "tests/test_functions.py::test_int_built_laws_equal_the_fraction_built_ones"),
     # a Boolean function checks its table length before its variable count
     ("src/dtlab/functions.py",
      '        _check_var_count(n, "BooleanFunction")\n'
@@ -335,7 +333,8 @@ MUTANTS = [
     ("src/dtlab/bounds.py", "num = 4 * a * d - b * n", "num = 4 * a * d - n",
      "tests/test_leaf_oracles.py::test_g_func_and_lipschitz_check_match_the_fraction_forms"),
     # the Lipschitz lhs reads g at z + delta
-    ("src/dtlab/bounds.py", "_g(a, b, n * f - e * d, d * f)", "_g(a, b, n * f + e * d, d * f)",
+    ("src/dtlab/bounds.py", "_g_sum([(1, 1, n * f - e * d, d * f)], a, b)",
+     "_g_sum([(1, 1, n * f + e * d, d * f)], a, b)",
      "tests/test_leaf_oracles.py::test_g_func_and_lipschitz_check_match_the_fraction_forms"),
     # grouped leaves ordered by z's numerator alone: the sums leave canonical order
     ("src/dtlab/bounds.py", "key=lambda item: item[0][0] * (den // item[0][1])",
@@ -346,6 +345,31 @@ MUTANTS = [
      "tests/test_leaf_oracles.py::test_grouped_exp_sums_equal_their_canonicalized_totals"),
     # Left out as equivalent: >= read as > in _g_exponent's t >= z/4 test,
     # since e**(0/s) reduces to the same term (0, 1).
+
+    # --- each exact value built once, in the form its readers use
+    # the printed enclosure reads the ints over 2**(w-1): twice the value
+    ("src/dtlab/exactexp.py", "low = str(Decimal(lo) / (1 << w))",
+     "low = str(Decimal(lo) / (1 << (w - 1)))",
+     "tests/test_exactexp.py::test_decimal_interval_brackets_e"),
+    # an enclosure reports a scale one bit finer than the one it summed on
+    ("src/dtlab/exactexp.py", "        return lo, hi, w\n", "        return lo, hi, w + 1\n",
+     "tests/test_exactexp.py::test_arithmetic_matches_oracle"),
+    # the binomial ceiling's weights over B, left unreduced
+    ("src/dtlab/bounds.py", "bino = [(*_reduce(c, den), z, 1) for",
+     "bino = [(c, den, z, 1) for",
+     "tests/test_bounds.py::test_resilience_ceilings_are_the_binomial_law_canonically"),
+    # the Lipschitz rhs reads g at t = b/a: the pair handed over swapped
+    ("src/dtlab/bounds.py", "rhs = _g_sum([(1, 1, n, d)], a, b)",
+     "rhs = _g_sum([(1, 1, n, d)], b, a)",
+     "tests/test_leaf_oracles.py::test_g_func_and_lipschitz_check_match_the_fraction_forms"),
+    # g_func weighs its one group by 1/2
+    ("src/dtlab/bounds.py", "_g_sum([(1, 1, *_ratio(z))], *_ratio(t))",
+     "_g_sum([(1, 2, *_ratio(z))], *_ratio(t))",
+     "tests/test_leaf_oracles.py::test_g_func_and_lipschitz_check_match_the_fraction_forms"),
+    # a measure's scaled ints are kept in reverse point order
+    ("src/dtlab/functions.py", "fields[\"scaled\"] = n, values, (scale, nums)",
+     "fields[\"scaled\"] = n, values, (scale, nums[::-1])",
+     "tests/test_functions.py::test_measure_checks_on_ints_as_on_fractions"),
 
     # --- the seeded instance stream built once per (seed, count)
     # the shared stream is a list that a caller could change

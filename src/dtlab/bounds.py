@@ -195,16 +195,10 @@ def _g_exponent(a: int, b: int, n: int, d: int) -> tuple[int, int]:
     return (0, 1) if num >= 0 else _reduce(num, 4 * b * d)
 
 
-def _g(a: int, b: int, n: int, d: int) -> ExpSum:
-    """g_t(z) for t = a/b and z = n/d, as one term."""
-    return ExpSum._make(((1, 1, *_g_exponent(a, b, n, d)),))
-
-
-def _g_sum(groups, t) -> ExpSum:
-    """sum_z w_z * g_t(z) over _groups of positive weights.  The z <= 4t
-    merge into one rational term; the others keep the distinct exponents
-    t - z/4, which decrease as z grows."""
-    a, b = t.numerator, t.denominator
+def _g_sum(groups, a: int, b: int) -> ExpSum:
+    """sum_z w_z * g_t(z) for t = a/b (b > 0) over _groups of positive
+    weights.  The z <= 4t merge into one rational term; the others keep the
+    distinct exponents t - z/4, which decrease as z grows."""
     flat, terms = (0, 1), []
     for p, q, n, d in groups:
         r, s = _g_exponent(a, b, n, d)
@@ -217,7 +211,7 @@ def _g_sum(groups, t) -> ExpSum:
 
 def g_func(t, z) -> ExpSum:
     """min(1, e^{t - z/4}), decided exactly: the min picks 1 iff t >= z/4."""
-    return _g(*_ratio(t), *_ratio(z))
+    return _g_sum([(1, 1, *_ratio(z))], *_ratio(t))
 
 
 def lipschitz_check(t, z, delta, form: str = "plain") -> BoundReport:
@@ -239,8 +233,8 @@ def lipschitz_check(t, z, delta, form: str = "plain") -> BoundReport:
         step = _reduce(e * b, f * a)
     else:
         raise InvalidValue(f"unknown form {form!r}")
-    rhs = _g(a, b, n, d) + ExpSum._make(((*step, 0, 1),) if e else ())
-    return _report(f"lipschitz-{form}", _g(a, b, n * f - e * d, d * f), rhs)
+    rhs = _g_sum([(1, 1, n, d)], a, b) + ExpSum._make(((*step, 0, 1),) if e else ())
+    return _report(f"lipschitz-{form}", _g_sum([(1, 1, n * f - e * d, d * f)], a, b), rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -279,9 +273,11 @@ def verify_resilience(tree: DecisionTree, h: Measure,
     delta = density(h, mu)
     mean = delta * k
     pairs = _reachable_density_stats(tree, h, mu)
-    leaf, bino = _groups(pairs), _groups((w, z) for z, w in enumerate(binomial(k, delta)) if w)
+    den, coeffs = _ber_poly([(delta.numerator, delta.denominator)] * k)
+    leaf = _groups(pairs)
+    bino = [(*_reduce(c, den), z, 1) for z, c in enumerate(coeffs) if c]
     sides = {
-        "exp-neg-z4": (_g_sum(leaf, 0), _g_sum(bino, 0)),  # g_0(z) = e**(-z/4)
+        "exp-neg-z4": (_g_sum(leaf, 0, 1), _g_sum(bino, 0, 1)),  # g_0(z) = e**(-z/4)
         "exp-pos-z": tuple(ExpSum._make(tuple(reversed(g)))
                            for g in (leaf, bino)),  # largest z first
         "square-dev": (
@@ -325,7 +321,7 @@ def verify_accuracy_bound(tree: DecisionTree, f: BooleanFunction, h: Measure,
     for t in range(k + 1):
         lhs = ber_sum_cdf(law, t)
         rhs = Fraction(sum(cdf[t] for cdf in cdfs), den)
-        g_form = _g_sum(gaps, t)
+        g_form = _g_sum(gaps, t, 1)
         g_dominates = (g_form - rhs).sign() >= 0
         reports.append(_report(
             "accuracy-from-stats", lhs, rhs,
@@ -340,7 +336,7 @@ def verify_error_no_advantage(tree: DecisionTree, h: Measure,
     k = tree.k
     delta = density(h, mu)
     t = delta * k / 10
-    lhs = _g_sum(_groups(_reachable_density_stats(tree, h, mu)), t)
+    lhs = _g_sum(_groups(_reachable_density_stats(tree, h, mu)), t.numerator, t.denominator)
     rhs = ExpSum.exp(-Fraction(121, 1000) * delta * k)
     return _report("error-no-advantage", lhs, rhs,
                    related=(("delta", delta), ("k", k)))

@@ -40,6 +40,8 @@ and ceiled for the high.  With 2**top a bound on the largest term (within
 about a factor 16), w = prec + 2*GUARD_BITS - top, so each side lies within
 #terms * 2**-w, under #terms * 2**-(prec+28) of the largest term, of the
 exact sum of the term intervals: below the error of the terms themselves.
+The enclosure stays those ints, (lo, hi, w): sign compares lo and hi with 0,
+and decimal_interval divides each by 2**w once, in Decimal.
 """
 
 from __future__ import annotations
@@ -280,8 +282,8 @@ class ExpSum(Record):
     def __rsub__(self, other) -> "ExpSum":
         return ExpSum.of(other).__add__(self, True)
 
-    def enclosure(self, prec_bits: int = DEFAULT_PRECISION_BITS) -> tuple[Fraction, Fraction]:
-        """Guaranteed rational interval containing the exact value, summed on
+    def enclosure(self, prec_bits: int = DEFAULT_PRECISION_BITS) -> tuple[int, int, int]:
+        """(lo, hi, w) with lo/2**w <= the exact value <= hi/2**w, summed on
         one fixed-point int scale; the module docstring bounds its width."""
         pad = prec_bits + GUARD_BITS
         # (p, q, a, b, c, d): coefficient p/q, e**exponent within [a/b, c/d]
@@ -298,10 +300,10 @@ class ExpSum(Record):
             p <<= w
             lo += p * a // (q * b)
             hi -= -p * c // (q * d)
-        return Fraction(lo, 1 << w), Fraction(hi, 1 << w)
+        return lo, hi, w
 
     @cached_property
-    def _default_enclosure(self) -> tuple[Fraction, Fraction]:
+    def _default_enclosure(self) -> tuple[int, int, int]:
         """enclosure() at the default width, kept: sign() starts from it, and
         it is the one interval that decimal_interval prints."""
         return self.enclosure()
@@ -311,14 +313,14 @@ class ExpSum(Record):
         if self.is_rational:
             p = self.terms[0][0] if self.terms else 0
             return (p > 0) - (p < 0)
-        lo, hi = self._default_enclosure
+        lo, hi, _ = self._default_enclosure
         prec = DEFAULT_PRECISION_BITS
         while lo <= 0 <= hi:
             if prec >= MAX_PRECISION_BITS:
                 raise UndecidedComparison(
                     f"sign of a {len(self.terms)}-term sum undecided at {MAX_PRECISION_BITS} bits")
             prec *= 2
-            lo, hi = self.enclosure(prec)
+            lo, hi, _ = self.enclosure(prec)
         return 1 if lo > 0 else -1
 
     def __str__(self) -> str:
@@ -327,14 +329,14 @@ class ExpSum(Record):
 
 
 def decimal_interval(value: ExpSum) -> tuple[str, str]:
-    """The kept enclosure at DEFAULT_PRECISION_BITS as 30-digit decimal
-    strings [lo, hi], rounded outward: still a true enclosure."""
-    lo, hi = value._default_enclosure
+    """The kept enclosure (lo, hi, w) as 30-digit decimal strings [lo/2**w,
+    hi/2**w], rounded outward: still a true enclosure."""
+    lo, hi, w = value._default_enclosure
     with localcontext() as ctx:
         ctx.prec, ctx.rounding = 30, ROUND_FLOOR
-        low = str(Decimal(lo.numerator) / lo.denominator)
+        low = str(Decimal(lo) / (1 << w))
         ctx.rounding = ROUND_CEILING
-        return low, str(Decimal(hi.numerator) / hi.denominator)
+        return low, str(Decimal(hi) / (1 << w))
 
 
 def value_json(value: ExpSum):

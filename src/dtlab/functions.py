@@ -94,7 +94,7 @@ class Distribution(Record):
 
     def __init__(self, n: int, weights: tuple[Fraction, ...]):
         self.__dict__["weights"] = weights
-        self._check(n, weights)
+        self._check(n, *_scale(weights))
 
     @staticmethod
     def _of_ints(n: int, scale: int, nums) -> "Distribution":
@@ -103,26 +103,21 @@ class Distribution(Record):
         built from that form on first read."""
         g = gcd(scale, *nums)
         law = object.__new__(Distribution)
-        law.__dict__["scaled"] = scale // g, tuple(m // g for m in nums)
-        law._check(n, nums)
+        law._check(n, scale // g, tuple(m // g for m in nums))
         return law
 
-    def _check(self, n: int, weights) -> None:
+    def _check(self, n: int, scale: int, nums: tuple[int, ...]) -> None:
+        """Checks the law nums/scale and writes n and scaled = (scale, nums),
+        the form the int kernels read."""
         _check_var_count(n, "Distribution")
-        if len(weights) != 1 << n:
-            raise DimensionMismatch(f"weight count {len(weights)} != 2**{n}")
-        self.__dict__["n"] = n
+        if len(nums) != 1 << n:
+            raise DimensionMismatch(f"weight count {len(nums)} != 2**{n}")
         # on ints: over D, the signs are the numerators' and the sum is D
-        scale, nums = self.scaled
         if any(w < 0 for w in nums):
             raise InvalidValue("distribution weights must be nonnegative")
         if sum(nums) != scale:
             raise InvalidValue("distribution weights must sum to exactly 1")
-
-    @cached_property
-    def scaled(self) -> tuple[int, tuple[int, ...]]:
-        """_scale(weights), computed by validation and read by int kernels."""
-        return _scale(self.weights)
+        self.__dict__["n"], self.__dict__["scaled"] = n, (scale, nums)
 
     @cached_property
     def weights(self) -> tuple[Fraction, ...]:
@@ -144,18 +139,13 @@ class Measure(Record):
         _check_var_count(n, "Measure")
         if len(values) != 1 << n:
             raise DimensionMismatch(f"value count {len(values)} != 2**{n}")
-        fields = self.__dict__
-        fields["n"], fields["values"] = n, values
-        # on ints: over E, a value lies in [0,1] iff its numerator lies in [0,E]
-        scale, nums = self.scaled
+        # scaled = (E, values * E) for E the values' least common denominator,
+        # read by the int kernels; a value lies in [0,1] iff its int lies in [0,E]
+        scale, nums = _scale(values)
         if any(v < 0 or v > scale for v in nums):
             raise InvalidValue("measure values must lie in [0,1]")
-
-    @cached_property
-    def scaled(self) -> tuple[int, tuple[int, ...]]:
-        """_scale(values): (E, values * E) for E the values' least common
-        denominator, computed by validation and read by the int kernels."""
-        return _scale(self.values)
+        fields = self.__dict__
+        fields["n"], fields["values"], fields["scaled"] = n, values, (scale, nums)
 
 
 # ---------------------------------------------------------------------------

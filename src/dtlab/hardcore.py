@@ -419,7 +419,8 @@ def _check_saddle_point(game: _Game, value: Fraction, z, w) -> None:
         raise KernelFault(f"measure {z} misses the density (LP kernel bug)")
 
     # Greedy minimum against w: the fractional fill that puts H = 1 on the
-    # lowest scores first.  Zero-weight trees add nothing to any score.
+    # lowest scores first; the density check caps its mass by the total, so
+    # it places all of it.  Zero-weight trees add nothing to any score.
     live = [(v, payoff) for v, (_, payoff, _) in zip(wn, pool) if v]
     scores = [sum(v * payoff[x] for v, payoff in live) for x in range(cells)]
     remaining, g_num = mass[cells], 0
@@ -427,8 +428,6 @@ def _check_saddle_point(game: _Game, value: Fraction, z, w) -> None:
         take = min(mass[x], remaining)
         g_num += take * scores[x]
         remaining -= take
-    if remaining != 0:
-        raise KernelFault("density exceeds total distribution mass")
     g_value = Fraction(g_num, den * dw)
     if g_value != value:
         raise KernelFault(

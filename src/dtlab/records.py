@@ -12,10 +12,11 @@ and a constructor may store a derived value beside the fields.  Three private
 constructors skip __init__ and prepare an instance from data a kernel holds:
 ExpSum._make (reduced int quadruples (p, q, r, s), canonical by
 construction), VectorFunction._make (the table direct_product built from a
-valid function) and Distribution._of_ints (the law's reduced ints, checked
-as __init__ checks).  The last builds the
-law's weights on first read, as a cached_property, so ==, hash, repr and
-pickling see the same values whichever constructor built the instance.
+valid function) and Distribution._of_ints (the law's gcd-reduced ints, handed
+to Distribution._check, which __init__ hands _scale(weights): the one check
+and writer of n and scaled).  The last builds the law's weights on first
+read, as a cached_property, so ==, hash, repr and pickling see the same
+values whichever constructor built the instance.
 
 The base imports only operator and generates no code per class, so that
 `import dtlab` loads none of inspect, dis, ast or tokenize.

@@ -385,12 +385,10 @@ def run_scenario(name: str, params: dict | None = None) -> ScenarioResult:
 
 
 def default_config() -> dict:
-    """Full suite, default parameters: the determinism reference config."""
-    return {
-        "precision_bits": DEFAULT_PRECISION_BITS,
-        "scenarios": [{"name": name, "params": dict(defaults)}
-                      for name, (fn, defaults, desc) in sorted(SCENARIOS.items())],
-    }
+    """Full suite, default parameters: the determinism reference config.
+    It states no precision_bits: run_config prints at the one width."""
+    return {"scenarios": [{"name": name, "params": dict(defaults)}
+                          for name, (fn, defaults, desc) in sorted(SCENARIOS.items())]}
 
 
 def run_config(config: dict, *, jobs: int = 1):

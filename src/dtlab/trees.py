@@ -13,8 +13,8 @@ cost O(L*k*2^n) for L leaves instead of walking 2^(nk - depth) points per
 leaf, and conditional_blocks_at_leaf filters mu's ints once per block.  Its
 sums are ints, over mu's (Distribution.scaled, never rescaled) and each
 table's least common denominator (h's is Measure.scaled), which it returns
-with them.  A LeafStats row keeps its cell ints and builds its totals on
-first read; a factor law keeps its ints and builds its weights so.  What
+with them.  A LeafStats row keeps its cell ints and reads its totals off
+them; a factor law keeps its ints and builds its weights once.  What
 checks that factorization stays on point enumeration, so no check is
 circular: the joint law that bounds.verify_leaf_product sums point by point
 over each leaf's cube, and the block_error_law behind the lhs of
@@ -33,7 +33,6 @@ artifact's trees share a node's JSON dict too.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from math import prod
 from operator import mul
 
@@ -263,11 +262,11 @@ class LeafStats(Record):
         """Each block's p as an int pair (H - |G|, 2*S*E): no Fraction."""
         return [(h - abs(g), 2 * s * self.scale) for s, h, g in self.cells]
 
-    @cached_property
+    @property
     def dens_total(self) -> Fraction:
         return self._total(1)
 
-    @cached_property
+    @property
     def adv_total(self) -> Fraction:
         return self._total(2)
 
@@ -338,7 +337,7 @@ def leaf_stats(tree: DecisionTree, f: BooleanFunction, h: Measure,
     The leaf law factors across blocks, so with S, H, G the block cell's
     sums of mu, mu*h and mu*f*h: reach = prod S, dens = H/S and adv = |G|/S.
     reach is built here; each row keeps its cells' ints (LeafStats.cells)
-    and builds dens_total and adv_total from them on first read.  Cost
+    and builds dens_total and adv_total from them when read.  Cost
     O(L*k*2^n) for L leaves.
     """
     n, k = tree.n, tree.k

@@ -38,6 +38,7 @@ from dtlab.errors import DimensionMismatch, InvalidValue
 from dtlab.exactexp import DEFAULT_PRECISION_BITS, ExpSum
 from dtlab.functions import (
     constant_measure,
+    density,
     dictator,
     direct_product,
     parity,
@@ -195,6 +196,37 @@ def test_resilience_on_random_instances(phi):
         assert len(reports) == len(PHI_IDS)
         rep = reports[PHI_IDS.index(phi)]
         assert rep.context == f"resilience-{phi}" and rep.holds
+
+
+def test_resilience_ceilings_are_the_binomial_law_canonically():
+    """The exp-neg-z4 and exp-pos-z ceilings, read off the int Bernoulli
+    polynomial, equal the canonical sums of binomial(k, delta)'s weights."""
+    for tree, _f, h, mu in INSTANCES:
+        k, delta = tree.k, density(h, mu)
+        law = [(w, z) for z, w in enumerate(binomial(k, delta)) if w]
+        sides = {r.context: r.rhs for r in verify_resilience(tree, h, mu)}
+        assert sides["resilience-exp-pos-z"] == ExpSum(law)
+        assert sides["resilience-exp-neg-z4"] == ExpSum((w, F(-z, 4)) for w, z in law)
+    # delta = 1/2 at k = 2: the weights 1/4, 1/2, 1/4 come reduced from 1, 2, 1 over 4
+    rhs = verify_resilience(DecisionTree(1, 2, Leaf((1, 1))), constant_measure(1, F(1, 2)),
+                            uniform(1))[1].rhs
+    assert rhs.terms == ((1, 4, 2, 1), (1, 2, 1, 1), (1, 4, 0, 1))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: chernoff_upper2x(-1), InvalidValue, "chernoff_upper2x needs a nonnegative mean"),
+    (lambda: verify_bounds_from_hardcore(
+        DecisionTree(3, 1, Leaf((1,))),
+        hardcore_solve(parity(2), uniform(2), F(1, 4), F(1, 2), F(0))),
+     DimensionMismatch, "tree blocks must match the certificate's function"),
+    (lambda: verify_leaf_product(DecisionTree(2, 2, Leaf((1, 1))), uniform(3)),
+     DimensionMismatch, "verify_leaf_product expects single-block mu"),
+], ids=["chernoff-upper2x-negative-mean", "bounds-from-hardcore-width",
+        "leaf-product-multi-block-mu"])
+def test_bound_refusals_name_their_fault(call, error, message):
+    with pytest.raises(error) as got:
+        call()
+    assert str(got.value) == message
 
 
 @pytest.mark.parametrize("verify", [verify_density_conservation, verify_resilience,

@@ -11,9 +11,9 @@ from fractions import Fraction as F
 import pytest
 
 from dtlab import cli
-from dtlab.errors import BoostFailure, KernelFault, UndecidedComparison
-from dtlab.functions import parity, uniform
-from dtlab.hardcore import certificate_to_json, committee_to_json, hardcore_solve
+from dtlab.errors import BoostFailure, InvalidValue, KernelFault, UndecidedComparison
+from dtlab.functions import BooleanFunction, Distribution, parity, uniform
+from dtlab.hardcore import Committee, certificate_to_json, committee_to_json, hardcore_solve
 from dtlab.trees import (
     DecisionTree,
     Leaf,
@@ -369,6 +369,45 @@ def test_verify_rejects_tampered_certificate(tmp_path):
     path = tmp_path / "tampered.json"
     path.write_text(json.dumps(art))
     assert cli.main(["verify", str(path)]) == 1
+
+
+@pytest.mark.parametrize("field, value, broken", [
+    ("delta", "1/32", "majority error"),  # the majority errs on mass 1/16
+    ("depth_budget", "2/5", "total cost"),  # cost/r is 65/132, over 2/5
+], ids=["delta-below-the-error", "budget-below-cost-per-member"])
+def test_verify_rejects_a_tampered_committee(tmp_path, capsys, field, value, broken):
+    f = BooleanFunction(2, (-1, 1, -1, -1))
+    mu = Distribution(2, (F(3, 16), F(1, 16), F(3, 8), F(3, 8)))
+    committee = hardcore_solve(f, mu, F(3, 8), F(1, 2), F(1, 2))
+    assert isinstance(committee, Committee)
+    art = committee_to_json(committee)
+    path = tmp_path / "committee.json"
+    path.write_text(json.dumps(art))
+    assert cli.main(["verify", str(path)]) == 0
+    assert "[FAIL]" not in capsys.readouterr().out
+    art[field] = value
+    path.write_text(json.dumps(art))
+    assert cli.main(["verify", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert out.count("[FAIL]") == 1 and f"[FAIL] {broken} " in out
+
+
+def test_atomic_write_removes_its_temp_file_when_the_rename_fails(tmp_path, monkeypatch,
+                                                                   capsys):
+    def refuse(src, dst):
+        raise PermissionError(13, "Permission denied")
+
+    target = tmp_path / "out" / "report.json"
+    monkeypatch.setattr(cli.os, "replace", refuse)
+    with pytest.raises(InvalidValue) as got:
+        cli._atomic_write(str(target), b"{}")
+    assert str(got.value) == f"cannot write {target}: [Errno 13] Permission denied"
+    assert list((tmp_path / "out").iterdir()) == []
+    # through the CLI, the same refusal exits 2 and leaves no file
+    cfg = _write_config(tmp_path / "config.json", [{"name": "closed-forms"}])
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "error: cannot write" in capsys.readouterr().err
+    assert list((tmp_path / "out").iterdir()) == []
 
 
 def test_verify_rejects_witness_over_the_depth_budget(tmp_path, capsys):

@@ -258,7 +258,7 @@ def test_sign_raises_once_doubling_budget_is_exhausted():
 
 def test_arithmetic_matches_oracle():
     v = ExpSum.exp(Fraction(3, 2), 2) - ExpSum.exp(Fraction(-1, 3), 5) + Fraction(7, 4)
-    lo, hi = v.enclosure(128)
+    lo, hi = _interval(v, 128)
     with mpmath.workprec(400):
         truth = (2 * mpmath.exp(mpmath.mpf(3) / 2)
                  - 5 * mpmath.exp(-mpmath.mpf(1) / 3) + mpmath.mpf(7) / 4)
@@ -369,6 +369,14 @@ def test_total_matches_repeated_addition():
         assert _canonical_form(total) == _canonical_form(sum(values, ExpSum.of(0)))
 
 
+def _interval(v: ExpSum, prec_bits: int) -> tuple[Fraction, Fraction]:
+    """v.enclosure(prec_bits), the ints (lo, hi, w), read as the Fractions
+    lo/2**w and hi/2**w that it bounds the value by."""
+    lo, hi, w = v.enclosure(prec_bits)
+    assert type(lo) is type(hi) is type(w) is int and w >= 0
+    return Fraction(lo, 1 << w), Fraction(hi, 1 << w)
+
+
 def _fraction_sum_enclosure(v: ExpSum, prec_bits: int) -> tuple[Fraction, Fraction]:
     """Oracle: the enclosure as an exact Fraction sum of the term intervals,
     each e**b at a width that grows with the term count, as the kernel
@@ -419,7 +427,7 @@ def test_fixed_point_enclosure_against_the_fraction_sum_and_mpmath():
     decided = near_zero = 0
     for _ in range(2000):
         v = _oracle_sum(rng)
-        lo, hi = v.enclosure(128)
+        lo, hi = _interval(v, 128)
         olo, ohi = _fraction_sum_enclosure(v, 128)
         with mpmath.workprec(600):
             neg, man, exp, _ = mpmath.fsum(_mpf(a) * mpmath.exp(_mpf(b))
@@ -478,7 +486,7 @@ def test_int_kernel_is_bit_identical_to_the_fraction_body():
     for _ in range(300):
         v = _oracle_sum(rng)
         for prec in (128, 256):
-            assert v.enclosure(prec) == _former_enclosure(_pairs(v), prec)
+            assert _interval(v, prec) == _former_enclosure(_pairs(v), prec)
         lo, hi = _former_enclosure(_pairs(v), 128)
         assert decimal_interval(v) == (_former_print(lo, ROUND_FLOOR),
                                        _former_print(hi, ROUND_CEILING))
@@ -597,7 +605,7 @@ def _same_as_former(got: ExpSum, want: _FormerExpSum) -> None:
     assert str(got) == str(want)
     assert value_json(got) == want.value_json()
     for prec in (128, 256):
-        assert got.enclosure(prec) == want.enclosure(prec)
+        assert _interval(got, prec) == want.enclosure(prec)
 
 
 def test_int_kernel_matches_the_former_fraction_pair_expsum():

@@ -27,6 +27,7 @@ from dtlab.functions import (
     measure_from_json,
     measure_to_json,
     no_error_reduction_function,
+    output_rows,
     parity,
     point_value,
     product_power,
@@ -315,3 +316,18 @@ def test_measure_checks_on_ints_as_on_fractions():
     # the scaled form needs rationals: a float has no denominator
     with pytest.raises(AttributeError):
         Measure(1, (0.5, 0.25))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: parity(0), "parity needs n >= 1, got 0"),
+    (lambda: dictator(2, 2), "dictator index 2 out of range for n=2"),
+    (lambda: no_error_reduction_function(0), "need n >= 1, got 0"),
+    (lambda: direct_product(parity(2), 0), "k must be >= 1, got 0"),
+    (lambda: output_rows("f"), "not a function: 'f'"),
+    (lambda: product_power(uniform(2), 0), "k must be >= 1, got 0"),
+], ids=["parity-n0", "dictator-index", "no-error-reduction-n0", "direct-product-k0",
+        "output-rows-not-a-function", "product-power-k0"])
+def test_constructor_refusals_name_their_fault(call, message):
+    with pytest.raises(InvalidValue) as got:
+        call()
+    assert str(got.value) == message

@@ -1564,3 +1564,13 @@ def test_committee_json_writes_a_repeated_tree_once():
                      com.delta, com.gamma, com.depth_budget, com.seed, com.iterations)
     assert json.dumps(committee_to_json(twin)) == json.dumps(obj)
     assert committee_from_json(committee_to_json(twin)) == com
+
+
+@pytest.mark.parametrize("f, mu", [(parity(3), uniform(2)), (parity(2), uniform(3))],
+                         ids=["wider-f", "wider-mu"])
+def test_committee_metrics_refuses_a_function_and_law_of_other_sizes(f, mu):
+    stump = DecisionTree(2, 1, Leaf((1,)))
+    committee = Committee(parity(2), uniform(2), (stump,), F(1, 4), F(1, 2), F(1), 0, 1)
+    with pytest.raises(DimensionMismatch) as got:
+        committee_metrics(committee, f, mu)
+    assert str(got.value) == "function and distribution sizes differ"

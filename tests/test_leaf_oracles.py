@@ -352,8 +352,7 @@ def test_int_built_records_behave_as_public_built_ones():
                                   want or (), strict=True):
                 _same_record(got, eager, {"weights"})
                 laws += 1
-        # a row hashes by its tuple of cells, and its totals, once read, are
-        # kept beside its fields and seen by none of ==, hash, repr, pickle
+        # a row hashes by its tuple of cells
         for read in leaf_stats(tree, f, h, mu):
             fresh = LeafStats(read.reach, read.cells, read.scale)
             assert (read.dens_total, read.adv_total) == (fresh._total(1), fresh._total(2))

@@ -312,3 +312,10 @@ def test_report_writer_refuses_what_json_refuses():
             json.dumps(bad, sort_keys=True, indent=2)
         with pytest.raises(TypeError):
             report_to_bytes(bad)
+
+
+@pytest.mark.parametrize("config", [[], "{}", None], ids=["list", "string", "null"])
+def test_run_config_refuses_a_config_that_is_not_an_object(config):
+    with pytest.raises(InvalidValue) as got:
+        run_config(config)
+    assert str(got.value) == "config must be a JSON object"

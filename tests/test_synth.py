@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from dtlab import hardcore, synth
-from dtlab.errors import GuardExceeded, InvalidValue
+from dtlab.errors import DimensionMismatch, GuardExceeded, InvalidValue
 from dtlab.functions import (
     BooleanFunction,
     Distribution,
@@ -653,3 +653,16 @@ def test_frontier_and_its_json_leave_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: pareto_frontier(parity(2), uniform(3)),
+     DimensionMismatch, "distribution on 3 vars vs target on 2"),
+    (lambda: opt_depth(pareto_frontier(parity(2), uniform(2),
+                                       h=constant_measure(2, Fraction(1))), Fraction(0)),
+     InvalidValue, "opt_depth needs an error-sense frontier"),
+], ids=["frontier-mu-width", "opt-depth-advantage-sense"])
+def test_synth_refusals_name_their_fault(call, error, message):
+    with pytest.raises(error) as got:
+        call()
+    assert str(got.value) == message

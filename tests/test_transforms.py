@@ -275,3 +275,18 @@ def test_product_tree_block_width_validation():
     t = full_parity_product_tree(3, 1)
     with pytest.raises(DimensionMismatch):
         product_tree(t, parity(2), uniform(2), 2)  # 3 vars is not 2*2
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: sign_fix_leaves(DecisionTree(3, 1, Leaf((1,))), parity(2),
+                             constant_measure(2, F(1)), uniform(2)),
+     DimensionMismatch, "sign_fix_leaves expects single-block f, h, mu"),
+    (lambda: embed_block_reduction(DecisionTree(2, 2, Leaf((1, 1))), uniform(3)),
+     DimensionMismatch, "mu must live on a single block"),
+    (lambda: product_tree(DecisionTree(2, 2, Leaf((1, 1))), parity(2), uniform(2), 2),
+     InvalidValue, "product_tree expects scalar leaves"),
+], ids=["sign-fix-tree-width", "embed-multi-block-mu", "product-tree-vector-leaves"])
+def test_transform_refusals_name_their_fault(call, error, message):
+    with pytest.raises(error) as got:
+        call()
+    assert str(got.value) == message

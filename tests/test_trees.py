@@ -670,3 +670,27 @@ def test_metric_dimension_checks():
             metric(wide, parity(3), uniform(2))
     with pytest.raises(DimensionMismatch):
         correlation(t, parity(2), uniform(2), constant_measure(1, Fraction(1, 2)))
+
+
+_ONE = DecisionTree(1, 1, Leaf((1,)))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: DecisionTree(-1, 1, Leaf((1,))), InvalidValue, "bad shape n=-1, k=1"),
+    (lambda: DecisionTree(1, 0, Leaf(())), InvalidValue, "bad shape n=1, k=0"),
+    (lambda: RandomizedTree(()), InvalidValue,
+     "a randomized tree needs at least one component"),
+    (lambda: RandomizedTree(((Fraction(0), _ONE), (Fraction(1), _ONE))), InvalidValue,
+     "component weights must be positive"),
+    (lambda: RandomizedTree(((Fraction(1, 2), _ONE),
+                             (Fraction(1, 2), DecisionTree(2, 1, Leaf((1,)))))),
+     DimensionMismatch, "mixture components disagree on (n, k)"),
+    (lambda: conditional_blocks_at_leaf(DecisionTree(2, 2, Leaf((1, 1))), uniform(3),
+                                        leaves(DecisionTree(2, 2, Leaf((1, 1))))[0]),
+     DimensionMismatch, "conditional_blocks_at_leaf expects single-block mu"),
+], ids=["tree-negative-n", "tree-k0", "mixture-empty", "mixture-zero-weight",
+        "mixture-shapes", "conditional-blocks-multi-block-mu"])
+def test_tree_refusals_name_their_fault(call, error, message):
+    with pytest.raises(error) as got:
+        call()
+    assert str(got.value) == message
